@@ -27,13 +27,11 @@ from .rings import (
     POLY_X,
     SKEW_X,
     SKEW_Y,
-    abs_val,
     add,
     all_descriptors,
     classify_magnitude,
     compare,
     descriptor,
-    finite_bound,
     from_int,
     from_rational,
     is_central,
@@ -60,8 +58,6 @@ from .linalg import (
     dot_left,
     int_matrix,
     int_vector,
-    is_nonneg,
-    lex_compare,
     mat_apply,
     matrix,
     scale_right,
@@ -75,7 +71,6 @@ from .linalg import (
 from .affine import (
     FeasibilityVerdict,
     ProgramData,
-    SlackPair,
     ViolationKind,
     assert_weak_duality,
     dual_slack,
@@ -90,7 +85,6 @@ from .affine import (
     key_equation_residual,
     primal_slack,
     random_program,
-    slack_pair,
     weak_duality_trials,
 )
 from .enumeration import (
@@ -104,8 +98,7 @@ from .enumeration import (
     classify_edt,
     enumerate_dual,
     enumerate_primal,
-    feasible_dual_points,
-    feasible_primal_points,
+    feasible_points,
 )
 from .constructions import (
     BundleKind,

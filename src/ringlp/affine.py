@@ -49,12 +49,10 @@ from .sampling import Sampler
 
 __all__ = [
     "ProgramData",
-    "SlackPair",
     "ViolationKind",
     "FeasibilityVerdict",
     "primal_slack",
     "dual_slack",
-    "slack_pair",
     "is_primal_feasible",
     "is_dual_feasible",
     "eval_f",
@@ -104,14 +102,6 @@ class ProgramData:
         return self.A.cols
 
 
-@dataclass(frozen=True)
-class SlackPair:
-    """Primal slack t = b - A x and dual slack s = y A - c for one (x, y)."""
-
-    t: RVector
-    s: RVector
-
-
 @unique
 class ViolationKind(Enum):
     NEGATIVE_VARIABLE = "NEGATIVE_VARIABLE"
@@ -142,10 +132,6 @@ def primal_slack(P: ProgramData, x: RVector) -> RVector:
 def dual_slack(P: ProgramData, y: RVector) -> RVector:
     """s = y A - c componentwise, exact."""
     return vec_sub(covec_apply(y, P.A), P.c)
-
-
-def slack_pair(P: ProgramData, x: RVector, y: RVector) -> SlackPair:
-    return SlackPair(t=primal_slack(P, x), s=dual_slack(P, y))
 
 
 def _first_negative(v: RVector) -> Optional[int]:
@@ -246,6 +232,11 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
 # randomized trial loops (documented samplers; deterministic given the seed)
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
 def _sample_vector(sampler: Sampler, ring: RingId, n: int, nonneg: bool = False) -> RVector:
     draw = sampler.sample_nonneg if nonneg else sampler.sample
     return vector(ring, (draw(ring) for _ in range(n)))
@@ -263,12 +254,13 @@ def random_program(
     return ProgramData(ring, A, b, c, sampler.sample(ring))
 
 
-def identity_trials(P: ProgramData, trials: int, seed: int) -> TrialSummary:
-    """Check both residuals vanish on random (x, y), feasible or not."""
+def _identity_trials(trials: int, seed: int, draw_program, show_points: bool) -> TrialSummary:
+    _require_trials(trials)
     sampler = Sampler(seed)
     failures = 0
     first = None
     for _ in range(trials):
+        P = draw_program(sampler)
         x = _sample_vector(sampler, P.ring, P.cols)
         y = _sample_vector(sampler, P.ring, P.rows)
         kr = key_equation_residual(P, x, y)
@@ -276,31 +268,27 @@ def identity_trials(P: ProgramData, trials: int, seed: int) -> TrialSummary:
         if not (is_zero(kr) and is_zero(dr)):
             failures += 1
             if first is None:
-                first = (
-                    f"x={[to_text(e) for e in x]} y={[to_text(e) for e in y]} "
-                    f"key={to_text(kr)} duality={to_text(dr)}"
-                )
+                first = f"key={to_text(kr)} duality={to_text(dr)}"
+                if show_points:
+                    first = f"x={[to_text(e) for e in x]} y={[to_text(e) for e in y]} {first}"
     return TrialSummary("identity_residuals", trials, failures, first)
+
+
+def identity_trials(P: ProgramData, trials: int, seed: int) -> TrialSummary:
+    """Check both residuals vanish on random (x, y), feasible or not."""
+    return _identity_trials(trials, seed, lambda sampler: P, True)
 
 
 def identity_program_trials(
     ring: RingId, trials: int, seed: int, max_rows: int = 3, max_cols: int = 3
 ) -> TrialSummary:
     """Like identity_trials but with a fresh random program per trial."""
-    sampler = Sampler(seed)
-    failures = 0
-    first = None
-    for _ in range(trials):
-        P = random_program(sampler, ring, max_rows, max_cols)
-        x = _sample_vector(sampler, ring, P.cols)
-        y = _sample_vector(sampler, ring, P.rows)
-        kr = key_equation_residual(P, x, y)
-        dr = duality_equation_residual(P, x, y)
-        if not (is_zero(kr) and is_zero(dr)):
-            failures += 1
-            if first is None:
-                first = f"key={to_text(kr)} duality={to_text(dr)}"
-    return TrialSummary("identity_residuals", trials, failures, first)
+    return _identity_trials(
+        trials,
+        seed,
+        lambda sampler: random_program(sampler, ring, max_rows, max_cols),
+        False,
+    )
 
 
 def weak_duality_trials(
@@ -312,6 +300,7 @@ def weak_duality_trials(
     b := A x + nonnegative noise, draw y >= 0 and set
     c := y A - nonnegative noise.
     """
+    _require_trials(trials)
     sampler = Sampler(seed)
     failures = 0
     first = None

@@ -29,6 +29,7 @@ from .affine import (
 )
 from .constructions import (
     InfeasibleSide,
+    _require_no_smallest_positive,
     certificate_dict,
     dual_decreasing_sequence,
     gap_program,
@@ -55,7 +56,6 @@ from .reports import TrialSummary
 from .rings import (
     RingId,
     all_descriptors,
-    descriptor,
     from_rational,
     parse_element,
     pretty,
@@ -74,26 +74,6 @@ DEMO_STEPS = 21
 DEMO_BOX = 10
 DEMO_SAMPLES = 500
 DEMO_SEED = 7
-
-DEMO_NAMES = (
-    "strong-duality-gap",
-    "edt-infeasible-optimal",
-    "edt-infeasible-optimal-transposed",
-    "primal-no-optimum",
-    "dual-no-optimum",
-    "noncommutative-gap",
-    "center-betweenness",
-)
-
-_DEMO_DEFAULT_RING = {
-    "strong-duality-gap": RingId.INT,
-    "edt-infeasible-optimal": RingId.INT,
-    "edt-infeasible-optimal-transposed": RingId.INT,
-    "primal-no-optimum": RingId.ODDRAT,
-    "dual-no-optimum": RingId.POLY,
-    "noncommutative-gap": RingId.SKEW,
-    "center-betweenness": RingId.SKEW,
-}
 
 _DEFAULT_A_TEXT = {
     RingId.INT: "2",
@@ -269,14 +249,11 @@ def _cmd_enumerate(args) -> int:
         "den": args.den,
     }
     human: list[str] = [f"program {args.file} over {P.ring.value}, box bound {args.box}"]
-    if args.side in (None, "primal"):
-        status = enumerate_primal(P, box, workers=args.workers)
-        report["primal"] = status.as_dict()
-        human.extend(_status_lines("primal", status))
-    if args.side in (None, "dual"):
-        status = enumerate_dual(P, box, workers=args.workers)
-        report["dual"] = status.as_dict()
-        human.extend(_status_lines("dual", status))
+    for side, scan in (("primal", enumerate_primal), ("dual", enumerate_dual)):
+        if args.side in (None, side):
+            status = scan(P, box, workers=args.workers)
+            report[side] = status.as_dict()
+            human.extend(_status_lines(side, status))
     _emit(args, report, human)
     return EXIT_OK
 
@@ -329,79 +306,73 @@ def _bundle_output(args, name: str, exhibits: str, bundle) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _demo_ring_and_a(args, name: str):
-    ring = RingId(args.ring) if args.ring else _DEMO_DEFAULT_RING[name]
-    a_text = args.a if args.a else _DEFAULT_A_TEXT[ring]
-    return ring, parse_element(ring, a_text)
+def _fraction_below_one(ring: RingId, den: int, witness: str):
+    """1/den in a ring that has elements strictly between 0 and 1."""
+    _require_no_smallest_positive(ring, witness)
+    return from_rational(ring, 1, den)
+
+
+# name -> (default ring, what it exhibits, builder of its bundle from (ring, a));
+# center-betweenness reports sampled checks instead of a bundle
+_DEMOS = {
+    "strong-duality-gap": (
+        RingId.INT,
+        "no strong duality over a ring whose smallest positive element is 1",
+        lambda ring, a: strong_duality_counterexample(ring, a, BoxSpec(DEMO_BOX)),
+    ),
+    "edt-infeasible-optimal": (
+        RingId.INT,
+        "existence-duality failure: infeasible primal with an optimal dual",
+        lambda ring, a: infeasible_optimal_program(
+            ring, a, InfeasibleSide.PRIMAL_INFEASIBLE
+        ),
+    ),
+    "edt-infeasible-optimal-transposed": (
+        RingId.INT,
+        "existence-duality failure: infeasible dual with an optimal primal",
+        lambda ring, a: infeasible_optimal_program(
+            ring, a, InfeasibleSide.DUAL_INFEASIBLE
+        ),
+    ),
+    "primal-no-optimum": (
+        RingId.ODDRAT,
+        "a feasible bounded primal that attains no optimum",
+        lambda ring, a: primal_improving_sequence(
+            ring, a, _fraction_below_one(ring, 3, "z with 0 < a*z < 1"), DEMO_STEPS
+        ),
+    ),
+    "dual-no-optimum": (
+        RingId.POLY,
+        "a feasible bounded dual that attains no optimum",
+        lambda ring, a: dual_decreasing_sequence(
+            ring,
+            a,
+            _fraction_below_one(
+                ring, 3 if ring is RingId.ODDRAT else 2, "p with 0 < p < 1"
+            ),
+            DEMO_STEPS,
+        ),
+    ),
+    "noncommutative-gap": (
+        RingId.SKEW,
+        "a strict duality gap on every feasible pair, non-commutative instance",
+        lambda ring, a: gap_program(ring, a),
+    ),
+    "center-betweenness": (
+        RingId.SKEW,
+        "no central element lies strictly between a*b and b*a",
+        None,
+    ),
+}
 
 
 def _cmd_demo(args) -> int:
     name = args.name
-    ring, a = _demo_ring_and_a(args, name)
-    if name == "strong-duality-gap":
-        bundle = strong_duality_counterexample(ring, a, BoxSpec(DEMO_BOX))
-        return _bundle_output(
-            args,
-            name,
-            "no strong duality over a ring whose smallest positive element is 1",
-            bundle,
-        )
-    if name == "edt-infeasible-optimal":
-        bundle = infeasible_optimal_program(ring, a, InfeasibleSide.PRIMAL_INFEASIBLE)
-        return _bundle_output(
-            args,
-            name,
-            "existence-duality failure: infeasible primal with an optimal dual",
-            bundle,
-        )
-    if name == "edt-infeasible-optimal-transposed":
-        bundle = infeasible_optimal_program(ring, a, InfeasibleSide.DUAL_INFEASIBLE)
-        return _bundle_output(
-            args,
-            name,
-            "existence-duality failure: infeasible dual with an optimal primal",
-            bundle,
-        )
-    if name == "primal-no-optimum":
-        if descriptor(ring).smallest_positive is not None:
-            raise PreconditionViolated(
-                f"{ring.value} has a smallest positive element; "
-                "no z with 0 < a*z < 1 exists"
-            )
-        z = from_rational(ring, 1, 3)
-        bundle = primal_improving_sequence(ring, a, z, DEMO_STEPS)
-        return _bundle_output(
-            args,
-            name,
-            "a feasible bounded primal that attains no optimum",
-            bundle,
-        )
-    if name == "dual-no-optimum":
-        if descriptor(ring).smallest_positive is not None:
-            raise PreconditionViolated(
-                f"{ring.value} has a smallest positive element; "
-                "no p with 0 < p < 1 exists"
-            )
-        p = (
-            from_rational(ring, 1, 3)
-            if ring is RingId.ODDRAT
-            else from_rational(ring, 1, 2)
-        )
-        bundle = dual_decreasing_sequence(ring, a, p, DEMO_STEPS)
-        return _bundle_output(
-            args,
-            name,
-            "a feasible bounded dual that attains no optimum",
-            bundle,
-        )
-    if name == "noncommutative-gap":
-        bundle = gap_program(ring, a)
-        return _bundle_output(
-            args,
-            name,
-            "a strict duality gap on every feasible pair, non-commutative instance",
-            bundle,
-        )
+    default_ring, exhibits, build = _DEMOS[name]
+    ring = RingId(args.ring) if args.ring else default_ring
+    a = parse_element(ring, args.a if args.a else _DEFAULT_A_TEXT[ring])
+    if build is not None:
+        return _bundle_output(args, name, exhibits, build(ring, a))
     # center-betweenness
     b = SKEW_Y if ring is RingId.SKEW else parse_element(ring, "3")
     if ring is RingId.SKEW and args.a is None:
@@ -421,7 +392,7 @@ def _cmd_demo(args) -> int:
     report = {
         "command": "demo",
         "name": name,
-        "exhibits": "no central element lies strictly between a*b and b*a",
+        "exhibits": exhibits,
         "ring": ring.value,
         "a": to_text(a),
         "b": to_text(b),
@@ -431,7 +402,7 @@ def _cmd_demo(args) -> int:
     }
     human = [
         f"demo {name}",
-        "exhibits: no central element lies strictly between a*b and b*a",
+        f"exhibits: {exhibits}",
         f"ring {ring.value}, a = {pretty(a)}, b = {pretty(b)}, "
         f"{DEMO_SAMPLES} sampled central elements (seed {DEMO_SEED})",
         f"  betweenness violations: {failures}",
@@ -507,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_edt)
 
     p = sub.add_parser("demo", parents=[shared], help="one construction per claim")
-    p.add_argument("name", choices=DEMO_NAMES)
+    p.add_argument("name", choices=list(_DEMOS))
     p.add_argument("--ring", choices=[r.value for r in RingId], default=None)
     p.add_argument("--a", default=None, help="element literal for the non-unit a")
     p.set_defaults(func=_cmd_demo)

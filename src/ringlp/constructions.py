@@ -39,8 +39,7 @@ from .enumeration import (
     certify_optimal_pair,
     enumerate_dual,
     enumerate_primal,
-    feasible_dual_points,
-    feasible_primal_points,
+    feasible_points,
 )
 from .errors import (
     NoSmallestPositive,
@@ -154,6 +153,17 @@ def _require_positive_nonunit(a: RingElement) -> None:
         )
 
 
+def _require_no_smallest_positive(ring: RingId, witness: str) -> None:
+    """A ring with a smallest positive element has nothing strictly between
+    0 and it, so no fractional witness exists there."""
+    smallest = descriptor(ring).smallest_positive
+    if smallest is not None:
+        raise PreconditionViolated(
+            f"{ring.value} has smallest positive element {to_text(smallest)}; "
+            f"no {witness} exists"
+        )
+
+
 def _one_by_one_program(a: RingElement) -> ProgramData:
     ring = a.ring
     return ProgramData(
@@ -216,8 +226,8 @@ def gap_program(
     checks: list[CheckReport] = []
     if ring is RingId.INT:
         box = BoxSpec(10)
-        primal_points = feasible_primal_points(P, box)
-        dual_points = feasible_dual_points(P, box)
+        primal_points = feasible_points(P, box, primal=True)
+        dual_points = feasible_points(P, box, primal=False)
         checks.append(
             _pair_gap_check(P, primal_points, dual_points, "box enumeration on [0,10]")
         )
@@ -325,7 +335,6 @@ def infeasible_optimal_program(
     _require_positive_nonunit(a)
     o = one(ring)
     z = zero(ring)
-    infeasible_note = _no_right_inverse_note(a)
     if side is InfeasibleSide.PRIMAL_INFEASIBLE:
         P = ProgramData(
             ring,
@@ -334,89 +343,52 @@ def infeasible_optimal_program(
             vector(ring, [z]),
             z,
         )
-        optimum = zero_vector(ring, 2)
+        kind = BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
         sign_note = (
             "g(y) = y1 - y2 and dual feasibility forces (y1 - y2)*a >= 0, hence "
             "y1 - y2 >= 0 since a > 0; the value 0 at y = (0, 0) is optimal"
         )
-        kind = BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
-        claim = (
-            "the primal side is infeasible while the dual side attains an optimum; "
-            "classically the dual would have to be infeasible or unbounded"
+    else:
+        P = ProgramData(
+            ring,
+            matrix(ring, [[a, neg(a)]]),
+            vector(ring, [z]),
+            vector(ring, [o, neg(o)]),
+            z,
         )
-        checks: list[CheckReport] = [_feasibility_check(P, [optimum], False, "dual_optimum")]
-        obj_zero = CheckReport(
-            "optimum_value_zero",
-            eval_g(P, optimum) == z,
-            True,
-            (f"g(0, 0) = {to_text(eval_g(P, optimum))}",),
+        kind = BundleKind.INFEASIBLE_OPTIMAL_DUAL
+        sign_note = (
+            "f(x) = x1 - x2 and primal feasibility forces a*(x1 - x2) <= 0, hence "
+            "x1 - x2 <= 0 since a > 0; the value 0 at x = (0, 0) is optimal"
         )
-        checks.append(obj_zero)
-        if ring in (RingId.INT, RingId.ODDRAT):
-            box = BoxSpec(10)
-            primal_status = enumerate_primal(P, box, infeasible_note)
-            checks.append(
-                CheckReport(
-                    "infeasible_side",
-                    primal_status.kind.value == "INFEASIBLE",
-                    True,
-                    (f"primal: {primal_status.kind.value} ({primal_status.scope.value})",),
-                )
-            )
-            checks.append(certify_optimal_pair(P, box, y_star=optimum))
-            notes = (infeasible_note, sign_note)
-        else:
-            notes = (
-                infeasible_note,
-                sign_note + f"; optimality over all of {ring.value}: " + NOT_CERTIFIED,
-            )
-        return CounterexampleBundle(
-            kind=kind,
-            program=P,
-            claim=claim,
-            dual_witnesses=(optimum,),
-            dual_optimum=optimum,
-            notes=notes,
-            checks=tuple(checks),
-        )
-    # transposed program: A = [[a, -a]], b = [0], c = [1, -1]
-    P = ProgramData(
-        ring,
-        matrix(ring, [[a, neg(a)]]),
-        vector(ring, [z]),
-        vector(ring, [o, neg(o)]),
-        z,
-    )
+    primal_optimal = side is InfeasibleSide.DUAL_INFEASIBLE
+    optimal, infeasible = ("primal", "dual") if primal_optimal else ("dual", "primal")
+    objective, letter = (eval_f, "f") if primal_optimal else (eval_g, "g")
     optimum = zero_vector(ring, 2)
-    sign_note = (
-        "f(x) = x1 - x2 and primal feasibility forces a*(x1 - x2) <= 0, hence "
-        "x1 - x2 <= 0 since a > 0; the value 0 at x = (0, 0) is optimal"
-    )
-    claim = (
-        "the dual side is infeasible while the primal side attains an optimum; "
-        "classically the primal would have to be infeasible or unbounded"
-    )
-    checks = [_feasibility_check(P, [optimum], True, "primal_optimum")]
-    checks.append(
+    infeasible_note = _no_right_inverse_note(a)
+    checks = [
+        _feasibility_check(P, [optimum], primal_optimal, f"{optimal}_optimum"),
         CheckReport(
             "optimum_value_zero",
-            eval_f(P, optimum) == z,
+            objective(P, optimum) == z,
             True,
-            (f"f(0, 0) = {to_text(eval_f(P, optimum))}",),
-        )
-    )
+            (f"{letter}(0, 0) = {to_text(objective(P, optimum))}",),
+        ),
+    ]
     if ring in (RingId.INT, RingId.ODDRAT):
         box = BoxSpec(10)
-        dual_status = enumerate_dual(P, box, infeasible_note)
+        scan = enumerate_dual if primal_optimal else enumerate_primal
+        status = scan(P, box, infeasible_note)
         checks.append(
             CheckReport(
                 "infeasible_side",
-                dual_status.kind.value == "INFEASIBLE",
+                status.kind.value == "INFEASIBLE",
                 True,
-                (f"dual: {dual_status.kind.value} ({dual_status.scope.value})",),
+                (f"{infeasible}: {status.kind.value} ({status.scope.value})",),
             )
         )
-        checks.append(certify_optimal_pair(P, box, x_star=optimum))
+        candidates = (optimum, None) if primal_optimal else (None, optimum)
+        checks.append(certify_optimal_pair(P, box, *candidates))
         notes = (infeasible_note, sign_note)
     else:
         notes = (
@@ -424,11 +396,17 @@ def infeasible_optimal_program(
             sign_note + f"; optimality over all of {ring.value}: " + NOT_CERTIFIED,
         )
     return CounterexampleBundle(
-        kind=BundleKind.INFEASIBLE_OPTIMAL_DUAL,
+        kind=kind,
         program=P,
-        claim=claim,
-        primal_witnesses=(optimum,),
-        primal_optimum=optimum,
+        claim=(
+            f"the {infeasible} side is infeasible while the {optimal} side attains "
+            f"an optimum; classically the {optimal} would have to be infeasible or "
+            "unbounded"
+        ),
+        primal_witnesses=(optimum,) if primal_optimal else (),
+        dual_witnesses=() if primal_optimal else (optimum,),
+        primal_optimum=optimum if primal_optimal else None,
+        dual_optimum=None if primal_optimal else optimum,
         notes=notes,
         checks=tuple(checks),
     )
@@ -501,12 +479,7 @@ def primal_improving_sequence(
     Starts at x = 0 and applies the improvement step; the bundle's claim is
     that the primal side is feasible and bounded yet attains no optimum.
     """
-    desc = descriptor(ring)
-    if desc.smallest_positive is not None:
-        raise PreconditionViolated(
-            f"{ring.value} has smallest positive element "
-            f"{to_text(desc.smallest_positive)}; no z with 0 < a*z < 1 exists"
-        )
+    _require_no_smallest_positive(ring, "z with 0 < a*z < 1")
     if a.ring is not ring or z.ring is not ring:
         raise NotAPositiveNonUnit(f"witnesses must live in ring {ring.value}")
     _require_positive_nonunit(a)
@@ -545,12 +518,7 @@ def dual_decreasing_sequence(
     Starts at y = [1] and rescales by p each step, re-validating dual
     feasibility exactly every time.
     """
-    desc = descriptor(ring)
-    if desc.smallest_positive is not None:
-        raise PreconditionViolated(
-            f"{ring.value} has smallest positive element "
-            f"{to_text(desc.smallest_positive)}; no p with 0 < p < 1 exists"
-        )
+    _require_no_smallest_positive(ring, "p with 0 < p < 1")
     if a.ring is not ring or p.ring is not ring:
         raise NotAPositiveNonUnit(f"witnesses must live in ring {ring.value}")
     _require_positive_nonunit(a)

@@ -10,9 +10,6 @@ EXHAUSTIVE only when the caller supplies an analytic note arguing the box
 is sufficient (shipped constructions do), otherwise BOX_LIMITED. A
 feasible best point touching the box's upper face is reported as
 FEASIBLE_UNBOUNDED_IN_BOX since a larger box might improve it.
-FEASIBLE_BOUNDED exists to mirror the four-way joint classification
-(feasible and bounded yet attaining no optimum); a finite grid always
-attains its best, so box scans never emit it.
 
 Ties between equal-objective points are broken toward the
 lexicographically smallest witness, so results do not depend on scan
@@ -26,9 +23,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .affine import (
+    FeasibilityVerdict,
     ProgramData,
     eval_f,
     eval_g,
@@ -59,14 +57,15 @@ __all__ = [
     "candidate_values",
     "enumerate_primal",
     "enumerate_dual",
-    "feasible_primal_points",
-    "feasible_dual_points",
+    "feasible_points",
     "certify_optimal_pair",
     "classify_edt",
 ]
 
 _ENUMERABLE = (RingId.INT, RingId.RAT, RingId.ODDRAT)
 _MAX_POINTS = 5_000_000
+_MAX_WORKERS = 64
+_TOO_LARGE = "search box too large for exhaustive scan"
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class BoxSpec:
 class StatusKind(Enum):
     INFEASIBLE = "INFEASIBLE"
     FEASIBLE_UNBOUNDED_IN_BOX = "FEASIBLE_UNBOUNDED_IN_BOX"
-    FEASIBLE_BOUNDED = "FEASIBLE_BOUNDED"
     OPTIMAL = "OPTIMAL"
 
 
@@ -137,18 +135,55 @@ class EdtReport:
         }
 
 
+class _Side(NamedTuple):
+    """One side of a program: the primal maximizes f over x, the dual
+    minimizes g over y."""
+
+    name: str
+    letter: str
+    nvars: int
+    feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
+    objective: Callable[[ProgramData, RVector], RingElement]
+    maximize: bool
+
+
+def _side(P: ProgramData, primal: bool) -> _Side:
+    # read from the module globals on every call, so a function patched
+    # onto this module is the one every scan uses
+    if primal:
+        return _Side("primal", "f", P.cols, is_primal_feasible, eval_f, True)
+    return _Side("dual", "g", P.rows, is_dual_feasible, eval_g, False)
+
+
+def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, ...]:
+    """The per-variable grid, ascending.
+
+    Raises as soon as the distinct values found so far, raised to the
+    number of variables, exceed the point cap, before the rest is built.
+    """
+    if ring not in _ENUMERABLE:
+        raise UnsupportedRing(
+            f"{ring.value} is not exhaustively enumerable (only int, rat, oddrat)"
+        )
+    if ring is RingId.INT:
+        if (box.bound + 1) ** nvars > _MAX_POINTS:
+            raise ValueError(_TOO_LARGE)
+        return tuple(from_int(ring, v) for v in range(box.bound + 1))
+    d_bound = box.denominator_bound or 1
+    values: set[Fraction] = set()
+    for den in range(1, d_bound + 1):
+        if ring is RingId.ODDRAT and den % 2 == 0:
+            continue
+        for num in range(box.bound * d_bound + 1):
+            values.add(Fraction(num, den))
+            if len(values) ** nvars > _MAX_POINTS:
+                raise ValueError(_TOO_LARGE)
+    return tuple(from_rational(ring, q) for q in sorted(values))
+
+
 def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     """The per-variable grid, ascending."""
-    if ring is RingId.INT:
-        return tuple(from_int(ring, v) for v in range(box.bound + 1))
-    if ring not in _ENUMERABLE:
-        raise UnsupportedRing(f"{ring.value} is not exhaustively enumerable")
-    d_bound = box.denominator_bound or 1
-    dens = [d for d in range(1, d_bound + 1) if ring is RingId.RAT or d % 2 == 1]
-    values = sorted(
-        {Fraction(num, den) for den in dens for num in range(box.bound * d_bound + 1)}
-    )
-    return tuple(from_rational(ring, q) for q in values)
+    return _grid_values(ring, box, 1)
 
 
 def _better(
@@ -206,37 +241,29 @@ def _merge(maximize: bool, left, right):
 def _enumerate(
     P: ProgramData,
     box: BoxSpec,
-    primal_side: bool,
+    primal: bool,
     analytic_note: Optional[str],
     workers: int,
 ) -> ProgramStatus:
-    if P.ring not in _ENUMERABLE:
-        raise UnsupportedRing(
-            f"{P.ring.value} is not exhaustively enumerable (only int, rat, oddrat)"
-        )
-    values = candidate_values(P.ring, box)
-    nvars = P.cols if primal_side else P.rows
-    if len(values) ** nvars > _MAX_POINTS:
-        raise ValueError("search box too large for exhaustive scan")
-    feasible = is_primal_feasible if primal_side else is_dual_feasible
-    objective = eval_f if primal_side else eval_g
-    points = itertools.product(values, repeat=nvars)
-    if workers <= 1:
-        found = _scan(P, points, feasible, objective, primal_side)
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers must be between 1 and {_MAX_WORKERS}, got {workers}")
+    side = _side(P, primal)
+    values = _grid_values(P.ring, box, side.nvars)
+    points = itertools.product(values, repeat=side.nvars)
+
+    def scan(part):
+        return _scan(P, part, side.feasible, side.objective, side.maximize)
+
+    if workers == 1:
+        found = scan(points)
     else:
         # stripe the grid over the workers; the merge is order-independent
         pts = list(points)
-        stripes = [pts[i::workers] for i in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda stripe: _scan(P, stripe, feasible, objective, primal_side),
-                    stripes,
-                )
-            )
+            results = list(pool.map(scan, [pts[i::workers] for i in range(workers)]))
         found = results[0]
         for part in results[1:]:
-            found = _merge(primal_side, found, part)
+            found = _merge(side.maximize, found, part)
     any_feasible, best_value, best_witness = found
     if not any_feasible:
         if analytic_note:
@@ -283,22 +310,14 @@ def enumerate_dual(
     return _enumerate(P, box, False, analytic_note, workers)
 
 
-def feasible_primal_points(P: ProgramData, box: BoxSpec) -> list[RVector]:
-    values = candidate_values(P.ring, box)
+def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
+    """Every feasible grid point of the primal side (x) or the dual side (y)."""
+    side = _side(P, primal)
+    values = _grid_values(P.ring, box, side.nvars)
     out = []
-    for w in itertools.product(values, repeat=P.cols):
+    for w in itertools.product(values, repeat=side.nvars):
         vec = RVector(P.ring, w)
-        if is_primal_feasible(P, vec).feasible:
-            out.append(vec)
-    return out
-
-
-def feasible_dual_points(P: ProgramData, box: BoxSpec) -> list[RVector]:
-    values = candidate_values(P.ring, box)
-    out = []
-    for w in itertools.product(values, repeat=P.rows):
-        vec = RVector(P.ring, w)
-        if is_dual_feasible(P, vec).feasible:
+        if side.feasible(P, vec).feasible:
             out.append(vec)
     return out
 
@@ -317,50 +336,38 @@ def certify_optimal_pair(
     """
     if x_star is None and y_star is None:
         raise ValueError("at least one candidate point is required")
-    primal_status = enumerate_primal(P, box, workers=workers)
-    dual_status = enumerate_dual(P, box, workers=workers)
+    statuses = (
+        enumerate_primal(P, box, workers=workers),
+        enumerate_dual(P, box, workers=workers),
+    )
     ok = True
     details: list[str] = []
-    if x_star is not None:
-        verdict = is_primal_feasible(P, x_star)
+    for primal, candidate, status in zip((True, False), (x_star, y_star), statuses):
+        side = _side(P, primal)
+        if candidate is None:
+            details.append(f"{side.name} side: {status.kind.value}")
+            continue
+        verdict = side.feasible(P, candidate)
         if not verdict.feasible:
             ok = False
             details.append(
-                f"primal candidate infeasible ({verdict.violation_kind.value} "
+                f"{side.name} candidate infeasible ({verdict.violation_kind.value} "
                 f"at index {verdict.violated_row})"
             )
-        else:
-            fx = eval_f(P, x_star)
-            if primal_status.value is not None and compare(fx, primal_status.value) is Ordering.LT:
-                ok = False
-                details.append(
-                    f"in-box point {[to_text(e) for e in primal_status.witness]} beats "
-                    f"the primal candidate: f = {to_text(primal_status.value)} > {to_text(fx)}"
-                )
-            else:
-                details.append(f"primal candidate unbeaten in box, f = {to_text(fx)}")
-    else:
-        details.append(f"primal side: {primal_status.kind.value}")
-    if y_star is not None:
-        verdict = is_dual_feasible(P, y_star)
-        if not verdict.feasible:
+            continue
+        value = side.objective(P, candidate)
+        beaten = Ordering.GT if side.maximize else Ordering.LT
+        if status.value is not None and compare(status.value, value) is beaten:
             ok = False
             details.append(
-                f"dual candidate infeasible ({verdict.violation_kind.value} "
-                f"at index {verdict.violated_row})"
+                f"in-box point {[to_text(e) for e in status.witness]} beats the "
+                f"{side.name} candidate: {side.letter} = {to_text(status.value)} "
+                f"{'>' if side.maximize else '<'} {to_text(value)}"
             )
         else:
-            gy = eval_g(P, y_star)
-            if dual_status.value is not None and compare(gy, dual_status.value) is Ordering.GT:
-                ok = False
-                details.append(
-                    f"in-box point {[to_text(e) for e in dual_status.witness]} beats "
-                    f"the dual candidate: g = {to_text(dual_status.value)} < {to_text(gy)}"
-                )
-            else:
-                details.append(f"dual candidate unbeaten in box, g = {to_text(gy)}")
-    else:
-        details.append(f"dual side: {dual_status.kind.value}")
+            details.append(
+                f"{side.name} candidate unbeaten in box, {side.letter} = {to_text(value)}"
+            )
     if x_star is not None and y_star is not None:
         details.append(f"gap = {to_text(gap(P, x_star, y_star))}")
     return CheckReport("certify_optimal_pair", ok, True, tuple(details))

@@ -15,15 +15,12 @@ from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, RingMismatch
 from .rings import (
-    Ordering,
     RingElement,
     RingId,
     add,
-    compare,
     from_int,
     mul,
     neg,
-    sign,
     sub,
     to_text,
     zero,
@@ -40,12 +37,10 @@ __all__ = [
     "mat_apply",
     "covec_apply",
     "dot_left",
-    "is_nonneg",
     "vec_add",
     "vec_sub",
     "vec_neg",
     "scale_right",
-    "lex_compare",
     "vec_text",
 ]
 
@@ -178,11 +173,6 @@ def dot_left(u: RVector, v: RVector) -> RingElement:
     return acc
 
 
-def is_nonneg(v: RVector) -> bool:
-    """Componentwise sign(v[i]) >= 0."""
-    return all(sign(e) >= 0 for e in v)
-
-
 def vec_add(u: RVector, v: RVector) -> RVector:
     _require_same_ring(u.ring, v.ring)
     if len(u) != len(v):
@@ -205,18 +195,6 @@ def scale_right(v: RVector, k: RingElement) -> RVector:
     """Entries v[i] * k with the scalar on the right."""
     _require_same_ring(v.ring, k.ring)
     return RVector(v.ring, tuple(mul(e, k) for e in v))
-
-
-def lex_compare(u: RVector, v: RVector) -> Ordering:
-    """Entrywise lexicographic order, first differing entry decides."""
-    _require_same_ring(u.ring, v.ring)
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    for a, b in zip(u, v):
-        c = compare(a, b)
-        if c is not Ordering.EQ:
-            return c
-    return Ordering.EQ
 
 
 def vec_text(v: RVector) -> list[str]:

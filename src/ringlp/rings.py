@@ -56,12 +56,10 @@ __all__ = [
     "mul",
     "sign",
     "compare",
-    "abs_val",
     "is_zero",
     "try_invert",
     "is_central",
     "classify_magnitude",
-    "finite_bound",
     "parse_element",
     "to_text",
     "pretty",
@@ -333,10 +331,6 @@ def compare(a: RingElement, b: RingElement) -> Ordering:
     return Ordering.EQ
 
 
-def abs_val(a: RingElement) -> RingElement:
-    return neg(a) if sign(a) < 0 else a
-
-
 def try_invert(a: RingElement) -> Optional[RingElement]:
     """Two-sided inverse of ``a`` when it is a unit, else ``None``."""
     r = a.ring
@@ -393,22 +387,6 @@ def classify_magnitude(a: RingElement) -> Magnitude:
     if a.ring in (RingId.INT, RingId.RAT, RingId.ODDRAT):
         return Magnitude.FINITE
     return Magnitude.FINITE if _is_constant(a) else Magnitude.INFINITE
-
-
-def finite_bound(a: RingElement) -> Optional[int]:
-    """An explicit integer m with -m < a < m, or None when a is INFINITE."""
-    m = classify_magnitude(a)
-    if m is Magnitude.INFINITE:
-        return None
-    if m is Magnitude.ZERO:
-        return 1
-    if a.ring is RingId.INT:
-        return abs(a.payload) + 1
-    if a.ring in (RingId.RAT, RingId.ODDRAT):
-        q = a.payload
-    else:
-        q = a.payload[0][1]
-    return abs(q.numerator) // q.denominator + 1
 
 
 # ---------------------------------------------------------------------------

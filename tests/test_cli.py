@@ -204,6 +204,11 @@ def test_usage_error_is_exit_two(capsys):
     assert main([]) == 2
     assert main(["enumerate", CE_SD]) == 2  # missing --box
     assert main(["demo", "not-a-demo"]) == 2
+    assert main(["identities", CE_SD, "--trials", "0"]) == 2
+    assert main(["identities", CE_SD, "--trials", "-3"]) == 2
+    for workers in ("0", "-2", "65"):  # rejected before any thread starts
+        assert main(["enumerate", CE_SD, "--box", "10", "--workers", workers]) == 2
+        assert main(["edt", CE_SD, "--box", "10", "--workers", workers]) == 2
 
 
 def test_parse_error_is_exit_two(tmp_path, capsys):
@@ -223,6 +228,11 @@ def test_precondition_errors_are_exit_three(capsys):
     assert main(["demo", "primal-no-optimum", "--ring", "rat"]) == 3
     assert main(["demo", "dual-no-optimum", "--ring", "oddrat"]) == 3
     assert main(["enumerate", GAP_POLY, "--box", "5"]) == 3
+    # the smallest-positive check runs before the 1/3 witness is built
+    assert main(["demo", "primal-no-optimum", "--ring", "int"]) == 3
+    assert main(["demo", "dual-no-optimum", "--ring", "int"]) == 3
+    # its fixed b = 3 is not a poly literal: a parse error, not a precondition
+    assert main(["demo", "center-betweenness", "--ring", "poly"]) == 2
 
 
 def test_violation_exit_code_via_forced_report(capsys, monkeypatch):

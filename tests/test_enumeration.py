@@ -15,7 +15,7 @@ from ringlp import (
     enumerate_dual,
     enumerate_primal,
     eval_f,
-    feasible_primal_points,
+    feasible_points,
     from_int,
     from_rational,
     int_matrix,
@@ -268,6 +268,40 @@ def test_parallel_scan_agrees_with_sequential(gap_int, edt_int):
             )
 
 
+@pytest.mark.parametrize("workers", [0, -1, 65])
+def test_worker_count_outside_1_to_64_is_rejected(gap_int, workers):
+    for scan in (enumerate_primal, enumerate_dual):
+        with pytest.raises(ValueError, match="workers"):
+            scan(gap_int, BoxSpec(10), workers=workers)
+
+
+def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
+    import ringlp.enumeration as enumeration
+
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(enumeration, "Fraction", CountingFraction)
+    P = _program([[1, 1]], [4], [0, 0], ring=RingId.RAT)  # two primal variables
+    with pytest.raises(ValueError, match="too large"):
+        enumerate_primal(P, BoxSpec(1, 10**6))
+    # 2237 ** 2 is the first square above the 5,000,000-point cap
+    assert len(built) <= 2237
+    built.clear()
+    with pytest.raises(ValueError, match="too large"):
+        feasible_points(P, BoxSpec(1, 10**6), primal=True)
+    assert len(built) <= 2237
+
+
+def test_candidate_values_refuses_more_values_than_the_cap():
+    with pytest.raises(ValueError, match="too large"):
+        candidate_values(RingId.INT, BoxSpec(5_000_000))
+
+
 def test_box_growth_monotonicity(gap_int):
     small = enumerate_primal(gap_int, BoxSpec(5))
     large = enumerate_primal(gap_int, BoxSpec(10))
@@ -284,7 +318,7 @@ def test_optimal_witness_re_verifies(gap_int):
     assert is_primal_feasible(gap_int, status.witness).feasible
     better = [
         p
-        for p in feasible_primal_points(gap_int, box)
+        for p in feasible_points(gap_int, box, primal=True)
         if eval_f(gap_int, p) > status.value
     ]
     assert better == []

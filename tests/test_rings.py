@@ -13,12 +13,10 @@ from ringlp import (
     SKEW_X,
     SKEW_Y,
     Sampler,
-    abs_val,
     add,
     classify_magnitude,
     compare,
     descriptor,
-    finite_bound,
     from_int,
     from_rational,
     is_central,
@@ -177,28 +175,11 @@ def test_magnitude_classification():
         assert classify_magnitude(zero(ring)) is Magnitude.ZERO
 
 
-def test_finite_bound_is_a_real_bound():
-    cases = [
-        from_int(RingId.INT, -17),
-        from_rational(RingId.RAT, 22, 7),
-        from_rational(RingId.ODDRAT, -5, 3),
-        from_rational(RingId.POLY, 9, 2),
-        from_rational(RingId.SKEW, 100),
-    ]
-    for a in cases:
-        m = finite_bound(a)
-        assert m is not None
-        bound = from_int(a.ring, m)
-        assert compare(a, bound) is Ordering.LT
-        assert compare(neg(bound), a) is Ordering.LT
-
-
 def test_infinite_elements_exceed_the_probe_bound():
     probe_poly = from_int(RingId.POLY, 2**64)
     probe_skew = from_int(RingId.SKEW, 2**64)
-    assert compare(abs_val(POLY_X), probe_poly) is Ordering.GT
-    assert compare(abs_val(neg(mul(SKEW_X, SKEW_Y))), probe_skew) is Ordering.GT
-    assert finite_bound(POLY_X) is None
+    assert compare(POLY_X, probe_poly) is Ordering.GT
+    assert compare(neg(mul(SKEW_X, SKEW_Y)), neg(probe_skew)) is Ordering.LT
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .reports import TrialSummary
 from .rings import (
     RingId,
     all_descriptors,
+    from_int,
     from_rational,
     parse_element,
     pretty,
@@ -374,7 +375,7 @@ def _cmd_demo(args) -> int:
     if build is not None:
         return _bundle_output(args, name, exhibits, build(ring, a))
     # center-betweenness
-    b = SKEW_Y if ring is RingId.SKEW else parse_element(ring, "3")
+    b = SKEW_Y if ring is RingId.SKEW else from_int(ring, 3)
     if ring is RingId.SKEW and args.a is None:
         a = SKEW_X
     sampler = Sampler(DEMO_SEED)

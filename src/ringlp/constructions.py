@@ -35,6 +35,7 @@ from .affine import (
     is_primal_feasible,
 )
 from .enumeration import (
+    _ENUMERABLE,
     BoxSpec,
     certify_optimal_pair,
     enumerate_dual,
@@ -655,7 +656,7 @@ def verify_bundle(
             )
         )
     if bundle.primal_optimum is not None or bundle.dual_optimum is not None:
-        if P.ring in (RingId.INT, RingId.RAT, RingId.ODDRAT):
+        if P.ring in _ENUMERABLE:
             reports.append(
                 certify_optimal_pair(
                     P,

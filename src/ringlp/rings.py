@@ -17,6 +17,12 @@ equality coincides with ring equality.
   ordered by the sign of the coefficient at the lexicographically
   greatest ``(n, m)``. Note ``x*y = (1/2)*y*x``.
 
+The operations branch once, on the payload's shape: a scalar (``int`` or
+``Fraction``: INT, RAT, ODDRAT) or a tuple of ``(monomial, coefficient)``
+terms (POLY, SKEW). What else differs sits in one private record per
+ring (``_RingSpec``): which rationals embed, the constant monomial, the
+monomial product, the literal grammar and the monomial text.
+
 ``sign`` realizes each instance's positivity order; comparisons,
 magnitude classification and the invertibility/centrality tests build on
 it. Element literals follow a small text grammar (see ``parse_element``)
@@ -29,7 +35,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import ParseError, RingMismatch
 
@@ -161,31 +167,14 @@ def _require_same_ring(a: RingElement, b: RingElement) -> None:
 # construction
 
 
-def _canon_poly(acc: dict[int, Fraction]) -> tuple:
-    return tuple(sorted(((d, q) for d, q in acc.items() if q != 0), reverse=True))
-
-
-def _canon_skew(acc: dict[tuple[int, int], Fraction]) -> tuple:
-    return tuple(sorted(((nm, q) for nm, q in acc.items() if q != 0), reverse=True))
-
-
-def _check_oddrat(q: Fraction) -> Fraction:
-    if q.denominator % 2 == 0:
-        raise ValueError(
-            f"{q.numerator}/{q.denominator} is not an odd-denominator rational"
-        )
-    return q
+def _canon(acc: dict) -> tuple:
+    """Canonical term tuple: nonzero coefficients, leading monomial first."""
+    return tuple(sorted(((key, q) for key, q in acc.items() if q), reverse=True))
 
 
 def from_int(ring: RingId, n: int) -> RingElement:
     """Embed an integer into any of the five rings."""
-    if ring is RingId.INT:
-        return RingElement(ring, int(n))
-    if ring in (RingId.RAT, RingId.ODDRAT):
-        return RingElement(ring, Fraction(n))
-    if ring is RingId.POLY:
-        return RingElement(ring, _canon_poly({0: Fraction(n)}))
-    return RingElement(ring, _canon_skew({(0, 0): Fraction(n)}))
+    return from_rational(ring, n)
 
 
 def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElement:
@@ -193,25 +182,22 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
 
     RAT accepts anything, ODDRAT requires an odd reduced denominator, POLY
     and SKEW take the value as a constant, INT only accepts integers.
+    ``num`` and ``den`` must be ``int`` or ``Fraction`` (``TypeError``
+    otherwise), so no float ever reaches a payload.
     """
+    if not isinstance(num, (int, Fraction)) or not isinstance(den, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction arguments, got {num!r}, {den!r}")
     q = Fraction(num, den) if den != 1 else Fraction(num)
-    if ring is RingId.INT:
-        if q.denominator != 1:
-            raise ValueError(f"{q} is not an integer")
-        return RingElement(ring, q.numerator)
-    if ring is RingId.RAT:
-        return RingElement(ring, q)
-    if ring is RingId.ODDRAT:
-        return RingElement(ring, _check_oddrat(q))
-    if ring is RingId.POLY:
-        return RingElement(ring, _canon_poly({0: q}))
-    return RingElement(ring, _canon_skew({(0, 0): q}))
+    spec = _SPECS[ring]
+    if spec.const is None:
+        return RingElement(ring, spec.scalar(q))
+    return RingElement(ring, ((spec.const, q),) if q else ())
 
 
 def poly(coeffs) -> RingElement:
     """POLY element from ascending-degree coefficients (ints or Fractions)."""
     acc = {d: Fraction(c) for d, c in enumerate(coeffs)}
-    return RingElement(RingId.POLY, _canon_poly(acc))
+    return RingElement(RingId.POLY, _canon(acc))
 
 
 def skew(terms) -> RingElement:
@@ -221,7 +207,7 @@ def skew(terms) -> RingElement:
         if n < 0 or m < 0:
             raise ValueError("skew monomial degrees must be nonnegative")
         acc[(int(n), int(m))] = Fraction(c)
-    return RingElement(RingId.SKEW, _canon_skew(acc))
+    return RingElement(RingId.SKEW, _canon(acc))
 
 
 def zero(ring: RingId) -> RingElement:
@@ -230,14 +216,6 @@ def zero(ring: RingId) -> RingElement:
 
 def one(ring: RingId) -> RingElement:
     return _ONES[ring]
-
-
-POLY_X = poly([0, 1])
-SKEW_X = skew({(0, 1): 1})
-SKEW_Y = skew({(1, 0): 1})
-
-_ZEROS = {r: from_int(r, 0) for r in RingId}
-_ONES = {r: from_int(r, 1) for r in RingId}
 
 
 def is_zero(a: RingElement) -> bool:
@@ -250,23 +228,20 @@ def is_zero(a: RingElement) -> bool:
 
 def add(a: RingElement, b: RingElement) -> RingElement:
     _require_same_ring(a, b)
-    r = a.ring
-    if r is RingId.INT:
-        return RingElement(r, a.payload + b.payload)
-    if r in (RingId.RAT, RingId.ODDRAT):
-        return RingElement(r, a.payload + b.payload)
-    acc = dict(a.payload)
+    p = a.payload
+    if type(p) is not tuple:
+        return RingElement(a.ring, p + b.payload)
+    acc = dict(p)
     for key, q in b.payload:
         acc[key] = acc.get(key, _F0) + q
-    canon = _canon_poly(acc) if r is RingId.POLY else _canon_skew(acc)
-    return RingElement(r, canon)
+    return RingElement(a.ring, _canon(acc))
 
 
 def neg(a: RingElement) -> RingElement:
-    r = a.ring
-    if r is RingId.INT or r in (RingId.RAT, RingId.ODDRAT):
-        return RingElement(r, -a.payload)
-    return RingElement(r, tuple((key, -q) for key, q in a.payload))
+    p = a.payload
+    if type(p) is not tuple:
+        return RingElement(a.ring, -p)
+    return RingElement(a.ring, tuple((key, -q) for key, q in p))
 
 
 def sub(a: RingElement, b: RingElement) -> RingElement:
@@ -276,30 +251,24 @@ def sub(a: RingElement, b: RingElement) -> RingElement:
 def mul(a: RingElement, b: RingElement) -> RingElement:
     """Exact product.
 
-    SKEW multiplies on the normal-form basis with
-    ``(y^n1 x^m1) * (y^n2 x^m2) = 2^(-m1*n2) * y^(n1+n2) x^(m1+m2)``,
-    which is the bilinear extension of the rewrite ``x*y = (1/2)*y*x``.
+    Term rings multiply monomials with their record's ``mono_mul``; SKEW's
+    ``(y^n1 x^m1) * (y^n2 x^m2) = 2^(-m1*n2) * y^(n1+n2) x^(m1+m2)`` is the
+    bilinear extension of the rewrite ``x*y = (1/2)*y*x``.
     """
     _require_same_ring(a, b)
-    r = a.ring
-    if r is RingId.INT:
-        return RingElement(r, a.payload * b.payload)
-    if r in (RingId.RAT, RingId.ODDRAT):
-        return RingElement(r, a.payload * b.payload)
-    if r is RingId.POLY:
-        acc: dict[int, Fraction] = {}
-        for da, ca in a.payload:
-            for db, cb in b.payload:
-                k = da + db
-                acc[k] = acc.get(k, _F0) + ca * cb
-        return RingElement(r, _canon_poly(acc))
-    acc2: dict[tuple[int, int], Fraction] = {}
-    for (n1, m1), c1 in a.payload:
-        for (n2, m2), c2 in b.payload:
-            key = (n1 + n2, m1 + m2)
-            coeff = c1 * c2 * Fraction(1, 1 << (m1 * n2))
-            acc2[key] = acc2.get(key, _F0) + coeff
-    return RingElement(r, _canon_skew(acc2))
+    p = a.payload
+    if type(p) is not tuple:
+        return RingElement(a.ring, p * b.payload)
+    mono_mul = _SPECS[a.ring].mono_mul
+    acc: dict = {}
+    for ka, ca in p:
+        for kb, cb in b.payload:
+            key, shift = mono_mul(ka, kb)
+            c = ca * cb
+            if shift:
+                c /= 1 << shift
+            acc[key] = acc.get(key, _F0) + c
+    return RingElement(a.ring, _canon(acc))
 
 
 def sign(a: RingElement) -> int:
@@ -308,17 +277,13 @@ def sign(a: RingElement) -> int:
     POLY: sign of the leading (highest-degree) coefficient. SKEW: sign of
     the coefficient at the lexicographically greatest ``(ydeg, xdeg)``.
     """
-    r = a.ring
-    if r is RingId.INT:
-        v = a.payload
-        return (v > 0) - (v < 0)
-    if r in (RingId.RAT, RingId.ODDRAT):
-        n = a.payload.numerator
-        return (n > 0) - (n < 0)
-    if not a.payload:
-        return 0
-    lead = a.payload[0][1]
-    return (lead > 0) - (lead < 0)
+    v = a.payload
+    if type(v) is tuple:
+        if not v:
+            return 0
+        v = v[0][1]
+    n = v.numerator
+    return (n > 0) - (n < 0)
 
 
 def compare(a: RingElement, b: RingElement) -> Ordering:
@@ -331,45 +296,39 @@ def compare(a: RingElement, b: RingElement) -> Ordering:
     return Ordering.EQ
 
 
+def _constant(a: RingElement) -> Optional[int | Fraction]:
+    """The value of a scalar or of a nonzero term-ring constant, else ``None``."""
+    p = a.payload
+    if type(p) is not tuple:
+        return p
+    if len(p) == 1 and p[0][0] == _SPECS[a.ring].const:
+        return p[0][1]
+    return None
+
+
 def try_invert(a: RingElement) -> Optional[RingElement]:
-    """Two-sided inverse of ``a`` when it is a unit, else ``None``."""
-    r = a.ring
-    if r is RingId.INT:
-        return a if a.payload in (1, -1) else None
-    if r is RingId.RAT:
-        return RingElement(r, 1 / a.payload) if a.payload != 0 else None
-    if r is RingId.ODDRAT:
-        q = a.payload
-        if q == 0 or q.numerator % 2 == 0:
-            return None
-        return RingElement(r, 1 / q)
-    # POLY and SKEW: exactly the nonzero constants are units.
-    if len(a.payload) != 1:
+    """Two-sided inverse of ``a`` when it is a unit, else ``None``.
+
+    The units are the nonzero constants c with 1/c in the ring.
+    """
+    c = _constant(a)
+    if not c:
         return None
-    key, coeff = a.payload[0]
-    const_key = 0 if r is RingId.POLY else (0, 0)
-    if key != const_key:
+    try:
+        return from_rational(a.ring, 1, c)
+    except ValueError:  # 1/c lies outside the ring
         return None
-    inv = {const_key: 1 / coeff}
-    canon = _canon_poly(inv) if r is RingId.POLY else _canon_skew(inv)
-    return RingElement(r, canon)
 
 
 def is_central(a: RingElement) -> bool:
     """Whether ``a`` commutes with the whole ring.
 
-    SKEW is generated by x and y, so commuting with both generators
-    suffices; that happens exactly for constants.
+    Everything does in a commutative ring. SKEW is generated by x and y, so
+    commuting with both generators suffices; that happens exactly for constants.
     """
-    if a.ring is not RingId.SKEW:
+    if descriptor(a.ring).is_commutative:
         return True
     return mul(a, SKEW_X) == mul(SKEW_X, a) and mul(a, SKEW_Y) == mul(SKEW_Y, a)
-
-
-def _is_constant(a: RingElement) -> bool:
-    if a.ring is RingId.POLY:
-        return len(a.payload) == 1 and a.payload[0][0] == 0
-    return len(a.payload) == 1 and a.payload[0][0] == (0, 0)
 
 
 def classify_magnitude(a: RingElement) -> Magnitude:
@@ -384,13 +343,178 @@ def classify_magnitude(a: RingElement) -> Magnitude:
     """
     if is_zero(a):
         return Magnitude.ZERO
-    if a.ring in (RingId.INT, RingId.RAT, RingId.ODDRAT):
-        return Magnitude.FINITE
-    return Magnitude.FINITE if _is_constant(a) else Magnitude.INFINITE
+    return Magnitude.INFINITE if _constant(a) is None else Magnitude.FINITE
 
 
 # ---------------------------------------------------------------------------
-# descriptors
+# text grammar
+#
+#   INT            -?[0-9]+
+#   RAT, ODDRAT    int or int/uint
+#   POLY           poly:c0,c1,...,ck     ascending degree, rational literals
+#   SKEW           skew:n,m=q;n,m=q;...  ydeg,xdeg=coefficient, lex-descending;
+#                  an empty term list ("skew:") is the zero element; no
+#                  degree may exceed 1024
+#
+# Parsing is exact; serialization re-emits the canonical form (reduced
+# fractions, dense ascending coefficients for POLY, lex-descending terms
+# for SKEW).
+
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?$")
+_INT_RE = re.compile(r"-?[0-9]+$")
+_SKEW_TERM_RE = re.compile(r"([0-9]+),([0-9]+)=(-?[0-9]+(?:/[0-9]+)?)$")
+# A SKEW product allocates 2^(m1*n2), so literal degrees are bounded: at
+# 1024 one product's denominator has at most about a million bits.
+_SKEW_LITERAL_MAX_DEGREE = 1024
+
+
+def _parse_fraction(text: str, literal: re.Pattern = _RAT_RE, noun: str = "rational") -> Fraction:
+    if not literal.match(text):
+        raise ParseError(f"malformed {noun} literal {text!r}")
+    num, _, den = text.partition("/")
+    den = int(den or 1)
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(int(num), den)
+
+
+def _parse_poly_body(body: str) -> dict[int, Fraction]:
+    if not body:
+        raise ParseError("poly literal needs at least one coefficient")
+    return {d: _parse_fraction(part) for d, part in enumerate(body.split(","))}
+
+
+def _parse_skew_body(body: str) -> dict[tuple[int, int], Fraction]:
+    acc: dict[tuple[int, int], Fraction] = {}
+    for part in body.split(";") if body else ():
+        m = _SKEW_TERM_RE.match(part)
+        if not m:
+            raise ParseError(f"malformed skew term {part!r}")
+        key = (int(m.group(1)), int(m.group(2)))
+        if max(key) > _SKEW_LITERAL_MAX_DEGREE:
+            raise ParseError(f"skew degree above {_SKEW_LITERAL_MAX_DEGREE} in {part!r}")
+        if key in acc:
+            raise ParseError(f"duplicate skew monomial {part.split('=')[0]}")
+        acc[key] = _parse_fraction(m.group(3))
+    return acc
+
+
+def _frac_text(q: int | Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _poly_body_text(p: tuple) -> str:
+    coeffs = dict(p)
+    top = p[0][0] if p else 0
+    return ",".join(_frac_text(coeffs.get(d, _F0)) for d in range(top + 1))
+
+
+def _skew_body_text(p: tuple) -> str:
+    return ";".join(f"{n},{m}={_frac_text(q)}" for (n, m), q in p)
+
+
+def parse_element(ring: RingId, text: str) -> RingElement:
+    """Parse one element literal of ``ring``; raises ParseError."""
+    spec = _SPECS[ring]
+    if not text.startswith(spec.prefix):
+        raise ParseError(f"{ring.value} literal must start with {spec.prefix!r}: {text!r}")
+    value = spec.parse_body(text[len(spec.prefix):])
+    if spec.const is not None:
+        return RingElement(ring, _canon(value))
+    try:
+        return RingElement(ring, spec.scalar(value))
+    except ValueError as exc:
+        raise ParseError(f"{text!r}: {exc}") from None
+
+
+def to_text(a: RingElement) -> str:
+    """Canonical text form; ``parse_element`` inverts it exactly."""
+    spec = _SPECS[a.ring]
+    return spec.prefix + spec.body_text(a.payload)
+
+
+def _power(var: str, d: int) -> str:
+    if d == 0:
+        return ""
+    return var if d == 1 else f"{var}^{d}"
+
+
+def pretty(a: RingElement) -> str:
+    """Human-oriented algebraic rendering (not part of the grammar)."""
+    if type(a.payload) is not tuple:
+        return to_text(a)
+    mono_text = _SPECS[a.ring].mono_text
+    out = ""
+    for i, (key, q) in enumerate(a.payload):
+        mono = mono_text(key)
+        qa = abs(q)
+        body = mono if (mono and qa == 1) else (f"{_frac_text(qa)}*{mono}" if mono else _frac_text(qa))
+        if i == 0:
+            out = ("-" if q < 0 else "") + body
+        else:
+            out += (" - " if q < 0 else " + ") + body
+    return out or "0"
+
+
+# ---------------------------------------------------------------------------
+# the per-ring records
+
+
+@dataclass(frozen=True)
+class _RingSpec:
+    """What one ring does differently from the others."""
+
+    prefix: str  # literal prefix; empty for the scalar rings
+    parse_body: Callable[[str], Union[Fraction, dict]]  # the literal after the prefix
+    body_text: Callable[[Payload], str]  # inverse of parse_body
+    # scalar rings: rational -> payload, ValueError when it is not in the ring
+    scalar: Optional[Callable[[Fraction], Payload]] = None
+    const: object = None  # term rings: the constant monomial
+    # term rings: (k1, k2) -> (monomial of k1*k2, s); the product carries 2^-s
+    mono_mul: Optional[Callable[[object, object], tuple]] = None
+    mono_text: Optional[Callable[[object], str]] = None  # term rings, for pretty
+
+
+def _integer(q: Fraction) -> int:
+    if q.denominator != 1:
+        raise ValueError(f"{q} is not an integer")
+    return q.numerator
+
+
+def _odd_denominator(q: Fraction) -> Fraction:
+    if q.denominator % 2 == 0:
+        raise ValueError(f"{q} has an even denominator; not an odd-denominator rational")
+    return q
+
+
+_SPECS = {
+    RingId.INT: _RingSpec(
+        "", lambda t: _parse_fraction(t, _INT_RE, "integer"), _frac_text, scalar=_integer
+    ),
+    RingId.RAT: _RingSpec("", _parse_fraction, _frac_text, scalar=lambda q: q),
+    RingId.ODDRAT: _RingSpec("", _parse_fraction, _frac_text, scalar=_odd_denominator),
+    RingId.POLY: _RingSpec(
+        "poly:", _parse_poly_body, _poly_body_text,
+        const=0,
+        mono_mul=lambda d1, d2: (d1 + d2, 0),
+        mono_text=lambda d: _power("x", d),
+    ),
+    RingId.SKEW: _RingSpec(
+        "skew:", _parse_skew_body, _skew_body_text,
+        const=(0, 0),
+        mono_mul=lambda k1, k2: ((k1[0] + k2[0], k1[1] + k2[1]), k1[1] * k2[0]),
+        mono_text=lambda k: "*".join(filter(None, (_power("y", k[0]), _power("x", k[1])))),
+    ),
+}
+
+POLY_X = poly([0, 1])
+SKEW_X = skew({(0, 1): 1})
+SKEW_Y = skew({(1, 0): 1})
+
+_ZEROS = {r: from_int(r, 0) for r in RingId}
+_ONES = {r: from_int(r, 1) for r in RingId}
 
 _DESCRIPTORS = {
     RingId.INT: RingDescriptor(RingId.INT, True, False, one(RingId.INT)),
@@ -407,128 +531,3 @@ def descriptor(ring: RingId) -> RingDescriptor:
 
 def all_descriptors() -> tuple[RingDescriptor, ...]:
     return tuple(_DESCRIPTORS[r] for r in RingId)
-
-
-# ---------------------------------------------------------------------------
-# text grammar
-#
-#   INT            -?[0-9]+
-#   RAT, ODDRAT    int or int/uint
-#   POLY           poly:c0,c1,...,ck     ascending degree, rational literals
-#   SKEW           skew:n,m=q;n,m=q;...  ydeg,xdeg=coefficient, lex-descending;
-#                  an empty term list ("skew:") is the zero element
-#
-# Parsing is exact; serialization re-emits the canonical form (reduced
-# fractions, dense ascending coefficients for POLY, lex-descending terms
-# for SKEW).
-
-_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?$")
-_INT_RE = re.compile(r"-?[0-9]+$")
-_SKEW_TERM_RE = re.compile(r"([0-9]+),([0-9]+)=(-?[0-9]+(?:/[0-9]+)?)$")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    m = _RAT_RE.match(text)
-    if not m:
-        raise ParseError(f"malformed rational literal {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
-    if den == 0:
-        raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(num, den)
-
-
-def parse_element(ring: RingId, text: str) -> RingElement:
-    """Parse one element literal of ``ring``; raises ParseError."""
-    if ring is RingId.INT:
-        if not _INT_RE.match(text):
-            raise ParseError(f"malformed integer literal {text!r}")
-        return RingElement(ring, int(text))
-    if ring in (RingId.RAT, RingId.ODDRAT):
-        q = _parse_fraction(text)
-        if ring is RingId.ODDRAT and q.denominator % 2 == 0:
-            raise ParseError(
-                f"{text!r} reduces to denominator {q.denominator}, "
-                "which is even; not an odd-denominator rational"
-            )
-        return RingElement(ring, q)
-    if ring is RingId.POLY:
-        if not text.startswith("poly:"):
-            raise ParseError(f"poly literal must start with 'poly:': {text!r}")
-        body = text[len("poly:"):]
-        if not body:
-            raise ParseError("poly literal needs at least one coefficient")
-        coeffs = [_parse_fraction(part) for part in body.split(",")]
-        return RingElement(ring, _canon_poly(dict(enumerate(coeffs))))
-    if not text.startswith("skew:"):
-        raise ParseError(f"skew literal must start with 'skew:': {text!r}")
-    body = text[len("skew:"):]
-    acc: dict[tuple[int, int], Fraction] = {}
-    if body:
-        for part in body.split(";"):
-            m = _SKEW_TERM_RE.match(part)
-            if not m:
-                raise ParseError(f"malformed skew term {part!r}")
-            key = (int(m.group(1)), int(m.group(2)))
-            if key in acc:
-                raise ParseError(f"duplicate skew monomial {part.split('=')[0]}")
-            acc[key] = _parse_fraction(m.group(3))
-    return RingElement(ring, _canon_skew(acc))
-
-
-def _frac_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def to_text(a: RingElement) -> str:
-    """Canonical text form; ``parse_element`` inverts it exactly."""
-    r = a.ring
-    if r is RingId.INT:
-        return str(a.payload)
-    if r in (RingId.RAT, RingId.ODDRAT):
-        return _frac_text(a.payload)
-    if r is RingId.POLY:
-        if not a.payload:
-            return "poly:0"
-        coeffs = dict(a.payload)
-        top = a.payload[0][0]
-        return "poly:" + ",".join(_frac_text(coeffs.get(d, _F0)) for d in range(top + 1))
-    return "skew:" + ";".join(
-        f"{n},{m}={_frac_text(q)}" for (n, m), q in a.payload
-    )
-
-
-def _mono_poly(d: int) -> str:
-    if d == 0:
-        return ""
-    return "x" if d == 1 else f"x^{d}"
-
-
-def _mono_skew(n: int, m: int) -> str:
-    parts = []
-    if n:
-        parts.append("y" if n == 1 else f"y^{n}")
-    if m:
-        parts.append("x" if m == 1 else f"x^{m}")
-    return "*".join(parts)
-
-
-def pretty(a: RingElement) -> str:
-    """Human-oriented algebraic rendering (not part of the grammar)."""
-    r = a.ring
-    if r in (RingId.INT, RingId.RAT, RingId.ODDRAT):
-        return to_text(a)
-    if not a.payload:
-        return "0"
-    out = ""
-    for i, (key, q) in enumerate(a.payload):
-        mono = _mono_poly(key) if r is RingId.POLY else _mono_skew(*key)
-        qa = abs(q)
-        body = mono if (mono and qa == 1) else (f"{_frac_text(qa)}*{mono}" if mono else _frac_text(qa))
-        if i == 0:
-            out = ("-" if q < 0 else "") + body
-        else:
-            out += (" - " if q < 0 else " + ") + body
-    return out

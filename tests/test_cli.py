@@ -216,6 +216,8 @@ def test_parse_error_is_exit_two(tmp_path, capsys):
     bad.write_text("ring int\nrows 1\ncols 1\nA 1/2\nb 1\nc 1\nd 0\n")
     assert main(["enumerate", str(bad), "--box", "5"]) == 2
     assert main(["enumerate", str(tmp_path / "missing.prog"), "--box", "5"]) == 2
+    # a skew literal degree above 1024 is refused before any product is formed
+    assert main(["check", GAP_SKEW, "--x", "skew:0,1025=1", "--y", "skew:0,0=1"]) == 2
 
 
 def test_dimension_error_is_exit_two(capsys):
@@ -231,8 +233,8 @@ def test_precondition_errors_are_exit_three(capsys):
     # the smallest-positive check runs before the 1/3 witness is built
     assert main(["demo", "primal-no-optimum", "--ring", "int"]) == 3
     assert main(["demo", "dual-no-optimum", "--ring", "int"]) == 3
-    # its fixed b = 3 is not a poly literal: a parse error, not a precondition
-    assert main(["demo", "center-betweenness", "--ring", "poly"]) == 2
+    # any ring is valid for center-betweenness: its fixed b = 3 embeds in poly
+    assert main(["demo", "center-betweenness", "--ring", "poly"]) == 0
 
 
 def test_violation_exit_code_via_forced_report(capsys, monkeypatch):

@@ -191,6 +191,19 @@ def test_rat_canonical_reduction():
     assert from_rational(RingId.RAT, 1, -2) == from_rational(RingId.RAT, -1, 2)
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_constructors_reject_floats(ring):
+    with pytest.raises(TypeError):
+        from_int(ring, 2.7)
+    with pytest.raises(TypeError):
+        from_int(ring, 0.5)
+    with pytest.raises(TypeError):
+        from_rational(ring, 0.1)
+    with pytest.raises(TypeError):
+        from_rational(ring, 1, 2.0)
+    assert from_int(ring, 3) == from_rational(ring, Fraction(6, 2))
+
+
 def test_oddrat_constructor_rejects_even_denominators():
     with pytest.raises(ValueError):
         from_rational(RingId.ODDRAT, 1, 2)
@@ -219,6 +232,7 @@ def test_skew_zero_is_empty_term_list():
         (RingId.POLY, "poly:1,-1/2,0,3"),
         (RingId.SKEW, "skew:2,1=-1/2;0,0=3"),
         (RingId.SKEW, "skew:"),
+        (RingId.SKEW, "skew:1024,1024=1"),
         (RingId.POLY, "poly:0"),
     ],
 )
@@ -245,6 +259,9 @@ def test_parse_normalizes_to_canonical_form():
         (RingId.SKEW, "skew:1=2"),
         (RingId.SKEW, "skew:1,1=1;1,1=2"),
         (RingId.SKEW, "poly:1"),
+        (RingId.SKEW, "skew:1025,0=1"),
+        (RingId.SKEW, "skew:0,0=1;0,1025=1"),
+        (RingId.SKEW, "skew:1000000,2=1"),
     ],
 )
 def test_parse_rejects_malformed_literals(ring, bad):
@@ -304,3 +321,20 @@ def test_pretty_rendering():
     assert pretty(poly([1, Fraction(-1, 2), 0, 1])) == "x^3 - 1/2*x + 1"
     assert pretty(skew({(2, 1): 1, (0, 0): Fraction(-1, 2)})) == "y^2*x - 1/2"
     assert pretty(zero(RingId.SKEW)) == "0"
+    # negative leading coefficient
+    assert pretty(poly([1, Fraction(-1, 2), 0, -2])) == "-2*x^3 - 1/2*x + 1"
+    assert pretty(skew({(3, 0): -1, (0, 2): 1, (0, 0): -1})) == "-y^3 + x^2 - 1"
+    # +-1 coefficients drop the "1*" on x-only and y-only monomials
+    assert pretty(poly([-1, 1])) == "x - 1"
+    assert pretty(poly([0, -1, 1])) == "x^2 - x"
+    assert pretty(skew({(1, 0): 1, (0, 1): -1})) == "y - x"
+    assert pretty(SKEW_X) == "x"
+    assert pretty(neg(SKEW_Y)) == "-y"
+    # zero and constants keep their coefficient
+    assert pretty(zero(RingId.POLY)) == "0"
+    assert pretty(from_rational(RingId.POLY, -3, 4)) == "-3/4"
+    assert pretty(from_int(RingId.SKEW, 5)) == "5"
+    # the scalar rings print their canonical literal
+    assert pretty(from_int(RingId.INT, -7)) == "-7"
+    assert pretty(from_rational(RingId.RAT, -7, 3)) == "-7/3"
+    assert pretty(from_rational(RingId.ODDRAT, 4, 7)) == "4/7"

@@ -18,10 +18,10 @@ s.x + y.t is a product of nonnegatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
 
+from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
 from .linalg import (
     RMatrix,
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ProgramData:
     """The tuple (A, b, c, d) over one ring; A is rows x cols."""
 
@@ -108,13 +108,23 @@ class ViolationKind(Enum):
     SLACK_NEGATIVE = "SLACK_NEGATIVE"
 
 
-@dataclass(frozen=True)
+@record
 class FeasibilityVerdict:
     """Feasible, or the first violation found (indices are 0-based)."""
 
     feasible: bool
-    violated_row: Optional[int] = None
-    violation_kind: Optional[ViolationKind] = None
+    violated_row: Optional[int]
+    violation_kind: Optional[ViolationKind]
+
+    def __init__(
+        self,
+        feasible: bool,
+        violated_row: Optional[int] = None,
+        violation_kind: Optional[ViolationKind] = None,
+    ):
+        setfield(self, "feasible", feasible)
+        setfield(self, "violated_row", violated_row)
+        setfield(self, "violation_kind", violation_kind)
 
     def as_dict(self) -> dict:
         out: dict = {"feasible": self.feasible}

@@ -22,10 +22,10 @@ The constructions cover, over a suitable non-division ring:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import Optional
 
+from ._records import record
 from .affine import (
     ProgramData,
     eval_f,
@@ -120,7 +120,7 @@ class InfeasibleSide(Enum):
     DUAL_INFEASIBLE = "DUAL_INFEASIBLE"
 
 
-@dataclass(frozen=True)
+@record
 class WitnessSequence:
     """Feasible points with strictly monotone objective values."""
 
@@ -130,7 +130,7 @@ class WitnessSequence:
     objective_values: tuple[RingElement, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CounterexampleBundle:
     kind: BundleKind
     program: ProgramData
@@ -142,7 +142,7 @@ class CounterexampleBundle:
     gap_value: Optional[RingElement] = None
     sequence: Optional[WitnessSequence] = None
     notes: tuple[str, ...] = ()
-    checks: tuple[CheckReport, ...] = field(default=())
+    checks: tuple[CheckReport, ...] = ()
 
 
 def _require_positive_nonunit(a: RingElement) -> None:

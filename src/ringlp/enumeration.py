@@ -19,12 +19,11 @@ order; partitioned (parallel) scans merge to the same answer.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
+from ._records import record
 from .affine import (
     FeasibilityVerdict,
     ProgramData,
@@ -68,7 +67,7 @@ _MAX_WORKERS = 64
 _TOO_LARGE = "search box too large for exhaustive scan"
 
 
-@dataclass(frozen=True)
+@record
 class BoxSpec:
     """Finite search box: bound N, and denominator bound D for rationals."""
 
@@ -95,7 +94,7 @@ class Scope(Enum):
     BOX_LIMITED = "BOX_LIMITED"
 
 
-@dataclass(frozen=True)
+@record
 class ProgramStatus:
     kind: StatusKind
     scope: Scope
@@ -113,7 +112,7 @@ class ProgramStatus:
         }
 
 
-@dataclass(frozen=True)
+@record
 class EdtReport:
     """Joint primal/dual outcome against the four classical cases."""
 
@@ -258,6 +257,8 @@ def _enumerate(
         found = scan(points)
     else:
         # stripe the grid over the workers; the merge is order-independent
+        from concurrent.futures import ThreadPoolExecutor
+
         pts = list(points)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(scan, [pts[i::workers] for i in range(workers)]))

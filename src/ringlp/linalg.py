@@ -10,9 +10,9 @@ and ``dot_left(u, v)`` sums ``u[i]*v[i]``. In SKEW ``dot_left(u, v)`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
 from .rings import (
     RingElement,
@@ -45,17 +45,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class RVector:
     ring: RingId
     entries: tuple[RingElement, ...]
 
-    def __post_init__(self):
-        for e in self.entries:
-            if e.ring is not self.ring:
+    def __init__(self, ring: RingId, entries: tuple[RingElement, ...]):
+        for e in entries:
+            if e.ring is not ring:
                 raise RingMismatch(
-                    f"vector over {self.ring.value} contains {e.ring.value} entry"
+                    f"vector over {ring.value} contains {e.ring.value} entry"
                 )
+        setfield(self, "ring", ring)
+        setfield(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -70,7 +72,7 @@ class RVector:
         return f"RVector({self.ring.value}, [{', '.join(to_text(e) for e in self)}])"
 
 
-@dataclass(frozen=True)
+@record
 class RMatrix:
     ring: RingId
     rows: int

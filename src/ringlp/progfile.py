@@ -17,8 +17,7 @@ parse(serialize(P)) == P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import record
 from .affine import ProgramData
 from .errors import ParseError
 from .linalg import matrix, vector
@@ -27,7 +26,7 @@ from .rings import RingId, parse_element, to_text
 __all__ = ["parse_program", "serialize_program", "load_program"]
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     text: str
     line: int

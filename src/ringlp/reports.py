@@ -7,13 +7,13 @@ records are JSON-able and re-parseable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._records import record
 from .rings import RingId
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     """Outcome of one named check.
 
@@ -35,7 +35,7 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class AxiomViolation:
     kind: str
     witnesses: tuple[str, ...]
@@ -44,7 +44,7 @@ class AxiomViolation:
         return {"kind": self.kind, "witnesses": list(self.witnesses)}
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     """Result of the seeded ordered-ring axiom suite."""
 
@@ -71,7 +71,7 @@ class AxiomReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TrialSummary:
     """Aggregate of a randomized trial loop (identities, weak duality, ...)."""
 

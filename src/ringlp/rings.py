@@ -32,11 +32,11 @@ used by program files and the command line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+from ._records import record, setfield
 from .errors import ParseError, RingMismatch
 
 __all__ = [
@@ -103,10 +103,14 @@ class Magnitude(Enum):
 Payload = Union[int, Fraction, tuple]
 
 
-@dataclass(frozen=True)
+@record
 class RingElement:
     ring: RingId
     payload: Payload
+
+    def __init__(self, ring: RingId, payload: Payload):
+        setfield(self, "ring", ring)
+        setfield(self, "payload", payload)
 
     def __add__(self, other: object) -> "RingElement":
         if isinstance(other, RingElement):
@@ -145,7 +149,7 @@ class RingElement:
         return f"RingElement({self.ring.value}, {to_text(self)!r})"
 
 
-@dataclass(frozen=True)
+@record
 class RingDescriptor:
     """Capability record of one ring instance."""
 
@@ -194,19 +198,27 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
     return RingElement(ring, ((spec.const, q),) if q else ())
 
 
+def _coefficient(c: int | Fraction) -> Fraction:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction coefficient, got {c!r}")
+    return Fraction(c)
+
+
 def poly(coeffs) -> RingElement:
-    """POLY element from ascending-degree coefficients (ints or Fractions)."""
-    acc = {d: Fraction(c) for d, c in enumerate(coeffs)}
+    """POLY element from ascending-degree coefficients (ints or Fractions;
+    ``TypeError`` otherwise)."""
+    acc = {d: _coefficient(c) for d, c in enumerate(coeffs)}
     return RingElement(RingId.POLY, _canon(acc))
 
 
 def skew(terms) -> RingElement:
-    """SKEW element from a {(ydeg, xdeg): coefficient} mapping."""
+    """SKEW element from a {(ydeg, xdeg): coefficient} mapping; coefficients
+    are ints or Fractions (``TypeError`` otherwise)."""
     acc: dict[tuple[int, int], Fraction] = {}
     for (n, m), c in dict(terms).items():
         if n < 0 or m < 0:
             raise ValueError("skew monomial degrees must be nonnegative")
-        acc[(int(n), int(m))] = Fraction(c)
+        acc[(int(n), int(m))] = _coefficient(c)
     return RingElement(RingId.SKEW, _canon(acc))
 
 
@@ -360,16 +372,17 @@ def classify_magnitude(a: RingElement) -> Magnitude:
 # fractions, dense ascending coefficients for POLY, lex-descending terms
 # for SKEW).
 
-_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?$")
-_INT_RE = re.compile(r"-?[0-9]+$")
-_SKEW_TERM_RE = re.compile(r"([0-9]+),([0-9]+)=(-?[0-9]+(?:/[0-9]+)?)$")
+# Matched with ``fullmatch``: a ``$`` anchor would also accept a trailing newline.
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INT_RE = re.compile(r"-?[0-9]+")
+_SKEW_TERM_RE = re.compile(r"([0-9]+),([0-9]+)=(-?[0-9]+(?:/[0-9]+)?)")
 # A SKEW product allocates 2^(m1*n2), so literal degrees are bounded: at
 # 1024 one product's denominator has at most about a million bits.
 _SKEW_LITERAL_MAX_DEGREE = 1024
 
 
 def _parse_fraction(text: str, literal: re.Pattern = _RAT_RE, noun: str = "rational") -> Fraction:
-    if not literal.match(text):
+    if not literal.fullmatch(text):
         raise ParseError(f"malformed {noun} literal {text!r}")
     num, _, den = text.partition("/")
     den = int(den or 1)
@@ -387,7 +400,7 @@ def _parse_poly_body(body: str) -> dict[int, Fraction]:
 def _parse_skew_body(body: str) -> dict[tuple[int, int], Fraction]:
     acc: dict[tuple[int, int], Fraction] = {}
     for part in body.split(";") if body else ():
-        m = _SKEW_TERM_RE.match(part)
+        m = _SKEW_TERM_RE.fullmatch(part)
         if not m:
             raise ParseError(f"malformed skew term {part!r}")
         key = (int(m.group(1)), int(m.group(2)))
@@ -462,7 +475,7 @@ def pretty(a: RingElement) -> str:
 # the per-ring records
 
 
-@dataclass(frozen=True)
+@record
 class _RingSpec:
     """What one ring does differently from the others."""
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ringlp import (
@@ -44,7 +46,7 @@ def test_mat_apply_skew_entry_left():
     A = matrix(RingId.SKEW, [[SKEW_X]])
     v = vector(RingId.SKEW, [SKEW_Y])
     # x*y rewrites to (1/2)*y*x
-    assert mat_apply(A, v) == vector(RingId.SKEW, [skew({(1, 1): "1/2"})])
+    assert mat_apply(A, v) == vector(RingId.SKEW, [skew({(1, 1): Fraction(1, 2)})])
 
 
 def test_covec_apply_examples():
@@ -73,7 +75,7 @@ def test_dot_left_examples():
 def test_dot_left_order_sensitivity_pinned_in_skew():
     u = vector(RingId.SKEW, [SKEW_X])
     v = vector(RingId.SKEW, [SKEW_Y])
-    assert dot_left(u, v) == skew({(1, 1): "1/2"})
+    assert dot_left(u, v) == skew({(1, 1): Fraction(1, 2)})
     assert dot_left(v, u) == skew({(1, 1): 1})
     assert dot_left(u, v) != dot_left(v, u)
 

@@ -201,6 +201,10 @@ def test_constructors_reject_floats(ring):
         from_rational(ring, 0.1)
     with pytest.raises(TypeError):
         from_rational(ring, 1, 2.0)
+    with pytest.raises(TypeError):
+        poly([0.1])
+    with pytest.raises(TypeError):
+        skew({(0, 0): "1/3"})
     assert from_int(ring, 3) == from_rational(ring, Fraction(6, 2))
 
 
@@ -262,6 +266,9 @@ def test_parse_normalizes_to_canonical_form():
         (RingId.SKEW, "skew:1025,0=1"),
         (RingId.SKEW, "skew:0,0=1;0,1025=1"),
         (RingId.SKEW, "skew:1000000,2=1"),
+        (RingId.INT, "5\n"),
+        (RingId.RAT, "1/2\n"),
+        (RingId.SKEW, "skew:0,0=1\n"),
     ],
 )
 def test_parse_rejects_malformed_literals(ring, bad):

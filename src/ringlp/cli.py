@@ -252,7 +252,7 @@ def _cmd_enumerate(args) -> int:
     human: list[str] = [f"program {args.file} over {P.ring.value}, box bound {args.box}"]
     for side, scan in (("primal", enumerate_primal), ("dual", enumerate_dual)):
         if args.side in (None, side):
-            status = scan(P, box, workers=args.workers)
+            status = scan(P, box)
             report[side] = status.as_dict()
             human.extend(_status_lines(side, status))
     _emit(args, report, human)
@@ -262,7 +262,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_edt(args) -> int:
     P = load_program(args.file)
     box = BoxSpec(args.box, args.den)
-    edt = classify_edt(P, box, workers=args.workers)
+    edt = classify_edt(P, box)
     report = {
         "command": "edt",
         "file": args.file,
@@ -466,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, required=True)
     p.add_argument("--den", type=int, default=None)
     p.add_argument("--side", choices=["primal", "dual"], default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(
@@ -475,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--box", type=int, required=True)
     p.add_argument("--den", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_edt)
 
     p = sub.add_parser("demo", parents=[shared], help="one construction per claim")

@@ -11,9 +11,9 @@ is sufficient (shipped constructions do), otherwise BOX_LIMITED. A
 feasible best point touching the box's upper face is reported as
 FEASIBLE_UNBOUNDED_IN_BOX since a larger box might improve it.
 
-Ties between equal-objective points are broken toward the
-lexicographically smallest witness, so results do not depend on scan
-order; partitioned (parallel) scans merge to the same answer.
+The scan is sequential. The grid ascends and the points are walked in
+lexicographic order, so keeping only strict improvements makes the witness
+the lexicographically smallest point that attains the best value.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
 
 _ENUMERABLE = (RingId.INT, RingId.RAT, RingId.ODDRAT)
 _MAX_POINTS = 5_000_000
-_MAX_WORKERS = 64
 _TOO_LARGE = "search box too large for exhaustive scan"
 
 
@@ -185,56 +184,13 @@ def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     return _grid_values(ring, box, 1)
 
 
-def _better(
-    maximize: bool,
-    value: RingElement,
-    witness: tuple[RingElement, ...],
-    best_value: Optional[RingElement],
-    best_witness: Optional[tuple[RingElement, ...]],
-) -> bool:
-    if best_value is None:
-        return True
-    c = compare(value, best_value)
-    if c is (Ordering.GT if maximize else Ordering.LT):
-        return True
-    if c is Ordering.EQ:
-        for a, b in zip(witness, best_witness):
-            cc = compare(a, b)
-            if cc is not Ordering.EQ:
-                return cc is Ordering.LT
-    return False
-
-
-def _scan(
-    P: ProgramData,
-    points,
-    feasible: Callable[[ProgramData, RVector], object],
-    objective: Callable[[ProgramData, RVector], RingElement],
-    maximize: bool,
-):
-    any_feasible = False
-    best_value = None
-    best_witness = None
-    for w in points:
+def _feasible_walk(P: ProgramData, side: _Side, values: tuple[RingElement, ...]):
+    """Yield every feasible grid point of one side with its vector, in
+    lexicographic order of the point."""
+    for w in itertools.product(values, repeat=side.nvars):
         vec = RVector(P.ring, w)
-        if not feasible(P, vec).feasible:
-            continue
-        any_feasible = True
-        value = objective(P, vec)
-        if _better(maximize, value, w, best_value, best_witness):
-            best_value = value
-            best_witness = w
-    return any_feasible, best_value, best_witness
-
-
-def _merge(maximize: bool, left, right):
-    l_feas, l_val, l_wit = left
-    r_feas, r_val, r_wit = right
-    if l_val is None:
-        return (l_feas or r_feas, r_val, r_wit)
-    if r_val is None or not _better(maximize, r_val, r_wit, l_val, l_wit):
-        return (l_feas or r_feas, l_val, l_wit)
-    return (l_feas or r_feas, r_val, r_wit)
+        if side.feasible(P, vec).feasible:
+            yield w, vec
 
 
 def _enumerate(
@@ -242,31 +198,20 @@ def _enumerate(
     box: BoxSpec,
     primal: bool,
     analytic_note: Optional[str],
-    workers: int,
 ) -> ProgramStatus:
-    if not 1 <= workers <= _MAX_WORKERS:
-        raise ValueError(f"workers must be between 1 and {_MAX_WORKERS}, got {workers}")
     side = _side(P, primal)
     values = _grid_values(P.ring, box, side.nvars)
-    points = itertools.product(values, repeat=side.nvars)
-
-    def scan(part):
-        return _scan(P, part, side.feasible, side.objective, side.maximize)
-
-    if workers == 1:
-        found = scan(points)
-    else:
-        # stripe the grid over the workers; the merge is order-independent
-        from concurrent.futures import ThreadPoolExecutor
-
-        pts = list(points)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan, [pts[i::workers] for i in range(workers)]))
-        found = results[0]
-        for part in results[1:]:
-            found = _merge(side.maximize, found, part)
-    any_feasible, best_value, best_witness = found
-    if not any_feasible:
+    improves = Ordering.GT if side.maximize else Ordering.LT
+    best_value = None
+    best_witness = None
+    # strict improvement only: the walk is lexicographic, so the first point
+    # reaching the best value is the lexicographically smallest witness
+    for w, vec in _feasible_walk(P, side, values):
+        value = side.objective(P, vec)
+        if best_value is None or compare(value, best_value) is improves:
+            best_value = value
+            best_witness = w
+    if best_value is None:
         if analytic_note:
             return ProgramStatus(
                 StatusKind.INFEASIBLE, Scope.EXHAUSTIVE, note=analytic_note
@@ -295,32 +240,25 @@ def enumerate_primal(
     P: ProgramData,
     box: BoxSpec,
     analytic_note: Optional[str] = None,
-    workers: int = 1,
 ) -> ProgramStatus:
     """Exhaustive in-box maximization of f over feasible points."""
-    return _enumerate(P, box, True, analytic_note, workers)
+    return _enumerate(P, box, True, analytic_note)
 
 
 def enumerate_dual(
     P: ProgramData,
     box: BoxSpec,
     analytic_note: Optional[str] = None,
-    workers: int = 1,
 ) -> ProgramStatus:
     """Exhaustive in-box minimization of g over feasible points."""
-    return _enumerate(P, box, False, analytic_note, workers)
+    return _enumerate(P, box, False, analytic_note)
 
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
     side = _side(P, primal)
     values = _grid_values(P.ring, box, side.nvars)
-    out = []
-    for w in itertools.product(values, repeat=side.nvars):
-        vec = RVector(P.ring, w)
-        if side.feasible(P, vec).feasible:
-            out.append(vec)
-    return out
+    return [vec for _, vec in _feasible_walk(P, side, values)]
 
 
 def certify_optimal_pair(
@@ -328,7 +266,6 @@ def certify_optimal_pair(
     box: BoxSpec,
     x_star: Optional[RVector] = None,
     y_star: Optional[RVector] = None,
-    workers: int = 1,
 ) -> CheckReport:
     """Confirm the given points are feasible and unbeaten inside the box.
 
@@ -337,10 +274,7 @@ def certify_optimal_pair(
     """
     if x_star is None and y_star is None:
         raise ValueError("at least one candidate point is required")
-    statuses = (
-        enumerate_primal(P, box, workers=workers),
-        enumerate_dual(P, box, workers=workers),
-    )
+    statuses = (enumerate_primal(P, box), enumerate_dual(P, box))
     ok = True
     details: list[str] = []
     for primal, candidate, status in zip((True, False), (x_star, y_star), statuses):
@@ -387,7 +321,6 @@ def classify_edt(
     box: BoxSpec,
     primal_note: Optional[str] = None,
     dual_note: Optional[str] = None,
-    workers: int = 1,
 ) -> EdtReport:
     """Map the joint in-box outcome onto the classical four-way split.
 
@@ -395,8 +328,8 @@ def classify_edt(
     the other attains an optimum) are reported as a VIOLATION, which is
     exactly the expected finding on non-division rings.
     """
-    primal = enumerate_primal(P, box, primal_note, workers)
-    dual = enumerate_dual(P, box, dual_note, workers)
+    primal = enumerate_primal(P, box, primal_note)
+    dual = enumerate_dual(P, box, dual_note)
     pk, dk = primal.kind, dual.kind
     case: Optional[int] = None
     gap_value: Optional[RingElement] = None

@@ -77,7 +77,7 @@ class _Reader:
 
 def _read_positive_int(reader: _Reader, what: str) -> int:
     tok = reader.next(what)
-    if not tok.text.isdigit() or int(tok.text) < 1:
+    if not (tok.text.isascii() and tok.text.isdigit()) or int(tok.text) < 1:
         raise ParseError(
             f"{what} must be a positive integer, found {tok.text!r}",
             line=tok.line,

@@ -212,10 +212,12 @@ def poly(coeffs) -> RingElement:
 
 
 def skew(terms) -> RingElement:
-    """SKEW element from a {(ydeg, xdeg): coefficient} mapping; coefficients
-    are ints or Fractions (``TypeError`` otherwise)."""
+    """SKEW element from a {(ydeg, xdeg): coefficient} mapping; degrees are
+    ints, coefficients ints or Fractions (``TypeError`` otherwise)."""
     acc: dict[tuple[int, int], Fraction] = {}
     for (n, m), c in dict(terms).items():
+        if not (isinstance(n, int) and isinstance(m, int)):
+            raise TypeError(f"expected int monomial degrees, got {(n, m)!r}")
         if n < 0 or m < 0:
             raise ValueError("skew monomial degrees must be nonnegative")
         acc[(int(n), int(m))] = _coefficient(c)

@@ -30,6 +30,7 @@ from ringlp import (
     is_dual_feasible,
     is_primal_feasible,
     is_zero,
+    load_program,
     magnitude_gap_check,
     mul,
     no_central_between_check,
@@ -42,6 +43,7 @@ from ringlp import (
 )
 from ringlp.cli import main
 
+from _oracles import brute_force_box_optimum
 from conftest import FIXTURES, make_edt_program, make_gap_program
 
 ALL_RINGS = tuple(RingId)
@@ -194,7 +196,7 @@ def test_criterion_09_center_and_magnitude():
 
 
 def test_criterion_10_determinism(capsys):
-    with criterion(10, "byte-identical JSON reports; parallel scan equals sequential"):
+    with criterion(10, "byte-identical JSON reports; box scans match a plain-Fraction oracle"):
         commands = [
             ["rings", "--json"],
             ["axioms", "--ring", "skew", "--samples", "200", "--seed", "5", "--json"],
@@ -215,10 +217,22 @@ def test_criterion_10_determinism(capsys):
         for name in ("ce_sd.prog", "ce_sd_rat.prog", "edt_fail.prog",
                      "edt_fail_rat.prog", "edt_fail_transposed.prog",
                      "gap_oddrat.prog"):
-            from ringlp import load_program
-
             P = load_program(FIXTURES / name)
-            box = BoxSpec(6, 2 if P.ring is not RingId.INT else None)
-            for workers in (2, 4):
-                assert enumerate_primal(P, box, workers=workers) == enumerate_primal(P, box)
-                assert enumerate_dual(P, box, workers=workers) == enumerate_dual(P, box)
+            den = None if P.ring is RingId.INT else 2
+            box = BoxSpec(6, den)
+            dens = [q for q in range(1, (den or 1) + 1)
+                    if P.ring is not RingId.ODDRAT or q % 2]
+            values = sorted({Fraction(n, q) for q in dens for n in range(6 * (den or 1) + 1)})
+            A = [[Fraction(P.A.entry(j, i).payload) for i in range(P.cols)]
+                 for j in range(P.rows)]
+            b = [Fraction(e.payload) for e in P.b]
+            c = [Fraction(e.payload) for e in P.c]
+            d = Fraction(P.d.payload)
+            for primal_side, scan in ((True, enumerate_primal), (False, enumerate_dual)):
+                status = scan(P, box)
+                oracle = brute_force_box_optimum(A, b, c, d, values, primal_side)
+                if oracle is None:
+                    assert status.kind is StatusKind.INFEASIBLE
+                else:
+                    assert status.value.payload == oracle[0]
+                    assert tuple(e.payload for e in status.witness) == oracle[1]

@@ -116,28 +116,39 @@ def test_candidates_sorted_and_deduplicated():
         ([[2], [-2]], [1, -1], [0], 0),
         ([[1, 2], [2, 1]], [7, 8], [3, 1], 1),
         ([[1, -1]], [2], [1, 1], 0),
+        # g is constant, so every feasible y ties; the witness must be (0, 1)
+        ([[1], [1]], [0, 0], [1], 0),
     ],
 )
 def test_enumeration_matches_brute_force(A_rows, b, c, d):
-    P = _program(A_rows, b, c, d)
-    box = BoxSpec(6)
-    values = [Fraction(v) for v in range(7)]
     A_frac = [[Fraction(e) for e in row] for row in A_rows]
     b_frac = [Fraction(v) for v in b]
     c_frac = [Fraction(v) for v in c]
-    for primal_side in (True, False):
-        status = (
-            enumerate_primal(P, box) if primal_side else enumerate_dual(P, box)
-        )
-        oracle = brute_force_box_optimum(
-            A_frac, b_frac, c_frac, Fraction(d), values, primal_side
-        )
-        if oracle is None:
-            assert status.kind is StatusKind.INFEASIBLE
-        else:
-            val, wit = oracle
-            assert status.value.payload == val
-            assert tuple(e.payload for e in status.witness) == wit
+    # each grid also built here, independently, as sorted Fraction(n, den)
+    grids = [
+        (RingId.INT, BoxSpec(6), [Fraction(v) for v in range(7)]),
+        (RingId.RAT, BoxSpec(2, 3), sorted(
+            {Fraction(n, den) for den in (1, 2, 3) for n in range(7)}
+        )),
+        (RingId.ODDRAT, BoxSpec(2, 3), sorted(
+            {Fraction(n, den) for den in (1, 3) for n in range(7)}
+        )),
+    ]
+    for ring, box, values in grids:
+        P = _program(A_rows, b, c, d, ring)
+        for primal_side in (True, False):
+            status = (
+                enumerate_primal(P, box) if primal_side else enumerate_dual(P, box)
+            )
+            oracle = brute_force_box_optimum(
+                A_frac, b_frac, c_frac, Fraction(d), values, primal_side
+            )
+            if oracle is None:
+                assert status.kind is StatusKind.INFEASIBLE
+            else:
+                val, wit = oracle
+                assert status.value.payload == val
+                assert tuple(e.payload for e in status.witness) == wit
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +266,6 @@ def test_lexicographic_tie_break():
     status = enumerate_primal(P, BoxSpec(3))
     assert status.kind is StatusKind.OPTIMAL
     assert status.witness == int_vector(RingId.INT, [0, 0])
-
-
-def test_parallel_scan_agrees_with_sequential(gap_int, edt_int):
-    for P in (gap_int, edt_int):
-        for workers in (2, 3, 5):
-            assert enumerate_primal(P, BoxSpec(10), workers=workers) == enumerate_primal(
-                P, BoxSpec(10)
-            )
-            assert enumerate_dual(P, BoxSpec(10), workers=workers) == enumerate_dual(
-                P, BoxSpec(10)
-            )
-
-
-@pytest.mark.parametrize("workers", [0, -1, 65])
-def test_worker_count_outside_1_to_64_is_rejected(gap_int, workers):
-    for scan in (enumerate_primal, enumerate_dual):
-        with pytest.raises(ValueError, match="workers"):
-            scan(gap_int, BoxSpec(10), workers=workers)
 
 
 def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):

@@ -99,6 +99,13 @@ def test_missing_section_rejected():
         parse_program("ring int\nrows 1\ncols 1\nA 1\nb 1\nd 0\n")
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_non_ascii_digit_counts_rejected_with_position(count):
+    with pytest.raises(ParseError) as excinfo:
+        parse_program(f"ring int\nrows {count}\ncols 1\nA 1\nb 1\nc 1\nd 0\n")
+    assert (excinfo.value.line, excinfo.value.col) == (2, 6)
+
+
 def test_zero_rows_rejected():
     with pytest.raises(ParseError):
         parse_program("ring int\nrows 0\ncols 1\nA\nb\nc 1\nd 0\n")

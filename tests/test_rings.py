@@ -205,6 +205,8 @@ def test_constructors_reject_floats(ring):
         poly([0.1])
     with pytest.raises(TypeError):
         skew({(0, 0): "1/3"})
+    with pytest.raises(TypeError):
+        skew({(1.5, 0.7): 1})
     assert from_int(ring, 3) == from_rational(ring, Fraction(6, 2))
 
 

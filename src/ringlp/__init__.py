@@ -49,7 +49,7 @@ from .rings import (
     try_invert,
     zero,
 )
-from .sampling import Lcg, Sampler, verify_order_axioms
+from .sampling import Sampler, verify_order_axioms
 from .reports import AxiomReport, AxiomViolation, CheckReport, TrialSummary
 from .linalg import (
     RMatrix,
@@ -113,6 +113,7 @@ from .constructions import (
     infeasible_optimal_program,
     magnitude_gap_check,
     no_central_between_check,
+    no_central_between_trials,
     primal_improving_sequence,
     primal_improving_step,
     strong_duality_counterexample,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .affine import (
     assert_weak_duality,
@@ -29,13 +28,12 @@ from .affine import (
 )
 from .constructions import (
     InfeasibleSide,
-    _require_no_smallest_positive,
     certificate_dict,
     dual_decreasing_sequence,
     gap_program,
     infeasible_optimal_program,
     magnitude_gap_check,
-    no_central_between_check,
+    no_central_between_trials,
     primal_improving_sequence,
     strong_duality_counterexample,
 )
@@ -52,19 +50,18 @@ from .errors import (
 )
 from .linalg import RVector, vec_text, vector
 from .progfile import load_program, serialize_program
-from .reports import TrialSummary
 from .rings import (
     RingId,
     all_descriptors,
+    descriptor,
     from_int,
-    from_rational,
     parse_element,
     pretty,
     to_text,
-    SKEW_X,
+    try_invert,
     SKEW_Y,
 )
-from .sampling import Sampler, verify_order_axioms
+from .sampling import verify_order_axioms
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -279,7 +276,8 @@ def _cmd_edt(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# demos (fixed witnesses: a per ring, z = 1/3, p = 1/2, 21 steps, box 10)
+# demos (fixed witnesses: a per ring, z = 1/3, p = 1/2 where 2 is a unit and
+# 1/3 otherwise, b = 3 or y, 21 steps, box 10)
 
 
 def _bundle_output(args, name: str, exhibits: str, bundle) -> int:
@@ -307,14 +305,11 @@ def _bundle_output(args, name: str, exhibits: str, bundle) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _fraction_below_one(ring: RingId, den: int, witness: str):
-    """1/den in a ring that has elements strictly between 0 and 1."""
-    _require_no_smallest_positive(ring, witness)
-    return from_rational(ring, 1, den)
-
-
 # name -> (default ring, what it exhibits, builder of its bundle from (ring, a));
-# center-betweenness reports sampled checks instead of a bundle
+# center-betweenness reports sampled checks instead of a bundle. The step
+# witnesses z and p are inverses of small integers; on a ring where none is
+# a unit (int) they are None, and the construction refuses that ring, which
+# has a smallest positive element, before it reads them.
 _DEMOS = {
     "strong-duality-gap": (
         RingId.INT,
@@ -339,7 +334,7 @@ _DEMOS = {
         RingId.ODDRAT,
         "a feasible bounded primal that attains no optimum",
         lambda ring, a: primal_improving_sequence(
-            ring, a, _fraction_below_one(ring, 3, "z with 0 < a*z < 1"), DEMO_STEPS
+            ring, a, try_invert(from_int(ring, 3)), DEMO_STEPS
         ),
     ),
     "dual-no-optimum": (
@@ -348,9 +343,7 @@ _DEMOS = {
         lambda ring, a: dual_decreasing_sequence(
             ring,
             a,
-            _fraction_below_one(
-                ring, 3 if ring is RingId.ODDRAT else 2, "p with 0 < p < 1"
-            ),
+            try_invert(from_int(ring, 2)) or try_invert(from_int(ring, 3)),
             DEMO_STEPS,
         ),
     ),
@@ -375,20 +368,8 @@ def _cmd_demo(args) -> int:
     if build is not None:
         return _bundle_output(args, name, exhibits, build(ring, a))
     # center-betweenness
-    b = SKEW_Y if ring is RingId.SKEW else from_int(ring, 3)
-    if ring is RingId.SKEW and args.a is None:
-        a = SKEW_X
-    sampler = Sampler(DEMO_SEED)
-    failures = 0
-    first: Optional[str] = None
-    for _ in range(DEMO_SAMPLES):
-        z = sampler.sample_central(ring)
-        result = no_central_between_check(a, b, z)
-        if not result.passed:
-            failures += 1
-            if first is None:
-                first = "; ".join(result.details)
-    summary = TrialSummary("no_central_between", DEMO_SAMPLES, failures, first)
+    b = from_int(ring, 3) if descriptor(ring).is_commutative else SKEW_Y
+    summary = no_central_between_trials(a, b, DEMO_SAMPLES, DEMO_SEED)
     magnitude = magnitude_gap_check(a, b)
     report = {
         "command": "demo",
@@ -406,7 +387,7 @@ def _cmd_demo(args) -> int:
         f"exhibits: {exhibits}",
         f"ring {ring.value}, a = {pretty(a)}, b = {pretty(b)}, "
         f"{DEMO_SAMPLES} sampled central elements (seed {DEMO_SEED})",
-        f"  betweenness violations: {failures}",
+        f"  betweenness violations: {summary.failures}",
     ]
     human.extend(_check_lines([magnitude]))
     human.append("PASS" if summary.passed else "FAIL")

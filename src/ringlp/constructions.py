@@ -23,10 +23,11 @@ The constructions cover, over a suitable non-division ring:
 from __future__ import annotations
 
 from enum import Enum, unique
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from ._records import record
 from .affine import (
+    FeasibilityVerdict,
     ProgramData,
     eval_f,
     eval_g,
@@ -35,7 +36,6 @@ from .affine import (
     is_primal_feasible,
 )
 from .enumeration import (
-    _ENUMERABLE,
     BoxSpec,
     certify_optimal_pair,
     enumerate_dual,
@@ -52,10 +52,11 @@ from .linalg import (
     RVector,
     matrix,
     scale_right,
+    vec_text,
     vector,
     zero_vector,
 )
-from .reports import CheckReport
+from .reports import CheckReport, TrialSummary
 from .rings import (
     Magnitude,
     Ordering,
@@ -91,6 +92,7 @@ __all__ = [
     "primal_improving_sequence",
     "dual_decreasing_sequence",
     "no_central_between_check",
+    "no_central_between_trials",
     "magnitude_gap_check",
     "verify_bundle",
     "certificate_dict",
@@ -129,6 +131,10 @@ class WitnessSequence:
     points: tuple[RVector, ...]
     objective_values: tuple[RingElement, ...]
 
+    def __post_init__(self):
+        if len(self.points) != len(self.objective_values):
+            raise ValueError("a witness sequence has one objective value per point")
+
 
 @record
 class CounterexampleBundle:
@@ -145,23 +151,35 @@ class CounterexampleBundle:
     checks: tuple[CheckReport, ...] = ()
 
 
-def _require_positive_nonunit(a: RingElement) -> None:
+class _Side(NamedTuple):
+    """The primal or the dual half of a construction."""
+
+    name: str
+    letter: str  # of the objective
+    feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
+    objective: Callable[[ProgramData, RVector], RingElement]
+    better: Ordering  # how a strictly better objective value compares
+    trend: str
+
+
+def _side(primal: bool) -> _Side:
+    # read from the module globals on every call, so a function patched
+    # onto this module is the one every check uses
+    if primal:
+        return _Side("primal", "f", is_primal_feasible, eval_f, Ordering.GT, "increasing")
+    return _Side("dual", "g", is_dual_feasible, eval_g, Ordering.LT, "decreasing")
+
+
+def _require_witnesses(ring: RingId, a: RingElement, *others: RingElement) -> None:
+    """The witnesses are in ``ring`` and ``a`` is a positive non-unit."""
+    for e in (a, *others):
+        if not isinstance(e, RingElement) or e.ring is not ring:
+            raise NotAPositiveNonUnit(f"element {e} is not in ring {ring.value}")
     if sign(a) != 1:
         raise NotAPositiveNonUnit(f"{to_text(a)} is not positive")
     if try_invert(a) is not None:
         raise NotAPositiveNonUnit(
-            f"{to_text(a)} is invertible in {a.ring.value}; a non-unit is required"
-        )
-
-
-def _require_no_smallest_positive(ring: RingId, witness: str) -> None:
-    """A ring with a smallest positive element has nothing strictly between
-    0 and it, so no fractional witness exists there."""
-    smallest = descriptor(ring).smallest_positive
-    if smallest is not None:
-        raise PreconditionViolated(
-            f"{ring.value} has smallest positive element {to_text(smallest)}; "
-            f"no {witness} exists"
+            f"{to_text(a)} is invertible in {ring.value}; a non-unit is required"
         )
 
 
@@ -184,28 +202,46 @@ def _pair_gap_check(
 ) -> CheckReport:
     """Every (feasible, feasible) pair must have sign(gap) = +1."""
     bad: list[str] = []
-    pairs = 0
     for x in primal_points:
         for y in dual_points:
-            pairs += 1
-            if sign(gap(P, x, y)) != 1:
-                bad.append(
-                    f"x={[to_text(e) for e in x]} y={[to_text(e) for e in y]} "
-                    f"gap={to_text(gap(P, x, y))}"
-                )
-    details = [f"{label}: {pairs} pairs checked"] + bad
+            g = gap(P, x, y)
+            if sign(g) != 1:
+                bad.append(f"x={vec_text(x)} y={vec_text(y)} gap={to_text(g)}")
+    details = [f"{label}: {len(primal_points) * len(dual_points)} pairs checked"] + bad
     return CheckReport("gap_sign_positive", not bad, True, tuple(details))
 
 
-def _feasibility_check(P: ProgramData, points, primal_side: bool, label: str) -> CheckReport:
-    bad = []
-    for p in points:
-        verdict = is_primal_feasible(P, p) if primal_side else is_dual_feasible(P, p)
+def _point_problems(
+    P: ProgramData, points, side: _Side, recorded: Optional[tuple[RingElement, ...]] = None
+) -> list[str]:
+    """The one feasibility loop: a line per point outside its side's feasible
+    set and, when recorded objective values are given, per recorded value
+    that is not the objective at its point."""
+    problems = []
+    for k, p in enumerate(points):
+        verdict = side.feasible(P, p)
         if not verdict.feasible:
-            bad.append(f"{[to_text(e) for e in p]}: {verdict.violation_kind.value}")
-    return CheckReport(
-        f"{label}_feasible", not bad, True, tuple(bad) or (f"{len(points)} points",)
-    )
+            problems.append(f"{vec_text(p)}: {verdict.violation_kind.value}")
+        if recorded is not None and (value := side.objective(P, p)) != recorded[k]:
+            problems.append(
+                f"point {k}: recorded {side.letter} = {to_text(recorded[k])}, "
+                f"but {side.letter} = {to_text(value)} there"
+            )
+    return problems
+
+
+def _feasibility_checks(
+    P: ProgramData, primal_points, dual_points, what: str
+) -> list[CheckReport]:
+    """One feasibility report per side that has points."""
+    reports = []
+    for primal, points in ((True, primal_points), (False, dual_points)):
+        if points:
+            side = _side(primal)
+            bad = _point_problems(P, points, side)
+            details = tuple(bad) or (f"{len(points)} points",)
+            reports.append(CheckReport(f"{side.name}_{what}_feasible", not bad, True, details))
+    return reports
 
 
 def gap_program(
@@ -214,34 +250,26 @@ def gap_program(
     """The 1x1 program A=[a], b=[1], c=[1], d=0 for a positive non-unit a.
 
     Claim: both sides are feasible and every feasible pair has a strictly
-    positive gap. Spot verification uses box enumeration on INT and a
-    sampled family of dual witnesses 1 + (nonnegative sample) elsewhere.
+    positive gap. Spot verification uses box enumeration where the ring has
+    a smallest positive element (INT) and a sampled family of dual
+    witnesses 1 + (nonnegative sample) elsewhere.
     """
-    if a.ring is not ring:
-        raise NotAPositiveNonUnit(f"element {to_text(a)} is not in ring {ring.value}")
-    _require_positive_nonunit(a)
+    _require_witnesses(ring, a)
     P = _one_by_one_program(a)
     claim = "every feasible pair (x, y) has sign(g(y) - f(x)) = +1"
     primal_witnesses = [zero_vector(ring, 1)]
     dual_witnesses = [vector(ring, [one(ring)])]
-    checks: list[CheckReport] = []
-    if ring is RingId.INT:
+    if descriptor(ring).smallest_positive is not None:
         box = BoxSpec(10)
         primal_points = feasible_points(P, box, primal=True)
         dual_points = feasible_points(P, box, primal=False)
-        checks.append(
-            _pair_gap_check(P, primal_points, dual_points, "box enumeration on [0,10]")
-        )
+        gap_check = _pair_gap_check(P, primal_points, dual_points, "box enumeration on [0,10]")
     else:
         sampler = Sampler(seed)
         for _ in range(dual_samples):
             w = add(one(ring), sampler.sample_nonneg(ring))
             dual_witnesses.append(vector(ring, [w]))
-        checks.append(
-            _pair_gap_check(P, primal_witnesses, dual_witnesses, "witness family")
-        )
-    checks.append(_feasibility_check(P, primal_witnesses, True, "primal_witnesses"))
-    checks.append(_feasibility_check(P, dual_witnesses, False, "dual_witnesses"))
+        gap_check = _pair_gap_check(P, primal_witnesses, dual_witnesses, "witness family")
     return CounterexampleBundle(
         kind=BundleKind.GAP,
         program=P,
@@ -252,7 +280,10 @@ def gap_program(
             f"a = {to_text(a)} is positive and has no inverse, so no feasible "
             "pair can close the gap",
         ),
-        checks=tuple(checks),
+        checks=(
+            gap_check,
+            *_feasibility_checks(P, primal_witnesses, dual_witnesses, "witnesses"),
+        ),
     )
 
 
@@ -261,9 +292,7 @@ def strong_duality_counterexample(
 ) -> CounterexampleBundle:
     """Gap program on a ring whose smallest positive is 1: both sides
     attain optima (x*=0, y*=1) with different values, gap exactly 1."""
-    if a.ring is not ring:
-        raise NotAPositiveNonUnit(f"element {to_text(a)} is not in ring {ring.value}")
-    _require_positive_nonunit(a)
+    _require_witnesses(ring, a)
     if descriptor(ring).smallest_positive is None:
         raise NoSmallestPositive(f"{ring.value} has no smallest positive element")
     P = _one_by_one_program(a)
@@ -278,21 +307,15 @@ def strong_duality_counterexample(
         f"y*{to_text(a)} >= 1 with y >= 0 rules out y = 0; the objective equals y, "
         "so y = 1 is optimal"
     )
-    primal_status = enumerate_primal(P, box, primal_note)
-    dual_status = enumerate_dual(P, box, dual_note)
-    cert = certify_optimal_pair(P, box, x_star, y_star)
-    gap_value = gap(P, x_star, y_star)
+    statuses = (enumerate_primal(P, box, primal_note), enumerate_dual(P, box, dual_note))
     status_check = CheckReport(
         "optima_attained",
-        primal_status.witness == x_star and dual_status.witness == y_star,
+        statuses[0].witness == x_star and statuses[1].witness == y_star,
         True,
-        (
-            f"primal {primal_status.kind.value} at "
-            f"{[to_text(e) for e in primal_status.witness]}, "
-            f"f = {to_text(primal_status.value)}",
-            f"dual {dual_status.kind.value} at "
-            f"{[to_text(e) for e in dual_status.witness]}, "
-            f"g = {to_text(dual_status.value)}",
+        tuple(
+            f"{side.name} {status.kind.value} at {vec_text(status.witness)}, "
+            f"{side.letter} = {to_text(status.value)}"
+            for side, status in zip((_side(True), _side(False)), statuses)
         ),
     )
     return CounterexampleBundle(
@@ -303,22 +326,20 @@ def strong_duality_counterexample(
         dual_witnesses=(y_star,),
         primal_optimum=x_star,
         dual_optimum=y_star,
-        gap_value=gap_value,
+        gap_value=gap(P, x_star, y_star),
         notes=(primal_note, dual_note),
-        checks=(status_check, cert),
+        checks=(status_check, certify_optimal_pair(P, box, x_star, y_star)),
     )
 
 
-def _no_right_inverse_note(a: RingElement) -> str:
-    base = f"feasibility forces {to_text(a)}*x = 1 exactly, a right inverse of a non-unit"
-    ring = a.ring
-    if ring is RingId.INT:
-        return base + "; the only integer units are 1 and -1"
-    if ring is RingId.ODDRAT:
-        return base + "; the would-be inverse has an even denominator"
-    if ring in (RingId.POLY, RingId.SKEW):
-        return base + "; multiplying a nonzero element by a non-constant never yields the constant 1"
-    return base
+# why a positive non-unit has no right inverse, on the rings that have one
+_NON_CONSTANT = "; multiplying a nonzero element by a non-constant never yields the constant 1"
+_NO_RIGHT_INVERSE = {
+    RingId.INT: "; the only integer units are 1 and -1",
+    RingId.ODDRAT: "; the would-be inverse has an even denominator",
+    RingId.POLY: _NON_CONSTANT,
+    RingId.SKEW: _NON_CONSTANT,
+}
 
 
 def infeasible_optimal_program(
@@ -331,52 +352,40 @@ def infeasible_optimal_program(
     dual-optimal with value 0. DUAL_INFEASIBLE transposes A and swaps b
     and c to reverse the roles.
     """
-    if a.ring is not ring:
-        raise NotAPositiveNonUnit(f"element {to_text(a)} is not in ring {ring.value}")
-    _require_positive_nonunit(a)
-    o = one(ring)
+    _require_witnesses(ring, a)
     z = zero(ring)
+    column, rhs = [a, neg(a)], vector(ring, [one(ring), neg(one(ring))])
     if side is InfeasibleSide.PRIMAL_INFEASIBLE:
-        P = ProgramData(
-            ring,
-            matrix(ring, [[a], [neg(a)]]),
-            vector(ring, [o, neg(o)]),
-            vector(ring, [z]),
-            z,
-        )
+        P = ProgramData(ring, matrix(ring, [[e] for e in column]), rhs, vector(ring, [z]), z)
         kind = BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
         sign_note = (
             "g(y) = y1 - y2 and dual feasibility forces (y1 - y2)*a >= 0, hence "
             "y1 - y2 >= 0 since a > 0; the value 0 at y = (0, 0) is optimal"
         )
     else:
-        P = ProgramData(
-            ring,
-            matrix(ring, [[a, neg(a)]]),
-            vector(ring, [z]),
-            vector(ring, [o, neg(o)]),
-            z,
-        )
+        P = ProgramData(ring, matrix(ring, [column]), vector(ring, [z]), rhs, z)
         kind = BundleKind.INFEASIBLE_OPTIMAL_DUAL
         sign_note = (
             "f(x) = x1 - x2 and primal feasibility forces a*(x1 - x2) <= 0, hence "
             "x1 - x2 <= 0 since a > 0; the value 0 at x = (0, 0) is optimal"
         )
     primal_optimal = side is InfeasibleSide.DUAL_INFEASIBLE
-    optimal, infeasible = ("primal", "dual") if primal_optimal else ("dual", "primal")
-    objective, letter = (eval_f, "f") if primal_optimal else (eval_g, "g")
+    optimal, infeasible = _side(primal_optimal), _side(not primal_optimal)
     optimum = zero_vector(ring, 2)
-    infeasible_note = _no_right_inverse_note(a)
+    primal_witnesses = (optimum,) if primal_optimal else ()
+    dual_witnesses = () if primal_optimal else (optimum,)
+    value = optimal.objective(P, optimum)
+    infeasible_note = (
+        f"feasibility forces {to_text(a)}*x = 1 exactly, a right inverse of a non-unit"
+        + _NO_RIGHT_INVERSE.get(ring, "")
+    )
     checks = [
-        _feasibility_check(P, [optimum], primal_optimal, f"{optimal}_optimum"),
+        *_feasibility_checks(P, primal_witnesses, dual_witnesses, "optimum"),
         CheckReport(
-            "optimum_value_zero",
-            objective(P, optimum) == z,
-            True,
-            (f"{letter}(0, 0) = {to_text(objective(P, optimum))}",),
+            "optimum_value_zero", value == z, True, (f"{optimal.letter}(0, 0) = {to_text(value)}",)
         ),
     ]
-    if ring in (RingId.INT, RingId.ODDRAT):
+    if descriptor(ring).is_enumerable:
         box = BoxSpec(10)
         scan = enumerate_dual if primal_optimal else enumerate_primal
         status = scan(P, box, infeasible_note)
@@ -385,7 +394,7 @@ def infeasible_optimal_program(
                 "infeasible_side",
                 status.kind.value == "INFEASIBLE",
                 True,
-                (f"{infeasible}: {status.kind.value} ({status.scope.value})",),
+                (f"{infeasible.name}: {status.kind.value} ({status.scope.value})",),
             )
         )
         candidates = (optimum, None) if primal_optimal else (None, optimum)
@@ -400,12 +409,12 @@ def infeasible_optimal_program(
         kind=kind,
         program=P,
         claim=(
-            f"the {infeasible} side is infeasible while the {optimal} side attains "
-            f"an optimum; classically the {optimal} would have to be infeasible or "
-            "unbounded"
+            f"the {infeasible.name} side is infeasible while the {optimal.name} side "
+            f"attains an optimum; classically the {optimal.name} would have to be "
+            "infeasible or unbounded"
         ),
-        primal_witnesses=(optimum,) if primal_optimal else (),
-        dual_witnesses=() if primal_optimal else (optimum,),
+        primal_witnesses=primal_witnesses,
+        dual_witnesses=dual_witnesses,
         primal_optimum=optimum if primal_optimal else None,
         dual_optimum=None if primal_optimal else optimum,
         notes=notes,
@@ -424,16 +433,16 @@ def primal_improving_step(
     strictly larger.
     """
     o = one(a.ring)
-    tests = (
-        ("sign(z) = +1", sign(z) == 1, z),
-        ("sign(1 - a*z) = +1", sign(sub(o, mul(a, z))) == 1, sub(o, mul(a, z))),
-        ("sign(x) >= 0", sign(x) >= 0, x),
-        ("sign(1 - a*x) = +1", sign(sub(o, mul(a, x))) == 1, sub(o, mul(a, x))),
-    )
-    for label, ok, witness in tests:
-        if not ok:
-            raise PreconditionViolated(f"{label} failed (value {to_text(witness)})")
-    return add(x, mul(z, sub(o, mul(a, x))))
+    rest = sub(o, mul(a, x))
+    for label, value, least in (
+        ("sign(z) = +1", z, 1),
+        ("sign(1 - a*z) = +1", sub(o, mul(a, z)), 1),
+        ("sign(x) >= 0", x, 0),
+        ("sign(1 - a*x) = +1", rest, 1),
+    ):
+        if sign(value) < least:
+            raise PreconditionViolated(f"{label} failed (value {to_text(value)})")
+    return add(x, mul(z, rest))
 
 
 def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
@@ -472,6 +481,62 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
     return scaled
 
 
+def _non_achieving_sequence(
+    primal: bool, ring: RingId, a: RingElement, w: Optional[RingElement], steps: int
+) -> CounterexampleBundle:
+    """The gap program walked ``steps`` strict steps from x = 0 with witness
+    z (primal) or from y = [1] with witness p (dual)."""
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    # nothing lies strictly between 0 and a smallest positive element, so
+    # there is no witness to read
+    smallest = descriptor(ring).smallest_positive
+    if smallest is not None:
+        raise PreconditionViolated(
+            f"{ring.value} has smallest positive element {to_text(smallest)}; "
+            f"no {'z with 0 < a*z < 1' if primal else 'p with 0 < p < 1'} exists"
+        )
+    _require_witnesses(ring, a, w)
+    P = _one_by_one_program(a)
+    points = [vector(ring, [zero(ring) if primal else one(ring)])]
+    for _ in range(steps):
+        last = points[-1]
+        if primal:
+            points.append(vector(ring, [primal_improving_step(a, w, last[0])]))
+        else:
+            points.append(dual_decreasing_step(P, last, w))
+    side = _side(primal)
+    role = SequenceRole.PRIMAL_IMPROVING if primal else SequenceRole.DUAL_DECREASING
+    values = tuple(side.objective(P, pt) for pt in points)
+    seq = WitnessSequence(ring, role, tuple(points), values)
+    a_text, w_text = to_text(a), to_text(w)
+    if primal:
+        claim = (
+            "the primal side is feasible and bounded above yet attains no optimum: "
+            "the recorded points improve strictly forever"
+        )
+        note = (
+            f"step x <- x + {w_text}*(1 - {a_text}*x) keeps 1 - {a_text}*x positive "
+            "by the factorization (1 - a*z)*(1 - a*x)"
+        )
+    else:
+        claim = (
+            "the dual side is feasible and bounded below yet attains no optimum: "
+            "the recorded values decrease strictly forever"
+        )
+        note = f"each step rescales y by {w_text} and re-validates feasibility"
+    return CounterexampleBundle(
+        kind=BundleKind.NON_ACHIEVING,
+        program=P,
+        claim=claim,
+        primal_witnesses=seq.points if primal else (),
+        dual_witnesses=() if primal else seq.points,
+        sequence=seq,
+        notes=(note,),
+        checks=(_validate_sequence(P, seq),),
+    )
+
+
 def primal_improving_sequence(
     ring: RingId, a: RingElement, z: RingElement, steps: int = 21
 ) -> CounterexampleBundle:
@@ -480,35 +545,7 @@ def primal_improving_sequence(
     Starts at x = 0 and applies the improvement step; the bundle's claim is
     that the primal side is feasible and bounded yet attains no optimum.
     """
-    _require_no_smallest_positive(ring, "z with 0 < a*z < 1")
-    if a.ring is not ring or z.ring is not ring:
-        raise NotAPositiveNonUnit(f"witnesses must live in ring {ring.value}")
-    _require_positive_nonunit(a)
-    P = _one_by_one_program(a)
-    x = zero(ring)
-    points = [vector(ring, [x])]
-    for _ in range(steps):
-        x = primal_improving_step(a, z, x)
-        points.append(vector(ring, [x]))
-    values = tuple(eval_f(P, pt) for pt in points)
-    seq = WitnessSequence(ring, SequenceRole.PRIMAL_IMPROVING, tuple(points), values)
-    check = _validate_sequence(P, seq)
-    return CounterexampleBundle(
-        kind=BundleKind.NON_ACHIEVING,
-        program=P,
-        claim=(
-            "the primal side is feasible and bounded above yet attains no optimum: "
-            "the recorded points improve strictly forever"
-        ),
-        primal_witnesses=tuple(points),
-        sequence=seq,
-        notes=(
-            f"step x <- x + {to_text(z)}*(1 - {to_text(a)}*x) keeps "
-            f"1 - {to_text(a)}*x positive by the factorization "
-            "(1 - a*z)*(1 - a*x)",
-        ),
-        checks=(check,),
-    )
+    return _non_achieving_sequence(True, ring, a, z, steps)
 
 
 def dual_decreasing_sequence(
@@ -519,56 +556,34 @@ def dual_decreasing_sequence(
     Starts at y = [1] and rescales by p each step, re-validating dual
     feasibility exactly every time.
     """
-    _require_no_smallest_positive(ring, "p with 0 < p < 1")
-    if a.ring is not ring or p.ring is not ring:
-        raise NotAPositiveNonUnit(f"witnesses must live in ring {ring.value}")
-    _require_positive_nonunit(a)
-    P = _one_by_one_program(a)
-    y = vector(ring, [one(ring)])
-    verdict = is_dual_feasible(P, y)
-    if not verdict.feasible:
-        raise PreconditionViolated("y = [1] is not dual-feasible for this program")
-    points = [y]
-    for _ in range(steps):
-        y = dual_decreasing_step(P, y, p)
-        points.append(y)
-    values = tuple(eval_g(P, pt) for pt in points)
-    seq = WitnessSequence(ring, SequenceRole.DUAL_DECREASING, tuple(points), values)
-    check = _validate_sequence(P, seq)
-    return CounterexampleBundle(
-        kind=BundleKind.NON_ACHIEVING,
-        program=P,
-        claim=(
-            "the dual side is feasible and bounded below yet attains no optimum: "
-            "the recorded values decrease strictly forever"
-        ),
-        dual_witnesses=tuple(points),
-        sequence=seq,
-        notes=(f"each step rescales y by {to_text(p)} and re-validates feasibility",),
-        checks=(check,),
-    )
+    return _non_achieving_sequence(False, ring, a, p, steps)
 
 
 def _validate_sequence(P: ProgramData, seq: WitnessSequence) -> CheckReport:
-    """Re-verify feasibility of every point and strict monotonicity."""
-    problems: list[str] = []
-    primal_side = seq.role is SequenceRole.PRIMAL_IMPROVING
-    for k, pt in enumerate(seq.points):
-        verdict = is_primal_feasible(P, pt) if primal_side else is_dual_feasible(P, pt)
-        if not verdict.feasible:
-            problems.append(f"point {k} infeasible: {verdict.violation_kind.value}")
-    expected = Ordering.GT if primal_side else Ordering.LT
-    for k in range(1, len(seq.objective_values)):
-        if compare(seq.objective_values[k], seq.objective_values[k - 1]) is not expected:
-            problems.append(
-                f"objective not strictly "
-                f"{'increasing' if primal_side else 'decreasing'} at step {k}"
-            )
+    """Re-verify each point's feasibility and recorded objective value, and
+    strict monotonicity."""
+    side = _side(seq.role is SequenceRole.PRIMAL_IMPROVING)
+    values = seq.objective_values
+    problems = _point_problems(P, seq.points, side, values)
+    if len(values) < 2:
+        problems.append("fewer than two points: no step to check")
+    for k in range(1, len(values)):
+        if compare(values[k], values[k - 1]) is not side.better:
+            problems.append(f"objective not strictly {side.trend} at step {k}")
     details = tuple(problems) or (
-        f"{len(seq.points)} feasible points, strictly "
-        f"{'increasing' if primal_side else 'decreasing'} objective",
+        f"{len(seq.points)} feasible points, strictly {side.trend} objective",
     )
     return CheckReport("witness_sequence", not problems, True, details)
+
+
+def _oriented_products(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement]:
+    """a*b and b*a for positive a and b, ordered so that the first is <= the
+    second."""
+    for name, e in (("a", a), ("b", b)):
+        if sign(e) != 1:
+            raise PreconditionViolated(f"sign({name}) = +1 failed (value {to_text(e)})")
+    ab, ba = mul(a, b), mul(b, a)
+    return (ba, ab) if compare(ab, ba) is Ordering.GT else (ab, ba)
 
 
 def no_central_between_check(
@@ -580,16 +595,9 @@ def no_central_between_check(
     violation would be an implementation bug: z central would give
     aba < za = az < aba.
     """
-    if sign(a) != 1:
-        raise PreconditionViolated(f"sign(a) = +1 failed (value {to_text(a)})")
-    if sign(b) != 1:
-        raise PreconditionViolated(f"sign(b) = +1 failed (value {to_text(b)})")
+    ab, ba = _oriented_products(a, b)
     if not is_central(z):
         raise PreconditionViolated(f"z = {to_text(z)} is not central")
-    ab = mul(a, b)
-    ba = mul(b, a)
-    if compare(ab, ba) is Ordering.GT:
-        ab, ba = ba, ab
     below = compare(ab, z) is Ordering.LT
     above = compare(z, ba) is Ordering.LT
     passed = not (below and above)
@@ -601,25 +609,31 @@ def no_central_between_check(
     return CheckReport("no_central_between", passed, True, details)
 
 
+def no_central_between_trials(
+    a: RingElement, b: RingElement, trials: int, seed: int
+) -> TrialSummary:
+    """``no_central_between_check`` on ``trials`` sampled central elements."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    sampler = Sampler(seed)
+    checks = (
+        no_central_between_check(a, b, sampler.sample_central(a.ring)) for _ in range(trials)
+    )
+    failed = [c for c in checks if not c.passed]
+    first = "; ".join(failed[0].details) if failed else None
+    return TrialSummary("no_central_between", trials, len(failed), first)
+
+
 def magnitude_gap_check(a: RingElement, b: RingElement) -> CheckReport:
     """If a*b is finite (a, b positive), then ba - ab is zero or infinitesimal."""
-    if sign(a) != 1:
-        raise PreconditionViolated(f"sign(a) = +1 failed (value {to_text(a)})")
-    if sign(b) != 1:
-        raise PreconditionViolated(f"sign(b) = +1 failed (value {to_text(b)})")
-    ab = mul(a, b)
-    ba = mul(b, a)
-    if compare(ab, ba) is Ordering.GT:
-        ab, ba = ba, ab
-    if classify_magnitude(ab) is not Magnitude.FINITE:
+    ab, ba = _oriented_products(a, b)
+    m = classify_magnitude(ab)
+    if m is not Magnitude.FINITE:
         return CheckReport(
             "magnitude_gap",
             passed=True,
             applicable=False,
-            details=(
-                f"hypothesis not met: a*b = {to_text(ab)} is "
-                f"{classify_magnitude(ab).value}",
-            ),
+            details=(f"hypothesis not met: a*b = {to_text(ab)} is {m.value}",),
         )
     eps = sub(ba, ab)
     m = classify_magnitude(eps)
@@ -637,15 +651,7 @@ def verify_bundle(
 ) -> tuple[CheckReport, ...]:
     """Re-run the bundle's certificates from scratch."""
     P = bundle.program
-    reports: list[CheckReport] = []
-    if bundle.primal_witnesses:
-        reports.append(
-            _feasibility_check(P, list(bundle.primal_witnesses), True, "primal_witnesses")
-        )
-    if bundle.dual_witnesses:
-        reports.append(
-            _feasibility_check(P, list(bundle.dual_witnesses), False, "dual_witnesses")
-        )
+    reports = _feasibility_checks(P, bundle.primal_witnesses, bundle.dual_witnesses, "witnesses")
     if bundle.kind is BundleKind.GAP:
         reports.append(
             _pair_gap_check(
@@ -655,16 +661,16 @@ def verify_bundle(
                 "recorded witnesses",
             )
         )
-    if bundle.primal_optimum is not None or bundle.dual_optimum is not None:
-        if P.ring in _ENUMERABLE:
-            reports.append(
-                certify_optimal_pair(
-                    P,
-                    box or BoxSpec(10),
-                    x_star=bundle.primal_optimum,
-                    y_star=bundle.dual_optimum,
-                )
+    has_optimum = bundle.primal_optimum is not None or bundle.dual_optimum is not None
+    if has_optimum and descriptor(P.ring).is_enumerable:
+        reports.append(
+            certify_optimal_pair(
+                P,
+                box or BoxSpec(10),
+                x_star=bundle.primal_optimum,
+                y_star=bundle.dual_optimum,
             )
+        )
     if bundle.gap_value is not None and bundle.primal_optimum is not None and bundle.dual_optimum is not None:
         recomputed = gap(P, bundle.primal_optimum, bundle.dual_optimum)
         reports.append(

@@ -1,9 +1,11 @@
 """Brute-force exact certification over bounded boxes.
 
 Variables range over a finite grid starting at 0 (the sign constraint
-already rules out negatives): for INT each variable takes values 0..N; for
-RAT and ODDRAT the grid is every numerator 0..N*D over every denominator
-1..D (odd denominators only for ODDRAT), deduplicated and sorted.
+already rules out negatives), on the rings whose descriptor says
+``is_enumerable``. On a ring with a smallest positive element (INT) each
+variable takes values 0..N. Otherwise the grid is every numerator 0..N*D
+over every denominator d in 1..D that is a unit of the ring (every d for
+RAT, odd d for ODDRAT), deduplicated and sorted.
 
 The oracle never claims more than it checked. Statuses carry a scope flag:
 EXHAUSTIVE only when the caller supplies an analytic note arguing the box
@@ -40,11 +42,14 @@ from .rings import (
     Ordering,
     RingElement,
     RingId,
+    all_descriptors,
     compare,
+    descriptor,
     from_int,
     from_rational,
     sub,
     to_text,
+    try_invert,
 )
 
 __all__ = [
@@ -61,7 +66,6 @@ __all__ = [
     "classify_edt",
 ]
 
-_ENUMERABLE = (RingId.INT, RingId.RAT, RingId.ODDRAT)
 _MAX_POINTS = 5_000_000
 _TOO_LARGE = "search box too large for exhaustive scan"
 
@@ -159,18 +163,22 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, .
     Raises as soon as the distinct values found so far, raised to the
     number of variables, exceed the point cap, before the rest is built.
     """
-    if ring not in _ENUMERABLE:
+    facts = descriptor(ring)
+    if not facts.is_enumerable:
+        enumerable = ", ".join(d.ring.value for d in all_descriptors() if d.is_enumerable)
         raise UnsupportedRing(
-            f"{ring.value} is not exhaustively enumerable (only int, rat, oddrat)"
+            f"{ring.value} is not exhaustively enumerable (only {enumerable})"
         )
-    if ring is RingId.INT:
+    # the smallest positive element of an ordered ring is 1 (0 < s < 1 would
+    # give 0 < s*s < s), so the grid is its multiples 0..N
+    if facts.smallest_positive is not None:
         if (box.bound + 1) ** nvars > _MAX_POINTS:
             raise ValueError(_TOO_LARGE)
         return tuple(from_int(ring, v) for v in range(box.bound + 1))
     d_bound = box.denominator_bound or 1
     values: set[Fraction] = set()
     for den in range(1, d_bound + 1):
-        if ring is RingId.ODDRAT and den % 2 == 0:
+        if try_invert(from_int(ring, den)) is None:
             continue
         for num in range(box.bound * d_bound + 1):
             values.add(Fraction(num, den))

@@ -151,12 +151,18 @@ class RingElement:
 
 @record
 class RingDescriptor:
-    """Capability record of one ring instance."""
+    """Capability record of one ring instance.
+
+    These are the per-ring facts that code outside this module reads in
+    place of testing which ring it holds.
+    """
 
     ring: RingId
     is_commutative: bool
     is_division: bool
     smallest_positive: Optional[RingElement]
+    # the box oracle can walk a finite grid of the ring's elements
+    is_enumerable: bool = False
 
 
 def _require_same_ring(a: RingElement, b: RingElement) -> None:
@@ -532,9 +538,9 @@ _ZEROS = {r: from_int(r, 0) for r in RingId}
 _ONES = {r: from_int(r, 1) for r in RingId}
 
 _DESCRIPTORS = {
-    RingId.INT: RingDescriptor(RingId.INT, True, False, one(RingId.INT)),
-    RingId.RAT: RingDescriptor(RingId.RAT, True, True, None),
-    RingId.ODDRAT: RingDescriptor(RingId.ODDRAT, True, False, None),
+    RingId.INT: RingDescriptor(RingId.INT, True, False, one(RingId.INT), is_enumerable=True),
+    RingId.RAT: RingDescriptor(RingId.RAT, True, True, None, is_enumerable=True),
+    RingId.ODDRAT: RingDescriptor(RingId.ODDRAT, True, False, None, is_enumerable=True),
     RingId.POLY: RingDescriptor(RingId.POLY, True, False, None),
     RingId.SKEW: RingDescriptor(RingId.SKEW, False, False, None),
 }

@@ -23,6 +23,7 @@ from .rings import (
     RingId,
     RingElement,
     add,
+    descriptor,
     from_rational,
     from_int,
     mul,
@@ -73,28 +74,21 @@ class Sampler:
     def draw_int(self, lo: int, hi: int) -> int:
         return self._lcg.int_in(lo, hi)
 
-    def _rational(self) -> Fraction:
+    def _rational(self, odd: bool = False) -> Fraction:
         num = self._lcg.int_in(-INT_BOUND, INT_BOUND)
         den = self._lcg.int_in(1, DEN_BOUND)
-        return Fraction(num, den)
-
-    def _odd_rational(self) -> Fraction:
-        num = self._lcg.int_in(-INT_BOUND, INT_BOUND)
-        den = self._lcg.int_in(1, DEN_BOUND)
-        while den % 2 == 0:
+        while odd and den % 2 == 0:
             den = self._lcg.int_in(1, DEN_BOUND)
         return Fraction(num, den)
 
     def sample(self, ring: RingId) -> RingElement:
-        if ring is RingId.INT:
-            return from_int(ring, self._lcg.int_in(-INT_BOUND, INT_BOUND))
-        if ring is RingId.RAT:
-            return from_rational(ring, self._rational())
-        if ring is RingId.ODDRAT:
-            return from_rational(ring, self._odd_rational())
-        if ring is RingId.POLY:
-            degree = self._lcg.int_in(0, POLY_MAX_DEGREE)
-            return poly([self._rational() for _ in range(degree + 1)])
+        return _DRAWS[ring](self, ring)
+
+    def _poly(self, ring: RingId) -> RingElement:
+        degree = self._lcg.int_in(0, POLY_MAX_DEGREE)
+        return poly([self._rational() for _ in range(degree + 1)])
+
+    def _skew(self, ring: RingId) -> RingElement:
         count = self._lcg.int_in(0, SKEW_MAX_TERMS)
         acc: dict[tuple[int, int], Fraction] = {}
         for _ in range(count):
@@ -115,10 +109,22 @@ class Sampler:
                 return e
 
     def sample_central(self, ring: RingId) -> RingElement:
-        """A central element: any sample in commutative rings, a constant in SKEW."""
-        if ring is not RingId.SKEW:
+        """A central element: any sample in a commutative ring, a rational
+        constant otherwise."""
+        if descriptor(ring).is_commutative:
             return self.sample(ring)
         return from_rational(ring, self._rational())
+
+
+# One draw per ring. The order of the generator calls in each is part of the
+# seeded stream.
+_DRAWS = {
+    RingId.INT: lambda s, ring: from_int(ring, s._lcg.int_in(-INT_BOUND, INT_BOUND)),
+    RingId.RAT: lambda s, ring: from_rational(ring, s._rational()),
+    RingId.ODDRAT: lambda s, ring: from_rational(ring, s._rational(odd=True)),
+    RingId.POLY: Sampler._poly,
+    RingId.SKEW: Sampler._skew,
+}
 
 
 def verify_order_axioms(ring: RingId, sample_count: int, seed: int) -> AxiomReport:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from ringlp import (
-    Lcg,
     RingId,
     Sampler,
     add,
@@ -23,6 +22,7 @@ from ringlp import (
 from ringlp.sampling import (
     DEN_BOUND,
     INT_BOUND,
+    Lcg,
     POLY_MAX_DEGREE,
     SKEW_MAX_DEGREE,
     SKEW_MAX_TERMS,

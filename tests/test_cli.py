@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -235,6 +236,34 @@ def test_precondition_errors_are_exit_three(capsys):
     assert main(["demo", "dual-no-optimum", "--ring", "int"]) == 3
     # any ring is valid for center-betweenness: its fixed b = 3 embeds in poly
     assert main(["demo", "center-betweenness", "--ring", "poly"]) == 0
+
+
+# the demo x ring combinations that perfbench/cli_goldens.json leaves out:
+# every one but the last exits 3 and prints nothing on stdout
+_EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,ring,code,sha256",
+    [
+        *[("strong-duality-gap", r, 3, _EMPTY_SHA256) for r in ("rat", "oddrat", "poly", "skew")],
+        ("edt-infeasible-optimal", "rat", 3, _EMPTY_SHA256),
+        ("edt-infeasible-optimal-transposed", "rat", 3, _EMPTY_SHA256),
+        *[("primal-no-optimum", r, 3, _EMPTY_SHA256) for r in ("int", "rat", "poly", "skew")],
+        *[("dual-no-optimum", r, 3, _EMPTY_SHA256) for r in ("int", "rat", "oddrat")],
+        ("noncommutative-gap", "rat", 3, _EMPTY_SHA256),
+        (
+            "center-betweenness",
+            "poly",
+            0,
+            "1d5edf910bec762e84faa69ea99d5643bce9cb378e8d43d4620a3fdc9961d937",
+        ),
+    ],
+)
+def test_demo_ring_combinations_outside_the_goldens(capsys, name, ring, code, sha256):
+    got, out = run(capsys, "demo", name, "--ring", ring, "--json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_violation_exit_code_via_forced_report(capsys, monkeypatch):

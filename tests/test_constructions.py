@@ -4,6 +4,7 @@ import pytest
 
 from ringlp import (
     BundleKind,
+    CounterexampleBundle,
     InfeasibleSide,
     Magnitude,
     NoSmallestPositive,
@@ -33,6 +34,7 @@ from ringlp import (
     magnitude_gap_check,
     mul,
     no_central_between_check,
+    no_central_between_trials,
     one,
     primal_improving_sequence,
     primal_improving_step,
@@ -41,6 +43,7 @@ from ringlp import (
     sub,
     vector,
     verify_bundle,
+    WitnessSequence,
     zero_vector,
 )
 
@@ -315,6 +318,55 @@ def test_dual_decreasing_sequence_needs_a_fractional_p():
         )
 
 
+def _oddrat_primal_sequence(steps):
+    ring = RingId.ODDRAT
+    return primal_improving_sequence(
+        ring, from_rational(ring, 2), from_rational(ring, 1, 3), steps=steps
+    )
+
+
+def _poly_dual_sequence(steps):
+    return dual_decreasing_sequence(
+        RingId.POLY, POLY_X, from_rational(RingId.POLY, 1, 2), steps=steps
+    )
+
+
+@pytest.mark.parametrize(
+    "build,steps", [(_oddrat_primal_sequence, 0), (_poly_dual_sequence, -5)]
+)
+def test_sequences_need_at_least_one_step(build, steps):
+    with pytest.raises(ValueError, match="steps must be positive"):
+        build(steps)
+
+
+@pytest.mark.parametrize("build", [_oddrat_primal_sequence, _poly_dual_sequence])
+def test_verify_bundle_recomputes_the_recorded_objective_values(build):
+    # every point is the start point, feasible, but the values are a real run's
+    real = build(3)
+    seq = real.sequence
+    start = (seq.points[0],) * len(seq.points)
+    primal = seq.role is SequenceRole.PRIMAL_IMPROVING
+    forged = CounterexampleBundle(
+        kind=real.kind,
+        program=real.program,
+        claim=real.claim,
+        primal_witnesses=start if primal else (),
+        dual_witnesses=() if primal else start,
+        sequence=WitnessSequence(seq.ring, seq.role, start, seq.objective_values),
+    )
+    reports = {r.name: r for r in verify_bundle(forged)}
+    witnesses = "primal_witnesses" if primal else "dual_witnesses"
+    assert reports[f"{witnesses}_feasible"].passed
+    assert not reports["witness_sequence"].passed
+    assert all(r.passed for r in verify_bundle(real))
+    # a single point checks no step, and every point needs its value
+    single = WitnessSequence(seq.ring, seq.role, seq.points[:1], seq.objective_values[:1])
+    short = CounterexampleBundle(real.kind, real.program, real.claim, sequence=single)
+    assert [r.passed for r in verify_bundle(short)] == [False]
+    with pytest.raises(ValueError):
+        WitnessSequence(seq.ring, seq.role, seq.points, seq.objective_values[:1])
+
+
 # ---------------------------------------------------------------------------
 # center and magnitude checks
 
@@ -330,6 +382,10 @@ def test_no_central_between_on_500_sampled_constants():
     for _ in range(500):
         z = sampler.sample_central(RingId.SKEW)
         assert no_central_between_check(SKEW_X, SKEW_Y, z).passed
+    summary = no_central_between_trials(SKEW_X, SKEW_Y, 500, 9)
+    assert (summary.trials, summary.failures, summary.first_failure) == (500, 0, None)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        no_central_between_trials(SKEW_X, SKEW_Y, 0, 9)
 
 
 def test_no_central_between_vacuous_on_commutative_rings():

@@ -103,6 +103,8 @@ def test_candidates_sorted_and_deduplicated():
     raw = [v.payload for v in values]
     assert raw == sorted(set(raw))
     assert raw[0] == 0 and raw[-1] == 4
+    # a ring with a smallest positive element ignores the denominator bound
+    assert [v.payload for v in candidate_values(RingId.INT, BoxSpec(3, 4))] == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------

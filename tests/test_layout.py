@@ -1,0 +1,43 @@
+"""Static guards on how the modules of ``src/ringlp`` depend on each other.
+
+Per-ring facts live in ``rings.py`` (``RingDescriptor`` and the per-ring
+records there); other modules read those facts instead of testing which
+ring they hold. No module reaches into a sibling's private names. Both are
+checked by reading the sources, without importing or running anything.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ringlp"
+MODULES = sorted(SRC.glob("*.py"))
+RING_IDENTITY_TEST = re.compile(r"(is|is not|in) \(?RingId\.")
+
+
+def test_ring_identity_is_tested_only_in_rings():
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in MODULES
+        if path.name != "rings.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if RING_IDENTITY_TEST.search(line)
+    ]
+    assert len(hits) <= 2, hits
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("ringlp")
+            ):
+                private += [
+                    f"{path.name}: {alias.name} from {node.module}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private, private

@@ -42,7 +42,7 @@ _STATUS = ProgramStatus(StatusKind.INFEASIBLE, Scope.BOX_LIMITED)
 # (class, the arguments without a default, {field: default})
 RECORDS = [
     (RingElement, lambda: (RingId.INT, 3), {}),
-    (RingDescriptor, lambda: (RingId.INT, True, False, _ONE), {}),
+    (RingDescriptor, lambda: (RingId.INT, True, False, _ONE), {"is_enumerable": False}),
     (_RingSpec, lambda: ("p:", str, str), dict.fromkeys(("scalar", "const", "mono_mul", "mono_text"))),
     (RVector, lambda: (RingId.INT, (_ONE, _ONE)), {}),
     (RMatrix, lambda: (RingId.INT, 1, 2, (_ONE, _ONE)), {}),

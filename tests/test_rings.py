@@ -301,17 +301,18 @@ def test_cross_ring_arithmetic_rejected():
 
 def test_descriptors():
     table = {
-        RingId.INT: (True, False, from_int(RingId.INT, 1)),
-        RingId.RAT: (True, True, None),
-        RingId.ODDRAT: (True, False, None),
-        RingId.POLY: (True, False, None),
-        RingId.SKEW: (False, False, None),
+        RingId.INT: (True, False, from_int(RingId.INT, 1), True),
+        RingId.RAT: (True, True, None, True),
+        RingId.ODDRAT: (True, False, None, True),
+        RingId.POLY: (True, False, None, False),
+        RingId.SKEW: (False, False, None, False),
     }
-    for ring, (comm, div, smallest) in table.items():
+    for ring, (comm, div, smallest, enumerable) in table.items():
         d = descriptor(ring)
         assert d.is_commutative is comm
         assert d.is_division is div
         assert d.smallest_positive == smallest
+        assert d.is_enumerable is enumerable
     # when the smallest positive exists, it is the multiplicative identity
     assert descriptor(RingId.INT).smallest_positive == one(RingId.INT)
 

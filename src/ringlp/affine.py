@@ -19,7 +19,7 @@ s.x + y.t is a product of nonnegatives.
 from __future__ import annotations
 
 from enum import Enum, unique
-from typing import Optional
+from typing import Callable, Optional
 
 from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
@@ -151,26 +151,32 @@ def _first_negative(v: RVector) -> Optional[int]:
     return None
 
 
+def _verdict(
+    P: ProgramData, point: RVector, slack_of: Callable[[ProgramData, RVector], RVector]
+) -> tuple[FeasibilityVerdict, Optional[RVector]]:
+    """Verdict on ``point >= 0`` and ``slack_of(P, point) >= 0``, and the slack.
+
+    The slack is built only for a nonnegative point (``None`` otherwise), so
+    a caller that needs it again reuses it instead of building it twice.
+    """
+    i = _first_negative(point)
+    if i is not None:
+        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE), None
+    slack = slack_of(P, point)
+    j = _first_negative(slack)
+    if j is not None:
+        return FeasibilityVerdict(False, j, ViolationKind.SLACK_NEGATIVE), slack
+    return FeasibilityVerdict(True), slack
+
+
 def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
     """x >= 0 and A x <= b, both non-strict."""
-    i = _first_negative(x)
-    if i is not None:
-        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
-    j = _first_negative(primal_slack(P, x))
-    if j is not None:
-        return FeasibilityVerdict(False, j, ViolationKind.SLACK_NEGATIVE)
-    return FeasibilityVerdict(True)
+    return _verdict(P, x, primal_slack)[0]
 
 
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
     """y >= 0 and y A >= c, both non-strict."""
-    j = _first_negative(y)
-    if j is not None:
-        return FeasibilityVerdict(False, j, ViolationKind.NEGATIVE_VARIABLE)
-    i = _first_negative(dual_slack(P, y))
-    if i is not None:
-        return FeasibilityVerdict(False, i, ViolationKind.SLACK_NEGATIVE)
-    return FeasibilityVerdict(True)
+    return _verdict(P, y, dual_slack)[0]
 
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
@@ -183,22 +189,27 @@ def eval_g(P: ProgramData, y: RVector) -> RingElement:
     return sub(dot_left(y, P.b), P.d)
 
 
-def key_equation_residual(P: ProgramData, x: RVector, y: RVector) -> RingElement:
-    """[s.x - g(y)] - [y.(-t) - f(x)]; exactly zero for every x, y."""
+def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, RingElement]:
+    """(key equation residual, duality equation residual), sharing s, t,
+    f(x) and g(y)."""
     s = dual_slack(P, y)
     t = primal_slack(P, x)
-    lhs = sub(dot_left(s, x), eval_g(P, y))
-    rhs = sub(dot_left(y, vec_neg(t)), eval_f(P, x))
-    return sub(lhs, rhs)
+    f = eval_f(P, x)
+    g = eval_g(P, y)
+    sx = dot_left(s, x)
+    key = sub(sub(sx, g), sub(dot_left(y, vec_neg(t)), f))
+    duality = sub(sub(g, f), add(sx, dot_left(y, t)))
+    return key, duality
+
+
+def key_equation_residual(P: ProgramData, x: RVector, y: RVector) -> RingElement:
+    """[s.x - g(y)] - [y.(-t) - f(x)]; exactly zero for every x, y."""
+    return _residuals(P, x, y)[0]
 
 
 def duality_equation_residual(P: ProgramData, x: RVector, y: RVector) -> RingElement:
     """[g(y) - f(x)] - [s.x + y.t]; exactly zero for every x, y."""
-    s = dual_slack(P, y)
-    t = primal_slack(P, x)
-    direct = sub(eval_g(P, y), eval_f(P, x))
-    via_slacks = add(dot_left(s, x), dot_left(y, t))
-    return sub(direct, via_slacks)
+    return _residuals(P, x, y)[1]
 
 
 def gap(P: ProgramData, x: RVector, y: RVector) -> RingElement:
@@ -212,8 +223,8 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
     A failure flags an implementation bug (the inequality is a theorem for
     ordered rings); infeasible inputs make the check not applicable.
     """
-    pv = is_primal_feasible(P, x)
-    dv = is_dual_feasible(P, y)
+    pv, t = _verdict(P, x, primal_slack)
+    dv, s = _verdict(P, y, dual_slack)
     if not (pv.feasible and dv.feasible):
         which = []
         if not pv.feasible:
@@ -227,7 +238,7 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
             details=("not applicable: " + "; ".join(which),),
         )
     g_val = gap(P, x, y)
-    cross = add(dot_left(dual_slack(P, y), x), dot_left(y, primal_slack(P, x)))
+    cross = add(dot_left(s, x), dot_left(y, t))
     sign_ok = sign(g_val) >= 0
     cross_ok = g_val == cross
     details = [f"gap = {to_text(g_val)}", f"s.x + y.t = {to_text(cross)}"]
@@ -273,8 +284,7 @@ def _identity_trials(trials: int, seed: int, draw_program, show_points: bool) ->
         P = draw_program(sampler)
         x = _sample_vector(sampler, P.ring, P.cols)
         y = _sample_vector(sampler, P.ring, P.rows)
-        kr = key_equation_residual(P, x, y)
-        dr = duality_equation_residual(P, x, y)
+        kr, dr = _residuals(P, x, y)
         if not (is_zero(kr) and is_zero(dr)):
             failures += 1
             if first is None:

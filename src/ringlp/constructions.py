@@ -66,6 +66,7 @@ from .rings import (
     classify_magnitude,
     compare,
     descriptor,
+    from_int,
     is_central,
     mul,
     neg,
@@ -200,14 +201,25 @@ def _pair_gap_check(
     dual_points: list[RVector],
     label: str,
 ) -> CheckReport:
-    """Every (feasible, feasible) pair must have sign(gap) = +1."""
+    """Every (feasible, feasible) pair must have sign(gap) = +1; a point
+    outside its side's feasible set is a problem, not a checked pair."""
     bad: list[str] = []
-    for x in primal_points:
-        for y in dual_points:
+    feasible = []
+    for primal, points in ((True, primal_points), (False, dual_points)):
+        side = _side(primal)
+        verdicts = [(p, side.feasible(P, p)) for p in points]
+        feasible.append([p for p, v in verdicts if v.feasible])
+        bad += [
+            f"{side.name} point {vec_text(p)}: {v.violation_kind.value}"
+            for p, v in verdicts
+            if not v.feasible
+        ]
+    for x in feasible[0]:
+        for y in feasible[1]:
             g = gap(P, x, y)
             if sign(g) != 1:
                 bad.append(f"x={vec_text(x)} y={vec_text(y)} gap={to_text(g)}")
-    details = [f"{label}: {len(primal_points) * len(dual_points)} pairs checked"] + bad
+    details = [f"{label}: {len(feasible[0]) * len(feasible[1])} pairs checked"] + bad
     return CheckReport("gap_sign_positive", not bad, True, tuple(details))
 
 
@@ -252,13 +264,15 @@ def gap_program(
     Claim: both sides are feasible and every feasible pair has a strictly
     positive gap. Spot verification uses box enumeration where the ring has
     a smallest positive element (INT) and a sampled family of dual
-    witnesses 1 + (nonnegative sample) elsewhere.
+    witnesses k + (nonnegative sample) elsewhere, where k is the least
+    positive integer with k*a >= 1 (so y = [k] is dual-feasible).
     """
     _require_witnesses(ring, a)
     P = _one_by_one_program(a)
     claim = "every feasible pair (x, y) has sign(g(y) - f(x)) = +1"
     primal_witnesses = [zero_vector(ring, 1)]
-    dual_witnesses = [vector(ring, [one(ring)])]
+    k = from_int(ring, _least_covering_integer(a))
+    dual_witnesses = [vector(ring, [k])]
     if descriptor(ring).smallest_positive is not None:
         box = BoxSpec(10)
         primal_points = feasible_points(P, box, primal=True)
@@ -267,7 +281,7 @@ def gap_program(
     else:
         sampler = Sampler(seed)
         for _ in range(dual_samples):
-            w = add(one(ring), sampler.sample_nonneg(ring))
+            w = add(k, sampler.sample_nonneg(ring))
             dual_witnesses.append(vector(ring, [w]))
         gap_check = _pair_gap_check(P, primal_witnesses, dual_witnesses, "witness family")
     return CounterexampleBundle(
@@ -285,6 +299,27 @@ def gap_program(
             *_feasibility_checks(P, primal_witnesses, dual_witnesses, "witnesses"),
         ),
     )
+
+
+def _least_covering_integer(a: RingElement) -> int:
+    """The least positive integer k with k*a >= 1, for a positive a that is
+    not infinitesimal (no ring here has one): doubling, then bisection."""
+    ring = a.ring
+
+    def covers(k: int) -> bool:
+        return compare(mul(from_int(ring, k), a), one(ring)) is not Ordering.LT
+
+    high = 1
+    while not covers(high):
+        high *= 2
+    low = high // 2  # 0, or a k that does not cover
+    while high - low > 1:
+        mid = (low + high) // 2
+        if covers(mid):
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def strong_duality_counterexample(

@@ -6,6 +6,11 @@ LEFT. Concretely, ``mat_apply`` puts the matrix entry left of the vector
 entry, ``covec_apply`` puts the row-vector entry left of the matrix entry,
 and ``dot_left(u, v)`` sums ``u[i]*v[i]``. In SKEW ``dot_left(u, v)`` and
 ``dot_left(v, u)`` genuinely differ.
+
+Each output entry of the three products is one call of
+``rings.sum_of_products``, which keeps that left-multiplication order and
+normalizes the sum once, instead of building an element per product and
+per partial sum.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .rings import (
     mul,
     neg,
     sub,
+    sum_of_products,
     to_text,
     zero,
 )
@@ -141,13 +147,10 @@ def mat_apply(A: RMatrix, x: RVector) -> RVector:
     _require_same_ring(A.ring, x.ring)
     if A.cols != len(x):
         raise DimensionMismatch(f"matrix has {A.cols} columns, vector length {len(x)}")
-    out = []
-    for j in range(A.rows):
-        acc = zero(A.ring)
-        for i in range(A.cols):
-            acc = add(acc, mul(A.entry(j, i), x[i]))
-        out.append(acc)
-    return RVector(A.ring, tuple(out))
+    return RVector(
+        A.ring,
+        tuple(sum_of_products(A.ring, A.row(j), x.entries) for j in range(A.rows)),
+    )
 
 
 def covec_apply(y: RVector, A: RMatrix) -> RVector:
@@ -155,13 +158,11 @@ def covec_apply(y: RVector, A: RMatrix) -> RVector:
     _require_same_ring(y.ring, A.ring)
     if len(y) != A.rows:
         raise DimensionMismatch(f"matrix has {A.rows} rows, vector length {len(y)}")
-    out = []
-    for i in range(A.cols):
-        acc = zero(A.ring)
-        for j in range(A.rows):
-            acc = add(acc, mul(y[j], A.entry(j, i)))
-        out.append(acc)
-    return RVector(A.ring, tuple(out))
+    n = A.cols
+    return RVector(
+        A.ring,
+        tuple(sum_of_products(A.ring, y.entries, A.entries[i::n]) for i in range(n)),
+    )
 
 
 def dot_left(u: RVector, v: RVector) -> RingElement:
@@ -169,10 +170,7 @@ def dot_left(u: RVector, v: RVector) -> RingElement:
     _require_same_ring(u.ring, v.ring)
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    acc = zero(u.ring)
-    for a, b in zip(u, v):
-        acc = add(acc, mul(a, b))
-    return acc
+    return sum_of_products(u.ring, u.entries, v.entries)
 
 
 def vec_add(u: RVector, v: RVector) -> RVector:

@@ -31,6 +31,7 @@ used by program files and the command line.
 
 from __future__ import annotations
 
+import operator
 import re
 from enum import Enum, unique
 from fractions import Fraction
@@ -60,6 +61,7 @@ __all__ = [
     "sub",
     "neg",
     "mul",
+    "sum_of_products",
     "sign",
     "compare",
     "is_zero",
@@ -246,15 +248,23 @@ def is_zero(a: RingElement) -> bool:
 # ring operations
 
 
-def add(a: RingElement, b: RingElement) -> RingElement:
+def _add_or_sub(a: RingElement, b: RingElement, op) -> RingElement:
     _require_same_ring(a, b)
     p = a.payload
     if type(p) is not tuple:
-        return RingElement(a.ring, p + b.payload)
+        return RingElement(a.ring, op(p, b.payload))
     acc = dict(p)
     for key, q in b.payload:
-        acc[key] = acc.get(key, _F0) + q
+        acc[key] = op(acc.get(key, _F0), q)
     return RingElement(a.ring, _canon(acc))
+
+
+def add(a: RingElement, b: RingElement) -> RingElement:
+    return _add_or_sub(a, b, operator.add)
+
+
+def sub(a: RingElement, b: RingElement) -> RingElement:
+    return _add_or_sub(a, b, operator.sub)
 
 
 def neg(a: RingElement) -> RingElement:
@@ -262,10 +272,6 @@ def neg(a: RingElement) -> RingElement:
     if type(p) is not tuple:
         return RingElement(a.ring, -p)
     return RingElement(a.ring, tuple((key, -q) for key, q in p))
-
-
-def sub(a: RingElement, b: RingElement) -> RingElement:
-    return add(a, neg(b))
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
@@ -291,6 +297,57 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     return RingElement(a.ring, _canon(acc))
 
 
+def sum_of_products(ring: RingId, left, right) -> RingElement:
+    """``sum_i left[i] * right[i]`` in ``ring``, normalized once.
+
+    Each product keeps ``left[i]`` on the left, so in SKEW the monomial of
+    a product is ``mono_mul(left key, right key)``. The result equals the
+    fold ``acc = add(acc, mul(l, r))`` from ``zero(ring)``, but builds a
+    single element: scalar payloads are summed as they are, and each term
+    ring coefficient is kept as an unreduced ``(num, den)`` pair of ints,
+    with SKEW's ``2^-s`` folded in as ``den << s``, until one ``Fraction``
+    per output monomial is built at the end (Henrici's gcd-saving
+    rational arithmetic; Knuth, *TAOCP* 2, 4.5.1). Every element must be
+    in ``ring`` (``RingMismatch``); the sequences must have equal lengths
+    (``ValueError``).
+    """
+    acc = _ZEROS[ring].payload
+    pairs = zip(left, right, strict=True)
+    if type(acc) is not tuple:
+        for a, b in pairs:
+            if a.ring is not ring or b.ring is not ring:
+                _raise_mismatch(ring, a, b)
+            acc += a.payload * b.payload
+        return RingElement(ring, acc)
+    mono_mul = _SPECS[ring].mono_mul
+    terms: dict = {}
+    for a, b in pairs:
+        if a.ring is not ring or b.ring is not ring:
+            _raise_mismatch(ring, a, b)
+        for ka, ca in a.payload:
+            na, da = ca.numerator, ca.denominator
+            for kb, cb in b.payload:
+                key, shift = mono_mul(ka, kb)
+                n = na * cb.numerator
+                d = (da * cb.denominator) << shift
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = (n, d)
+                elif old[1] == d:
+                    terms[key] = (old[0] + n, d)
+                else:
+                    terms[key] = (old[0] * d + n * old[1], old[1] * d)
+    coeffs = ((key, Fraction(n, d)) for key, (n, d) in terms.items() if n)
+    return RingElement(ring, tuple(sorted(coeffs, reverse=True)))
+
+
+def _raise_mismatch(ring: RingId, a: RingElement, b: RingElement) -> None:
+    e = a if a.ring is not ring else b
+    raise RingMismatch(
+        f"cannot combine {ring.value} sum with {e.ring.value} element {to_text(e)}"
+    )
+
+
 def sign(a: RingElement) -> int:
     """+1, 0 or -1: the trichotomy position of ``a``.
 
@@ -307,8 +364,15 @@ def sign(a: RingElement) -> int:
 
 
 def compare(a: RingElement, b: RingElement) -> Ordering:
-    """Order of ``a`` against ``b`` via the sign of ``a - b``."""
-    s = sign(sub(a, b))
+    """Order of ``a`` against ``b``: the scalar payloads directly, else
+    via the sign of ``a - b``."""
+    _require_same_ring(a, b)
+    p = a.payload
+    if type(p) is tuple:
+        s = sign(sub(a, b))
+    else:
+        q = b.payload
+        s = (p > q) - (p < q)
     if s > 0:
         return Ordering.GT
     if s < 0:

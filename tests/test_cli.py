@@ -197,6 +197,17 @@ def test_demo_respects_ring_and_witness_flags(capsys):
     assert report["certificate"]["ring"] == "poly"
 
 
+@pytest.mark.parametrize("a, first_dual", [("2/3", "2"), ("2/5", "3")])
+def test_noncommutative_gap_below_one_starts_at_a_feasible_dual(capsys, a, first_dual):
+    # y = [1] is dual-infeasible when a < 1; the family starts at the least
+    # positive integer k with k*a >= 1
+    code, report = run_json(capsys, "demo", "noncommutative-gap", "--ring", "oddrat", "--a", a)
+    assert code == 0
+    certificate = report["certificate"]
+    assert certificate["dual_witnesses"][0] == [first_dual]
+    assert all(c["passed"] and c["applicable"] for c in certificate["checks"])
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

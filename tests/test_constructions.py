@@ -93,6 +93,31 @@ def test_gap_program_skew_claim_on_sampled_pairs():
     assert all(c.passed for c in bundle.checks)
 
 
+def test_gap_program_dual_family_starts_at_the_least_covering_integer():
+    for a, k in ((Fraction(2, 3), 2), (Fraction(2, 5), 3), (Fraction(2, 1), 1)):
+        bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, a))
+        assert bundle.dual_witnesses[0] == int_vector(RingId.ODDRAT, [k])
+        assert all(c.passed for c in bundle.checks)
+
+
+def test_pair_gap_check_reports_infeasible_points_instead_of_counting_them():
+    real = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2, 3))
+    forged = CounterexampleBundle(
+        real.kind,
+        real.program,
+        real.claim,
+        primal_witnesses=real.primal_witnesses,
+        dual_witnesses=(int_vector(RingId.ODDRAT, [1]), real.dual_witnesses[0]),
+    )
+    reports = {r.name: r for r in verify_bundle(forged)}
+    check = reports["gap_sign_positive"]
+    assert not check.passed
+    assert check.details == (
+        "recorded witnesses: 1 pairs checked",
+        "dual point ['1']: SLACK_NEGATIVE",
+    )
+
+
 def test_division_ring_control_closes_the_gap():
     # the same data over the rationals stops being a counterexample
     P = make_gap_program(RingId.RAT)

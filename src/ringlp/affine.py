@@ -27,7 +27,6 @@ from .linalg import (
     RMatrix,
     RVector,
     covec_apply,
-    dot_left,
     mat_apply,
     matrix,
     vec_add,
@@ -39,10 +38,10 @@ from .reports import CheckReport, TrialSummary
 from .rings import (
     RingElement,
     RingId,
-    add,
     is_zero,
     sign,
     sub,
+    sum_of_products,
     to_text,
 )
 from .sampling import Sampler
@@ -134,14 +133,33 @@ class FeasibilityVerdict:
         return out
 
 
+def _entries(P: ProgramData, v: RVector, n: int) -> tuple[RingElement, ...]:
+    """The entries of ``v``, a point of length ``n`` over ``P``'s ring."""
+    if v.ring is not P.ring:
+        raise RingMismatch(f"mixed rings {P.ring.value} and {v.ring.value}")
+    if len(v) != n:
+        raise DimensionMismatch(f"point has length {len(v)}, expected {n}")
+    return v.entries
+
+
 def primal_slack(P: ProgramData, x: RVector) -> RVector:
-    """t = b - A x, exact."""
-    return vec_sub(P.b, mat_apply(P.A, x))
+    """t = b - A x, exact; one kernel call per entry."""
+    xs, A, b = _entries(P, x, P.cols), P.A, P.b.entries
+    return RVector(
+        P.ring,
+        tuple(
+            sum_of_products(P.ring, A.row(j), xs, b[j], negate=True) for j in range(A.rows)
+        ),
+    )
 
 
 def dual_slack(P: ProgramData, y: RVector) -> RVector:
-    """s = y A - c componentwise, exact."""
-    return vec_sub(covec_apply(y, P.A), P.c)
+    """s = y A - c componentwise, exact; one kernel call per entry."""
+    ys, A, c = _entries(P, y, P.rows), P.A.entries, P.c.entries
+    n = P.cols
+    return RVector(
+        P.ring, tuple(sum_of_products(P.ring, ys, A[i::n], c[i]) for i in range(n))
+    )
 
 
 def _first_negative(v: RVector) -> Optional[int]:
@@ -181,24 +199,26 @@ def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
     """Primal objective c.x - d."""
-    return sub(dot_left(P.c, x), P.d)
+    return sum_of_products(P.ring, P.c.entries, _entries(P, x, P.cols), P.d)
 
 
 def eval_g(P: ProgramData, y: RVector) -> RingElement:
     """Dual objective y.b - d."""
-    return sub(dot_left(y, P.b), P.d)
+    return sum_of_products(P.ring, _entries(P, y, P.rows), P.b.entries, P.d)
 
 
 def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, RingElement]:
     """(key equation residual, duality equation residual), sharing s, t,
-    f(x) and g(y)."""
-    s = dual_slack(P, y)
+    f(x) and g(y). Each side of each identity is computed on its own, and
+    the residual is their difference."""
+    ring = P.ring
+    s = dual_slack(P, y).entries
     t = primal_slack(P, x)
     f = eval_f(P, x)
     g = eval_g(P, y)
-    sx = dot_left(s, x)
-    key = sub(sub(sx, g), sub(dot_left(y, vec_neg(t)), f))
-    duality = sub(sub(g, f), add(sx, dot_left(y, t)))
+    xs, ys = x.entries, y.entries
+    key = sub(sum_of_products(ring, s, xs, g), sum_of_products(ring, ys, vec_neg(t).entries, f))
+    duality = sub(sub(g, f), sum_of_products(ring, s + ys, xs + t.entries))
     return key, duality
 
 
@@ -238,7 +258,8 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
             details=("not applicable: " + "; ".join(which),),
         )
     g_val = gap(P, x, y)
-    cross = add(dot_left(s, x), dot_left(y, t))
+    # s.x + y.t with s_i left of x_i and y_j left of t_j
+    cross = sum_of_products(P.ring, s.entries + y.entries, x.entries + t.entries)
     sign_ok = sign(g_val) >= 0
     cross_ok = g_val == cross
     details = [f"gap = {to_text(g_val)}", f"s.x + y.t = {to_text(cross)}"]
@@ -258,6 +279,11 @@ def _require_trials(trials: int) -> None:
         raise ValueError("trials must be positive")
 
 
+def _require_shape(max_rows: int, max_cols: int) -> None:
+    if max_rows < 1 or max_cols < 1:
+        raise ValueError(f"max_rows and max_cols must be positive, got {max_rows}, {max_cols}")
+
+
 def _sample_vector(sampler: Sampler, ring: RingId, n: int, nonneg: bool = False) -> RVector:
     draw = sampler.sample_nonneg if nonneg else sampler.sample
     return vector(ring, (draw(ring) for _ in range(n)))
@@ -267,6 +293,7 @@ def random_program(
     sampler: Sampler, ring: RingId, max_rows: int = 3, max_cols: int = 3
 ) -> ProgramData:
     """A random program with 1..max_rows x 1..max_cols sampled entries."""
+    _require_shape(max_rows, max_cols)
     m = sampler.draw_int(1, max_rows)
     n = sampler.draw_int(1, max_cols)
     A = matrix(ring, ((sampler.sample(ring) for _ in range(n)) for _ in range(m)))
@@ -303,6 +330,7 @@ def identity_program_trials(
     ring: RingId, trials: int, seed: int, max_rows: int = 3, max_cols: int = 3
 ) -> TrialSummary:
     """Like identity_trials but with a fresh random program per trial."""
+    _require_shape(max_rows, max_cols)
     return _identity_trials(
         trials,
         seed,
@@ -321,6 +349,7 @@ def weak_duality_trials(
     c := y A - nonnegative noise.
     """
     _require_trials(trials)
+    _require_shape(max_rows, max_cols)
     sampler = Sampler(seed)
     failures = 0
     first = None

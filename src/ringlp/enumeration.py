@@ -78,6 +78,9 @@ class BoxSpec:
     denominator_bound: Optional[int] = None
 
     def __post_init__(self):
+        for value in (self.bound, self.denominator_bound):
+            if value is not None and (type(value) is bool or not isinstance(value, int)):
+                raise TypeError(f"box bounds must be int, got {value!r}")
         if self.bound < 1:
             raise ValueError("box bound must be a positive integer")
         if self.denominator_bound is not None and self.denominator_bound < 1:

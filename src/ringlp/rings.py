@@ -31,7 +31,6 @@ used by program files and the command line.
 
 from __future__ import annotations
 
-import operator
 import re
 from enum import Enum, unique
 from fractions import Fraction
@@ -199,7 +198,10 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
     """
     if not isinstance(num, (int, Fraction)) or not isinstance(den, (int, Fraction)):
         raise TypeError(f"expected int or Fraction arguments, got {num!r}, {den!r}")
-    q = Fraction(num, den) if den != 1 else Fraction(num)
+    if den != 1:
+        q = Fraction(num, den)
+    else:
+        q = num if type(num) is Fraction else Fraction(num)
     spec = _SPECS[ring]
     if spec.const is None:
         return RingElement(ring, spec.scalar(q))
@@ -209,7 +211,7 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
 def _coefficient(c: int | Fraction) -> Fraction:
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"expected an int or Fraction coefficient, got {c!r}")
-    return Fraction(c)
+    return c if type(c) is Fraction else Fraction(c)
 
 
 def poly(coeffs) -> RingElement:
@@ -248,23 +250,27 @@ def is_zero(a: RingElement) -> bool:
 # ring operations
 
 
-def _add_or_sub(a: RingElement, b: RingElement, op) -> RingElement:
+def _add_or_sub(a: RingElement, b: RingElement, subtract: bool) -> RingElement:
     _require_same_ring(a, b)
-    p = a.payload
+    p, q = a.payload, b.payload
     if type(p) is not tuple:
-        return RingElement(a.ring, op(p, b.payload))
+        return RingElement(a.ring, p - q if subtract else p + q)
     acc = dict(p)
-    for key, q in b.payload:
-        acc[key] = op(acc.get(key, _F0), q)
+    for key, c in q:
+        old = acc.get(key)
+        if old is None:
+            acc[key] = -c if subtract else c
+        else:
+            acc[key] = old - c if subtract else old + c
     return RingElement(a.ring, _canon(acc))
 
 
 def add(a: RingElement, b: RingElement) -> RingElement:
-    return _add_or_sub(a, b, operator.add)
+    return _add_or_sub(a, b, False)
 
 
 def sub(a: RingElement, b: RingElement) -> RingElement:
-    return _add_or_sub(a, b, operator.sub)
+    return _add_or_sub(a, b, True)
 
 
 def neg(a: RingElement) -> RingElement:
@@ -279,53 +285,58 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
 
     Term rings multiply monomials with their record's ``mono_mul``; SKEW's
     ``(y^n1 x^m1) * (y^n2 x^m2) = 2^(-m1*n2) * y^(n1+n2) x^(m1+m2)`` is the
-    bilinear extension of the rewrite ``x*y = (1/2)*y*x``.
+    bilinear extension of the rewrite ``x*y = (1/2)*y*x``. A term-ring
+    product is the one-pair ``sum_of_products``.
     """
     _require_same_ring(a, b)
     p = a.payload
     if type(p) is not tuple:
         return RingElement(a.ring, p * b.payload)
-    mono_mul = _SPECS[a.ring].mono_mul
-    acc: dict = {}
-    for ka, ca in p:
-        for kb, cb in b.payload:
-            key, shift = mono_mul(ka, kb)
-            c = ca * cb
-            if shift:
-                c /= 1 << shift
-            acc[key] = acc.get(key, _F0) + c
-    return RingElement(a.ring, _canon(acc))
+    return sum_of_products(a.ring, (a,), (b,))
 
 
-def sum_of_products(ring: RingId, left, right) -> RingElement:
-    """``sum_i left[i] * right[i]`` in ``ring``, normalized once.
+def sum_of_products(
+    ring: RingId, left, right, minus: Optional[RingElement] = None, negate: bool = False
+) -> RingElement:
+    """``sum_i left[i] * right[i] - minus`` in ``ring``, negated when
+    ``negate``, normalized once.
 
-    Each product keeps ``left[i]`` on the left, so in SKEW the monomial of
-    a product is ``mono_mul(left key, right key)``. The result equals the
-    fold ``acc = add(acc, mul(l, r))`` from ``zero(ring)``, but builds a
-    single element: scalar payloads are summed as they are, and each term
+    ``minus`` defaults to zero, so one call gives a slack ``b_j - A_j x``
+    (``minus=b_j, negate=True``), ``y A_i - c_i`` (``minus=c_i``) or an
+    objective ``c.x - d`` (``minus=d``). Each product keeps ``left[i]`` on
+    the left, so in SKEW the monomial of a product is
+    ``mono_mul(left key, right key)``. The result equals the fold
+    ``acc = add(acc, mul(l, r))`` from ``zero(ring)`` followed by
+    ``sub(acc, minus)`` and ``neg``, but builds a single element: scalar
+    payloads are summed as they are, starting from ``-minus``, and each term
     ring coefficient is kept as an unreduced ``(num, den)`` pair of ints,
-    with SKEW's ``2^-s`` folded in as ``den << s``, until one ``Fraction``
-    per output monomial is built at the end (Henrici's gcd-saving
-    rational arithmetic; Knuth, *TAOCP* 2, 4.5.1). Every element must be
-    in ``ring`` (``RingMismatch``); the sequences must have equal lengths
-    (``ValueError``).
+    with SKEW's ``2^-s`` folded in as ``den << s``, ``minus`` entering as
+    one more term and the sign folded into the numerators, until one
+    ``Fraction`` per output monomial is built at the end (Henrici's
+    gcd-saving rational arithmetic; Knuth, *TAOCP* 2, 4.5.1). Every element
+    must be in ``ring`` (``RingMismatch``); the sequences must have equal
+    lengths (``ValueError``).
     """
-    acc = _ZEROS[ring].payload
+    if minus is not None and minus.ring is not ring:
+        _raise_mismatch(ring, minus, minus)
+    acc = _ZEROS[ring].payload if minus is None else minus.payload
     pairs = zip(left, right, strict=True)
     if type(acc) is not tuple:
+        if minus is not None:
+            acc = -acc
         for a, b in pairs:
             if a.ring is not ring or b.ring is not ring:
                 _raise_mismatch(ring, a, b)
             acc += a.payload * b.payload
-        return RingElement(ring, acc)
+        return RingElement(ring, -acc if negate else acc)
+    sgn = -1 if negate else 1
+    terms = {key: (-sgn * q.numerator, q.denominator) for key, q in acc}
     mono_mul = _SPECS[ring].mono_mul
-    terms: dict = {}
     for a, b in pairs:
         if a.ring is not ring or b.ring is not ring:
             _raise_mismatch(ring, a, b)
         for ka, ca in a.payload:
-            na, da = ca.numerator, ca.denominator
+            na, da = sgn * ca.numerator, ca.denominator
             for kb, cb in b.payload:
                 key, shift = mono_mul(ka, kb)
                 n = na * cb.numerator

@@ -58,11 +58,14 @@ class Lcg:
         self.state = (_MULT * self.state + _INC) & _MASK
         return self.state
 
+    # below and int_in inline the step of next_u64: they are the hot draws.
     def below(self, n: int) -> int:
-        return (self.next_u64() >> 32) % n
+        self.state = state = (_MULT * self.state + _INC) & _MASK
+        return (state >> 32) % n
 
     def int_in(self, lo: int, hi: int) -> int:
-        return lo + self.below(hi - lo + 1)
+        self.state = state = (_MULT * self.state + _INC) & _MASK
+        return lo + (state >> 32) % (hi - lo + 1)
 
 
 class Sampler:
@@ -72,6 +75,9 @@ class Sampler:
         self._lcg = Lcg(seed)
 
     def draw_int(self, lo: int, hi: int) -> int:
+        """Uniform in ``lo..hi``; ``ValueError`` when the range is empty."""
+        if hi < lo:
+            raise ValueError(f"empty range {lo}..{hi}")
         return self._lcg.int_in(lo, hi)
 
     def _rational(self, odd: bool = False) -> Fraction:
@@ -95,7 +101,8 @@ class Sampler:
             n = self._lcg.int_in(0, SKEW_MAX_DEGREE)
             m = self._lcg.int_in(0, SKEW_MAX_DEGREE)
             q = self._rational()
-            acc[(n, m)] = acc.get((n, m), Fraction(0)) + q
+            old = acc.get((n, m))
+            acc[(n, m)] = q if old is None else old + q
         return skew(acc)
 
     def sample_nonneg(self, ring: RingId) -> RingElement:

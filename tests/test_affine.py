@@ -233,6 +233,17 @@ def test_trial_loops_reject_a_count_below_one(gap_int, trials):
         weak_duality_trials(RingId.INT, trials, seed=1)
 
 
+@pytest.mark.parametrize("max_rows,max_cols", [(0, 3), (3, 0), (-2, 3), (3, -1)])
+def test_trial_loops_reject_a_shape_bound_below_one(max_rows, max_cols):
+    shape = {"max_rows": max_rows, "max_cols": max_cols}
+    with pytest.raises(ValueError, match="max_rows and max_cols must be positive"):
+        weak_duality_trials(RingId.INT, 5, 1, **shape)
+    with pytest.raises(ValueError, match="max_rows and max_cols must be positive"):
+        identity_program_trials(RingId.INT, 5, 1, **shape)
+    with pytest.raises(ValueError, match="max_rows and max_cols must be positive"):
+        random_program(Sampler(1), RingId.INT, **shape)
+
+
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_weak_duality_on_constructed_feasible_pairs(ring):
     summary = weak_duality_trials(ring, 1000, seed=31337)

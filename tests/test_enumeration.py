@@ -292,6 +292,20 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
     assert len(built) <= 2237
 
 
+@pytest.mark.parametrize(
+    "args", [(2.5,), (3, 2.5), (True,), (3, True), ("3",), (Fraction(3),)]
+)
+def test_box_spec_rejects_non_integer_bounds(args):
+    with pytest.raises(TypeError, match="box bounds must be int"):
+        BoxSpec(*args)
+
+
+@pytest.mark.parametrize("args", [(0,), (-1,), (3, 0)])
+def test_box_spec_rejects_bounds_below_one(args):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        BoxSpec(*args)
+
+
 def test_candidate_values_refuses_more_values_than_the_cap():
     with pytest.raises(ValueError, match="too large"):
         candidate_values(RingId.INT, BoxSpec(5_000_000))

@@ -2,8 +2,9 @@
 
 Per-ring facts live in ``rings.py`` (``RingDescriptor`` and the per-ring
 records there); other modules read those facts instead of testing which
-ring they hold. No module reaches into a sibling's private names. Both are
-checked by reading the sources, without importing or running anything.
+ring they hold. No module reaches into a sibling's private names. Inside
+``rings.py`` one loop multiplies monomials: ``sum_of_products``. All three
+are checked by reading the sources, without importing or running anything.
 """
 
 from __future__ import annotations
@@ -41,3 +42,22 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert not private, private
+
+
+def test_only_the_kernel_multiplies_monomials():
+    """Every read of ``mono_mul`` in ``rings.py`` (a call, or an alias that
+    a call could go through) sits inside ``sum_of_products``."""
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name == "mono_mul" and isinstance(getattr(child, "ctx", None), ast.Load):
+                readers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse((SRC / "rings.py").read_text()), "<module>")
+    assert readers == {"sum_of_products"}, readers

@@ -1,13 +1,20 @@
-"""The fused sum-of-products kernel and the linalg products built on it.
+"""The fused sum-of-products kernel and the products, slacks and
+objectives built on it.
 
-Every result is checked against the fold ``acc = add(acc, mul(a, b))``
-from ``zero(ring)``, which this file keeps as its own oracle, and SKEW
-products against word rewriting. The guard tests count calls through the
-module globals, so a product that falls back to an element per step, or a
-trial that builds a slack twice, shows up as a count.
+Term-ring ``mul`` is itself a one-pair kernel call, so it is checked first
+against oracles that share no code with the kernel: a POLY convolution
+written here and SKEW word rewriting. Sums are then checked against the
+fold ``acc = add(acc, mul(a, b))`` from ``zero(ring)``, and the fused
+slacks, objectives and cross term against the unfused compositions of
+linalg products with ``vec_sub``/``sub``/``add``, which this file keeps as
+its oracles. The guard tests count calls through the module globals, so a
+product that falls back to an element per step, or a trial that builds a
+slack twice, shows up as a count.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -17,6 +24,7 @@ import ringlp.affine as affine
 import ringlp.linalg as linalg
 import ringlp.rings as rings
 from ringlp import (
+    DimensionMismatch,
     ProgramData,
     RingId,
     RingMismatch,
@@ -25,14 +33,24 @@ from ringlp import (
     assert_weak_duality,
     covec_apply,
     dot_left,
+    dual_slack,
+    eval_f,
+    eval_g,
     from_int,
     int_matrix,
     int_vector,
     mat_apply,
     matrix,
     mul,
+    neg,
     parse_element,
+    poly,
+    primal_slack,
+    sign,
+    sub,
     to_text,
+    vec_add,
+    vec_sub,
     vector,
     zero,
 )
@@ -80,12 +98,47 @@ def matrices(ring):
     )
 
 
+def poly_convolution(a, b):
+    """The POLY product as a plain coefficient convolution."""
+    acc: dict = {}
+    for da, qa in a.payload:
+        for db, qb in b.payload:
+            acc[da + db] = acc.get(da + db, Fraction(0)) + qa * qb
+    return poly([acc.get(d, 0) for d in range(max(acc, default=-1) + 1)])
+
+
+@given(elements(RingId.POLY), elements(RingId.POLY))
+def test_poly_mul_is_the_convolution(a, b):
+    assert_same(mul(a, b), poly_convolution(a, b))
+
+
+@given(elements(RingId.SKEW), elements(RingId.SKEW))
+def test_skew_mul_is_word_rewriting(a, b):
+    assert_same(mul(a, b), skew_mul_by_rewriting(a, b))
+
+
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_kernel_equals_the_fold(ring):
     @given(pairs(ring))
     def check(lr):
         left, right = lr
         assert_same(sum_of_products(ring, left, right), fold(ring, left, right))
+
+    check()
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_constant_and_sign_equal_sub_and_neg(ring):
+    @given(pairs(ring), elements(ring), st.booleans())
+    def check(lr, minus, negate):
+        left, right = lr
+        want = sub(fold(ring, left, right), minus)
+        want = neg(want) if negate else want
+        assert_same(sum_of_products(ring, left, right, minus, negate), want)
+        assert_same(
+            sum_of_products(ring, left, right, negate=negate),
+            neg(fold(ring, left, right)) if negate else fold(ring, left, right),
+        )
 
     check()
 
@@ -135,9 +188,142 @@ def test_mixed_rings_raise(ring):
         sum_of_products(other, [one_here], [one_here])
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_constant_from_another_ring_raises(ring):
+    other = RingId.SKEW if ring is not RingId.SKEW else RingId.INT
+    with pytest.raises(RingMismatch):
+        sum_of_products(ring, [], [], from_int(other, 1))
+
+
 def test_unequal_lengths_raise():
     with pytest.raises(ValueError):
         sum_of_products(RingId.INT, [from_int(RingId.INT, 1)], [])
+
+
+# ---------------------------------------------------------------------------
+# fused slacks, objectives and cross term against the unfused compositions
+
+
+def unfused_primal_slack(P, x):
+    return vec_sub(P.b, mat_apply(P.A, x))
+
+
+def unfused_dual_slack(P, y):
+    return vec_sub(covec_apply(y, P.A), P.c)
+
+
+def unfused_f(P, x):
+    return sub(dot_left(P.c, x), P.d)
+
+
+def unfused_g(P, y):
+    return sub(dot_left(y, P.b), P.d)
+
+
+def unfused_cross(s, x, y, t):
+    return add(dot_left(s, x), dot_left(y, t))
+
+
+def nonneg(e):
+    return neg(e) if sign(e) < 0 else e
+
+
+def programs(ring):
+    """(P, x, y): a random program over ``ring`` with points of its shape."""
+
+    def around(data):
+        rows, x, y = data
+        m, n = len(rows), len(x)
+        return st.tuples(
+            st.lists(elements(ring), min_size=m, max_size=m),
+            st.lists(elements(ring), min_size=n, max_size=n),
+            elements(ring),
+        ).map(
+            lambda bcd: (
+                ProgramData(
+                    ring, matrix(ring, rows), vector(ring, bcd[0]), vector(ring, bcd[1]), bcd[2]
+                ),
+                vector(ring, x),
+                vector(ring, y),
+            )
+        )
+
+    return matrices(ring).flatmap(around)
+
+
+def assert_same_vector(got, want):
+    assert got.ring is want.ring and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same(g, w)
+
+
+def feasible_variant(P, x, y):
+    """(P', x', y'): x, y and the slack noise made nonnegative, and b, c
+    set to A x' + noise and y' A - noise, so the pair is feasible."""
+    ring = P.ring
+    x, y = vector(ring, map(nonneg, x)), vector(ring, map(nonneg, y))
+    b = vec_add(mat_apply(P.A, x), vector(ring, map(nonneg, P.b)))
+    c = vec_sub(covec_apply(y, P.A), vector(ring, map(nonneg, P.c)))
+    return ProgramData(ring, P.A, b, c, P.d), x, y
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_fused_slacks_objectives_and_cross_term_equal_the_unfused(ring):
+    @given(programs(ring))
+    def check(data):
+        P, x, y = data
+        t, s = primal_slack(P, x), dual_slack(P, y)
+        assert_same_vector(t, unfused_primal_slack(P, x))
+        assert_same_vector(s, unfused_dual_slack(P, y))
+        assert_same(eval_f(P, x), unfused_f(P, x))
+        assert_same(eval_g(P, y), unfused_g(P, y))
+        assert_same(
+            sum_of_products(ring, s.entries + y.entries, x.entries + t.entries),
+            unfused_cross(s, x, y, t),
+        )
+        F, x, y = feasible_variant(P, x, y)
+        cross = unfused_cross(unfused_dual_slack(F, y), x, y, unfused_primal_slack(F, x))
+        report = assert_weak_duality(F, x, y)
+        assert report.applicable and report.passed
+        assert report.details[1] == f"s.x + y.t = {to_text(cross)}"
+
+    check()
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is what is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_fused_and_unfused_raise_the_same_errors(ring):
+    other = RingId.SKEW if ring is not RingId.SKEW else RingId.INT
+    P = ProgramData(
+        ring,
+        int_matrix(ring, [[1, 2, 3], [4, 5, 6]]),
+        int_vector(ring, [1, 2]),
+        int_vector(ring, [1, 2, 3]),
+        zero(ring),
+    )
+    cases = [
+        (primal_slack, unfused_primal_slack, P.cols),
+        (dual_slack, unfused_dual_slack, P.rows),
+        (eval_f, unfused_f, P.cols),
+        (eval_g, unfused_g, P.rows),
+    ]
+    for fused, unfused, length in cases:
+        for point in (
+            int_vector(ring, range(length - 1)),
+            int_vector(ring, range(length + 1)),
+            int_vector(other, range(length)),
+            int_vector(other, range(length + 1)),
+        ):
+            got = outcome(fused, P, point)
+            assert got in (RingMismatch, DimensionMismatch)
+            assert got == outcome(unfused, P, point), (fused.__name__, point)
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +342,23 @@ def counting(monkeypatch, calls, module, name):
 
 def test_weak_duality_builds_each_slack_once(monkeypatch):
     ring = RingId.SKEW
+    m, n = 2, 3
     sampler = Sampler(3)
-    A = matrix(ring, [[sampler.sample(ring) for _ in range(3)] for _ in range(2)])
-    x = vector(ring, [sampler.sample_nonneg(ring) for _ in range(3)])
-    y = vector(ring, [sampler.sample_nonneg(ring) for _ in range(2)])
+    A = matrix(ring, [[sampler.sample(ring) for _ in range(n)] for _ in range(m)])
+    x = vector(ring, [sampler.sample_nonneg(ring) for _ in range(n)])
+    y = vector(ring, [sampler.sample_nonneg(ring) for _ in range(m)])
     P = ProgramData(ring, A, mat_apply(A, x), covec_apply(y, A), zero(ring))
     calls: dict = {}
-    counting(monkeypatch, calls, affine, "mat_apply")
-    counting(monkeypatch, calls, affine, "covec_apply")
+    counting(monkeypatch, calls, affine, "primal_slack")
+    counting(monkeypatch, calls, affine, "dual_slack")
+    for module in (rings, linalg, affine):
+        for name in ("sum_of_products", "mul", "add"):
+            if hasattr(module, name):
+                counting(monkeypatch, calls, module, name)
     report = assert_weak_duality(P, x, y)
     assert report.applicable and report.passed
-    assert calls == {"mat_apply": 1, "covec_apply": 1}
+    # one call per entry of t and s, then f, g and the cross term
+    assert calls == {"primal_slack": 1, "dual_slack": 1, "sum_of_products": m + n + 3}
 
 
 def test_poly_mat_apply_builds_no_element_per_product(monkeypatch):

@@ -19,26 +19,19 @@ s.x + y.t is a product of nonnegatives.
 from __future__ import annotations
 
 from enum import Enum, unique
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
-from .linalg import (
-    RMatrix,
-    RVector,
-    covec_apply,
-    mat_apply,
-    matrix,
-    vec_add,
-    vec_neg,
-    vec_sub,
-    vector,
-)
-from .reports import CheckReport, TrialSummary
+from .linalg import RMatrix, RVector, matrix, vec_neg, vector
+from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
+    Ordering,
     RingElement,
     RingId,
     is_zero,
+    one,
     sign,
     sub,
     sum_of_products,
@@ -207,6 +200,26 @@ def eval_g(P: ProgramData, y: RVector) -> RingElement:
     return sum_of_products(P.ring, _entries(P, y, P.rows), P.b.entries, P.d)
 
 
+class Side(NamedTuple):
+    """One side of a program: the primal maximizes f over x, the dual
+    minimizes g over y."""
+
+    name: str
+    letter: str  # of the objective
+    nvars: Callable[[ProgramData], int]
+    feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
+    objective: Callable[[ProgramData, RVector], RingElement]
+    better: Ordering  # how a strictly better objective value compares
+
+    @classmethod
+    def of(cls, primal: bool) -> Side:
+        # read from the module globals on every call, so a function patched
+        # onto this module is the one every scan and check calls
+        if primal:
+            return cls("primal", "f", attrgetter("cols"), is_primal_feasible, eval_f, Ordering.GT)
+        return cls("dual", "g", attrgetter("rows"), is_dual_feasible, eval_g, Ordering.LT)
+
+
 def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, RingElement]:
     """(key equation residual, duality equation residual), sharing s, t,
     f(x) and g(y). Each side of each identity is computed on its own, and
@@ -274,11 +287,6 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
 # randomized trial loops (documented samplers; deterministic given the seed)
 
 
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("trials must be positive")
-
-
 def _require_shape(max_rows: int, max_cols: int) -> None:
     if max_rows < 1 or max_cols < 1:
         raise ValueError(f"max_rows and max_cols must be positive, got {max_rows}, {max_cols}")
@@ -303,22 +311,19 @@ def random_program(
 
 
 def _identity_trials(trials: int, seed: int, draw_program, show_points: bool) -> TrialSummary:
-    _require_trials(trials)
-    sampler = Sampler(seed)
-    failures = 0
-    first = None
-    for _ in range(trials):
+    def trial(sampler: Sampler) -> Optional[str]:
         P = draw_program(sampler)
         x = _sample_vector(sampler, P.ring, P.cols)
         y = _sample_vector(sampler, P.ring, P.rows)
         kr, dr = _residuals(P, x, y)
-        if not (is_zero(kr) and is_zero(dr)):
-            failures += 1
-            if first is None:
-                first = f"key={to_text(kr)} duality={to_text(dr)}"
-                if show_points:
-                    first = f"x={[to_text(e) for e in x]} y={[to_text(e) for e in y]} {first}"
-    return TrialSummary("identity_residuals", trials, failures, first)
+        if is_zero(kr) and is_zero(dr):
+            return None
+        failure = f"key={to_text(kr)} duality={to_text(dr)}"
+        if show_points:
+            failure = f"x={[to_text(e) for e in x]} y={[to_text(e) for e in y]} {failure}"
+        return failure
+
+    return run_trials("identity_residuals", trials, Sampler(seed), trial)
 
 
 def identity_trials(P: ProgramData, trials: int, seed: int) -> TrialSummary:
@@ -346,14 +351,12 @@ def weak_duality_trials(
 
     Feasibility is forced, not searched for: draw x >= 0 and set
     b := A x + nonnegative noise, draw y >= 0 and set
-    c := y A - nonnegative noise.
+    c := y A - nonnegative noise, one kernel call per entry.
     """
-    _require_trials(trials)
     _require_shape(max_rows, max_cols)
-    sampler = Sampler(seed)
-    failures = 0
-    first = None
-    for _ in range(trials):
+    unit = (one(ring),)
+
+    def trial(sampler: Sampler) -> Optional[str]:
         m = sampler.draw_int(1, max_rows)
         n = sampler.draw_int(1, max_cols)
         A = matrix(ring, ((sampler.sample(ring) for _ in range(n)) for _ in range(m)))
@@ -361,12 +364,14 @@ def weak_duality_trials(
         y = _sample_vector(sampler, ring, m, nonneg=True)
         t_noise = _sample_vector(sampler, ring, m, nonneg=True)
         s_noise = _sample_vector(sampler, ring, n, nonneg=True)
-        b = vec_add(mat_apply(A, x), t_noise)
-        c = vec_sub(covec_apply(y, A), s_noise)
-        P = ProgramData(ring, A, b, c, sampler.sample(ring))
+        # b_j = A_j.x + t_j * 1 and c_i = y.A^i - s_i
+        xs, entries = x.entries + unit, A.entries
+        b = tuple(sum_of_products(ring, A.row(j) + (t_noise[j],), xs) for j in range(m))
+        c = tuple(sum_of_products(ring, y, entries[i::n], s_noise[i]) for i in range(n))
+        P = ProgramData(ring, A, RVector(ring, b), RVector(ring, c), sampler.sample(ring))
         report = assert_weak_duality(P, x, y)
-        if not (report.applicable and report.passed):
-            failures += 1
-            if first is None:
-                first = "; ".join(report.details)
-    return TrialSummary("weak_duality", trials, failures, first)
+        if report.applicable and report.passed:
+            return None
+        return "; ".join(report.details)
+
+    return run_trials("weak_duality", trials, Sampler(seed), trial)

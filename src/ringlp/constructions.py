@@ -23,18 +23,10 @@ The constructions cover, over a suitable non-division ring:
 from __future__ import annotations
 
 from enum import Enum, unique
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from ._records import record
-from .affine import (
-    FeasibilityVerdict,
-    ProgramData,
-    eval_f,
-    eval_g,
-    gap,
-    is_dual_feasible,
-    is_primal_feasible,
-)
+from .affine import ProgramData, Side, eval_g, gap, is_dual_feasible
 from .enumeration import (
     BoxSpec,
     certify_optimal_pair,
@@ -56,7 +48,7 @@ from .linalg import (
     vector,
     zero_vector,
 )
-from .reports import CheckReport, TrialSummary
+from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
     Magnitude,
     Ordering,
@@ -152,25 +144,6 @@ class CounterexampleBundle:
     checks: tuple[CheckReport, ...] = ()
 
 
-class _Side(NamedTuple):
-    """The primal or the dual half of a construction."""
-
-    name: str
-    letter: str  # of the objective
-    feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
-    objective: Callable[[ProgramData, RVector], RingElement]
-    better: Ordering  # how a strictly better objective value compares
-    trend: str
-
-
-def _side(primal: bool) -> _Side:
-    # read from the module globals on every call, so a function patched
-    # onto this module is the one every check uses
-    if primal:
-        return _Side("primal", "f", is_primal_feasible, eval_f, Ordering.GT, "increasing")
-    return _Side("dual", "g", is_dual_feasible, eval_g, Ordering.LT, "decreasing")
-
-
 def _require_witnesses(ring: RingId, a: RingElement, *others: RingElement) -> None:
     """The witnesses are in ``ring`` and ``a`` is a positive non-unit."""
     for e in (a, *others):
@@ -206,7 +179,7 @@ def _pair_gap_check(
     bad: list[str] = []
     feasible = []
     for primal, points in ((True, primal_points), (False, dual_points)):
-        side = _side(primal)
+        side = Side.of(primal)
         verdicts = [(p, side.feasible(P, p)) for p in points]
         feasible.append([p for p, v in verdicts if v.feasible])
         bad += [
@@ -224,7 +197,7 @@ def _pair_gap_check(
 
 
 def _point_problems(
-    P: ProgramData, points, side: _Side, recorded: Optional[tuple[RingElement, ...]] = None
+    P: ProgramData, points, side: Side, recorded: Optional[tuple[RingElement, ...]] = None
 ) -> list[str]:
     """The one feasibility loop: a line per point outside its side's feasible
     set and, when recorded objective values are given, per recorded value
@@ -249,7 +222,7 @@ def _feasibility_checks(
     reports = []
     for primal, points in ((True, primal_points), (False, dual_points)):
         if points:
-            side = _side(primal)
+            side = Side.of(primal)
             bad = _point_problems(P, points, side)
             details = tuple(bad) or (f"{len(points)} points",)
             reports.append(CheckReport(f"{side.name}_{what}_feasible", not bad, True, details))
@@ -334,15 +307,13 @@ def strong_duality_counterexample(
     box = box or BoxSpec(10)
     x_star = zero_vector(ring, 1)
     y_star = vector(ring, [one(ring)])
-    primal_note = (
+    notes = (
         f"{to_text(a)}*x <= 1 with x >= 0: any x >= 1 gives "
-        f"{to_text(a)}*x >= {to_text(a)} > 1, so x = 0 is the only feasible point"
-    )
-    dual_note = (
+        f"{to_text(a)}*x >= {to_text(a)} > 1, so x = 0 is the only feasible point",
         f"y*{to_text(a)} >= 1 with y >= 0 rules out y = 0; the objective equals y, "
-        "so y = 1 is optimal"
+        "so y = 1 is optimal",
     )
-    statuses = (enumerate_primal(P, box, primal_note), enumerate_dual(P, box, dual_note))
+    statuses = (enumerate_primal(P, box, notes[0]), enumerate_dual(P, box, notes[1]))
     status_check = CheckReport(
         "optima_attained",
         statuses[0].witness == x_star and statuses[1].witness == y_star,
@@ -350,7 +321,7 @@ def strong_duality_counterexample(
         tuple(
             f"{side.name} {status.kind.value} at {vec_text(status.witness)}, "
             f"{side.letter} = {to_text(status.value)}"
-            for side, status in zip((_side(True), _side(False)), statuses)
+            for side, status in zip((Side.of(True), Side.of(False)), statuses)
         ),
     )
     return CounterexampleBundle(
@@ -362,7 +333,7 @@ def strong_duality_counterexample(
         primal_optimum=x_star,
         dual_optimum=y_star,
         gap_value=gap(P, x_star, y_star),
-        notes=(primal_note, dual_note),
+        notes=notes,
         checks=(status_check, certify_optimal_pair(P, box, x_star, y_star)),
     )
 
@@ -405,7 +376,7 @@ def infeasible_optimal_program(
             "x1 - x2 <= 0 since a > 0; the value 0 at x = (0, 0) is optimal"
         )
     primal_optimal = side is InfeasibleSide.DUAL_INFEASIBLE
-    optimal, infeasible = _side(primal_optimal), _side(not primal_optimal)
+    optimal, infeasible = Side.of(primal_optimal), Side.of(not primal_optimal)
     optimum = zero_vector(ring, 2)
     primal_witnesses = (optimum,) if primal_optimal else ()
     dual_witnesses = () if primal_optimal else (optimum,)
@@ -540,7 +511,7 @@ def _non_achieving_sequence(
             points.append(vector(ring, [primal_improving_step(a, w, last[0])]))
         else:
             points.append(dual_decreasing_step(P, last, w))
-    side = _side(primal)
+    side = Side.of(primal)
     role = SequenceRole.PRIMAL_IMPROVING if primal else SequenceRole.DUAL_DECREASING
     values = tuple(side.objective(P, pt) for pt in points)
     seq = WitnessSequence(ring, role, tuple(points), values)
@@ -597,16 +568,17 @@ def dual_decreasing_sequence(
 def _validate_sequence(P: ProgramData, seq: WitnessSequence) -> CheckReport:
     """Re-verify each point's feasibility and recorded objective value, and
     strict monotonicity."""
-    side = _side(seq.role is SequenceRole.PRIMAL_IMPROVING)
+    side = Side.of(seq.role is SequenceRole.PRIMAL_IMPROVING)
+    trend = "increasing" if side.better is Ordering.GT else "decreasing"
     values = seq.objective_values
     problems = _point_problems(P, seq.points, side, values)
     if len(values) < 2:
         problems.append("fewer than two points: no step to check")
     for k in range(1, len(values)):
         if compare(values[k], values[k - 1]) is not side.better:
-            problems.append(f"objective not strictly {side.trend} at step {k}")
+            problems.append(f"objective not strictly {trend} at step {k}")
     details = tuple(problems) or (
-        f"{len(seq.points)} feasible points, strictly {side.trend} objective",
+        f"{len(seq.points)} feasible points, strictly {trend} objective",
     )
     return CheckReport("witness_sequence", not problems, True, details)
 
@@ -648,15 +620,12 @@ def no_central_between_trials(
     a: RingElement, b: RingElement, trials: int, seed: int
 ) -> TrialSummary:
     """``no_central_between_check`` on ``trials`` sampled central elements."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    sampler = Sampler(seed)
-    checks = (
-        no_central_between_check(a, b, sampler.sample_central(a.ring)) for _ in range(trials)
-    )
-    failed = [c for c in checks if not c.passed]
-    first = "; ".join(failed[0].details) if failed else None
-    return TrialSummary("no_central_between", trials, len(failed), first)
+
+    def trial(sampler: Sampler) -> Optional[str]:
+        check = no_central_between_check(a, b, sampler.sample_central(a.ring))
+        return None if check.passed else "; ".join(check.details)
+
+    return run_trials("no_central_between", trials, Sampler(seed), trial)
 
 
 def magnitude_gap_check(a: RingElement, b: RingElement) -> CheckReport:

@@ -23,18 +23,10 @@ from __future__ import annotations
 import itertools
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from ._records import record
-from .affine import (
-    FeasibilityVerdict,
-    ProgramData,
-    eval_f,
-    eval_g,
-    gap,
-    is_dual_feasible,
-    is_primal_feasible,
-)
+from .affine import ProgramData, Side, gap
 from .errors import UnsupportedRing
 from .linalg import RVector
 from .reports import CheckReport
@@ -140,26 +132,6 @@ class EdtReport:
         }
 
 
-class _Side(NamedTuple):
-    """One side of a program: the primal maximizes f over x, the dual
-    minimizes g over y."""
-
-    name: str
-    letter: str
-    nvars: int
-    feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
-    objective: Callable[[ProgramData, RVector], RingElement]
-    maximize: bool
-
-
-def _side(P: ProgramData, primal: bool) -> _Side:
-    # read from the module globals on every call, so a function patched
-    # onto this module is the one every scan uses
-    if primal:
-        return _Side("primal", "f", P.cols, is_primal_feasible, eval_f, True)
-    return _Side("dual", "g", P.rows, is_dual_feasible, eval_g, False)
-
-
 def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, ...]:
     """The per-variable grid, ascending.
 
@@ -195,10 +167,10 @@ def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     return _grid_values(ring, box, 1)
 
 
-def _feasible_walk(P: ProgramData, side: _Side, values: tuple[RingElement, ...]):
+def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
     """Yield every feasible grid point of one side with its vector, in
     lexicographic order of the point."""
-    for w in itertools.product(values, repeat=side.nvars):
+    for w in itertools.product(values, repeat=side.nvars(P)):
         vec = RVector(P.ring, w)
         if side.feasible(P, vec).feasible:
             yield w, vec
@@ -210,16 +182,15 @@ def _enumerate(
     primal: bool,
     analytic_note: Optional[str],
 ) -> ProgramStatus:
-    side = _side(P, primal)
-    values = _grid_values(P.ring, box, side.nvars)
-    improves = Ordering.GT if side.maximize else Ordering.LT
+    side = Side.of(primal)
+    values = _grid_values(P.ring, box, side.nvars(P))
     best_value = None
     best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
     for w, vec in _feasible_walk(P, side, values):
         value = side.objective(P, vec)
-        if best_value is None or compare(value, best_value) is improves:
+        if best_value is None or compare(value, best_value) is side.better:
             best_value = value
             best_witness = w
     if best_value is None:
@@ -267,8 +238,8 @@ def enumerate_dual(
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
-    side = _side(P, primal)
-    values = _grid_values(P.ring, box, side.nvars)
+    side = Side.of(primal)
+    values = _grid_values(P.ring, box, side.nvars(P))
     return [vec for _, vec in _feasible_walk(P, side, values)]
 
 
@@ -289,7 +260,7 @@ def certify_optimal_pair(
     ok = True
     details: list[str] = []
     for primal, candidate, status in zip((True, False), (x_star, y_star), statuses):
-        side = _side(P, primal)
+        side = Side.of(primal)
         if candidate is None:
             details.append(f"{side.name} side: {status.kind.value}")
             continue
@@ -302,13 +273,12 @@ def certify_optimal_pair(
             )
             continue
         value = side.objective(P, candidate)
-        beaten = Ordering.GT if side.maximize else Ordering.LT
-        if status.value is not None and compare(status.value, value) is beaten:
+        if status.value is not None and compare(status.value, value) is side.better:
             ok = False
             details.append(
                 f"in-box point {[to_text(e) for e in status.witness]} beats the "
                 f"{side.name} candidate: {side.letter} = {to_text(status.value)} "
-                f"{'>' if side.maximize else '<'} {to_text(value)}"
+                f"{'>' if side.better is Ordering.GT else '<'} {to_text(value)}"
             )
         else:
             details.append(
@@ -319,47 +289,39 @@ def certify_optimal_pair(
     return CheckReport("certify_optimal_pair", ok, True, tuple(details))
 
 
-_CASE_TEXT = {
-    1: "case 1: both sides infeasible",
-    2: "case 2: primal infeasible, dual improves up to the box face",
-    3: "case 3: dual infeasible, primal improves up to the box face",
-    4: "case 4: both sides attain an in-box optimum",
+_INFEASIBLE, _UNBOUNDED, _OPTIMAL = (
+    StatusKind.INFEASIBLE,
+    StatusKind.FEASIBLE_UNBOUNDED_IN_BOX,
+    StatusKind.OPTIMAL,
+)
+# (primal kind, dual kind) -> (classical case, its text)
+_CASES = {
+    (_INFEASIBLE, _INFEASIBLE): (1, "case 1: both sides infeasible"),
+    (_INFEASIBLE, _UNBOUNDED): (2, "case 2: primal infeasible, dual improves up to the box face"),
+    (_UNBOUNDED, _INFEASIBLE): (3, "case 3: dual infeasible, primal improves up to the box face"),
+    (_OPTIMAL, _OPTIMAL): (4, "case 4: both sides attain an in-box optimum"),
 }
 
 
-def classify_edt(
-    P: ProgramData,
-    box: BoxSpec,
-    primal_note: Optional[str] = None,
-    dual_note: Optional[str] = None,
-) -> EdtReport:
+def classify_edt(P: ProgramData, box: BoxSpec) -> EdtReport:
     """Map the joint in-box outcome onto the classical four-way split.
 
     Combinations outside the four cases (e.g. one side infeasible while
     the other attains an optimum) are reported as a VIOLATION, which is
     exactly the expected finding on non-division rings.
     """
-    primal = enumerate_primal(P, box, primal_note)
-    dual = enumerate_dual(P, box, dual_note)
-    pk, dk = primal.kind, dual.kind
-    case: Optional[int] = None
-    gap_value: Optional[RingElement] = None
-    if pk is StatusKind.INFEASIBLE and dk is StatusKind.INFEASIBLE:
-        case = 1
-    elif pk is StatusKind.INFEASIBLE and dk is StatusKind.FEASIBLE_UNBOUNDED_IN_BOX:
-        case = 2
-    elif dk is StatusKind.INFEASIBLE and pk is StatusKind.FEASIBLE_UNBOUNDED_IN_BOX:
-        case = 3
-    elif pk is StatusKind.OPTIMAL and dk is StatusKind.OPTIMAL:
-        case = 4
+    primal = enumerate_primal(P, box)
+    dual = enumerate_dual(P, box)
+    kinds = (primal.kind, dual.kind)
+    if kinds not in _CASES:
+        details = (
+            f"VIOLATION: primal {kinds[0].value} with dual {kinds[1].value} matches "
+            "none of the four classical cases"
+        )
+        return EdtReport(None, True, primal, dual, None, details)
+    case, details = _CASES[kinds]
+    gap_value = None
+    if case == 4:
         gap_value = sub(dual.value, primal.value)
-    if case is not None:
-        details = _CASE_TEXT[case]
-        if case == 4:
-            details += f"; gap = {to_text(gap_value)}"
-        return EdtReport(case, False, primal, dual, gap_value, details)
-    details = (
-        f"VIOLATION: primal {pk.value} with dual {dk.value} matches none of the "
-        "four classical cases"
-    )
-    return EdtReport(None, True, primal, dual, None, details)
+        details += f"; gap = {to_text(gap_value)}"
+    return EdtReport(case, False, primal, dual, gap_value, details)

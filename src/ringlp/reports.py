@@ -7,7 +7,7 @@ records are JSON-able and re-parseable.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ._records import record
 from .rings import RingId
@@ -92,3 +92,26 @@ class TrialSummary:
             "first_failure": self.first_failure,
             "passed": self.passed,
         }
+
+
+def run_trials(
+    name: str, trials: int, sampler, trial: Callable[..., Optional[str]]
+) -> TrialSummary:
+    """Run ``trial(sampler)`` ``trials`` times on one seeded sampler.
+
+    ``trial`` returns ``None`` when it passes and the failure's text when it
+    fails; the summary counts the failures and keeps the first text. The
+    caller builds the ``sampling.Sampler``, because ``sampling`` imports
+    this module.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    failures = 0
+    first = None
+    for _ in range(trials):
+        failure = trial(sampler)
+        if failure is not None:
+            failures += 1
+            if first is None:
+                first = failure
+    return TrialSummary(name, trials, failures, first)

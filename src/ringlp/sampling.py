@@ -58,11 +58,7 @@ class Lcg:
         self.state = (_MULT * self.state + _INC) & _MASK
         return self.state
 
-    # below and int_in inline the step of next_u64: they are the hot draws.
-    def below(self, n: int) -> int:
-        self.state = state = (_MULT * self.state + _INC) & _MASK
-        return (state >> 32) % n
-
+    # int_in inlines the step of next_u64: it is the hot draw.
     def int_in(self, lo: int, hi: int) -> int:
         self.state = state = (_MULT * self.state + _INC) & _MASK
         return lo + (state >> 32) % (hi - lo + 1)

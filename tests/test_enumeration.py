@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import ringlp.affine as affine
 from ringlp import (
     BoxSpec,
     ProgramData,
@@ -21,7 +22,9 @@ from ringlp import (
     int_matrix,
     int_vector,
     is_primal_feasible,
+    strong_duality_counterexample,
     to_text,
+    verify_bundle,
     vector,
 )
 
@@ -187,6 +190,41 @@ def test_certify_rejects_a_beaten_candidate(gap_int):
 def test_certify_requires_at_least_one_side(gap_int):
     with pytest.raises(ValueError):
         certify_optimal_pair(gap_int, BoxSpec(10))
+
+
+def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch):
+    """Every layer above ``affine`` reaches the feasibility tests and
+    objectives through ``affine``'s module globals, so a function patched
+    onto ``affine`` is the one each scan and certificate calls."""
+    counts = dict.fromkeys(("is_primal_feasible", "is_dual_feasible", "eval_g"), 0)
+
+    def counting(name):
+        original = getattr(affine, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(affine, name, counting(name))
+
+    def calls_made(action):
+        before = dict(counts)
+        action()
+        return {name: counts[name] - before[name] for name in counts}
+
+    gap_int, box = make_gap_program(), BoxSpec(3)
+    assert calls_made(lambda: enumerate_primal(gap_int, box))["is_primal_feasible"] == 4
+    assert calls_made(lambda: feasible_points(gap_int, box, primal=False))["is_dual_feasible"] == 4
+    certify = calls_made(
+        lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [0]), int_vector(RingId.INT, [1]))
+    )
+    assert certify == {"is_primal_feasible": 5, "is_dual_feasible": 5, "eval_g": 5}
+    bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2), box)
+    verify = calls_made(lambda: verify_bundle(bundle, box))
+    assert min(verify.values()) > 0, verify
 
 
 # ---------------------------------------------------------------------------

@@ -61,3 +61,20 @@ def test_only_the_kernel_multiplies_monomials():
 
     visit(ast.parse((SRC / "rings.py").read_text()), "<module>")
     assert readers == {"sum_of_products"}, readers
+
+
+def _lines_matching(pattern: str) -> set[str]:
+    return {
+        path.name
+        for path in MODULES
+        for line in path.read_text().splitlines()
+        if re.search(pattern, line)
+    }
+
+
+def test_primal_and_dual_sides_are_defined_only_in_affine():
+    assert _lines_matching(r"^class _?Side\b") == {"affine.py"}
+
+
+def test_only_the_shared_trial_loop_checks_the_trial_count():
+    assert _lines_matching("trials must be positive") == {"reports.py"}

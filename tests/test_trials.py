@@ -1,0 +1,118 @@
+"""The seeded trial loops: their failure path and their sampled stream.
+
+Failures are forced by patching the per-trial check that each loop reads
+from its module's globals, so the count and the first-failure text are
+checked without a broken ring. The weak-duality stream is pinned by a
+hash of every program and point pair that the loop hands to
+``assert_weak_duality``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import ringlp.affine as affine
+import ringlp.constructions as constructions
+from ringlp import (
+    SKEW_X,
+    SKEW_Y,
+    CheckReport,
+    RingId,
+    from_int,
+    identity_program_trials,
+    identity_trials,
+    no_central_between_trials,
+    weak_duality_trials,
+    zero,
+)
+
+from conftest import ALL_RINGS
+
+
+def _fail_every_third_from_the_second(monkeypatch, module, name, failing_result):
+    """Patch ``module.name`` so that calls 1, 4, 7, ... (0-based) return
+    ``failing_result(call, *args)`` and every other call runs the original."""
+    original = getattr(module, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        k = len(calls) - 1
+        return failing_result(k, *args) if k % 3 == 1 else original(*args)
+
+    monkeypatch.setattr(module, name, patched)
+    return calls
+
+
+def _fake_residuals(k, P, x, y):
+    return from_int(P.ring, k), zero(P.ring)
+
+
+def test_identity_trials_report_the_first_failure_with_its_points(monkeypatch, gap_int):
+    calls = _fail_every_third_from_the_second(monkeypatch, affine, "_residuals", _fake_residuals)
+    summary = identity_trials(gap_int, 10, seed=5)
+    assert len(calls) == 10
+    assert (summary.name, summary.trials, summary.failures) == ("identity_residuals", 10, 3)
+    assert summary.first_failure == "x=['331'] y=['-400'] key=1 duality=0"
+    assert not summary.passed
+
+
+def test_identity_program_trials_report_the_first_failure_without_points(monkeypatch):
+    calls = _fail_every_third_from_the_second(monkeypatch, affine, "_residuals", _fake_residuals)
+    summary = identity_program_trials(RingId.RAT, 8, seed=5)
+    assert len(calls) == 8
+    assert (summary.name, summary.trials, summary.failures) == ("identity_residuals", 8, 3)
+    assert summary.first_failure == "key=1 duality=0"
+
+
+def test_weak_duality_trials_count_failed_and_inapplicable_reports(monkeypatch):
+    def failing(k, P, x, y):
+        if k == 1:
+            return CheckReport("weak_duality", False, True, ("gap = -1", "s.x + y.t = 2"))
+        return CheckReport("weak_duality", True, False, ("not applicable",))
+
+    calls = _fail_every_third_from_the_second(monkeypatch, affine, "assert_weak_duality", failing)
+    summary = weak_duality_trials(RingId.INT, 9, seed=2)
+    assert len(calls) == 9
+    assert (summary.name, summary.trials, summary.failures) == ("weak_duality", 9, 3)
+    assert summary.first_failure == "gap = -1; s.x + y.t = 2"
+
+
+def test_no_central_between_trials_report_the_first_failure(monkeypatch):
+    def failing(k, a, b, z):
+        return CheckReport("no_central_between", False, True, (f"call {k}", "forced"))
+
+    calls = _fail_every_third_from_the_second(
+        monkeypatch, constructions, "no_central_between_check", failing
+    )
+    summary = no_central_between_trials(SKEW_X, SKEW_Y, 7, 9)
+    assert len(calls) == 7
+    assert (summary.name, summary.trials, summary.failures) == ("no_central_between", 7, 2)
+    assert summary.first_failure == "call 1; forced"
+
+
+def _entry_text(e) -> str:
+    return f"{e.ring.value}:{e.payload!r}"
+
+
+# sha256 of every (program, x, y) handed to assert_weak_duality by the first
+# 50 trials of each ring at seeds 0, 1 and 2, payload types included
+WEAK_DUALITY_STREAM_SHA256 = "86a226dbc54f9685680dbcf6984046557f109fcc51eb710fdc70b98f430e69a1"
+
+
+def test_weak_duality_trials_hand_the_same_programs_and_points(monkeypatch):
+    digest = hashlib.sha256()
+    original = affine.assert_weak_duality
+
+    def recording(P, x, y):
+        parts = [P.ring.value, str(P.rows), str(P.cols)]
+        for part in (P.A.entries, P.b.entries, P.c.entries, (P.d,), x.entries, y.entries):
+            parts.append(",".join(_entry_text(e) for e in part))
+        digest.update(("|".join(parts) + "\n").encode())
+        return original(P, x, y)
+
+    monkeypatch.setattr(affine, "assert_weak_duality", recording)
+    for ring in ALL_RINGS:
+        for seed in range(3):
+            assert weak_duality_trials(ring, 50, seed).passed
+    assert digest.hexdigest() == WEAK_DUALITY_STREAM_SHA256

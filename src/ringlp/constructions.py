@@ -29,10 +29,12 @@ from ._records import record
 from .affine import ProgramData, Side, eval_g, gap, is_dual_feasible
 from .enumeration import (
     BoxSpec,
+    StatusKind,
     certify_optimal_pair,
     enumerate_dual,
     enumerate_primal,
     feasible_points,
+    judge_optimal_pair,
 )
 from .errors import (
     NoSmallestPositive,
@@ -48,6 +50,7 @@ from .linalg import (
     vector,
     zero_vector,
 )
+from .progfile import serialize_program
 from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
     Magnitude,
@@ -170,63 +173,57 @@ def _one_by_one_program(a: RingElement) -> ProgramData:
 
 def _pair_gap_check(
     P: ProgramData,
-    primal_points: list[RVector],
-    dual_points: list[RVector],
+    primal_feasible: list[RVector],
+    dual_feasible: list[RVector],
     label: str,
+    problems: tuple[str, ...] = (),
 ) -> CheckReport:
-    """Every (feasible, feasible) pair must have sign(gap) = +1; a point
-    outside its side's feasible set is a problem, not a checked pair."""
-    bad: list[str] = []
-    feasible = []
-    for primal, points in ((True, primal_points), (False, dual_points)):
-        side = Side.of(primal)
-        verdicts = [(p, side.feasible(P, p)) for p in points]
-        feasible.append([p for p, v in verdicts if v.feasible])
-        bad += [
-            f"{side.name} point {vec_text(p)}: {v.violation_kind.value}"
-            for p, v in verdicts
-            if not v.feasible
-        ]
-    for x in feasible[0]:
-        for y in feasible[1]:
+    """Every pair of points already known feasible must have sign(gap) = +1;
+    ``problems`` names the points that were not, which fail the check."""
+    bad = list(problems)
+    for x in primal_feasible:
+        for y in dual_feasible:
             g = gap(P, x, y)
             if sign(g) != 1:
                 bad.append(f"x={vec_text(x)} y={vec_text(y)} gap={to_text(g)}")
-    details = [f"{label}: {len(feasible[0]) * len(feasible[1])} pairs checked"] + bad
+    details = [f"{label}: {len(primal_feasible) * len(dual_feasible)} pairs checked"] + bad
     return CheckReport("gap_sign_positive", not bad, True, tuple(details))
 
 
 def _point_problems(
     P: ProgramData, points, side: Side, recorded: Optional[tuple[RingElement, ...]] = None
-) -> list[str]:
-    """The one feasibility loop: a line per point outside its side's feasible
-    set and, when recorded objective values are given, per recorded value
-    that is not the objective at its point."""
-    problems = []
+) -> tuple[list[RVector], list[str]]:
+    """The one feasibility loop: the points inside their side's feasible set,
+    and a line per point outside it and, when recorded objective values are
+    given, per recorded value that is not the objective at its point."""
+    feasible, problems = [], []
     for k, p in enumerate(points):
         verdict = side.feasible(P, p)
-        if not verdict.feasible:
+        if verdict.feasible:
+            feasible.append(p)
+        else:
             problems.append(f"{vec_text(p)}: {verdict.violation_kind.value}")
         if recorded is not None and (value := side.objective(P, p)) != recorded[k]:
             problems.append(
                 f"point {k}: recorded {side.letter} = {to_text(recorded[k])}, "
                 f"but {side.letter} = {to_text(value)} there"
             )
-    return problems
+    return feasible, problems
 
 
-def _feasibility_checks(
-    P: ProgramData, primal_points, dual_points, what: str
-) -> list[CheckReport]:
-    """One feasibility report per side that has points."""
-    reports = []
+def _feasibility_checks(P: ProgramData, primal_points, dual_points, what: str):
+    """One feasibility report per side that has points, then each side's
+    feasible points and the problem lines the pair check reports."""
+    reports, feasible, problems = [], [], []
     for primal, points in ((True, primal_points), (False, dual_points)):
+        side = Side.of(primal)
+        inside, bad = _point_problems(P, points, side)
+        feasible.append(inside)
+        problems += [f"{side.name} point {line}" for line in bad]
         if points:
-            side = Side.of(primal)
-            bad = _point_problems(P, points, side)
             details = tuple(bad) or (f"{len(points)} points",)
             reports.append(CheckReport(f"{side.name}_{what}_feasible", not bad, True, details))
-    return reports
+    return reports, feasible, tuple(problems)
 
 
 def gap_program(
@@ -246,17 +243,18 @@ def gap_program(
     primal_witnesses = [zero_vector(ring, 1)]
     k = from_int(ring, _least_covering_integer(a))
     dual_witnesses = [vector(ring, [k])]
-    if descriptor(ring).smallest_positive is not None:
-        box = BoxSpec(10)
-        primal_points = feasible_points(P, box, primal=True)
-        dual_points = feasible_points(P, box, primal=False)
-        gap_check = _pair_gap_check(P, primal_points, dual_points, "box enumeration on [0,10]")
-    else:
+    by_box = descriptor(ring).smallest_positive is not None
+    if not by_box:
         sampler = Sampler(seed)
         for _ in range(dual_samples):
             w = add(k, sampler.sample_nonneg(ring))
             dual_witnesses.append(vector(ring, [w]))
-        gap_check = _pair_gap_check(P, primal_witnesses, dual_witnesses, "witness family")
+    reports, feasible, problems = _feasibility_checks(P, primal_witnesses, dual_witnesses, "witnesses")
+    if by_box:
+        box_points = [feasible_points(P, BoxSpec(10), primal) for primal in (True, False)]
+        gap_check = _pair_gap_check(P, *box_points, "box enumeration on [0,10]")
+    else:
+        gap_check = _pair_gap_check(P, *feasible, "witness family", problems)
     return CounterexampleBundle(
         kind=BundleKind.GAP,
         program=P,
@@ -267,10 +265,7 @@ def gap_program(
             f"a = {to_text(a)} is positive and has no inverse, so no feasible "
             "pair can close the gap",
         ),
-        checks=(
-            gap_check,
-            *_feasibility_checks(P, primal_witnesses, dual_witnesses, "witnesses"),
-        ),
+        checks=(gap_check, *reports),
     )
 
 
@@ -334,7 +329,7 @@ def strong_duality_counterexample(
         dual_optimum=y_star,
         gap_value=gap(P, x_star, y_star),
         notes=notes,
-        checks=(status_check, certify_optimal_pair(P, box, x_star, y_star)),
+        checks=(status_check, judge_optimal_pair(P, statuses, x_star, y_star)),
     )
 
 
@@ -386,25 +381,30 @@ def infeasible_optimal_program(
         + _NO_RIGHT_INVERSE.get(ring, "")
     )
     checks = [
-        *_feasibility_checks(P, primal_witnesses, dual_witnesses, "optimum"),
+        *_feasibility_checks(P, primal_witnesses, dual_witnesses, "optimum")[0],
         CheckReport(
             "optimum_value_zero", value == z, True, (f"{optimal.letter}(0, 0) = {to_text(value)}",)
         ),
     ]
     if descriptor(ring).is_enumerable:
         box = BoxSpec(10)
-        scan = enumerate_dual if primal_optimal else enumerate_primal
-        status = scan(P, box, infeasible_note)
+        # the optimal side is scanned without the note: the note argues only
+        # that the other side is infeasible
+        if primal_optimal:
+            statuses = (enumerate_primal(P, box), enumerate_dual(P, box, infeasible_note))
+        else:
+            statuses = (enumerate_primal(P, box, infeasible_note), enumerate_dual(P, box))
+        status = statuses[1] if primal_optimal else statuses[0]
         checks.append(
             CheckReport(
                 "infeasible_side",
-                status.kind.value == "INFEASIBLE",
+                status.kind is StatusKind.INFEASIBLE,
                 True,
                 (f"{infeasible.name}: {status.kind.value} ({status.scope.value})",),
             )
         )
         candidates = (optimum, None) if primal_optimal else (None, optimum)
-        checks.append(certify_optimal_pair(P, box, *candidates))
+        checks.append(judge_optimal_pair(P, statuses, *candidates))
         notes = (infeasible_note, sign_note)
     else:
         notes = (
@@ -571,7 +571,7 @@ def _validate_sequence(P: ProgramData, seq: WitnessSequence) -> CheckReport:
     side = Side.of(seq.role is SequenceRole.PRIMAL_IMPROVING)
     trend = "increasing" if side.better is Ordering.GT else "decreasing"
     values = seq.objective_values
-    problems = _point_problems(P, seq.points, side, values)
+    problems = _point_problems(P, seq.points, side, values)[1]
     if len(values) < 2:
         problems.append("fewer than two points: no step to check")
     for k in range(1, len(values)):
@@ -655,16 +655,11 @@ def verify_bundle(
 ) -> tuple[CheckReport, ...]:
     """Re-run the bundle's certificates from scratch."""
     P = bundle.program
-    reports = _feasibility_checks(P, bundle.primal_witnesses, bundle.dual_witnesses, "witnesses")
+    reports, feasible, problems = _feasibility_checks(
+        P, bundle.primal_witnesses, bundle.dual_witnesses, "witnesses"
+    )
     if bundle.kind is BundleKind.GAP:
-        reports.append(
-            _pair_gap_check(
-                P,
-                list(bundle.primal_witnesses),
-                list(bundle.dual_witnesses),
-                "recorded witnesses",
-            )
-        )
+        reports.append(_pair_gap_check(P, *feasible, "recorded witnesses", problems))
     has_optimum = bundle.primal_optimum is not None or bundle.dual_optimum is not None
     if has_optimum and descriptor(P.ring).is_enumerable:
         reports.append(
@@ -692,30 +687,23 @@ def verify_bundle(
 
 def certificate_dict(bundle: CounterexampleBundle) -> dict:
     """JSON-able certificate sidecar: kind, witnesses, verification results."""
-    from .progfile import serialize_program
-
-    def vecs(points: tuple[RVector, ...]) -> list[list[str]]:
-        return [[to_text(e) for e in p] for p in points]
-
     return {
         "kind": bundle.kind.value,
         "ring": bundle.program.ring.value,
         "program": serialize_program(bundle.program),
         "claim": bundle.claim,
-        "primal_witnesses": vecs(bundle.primal_witnesses),
-        "dual_witnesses": vecs(bundle.dual_witnesses),
+        "primal_witnesses": [vec_text(p) for p in bundle.primal_witnesses],
+        "dual_witnesses": [vec_text(p) for p in bundle.dual_witnesses],
         "primal_optimum": None
         if bundle.primal_optimum is None
-        else [to_text(e) for e in bundle.primal_optimum],
-        "dual_optimum": None
-        if bundle.dual_optimum is None
-        else [to_text(e) for e in bundle.dual_optimum],
+        else vec_text(bundle.primal_optimum),
+        "dual_optimum": None if bundle.dual_optimum is None else vec_text(bundle.dual_optimum),
         "gap": None if bundle.gap_value is None else to_text(bundle.gap_value),
         "sequence": None
         if bundle.sequence is None
         else {
             "role": bundle.sequence.role.value,
-            "points": vecs(bundle.sequence.points),
+            "points": [vec_text(p) for p in bundle.sequence.points],
             "objective_values": [to_text(v) for v in bundle.sequence.objective_values],
         },
         "notes": list(bundle.notes),

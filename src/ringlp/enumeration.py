@@ -55,6 +55,7 @@ __all__ = [
     "enumerate_dual",
     "feasible_points",
     "certify_optimal_pair",
+    "judge_optimal_pair",
     "classify_edt",
 ]
 
@@ -249,14 +250,25 @@ def certify_optimal_pair(
     x_star: Optional[RVector] = None,
     y_star: Optional[RVector] = None,
 ) -> CheckReport:
-    """Confirm the given points are feasible and unbeaten inside the box.
-
-    Either side may be omitted; the other side's enumeration status is
-    still reported. When both are given the report includes their gap.
-    """
+    """Confirm the given points are feasible and unbeaten inside the box:
+    scan both sides, then :func:`judge_optimal_pair`."""
     if x_star is None and y_star is None:
         raise ValueError("at least one candidate point is required")
     statuses = (enumerate_primal(P, box), enumerate_dual(P, box))
+    return judge_optimal_pair(P, statuses, x_star, y_star)
+
+
+def judge_optimal_pair(
+    P: ProgramData,
+    statuses: tuple[ProgramStatus, ProgramStatus],
+    x_star: Optional[RVector] = None,
+    y_star: Optional[RVector] = None,
+) -> CheckReport:
+    """Judge the candidates against the (primal, dual) statuses of box scans
+    already made: each given point must be feasible and unbeaten by its side's
+    in-box best. An omitted side's status is reported; with both, their gap."""
+    if x_star is None and y_star is None:
+        raise ValueError("at least one candidate point is required")
     ok = True
     details: list[str] = []
     for primal, candidate, status in zip((True, False), (x_star, y_star), statuses):

@@ -1,8 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+import ringlp.affine as affine
+import ringlp.enumeration as enumeration
 from ringlp import (
+    BoxSpec,
     BundleKind,
     CounterexampleBundle,
     InfeasibleSide,
@@ -18,6 +23,7 @@ from ringlp import (
     SequenceRole,
     StepLosesFeasibility,
     add,
+    certificate_dict,
     classify_magnitude,
     dual_decreasing_sequence,
     dual_decreasing_step,
@@ -48,6 +54,9 @@ from ringlp import (
 )
 
 from conftest import make_gap_program
+
+# sha256 of the certificates and re-verification reports of ``_digest_grid``
+PINNED_DIGEST = "3da515ecb8f348c49165fe75120e6991f106ea6f73c47200f6e57135c79642a7"
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +491,77 @@ def test_every_bundle_kind_re_verifies():
 
 
 def test_certificate_dict_is_jsonable():
-    import json
-
     bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2))
-    from ringlp import certificate_dict
-
     blob = json.dumps(certificate_dict(bundle), sort_keys=True)
     assert '"STRONG_DUALITY_GAP"' in blob
     assert '"gap": "1"' in blob
+
+
+def _digest_grid():
+    """Bundles whose certificates and re-verification are pinned byte for
+    byte: strong-duality gaps on four boxes (box 1 puts y* = 1 on the box
+    face), both infeasible/optimal orientations and the gap program, on
+    every ring that has a positive non-unit."""
+    for a in range(2, 7):
+        for bound in (1, 2, 3, 10):
+            box = BoxSpec(bound)
+            yield strong_duality_counterexample(RingId.INT, from_int(RingId.INT, a), box), box
+    elements = [from_int(RingId.INT, a) for a in (2, 3, 5)]
+    elements += [
+        from_rational(RingId.ODDRAT, q) for q in (Fraction(2), Fraction(2, 3), Fraction(4, 5))
+    ]
+    for a in (*elements, POLY_X, SKEW_X):
+        for side in InfeasibleSide:
+            yield infeasible_optimal_program(a.ring, a, side), None
+    for a in elements:
+        yield gap_program(a.ring, a), None
+    for a in (POLY_X, SKEW_X):
+        yield gap_program(a.ring, a, dual_samples=25, seed=3), None
+
+
+def test_certificates_and_re_verification_are_byte_identical():
+    doc = [
+        [certificate_dict(bundle), [r.as_dict() for r in verify_bundle(bundle, box)]]
+        for bundle, box in _digest_grid()
+    ]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert len(doc) == 44
+    assert hashlib.sha256(blob).hexdigest() == PINNED_DIGEST
+
+
+def test_constructions_scan_each_side_once(monkeypatch):
+    """(box scans, primal verdicts, dual verdicts) per construction: each
+    side is scanned once and each witness is checked once."""
+    counts = dict.fromkeys(("scans", "primal", "dual"), 0)
+    for module, name, key in (
+        (enumeration, "_enumerate", "scans"),
+        (affine, "is_primal_feasible", "primal"),
+        (affine, "is_dual_feasible", "dual"),
+    ):
+        original = getattr(module, name)
+
+        def wrapper(*args, _original=original, _key=key):
+            counts[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def made(action):
+        before = dict(counts)
+        result = action()
+        return result, tuple(counts[k] - before[k] for k in counts)
+
+    two = from_int(RingId.INT, 2)
+    strong, n = made(lambda: strong_duality_counterexample(RingId.INT, two))
+    assert n == (2, 12, 12)
+    edt, n = made(
+        lambda: infeasible_optimal_program(RingId.INT, two, InfeasibleSide.PRIMAL_INFEASIBLE)
+    )
+    assert n == (2, 11, 123)
+    assert made(lambda: gap_program(RingId.INT, two))[1] == (0, 12, 12)
+    skew, n = made(lambda: gap_program(RingId.SKEW, SKEW_X))
+    assert n == (0, 1, 11)
+    assert made(lambda: verify_bundle(skew))[1] == (0, 1, 11)
+    # re-verification still scans both sides from scratch
+    assert made(lambda: verify_bundle(strong))[1][0] == 2
+    assert made(lambda: verify_bundle(edt))[1][0] == 2

@@ -28,6 +28,8 @@ from ringlp import (
     vector,
 )
 
+from ringlp.enumeration import judge_optimal_pair
+
 from _oracles import brute_force_box_optimum
 from conftest import make_edt_program, make_gap_program
 
@@ -190,6 +192,9 @@ def test_certify_rejects_a_beaten_candidate(gap_int):
 def test_certify_requires_at_least_one_side(gap_int):
     with pytest.raises(ValueError):
         certify_optimal_pair(gap_int, BoxSpec(10))
+    statuses = (enumerate_primal(gap_int, BoxSpec(3)), enumerate_dual(gap_int, BoxSpec(3)))
+    with pytest.raises(ValueError):
+        judge_optimal_pair(gap_int, statuses)
 
 
 def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch):

@@ -3,8 +3,10 @@
 Per-ring facts live in ``rings.py`` (``RingDescriptor`` and the per-ring
 records there); other modules read those facts instead of testing which
 ring they hold. No module reaches into a sibling's private names. Inside
-``rings.py`` one loop multiplies monomials: ``sum_of_products``. All three
-are checked by reading the sources, without importing or running anything.
+``rings.py`` one loop multiplies monomials: ``sum_of_products``. Inside
+``constructions.py`` only ``verify_bundle`` scans a program again through
+``certify_optimal_pair``. All are checked by reading the sources, without
+importing or running anything.
 """
 
 from __future__ import annotations
@@ -78,3 +80,19 @@ def test_primal_and_dual_sides_are_defined_only_in_affine():
 
 def test_only_the_shared_trial_loop_checks_the_trial_count():
     assert _lines_matching("trials must be positive") == {"reports.py"}
+
+
+def test_only_verify_bundle_rescans_in_constructions():
+    """Constructions judge the statuses they already scanned; only
+    ``verify_bundle``, which re-checks a bundle from scratch, calls
+    ``certify_optimal_pair`` and so scans both sides again."""
+    callers = {
+        function.name
+        for function in ast.walk(ast.parse((SRC / "constructions.py").read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name)
+        and node.id == "certify_optimal_pair"
+        and isinstance(node.ctx, ast.Load)
+    }
+    assert callers == {"verify_bundle"}, callers

@@ -237,9 +237,20 @@ def _status_lines(label: str, status) -> list[str]:
     return out
 
 
+def _box(args, ring: RingId) -> BoxSpec:
+    """The scan box of ``--box``/``--den``. ``--den`` above 1 is refused on
+    a ring whose grid is the integers 0..N, where a report echoing it would
+    claim a bound that was never used."""
+    if args.den is not None and args.den > 1 and descriptor(ring).smallest_positive is not None:
+        raise ValueError(
+            f"--den {args.den} has no effect on {ring.value}: its grid is the integers 0..N"
+        )
+    return BoxSpec(args.box, args.den)
+
+
 def _cmd_enumerate(args) -> int:
     P = load_program(args.file)
-    box = BoxSpec(args.box, args.den)
+    box = _box(args, P.ring)
     report: dict = {
         "command": "enumerate",
         "file": args.file,
@@ -258,7 +269,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_edt(args) -> int:
     P = load_program(args.file)
-    box = BoxSpec(args.box, args.den)
+    box = _box(args, P.ring)
     edt = classify_edt(P, box)
     report = {
         "command": "edt",

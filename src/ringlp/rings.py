@@ -17,10 +17,12 @@ equality coincides with ring equality.
   ordered by the sign of the coefficient at the lexicographically
   greatest ``(n, m)``. Note ``x*y = (1/2)*y*x``.
 
-The operations branch once, on the payload's shape: a scalar (``int`` or
+The operations branch on the payload's shape: a scalar (``int`` or
 ``Fraction``: INT, RAT, ODDRAT) or a tuple of ``(monomial, coefficient)``
-terms (POLY, SKEW). What else differs sits in one private record per
-ring (``_RingSpec``): which rationals embed, the constant monomial, the
+terms (POLY, SKEW); ``sum_of_products`` and ``compare`` also tell ``int``
+from ``Fraction``, to work on a ``Fraction``'s integer numerator and
+denominator. What else differs sits in one private record per ring
+(``_RingSpec``): which rationals embed, the constant monomial, the
 monomial product, the literal grammar and the monomial text.
 
 ``sign`` realizes each instance's positivity order; comparisons,
@@ -307,28 +309,42 @@ def sum_of_products(
     the left, so in SKEW the monomial of a product is
     ``mono_mul(left key, right key)``. The result equals the fold
     ``acc = add(acc, mul(l, r))`` from ``zero(ring)`` followed by
-    ``sub(acc, minus)`` and ``neg``, but builds a single element: scalar
-    payloads are summed as they are, starting from ``-minus``, and each term
-    ring coefficient is kept as an unreduced ``(num, den)`` pair of ints,
-    with SKEW's ``2^-s`` folded in as ``den << s``, ``minus`` entering as
-    one more term and the sign folded into the numerators, until one
-    ``Fraction`` per output monomial is built at the end (Henrici's
-    gcd-saving rational arithmetic; Knuth, *TAOCP* 2, 4.5.1). Every element
-    must be in ``ring`` (``RingMismatch``); the sequences must have equal
-    lengths (``ValueError``).
+    ``sub(acc, minus)`` and ``neg``, but builds a single element. INT
+    payloads are summed as ``int``s from ``-minus``. A RAT/ODDRAT sum, and
+    each term-ring coefficient, is kept as an unreduced ``(num, den)`` pair
+    of ints: a product contributes ``(p.num * q.num, p.den * q.den)``, added
+    to the numerator alone when its denominator equals the running one, and
+    SKEW's ``2^-s`` is folded in as ``den << s``. ``minus`` is the starting
+    pair (one more term on the term rings) and the sign is folded into the
+    numerators, until one ``Fraction`` per sum, or per output monomial, is
+    built at the end (Henrici's gcd-saving rational arithmetic; Knuth,
+    *TAOCP* 2, 4.5.1). Every element must be in ``ring`` (``RingMismatch``);
+    the sequences must have equal lengths (``ValueError``).
     """
     if minus is not None and minus.ring is not ring:
         _raise_mismatch(ring, minus, minus)
     acc = _ZEROS[ring].payload if minus is None else minus.payload
     pairs = zip(left, right, strict=True)
-    if type(acc) is not tuple:
-        if minus is not None:
-            acc = -acc
+    if type(acc) is int:
+        acc = -acc
         for a, b in pairs:
             if a.ring is not ring or b.ring is not ring:
                 _raise_mismatch(ring, a, b)
             acc += a.payload * b.payload
         return RingElement(ring, -acc if negate else acc)
+    if type(acc) is not tuple:
+        n, d = -acc.numerator, acc.denominator
+        for a, b in pairs:
+            if a.ring is not ring or b.ring is not ring:
+                _raise_mismatch(ring, a, b)
+            p, q = a.payload, b.payload
+            pd = p.denominator * q.denominator
+            if pd == d:
+                n += p.numerator * q.numerator
+            else:
+                n = n * pd + p.numerator * q.numerator * d
+                d *= pd
+        return RingElement(ring, Fraction(-n if negate else n, d))
     sgn = -1 if negate else 1
     terms = {key: (-sgn * q.numerator, q.denominator) for key, q in acc}
     mono_mul = _SPECS[ring].mono_mul
@@ -375,15 +391,18 @@ def sign(a: RingElement) -> int:
 
 
 def compare(a: RingElement, b: RingElement) -> Ordering:
-    """Order of ``a`` against ``b``: the scalar payloads directly, else
-    via the sign of ``a - b``."""
+    """Order of ``a`` against ``b``: ``int`` payloads directly, ``Fraction``
+    payloads by the sign of the one integer cross-multiplication
+    ``p.num * q.den - q.num * p.den`` (denominators are positive), and
+    term-ring payloads via the sign of ``a - b``."""
     _require_same_ring(a, b)
-    p = a.payload
-    if type(p) is tuple:
-        s = sign(sub(a, b))
-    else:
-        q = b.payload
+    p, q = a.payload, b.payload
+    if type(p) is int:
         s = (p > q) - (p < q)
+    elif type(p) is not tuple:
+        s = p.numerator * q.denominator - q.numerator * p.denominator
+    else:
+        s = sign(sub(a, b))
     if s > 0:
         return Ordering.GT
     if s < 0:

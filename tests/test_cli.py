@@ -223,6 +223,21 @@ def test_usage_error_is_exit_two(capsys):
     assert main(["edt", CE_SD, "--box", "10", "--workers", "2"]) == 2
 
 
+@pytest.mark.parametrize("command", ["enumerate", "edt"])
+def test_den_on_an_integer_grid_is_a_usage_error(capsys, command):
+    # the int grid is 0..N whatever --den says, so no report may echo den 3
+    assert main([command, EDT_FAIL, "--box", "2", "--den", "3", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--den 3 has no effect on int" in captured.err
+    for den in (["--den", "1"], []):
+        code, report = run_json(capsys, command, EDT_FAIL, "--box", "2", *den)
+        assert code == 0
+        assert report["den"] == (1 if den else None)
+    code, report = run_json(capsys, command, EDT_FAIL_RAT, "--box", "2", "--den", "3")
+    assert (code, report["den"]) == (0, 3)
+
+
 def test_parse_error_is_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.prog"
     bad.write_text("ring int\nrows 1\ncols 1\nA 1/2\nb 1\nc 1\nd 0\n")

@@ -7,9 +7,11 @@ written here and SKEW word rewriting. Sums are then checked against the
 fold ``acc = add(acc, mul(a, b))`` from ``zero(ring)``, and the fused
 slacks, objectives and cross term against the unfused compositions of
 linalg products with ``vec_sub``/``sub``/``add``, which this file keeps as
-its oracles. The guard tests count calls through the module globals, so a
-product that falls back to an element per step, or a trial that builds a
-slack twice, shows up as a count.
+its oracles. RAT and ODDRAT sums and comparisons are also checked against
+plain ``Fraction`` arithmetic written here, with denominators up to 10^6.
+The guard tests count calls through the module globals, so a product that
+falls back to an element per step, or a trial that builds a slack twice,
+shows up as a count; the ``Fraction`` guard counts constructions.
 """
 
 from __future__ import annotations
@@ -25,18 +27,21 @@ import ringlp.linalg as linalg
 import ringlp.rings as rings
 from ringlp import (
     DimensionMismatch,
+    Ordering,
     ProgramData,
     RingId,
     RingMismatch,
     Sampler,
     add,
     assert_weak_duality,
+    compare,
     covec_apply,
     dot_left,
     dual_slack,
     eval_f,
     eval_g,
     from_int,
+    from_rational,
     int_matrix,
     int_vector,
     mat_apply,
@@ -198,6 +203,126 @@ def test_constant_from_another_ring_raises(ring):
 def test_unequal_lengths_raise():
     with pytest.raises(ValueError):
         sum_of_products(RingId.INT, [from_int(RingId.INT, 1)], [])
+
+
+# ---------------------------------------------------------------------------
+# RAT and ODDRAT against plain Fraction arithmetic, with wide denominators
+
+FRACTION_RINGS = [RingId.RAT, RingId.ODDRAT]
+PRIMES_NEAR_A_MILLION = (999907, 999917, 999931, 999953, 999959, 999961, 999979, 999983)
+wide_numerators = st.integers(-(10**6), 10**6)
+
+
+def wide_denominators(ring):
+    dens = st.one_of(st.integers(1, 10**6), st.sampled_from(PRIMES_NEAR_A_MILLION))
+    return dens.map(lambda d: d | 1) if ring is RingId.ODDRAT else dens
+
+
+def wide_fractions(ring):
+    return st.builds(Fraction, wide_numerators, wide_denominators(ring))
+
+
+def shared_denominator_run(n):
+    """(left, right): left over one prime denominator, right integers, so
+    every product has the same denominator."""
+    return st.sampled_from(PRIMES_NEAR_A_MILLION).flatmap(
+        lambda p: st.tuples(
+            st.lists(
+                wide_numerators.filter(lambda k: k % p).map(lambda k: Fraction(k, p)),
+                min_size=n,
+                max_size=n,
+            ),
+            st.lists(wide_numerators.map(Fraction), min_size=n, max_size=n),
+        )
+    )
+
+
+def wide_terms(ring):
+    """(left, right) Fraction lists of one length, from 0 to 5."""
+    return st.integers(0, 5).flatmap(
+        lambda n: st.one_of(
+            st.tuples(
+                st.lists(wide_fractions(ring), min_size=n, max_size=n),
+                st.lists(wide_fractions(ring), min_size=n, max_size=n),
+            ),
+            shared_denominator_run(n),
+        )
+    )
+
+
+def embed(ring, qs):
+    return [from_rational(ring, q) for q in qs]
+
+
+@pytest.mark.parametrize("ring", FRACTION_RINGS)
+def test_fraction_kernel_equals_plain_fraction_arithmetic(ring):
+    @given(wide_terms(ring), st.none() | wide_fractions(ring), st.booleans())
+    def check(terms, minus, negate):
+        left, right = terms
+        want = sum((p * q for p, q in zip(left, right)), Fraction(0)) - (minus or 0)
+        got = sum_of_products(
+            ring,
+            embed(ring, left),
+            embed(ring, right),
+            None if minus is None else from_rational(ring, minus),
+            negate,
+        ).payload
+        assert type(got) is Fraction
+        assert got == (-want if negate else want)
+        if ring is RingId.ODDRAT:
+            assert got.denominator % 2 == 1
+
+    check()
+
+
+ORDERINGS = {-1: Ordering.LT, 0: Ordering.EQ, 1: Ordering.GT}
+
+
+@pytest.mark.parametrize("ring", FRACTION_RINGS)
+def test_fraction_compare_equals_plain_fraction_order(ring):
+    @given(wide_fractions(ring), wide_fractions(ring), wide_numerators)
+    def check(p, q, k):
+        # q and a value with p's denominator, each against p, and p against itself
+        for r in (q, Fraction(k, p.denominator), p):
+            want = ORDERINGS[(p > r) - (p < r)]
+            assert compare(from_rational(ring, p), from_rational(ring, r)) is want
+
+    check()
+
+
+def expected_error(ring, left, right, minus):
+    """The error of a kernel call that checks ``minus`` first, then each
+    pair in order, and the lengths when one side runs out."""
+    if minus is not None and minus.ring is not ring:
+        return RingMismatch
+    for a, b in zip(left, right):
+        if a.ring is not ring or b.ring is not ring:
+            return RingMismatch
+    return ValueError if len(left) != len(right) else None
+
+
+@pytest.mark.parametrize("ring", FRACTION_RINGS)
+def test_fraction_kernel_raises_at_the_same_inputs(ring):
+    foreign = st.sampled_from([r for r in (RingId.INT, *FRACTION_RINGS) if r is not ring])
+
+    @given(wide_terms(ring), st.integers(-1, 5), st.integers(0, 2), foreign, st.integers(-1, 1))
+    def check(terms, at, where, other, extra):
+        left, right = (embed(ring, side) for side in terms)
+        minus = None
+        stranger = from_int(other, 1)
+        if at == -1:
+            minus = stranger
+        elif where < 2 and at < len(left):
+            (left, right)[where][at] = stranger
+        if extra > 0:
+            left.append(zero(ring))
+        elif extra < 0 and right:
+            right.pop()
+        got = outcome(sum_of_products, ring, left, right, minus)
+        want = expected_error(ring, left, right, minus)
+        assert (got if isinstance(got, type) else None) is want
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +498,26 @@ def test_poly_mat_apply_builds_no_element_per_product(monkeypatch):
         counting(monkeypatch, calls, module, "add")
     assert list(mat_apply(A, x)) == want
     assert calls == {}
+
+
+def test_rat_slack_builds_one_fraction(monkeypatch):
+    ring = RingId.RAT
+    left = [from_rational(ring, 1, 2), from_rational(ring, -2, 3), from_rational(ring, 5)]
+    right = [from_rational(ring, 3, 7), from_rational(ring, 4), from_rational(ring, -1, 5)]
+    minus = from_rational(ring, 7, 4)
+    want = neg(sub(fold(ring, left, right), minus))
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    got = sum_of_products(ring, left, right, minus=minus, negate=True)
+    monkeypatch.undo()
+    assert got == want
+    assert len(built) == 1
 
 
 def test_infeasible_pair_details_are_unchanged():

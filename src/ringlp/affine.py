@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from enum import Enum, unique
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
@@ -35,6 +35,7 @@ from .rings import (
     sign,
     sub,
     sum_of_products,
+    sum_sign,
     to_text,
 )
 from .sampling import Sampler
@@ -155,7 +156,11 @@ def dual_slack(P: ProgramData, y: RVector) -> RVector:
     )
 
 
-def _first_negative(v: RVector) -> Optional[int]:
+# records are immutable, so every feasible verdict can be this one
+_FEASIBLE = FeasibilityVerdict(True)
+
+
+def _first_negative(v: Iterable[RingElement]) -> Optional[int]:
     for i, e in enumerate(v):
         if sign(e) < 0:
             return i
@@ -177,17 +182,45 @@ def _verdict(
     j = _first_negative(slack)
     if j is not None:
         return FeasibilityVerdict(False, j, ViolationKind.SLACK_NEGATIVE), slack
-    return FeasibilityVerdict(True), slack
+    return _FEASIBLE, slack
 
 
 def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
-    """x >= 0 and A x <= b, both non-strict."""
-    return _verdict(P, x, primal_slack)[0]
+    """x >= 0 and A x <= b, both non-strict.
+
+    The first negative coordinate is reported before any row. Rows are
+    then tried in order, each from the sign of its slack ``b_j - A_j x``
+    alone (``rings.sum_sign``), and the first negative one is reported, so
+    no slack element or vector is built.
+    """
+    ring, A, b = P.ring, P.A, P.b.entries
+    xs = _entries(P, x, P.cols)
+    i = _first_negative(xs)
+    if i is not None:
+        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
+    for j in range(A.rows):
+        if sum_sign(ring, A.row(j), xs, b[j], negate=True) < 0:
+            return FeasibilityVerdict(False, j, ViolationKind.SLACK_NEGATIVE)
+    return _FEASIBLE
 
 
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
-    """y >= 0 and y A >= c, both non-strict."""
-    return _verdict(P, y, dual_slack)[0]
+    """y >= 0 and y A >= c, both non-strict.
+
+    The first negative coordinate is reported before any column. Columns
+    are then tried in order, each from the sign of its slack ``y A_i - c_i``
+    alone (``rings.sum_sign``), and the first negative one is reported, so
+    no slack element or vector is built.
+    """
+    ring, A, c, n = P.ring, P.A.entries, P.c.entries, P.cols
+    ys = _entries(P, y, P.rows)
+    i = _first_negative(ys)
+    if i is not None:
+        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
+    for i in range(n):
+        if sum_sign(ring, ys, A[i::n], c[i]) < 0:
+            return FeasibilityVerdict(False, i, ViolationKind.SLACK_NEGATIVE)
+    return _FEASIBLE
 
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:

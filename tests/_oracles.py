@@ -2,8 +2,9 @@
 
 Each oracle deliberately avoids the code path it verifies: skew products
 are recomputed by literal word rewriting, box optima by a plain Fraction
-scan, and the two equation identities by expanding both sides as raw
-double sums.
+scan, the two equation identities by expanding both sides as raw
+double sums, and feasibility verdicts from the whole slack built by
+element-per-step folds.
 """
 
 from __future__ import annotations
@@ -12,14 +13,19 @@ import itertools
 from fractions import Fraction
 
 from ringlp import (
+    DimensionMismatch,
+    FeasibilityVerdict,
     ProgramData,
     RingElement,
     RingId,
+    RingMismatch,
+    ViolationKind,
     add,
     eval_f,
     eval_g,
     mul,
     neg,
+    sign,
     skew,
     sub,
     zero,
@@ -92,6 +98,38 @@ def expand_duality_equation_sides(P: ProgramData, x, y):
             t_j = sub(t_j, mul(P.A.entry(j, i), x[i]))
         right = add(right, mul(y[j], t_j))
     return left, right
+
+
+def feasibility_verdict_by_folds(P: ProgramData, point, primal: bool) -> FeasibilityVerdict:
+    """The primal (x) or dual (y) verdict from the whole slack, each entry
+    an ``add``/``mul`` fold: the point's ring and length are checked, then
+    the first negative coordinate is reported, else the first negative
+    entry of t = b - A x (primal) or s = y A - c (dual)."""
+    m, n = P.rows, P.cols
+    if point.ring is not P.ring:
+        raise RingMismatch(f"mixed rings {P.ring.value} and {point.ring.value}")
+    if len(point) != (n if primal else m):
+        raise DimensionMismatch(f"point has length {len(point)}")
+    for i, e in enumerate(point):
+        if sign(e) < 0:
+            return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
+    slack = []
+    if primal:
+        for j in range(m):
+            t_j = P.b[j]
+            for i in range(n):
+                t_j = sub(t_j, mul(P.A.entry(j, i), point[i]))
+            slack.append(t_j)
+    else:
+        for i in range(n):
+            s_i = neg(P.c[i])
+            for j in range(m):
+                s_i = add(s_i, mul(point[j], P.A.entry(j, i)))
+            slack.append(s_i)
+    for k, e in enumerate(slack):
+        if sign(e) < 0:
+            return FeasibilityVerdict(False, k, ViolationKind.SLACK_NEGATIVE)
+    return FeasibilityVerdict(True)
 
 
 def brute_force_box_optimum(A, b, c, d, values, maximize):

@@ -5,8 +5,9 @@ records there); other modules read those facts instead of testing which
 ring they hold. No module reaches into a sibling's private names. Inside
 ``rings.py`` one loop multiplies monomials: ``sum_of_products``. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
-``certify_optimal_pair``. All are checked by reading the sources, without
-importing or running anything.
+``certify_optimal_pair``. Inside ``affine.py`` only ``assert_weak_duality``
+builds whole slacks for a verdict. All are checked by reading the sources,
+without importing or running anything.
 """
 
 from __future__ import annotations
@@ -96,3 +97,23 @@ def test_only_verify_bundle_rescans_in_constructions():
         and isinstance(node.ctx, ast.Load)
     }
     assert callers == {"verify_bundle"}, callers
+
+
+def test_only_weak_duality_builds_slacks_for_a_verdict():
+    """``affine._verdict`` builds the whole slack of a point. Only
+    ``assert_weak_duality``, which reuses both slacks, reads it, so the
+    per-point feasibility tests stay free of slack vectors."""
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_verdict":
+                if isinstance(child.ctx, ast.Load):
+                    readers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse((SRC / "affine.py").read_text()), "<module>")
+    assert readers == {"assert_weak_duality"}, readers

@@ -9,9 +9,12 @@ slacks, objectives and cross term against the unfused compositions of
 linalg products with ``vec_sub``/``sub``/``add``, which this file keeps as
 its oracles. RAT and ODDRAT sums and comparisons are also checked against
 plain ``Fraction`` arithmetic written here, with denominators up to 10^6.
+``sum_sign`` is checked against the sign of the built sum, and the
+feasibility verdicts against ``_oracles.feasibility_verdict_by_folds``.
 The guard tests count calls through the module globals, so a product that
-falls back to an element per step, or a trial that builds a slack twice,
-shows up as a count; the ``Fraction`` guard counts constructions.
+falls back to an element per step, a trial that builds a slack twice, or a
+verdict that tries a row after the first violated one, shows up as a
+count; the ``Fraction`` and ``RingElement`` guards count constructions.
 """
 
 from __future__ import annotations
@@ -27,11 +30,14 @@ import ringlp.linalg as linalg
 import ringlp.rings as rings
 from ringlp import (
     DimensionMismatch,
+    FeasibilityVerdict,
     Ordering,
     ProgramData,
+    RingElement,
     RingId,
     RingMismatch,
     Sampler,
+    ViolationKind,
     add,
     assert_weak_duality,
     compare,
@@ -44,6 +50,8 @@ from ringlp import (
     from_rational,
     int_matrix,
     int_vector,
+    is_dual_feasible,
+    is_primal_feasible,
     mat_apply,
     matrix,
     mul,
@@ -58,10 +66,11 @@ from ringlp import (
     vec_sub,
     vector,
     zero,
+    zero_vector,
 )
-from ringlp.rings import sum_of_products
+from ringlp.rings import sum_of_products, sum_sign
 
-from _oracles import skew_mul_by_rewriting
+from _oracles import feasibility_verdict_by_folds, skew_mul_by_rewriting
 from _strategies import elements
 from conftest import ALL_RINGS
 
@@ -301,6 +310,23 @@ def expected_error(ring, left, right, minus):
     return ValueError if len(left) != len(right) else None
 
 
+def with_stranger(ring, left, right, at, where, other, extra):
+    """(left, right, minus) with ``from_int(other, 1)`` put in as ``minus``
+    (``at`` -1) or at index ``at`` of ``left``/``right`` (``where`` 0/1),
+    and ``left`` one longer (``extra`` 1) or ``right`` one shorter (-1)."""
+    minus = None
+    stranger = from_int(other, 1)
+    if at == -1:
+        minus = stranger
+    elif where < 2 and at < len(left):
+        (left, right)[where][at] = stranger
+    if extra > 0:
+        left.append(zero(ring))
+    elif extra < 0 and right:
+        right.pop()
+    return left, right, minus
+
+
 @pytest.mark.parametrize("ring", FRACTION_RINGS)
 def test_fraction_kernel_raises_at_the_same_inputs(ring):
     foreign = st.sampled_from([r for r in (RingId.INT, *FRACTION_RINGS) if r is not ring])
@@ -308,19 +334,61 @@ def test_fraction_kernel_raises_at_the_same_inputs(ring):
     @given(wide_terms(ring), st.integers(-1, 5), st.integers(0, 2), foreign, st.integers(-1, 1))
     def check(terms, at, where, other, extra):
         left, right = (embed(ring, side) for side in terms)
-        minus = None
-        stranger = from_int(other, 1)
-        if at == -1:
-            minus = stranger
-        elif where < 2 and at < len(left):
-            (left, right)[where][at] = stranger
-        if extra > 0:
-            left.append(zero(ring))
-        elif extra < 0 and right:
-            right.pop()
+        left, right, minus = with_stranger(ring, left, right, at, where, other, extra)
         got = outcome(sum_of_products, ring, left, right, minus)
         want = expected_error(ring, left, right, minus)
         assert (got if isinstance(got, type) else None) is want
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# sum_sign against the sign of the built sum
+
+
+def sign_terms(ring):
+    """(left, right, minus) for ``sum_sign``: up to five pairs of wide
+    RAT/ODDRAT fractions (coprime denominators up to 10^6), up to four
+    pairs of other elements, and ``minus`` a drawn element or ``None``."""
+    if ring in FRACTION_RINGS:
+        terms = wide_terms(ring).map(lambda t: (embed(ring, t[0]), embed(ring, t[1])))
+        minus = wide_fractions(ring).map(lambda q: from_rational(ring, q))
+    else:
+        terms, minus = pairs(ring), elements(ring)
+    return st.tuples(terms, st.none() | minus)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_sum_sign_is_the_sign_of_the_sum(ring):
+    @given(sign_terms(ring), st.booleans(), st.booleans())
+    def check(terms, cancel, negate):
+        (left, right), minus = terms
+        total = fold(ring, left, right)
+        if cancel:  # minus is the sum itself, so the sign is 0
+            minus = total
+        by_fold = sub(total, minus or zero(ring))
+        want = sign(neg(by_fold) if negate else by_fold)
+        assert sum_sign(ring, left, right, minus, negate) == want
+        assert want == sign(sum_of_products(ring, left, right, minus, negate))
+        if cancel:
+            assert want == 0
+
+    check()
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_sum_sign_raises_where_the_kernel_does(ring):
+    foreign = st.sampled_from([r for r in ALL_RINGS if r is not ring])
+
+    @given(pairs(ring), st.integers(-1, 5), st.integers(0, 2), foreign, st.integers(-1, 1))
+    def check(terms, at, where, other, extra):
+        left, right = (list(side) for side in terms)
+        left, right, minus = with_stranger(ring, left, right, at, where, other, extra)
+        got = outcome(sum_sign, ring, left, right, minus)
+        want = expected_error(ring, left, right, minus)
+        assert (got if isinstance(got, type) else None) is want
+        kernel = outcome(sum_of_products, ring, left, right, minus)
+        assert (kernel if isinstance(kernel, type) else None) is want
 
     check()
 
@@ -452,6 +520,75 @@ def test_fused_and_unfused_raise_the_same_errors(ring):
 
 
 # ---------------------------------------------------------------------------
+# feasibility verdicts against the whole slack built by folds
+
+
+@st.composite
+def verdict_cases(draw, ring):
+    """(P, x, y): a 1-3 x 1-3 program whose rows and columns are each kept
+    as drawn, zeroed (a zero slack entry), or zeroed with a violated bound
+    (b_j = -1, c_i = 1), so several entries can break at once; x and y are
+    of its shape, and keep their drawn signs or are made nonnegative."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    element, modes = elements(ring), st.sampled_from(("drawn", "zero", "violated"))
+    A = [[draw(element) for _ in range(n)] for _ in range(m)]
+    b = [draw(element) for _ in range(m)]
+    c = [draw(element) for _ in range(n)]
+    for j in range(m):
+        mode = draw(modes)
+        if mode != "drawn":
+            A[j] = [zero(ring)] * n
+            b[j] = from_int(ring, 0 if mode == "zero" else -1)
+    for i in range(n):
+        mode = draw(modes)
+        if mode != "drawn":
+            for row in A:
+                row[i] = zero(ring)
+            c[i] = from_int(ring, 0 if mode == "zero" else 1)
+    P = ProgramData(ring, matrix(ring, A), vector(ring, b), vector(ring, c), draw(element))
+    x, y = (draw(st.lists(element, min_size=k, max_size=k)) for k in (n, m))
+    if not draw(st.booleans()):
+        x, y = map(nonneg, x), map(nonneg, y)
+    return P, vector(ring, x), vector(ring, y)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_verdicts_equal_the_fold_oracle(ring):
+    @given(verdict_cases(ring))
+    def check(case):
+        P, x, y = case
+        for test, point, primal in ((is_primal_feasible, x, True), (is_dual_feasible, y, False)):
+            got, want = test(P, point), feasibility_verdict_by_folds(P, point, primal)
+            assert got == want
+            assert got.as_dict() == want.as_dict()
+
+    check()
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_verdicts_raise_where_the_fold_oracle_does(ring):
+    """Points of any ring and of any length from 0 to 4, negative
+    coordinates included, against a 2 x 3 program."""
+    P = ProgramData(
+        ring,
+        int_matrix(ring, [[1, -2, 3], [-4, 5, -6]]),
+        int_vector(ring, [1, -2]),
+        int_vector(ring, [-1, 2, -3]),
+        zero(ring),
+    )
+    points = st.sampled_from(ALL_RINGS).flatmap(
+        lambda r: st.lists(elements(r), max_size=4).map(lambda es: vector(r, es))
+    )
+
+    @given(points)
+    def check(point):
+        for test, primal in ((is_primal_feasible, True), (is_dual_feasible, False)):
+            assert outcome(test, P, point) == outcome(feasibility_verdict_by_folds, P, point, primal)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
 # guards: call counts through module globals
 
 
@@ -500,24 +637,87 @@ def test_poly_mat_apply_builds_no_element_per_product(monkeypatch):
     assert calls == {}
 
 
+def counting_constructions(monkeypatch, built):
+    """Count ``Fraction`` and ``RingElement`` constructions into ``built``."""
+    new, init = Fraction.__new__, RingElement.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, *args):
+        built["RingElement"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(RingElement, "__init__", counting_init)
+
+
 def test_rat_slack_builds_one_fraction(monkeypatch):
     ring = RingId.RAT
     left = [from_rational(ring, 1, 2), from_rational(ring, -2, 3), from_rational(ring, 5)]
     right = [from_rational(ring, 3, 7), from_rational(ring, 4), from_rational(ring, -1, 5)]
     minus = from_rational(ring, 7, 4)
     want = neg(sub(fold(ring, left, right), minus))
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    built = {"Fraction": 0, "RingElement": 0}
+    counting_constructions(monkeypatch, built)
     got = sum_of_products(ring, left, right, minus=minus, negate=True)
     monkeypatch.undo()
     assert got == want
-    assert len(built) == 1
+    assert built["Fraction"] == 1
+
+
+def rat_program(rows, b):
+    ring = RingId.RAT
+    return ProgramData(
+        ring,
+        matrix(ring, [[from_rational(ring, q) for q in row] for row in rows]),
+        vector(ring, [from_rational(ring, q) for q in b]),
+        vector(ring, [from_int(ring, 1), from_int(ring, -1)]),
+        zero(ring),
+    )
+
+
+def test_rat_feasibility_builds_no_fraction_and_no_element(monkeypatch):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    P = rat_program([[half, -third], [2, third], [-1, 5]], [1, 3, Fraction(5, 2)])
+    x = vector(RingId.RAT, [from_rational(RingId.RAT, third), from_rational(RingId.RAT, half)])
+    built = {"Fraction": 0, "RingElement": 0}
+    counting_constructions(monkeypatch, built)
+    verdict = is_primal_feasible(P, x)
+    monkeypatch.undo()
+    assert verdict.feasible
+    assert built == {"Fraction": 0, "RingElement": 0}
+
+
+def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
+    # every row breaks at x = 0, and column 0 at y = 0
+    P = rat_program([[1, 2], [3, 4], [5, 6]], [-1, -2, -3])
+    calls: dict = {}
+    counting(monkeypatch, calls, affine, "sum_sign")
+    assert is_primal_feasible(P, zero_vector(RingId.RAT, 2)) == FeasibilityVerdict(
+        False, 0, ViolationKind.SLACK_NEGATIVE
+    )
+    assert calls == {"sum_sign": 1}
+    assert is_dual_feasible(P, zero_vector(RingId.RAT, 3)) == FeasibilityVerdict(
+        False, 0, ViolationKind.SLACK_NEGATIVE
+    )
+    assert calls == {"sum_sign": 2}
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_feasible_verdicts_are_one_shared_object(ring):
+    P = ProgramData(
+        ring,
+        int_matrix(ring, [[1, 2], [3, 4]]),
+        int_vector(ring, [3, 7]),
+        int_vector(ring, [1, 1]),
+        zero(ring),
+    )
+    verdicts = [is_primal_feasible(P, int_vector(ring, x)) for x in ([1, 1], [0, 0])]
+    verdicts += [is_dual_feasible(P, int_vector(ring, y)) for y in ([1, 0], [0, 1])]
+    assert all(v.feasible for v in verdicts)
+    assert all(v is verdicts[0] for v in verdicts)
 
 
 def test_infeasible_pair_details_are_unchanged():

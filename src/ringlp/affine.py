@@ -19,6 +19,7 @@ s.x + y.t is a product of nonnegatives.
 from __future__ import annotations
 
 from enum import Enum, unique
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -131,9 +132,10 @@ def _entries(P: ProgramData, v: RVector, n: int) -> tuple[RingElement, ...]:
     """The entries of ``v``, a point of length ``n`` over ``P``'s ring."""
     if v.ring is not P.ring:
         raise RingMismatch(f"mixed rings {P.ring.value} and {v.ring.value}")
-    if len(v) != n:
-        raise DimensionMismatch(f"point has length {len(v)}, expected {n}")
-    return v.entries
+    entries = v.entries
+    if len(entries) != n:
+        raise DimensionMismatch(f"point has length {len(entries)}, expected {n}")
+    return entries
 
 
 def primal_slack(P: ProgramData, x: RVector) -> RVector:
@@ -156,8 +158,15 @@ def dual_slack(P: ProgramData, y: RVector) -> RVector:
     )
 
 
-# records are immutable, so every feasible verdict can be this one
+# records are immutable, so every feasible verdict can be this one, and the
+# infeasible verdicts of one (index, kind) one shared record; the cache is
+# bounded, so a verdict that has dropped out of it is built afresh
 _FEASIBLE = FeasibilityVerdict(True)
+
+
+@lru_cache(maxsize=256)
+def _infeasible(index: int, kind: ViolationKind) -> FeasibilityVerdict:
+    return FeasibilityVerdict(False, index, kind)
 
 
 def _first_negative(v: Iterable[RingElement]) -> Optional[int]:
@@ -168,20 +177,25 @@ def _first_negative(v: Iterable[RingElement]) -> Optional[int]:
 
 
 def _verdict(
-    P: ProgramData, point: RVector, slack_of: Callable[[ProgramData, RVector], RVector]
+    P: ProgramData,
+    point: RVector,
+    n: int,
+    slack_of: Callable[[ProgramData, RVector], RVector],
 ) -> tuple[FeasibilityVerdict, Optional[RVector]]:
     """Verdict on ``point >= 0`` and ``slack_of(P, point) >= 0``, and the slack.
 
-    The slack is built only for a nonnegative point (``None`` otherwise), so
-    a caller that needs it again reuses it instead of building it twice.
+    The point's ring and length ``n`` are checked first, as the feasibility
+    tests do. The slack is built only for a nonnegative point (``None``
+    otherwise), so a caller that needs it again reuses it instead of
+    building it twice.
     """
-    i = _first_negative(point)
+    i = _first_negative(_entries(P, point, n))
     if i is not None:
-        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE), None
+        return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE), None
     slack = slack_of(P, point)
     j = _first_negative(slack)
     if j is not None:
-        return FeasibilityVerdict(False, j, ViolationKind.SLACK_NEGATIVE), slack
+        return _infeasible(j, ViolationKind.SLACK_NEGATIVE), slack
     return _FEASIBLE, slack
 
 
@@ -197,10 +211,10 @@ def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
     xs = _entries(P, x, P.cols)
     i = _first_negative(xs)
     if i is not None:
-        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
+        return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE)
     for j in range(A.rows):
         if sum_sign(ring, A.row(j), xs, b[j], negate=True) < 0:
-            return FeasibilityVerdict(False, j, ViolationKind.SLACK_NEGATIVE)
+            return _infeasible(j, ViolationKind.SLACK_NEGATIVE)
     return _FEASIBLE
 
 
@@ -216,10 +230,10 @@ def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
     ys = _entries(P, y, P.rows)
     i = _first_negative(ys)
     if i is not None:
-        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
+        return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE)
     for i in range(n):
         if sum_sign(ring, ys, A[i::n], c[i]) < 0:
-            return FeasibilityVerdict(False, i, ViolationKind.SLACK_NEGATIVE)
+            return _infeasible(i, ViolationKind.SLACK_NEGATIVE)
     return _FEASIBLE
 
 
@@ -289,8 +303,8 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
     A failure flags an implementation bug (the inequality is a theorem for
     ordered rings); infeasible inputs make the check not applicable.
     """
-    pv, t = _verdict(P, x, primal_slack)
-    dv, s = _verdict(P, y, dual_slack)
+    pv, t = _verdict(P, x, P.cols, primal_slack)
+    dv, s = _verdict(P, y, P.rows, dual_slack)
     if not (pv.feasible and dv.feasible):
         which = []
         if not pv.feasible:

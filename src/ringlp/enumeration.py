@@ -5,7 +5,12 @@ already rules out negatives), on the rings whose descriptor says
 ``is_enumerable``. On a ring with a smallest positive element (INT) each
 variable takes values 0..N. Otherwise the grid is every numerator 0..N*D
 over every denominator d in 1..D that is a unit of the ring (every d for
-RAT, odd d for ODDRAT), deduplicated and sorted.
+RAT, odd d for ODDRAT), deduplicated and sorted on the integer keys
+``num * D*D // den``: two distinct values with
+denominators at most D differ by at least 1/D^2, so the key is exact and
+float-free. One ``Fraction`` is built per distinct value, once the whole
+grid has passed the 5,000,000-point cap check. The rule puts values up to
+N*D, not N, in the grid; it is kept as it is.
 
 The oracle never claims more than it checked. Statuses carry a scope flag:
 EXHAUSTIVE only when the caller supplies an analytic note arguing the box
@@ -14,13 +19,14 @@ feasible best point touching the box's upper face is reported as
 FEASIBLE_UNBOUNDED_IN_BOX since a larger box might improve it.
 
 The scan is sequential. The grid ascends and the points are walked in
-lexicographic order, so keeping only strict improvements makes the witness
-the lexicographically smallest point that attains the best value.
+lexicographic order (``linalg.grid_points``, which checks the ring of the
+grid once instead of per point), so keeping only strict improvements makes
+the witness the lexicographically smallest point that attains the best
+value.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum, unique
 from fractions import Fraction
 from typing import Optional
@@ -28,7 +34,7 @@ from typing import Optional
 from ._records import record
 from .affine import ProgramData, Side, gap
 from .errors import UnsupportedRing
-from .linalg import RVector
+from .linalg import RVector, grid_points
 from .reports import CheckReport
 from .rings import (
     Ordering,
@@ -152,15 +158,21 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, .
             raise ValueError(_TOO_LARGE)
         return tuple(from_int(ring, v) for v in range(box.bound + 1))
     d_bound = box.denominator_bound or 1
-    values: set[Fraction] = set()
+    scale = d_bound * d_bound
+    # distinct p/q and p'/q' with q, q' <= D differ by at least 1/(q q') >=
+    # 1/D^2 (Farey spacing), so floor(value * D^2) tells the values apart and
+    # sorts them; a Fraction is built only for each distinct key's first pair
+    pairs: dict[int, tuple[int, int]] = {}
     for den in range(1, d_bound + 1):
         if try_invert(from_int(ring, den)) is None:
             continue
         for num in range(box.bound * d_bound + 1):
-            values.add(Fraction(num, den))
-            if len(values) ** nvars > _MAX_POINTS:
-                raise ValueError(_TOO_LARGE)
-    return tuple(from_rational(ring, q) for q in sorted(values))
+            key = num * scale // den
+            if key not in pairs:
+                pairs[key] = (num, den)
+                if len(pairs) ** nvars > _MAX_POINTS:
+                    raise ValueError(_TOO_LARGE)
+    return tuple(from_rational(ring, Fraction(*pairs[key])) for key in sorted(pairs))
 
 
 def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
@@ -169,12 +181,11 @@ def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
 
 
 def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
-    """Yield every feasible grid point of one side with its vector, in
-    lexicographic order of the point."""
-    for w in itertools.product(values, repeat=side.nvars(P)):
-        vec = RVector(P.ring, w)
-        if side.feasible(P, vec).feasible:
-            yield w, vec
+    """Yield every feasible grid point of one side, in lexicographic order."""
+    feasible = side.feasible
+    for vec in grid_points(P.ring, values, side.nvars(P)):
+        if feasible(P, vec).feasible:
+            yield vec
 
 
 def _enumerate(
@@ -189,11 +200,11 @@ def _enumerate(
     best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
-    for w, vec in _feasible_walk(P, side, values):
+    for vec in _feasible_walk(P, side, values):
         value = side.objective(P, vec)
         if best_value is None or compare(value, best_value) is side.better:
             best_value = value
-            best_witness = w
+            best_witness = vec
     if best_value is None:
         if analytic_note:
             return ProgramStatus(
@@ -202,21 +213,20 @@ def _enumerate(
         return ProgramStatus(
             StatusKind.INFEASIBLE, Scope.BOX_LIMITED, note="no feasible point in box"
         )
-    witness = RVector(P.ring, best_witness)
     if analytic_note:
         return ProgramStatus(
-            StatusKind.OPTIMAL, Scope.EXHAUSTIVE, witness, best_value, analytic_note
+            StatusKind.OPTIMAL, Scope.EXHAUSTIVE, best_witness, best_value, analytic_note
         )
     face = values[-1]
-    if any(e == face for e in best_witness):
+    if any(e == face for e in best_witness.entries):
         return ProgramStatus(
             StatusKind.FEASIBLE_UNBOUNDED_IN_BOX,
             Scope.BOX_LIMITED,
-            witness,
+            best_witness,
             best_value,
             note="best in-box point lies on the box face; a larger box may improve it",
         )
-    return ProgramStatus(StatusKind.OPTIMAL, Scope.BOX_LIMITED, witness, best_value)
+    return ProgramStatus(StatusKind.OPTIMAL, Scope.BOX_LIMITED, best_witness, best_value)
 
 
 def enumerate_primal(
@@ -241,7 +251,7 @@ def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
     side = Side.of(primal)
     values = _grid_values(P.ring, box, side.nvars(P))
-    return [vec for _, vec in _feasible_walk(P, side, values)]
+    return list(_feasible_walk(P, side, values))
 
 
 def certify_optimal_pair(

@@ -15,6 +15,7 @@ per partial sum.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator
 
 from ._records import record, setfield
@@ -40,6 +41,7 @@ __all__ = [
     "int_vector",
     "int_matrix",
     "zero_vector",
+    "grid_points",
     "mat_apply",
     "covec_apply",
     "dot_left",
@@ -51,17 +53,19 @@ __all__ = [
 ]
 
 
+def _require_entries_in(ring: RingId, entries: Iterable[RingElement]) -> None:
+    for e in entries:
+        if e.ring is not ring:
+            raise RingMismatch(f"vector over {ring.value} contains {e.ring.value} entry")
+
+
 @record
 class RVector:
     ring: RingId
     entries: tuple[RingElement, ...]
 
     def __init__(self, ring: RingId, entries: tuple[RingElement, ...]):
-        for e in entries:
-            if e.ring is not ring:
-                raise RingMismatch(
-                    f"vector over {ring.value} contains {e.ring.value} entry"
-                )
+        _require_entries_in(ring, entries)
         setfield(self, "ring", ring)
         setfield(self, "entries", entries)
 
@@ -135,6 +139,26 @@ def int_matrix(ring: RingId, rows: Iterable[Iterable[int]]) -> RMatrix:
 
 def zero_vector(ring: RingId, n: int) -> RVector:
     return RVector(ring, (zero(ring),) * n)
+
+
+def grid_points(ring: RingId, values: tuple[RingElement, ...], n: int) -> Iterator[RVector]:
+    """Every vector of length ``n`` with entries from ``values``, in
+    lexicographic order of the entries (``itertools.product``).
+
+    The values are checked to be in ``ring`` once, here (``RingMismatch``),
+    so each point is built without ``RVector``'s per-entry check.
+    """
+    _require_entries_in(ring, values)
+    return _unchecked_points(ring, values, n)
+
+
+def _unchecked_points(ring: RingId, values: tuple[RingElement, ...], n: int) -> Iterator[RVector]:
+    new = object.__new__
+    for entries in product(values, repeat=n):
+        v = new(RVector)
+        setfield(v, "ring", ring)
+        setfield(v, "entries", entries)
+        yield v
 
 
 def _require_same_ring(a_ring: RingId, b_ring: RingId) -> None:

@@ -364,7 +364,12 @@ def sum_sign(
     take the sign of the built sum. Raises what ``sum_of_products`` raises,
     at the same inputs.
     """
-    acc = _start(ring, minus)
+    if minus is None:
+        acc = _ZEROS[ring].payload
+    elif minus.ring is ring:
+        acc = minus.payload
+    else:
+        _raise_mismatch(ring, minus, minus)
     if type(acc) is tuple:
         return sign(sum_of_products(ring, left, right, minus, negate))
     n = _scalar_sum(ring, acc, zip(left, right, strict=True))[0]
@@ -392,16 +397,18 @@ def _scalar_sum(ring: RingId, acc: int | Fraction, pairs) -> tuple[int, int]:
                 _raise_mismatch(ring, a, b)
             n += a.payload * b.payload
         return n, 1
-    n, d = -acc.numerator, acc.denominator
+    n, d = acc.as_integer_ratio()
+    n = -n
     for a, b in pairs:
         if a.ring is not ring or b.ring is not ring:
             _raise_mismatch(ring, a, b)
-        p, q = a.payload, b.payload
-        pd = p.denominator * q.denominator
+        pn, pd = a.payload.as_integer_ratio()
+        qn, qd = b.payload.as_integer_ratio()
+        pd *= qd
         if pd == d:
-            n += p.numerator * q.numerator
+            n += pn * qn
         else:
-            n = n * pd + p.numerator * q.numerator * d
+            n = n * pd + pn * qn * d
             d *= pd
     return n, d
 
@@ -438,7 +445,9 @@ def compare(a: RingElement, b: RingElement) -> Ordering:
     if type(p) is int:
         s = (p > q) - (p < q)
     elif type(p) is not tuple:
-        s = p.numerator * q.denominator - q.numerator * p.denominator
+        pn, pd = p.as_integer_ratio()
+        qn, qd = q.as_integer_ratio()
+        s = pn * qd - qn * pd
     else:
         s = sign(sub(a, b))
     if s > 0:

@@ -2,9 +2,9 @@
 
 Each oracle deliberately avoids the code path it verifies: skew products
 are recomputed by literal word rewriting, box optima by a plain Fraction
-scan, the two equation identities by expanding both sides as raw
-double sums, and feasibility verdicts from the whole slack built by
-element-per-step folds.
+scan, box grids as sorted sets of Fractions, the two equation identities
+by expanding both sides as raw double sums, and feasibility verdicts from
+the whole slack built by element-per-step folds.
 """
 
 from __future__ import annotations
@@ -163,3 +163,14 @@ def brute_force_box_optimum(A, b, c, d, values, maximize):
         elif not maximize and (val < best[0] or (val == best[0] and point < best[1])):
             best = key
     return best
+
+
+def box_grid_by_fractions(ring: RingId, bound: int, den_bound) -> list[Fraction]:
+    """The per-variable box grid as ``sorted({Fraction(num, den)})``: 0..N on
+    INT; otherwise every numerator 0..N*D over each denominator d <= D that
+    is a unit of the ring (every d on RAT, the odd ones on ODDRAT)."""
+    if ring is RingId.INT:
+        return [Fraction(v) for v in range(bound + 1)]
+    d_bound = den_bound or 1
+    dens = [d for d in range(1, d_bound + 1) if ring is RingId.RAT or d % 2 == 1]
+    return sorted({Fraction(num, den) for den in dens for num in range(bound * d_bound + 1)})

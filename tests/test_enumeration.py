@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import ringlp.affine as affine
 from ringlp import (
@@ -28,9 +30,10 @@ from ringlp import (
     vector,
 )
 
-from ringlp.enumeration import judge_optimal_pair
+import ringlp.enumeration as enumeration
+from ringlp.enumeration import _grid_values, judge_optimal_pair
 
-from _oracles import brute_force_box_optimum
+from _oracles import box_grid_by_fractions, brute_force_box_optimum
 from conftest import make_edt_program, make_gap_program
 
 
@@ -314,8 +317,6 @@ def test_lexicographic_tie_break():
 
 
 def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
-    import ringlp.enumeration as enumeration
-
     built = []
 
     class CountingFraction(Fraction):
@@ -333,6 +334,39 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
     with pytest.raises(ValueError, match="too large"):
         feasible_points(P, BoxSpec(1, 10**6), primal=True)
     assert len(built) <= 2237
+
+
+def test_grid_builds_one_fraction_per_value(monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(Fraction(*args))
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(enumeration, "Fraction", CountingFraction)
+    values = [v.payload for v in candidate_values(RingId.RAT, BoxSpec(6, 4))]
+    assert built == values == box_grid_by_fractions(RingId.RAT, 6, 4)
+
+
+@given(
+    ring=st.sampled_from((RingId.INT, RingId.RAT, RingId.ODDRAT)),
+    bound=st.integers(1, 8),
+    den=st.integers(1, 12),
+    nvars=st.integers(1, 3),
+)
+def test_grid_equals_the_fraction_oracle(ring, bound, den, nvars):
+    want = box_grid_by_fractions(ring, bound, den)
+    box = BoxSpec(bound, den)
+    assert [v.payload for v in candidate_values(ring, box)] == want
+    if len(want) ** nvars > 5_000_000:
+        with pytest.raises(ValueError, match="too large"):
+            _grid_values(ring, box, nvars)
+    else:
+        assert [v.payload for v in _grid_values(ring, box, nvars)] == want
+    # the grid's integer key floor(q * D^2) strictly increases along the grid
+    keys = [q.numerator * den * den // q.denominator for q in want]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,10 @@ ring they hold. No module reaches into a sibling's private names. Inside
 ``rings.py`` one loop multiplies monomials: ``sum_of_products``. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
 ``certify_optimal_pair``. Inside ``affine.py`` only ``assert_weak_duality``
-builds whole slacks for a verdict. All are checked by reading the sources,
-without importing or running anything.
+builds whole slacks for a verdict. Only ``enumeration``'s walk builds
+vectors without the per-entry ring check, through ``linalg.grid_points``.
+All are checked by reading the sources, without importing or running
+anything.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not private, private
 
 
-def test_only_the_kernel_multiplies_monomials():
-    """Every read of ``mono_mul`` in ``rings.py`` (a call, or an alias that
-    a call could go through) sits inside ``sum_of_products``."""
+def _readers(path: pathlib.Path, name: str) -> set[str]:
+    """The functions and classes of ``path`` that read ``name``, as a plain
+    name or an attribute (``<module>`` for module level)."""
     readers = set()
 
     def visit(node, owner):
@@ -57,12 +59,19 @@ def test_only_the_kernel_multiplies_monomials():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name)
                 continue
-            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
-            if name == "mono_mul" and isinstance(getattr(child, "ctx", None), ast.Load):
+            read = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if read == name and isinstance(getattr(child, "ctx", None), ast.Load):
                 readers.add(owner)
             visit(child, owner)
 
-    visit(ast.parse((SRC / "rings.py").read_text()), "<module>")
+    visit(ast.parse(path.read_text()), "<module>")
+    return readers
+
+
+def test_only_the_kernel_multiplies_monomials():
+    """Every read of ``mono_mul`` in ``rings.py`` (a call, or an alias that
+    a call could go through) sits inside ``sum_of_products``."""
+    readers = _readers(SRC / "rings.py", "mono_mul")
     assert readers == {"sum_of_products"}, readers
 
 
@@ -103,17 +112,19 @@ def test_only_weak_duality_builds_slacks_for_a_verdict():
     """``affine._verdict`` builds the whole slack of a point. Only
     ``assert_weak_duality``, which reuses both slacks, reads it, so the
     per-point feasibility tests stay free of slack vectors."""
-    readers = set()
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Name) and child.id == "_verdict":
-                if isinstance(child.ctx, ast.Load):
-                    readers.add(owner)
-            visit(child, owner)
-
-    visit(ast.parse((SRC / "affine.py").read_text()), "<module>")
+    readers = _readers(SRC / "affine.py", "_verdict")
     assert readers == {"assert_weak_duality"}, readers
+
+
+def _readers_by_module(name: str) -> dict[str, set[str]]:
+    return {path.name: found for path in MODULES if (found := _readers(path, name))}
+
+
+def test_only_the_box_walk_builds_unchecked_points():
+    """``linalg.grid_points`` checks the ring of the grid values once and
+    then builds each point's vector without ``RVector``'s per-entry check.
+    Only ``enumeration``'s walk calls it, and only its private generator
+    builds vectors past ``RVector.__init__``."""
+    assert _readers_by_module("grid_points") == {"enumeration.py": {"_feasible_walk"}}
+    assert _readers_by_module("_unchecked_points") == {"linalg.py": {"grid_points"}}
+    assert _readers_by_module("__new__") == {"linalg.py": {"_unchecked_points"}}

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ringlp import (
     DimensionMismatch,
+    RVector,
     RingId,
     RingMismatch,
     SKEW_X,
@@ -26,6 +28,7 @@ from ringlp import (
     vector,
     zero_vector,
 )
+from ringlp.linalg import grid_points
 
 from conftest import ALL_RINGS, COMMUTATIVE_RINGS
 
@@ -143,3 +146,20 @@ def test_zero_vector():
     z = zero_vector(RingId.SKEW, 3)
     assert len(z) == 3
     assert all(is_zero(e) for e in z)
+
+
+def test_grid_points_are_the_checked_vectors_in_lexicographic_order():
+    ring = RingId.RAT
+    values = tuple(from_rational(ring, q) for q in (0, Fraction(1, 2), 1))
+    for n in (1, 2, 3):
+        points = list(grid_points(ring, values, n))
+        assert points == [RVector(ring, w) for w in product(values, repeat=n)]
+        assert all(type(p.entries) is tuple for p in points)
+
+
+def test_a_mixed_entry_raises_in_the_vector_and_before_the_grid_walk():
+    mixed = (from_int(RingId.INT, 0), from_int(RingId.RAT, 1))
+    with pytest.raises(RingMismatch, match="vector over int contains rat entry"):
+        RVector(RingId.INT, mixed)
+    with pytest.raises(RingMismatch, match="vector over int contains rat entry"):
+        grid_points(RingId.INT, mixed, 2)

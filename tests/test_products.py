@@ -705,15 +705,19 @@ def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
     assert calls == {"sum_sign": 2}
 
 
-@pytest.mark.parametrize("ring", ALL_RINGS)
-def test_feasible_verdicts_are_one_shared_object(ring):
-    P = ProgramData(
+def two_by_two(ring):
+    return ProgramData(
         ring,
         int_matrix(ring, [[1, 2], [3, 4]]),
         int_vector(ring, [3, 7]),
         int_vector(ring, [1, 1]),
         zero(ring),
     )
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_feasible_verdicts_are_one_shared_object(ring):
+    P = two_by_two(ring)
     verdicts = [is_primal_feasible(P, int_vector(ring, x)) for x in ([1, 1], [0, 0])]
     verdicts += [is_dual_feasible(P, int_vector(ring, y)) for y in ([1, 0], [0, 1])]
     assert all(v.feasible for v in verdicts)
@@ -733,3 +737,36 @@ def test_infeasible_pair_details_are_unchanged():
     assert report.details == (
         "not applicable: x is not primal-feasible; y is not dual-feasible",
     )
+
+
+def test_weak_duality_checks_each_point_before_its_signs():
+    """A malformed point raises in ``assert_weak_duality`` as it does in the
+    feasibility tests, even when a negative coordinate comes first."""
+    ring = RingId.INT
+    P = two_by_two(ring)
+    x, y = int_vector(ring, [-1, 0, 5]), int_vector(ring, [-1])
+    with pytest.raises(DimensionMismatch):
+        is_primal_feasible(P, x)
+    with pytest.raises(DimensionMismatch):
+        assert_weak_duality(P, x, y)
+    with pytest.raises(DimensionMismatch):
+        assert_weak_duality(P, int_vector(ring, [0, 0]), y)
+    with pytest.raises(RingMismatch):
+        assert_weak_duality(P, int_vector(ring, [0, 0]), int_vector(RingId.RAT, [-1, 0]))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_equal_infeasible_verdicts_are_one_shared_object(ring):
+    P = two_by_two(ring)
+    # x = (4, 0) and (5, 0) break row 0; y = (0, 0) breaks column 0
+    slack = [is_primal_feasible(P, int_vector(ring, x)) for x in ([4, 0], [5, 0])]
+    slack.append(is_dual_feasible(P, int_vector(ring, [0, 0])))
+    negative = [is_primal_feasible(P, int_vector(ring, [-1, 0]))]
+    negative.append(is_dual_feasible(P, int_vector(ring, [-2, 1])))
+    for verdicts, kind in (
+        (slack, ViolationKind.SLACK_NEGATIVE),
+        (negative, ViolationKind.NEGATIVE_VARIABLE),
+    ):
+        assert all(v is verdicts[0] for v in verdicts)
+        assert verdicts[0] == FeasibilityVerdict(False, 0, kind)
+    assert slack[0] is not negative[0]

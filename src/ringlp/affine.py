@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from enum import Enum, unique
 from functools import lru_cache
-from operator import attrgetter
+from math import lcm
+from operator import attrgetter, gt, lt, mul as _times
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._records import record, setfield
@@ -36,7 +37,6 @@ from .rings import (
     sign,
     sub,
     sum_of_products,
-    sum_sign,
     to_text,
 )
 from .sampling import Sampler
@@ -169,9 +169,9 @@ def _infeasible(index: int, kind: ViolationKind) -> FeasibilityVerdict:
     return FeasibilityVerdict(False, index, kind)
 
 
-def _first_negative(v: Iterable[RingElement]) -> Optional[int]:
-    for i, e in enumerate(v):
-        if sign(e) < 0:
+def _first_negative(signs: Iterable[int]) -> Optional[int]:
+    for i, s in enumerate(signs):
+        if s < 0:
             return i
     return None
 
@@ -189,31 +189,83 @@ def _verdict(
     otherwise), so a caller that needs it again reuses it instead of
     building it twice.
     """
-    i = _first_negative(_entries(P, point, n))
+    i = _first_negative(map(sign, _entries(P, point, n)))
     if i is not None:
         return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE), None
     slack = slack_of(P, point)
-    j = _first_negative(slack)
+    j = _first_negative(map(sign, slack))
     if j is not None:
         return _infeasible(j, ViolationKind.SLACK_NEGATIVE), slack
     return _FEASIBLE, slack
 
 
+def _build_tables(P: ProgramData) -> tuple[Optional[tuple], Optional[tuple]]:
+    """``(rows, cols)``: ``(L A_j, L b_j)`` per row and ``(L A^i, L c_i)`` per
+    column in ints, L the lcm of the denominators of ``P``'s entries, or
+    ``(None, None)`` on POLY and SKEW."""
+    if type(P.d.payload) is tuple:
+        return None, None
+    parts = [e.payload for e in P.A.entries + P.b.entries + P.c.entries]
+    scale = lcm(*[p.denominator for p in parts])
+    ints = [p.numerator * (scale // p.denominator) for p in parts]
+    m, n = P.rows, P.cols
+    A, b, c = tuple(ints[: m * n]), ints[m * n : m * n + m], ints[m * n + m :]
+    rows = tuple((A[j * n : j * n + n], b[j]) for j in range(m))
+    return rows, tuple((A[i::n], c[i]) for i in range(n))
+
+
+_LAST: tuple = (None, (None, None))
+
+
+def _tables(P: ProgramData) -> tuple[Optional[tuple], Optional[tuple]]:
+    """``P``'s tables, kept with the last program as one tuple found by identity."""
+    global _LAST
+    held, tables = _LAST
+    if held is not P:
+        tables = _build_tables(P)
+        _LAST = (P, tables)
+    return tables
+
+
+def _table_verdict(lines: tuple, breaks: Callable, entries: tuple) -> FeasibilityVerdict:
+    """A point's verdict on its side's lines ``(L a, L k)``, with the point
+    as ints v over the lcm Q of its denominators (Q = 1 on INT): the first
+    v_i < 0, else the first line with ``breaks(L k Q, L a . v)``."""
+    if type(entries[0].payload) is int:
+        q, v = 1, [e.payload for e in entries]
+    else:
+        q = 1
+        for e in entries:
+            q = lcm(q, e.payload.denominator)
+        v = [e.payload.numerator * (q // e.payload.denominator) for e in entries]
+    if min(v) < 0:
+        return _infeasible(_first_negative(v), ViolationKind.NEGATIVE_VARIABLE)
+    for line in lines:
+        if breaks(line[1] * q, sum(map(_times, line[0], v))):
+            # an equal line before this one would have broken first
+            return _infeasible(lines.index(line), ViolationKind.SLACK_NEGATIVE)
+    return _FEASIBLE
+
+
 def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
     """x >= 0 and A x <= b, both non-strict.
 
-    The first negative coordinate is reported before any row. Rows are
-    then tried in order, each from the sign of its slack ``b_j - A_j x``
-    alone (``rings.sum_sign``), and the first negative one is reported, so
-    no slack element or vector is built.
+    The first negative coordinate is reported before any row, then the
+    first row whose slack ``b_j - A_j x`` is negative; no slack is built.
+    On INT, RAT and ODDRAT row j is ``L b_j Q >= L A_j . Q x`` in ints, on
+    tables built once per program, so no ``Fraction`` and no element is
+    built; on POLY and SKEW it is the sign of one kernel sum.
     """
-    ring, A, b = P.ring, P.A, P.b.entries
+    rows = _tables(P)[0]
     xs = _entries(P, x, P.cols)
-    i = _first_negative(xs)
+    if rows is not None:
+        return _table_verdict(rows, lt, xs)
+    i = _first_negative(map(sign, xs))
     if i is not None:
         return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE)
+    ring, A, b = P.ring, P.A, P.b.entries
     for j in range(A.rows):
-        if sum_sign(ring, A.row(j), xs, b[j], negate=True) < 0:
+        if sign(sum_of_products(ring, A.row(j), xs, b[j], negate=True)) < 0:
             return _infeasible(j, ViolationKind.SLACK_NEGATIVE)
     return _FEASIBLE
 
@@ -221,18 +273,20 @@ def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
     """y >= 0 and y A >= c, both non-strict.
 
-    The first negative coordinate is reported before any column. Columns
-    are then tried in order, each from the sign of its slack ``y A_i - c_i``
-    alone (``rings.sum_sign``), and the first negative one is reported, so
-    no slack element or vector is built.
+    The first negative coordinate is reported before any column, then the
+    first column whose slack ``y A^i - c_i`` is negative, each tested as the
+    rows of :func:`is_primal_feasible` are (``Q y . L A^i >= L c_i Q``).
     """
-    ring, A, c, n = P.ring, P.A.entries, P.c.entries, P.cols
+    cols = _tables(P)[1]
     ys = _entries(P, y, P.rows)
-    i = _first_negative(ys)
+    if cols is not None:
+        return _table_verdict(cols, gt, ys)
+    i = _first_negative(map(sign, ys))
     if i is not None:
         return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE)
+    ring, A, c, n = P.ring, P.A.entries, P.c.entries, P.cols
     for i in range(n):
-        if sum_sign(ring, ys, A[i::n], c[i]) < 0:
+        if sign(sum_of_products(ring, ys, A[i::n], c[i])) < 0:
             return _infeasible(i, ViolationKind.SLACK_NEGATIVE)
     return _FEASIBLE
 

@@ -195,7 +195,9 @@ def _enumerate(
     analytic_note: Optional[str],
 ) -> ProgramStatus:
     side = Side.of(primal)
-    values = _grid_values(P.ring, box, side.nvars(P))
+    ring, pair_box, values = _PAIR_GRID
+    if ring is not P.ring or pair_box is not box:
+        values = _grid_values(P.ring, box, side.nvars(P))
     best_value = None
     best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
@@ -254,6 +256,21 @@ def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]
     return list(_feasible_walk(P, side, values))
 
 
+# (ring, box, values) of the scan pair in progress, found by identity and
+# swapped as one tuple: the pair's two scans share it, others build their own
+_PAIR_GRID: tuple = (None, None, ())
+
+
+def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:
+    """(primal, dual) statuses on one grid, capped for both sides first."""
+    global _PAIR_GRID
+    _PAIR_GRID = (P.ring, box, _grid_values(P.ring, box, max(P.rows, P.cols)))
+    try:
+        return enumerate_primal(P, box), enumerate_dual(P, box)
+    finally:
+        _PAIR_GRID = (None, None, ())
+
+
 def certify_optimal_pair(
     P: ProgramData,
     box: BoxSpec,
@@ -264,8 +281,7 @@ def certify_optimal_pair(
     scan both sides, then :func:`judge_optimal_pair`."""
     if x_star is None and y_star is None:
         raise ValueError("at least one candidate point is required")
-    statuses = (enumerate_primal(P, box), enumerate_dual(P, box))
-    return judge_optimal_pair(P, statuses, x_star, y_star)
+    return judge_optimal_pair(P, _scan_pair(P, box), x_star, y_star)
 
 
 def judge_optimal_pair(
@@ -332,8 +348,7 @@ def classify_edt(P: ProgramData, box: BoxSpec) -> EdtReport:
     the other attains an optimum) are reported as a VIOLATION, which is
     exactly the expected finding on non-division rings.
     """
-    primal = enumerate_primal(P, box)
-    dual = enumerate_dual(P, box)
+    primal, dual = _scan_pair(P, box)
     kinds = (primal.kind, dual.kind)
     if kinds not in _CASES:
         details = (

@@ -19,9 +19,9 @@ equality coincides with ring equality.
 
 The operations branch on the payload's shape: a scalar (``int`` or
 ``Fraction``: INT, RAT, ODDRAT) or a tuple of ``(monomial, coefficient)``
-terms (POLY, SKEW); ``sum_of_products``, ``sum_sign`` and ``compare``
-also tell ``int`` from ``Fraction``, to work on a ``Fraction``'s integer
-numerator and denominator. What else differs sits in one private record
+terms (POLY, SKEW); ``sum_of_products`` and ``compare`` also tell ``int``
+from ``Fraction``, to work on a ``Fraction``'s integer numerator and
+denominator. What else differs sits in one private record
 per ring (``_RingSpec``): which rationals embed, the constant monomial,
 the monomial product, the literal grammar and the monomial text.
 
@@ -63,7 +63,6 @@ __all__ = [
     "neg",
     "mul",
     "sum_of_products",
-    "sum_sign",
     "sign",
     "compare",
     "is_zero",
@@ -310,8 +309,7 @@ def sum_of_products(
     the left, so in SKEW the monomial of a product is
     ``mono_mul(left key, right key)``. The result equals the fold
     ``acc = add(acc, mul(l, r))`` from ``zero(ring)`` followed by
-    ``sub(acc, minus)`` and ``neg``, but builds a single element. The
-    scalar rings share one raw sum with ``sum_sign`` (``_scalar_sum``): INT
+    ``sub(acc, minus)`` and ``neg``, but builds a single element. INT
     payloads are summed as ``int``s and RAT/ODDRAT ones as an unreduced
     ``(num, den)`` pair of ints, both from ``-minus``. Each term-ring
     coefficient is kept as such a pair too: a product contributes
@@ -324,14 +322,36 @@ def sum_of_products(
     Every element must be in ``ring`` (``RingMismatch``); the sequences
     must have equal lengths (``ValueError``).
     """
-    acc = _start(ring, minus)
-    pairs = zip(left, right, strict=True)
-    if type(acc) is not tuple:
-        n, d = _scalar_sum(ring, acc, pairs)
-        if negate:
-            n = -n
-        return RingElement(ring, n if type(acc) is int else Fraction(n, d))
+    if minus is None:
+        acc = _ZEROS[ring].payload
+    elif minus.ring is ring:
+        acc = minus.payload
+    else:
+        _raise_mismatch(ring, minus, minus)
     sgn = -1 if negate else 1
+    pairs = zip(left, right, strict=True)
+    if type(acc) is int:
+        n = -acc
+        for a, b in pairs:
+            if a.ring is not ring or b.ring is not ring:
+                _raise_mismatch(ring, a, b)
+            n += a.payload * b.payload
+        return RingElement(ring, sgn * n)
+    if type(acc) is not tuple:
+        n, d = acc.as_integer_ratio()
+        n = -n
+        for a, b in pairs:
+            if a.ring is not ring or b.ring is not ring:
+                _raise_mismatch(ring, a, b)
+            pn, pd = a.payload.as_integer_ratio()
+            qn, qd = b.payload.as_integer_ratio()
+            pd *= qd
+            if pd == d:
+                n += pn * qn
+            else:
+                n = n * pd + pn * qn * d
+                d *= pd
+        return RingElement(ring, Fraction(sgn * n, d))
     terms = {key: (-sgn * q.numerator, q.denominator) for key, q in acc}
     mono_mul = _SPECS[ring].mono_mul
     for a, b in pairs:
@@ -352,65 +372,6 @@ def sum_of_products(
                     terms[key] = (old[0] * d + n * old[1], old[1] * d)
     coeffs = ((key, Fraction(n, d)) for key, (n, d) in terms.items() if n)
     return RingElement(ring, tuple(sorted(coeffs, reverse=True)))
-
-
-def sum_sign(
-    ring: RingId, left, right, minus: Optional[RingElement] = None, negate: bool = False
-) -> int:
-    """``sign(sum_of_products(ring, left, right, minus, negate))``.
-
-    On the scalar rings no element is built: the sign is that of the raw
-    sum's integer numerator, whose denominator is positive. The term rings
-    take the sign of the built sum. Raises what ``sum_of_products`` raises,
-    at the same inputs.
-    """
-    if minus is None:
-        acc = _ZEROS[ring].payload
-    elif minus.ring is ring:
-        acc = minus.payload
-    else:
-        _raise_mismatch(ring, minus, minus)
-    if type(acc) is tuple:
-        return sign(sum_of_products(ring, left, right, minus, negate))
-    n = _scalar_sum(ring, acc, zip(left, right, strict=True))[0]
-    if negate:
-        n = -n
-    return (n > 0) - (n < 0)
-
-
-def _start(ring: RingId, minus: Optional[RingElement]) -> Payload:
-    """The payload a sum starts from: ``minus``'s, or zero's."""
-    if minus is None:
-        return _ZEROS[ring].payload
-    if minus.ring is not ring:
-        _raise_mismatch(ring, minus, minus)
-    return minus.payload
-
-
-def _scalar_sum(ring: RingId, acc: int | Fraction, pairs) -> tuple[int, int]:
-    """``(num, den)`` of ``sum a * b - acc`` over ``pairs`` on a scalar
-    ring, unreduced, with ``den`` positive (1 on INT)."""
-    if type(acc) is int:
-        n = -acc
-        for a, b in pairs:
-            if a.ring is not ring or b.ring is not ring:
-                _raise_mismatch(ring, a, b)
-            n += a.payload * b.payload
-        return n, 1
-    n, d = acc.as_integer_ratio()
-    n = -n
-    for a, b in pairs:
-        if a.ring is not ring or b.ring is not ring:
-            _raise_mismatch(ring, a, b)
-        pn, pd = a.payload.as_integer_ratio()
-        qn, qd = b.payload.as_integer_ratio()
-        pd *= qd
-        if pd == d:
-            n += pn * qn
-        else:
-            n = n * pd + pn * qn * d
-            d *= pd
-    return n, d
 
 
 def _raise_mismatch(ring: RingId, a: RingElement, b: RingElement) -> None:

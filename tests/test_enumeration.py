@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -334,6 +336,75 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
     with pytest.raises(ValueError, match="too large"):
         feasible_points(P, BoxSpec(1, 10**6), primal=True)
     assert len(built) <= 2237
+
+
+def test_a_scan_pair_builds_one_grid_and_each_program_one_table(monkeypatch):
+    """``classify_edt`` and ``certify_optimal_pair`` build the per-variable
+    grid once for both sides, capped for the side with more variables, and
+    the integer tables of each program once; no grid is kept afterwards."""
+    grids, tables = [], []
+    grid_values, build_tables = enumeration._grid_values, affine._build_tables
+    monkeypatch.setattr(enumeration, "_grid_values", lambda *args: grids.append(args) or grid_values(*args))
+    monkeypatch.setattr(affine, "_build_tables", lambda P: tables.append(P) or build_tables(P))
+    edt_rat, gap_int = make_edt_program(RingId.RAT), make_gap_program()
+    rat_box, int_box = BoxSpec(4, 2), BoxSpec(3)
+    assert classify_edt(edt_rat, rat_box).case == 4
+    one, zero = int_vector(RingId.INT, [1]), int_vector(RingId.INT, [0])
+    assert certify_optimal_pair(gap_int, int_box, zero, one).passed
+    assert grids == [(RingId.RAT, rat_box, 2), (RingId.INT, int_box, 1)]
+    assert len(tables) == 2 and tables[0] is edt_rat and tables[1] is gap_int
+    assert enumeration._PAIR_GRID == (None, None, ())
+
+
+def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch):
+    P = _program([[1], [1], [1]], [1, 1, 1], [1])  # 1 primal and 3 dual variables
+    box = BoxSpec(200)  # 201 primal points, 201 ** 3 dual points: above the cap
+    assert enumerate_primal(P, box).kind is StatusKind.OPTIMAL  # x = 1
+    with pytest.raises(ValueError, match="too large"):
+        enumerate_dual(P, box)
+    checks = []
+    monkeypatch.setattr(affine, "is_primal_feasible", lambda *args: checks.append(args))
+    with pytest.raises(ValueError, match="too large"):
+        classify_edt(P, box)
+    with pytest.raises(ValueError, match="too large"):
+        certify_optimal_pair(P, box, int_vector(RingId.INT, [0]))
+    assert checks == []
+    assert enumeration._PAIR_GRID == (None, None, ())
+
+
+def test_threads_that_share_the_slots_get_their_own_results():
+    """The table and pair-grid slots are found by identity and swapped as
+    one tuple, so threads that keep switching programs and boxes, with a
+    short switch interval, still get each program's own verdicts and each
+    scan pair its own report; a lost update only makes a rebuild."""
+    rat = RingId.RAT
+    programs = [make_edt_program(rat), make_gap_program(rat), make_edt_program(rat, 3)]
+    boxes = [BoxSpec(3, 2), BoxSpec(2, 3), BoxSpec(4, 1)]
+    points = [_rat_vec([Fraction(k, 6)]) for k in range(-1, 14)]
+    want = [[is_primal_feasible(P, x) for x in points] for P in programs]
+    reports = [classify_edt(P, box) for P, box in zip(programs, boxes)]
+    wrong: list = []
+
+    def work(k):
+        for step in range(30):
+            i = (k + step) % 3
+            if [is_primal_feasible(programs[i], x) for x in points] != want[i]:
+                wrong.append(("verdicts", i))
+            if classify_edt(programs[i], boxes[i]) != reports[i]:
+                wrong.append(("report", i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_grid_builds_one_fraction_per_value(monkeypatch):

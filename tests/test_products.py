@@ -8,13 +8,16 @@ fold ``acc = add(acc, mul(a, b))`` from ``zero(ring)``, and the fused
 slacks, objectives and cross term against the unfused compositions of
 linalg products with ``vec_sub``/``sub``/``add``, which this file keeps as
 its oracles. RAT and ODDRAT sums and comparisons are also checked against
-plain ``Fraction`` arithmetic written here, with denominators up to 10^6.
-``sum_sign`` is checked against the sign of the built sum, and the
-feasibility verdicts against ``_oracles.feasibility_verdict_by_folds``.
+plain ``Fraction`` arithmetic written here, with denominators up to 10^6,
+and the sign of the kernel sum against the sign of the fold.
+The feasibility verdicts, which INT, RAT and ODDRAT decide on integer
+tables built once per program, are checked against
+``_oracles.feasibility_verdict_by_folds``, with wide denominators too.
 The guard tests count calls through the module globals, so a product that
-falls back to an element per step, a trial that builds a slack twice, or a
-verdict that tries a row after the first violated one, shows up as a
-count; the ``Fraction`` and ``RingElement`` guards count constructions.
+falls back to an element per step, or a trial that builds a slack twice,
+shows up as a count; a verdict that reads a table row after the first
+violated one shows up in a log of the rows read; the ``Fraction`` and
+``RingElement`` guards count constructions.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from ringlp import (
     zero,
     zero_vector,
 )
-from ringlp.rings import sum_of_products, sum_sign
+from ringlp.rings import sum_of_products
 
 from _oracles import feasibility_verdict_by_folds, skew_mul_by_rewriting
 from _strategies import elements
@@ -343,11 +346,11 @@ def test_fraction_kernel_raises_at_the_same_inputs(ring):
 
 
 # ---------------------------------------------------------------------------
-# sum_sign against the sign of the built sum
+# the sign of the kernel sum against the sign of the folded sum
 
 
 def sign_terms(ring):
-    """(left, right, minus) for ``sum_sign``: up to five pairs of wide
+    """(left, right, minus) for the kernel: up to five pairs of wide
     RAT/ODDRAT fractions (coprime denominators up to 10^6), up to four
     pairs of other elements, and ``minus`` a drawn element or ``None``."""
     if ring in FRACTION_RINGS:
@@ -360,6 +363,9 @@ def sign_terms(ring):
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_sum_sign_is_the_sign_of_the_sum(ring):
+    """``sign(sum_of_products(...))``, the sign POLY and SKEW verdicts
+    read, equals the sign of the folded sum, exact zeros included."""
+
     @given(sign_terms(ring), st.booleans(), st.booleans())
     def check(terms, cancel, negate):
         (left, right), minus = terms
@@ -367,28 +373,27 @@ def test_sum_sign_is_the_sign_of_the_sum(ring):
         if cancel:  # minus is the sum itself, so the sign is 0
             minus = total
         by_fold = sub(total, minus or zero(ring))
-        want = sign(neg(by_fold) if negate else by_fold)
-        assert sum_sign(ring, left, right, minus, negate) == want
-        assert want == sign(sum_of_products(ring, left, right, minus, negate))
+        want = neg(by_fold) if negate else by_fold
+        got = sum_of_products(ring, left, right, minus, negate)
+        assert_same(got, want)
+        assert sign(got) == sign(want)
         if cancel:
-            assert want == 0
+            assert sign(got) == 0
 
     check()
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
-def test_sum_sign_raises_where_the_kernel_does(ring):
+def test_kernel_raises_at_the_same_inputs(ring):
     foreign = st.sampled_from([r for r in ALL_RINGS if r is not ring])
 
     @given(pairs(ring), st.integers(-1, 5), st.integers(0, 2), foreign, st.integers(-1, 1))
     def check(terms, at, where, other, extra):
         left, right = (list(side) for side in terms)
         left, right, minus = with_stranger(ring, left, right, at, where, other, extra)
-        got = outcome(sum_sign, ring, left, right, minus)
+        got = outcome(sum_of_products, ring, left, right, minus)
         want = expected_error(ring, left, right, minus)
         assert (got if isinstance(got, type) else None) is want
-        kernel = outcome(sum_of_products, ring, left, right, minus)
-        assert (kernel if isinstance(kernel, type) else None) is want
 
     check()
 
@@ -523,37 +528,61 @@ def test_fused_and_unfused_raise_the_same_errors(ring):
 # feasibility verdicts against the whole slack built by folds
 
 
+def scalar_or_wide(ring):
+    """``elements(ring)``, mixed on INT with values up to 10^6 in size and
+    on RAT and ODDRAT with denominators up to 10^6."""
+    if ring in FRACTION_RINGS:
+        return elements(ring) | wide_fractions(ring).map(lambda q: from_rational(ring, q))
+    if ring is RingId.INT:
+        return elements(ring) | wide_numerators.map(lambda k: from_int(ring, k))
+    return elements(ring)
+
+
 @st.composite
 def verdict_cases(draw, ring):
     """(P, x, y): a 1-3 x 1-3 program whose rows and columns are each kept
-    as drawn, zeroed (a zero slack entry), or zeroed with a violated bound
-    (b_j = -1, c_i = 1), so several entries can break at once; x and y are
-    of its shape, and keep their drawn signs or are made nonnegative."""
+    as drawn, zeroed (a zero slack entry), zeroed with a violated bound
+    (b_j = -1, c_i = 1), or made tight at the drawn point (b_j = A_j x,
+    c_i = y A^i, a zero slack entry with nonzero terms), so several entries
+    can break at once; x and y are of its shape, and keep their drawn signs
+    or are made nonnegative. Entries, d included, take either sign and
+    come from ``scalar_or_wide``, so a point mixes small and wide
+    denominators."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    element, modes = elements(ring), st.sampled_from(("drawn", "zero", "violated"))
+    element = scalar_or_wide(ring)
+    modes = st.sampled_from(("drawn", "zero", "violated", "tight"))
     A = [[draw(element) for _ in range(n)] for _ in range(m)]
     b = [draw(element) for _ in range(m)]
     c = [draw(element) for _ in range(n)]
-    for j in range(m):
-        mode = draw(modes)
-        if mode != "drawn":
+    x, y = (draw(st.lists(element, min_size=k, max_size=k)) for k in (n, m))
+    if not draw(st.booleans()):
+        x, y = list(map(nonneg, x)), list(map(nonneg, y))
+    row_modes, col_modes = ([draw(modes) for _ in range(k)] for k in (m, n))
+    for j, mode in enumerate(row_modes):
+        if mode in ("zero", "violated"):
             A[j] = [zero(ring)] * n
             b[j] = from_int(ring, 0 if mode == "zero" else -1)
-    for i in range(n):
-        mode = draw(modes)
-        if mode != "drawn":
+    for i, mode in enumerate(col_modes):
+        if mode in ("zero", "violated"):
             for row in A:
                 row[i] = zero(ring)
             c[i] = from_int(ring, 0 if mode == "zero" else 1)
+    for j, mode in enumerate(row_modes):
+        if mode == "tight":
+            b[j] = fold(ring, A[j], x)
+    for i, mode in enumerate(col_modes):
+        if mode == "tight":
+            c[i] = fold(ring, y, [row[i] for row in A])
     P = ProgramData(ring, matrix(ring, A), vector(ring, b), vector(ring, c), draw(element))
-    x, y = (draw(st.lists(element, min_size=k, max_size=k)) for k in (n, m))
-    if not draw(st.booleans()):
-        x, y = map(nonneg, x), map(nonneg, y)
     return P, vector(ring, x), vector(ring, y)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_verdicts_equal_the_fold_oracle(ring):
+    """The integer-table verdicts of INT, RAT and ODDRAT and the kernel-sum
+    verdicts of POLY and SKEW against the whole slack built by folds, and
+    the objectives against ``c.x - d`` and ``y.b - d`` by folds."""
+
     @given(verdict_cases(ring))
     def check(case):
         P, x, y = case
@@ -561,6 +590,8 @@ def test_verdicts_equal_the_fold_oracle(ring):
             got, want = test(P, point), feasibility_verdict_by_folds(P, point, primal)
             assert got == want
             assert got.as_dict() == want.as_dict()
+        assert_same(eval_f(P, x), sub(fold(ring, P.c, x), P.d))
+        assert_same(eval_g(P, y), sub(fold(ring, y, P.b), P.d))
 
     check()
 
@@ -568,24 +599,62 @@ def test_verdicts_equal_the_fold_oracle(ring):
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_verdicts_raise_where_the_fold_oracle_does(ring):
     """Points of any ring and of any length from 0 to 4, negative
-    coordinates included, against a 2 x 3 program."""
+    coordinates and wide denominators included, against a 2 x 3 program:
+    the verdicts and objectives raise exactly where the folds do."""
     P = ProgramData(
         ring,
         int_matrix(ring, [[1, -2, 3], [-4, 5, -6]]),
         int_vector(ring, [1, -2]),
         int_vector(ring, [-1, 2, -3]),
-        zero(ring),
+        from_int(ring, -7),
     )
     points = st.sampled_from(ALL_RINGS).flatmap(
-        lambda r: st.lists(elements(r), max_size=4).map(lambda es: vector(r, es))
+        lambda r: st.lists(scalar_or_wide(r), max_size=4).map(lambda es: vector(r, es))
     )
 
     @given(points)
     def check(point):
         for test, primal in ((is_primal_feasible, True), (is_dual_feasible, False)):
             assert outcome(test, P, point) == outcome(feasibility_verdict_by_folds, P, point, primal)
+        assert outcome(eval_f, P, point) == outcome(unfused_f, P, point)
+        assert outcome(eval_g, P, point) == outcome(unfused_g, P, point)
 
     check()
+
+
+def test_alternating_programs_each_get_their_own_verdicts(monkeypatch):
+    """The tables live in one slot found by identity: calls that alternate
+    between two programs, or between two equal but distinct ones, rebuild
+    them on each switch and judge every program by its own data."""
+    ring = RingId.RAT
+    P1 = rat_program([[Fraction(1, 2), 2], [3, -1]], [3, Fraction(7, 3)])
+    P2 = rat_program([[2, Fraction(1, 2)], [-1, 3]], [Fraction(7, 3), 3])
+    twin = rat_program([[Fraction(1, 2), 2], [3, -1]], [3, Fraction(7, 3)])
+    assert twin == P1 and twin is not P1
+    grid = [from_rational(ring, Fraction(k, 3)) for k in range(7)]
+    points = [vector(ring, [p, q]) for p in grid for q in grid]
+
+    def verdicts(P):
+        return [(is_primal_feasible(P, v), is_dual_feasible(P, v), eval_f(P, v), eval_g(P, v)) for v in points]
+
+    def by_folds(P):
+        return [
+            (
+                feasibility_verdict_by_folds(P, v, True),
+                feasibility_verdict_by_folds(P, v, False),
+                unfused_f(P, v),
+                unfused_g(P, v),
+            )
+            for v in points
+        ]
+
+    assert by_folds(P1) != by_folds(P2)
+    built = []
+    build = affine._build_tables
+    monkeypatch.setattr(affine, "_build_tables", lambda P: built.append(P) or build(P))
+    for P in (P1, P2, P1, twin, P1, twin, twin):
+        assert verdicts(P) == by_folds(P)
+    assert list(map(id, built)) == list(map(id, (P1, P2, P1, twin, P1, twin)))
 
 
 # ---------------------------------------------------------------------------
@@ -690,19 +759,44 @@ def test_rat_feasibility_builds_no_fraction_and_no_element(monkeypatch):
     assert built == {"Fraction": 0, "RingElement": 0}
 
 
+class WatchedCoefficients(tuple):
+    """The coefficients of one table line; reading them logs the line."""
+
+    def __new__(cls, coeffs, line, log):
+        self = super().__new__(cls, coeffs)
+        self.line, self.log = line, log
+        return self
+
+    def __iter__(self):
+        self.log.append(self.line)
+        return super().__iter__()
+
+    def __getitem__(self, k):
+        self.log.append(self.line)
+        return super().__getitem__(k)
+
+
 def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
     # every row breaks at x = 0, and column 0 at y = 0
     P = rat_program([[1, 2], [3, 4], [5, 6]], [-1, -2, -3])
-    calls: dict = {}
-    counting(monkeypatch, calls, affine, "sum_sign")
+    read: list = []
+    build = affine._build_tables
+
+    def watched(program):
+        return tuple(
+            tuple((WatchedCoefficients(coeffs, (side, k), read), const) for k, (coeffs, const) in enumerate(lines))
+            for side, lines in zip(("row", "column"), build(program))
+        )
+
+    monkeypatch.setattr(affine, "_build_tables", watched)
     assert is_primal_feasible(P, zero_vector(RingId.RAT, 2)) == FeasibilityVerdict(
         False, 0, ViolationKind.SLACK_NEGATIVE
     )
-    assert calls == {"sum_sign": 1}
+    assert read == [("row", 0)]
     assert is_dual_feasible(P, zero_vector(RingId.RAT, 3)) == FeasibilityVerdict(
         False, 0, ViolationKind.SLACK_NEGATIVE
     )
-    assert calls == {"sum_sign": 2}
+    assert read == [("row", 0), ("column", 0)]
 
 
 def two_by_two(ring):

@@ -18,11 +18,13 @@ is sufficient (shipped constructions do), otherwise BOX_LIMITED. A
 feasible best point touching the box's upper face is reported as
 FEASIBLE_UNBOUNDED_IN_BOX since a larger box might improve it.
 
-The scan is sequential. The grid ascends and the points are walked in
-lexicographic order (``linalg.grid_points``, which checks the ring of the
-grid once instead of per point), so keeping only strict improvements makes
-the witness the lexicographically smallest point that attains the best
-value.
+Each scan builds and caps its own grid and passes it to its walk; a scan
+pair (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped
+for the side with more variables, to both walks. The scan is sequential.
+The grid ascends and the points are walked in lexicographic order
+(``linalg.grid_points``, which checks the ring of the grid once instead of
+per point), so keeping only strict improvements makes the witness the
+lexicographically smallest point that attains the best value.
 """
 
 from __future__ import annotations
@@ -190,14 +192,11 @@ def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
 
 def _enumerate(
     P: ProgramData,
-    box: BoxSpec,
-    primal: bool,
+    side: Side,
+    values: tuple[RingElement, ...],
     analytic_note: Optional[str],
 ) -> ProgramStatus:
-    side = Side.of(primal)
-    ring, pair_box, values = _PAIR_GRID
-    if ring is not P.ring or pair_box is not box:
-        values = _grid_values(P.ring, box, side.nvars(P))
+    """One side's in-box status on ``values``, a grid already capped for it."""
     best_value = None
     best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
@@ -237,7 +236,8 @@ def enumerate_primal(
     analytic_note: Optional[str] = None,
 ) -> ProgramStatus:
     """Exhaustive in-box maximization of f over feasible points."""
-    return _enumerate(P, box, True, analytic_note)
+    side = Side.of(True)
+    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)), analytic_note)
 
 
 def enumerate_dual(
@@ -246,7 +246,8 @@ def enumerate_dual(
     analytic_note: Optional[str] = None,
 ) -> ProgramStatus:
     """Exhaustive in-box minimization of g over feasible points."""
-    return _enumerate(P, box, False, analytic_note)
+    side = Side.of(False)
+    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)), analytic_note)
 
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
@@ -256,19 +257,11 @@ def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]
     return list(_feasible_walk(P, side, values))
 
 
-# (ring, box, values) of the scan pair in progress, found by identity and
-# swapped as one tuple: the pair's two scans share it, others build their own
-_PAIR_GRID: tuple = (None, None, ())
-
-
 def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:
-    """(primal, dual) statuses on one grid, capped for both sides first."""
-    global _PAIR_GRID
-    _PAIR_GRID = (P.ring, box, _grid_values(P.ring, box, max(P.rows, P.cols)))
-    try:
-        return enumerate_primal(P, box), enumerate_dual(P, box)
-    finally:
-        _PAIR_GRID = (None, None, ())
+    """(primal, dual) statuses on one grid, passed to both walks and capped
+    for the side with more variables before either walk starts."""
+    values = _grid_values(P.ring, box, max(P.rows, P.cols))
+    return _enumerate(P, Side.of(True), values, None), _enumerate(P, Side.of(False), values, None)
 
 
 def certify_optimal_pair(

@@ -341,7 +341,7 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
 def test_a_scan_pair_builds_one_grid_and_each_program_one_table(monkeypatch):
     """``classify_edt`` and ``certify_optimal_pair`` build the per-variable
     grid once for both sides, capped for the side with more variables, and
-    the integer tables of each program once; no grid is kept afterwards."""
+    the integer tables of each program once."""
     grids, tables = [], []
     grid_values, build_tables = enumeration._grid_values, affine._build_tables
     monkeypatch.setattr(enumeration, "_grid_values", lambda *args: grids.append(args) or grid_values(*args))
@@ -353,7 +353,6 @@ def test_a_scan_pair_builds_one_grid_and_each_program_one_table(monkeypatch):
     assert certify_optimal_pair(gap_int, int_box, zero, one).passed
     assert grids == [(RingId.RAT, rat_box, 2), (RingId.INT, int_box, 1)]
     assert len(tables) == 2 and tables[0] is edt_rat and tables[1] is gap_int
-    assert enumeration._PAIR_GRID == (None, None, ())
 
 
 def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch):
@@ -369,20 +368,49 @@ def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch
     with pytest.raises(ValueError, match="too large"):
         certify_optimal_pair(P, box, int_vector(RingId.INT, [0]))
     assert checks == []
-    assert enumeration._PAIR_GRID == (None, None, ())
 
 
-def test_threads_that_share_the_slots_get_their_own_results():
-    """The table and pair-grid slots are found by identity and swapped as
-    one tuple, so threads that keep switching programs and boxes, with a
-    short switch interval, still get each program's own verdicts and each
-    scan pair its own report; a lost update only makes a rebuild."""
+def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch):
+    """A scan that starts while a scan pair walks the same ``BoxSpec``
+    object builds and caps its own grid: 11 ** 8 points raise at once."""
+    box = BoxSpec(10)
+    small = _program([[1]], [1], [1])
+    big = _program([[1] * 8], [1], [1] * 8)
+    feasible = affine.is_primal_feasible
+    inner = []
+
+    def refuse_the_walk(*args):
+        raise AssertionError("walk started past the cap")
+
+    def scan_big_once(*args):
+        if not inner:
+            inner.append(big)
+            monkeypatch.setattr(affine, "is_primal_feasible", refuse_the_walk)
+            with pytest.raises(ValueError, match="too large"):
+                enumerate_primal(big, box)
+            monkeypatch.setattr(affine, "is_primal_feasible", feasible)
+        return feasible(*args)
+
+    monkeypatch.setattr(affine, "is_primal_feasible", scan_big_once)
+    classify_edt(small, box)
+    assert inner == [big]
+
+
+def test_threads_that_share_the_table_slot_and_boxes_get_their_own_results():
+    """The table slot is found by identity and swapped as one tuple, so
+    threads that keep switching programs and boxes, with a short switch
+    interval, still get each program's own verdicts and each scan pair its
+    own report; a lost update only makes a rebuild. A scan of a program
+    over the cap, on a box object the scan pairs are walking, still raises."""
     rat = RingId.RAT
     programs = [make_edt_program(rat), make_gap_program(rat), make_edt_program(rat, 3)]
     boxes = [BoxSpec(3, 2), BoxSpec(2, 3), BoxSpec(4, 1)]
     points = [_rat_vec([Fraction(k, 6)]) for k in range(-1, 14)]
     want = [[is_primal_feasible(P, x) for x in points] for P in programs]
     reports = [classify_edt(P, box) for P, box in zip(programs, boxes)]
+    # 10 grid values on boxes[0], and 10 ** 7 points is above the cap
+    over_cap = _program([[1] * 7], [1], [1] * 7, ring=rat)
+    workers_done = threading.Event()
     wrong: list = []
 
     def work(k):
@@ -393,14 +421,27 @@ def test_threads_that_share_the_slots_get_their_own_results():
             if classify_edt(programs[i], boxes[i]) != reports[i]:
                 wrong.append(("report", i))
 
+    def scan_over_cap():
+        while not workers_done.is_set():
+            try:
+                enumerate_primal(over_cap, boxes[0])
+                wrong.append(("cap", "scanned"))
+            except ValueError as error:
+                if "too large" not in str(error):
+                    wrong.append(("cap", error))
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        scanner = threading.Thread(target=scan_over_cap)
+        threads = [*workers, scanner]
         for thread in threads:
             thread.start()
-        for thread in threads:
+        for thread in workers:
             thread.join(timeout=120)
+        workers_done.set()
+        scanner.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)

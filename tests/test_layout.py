@@ -8,8 +8,9 @@ ring they hold. No module reaches into a sibling's private names. Inside
 ``certify_optimal_pair``. Inside ``affine.py`` only ``assert_weak_duality``
 builds whole slacks for a verdict. Only ``enumeration``'s walk builds
 vectors without the per-entry ring check, through ``linalg.grid_points``.
-All are checked by reading the sources, without importing or running
-anything.
+The only module slot that a function rebinds is ``affine``'s tables slot,
+so a scan hands its grid on by argument. All are checked by reading the
+sources, without importing or running anything.
 """
 
 from __future__ import annotations
@@ -128,3 +129,17 @@ def test_only_the_box_walk_builds_unchecked_points():
     assert _readers_by_module("grid_points") == {"enumeration.py": {"_feasible_walk"}}
     assert _readers_by_module("_unchecked_points") == {"linalg.py": {"grid_points"}}
     assert _readers_by_module("__new__") == {"linalg.py": {"_unchecked_points"}}
+
+
+def test_only_the_tables_slot_is_rebound_by_a_function():
+    """The one ``global`` statement under ``src/ringlp`` is ``affine._tables``'s,
+    so no scan parks its state in a module slot for other calls to find."""
+    rebinders = [
+        f"{path.name}: {function.name} rebinds {', '.join(node.names)}"
+        for path in MODULES
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Global)
+    ]
+    assert rebinders == ["affine.py: _tables rebinds _LAST"], rebinders

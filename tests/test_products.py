@@ -362,7 +362,7 @@ def sign_terms(ring):
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
-def test_sum_sign_is_the_sign_of_the_sum(ring):
+def test_kernel_with_minus_and_negate_equals_the_fold(ring):
     """``sign(sum_of_products(...))``, the sign POLY and SKEW verdicts
     read, equals the sign of the folded sum, exact zeros included."""
 

@@ -310,6 +310,7 @@ class Side(NamedTuple):
     nvars: Callable[[ProgramData], int]
     feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
     objective: Callable[[ProgramData, RVector], RingElement]
+    weights: Callable[[ProgramData], RVector]  # the objective's coefficients
     better: Ordering  # how a strictly better objective value compares
 
     @classmethod
@@ -317,8 +318,14 @@ class Side(NamedTuple):
         # read from the module globals on every call, so a function patched
         # onto this module is the one every scan and check calls
         if primal:
-            return cls("primal", "f", attrgetter("cols"), is_primal_feasible, eval_f, Ordering.GT)
-        return cls("dual", "g", attrgetter("rows"), is_dual_feasible, eval_g, Ordering.LT)
+            return cls(
+                "primal", "f", attrgetter("cols"), is_primal_feasible, eval_f,
+                attrgetter("c"), Ordering.GT,
+            )
+        return cls(
+            "dual", "g", attrgetter("rows"), is_dual_feasible, eval_g,
+            attrgetter("b"), Ordering.LT,
+        )
 
 
 def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, RingElement]:

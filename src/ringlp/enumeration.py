@@ -23,14 +23,22 @@ pair (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped
 for the side with more variables, to both walks. The scan is sequential.
 The grid ascends and the points are walked in lexicographic order
 (``linalg.grid_points``, which checks the ring of the grid once instead of
-per point), so keeping only strict improvements makes the witness the
-lexicographically smallest point that attains the best value.
+per point). Feasible points are ranked by integer keys, not ring elements:
+with each grid value k/G over the grid's common denominator G and the
+side's objective weights (c, or b) w/L over theirs, a point's key is
+``w . k`` and its objective is ``key / (L G) - d``, so comparing keys
+compares objectives exactly. Keeping only strict improvements makes the
+witness the lexicographically smallest point that attains the best
+value, and one objective element is built per side scan, for that point.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
 from fractions import Fraction
+from itertools import product
+from math import lcm
+from operator import gt, lt, mul as _times
 from typing import Optional
 
 from ._records import record
@@ -46,7 +54,6 @@ from .rings import (
     compare,
     descriptor,
     from_int,
-    from_rational,
     sub,
     to_text,
     try_invert,
@@ -174,7 +181,8 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, .
                 pairs[key] = (num, den)
                 if len(pairs) ** nvars > _MAX_POINTS:
                     raise ValueError(_TOO_LARGE)
-    return tuple(from_rational(ring, Fraction(*pairs[key])) for key in sorted(pairs))
+    # each den is a unit of the ring, so every value is in it by construction
+    return tuple(RingElement(ring, Fraction(*pairs[key])) for key in sorted(pairs))
 
 
 def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
@@ -182,12 +190,22 @@ def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     return _grid_values(ring, box, 1)
 
 
+def _numerators(elements) -> list[int]:
+    """The scalar ``elements`` as ints over the lcm of their denominators
+    (1 on INT), in order."""
+    payloads = [e.payload for e in elements]
+    scale = lcm(*[p.denominator for p in payloads])
+    return [p.numerator * (scale // p.denominator) for p in payloads]
+
+
 def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
-    """Yield every feasible grid point of one side, in lexicographic order."""
+    """Yield every feasible grid point of one side, in lexicographic order,
+    with its coordinates' integer keys over the grid's common denominator."""
     feasible = side.feasible
-    for vec in grid_points(P.ring, values, side.nvars(P)):
+    n = side.nvars(P)
+    for vec, keys in zip(grid_points(P.ring, values, n), product(_numerators(values), repeat=n)):
         if feasible(P, vec).feasible:
-            yield vec
+            yield vec, keys
 
 
 def _enumerate(
@@ -196,17 +214,25 @@ def _enumerate(
     values: tuple[RingElement, ...],
     analytic_note: Optional[str],
 ) -> ProgramStatus:
-    """One side's in-box status on ``values``, a grid already capped for it."""
-    best_value = None
-    best_witness = None
+    """One side's in-box status on ``values``, a grid already capped for it.
+
+    Points are ranked by the integer key ``w . k``, the side's weights over
+    their common denominator L and the coordinates over the grid's, G.
+    Since L, G > 0 it orders the points exactly as the objective
+    ``key / (L G) - d`` does, so the objective element is built once, for
+    the best point.
+    """
+    weights = _numerators(side.weights(P))
+    improves = gt if side.better is Ordering.GT else lt
+    best_key = best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
-    for vec in _feasible_walk(P, side, values):
-        value = side.objective(P, vec)
-        if best_value is None or compare(value, best_value) is side.better:
-            best_value = value
+    for vec, keys in _feasible_walk(P, side, values):
+        key = sum(map(_times, weights, keys))
+        if best_witness is None or improves(key, best_key):
+            best_key = key
             best_witness = vec
-    if best_value is None:
+    if best_witness is None:
         if analytic_note:
             return ProgramStatus(
                 StatusKind.INFEASIBLE, Scope.EXHAUSTIVE, note=analytic_note
@@ -214,6 +240,7 @@ def _enumerate(
         return ProgramStatus(
             StatusKind.INFEASIBLE, Scope.BOX_LIMITED, note="no feasible point in box"
         )
+    best_value = side.objective(P, best_witness)
     if analytic_note:
         return ProgramStatus(
             StatusKind.OPTIMAL, Scope.EXHAUSTIVE, best_witness, best_value, analytic_note
@@ -254,7 +281,7 @@ def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
     side = Side.of(primal)
     values = _grid_values(P.ring, box, side.nvars(P))
-    return list(_feasible_walk(P, side, values))
+    return [vec for vec, _ in _feasible_walk(P, side, values)]
 
 
 def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:

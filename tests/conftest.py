@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ringlp import ProgramData, RingId, int_matrix, int_vector, from_int
+from ringlp import ProgramData, RingElement, RingId, int_matrix, int_vector, from_int
 
 settings.register_profile(
     "ringlp",
@@ -44,6 +45,22 @@ def make_edt_program(ring: RingId = RingId.INT, a: int = 2) -> ProgramData:
         int_vector(ring, [0]),
         from_int(ring, 0),
     )
+
+
+def counting_constructions(monkeypatch, built):
+    """Count ``Fraction`` and ``RingElement`` constructions into ``built``."""
+    new, init = Fraction.__new__, RingElement.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, *args):
+        built["RingElement"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(RingElement, "__init__", counting_init)
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 import ringlp.affine as affine
+import ringlp.rings as rings
 from ringlp import (
     BoxSpec,
     ProgramData,
@@ -26,6 +27,7 @@ from ringlp import (
     int_matrix,
     int_vector,
     is_primal_feasible,
+    matrix,
     strong_duality_counterexample,
     to_text,
     verify_bundle,
@@ -36,7 +38,7 @@ import ringlp.enumeration as enumeration
 from ringlp.enumeration import _grid_values, judge_optimal_pair
 
 from _oracles import box_grid_by_fractions, brute_force_box_optimum
-from conftest import make_edt_program, make_gap_program
+from conftest import counting_constructions, make_edt_program, make_gap_program
 
 
 def _rat_vec(values):
@@ -163,6 +165,85 @@ def test_enumeration_matches_brute_force(A_rows, b, c, d):
                 assert tuple(e.payload for e in status.witness) == wit
 
 
+_UNIT_DENOMINATORS = {RingId.INT: (1,), RingId.RAT: (1, 2, 3, 4, 6), RingId.ODDRAT: (1, 3, 5)}
+
+
+@st.composite
+def rational_programs(draw):
+    """``(ring, A, b, c, d, bound, den)`` as Fractions, with 1-2 rows and
+    columns (mostly 2). Each objective row (c, or b) is all zero a quarter
+    of the time, so every feasible point ties; otherwise its weights lie
+    over distinct denominators of the ring, so their common denominator L
+    exceeds 1 on RAT and ODDRAT. Half the programs have entries of either
+    sign; the other half are packing programs (A, b, c >= 0), whose optima
+    trade one variable against another, so a ranking that drops L picks
+    the wrong one."""
+    ring = draw(st.sampled_from((RingId.INT, RingId.RAT, RingId.ODDRAT)))
+    dens = _UNIT_DENOMINATORS[ring]
+    m, n = (draw(st.sampled_from((1, 2, 2))) for _ in range(2))
+    nums = st.integers(0 if draw(st.booleans()) else -6, 6)
+
+    def scalar():
+        return Fraction(draw(nums), draw(st.sampled_from(dens)))
+
+    def weights(k):
+        if draw(st.integers(0, 3)) == 0:
+            return [Fraction(0)] * k
+        return [Fraction(draw(nums), den) for den in (draw(st.permutations(dens)) * k)[:k]]
+
+    A = [[scalar() for _ in range(n)] for _ in range(m)]
+    b, c, d = weights(m), weights(n), scalar()
+    den = None if ring is RingId.INT else draw(st.integers(1, 3))
+    return ring, A, b, c, d, draw(st.integers(1, 3)), den
+
+
+def _assert_matches_oracle(status, oracle, face):
+    if oracle is None:
+        assert status.kind is StatusKind.INFEASIBLE
+        assert status.witness is None and status.value is None
+        return
+    val, wit = oracle
+    kind = StatusKind.FEASIBLE_UNBOUNDED_IN_BOX if face in wit else StatusKind.OPTIMAL
+    assert status.kind is kind
+    assert status.value.payload == val
+    assert tuple(e.payload for e in status.witness) == wit
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@settings(max_examples=200)
+@given(rational_programs())
+# L matters: with the weights' numerators alone every point on x1 + x2 = 2
+# (y1 + y2 = 1) would tie, and the first of them is not the optimum
+@example((RingId.RAT, [[Fraction(1), Fraction(1)]], [Fraction(2)], [_HALF, _THIRD], Fraction(0), 2, 1))
+@example((RingId.RAT, [[Fraction(1)], [Fraction(1)]], [_THIRD, _HALF], [Fraction(1)], Fraction(0), 2, 1))
+def test_rational_scans_match_brute_force(drawn):
+    """Scans that rank points by integer keys agree with the plain-Fraction
+    oracle on programs with fractional, negative and all-zero weights: the
+    kind (face included), the value and the lexicographically smallest
+    optimal witness, for each side alone and for the pair."""
+    ring, A, b, c, d, bound, den = drawn
+    P = ProgramData(
+        ring,
+        matrix(ring, [[from_rational(ring, e) for e in row] for row in A]),
+        vector(ring, [from_rational(ring, e) for e in b]),
+        vector(ring, [from_rational(ring, e) for e in c]),
+        from_rational(ring, d),
+    )
+    box = BoxSpec(bound, den)
+    grid = box_grid_by_fractions(ring, bound, den)
+    oracles = [brute_force_box_optimum(A, b, c, d, grid, maximize) for maximize in (True, False)]
+    report = classify_edt(P, box)
+    for scanned, oracle in zip(
+        ((enumerate_primal(P, box), report.primal), (enumerate_dual(P, box), report.dual)), oracles
+    ):
+        for status in scanned:
+            _assert_matches_oracle(status, oracle, grid[-1])
+    if report.case == 4:
+        assert report.gap_value.payload == oracles[1][0] - oracles[0][0]
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -205,8 +286,10 @@ def test_certify_requires_at_least_one_side(gap_int):
 def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch):
     """Every layer above ``affine`` reaches the feasibility tests and
     objectives through ``affine``'s module globals, so a function patched
-    onto ``affine`` is the one each scan and certificate calls."""
-    counts = dict.fromkeys(("is_primal_feasible", "is_dual_feasible", "eval_g"), 0)
+    onto ``affine`` is the one each scan and certificate calls. A side scan
+    ranks its points by integer keys, so it calls its objective once, for
+    the best point, and not at all when it finds none."""
+    counts = dict.fromkeys(("is_primal_feasible", "is_dual_feasible", "eval_f", "eval_g"), 0)
 
     def counting(name):
         original = getattr(affine, name)
@@ -228,13 +311,56 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     gap_int, box = make_gap_program(), BoxSpec(3)
     assert calls_made(lambda: enumerate_primal(gap_int, box))["is_primal_feasible"] == 4
     assert calls_made(lambda: feasible_points(gap_int, box, primal=False))["is_dual_feasible"] == 4
+    assert calls_made(lambda: enumerate_primal(gap_int, box))["eval_f"] == 1
+    assert calls_made(lambda: enumerate_dual(gap_int, box))["eval_g"] == 1
+    edt_int = make_edt_program()
+    assert calls_made(lambda: enumerate_primal(edt_int, box))["eval_f"] == 0
+    assert calls_made(lambda: classify_edt(edt_int, box)) == {
+        "is_primal_feasible": 4, "is_dual_feasible": 16, "eval_f": 0, "eval_g": 1
+    }
     certify = calls_made(
         lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [0]), int_vector(RingId.INT, [1]))
     )
-    assert certify == {"is_primal_feasible": 5, "is_dual_feasible": 5, "eval_g": 5}
+    # per side: one objective for the scan, one for the candidate, one for the gap
+    assert certify == {"is_primal_feasible": 5, "is_dual_feasible": 5, "eval_f": 3, "eval_g": 3}
     bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2), box)
     verify = calls_made(lambda: verify_bundle(bundle, box))
     assert min(verify.values()) > 0, verify
+
+
+@pytest.mark.parametrize("bound", [4, 8])
+def test_a_side_scan_builds_one_fraction_past_its_grid_and_compares_no_elements(monkeypatch, bound):
+    """Points are ranked by integer keys, so a RAT side scan builds one
+    ``Fraction`` past those of its grid, the reported value, however many
+    points it walks, and makes no ``rings.compare`` call."""
+    ring, box = RingId.RAT, BoxSpec(bound, 3)
+    P = ProgramData(
+        ring,
+        matrix(ring, [[from_rational(ring, Fraction(1, 2))], [from_rational(ring, Fraction(-2, 3))]]),
+        _rat_vec([Fraction(3, 4), Fraction(-1, 5)]),
+        _rat_vec([Fraction(1, 6)]),
+        from_rational(ring, Fraction(1, 7)),
+    )
+    feasible = len(feasible_points(P, box, primal=False))
+    compared = []
+    compare = rings.compare
+
+    def counting_compare(*args):
+        compared.append(args)
+        return compare(*args)
+
+    monkeypatch.setattr(rings, "compare", counting_compare)
+    monkeypatch.setattr(enumeration, "compare", counting_compare)
+    built = {"Fraction": 0, "RingElement": 0}
+    counting_constructions(monkeypatch, built)
+    grid = _grid_values(ring, box, P.rows)
+    grid_fractions, built["Fraction"] = built["Fraction"], 0
+    status = enumerate_dual(P, box)
+    monkeypatch.undo()
+    assert status.kind is StatusKind.OPTIMAL and feasible > 100
+    assert grid_fractions >= len(grid)  # one per value, and the unit tests of the denominators
+    assert built["Fraction"] == grid_fractions + 1
+    assert compared == []
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +596,12 @@ def test_grid_builds_one_fraction_per_value(monkeypatch):
 def test_grid_equals_the_fraction_oracle(ring, bound, den, nvars):
     want = box_grid_by_fractions(ring, bound, den)
     box = BoxSpec(bound, den)
-    assert [v.payload for v in candidate_values(ring, box)] == want
+    values = candidate_values(ring, box)
+    assert [v.payload for v in values] == want
+    # the kernel and the tables branch on the payload's type, which == misses
+    payload_type = int if ring is RingId.INT else Fraction
+    assert all(type(v.payload) is payload_type for v in values)
+    assert list(values) == [from_rational(ring, q) for q in want]
     if len(want) ** nvars > 5_000_000:
         with pytest.raises(ValueError, match="too large"):
             _grid_values(ring, box, nvars)

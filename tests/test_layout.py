@@ -8,6 +8,9 @@ ring they hold. No module reaches into a sibling's private names. Inside
 ``certify_optimal_pair``. Inside ``affine.py`` only ``assert_weak_duality``
 builds whole slacks for a verdict. Only ``enumeration``'s walk builds
 vectors without the per-entry ring check, through ``linalg.grid_points``.
+Inside ``enumeration.py`` the box scan ranks points by integer keys, so
+only ``judge_optimal_pair`` compares ring elements and nothing builds a
+grid value through the validating ``from_rational``.
 The only module slot that a function rebinds is ``affine``'s tables slot,
 so a scan hands its grid on by argument. All are checked by reading the
 sources, without importing or running anything.
@@ -129,6 +132,15 @@ def test_only_the_box_walk_builds_unchecked_points():
     assert _readers_by_module("grid_points") == {"enumeration.py": {"_feasible_walk"}}
     assert _readers_by_module("_unchecked_points") == {"linalg.py": {"grid_points"}}
     assert _readers_by_module("__new__") == {"linalg.py": {"_unchecked_points"}}
+
+
+def test_the_box_scan_compares_no_ring_elements():
+    """``enumeration``'s walk ranks points by integer keys and builds each
+    grid value directly, so a per-point ``compare`` or ``from_rational``
+    cannot creep back: only ``judge_optimal_pair``, which weighs a given
+    candidate against a scan's best, reads ``compare``."""
+    assert _readers(SRC / "enumeration.py", "compare") == {"judge_optimal_pair"}
+    assert _readers(SRC / "enumeration.py", "from_rational") == set()
 
 
 def test_only_the_tables_slot_is_rebound_by_a_function():

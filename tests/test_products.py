@@ -36,7 +36,6 @@ from ringlp import (
     FeasibilityVerdict,
     Ordering,
     ProgramData,
-    RingElement,
     RingId,
     RingMismatch,
     Sampler,
@@ -75,7 +74,7 @@ from ringlp.rings import sum_of_products
 
 from _oracles import feasibility_verdict_by_folds, skew_mul_by_rewriting
 from _strategies import elements
-from conftest import ALL_RINGS
+from conftest import ALL_RINGS, counting_constructions
 
 
 def fold(ring, left, right):
@@ -704,22 +703,6 @@ def test_poly_mat_apply_builds_no_element_per_product(monkeypatch):
         counting(monkeypatch, calls, module, "add")
     assert list(mat_apply(A, x)) == want
     assert calls == {}
-
-
-def counting_constructions(monkeypatch, built):
-    """Count ``Fraction`` and ``RingElement`` constructions into ``built``."""
-    new, init = Fraction.__new__, RingElement.__init__
-
-    def counting_new(cls, *args, **kwargs):
-        built["Fraction"] += 1
-        return new(cls, *args, **kwargs)
-
-    def counting_init(self, *args):
-        built["RingElement"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    monkeypatch.setattr(RingElement, "__init__", counting_init)
 
 
 def test_rat_slack_builds_one_fraction(monkeypatch):

@@ -354,8 +354,12 @@ def duality_equation_residual(P: ProgramData, x: RVector, y: RVector) -> RingEle
 
 
 def gap(P: ProgramData, x: RVector, y: RVector) -> RingElement:
-    """g(y) - f(x)."""
-    return sub(eval_g(P, y), eval_f(P, x))
+    """g(y) - f(x), which is y.b - c.x since d cancels: two kernel calls,
+    c.x and then y.b with ``minus=c.x``, each c_i left of x_i and each y_j
+    left of b_j."""
+    ys, xs = _entries(P, y, P.rows), _entries(P, x, P.cols)
+    cx = sum_of_products(P.ring, P.c.entries, xs)
+    return sum_of_products(P.ring, ys, P.b.entries, cx)
 
 
 def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:

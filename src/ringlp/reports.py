@@ -102,8 +102,11 @@ def run_trials(
     ``trial`` returns ``None`` when it passes and the failure's text when it
     fails; the summary counts the failures and keeps the first text. The
     caller builds the ``sampling.Sampler``, because ``sampling`` imports
-    this module.
+    this module. ``trials`` must be an ``int`` (``TypeError`` otherwise,
+    ``bool`` included) of at least 1 (``ValueError``).
     """
+    if type(trials) is bool or not isinstance(trials, int):
+        raise TypeError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     failures = 0

@@ -21,9 +21,10 @@ The operations branch on the payload's shape: a scalar (``int`` or
 ``Fraction``: INT, RAT, ODDRAT) or a tuple of ``(monomial, coefficient)``
 terms (POLY, SKEW); ``sum_of_products`` and ``compare`` also tell ``int``
 from ``Fraction``, to work on a ``Fraction``'s integer numerator and
-denominator. What else differs sits in one private record
-per ring (``_RingSpec``): which rationals embed, the constant monomial,
-the monomial product, the literal grammar and the monomial text.
+denominator, and ``sum_of_products`` works out each ring's monomial
+product inline. What else differs sits in one private record per ring
+(``_RingSpec``): which rationals embed, the constant monomial, the
+literal grammar and the monomial text.
 
 ``sign`` realizes each instance's positivity order; comparisons,
 magnitude classification and the invertibility/centrality tests build on
@@ -84,6 +85,8 @@ class RingId(Enum):
     ODDRAT = "oddrat"
     POLY = "poly"
     SKEW = "skew"
+
+    __hash__ = object.__hash__  # members are singletons: no Python-level hash
 
 
 @unique
@@ -196,9 +199,9 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
     RAT accepts anything, ODDRAT requires an odd reduced denominator, POLY
     and SKEW take the value as a constant, INT only accepts integers.
     ``num`` and ``den`` must be ``int`` or ``Fraction`` (``TypeError``
-    otherwise), so no float ever reaches a payload.
+    otherwise, ``bool`` included), so no float ever reaches a payload.
     """
-    if not isinstance(num, (int, Fraction)) or not isinstance(den, (int, Fraction)):
+    if not (_exact(num) and _exact(den)):
         raise TypeError(f"expected int or Fraction arguments, got {num!r}, {den!r}")
     if den != 1:
         q = Fraction(num, den)
@@ -210,25 +213,30 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
     return RingElement(ring, ((spec.const, q),) if q else ())
 
 
+def _exact(v: object) -> bool:
+    return isinstance(v, (int, Fraction)) and type(v) is not bool
+
+
 def _coefficient(c: int | Fraction) -> Fraction:
-    if not isinstance(c, (int, Fraction)):
+    if not _exact(c):
         raise TypeError(f"expected an int or Fraction coefficient, got {c!r}")
     return c if type(c) is Fraction else Fraction(c)
 
 
 def poly(coeffs) -> RingElement:
     """POLY element from ascending-degree coefficients (ints or Fractions;
-    ``TypeError`` otherwise)."""
+    ``TypeError`` otherwise, ``bool`` included)."""
     acc = {d: _coefficient(c) for d, c in enumerate(coeffs)}
     return RingElement(RingId.POLY, _canon(acc))
 
 
 def skew(terms) -> RingElement:
     """SKEW element from a {(ydeg, xdeg): coefficient} mapping; degrees are
-    ints, coefficients ints or Fractions (``TypeError`` otherwise)."""
+    ints, coefficients ints or Fractions (``TypeError`` otherwise, ``bool``
+    included)."""
     acc: dict[tuple[int, int], Fraction] = {}
     for (n, m), c in dict(terms).items():
-        if not (isinstance(n, int) and isinstance(m, int)):
+        if not (isinstance(n, int) and isinstance(m, int)) or bool in (type(n), type(m)):
             raise TypeError(f"expected int monomial degrees, got {(n, m)!r}")
         if n < 0 or m < 0:
             raise ValueError("skew monomial degrees must be nonnegative")
@@ -285,7 +293,7 @@ def neg(a: RingElement) -> RingElement:
 def mul(a: RingElement, b: RingElement) -> RingElement:
     """Exact product.
 
-    Term rings multiply monomials with their record's ``mono_mul``; SKEW's
+    POLY multiplies monomials by adding degrees; SKEW's
     ``(y^n1 x^m1) * (y^n2 x^m2) = 2^(-m1*n2) * y^(n1+n2) x^(m1+m2)`` is the
     bilinear extension of the rewrite ``x*y = (1/2)*y*x``. A term-ring
     product is the one-pair ``sum_of_products``.
@@ -306,13 +314,14 @@ def sum_of_products(
     ``minus`` defaults to zero, so one call gives a slack ``b_j - A_j x``
     (``minus=b_j, negate=True``), ``y A_i - c_i`` (``minus=c_i``) or an
     objective ``c.x - d`` (``minus=d``). Each product keeps ``left[i]`` on
-    the left, so in SKEW the monomial of a product is
-    ``mono_mul(left key, right key)``. The result equals the fold
+    the left: its monomials multiply as :func:`mul` describes, worked out
+    inline per ring. The result equals the fold
     ``acc = add(acc, mul(l, r))`` from ``zero(ring)`` followed by
     ``sub(acc, minus)`` and ``neg``, but builds a single element. INT
     payloads are summed as ``int``s and RAT/ODDRAT ones as an unreduced
     ``(num, den)`` pair of ints, both from ``-minus``. Each term-ring
-    coefficient is kept as such a pair too: a product contributes
+    coefficient is kept as such a pair too, and a right operand's pairs are
+    read once per ``(left[i], right[i])``: a product contributes
     ``(p.num * q.num, p.den * q.den)``, added to the numerator alone when
     its denominator equals the running one, and SKEW's ``2^-s`` is folded
     in as ``den << s``. ``minus`` is the starting pair (one more term on
@@ -353,16 +362,22 @@ def sum_of_products(
                 d *= pd
         return RingElement(ring, Fraction(sgn * n, d))
     terms = {key: (-sgn * q.numerator, q.denominator) for key, q in acc}
-    mono_mul = _SPECS[ring].mono_mul
+    skewed = ring is RingId.SKEW
     for a, b in pairs:
         if a.ring is not ring or b.ring is not ring:
             _raise_mismatch(ring, a, b)
+        right = [(kb, *cb.as_integer_ratio()) for kb, cb in b.payload]
         for ka, ca in a.payload:
-            na, da = sgn * ca.numerator, ca.denominator
-            for kb, cb in b.payload:
-                key, shift = mono_mul(ka, kb)
-                n = na * cb.numerator
-                d = (da * cb.denominator) << shift
+            na, da = ca.as_integer_ratio()
+            na *= sgn
+            for kb, nb, db in right:
+                # the monomial product, as mul describes it
+                if skewed:
+                    key = (ka[0] + kb[0], ka[1] + kb[1])
+                    d = (da * db) << (ka[1] * kb[0])
+                else:
+                    key, d = ka + kb, da * db
+                n = na * nb
                 old = terms.get(key)
                 if old is None:
                     terms[key] = (n, d)
@@ -370,8 +385,8 @@ def sum_of_products(
                     terms[key] = (old[0] + n, d)
                 else:
                     terms[key] = (old[0] * d + n * old[1], old[1] * d)
-    coeffs = ((key, Fraction(n, d)) for key, (n, d) in terms.items() if n)
-    return RingElement(ring, tuple(sorted(coeffs, reverse=True)))
+    items = sorted(terms.items(), reverse=True)  # monomials are unique keys
+    return RingElement(ring, tuple([(key, Fraction(n, d)) for key, (n, d) in items if n]))
 
 
 def _raise_mismatch(ring: RingId, a: RingElement, b: RingElement) -> None:
@@ -595,8 +610,6 @@ class _RingSpec:
     # scalar rings: rational -> payload, ValueError when it is not in the ring
     scalar: Optional[Callable[[Fraction], Payload]] = None
     const: object = None  # term rings: the constant monomial
-    # term rings: (k1, k2) -> (monomial of k1*k2, s); the product carries 2^-s
-    mono_mul: Optional[Callable[[object, object], tuple]] = None
     mono_text: Optional[Callable[[object], str]] = None  # term rings, for pretty
 
 
@@ -621,13 +634,11 @@ _SPECS = {
     RingId.POLY: _RingSpec(
         "poly:", _parse_poly_body, _poly_body_text,
         const=0,
-        mono_mul=lambda d1, d2: (d1 + d2, 0),
         mono_text=lambda d: _power("x", d),
     ),
     RingId.SKEW: _RingSpec(
         "skew:", _parse_skew_body, _skew_body_text,
         const=(0, 0),
-        mono_mul=lambda k1, k2: ((k1[0] + k2[0], k1[1] + k2[1]), k1[1] * k2[0]),
         mono_text=lambda k: "*".join(filter(None, (_power("y", k[0]), _power("x", k[1])))),
     ),
 }

@@ -12,6 +12,12 @@ draw numerators in [-1000, 1000] and denominators in [1, 50], ODDRAT
 redrawing the denominator until it is odd; POLY draws degree <= 4 with
 rational coefficients on the RAT bounds; SKEW draws at most 5 monomials
 with y- and x-degree <= 3.
+
+Each draw builds its canonical payload straight from the generator's
+output, not through the validating constructors of :mod:`ringlp.rings`:
+the ``int``, the one reduced ``Fraction``, or the term tuple, leading
+monomial first, with one ``Fraction`` per nonzero coefficient (a SKEW
+monomial drawn twice has its rationals added as integer pairs first).
 """
 
 from __future__ import annotations
@@ -25,12 +31,9 @@ from .rings import (
     add,
     descriptor,
     from_rational,
-    from_int,
     mul,
     neg,
-    poly,
     sign,
-    skew,
     to_text,
     zero,
 )
@@ -76,30 +79,41 @@ class Sampler:
             raise ValueError(f"empty range {lo}..{hi}")
         return self._lcg.int_in(lo, hi)
 
-    def _rational(self, odd: bool = False) -> Fraction:
-        num = self._lcg.int_in(-INT_BOUND, INT_BOUND)
-        den = self._lcg.int_in(1, DEN_BOUND)
+    # one rational draw as (numerator, denominator), unreduced; the hot draw
+    # of every ring but INT, so it takes the generator's steps inline
+    def _ratio(self, odd: bool = False) -> tuple[int, int]:
+        lcg = self._lcg
+        state = (_MULT * lcg.state + _INC) & _MASK
+        num = (state >> 32) % (2 * INT_BOUND + 1) - INT_BOUND
+        state = (_MULT * state + _INC) & _MASK
+        den = 1 + (state >> 32) % DEN_BOUND
         while odd and den % 2 == 0:
-            den = self._lcg.int_in(1, DEN_BOUND)
-        return Fraction(num, den)
+            state = (_MULT * state + _INC) & _MASK
+            den = 1 + (state >> 32) % DEN_BOUND
+        lcg.state = state
+        return num, den
 
     def sample(self, ring: RingId) -> RingElement:
-        return _DRAWS[ring](self, ring)
+        return RingElement(ring, _DRAWS[ring](self))
 
-    def _poly(self, ring: RingId) -> RingElement:
-        degree = self._lcg.int_in(0, POLY_MAX_DEGREE)
-        return poly([self._rational() for _ in range(degree + 1)])
+    def _poly(self) -> tuple:
+        ratio = self._ratio
+        terms = [(d, *ratio()) for d in range(self._lcg.int_in(0, POLY_MAX_DEGREE) + 1)]
+        terms.reverse()
+        return tuple([(d, Fraction(n, den)) for d, n, den in terms if n])
 
-    def _skew(self, ring: RingId) -> RingElement:
+    def _skew(self) -> tuple:
         count = self._lcg.int_in(0, SKEW_MAX_TERMS)
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
         for _ in range(count):
-            n = self._lcg.int_in(0, SKEW_MAX_DEGREE)
-            m = self._lcg.int_in(0, SKEW_MAX_DEGREE)
-            q = self._rational()
-            old = acc.get((n, m))
-            acc[(n, m)] = q if old is None else old + q
-        return skew(acc)
+            key = (self._lcg.int_in(0, SKEW_MAX_DEGREE), self._lcg.int_in(0, SKEW_MAX_DEGREE))
+            n, d = self._ratio()
+            if key in acc:  # a monomial drawn again: add the two rationals
+                n0, d0 = acc[key]
+                n, d = n0 * d + n * d0, d0 * d
+            acc[key] = (n, d)
+        items = sorted(acc.items(), reverse=True)
+        return tuple([(key, Fraction(n, d)) for key, (n, d) in items if n])
 
     def sample_nonneg(self, ring: RingId) -> RingElement:
         e = self.sample(ring)
@@ -116,15 +130,15 @@ class Sampler:
         constant otherwise."""
         if descriptor(ring).is_commutative:
             return self.sample(ring)
-        return from_rational(ring, self._rational())
+        return from_rational(ring, *self._ratio())
 
 
-# One draw per ring. The order of the generator calls in each is part of the
-# seeded stream.
+# One draw per ring, giving the element's canonical payload. The order of the
+# generator calls in each is part of the seeded stream.
 _DRAWS = {
-    RingId.INT: lambda s, ring: from_int(ring, s._lcg.int_in(-INT_BOUND, INT_BOUND)),
-    RingId.RAT: lambda s, ring: from_rational(ring, s._rational()),
-    RingId.ODDRAT: lambda s, ring: from_rational(ring, s._rational(odd=True)),
+    RingId.INT: lambda s: s._lcg.int_in(-INT_BOUND, INT_BOUND),
+    RingId.RAT: lambda s: Fraction(*s._ratio()),
+    RingId.ODDRAT: lambda s: Fraction(*s._ratio(odd=True)),
     RingId.POLY: Sampler._poly,
     RingId.SKEW: Sampler._skew,
 }
@@ -136,8 +150,11 @@ def verify_order_axioms(ring: RingId, sample_count: int, seed: int) -> AxiomRepo
     Trichotomy is checked as sign-consistency: sign(e) lies in {-1, 0, +1},
     equals 0 exactly for the zero element, and flips under negation.
     Closure: positive a, b must give positive a+b and a*b. Violations are
-    report content with witnesses, never exceptions.
+    report content with witnesses, never exceptions. ``sample_count`` must
+    be an ``int``, not a ``bool`` (``TypeError``), and positive.
     """
+    if type(sample_count) is bool or not isinstance(sample_count, int):
+        raise TypeError(f"sample_count must be an int, got {sample_count!r}")
     if sample_count <= 0:
         raise ValueError("sample_count must be positive")
     sampler = Sampler(seed)

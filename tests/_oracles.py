@@ -1,10 +1,12 @@
 """Independent oracles the tests check the library against.
 
 Each oracle deliberately avoids the code path it verifies: skew products
-are recomputed by literal word rewriting, box optima by a plain Fraction
-scan, box grids as sorted sets of Fractions, the two equation identities
-by expanding both sides as raw double sums, and feasibility verdicts from
-the whole slack built by element-per-step folds.
+are recomputed by literal word rewriting, poly products by a coefficient
+convolution, term-ring kernel sums by a fold of those products, box
+optima by a plain Fraction scan, box grids as sorted sets of Fractions,
+the two equation identities by expanding both sides as raw double sums,
+and feasibility verdicts from the whole slack built by element-per-step
+folds.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from ringlp import (
     eval_g,
     mul,
     neg,
+    poly,
     sign,
     skew,
     sub,
@@ -45,6 +48,30 @@ def skew_mul_by_rewriting(a: RingElement, b: RingElement) -> RingElement:
             key = (word.count("y"), word.count("x"))
             acc[key] = acc.get(key, Fraction(0)) + coeff
     return skew({k: v for k, v in acc.items() if v})
+
+
+def poly_mul_by_convolution(a: RingElement, b: RingElement) -> RingElement:
+    """The POLY product as a plain coefficient convolution."""
+    assert a.ring is RingId.POLY and b.ring is RingId.POLY
+    acc: dict[int, Fraction] = {}
+    for da, qa in a.payload:
+        for db, qb in b.payload:
+            acc[da + db] = acc.get(da + db, Fraction(0)) + qa * qb
+    return poly([acc.get(d, 0) for d in range(max(acc, default=-1) + 1)])
+
+
+def sum_of_products_by_fold(ring: RingId, left, right, minus=None, negate=False) -> RingElement:
+    """``sum_i left[i] * right[i] - minus`` on POLY or SKEW, negated when
+    ``negate``: an ``add`` fold from zero whose products are the
+    convolution or the word rewriting above, each ``left[i]`` on the left,
+    so it shares no product code with the library's kernel."""
+    product = poly_mul_by_convolution if ring is RingId.POLY else skew_mul_by_rewriting
+    acc = zero(ring)
+    for a, b in zip(left, right, strict=True):
+        acc = add(acc, product(a, b))
+    if minus is not None:
+        acc = sub(acc, minus)
+    return neg(acc) if negate else acc
 
 
 def _rewrite(coeff: Fraction, letters: list[str]) -> tuple[Fraction, str]:

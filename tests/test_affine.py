@@ -1,8 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+import ringlp.affine as affine
 from ringlp import (
+    SKEW_X,
+    SKEW_Y,
     BoxSpec,
     DimensionMismatch,
     ProgramData,
@@ -26,6 +30,8 @@ from ringlp import (
     is_primal_feasible,
     is_zero,
     key_equation_residual,
+    load_program,
+    no_central_between_trials,
     primal_slack,
     random_program,
     sign,
@@ -35,7 +41,7 @@ from ringlp import (
 )
 
 from _oracles import expand_duality_equation_sides, expand_key_equation_sides
-from conftest import ALL_RINGS, make_gap_program
+from conftest import ALL_RINGS, FIXTURES, make_gap_program
 
 
 def _vec(ring, values):
@@ -233,6 +239,18 @@ def test_trial_loops_reject_a_count_below_one(gap_int, trials):
         weak_duality_trials(RingId.INT, trials, seed=1)
 
 
+def test_trial_loops_reject_a_bool_count(gap_int):
+    loops = [
+        lambda: identity_trials(gap_int, True, seed=1),
+        lambda: identity_program_trials(RingId.INT, True, seed=1),
+        lambda: weak_duality_trials(RingId.INT, True, seed=1),
+        lambda: no_central_between_trials(SKEW_X, SKEW_Y, True, 1),
+    ]
+    for loop in loops:
+        with pytest.raises(TypeError, match="trials must be an int"):
+            loop()
+
+
 @pytest.mark.parametrize("max_rows,max_cols", [(0, 3), (3, 0), (-2, 3), (3, -1)])
 def test_trial_loops_reject_a_shape_bound_below_one(max_rows, max_cols):
     shape = {"max_rows": max_rows, "max_cols": max_cols}
@@ -248,6 +266,53 @@ def test_trial_loops_reject_a_shape_bound_below_one(max_rows, max_cols):
 def test_weak_duality_on_constructed_feasible_pairs(ring):
     summary = weak_duality_trials(ring, 1000, seed=31337)
     assert summary.passed, summary.first_failure
+
+
+# ``assert_weak_duality(P, 0, y).details`` on the gap fixtures, y the
+# first three ``Sampler(3).sample_positive`` draws, each pair feasible;
+# recorded before ``gap`` became two kernel calls
+GAP_FIXTURE_DETAILS = {
+    "gap_poly.prog": (
+        "poly:-35/4,28,970,307/30",
+        "poly:-223/36,-449/10,-85/41,-851/10,955/4",
+        "poly:59/2",
+    ),
+    "gap_skew.prog": (
+        "skew:3,3=28;3,2=2659/660;3,0=229/3",
+        "skew:3,1=259/344;2,3=-653/49",
+        "skew:0,3=24479/418",
+    ),
+}
+# sha256 of the details of every report that ``weak_duality_trials`` reads
+# in its first 20 trials on POLY and SKEW at seeds 0, 1 and 2, recorded then
+WEAK_DUALITY_DETAILS_SHA256 = "04e9dc8692d92911732336060019986f7b025918bd8b744024977ee134239d11"
+
+
+@pytest.mark.parametrize("name", sorted(GAP_FIXTURE_DETAILS))
+def test_weak_duality_report_text_is_pinned_on_the_gap_fixtures(name):
+    P = load_program(FIXTURES / name)
+    sampler = Sampler(3)
+    for value in GAP_FIXTURE_DETAILS[name]:
+        y = vector(P.ring, [sampler.sample_positive(P.ring)])
+        report = assert_weak_duality(P, zero_vector(P.ring, 1), y)
+        assert (report.applicable, report.passed) == (True, True)
+        assert report.details == (f"gap = {value}", f"s.x + y.t = {value}")
+
+
+def test_weak_duality_trial_report_text_is_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    original = affine.assert_weak_duality
+
+    def recording(P, x, y):
+        report = original(P, x, y)
+        digest.update(("|".join(report.details) + "\n").encode())
+        return report
+
+    monkeypatch.setattr(affine, "assert_weak_duality", recording)
+    for ring in (RingId.POLY, RingId.SKEW):
+        for seed in range(3):
+            assert weak_duality_trials(ring, 20, seed).passed
+    assert digest.hexdigest() == WEAK_DUALITY_DETAILS_SHA256
 
 
 def test_weak_duality_not_applicable_on_infeasible_input(edt_int):

@@ -11,11 +11,14 @@ from ringlp import (
     add,
     compare,
     from_int,
+    from_rational,
     is_zero,
     mul,
     neg,
     parse_element,
+    poly,
     sign,
+    skew,
     sub,
     to_text,
     verify_order_axioms,
@@ -59,6 +62,11 @@ def test_axiom_suite_reports_no_violations(ring, samples, seed):
 def test_axiom_suite_rejects_nonpositive_sample_count():
     with pytest.raises(ValueError):
         verify_order_axioms(RingId.INT, 0, 1)
+
+
+def test_axiom_suite_rejects_a_bool_sample_count():
+    with pytest.raises(TypeError, match="sample_count must be an int"):
+        verify_order_axioms(RingId.INT, True, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +120,31 @@ def test_seeded_int_stream_is_pinned():
             draws = (s.draw_int(-1000, 1000), s.draw_int(1, 3), s.draw_int(0, 0))
             digest.update(("%d,%d,%d\n" % draws).encode())
     assert digest.hexdigest() == PINNED_INTS
+
+
+def _rebuilt(e):
+    """``e`` rebuilt from its own coefficients by the validating constructor."""
+    if e.ring is RingId.INT:
+        return from_int(e.ring, e.payload)
+    if e.ring in (RingId.RAT, RingId.ODDRAT):
+        return from_rational(e.ring, e.payload)
+    coeffs = dict(e.payload)
+    if e.ring is RingId.POLY:
+        return poly([coeffs.get(d, 0) for d in range(max(coeffs, default=-1) + 1)])
+    return skew(coeffs)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_sampled_elements_are_canonical(ring):
+    """Every draw builds its payload directly, so each must be exactly what
+    the validating constructors build from its coefficients: no zero
+    coefficient, leading monomial first, reduced ``Fraction`` coefficients,
+    an ``int`` on INT. The ``repr`` tells ``Fraction(3)`` from ``3``."""
+    for seed in range(5):
+        sampler = Sampler(seed)
+        for _ in range(120):
+            e = sampler.sample(ring)
+            assert repr(e.payload) == repr(_rebuilt(e).payload)
 
 
 def test_draw_int_rejects_an_empty_range():

@@ -73,10 +73,18 @@ def _readers(path: pathlib.Path, name: str) -> set[str]:
 
 
 def test_only_the_kernel_multiplies_monomials():
-    """Every read of ``mono_mul`` in ``rings.py`` (a call, or an alias that
-    a call could go through) sits inside ``sum_of_products``."""
-    readers = _readers(SRC / "rings.py", "mono_mul")
-    assert readers == {"sum_of_products"}, readers
+    """``sum_of_products`` works out each ring's monomial product inline, so
+    it is the only function in ``rings.py`` that shifts SKEW's ``2^-s`` into
+    a denominator, and term-ring ``mul`` is a one-pair call of it."""
+    shifters = {
+        function.name
+        for function in ast.walk(ast.parse((SRC / "rings.py").read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+    }
+    assert shifters == {"sum_of_products"}, shifters
+    assert "mul" in _readers(SRC / "rings.py", "sum_of_products")
 
 
 def _lines_matching(pattern: str) -> set[str]:

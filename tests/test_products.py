@@ -50,6 +50,7 @@ from ringlp import (
     eval_g,
     from_int,
     from_rational,
+    gap,
     int_matrix,
     int_vector,
     is_dual_feasible,
@@ -59,7 +60,6 @@ from ringlp import (
     mul,
     neg,
     parse_element,
-    poly,
     primal_slack,
     sign,
     sub,
@@ -72,7 +72,12 @@ from ringlp import (
 )
 from ringlp.rings import sum_of_products
 
-from _oracles import feasibility_verdict_by_folds, skew_mul_by_rewriting
+from _oracles import (
+    feasibility_verdict_by_folds,
+    poly_mul_by_convolution,
+    skew_mul_by_rewriting,
+    sum_of_products_by_fold,
+)
 from _strategies import elements
 from conftest import ALL_RINGS, counting_constructions
 
@@ -114,23 +119,61 @@ def matrices(ring):
     )
 
 
-def poly_convolution(a, b):
-    """The POLY product as a plain coefficient convolution."""
-    acc: dict = {}
-    for da, qa in a.payload:
-        for db, qb in b.payload:
-            acc[da + db] = acc.get(da + db, Fraction(0)) + qa * qb
-    return poly([acc.get(d, 0) for d in range(max(acc, default=-1) + 1)])
-
-
 @given(elements(RingId.POLY), elements(RingId.POLY))
 def test_poly_mul_is_the_convolution(a, b):
-    assert_same(mul(a, b), poly_convolution(a, b))
+    assert_same(mul(a, b), poly_mul_by_convolution(a, b))
 
 
 @given(elements(RingId.SKEW), elements(RingId.SKEW))
 def test_skew_mul_is_word_rewriting(a, b):
     assert_same(mul(a, b), skew_mul_by_rewriting(a, b))
+
+
+TERM_RINGS = (RingId.POLY, RingId.SKEW)
+
+
+def noncommuting_pair(ring):
+    """An ``(a, b)`` of ``ring``; on SKEW, one with ``a * b != b * a``."""
+    pair = st.tuples(elements(ring), elements(ring))
+    if ring is RingId.SKEW:
+        pair = pair.filter(lambda ab: skew_mul_by_rewriting(*ab) != skew_mul_by_rewriting(*ab[::-1]))
+    return pair
+
+
+@pytest.mark.parametrize("ring", TERM_RINGS)
+def test_kernel_term_branch_equals_the_oracle_fold(ring):
+    """The kernel's term branch, with its monomial products worked out
+    inline, against a fold of products that share no code with it. On
+    SKEW the first pair never commutes, so a product taken right to left
+    shows."""
+
+    @given(noncommuting_pair(ring), pairs(ring, 3), st.none() | elements(ring), st.booleans())
+    def check(ab, lr, minus, negate):
+        left, right = [ab[0], *lr[0]], [ab[1], *lr[1]]
+        want = sum_of_products_by_fold(ring, left, right, minus, negate)
+        assert_same(sum_of_products(ring, left, right, minus, negate), want)
+
+    check()
+
+
+@pytest.mark.parametrize("ring", TERM_RINGS)
+def test_gap_equals_the_difference_of_the_objectives(ring):
+    """``gap``, two kernel calls without ``d``, against ``g(y) - f(x)``. On
+    SKEW, c_0 and x_0 do not commute, nor do y_0 and b_0. ``gap`` does not
+    read A, so A is zero."""
+
+    pair = noncommuting_pair(ring)
+
+    @given(pair, pair, pairs(ring, 2), pairs(ring, 2), elements(ring))
+    def check(cx, yb, more_cx, more_yb, d):
+        c, x = [cx[0], *more_cx[0]], [cx[1], *more_cx[1]]
+        y, b = [yb[0], *more_yb[0]], [yb[1], *more_yb[1]]
+        A = matrix(ring, [[zero(ring)] * len(c) for _ in b])
+        P = ProgramData(ring, A, vector(ring, b), vector(ring, c), d)
+        x, y = vector(ring, x), vector(ring, y)
+        assert_same(gap(P, x, y), sub(eval_g(P, y), eval_f(P, x)))
+
+    check()
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -687,7 +730,8 @@ def test_weak_duality_builds_each_slack_once(monkeypatch):
                 counting(monkeypatch, calls, module, name)
     report = assert_weak_duality(P, x, y)
     assert report.applicable and report.passed
-    # one call per entry of t and s, then f, g and the cross term
+    # one call per entry of t and s, then c.x and y.b for the gap, then the
+    # cross term
     assert calls == {"primal_slack": 1, "dual_slack": 1, "sum_of_products": m + n + 3}
 
 

@@ -43,7 +43,7 @@ _STATUS = ProgramStatus(StatusKind.INFEASIBLE, Scope.BOX_LIMITED)
 RECORDS = [
     (RingElement, lambda: (RingId.INT, 3), {}),
     (RingDescriptor, lambda: (RingId.INT, True, False, _ONE), {"is_enumerable": False}),
-    (_RingSpec, lambda: ("p:", str, str), dict.fromkeys(("scalar", "const", "mono_mul", "mono_text"))),
+    (_RingSpec, lambda: ("p:", str, str), dict.fromkeys(("scalar", "const", "mono_text"))),
     (RVector, lambda: (RingId.INT, (_ONE, _ONE)), {}),
     (RMatrix, lambda: (RingId.INT, 1, 2, (_ONE, _ONE)), {}),
     (ProgramData, lambda: tuple(getattr(make_gap_program(), f) for f in ProgramData.__slots__), {}),

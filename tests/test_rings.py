@@ -210,6 +210,24 @@ def test_constructors_reject_floats(ring):
     assert from_int(ring, 3) == from_rational(ring, Fraction(6, 2))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ring: from_int(ring, True),
+        lambda ring: from_rational(ring, False),
+        lambda ring: from_rational(ring, 1, True),
+        lambda ring: poly([1, True]),
+        lambda ring: skew({(0, 1): True}),
+        lambda ring: skew({(True, 0): 1}),
+    ],
+)
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_constructors_reject_bools(ring, build):
+    """``bool`` is an ``int`` subclass, but never an element's integer."""
+    with pytest.raises(TypeError):
+        build(ring)
+
+
 def test_oddrat_constructor_rejects_even_denominators():
     with pytest.raises(ValueError):
         from_rational(RingId.ODDRAT, 1, 2)

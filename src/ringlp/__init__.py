@@ -51,23 +51,7 @@ from .rings import (
 )
 from .sampling import Sampler, verify_order_axioms
 from .reports import AxiomReport, AxiomViolation, CheckReport, TrialSummary
-from .linalg import (
-    RMatrix,
-    RVector,
-    covec_apply,
-    dot_left,
-    int_matrix,
-    int_vector,
-    mat_apply,
-    matrix,
-    scale_right,
-    vec_add,
-    vec_neg,
-    vec_sub,
-    vec_text,
-    vector,
-    zero_vector,
-)
+from .linalg import RMatrix, RVector, matrix, vec_text, vector, zero_vector
 from .affine import (
     FeasibilityVerdict,
     ProgramData,

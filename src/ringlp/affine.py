@@ -6,8 +6,11 @@ dual side minimizes g(y) = y.b - d subject to y A >= c, y >= 0. Slacks are
 t = b - A x and s = y A - c.
 
 Two identities hold for ALL x, y (feasible or not), in every instance
-including the non-commutative one, under the left-multiplication
-convention of :mod:`ringlp.linalg`:
+including the non-commutative one, because every product keeps the
+structural coefficient on the LEFT: (A x)_j sums A[j,i] x_i, (y A)_i sums
+y_j A[j,i], and u.v sums u_i v_i. Each such sum is one
+``rings.sum_of_products`` call, which keeps that order; in SKEW, u.v and
+v.u genuinely differ.
 
 * key equation:      s.x - g(y) = y.(-t) - f(x)
 * duality equation:  g(y) - f(x) = s.x + y.t   (Tucker's duality equation)
@@ -26,13 +29,14 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
-from .linalg import RMatrix, RVector, matrix, vec_neg, vector
+from .linalg import RMatrix, RVector, matrix, vector
 from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
     Ordering,
     RingElement,
     RingId,
     is_zero,
+    neg,
     one,
     sign,
     sub,
@@ -251,23 +255,16 @@ def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
     """x >= 0 and A x <= b, both non-strict.
 
     The first negative coordinate is reported before any row, then the
-    first row whose slack ``b_j - A_j x`` is negative; no slack is built.
-    On INT, RAT and ODDRAT row j is ``L b_j Q >= L A_j . Q x`` in ints, on
-    tables built once per program, so no ``Fraction`` and no element is
-    built; on POLY and SKEW it is the sign of one kernel sum.
+    first row whose slack ``b_j - A_j x`` is negative. On INT, RAT and
+    ODDRAT row j is ``L b_j Q >= L A_j . Q x`` in ints, on tables built
+    once per program, so no slack, no ``Fraction`` and no element is
+    built; on POLY and SKEW the verdict builds the slack once and reads
+    its signs.
     """
     rows = _tables(P)[0]
-    xs = _entries(P, x, P.cols)
-    if rows is not None:
-        return _table_verdict(rows, lt, xs)
-    i = _first_negative(map(sign, xs))
-    if i is not None:
-        return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE)
-    ring, A, b = P.ring, P.A, P.b.entries
-    for j in range(A.rows):
-        if sign(sum_of_products(ring, A.row(j), xs, b[j], negate=True)) < 0:
-            return _infeasible(j, ViolationKind.SLACK_NEGATIVE)
-    return _FEASIBLE
+    if rows is None:
+        return _verdict(P, x, P.cols, primal_slack)[0]
+    return _table_verdict(rows, lt, _entries(P, x, P.cols))
 
 
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
@@ -278,17 +275,9 @@ def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
     rows of :func:`is_primal_feasible` are (``Q y . L A^i >= L c_i Q``).
     """
     cols = _tables(P)[1]
-    ys = _entries(P, y, P.rows)
-    if cols is not None:
-        return _table_verdict(cols, gt, ys)
-    i = _first_negative(map(sign, ys))
-    if i is not None:
-        return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE)
-    ring, A, c, n = P.ring, P.A.entries, P.c.entries, P.cols
-    for i in range(n):
-        if sign(sum_of_products(ring, ys, A[i::n], c[i])) < 0:
-            return _infeasible(i, ViolationKind.SLACK_NEGATIVE)
-    return _FEASIBLE
+    if cols is None:
+        return _verdict(P, y, P.rows, dual_slack)[0]
+    return _table_verdict(cols, gt, _entries(P, y, P.rows))
 
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
@@ -338,7 +327,7 @@ def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, Rin
     f = eval_f(P, x)
     g = eval_g(P, y)
     xs, ys = x.entries, y.entries
-    key = sub(sum_of_products(ring, s, xs, g), sum_of_products(ring, ys, vec_neg(t).entries, f))
+    key = sub(sum_of_products(ring, s, xs, g), sum_of_products(ring, ys, tuple(map(neg, t)), f))
     duality = sub(sub(g, f), sum_of_products(ring, s + ys, xs + t.entries))
     return key, duality
 

@@ -42,14 +42,7 @@ from .errors import (
     PreconditionViolated,
     StepLosesFeasibility,
 )
-from .linalg import (
-    RVector,
-    matrix,
-    scale_right,
-    vec_text,
-    vector,
-    zero_vector,
-)
+from .linalg import RVector, matrix, vec_text, vector, zero_vector
 from .progfile import serialize_program
 from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
@@ -472,7 +465,7 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
         )
     if any(sign(e) != 1 for e in y):
         raise PreconditionViolated("every entry of y must be strictly positive")
-    scaled = scale_right(y, p)
+    scaled = vector(P.ring, (mul(e, p) for e in y))
     after = is_dual_feasible(P, scaled)
     if not after.feasible:
         raise StepLosesFeasibility(

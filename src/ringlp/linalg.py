@@ -1,16 +1,11 @@
-"""Vectors and matrices over one ring, with order-sensitive products.
+"""Vectors and matrices over one ring: containers only.
 
-One global convention makes every identity in this library hold in the
-non-commutative instance: the structural coefficient multiplies from the
-LEFT. Concretely, ``mat_apply`` puts the matrix entry left of the vector
-entry, ``covec_apply`` puts the row-vector entry left of the matrix entry,
-and ``dot_left(u, v)`` sums ``u[i]*v[i]``. In SKEW ``dot_left(u, v)`` and
-``dot_left(v, u)`` genuinely differ.
-
-Each output entry of the three products is one call of
-``rings.sum_of_products``, which keeps that left-multiplication order and
-normalizes the sum once, instead of building an element per product and
-per partial sum.
+An ``RVector`` or ``RMatrix`` checks that every entry lies in its ring and
+that a matrix is rectangular; it does no arithmetic. The products a
+program needs (the slacks t = b - A x and s = y A - c and the objectives)
+are computed in :mod:`ringlp.affine`, each entry one
+``rings.sum_of_products`` call that keeps the structural coefficient on
+the left of every product.
 """
 
 from __future__ import annotations
@@ -20,35 +15,15 @@ from typing import Iterable, Iterator
 
 from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
-from .rings import (
-    RingElement,
-    RingId,
-    add,
-    from_int,
-    mul,
-    neg,
-    sub,
-    sum_of_products,
-    to_text,
-    zero,
-)
+from .rings import RingElement, RingId, to_text, zero
 
 __all__ = [
     "RVector",
     "RMatrix",
     "vector",
     "matrix",
-    "int_vector",
-    "int_matrix",
     "zero_vector",
     "grid_points",
-    "mat_apply",
-    "covec_apply",
-    "dot_left",
-    "vec_add",
-    "vec_sub",
-    "vec_neg",
-    "scale_right",
     "vec_text",
 ]
 
@@ -129,14 +104,6 @@ def matrix(ring: RingId, rows: Iterable[Iterable[RingElement]]) -> RMatrix:
     return RMatrix(ring, len(rows), cols, flat)
 
 
-def int_vector(ring: RingId, values: Iterable[int]) -> RVector:
-    return vector(ring, (from_int(ring, v) for v in values))
-
-
-def int_matrix(ring: RingId, rows: Iterable[Iterable[int]]) -> RMatrix:
-    return matrix(ring, ((from_int(ring, v) for v in r) for r in rows))
-
-
 def zero_vector(ring: RingId, n: int) -> RVector:
     return RVector(ring, (zero(ring),) * n)
 
@@ -159,66 +126,6 @@ def _unchecked_points(ring: RingId, values: tuple[RingElement, ...], n: int) -> 
         setfield(v, "ring", ring)
         setfield(v, "entries", entries)
         yield v
-
-
-def _require_same_ring(a_ring: RingId, b_ring: RingId) -> None:
-    if a_ring is not b_ring:
-        raise RingMismatch(f"mixed rings {a_ring.value} and {b_ring.value}")
-
-
-def mat_apply(A: RMatrix, x: RVector) -> RVector:
-    """(A x)_j = sum_i A[j,i] * x[i], matrix entry on the left."""
-    _require_same_ring(A.ring, x.ring)
-    if A.cols != len(x):
-        raise DimensionMismatch(f"matrix has {A.cols} columns, vector length {len(x)}")
-    return RVector(
-        A.ring,
-        tuple(sum_of_products(A.ring, A.row(j), x.entries) for j in range(A.rows)),
-    )
-
-
-def covec_apply(y: RVector, A: RMatrix) -> RVector:
-    """(y A)_i = sum_j y[j] * A[j,i], row-vector entry on the left."""
-    _require_same_ring(y.ring, A.ring)
-    if len(y) != A.rows:
-        raise DimensionMismatch(f"matrix has {A.rows} rows, vector length {len(y)}")
-    n = A.cols
-    return RVector(
-        A.ring,
-        tuple(sum_of_products(A.ring, y.entries, A.entries[i::n]) for i in range(n)),
-    )
-
-
-def dot_left(u: RVector, v: RVector) -> RingElement:
-    """sum_i u[i] * v[i] with u's entry on the left of each product."""
-    _require_same_ring(u.ring, v.ring)
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return sum_of_products(u.ring, u.entries, v.entries)
-
-
-def vec_add(u: RVector, v: RVector) -> RVector:
-    _require_same_ring(u.ring, v.ring)
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return RVector(u.ring, tuple(add(a, b) for a, b in zip(u, v)))
-
-
-def vec_sub(u: RVector, v: RVector) -> RVector:
-    _require_same_ring(u.ring, v.ring)
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return RVector(u.ring, tuple(sub(a, b) for a, b in zip(u, v)))
-
-
-def vec_neg(v: RVector) -> RVector:
-    return RVector(v.ring, tuple(neg(e) for e in v))
-
-
-def scale_right(v: RVector, k: RingElement) -> RVector:
-    """Entries v[i] * k with the scalar on the right."""
-    _require_same_ring(v.ring, k.ring)
-    return RVector(v.ring, tuple(mul(e, k) for e in v))
 
 
 def vec_text(v: RVector) -> list[str]:

@@ -77,13 +77,21 @@ class _Reader:
 
 def _read_positive_int(reader: _Reader, what: str) -> int:
     tok = reader.next(what)
-    if not (tok.text.isascii() and tok.text.isdigit()) or int(tok.text) < 1:
+    try:
+        value = int(tok.text) if tok.text.isascii() and tok.text.isdigit() else 0
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ParseError(
+            f"{what} {tok.text[:20]!r}... has {len(tok.text)} digits, more than int() converts",
+            line=tok.line,
+            col=tok.col,
+        ) from None
+    if value < 1:
         raise ParseError(
             f"{what} must be a positive integer, found {tok.text!r}",
             line=tok.line,
             col=tok.col,
         )
-    return int(tok.text)
+    return value
 
 
 def _read_elements(reader: _Reader, ring: RingId, count: int, what: str) -> list:

@@ -506,14 +506,26 @@ _SKEW_TERM_RE = re.compile(r"([0-9]+),([0-9]+)=(-?[0-9]+(?:/[0-9]+)?)")
 _SKEW_LITERAL_MAX_DEGREE = 1024
 
 
+def _int(digits: str, literal: str) -> int:
+    """``int(digits)``, or a ParseError naming ``literal`` when ``digits``
+    is longer than ``int`` converts (``sys.get_int_max_str_digits()``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"literal {literal[:20]!r}... has an integer of {len(digits.lstrip('-'))} digits, "
+            "more than int() converts"
+        ) from None
+
+
 def _parse_fraction(text: str, literal: re.Pattern = _RAT_RE, noun: str = "rational") -> Fraction:
     if not literal.fullmatch(text):
         raise ParseError(f"malformed {noun} literal {text!r}")
     num, _, den = text.partition("/")
-    den = int(den or 1)
+    den = _int(den or "1", text)
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(int(num), den)
+    return Fraction(_int(num, text), den)
 
 
 def _parse_poly_body(body: str) -> dict[int, Fraction]:
@@ -528,7 +540,7 @@ def _parse_skew_body(body: str) -> dict[tuple[int, int], Fraction]:
         m = _SKEW_TERM_RE.fullmatch(part)
         if not m:
             raise ParseError(f"malformed skew term {part!r}")
-        key = (int(m.group(1)), int(m.group(2)))
+        key = (_int(m.group(1), part), _int(m.group(2), part))
         if max(key) > _SKEW_LITERAL_MAX_DEGREE:
             raise ParseError(f"skew degree above {_SKEW_LITERAL_MAX_DEGREE} in {part!r}")
         if key in acc:

@@ -1,12 +1,16 @@
 """Independent oracles the tests check the library against.
 
-Each oracle deliberately avoids the code path it verifies: skew products
-are recomputed by literal word rewriting, poly products by a coefficient
-convolution, term-ring kernel sums by a fold of those products, box
-optima by a plain Fraction scan, box grids as sorted sets of Fractions,
-the two equation identities by expanding both sides as raw double sums,
-and feasibility verdicts from the whole slack built by element-per-step
-folds.
+Each oracle deliberately avoids the code path it verifies. Skew products
+are recomputed by literal word rewriting and poly products by a
+coefficient convolution. ``fold`` sums those products (``mul`` on the
+scalar rings) with ``add`` from ``zero(ring)``, each left factor on the
+left, so it shares no code with ``sum_of_products``. Kernel sums and the
+products a program is made of, ``mat_apply`` (A x), ``covec_apply``
+(y A) and ``dot_left`` (u.v), are such folds; ``vec_add`` and
+``vec_sub`` work entry by entry. Box optima come from a plain Fraction
+scan, box grids as sorted sets of Fractions, the two equation identities
+by expanding both sides as raw double sums, and feasibility verdicts from
+the whole slack built by element-per-step folds.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from ringlp import (
     RingElement,
     RingId,
     RingMismatch,
+    RMatrix,
+    RVector,
     ViolationKind,
     add,
     eval_f,
@@ -31,6 +37,7 @@ from ringlp import (
     sign,
     skew,
     sub,
+    vector,
     zero,
 )
 
@@ -60,18 +67,69 @@ def poly_mul_by_convolution(a: RingElement, b: RingElement) -> RingElement:
     return poly([acc.get(d, 0) for d in range(max(acc, default=-1) + 1)])
 
 
-def sum_of_products_by_fold(ring: RingId, left, right, minus=None, negate=False) -> RingElement:
-    """``sum_i left[i] * right[i] - minus`` on POLY or SKEW, negated when
-    ``negate``: an ``add`` fold from zero whose products are the
-    convolution or the word rewriting above, each ``left[i]`` on the left,
-    so it shares no product code with the library's kernel."""
-    product = poly_mul_by_convolution if ring is RingId.POLY else skew_mul_by_rewriting
+def product_by_oracle(a: RingElement, b: RingElement) -> RingElement:
+    """``a * b`` without the library's kernel: the convolution on POLY, the
+    word rewriting on SKEW, and ``mul`` (one payload product) otherwise."""
+    if a.ring is RingId.POLY:
+        return poly_mul_by_convolution(a, b)
+    if a.ring is RingId.SKEW:
+        return skew_mul_by_rewriting(a, b)
+    return mul(a, b)
+
+
+def fold(ring: RingId, left, right) -> RingElement:
+    """``sum_i left[i] * right[i]``: an ``add`` fold from ``zero(ring)`` of
+    :func:`product_by_oracle`, each ``left[i]`` on the left."""
     acc = zero(ring)
     for a, b in zip(left, right, strict=True):
-        acc = add(acc, product(a, b))
+        acc = add(acc, product_by_oracle(a, b))
+    return acc
+
+
+def sum_of_products_by_fold(ring: RingId, left, right, minus=None, negate=False) -> RingElement:
+    """``sum_i left[i] * right[i] - minus``, negated when ``negate``: the
+    :func:`fold`, then ``sub`` and ``neg``, so it shares no product code
+    with the library's kernel."""
+    acc = fold(ring, left, right)
     if minus is not None:
         acc = sub(acc, minus)
     return neg(acc) if negate else acc
+
+
+def _require_alike(ring: RingId, other: RingId, n: int, k: int) -> None:
+    if ring is not other:
+        raise RingMismatch(f"mixed rings {ring.value} and {other.value}")
+    if n != k:
+        raise DimensionMismatch(f"lengths differ: {n} vs {k}")
+
+
+def mat_apply(A: RMatrix, x: RVector) -> RVector:
+    """(A x)_j = sum_i A[j,i] * x[i], matrix entry on the left."""
+    _require_alike(A.ring, x.ring, A.cols, len(x))
+    return vector(A.ring, (fold(A.ring, A.row(j), x) for j in range(A.rows)))
+
+
+def covec_apply(y: RVector, A: RMatrix) -> RVector:
+    """(y A)_i = sum_j y[j] * A[j,i], row-vector entry on the left."""
+    _require_alike(y.ring, A.ring, len(y), A.rows)
+    columns = ([A.entry(j, i) for j in range(A.rows)] for i in range(A.cols))
+    return vector(A.ring, (fold(A.ring, y, column) for column in columns))
+
+
+def dot_left(u: RVector, v: RVector) -> RingElement:
+    """sum_i u[i] * v[i] with u's entry on the left of each product."""
+    _require_alike(u.ring, v.ring, len(u), len(v))
+    return fold(u.ring, u, v)
+
+
+def vec_add(u: RVector, v: RVector) -> RVector:
+    _require_alike(u.ring, v.ring, len(u), len(v))
+    return vector(u.ring, map(add, u, v))
+
+
+def vec_sub(u: RVector, v: RVector) -> RVector:
+    _require_alike(u.ring, v.ring, len(u), len(v))
+    return vector(u.ring, map(sub, u, v))
 
 
 def _rewrite(coeff: Fraction, letters: list[str]) -> tuple[Fraction, str]:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ringlp import ProgramData, RingElement, RingId, int_matrix, int_vector, from_int
+from ringlp import ProgramData, RingElement, RingId, RMatrix, RVector, from_int, matrix, vector
 
 settings.register_profile(
     "ringlp",
@@ -23,6 +23,16 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 ALL_RINGS = tuple(RingId)
 COMMUTATIVE_RINGS = (RingId.INT, RingId.RAT, RingId.ODDRAT, RingId.POLY)
+
+
+def int_vector(ring: RingId, values) -> RVector:
+    """The vector of ``from_int(ring, v)`` for each ``v``."""
+    return vector(ring, (from_int(ring, v) for v in values))
+
+
+def int_matrix(ring: RingId, rows) -> RMatrix:
+    """The matrix of ``from_int(ring, v)`` for each ``v`` of each row."""
+    return matrix(ring, ((from_int(ring, v) for v in row) for row in rows))
 
 
 def make_gap_program(ring: RingId = RingId.INT, a: int = 2) -> ProgramData:

@@ -26,7 +26,6 @@ from ringlp import (
     from_int,
     from_rational,
     identity_program_trials,
-    int_vector,
     is_dual_feasible,
     is_primal_feasible,
     is_zero,
@@ -44,7 +43,7 @@ from ringlp import (
 from ringlp.cli import main
 
 from _oracles import brute_force_box_optimum
-from conftest import FIXTURES, make_edt_program, make_gap_program
+from conftest import FIXTURES, int_vector, make_edt_program, make_gap_program
 
 ALL_RINGS = tuple(RingId)
 COMMUTATIVE_RINGS = (RingId.INT, RingId.RAT, RingId.ODDRAT, RingId.POLY)

@@ -24,13 +24,12 @@ from ringlp import (
     gap,
     identity_program_trials,
     identity_trials,
-    int_matrix,
-    int_vector,
     is_dual_feasible,
     is_primal_feasible,
     is_zero,
     key_equation_residual,
     load_program,
+    matrix,
     no_central_between_trials,
     primal_slack,
     random_program,
@@ -40,8 +39,15 @@ from ringlp import (
     zero_vector,
 )
 
-from _oracles import expand_duality_equation_sides, expand_key_equation_sides
-from conftest import ALL_RINGS, FIXTURES, make_gap_program
+from _oracles import (
+    covec_apply,
+    expand_duality_equation_sides,
+    expand_key_equation_sides,
+    mat_apply,
+    vec_add,
+    vec_sub,
+)
+from conftest import ALL_RINGS, FIXTURES, int_matrix, int_vector, make_gap_program
 
 
 def _vec(ring, values):
@@ -105,8 +111,6 @@ def test_negative_variable_detected(gap_int):
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_zero_vector_feasible_when_b_nonneg(ring):
     sampler = Sampler(71)
-    from ringlp import matrix
-
     A = matrix(ring, [[sampler.sample(ring) for _ in range(2)] for _ in range(2)])
     b = vector(ring, [sampler.sample_nonneg(ring) for _ in range(2)])
     c = vector(ring, [sampler.sample(ring) for _ in range(2)])
@@ -328,8 +332,6 @@ def test_weak_duality_not_applicable_on_infeasible_input(edt_int):
 def test_feasible_points_have_nonneg_slacks(ring):
     # is_primal_feasible(x) implies t >= 0; dually for s
     sampler = Sampler(606)
-    from ringlp import matrix, mat_apply, covec_apply, vec_add, vec_sub
-
     for _ in range(50):
         A = matrix(ring, [[sampler.sample(ring) for _ in range(2)] for _ in range(2)])
         x = vector(ring, [sampler.sample_nonneg(ring) for _ in range(2)])

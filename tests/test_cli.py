@@ -247,6 +247,13 @@ def test_parse_error_is_exit_two(tmp_path, capsys):
     assert main(["check", GAP_SKEW, "--x", "skew:0,1025=1", "--y", "skew:0,0=1"]) == 2
 
 
+def test_over_long_literal_is_a_parse_error(tmp_path, capsys):
+    big = tmp_path / "big.prog"
+    big.write_text(f"ring int\nrows 1\ncols 1\nA {'7' * 5000}\nb 1\nc 1\nd 0\n")
+    assert main(["enumerate", str(big), "--box", "2"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 4, col 3: A[0]: ")
+
+
 def test_dimension_error_is_exit_two(capsys):
     assert main(["check", CE_SD, "--x", "0 0", "--y", "1"]) == 2
 

@@ -33,7 +33,6 @@ from ringlp import (
     gap,
     gap_program,
     infeasible_optimal_program,
-    int_vector,
     is_dual_feasible,
     is_primal_feasible,
     is_zero,
@@ -53,7 +52,7 @@ from ringlp import (
     zero_vector,
 )
 
-from conftest import make_gap_program
+from conftest import int_vector, make_gap_program
 
 # sha256 of the certificates and re-verification reports of ``_digest_grid``
 PINNED_DIGEST = "3da515ecb8f348c49165fe75120e6991f106ea6f73c47200f6e57135c79642a7"

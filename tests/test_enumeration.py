@@ -24,8 +24,6 @@ from ringlp import (
     feasible_points,
     from_int,
     from_rational,
-    int_matrix,
-    int_vector,
     is_primal_feasible,
     matrix,
     strong_duality_counterexample,
@@ -38,7 +36,7 @@ import ringlp.enumeration as enumeration
 from ringlp.enumeration import _grid_values, judge_optimal_pair
 
 from _oracles import box_grid_by_fractions, brute_force_box_optimum
-from conftest import counting_constructions, make_edt_program, make_gap_program
+from conftest import counting_constructions, int_matrix, int_vector, make_edt_program, make_gap_program
 
 
 def _rat_vec(values):

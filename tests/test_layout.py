@@ -5,8 +5,11 @@ records there); other modules read those facts instead of testing which
 ring they hold. No module reaches into a sibling's private names. Inside
 ``rings.py`` one loop multiplies monomials: ``sum_of_products``. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
-``certify_optimal_pair``. Inside ``affine.py`` only ``assert_weak_duality``
-builds whole slacks for a verdict. Only ``enumeration``'s walk builds
+``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
+a verdict only by ``assert_weak_duality`` and by the POLY/SKEW path of the
+feasibility tests, whose INT/RAT/ODDRAT path judges on integer tables.
+``linalg.py`` holds containers and does no ring arithmetic, and
+``ringlp`` exports none of the products it used to. Only ``enumeration``'s walk builds
 vectors without the per-entry ring check, through ``linalg.grid_points``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
@@ -120,12 +123,60 @@ def test_only_verify_bundle_rescans_in_constructions():
     assert callers == {"verify_bundle"}, callers
 
 
-def test_only_weak_duality_builds_slacks_for_a_verdict():
-    """``affine._verdict`` builds the whole slack of a point. Only
-    ``assert_weak_duality``, which reuses both slacks, reads it, so the
-    per-point feasibility tests stay free of slack vectors."""
+def test_only_term_rings_and_weak_duality_build_slacks_for_a_verdict():
+    """``affine._verdict`` builds the whole slack of a point. It is read by
+    ``assert_weak_duality``, which reuses both slacks, and by the
+    feasibility tests for POLY and SKEW. ``_table_verdict``, which judges
+    INT, RAT and ODDRAT points on integer tables without a slack vector, is
+    read only by the two feasibility tests."""
     readers = _readers(SRC / "affine.py", "_verdict")
-    assert readers == {"assert_weak_duality"}, readers
+    assert readers == {"assert_weak_duality", "is_primal_feasible", "is_dual_feasible"}, readers
+    readers = _readers(SRC / "affine.py", "_table_verdict")
+    assert readers == {"is_primal_feasible", "is_dual_feasible"}, readers
+
+
+REMOVED_PRODUCTS = (
+    "mat_apply",
+    "covec_apply",
+    "dot_left",
+    "vec_add",
+    "vec_sub",
+    "int_vector",
+    "int_matrix",
+    "vec_neg",
+    "scale_right",
+)
+
+
+def test_linalg_holds_containers_only():
+    """``linalg.py`` imports no ring arithmetic; no module defines, imports
+    or exports any of the products and helpers that now live in the tests
+    as oracles; and ``ringlp`` exports at most 100 names besides its
+    modules."""
+    arithmetic = {"add", "sub", "mul", "neg", "sum_of_products", "from_int"}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((SRC / "linalg.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "rings"
+        for alias in node.names
+    }
+    assert not imported & arithmetic, imported & arithmetic
+    bound = {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.setdefault(node.name, set()).add(path.name)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    bound.setdefault(alias.asname or alias.name, set()).add(path.name)
+    assert {name: bound[name] for name in REMOVED_PRODUCTS if name in bound} == {}
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert len(exported) <= 100, len(exported)
 
 
 def _readers_by_module(name: str) -> dict[str, set[str]]:

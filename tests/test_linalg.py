@@ -1,3 +1,12 @@
+"""The containers of ``ringlp.linalg``, and the product oracles of
+``tests/_oracles.py`` that took over ``mat_apply``, ``covec_apply``,
+``dot_left`` and ``vec_add`` when linalg stopped doing arithmetic.
+
+The slack and objective tests check the library against those folds, so
+the folds are pinned here on hand-worked examples, SKEW's order of
+factors included, and checked for linearity and their mismatch errors.
+"""
+
 from fractions import Fraction
 from itertools import product
 
@@ -12,26 +21,20 @@ from ringlp import (
     SKEW_Y,
     Sampler,
     add,
-    covec_apply,
-    dot_left,
     from_int,
     from_rational,
-    int_matrix,
-    int_vector,
     is_zero,
-    mat_apply,
     matrix,
     mul,
     poly,
     skew,
-    vec_add,
     vector,
     zero_vector,
 )
 from ringlp.linalg import grid_points
 
-from conftest import ALL_RINGS, COMMUTATIVE_RINGS
-
+from _oracles import covec_apply, dot_left, mat_apply, vec_add
+from conftest import ALL_RINGS, COMMUTATIVE_RINGS, int_matrix, int_vector
 
 def test_mat_apply_two_rows():
     A = int_matrix(RingId.INT, [[2], [-2]])

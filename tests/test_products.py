@@ -1,23 +1,26 @@
-"""The fused sum-of-products kernel and the products, slacks and
-objectives built on it.
+"""The fused sum-of-products kernel and the slacks and objectives built
+on it.
 
 Term-ring ``mul`` is itself a one-pair kernel call, so it is checked first
 against oracles that share no code with the kernel: a POLY convolution
-written here and SKEW word rewriting. Sums are then checked against the
-fold ``acc = add(acc, mul(a, b))`` from ``zero(ring)``, and the fused
-slacks, objectives and cross term against the unfused compositions of
-linalg products with ``vec_sub``/``sub``/``add``, which this file keeps as
-its oracles. RAT and ODDRAT sums and comparisons are also checked against
+and SKEW word rewriting. Sums are then checked against
+``_oracles.fold``, ``acc = add(acc, a * b)`` from ``zero(ring)`` with
+those products, and the fused slacks, objectives and cross term against
+the unfused compositions of the ``_oracles`` products ``mat_apply``,
+``covec_apply`` and ``dot_left`` with ``vec_sub``/``sub``/``add``. SKEW
+pins check that each structural coefficient stays the left factor. RAT
+and ODDRAT sums and comparisons are also checked against
 plain ``Fraction`` arithmetic written here, with denominators up to 10^6,
 and the sign of the kernel sum against the sign of the fold.
 The feasibility verdicts, which INT, RAT and ODDRAT decide on integer
 tables built once per program, are checked against
 ``_oracles.feasibility_verdict_by_folds``, with wide denominators too.
-The guard tests count calls through the module globals, so a product that
-falls back to an element per step, or a trial that builds a slack twice,
-shows up as a count; a verdict that reads a table row after the first
-violated one shows up in a log of the rows read; the ``Fraction`` and
-``RingElement`` guards count constructions.
+The guard tests count calls through the module globals, so a slack that
+falls back to an element per step, a trial that builds a slack twice, or
+a scalar-ring verdict that builds a slack at all, shows up as a count; a
+verdict that reads a table row after the first violated one shows up in
+a log of the rows read; the ``Fraction`` and ``RingElement`` guards
+count constructions.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import pytest
 from hypothesis import given
 
 import ringlp.affine as affine
-import ringlp.linalg as linalg
 import ringlp.rings as rings
 from ringlp import (
     DimensionMismatch,
@@ -38,34 +40,30 @@ from ringlp import (
     ProgramData,
     RingId,
     RingMismatch,
+    SKEW_X,
+    SKEW_Y,
     Sampler,
     ViolationKind,
     add,
     assert_weak_duality,
     compare,
-    covec_apply,
-    dot_left,
     dual_slack,
     eval_f,
     eval_g,
     from_int,
     from_rational,
     gap,
-    int_matrix,
-    int_vector,
     is_dual_feasible,
     is_primal_feasible,
-    mat_apply,
     matrix,
     mul,
     neg,
     parse_element,
     primal_slack,
     sign,
+    skew,
     sub,
     to_text,
-    vec_add,
-    vec_sub,
     vector,
     zero,
     zero_vector,
@@ -73,21 +71,19 @@ from ringlp import (
 from ringlp.rings import sum_of_products
 
 from _oracles import (
+    covec_apply,
+    dot_left,
     feasibility_verdict_by_folds,
+    fold,
+    mat_apply,
     poly_mul_by_convolution,
     skew_mul_by_rewriting,
     sum_of_products_by_fold,
+    vec_add,
+    vec_sub,
 )
 from _strategies import elements
-from conftest import ALL_RINGS, counting_constructions
-
-
-def fold(ring, left, right):
-    """The element-per-step sum the kernel replaces."""
-    acc = zero(ring)
-    for a, b in zip(left, right):
-        acc = add(acc, mul(a, b))
-    return acc
+from conftest import ALL_RINGS, counting_constructions, int_matrix, int_vector
 
 
 def assert_same(got, want):
@@ -204,30 +200,58 @@ def test_constant_and_sign_equal_sub_and_neg(ring):
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_linalg_products_equal_the_fold(ring):
-    @given(matrices(ring))
+    """A x, y A, c.x and y.b, the products linalg no longer computes, as
+    the slacks and objectives compute them: each entry of t and s, and f
+    and g, equals the oracle fold with its constant and sign."""
+
+    @given(programs(ring))
     def check(data):
-        rows, x, y = data
-        A = matrix(ring, rows)
-        Ax = mat_apply(A, vector(ring, x))
-        yA = covec_apply(vector(ring, y), A)
-        for j, row in enumerate(rows):
-            assert_same(Ax[j], fold(ring, row, x))
-        for i in range(len(x)):
-            assert_same(yA[i], fold(ring, y, [row[i] for row in rows]))
-        assert_same(dot_left(vector(ring, x), vector(ring, x[::-1])), fold(ring, x, x[::-1]))
+        P, x, y = data
+        A, n = P.A, P.cols
+        t, s = primal_slack(P, x), dual_slack(P, y)
+        for j in range(P.rows):
+            assert_same(t[j], sum_of_products_by_fold(ring, A.row(j), x, P.b[j], negate=True))
+        for i in range(n):
+            assert_same(s[i], sum_of_products_by_fold(ring, y, A.entries[i::n], P.c[i]))
+        assert_same(eval_f(P, x), sum_of_products_by_fold(ring, P.c, x, P.d))
+        assert_same(eval_g(P, y), sum_of_products_by_fold(ring, y, P.b, P.d))
 
     check()
 
 
-@given(pairs(RingId.SKEW))
-def test_skew_dot_left_keeps_the_left_factor_on_the_left(lr):
-    u, v = (vector(RingId.SKEW, side) for side in lr)
-    by_rewriting = zero(RingId.SKEW)
-    for a, b in zip(u, v):
-        by_rewriting = add(by_rewriting, skew_mul_by_rewriting(a, b))
-    assert dot_left(u, v) == by_rewriting
-    commutes = fold(RingId.SKEW, u, v) == fold(RingId.SKEW, v, u)
-    assert (dot_left(u, v) == dot_left(v, u)) == commutes
+@given(noncommuting_pair(RingId.SKEW), pairs(RingId.SKEW, 3))
+def test_skew_objectives_keep_the_left_factor_on_the_left(ab, lr):
+    """c.x in f and y.b in g keep c_i and y_j on the left: each equals the
+    rewriting fold in that order, and equals the swapped order only where
+    the folds do."""
+    ring = RingId.SKEW
+    u, v = [ab[0], *lr[0]], [ab[1], *lr[1]]
+
+    def objectives(left, right):
+        # f with c = left at x = right, and g with b = right at y = left
+        zeros = matrix(ring, [[zero(ring)] * len(left)] * len(left))
+        P = ProgramData(ring, zeros, vector(ring, right), vector(ring, left), zero(ring))
+        return eval_f(P, vector(ring, right)), eval_g(P, vector(ring, left))
+
+    f, g = objectives(u, v)
+    assert f == g == fold(ring, u, v)
+    assert (f == objectives(v, u)[0]) == (fold(ring, u, v) == fold(ring, v, u))
+
+
+def test_skew_slacks_and_objectives_pin_the_order_of_factors():
+    """With A = [x] and b, c, d zero, A x at x = [y] is x*y = (1/2)yx, so
+    t = -(1/2)yx, and y A at y = [y] is yx = s. With c = [x], b = [y], f
+    at x = [y] and g at y = [x] are both x*y = (1/2)yx; swapped, yx."""
+    ring = RingId.SKEW
+    half_yx, yx = skew({(1, 1): Fraction(1, 2)}), skew({(1, 1): 1})
+    zero1 = zero_vector(ring, 1)
+    P = ProgramData(ring, matrix(ring, [[SKEW_X]]), zero1, zero1, zero(ring))
+    assert primal_slack(P, vector(ring, [SKEW_Y])) == vector(ring, [neg(half_yx)])
+    assert dual_slack(P, vector(ring, [SKEW_Y])) == vector(ring, [yx])
+    for c, b, want in ((SKEW_X, SKEW_Y, half_yx), (SKEW_Y, SKEW_X, yx)):
+        Q = ProgramData(ring, matrix(ring, [[zero(ring)]]), vector(ring, [b]), vector(ring, [c]), zero(ring))
+        assert eval_f(Q, vector(ring, [b])) == want
+        assert eval_g(Q, vector(ring, [c])) == want
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
@@ -724,7 +748,7 @@ def test_weak_duality_builds_each_slack_once(monkeypatch):
     calls: dict = {}
     counting(monkeypatch, calls, affine, "primal_slack")
     counting(monkeypatch, calls, affine, "dual_slack")
-    for module in (rings, linalg, affine):
+    for module in (rings, affine):
         for name in ("sum_of_products", "mul", "add"):
             if hasattr(module, name):
                 counting(monkeypatch, calls, module, name)
@@ -735,17 +759,20 @@ def test_weak_duality_builds_each_slack_once(monkeypatch):
     assert calls == {"primal_slack": 1, "dual_slack": 1, "sum_of_products": m + n + 3}
 
 
-def test_poly_mat_apply_builds_no_element_per_product(monkeypatch):
+def test_poly_slacks_build_no_element_per_product(monkeypatch):
     ring = RingId.POLY
     sampler = Sampler(4)
     A = matrix(ring, [[sampler.sample(ring) for _ in range(3)] for _ in range(3)])
-    x = vector(ring, [sampler.sample(ring) for _ in range(3)])
-    want = [fold(ring, A.row(j), x) for j in range(3)]
+    b, c = (vector(ring, [sampler.sample(ring) for _ in range(3)]) for _ in "bc")
+    P = ProgramData(ring, A, b, c, zero(ring))
+    x, y = (vector(ring, [sampler.sample(ring) for _ in range(3)]) for _ in "xy")
+    want = (vec_sub(b, mat_apply(A, x)), vec_sub(covec_apply(y, A), c))
     calls: dict = {}
-    for module in (rings, linalg):
-        counting(monkeypatch, calls, module, "mul")
-        counting(monkeypatch, calls, module, "add")
-    assert list(mat_apply(A, x)) == want
+    for module in (rings, affine):
+        for name in ("mul", "add", "sub"):
+            if hasattr(module, name):
+                counting(monkeypatch, calls, module, name)
+    assert (primal_slack(P, x), dual_slack(P, y)) == want
     assert calls == {}
 
 
@@ -874,6 +901,32 @@ def test_weak_duality_checks_each_point_before_its_signs():
         assert_weak_duality(P, int_vector(ring, [0, 0]), y)
     with pytest.raises(RingMismatch):
         assert_weak_duality(P, int_vector(ring, [0, 0]), int_vector(RingId.RAT, [-1, 0]))
+
+
+@pytest.mark.parametrize("ring", [RingId.INT, RingId.RAT, RingId.ODDRAT])
+def test_scalar_ring_verdicts_build_no_slack(monkeypatch, ring):
+    """INT, RAT and ODDRAT verdicts, feasible or not and on either side,
+    are read off the integer tables: no slack and no kernel sum."""
+    P = two_by_two(ring)
+    cases = [
+        (is_primal_feasible, True, [1, 1]),
+        (is_primal_feasible, True, [4, 0]),
+        (is_primal_feasible, True, [-1, 0]),
+        (is_dual_feasible, False, [1, 0]),
+        (is_dual_feasible, False, [0, 0]),
+        (is_dual_feasible, False, [-2, 1]),
+    ]
+    want = [feasibility_verdict_by_folds(P, int_vector(ring, v), primal) for _, primal, v in cases]
+    assert {(w.feasible, w.violation_kind) for w in want} == {
+        (True, None),
+        (False, ViolationKind.SLACK_NEGATIVE),
+        (False, ViolationKind.NEGATIVE_VARIABLE),
+    }
+    calls: dict = {}
+    for name in ("primal_slack", "dual_slack", "sum_of_products"):
+        counting(monkeypatch, calls, affine, name)
+    assert [test(P, int_vector(ring, v)) for test, _, v in cases] == want
+    assert calls == {}
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)

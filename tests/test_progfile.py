@@ -82,6 +82,23 @@ def test_malformed_literal_with_position():
     assert excinfo.value.line == 4
 
 
+@pytest.mark.parametrize(
+    "text, position, where",
+    [
+        (f"ring int\nrows 1\ncols 1\nA   {'7' * 5000}\nb 1\nc 1\nd 0\n", (4, 5), "A[0]"),
+        (f"ring int\nrows {'7' * 5000}\ncols 1\nA 1\nb 1\nc 1\nd 0\n", (2, 6), "rows"),
+    ],
+    ids=["A-entry", "rows"],
+)
+def test_over_long_integer_is_a_parse_error_with_position(text, position, where):
+    """More digits than int() converts (4,300 by default) is a ParseError
+    at the token, not a bare ValueError."""
+    with pytest.raises(ParseError) as excinfo:
+        parse_program(text)
+    assert (excinfo.value.line, excinfo.value.col) == position
+    assert where in str(excinfo.value) and "5000 digits" in str(excinfo.value)
+
+
 def test_even_oddrat_denominator_rejected():
     with pytest.raises(ParseError) as excinfo:
         parse_program("ring oddrat\nrows 1\ncols 1\nA 1/2\nb 1\nc 1\nd 0\n")

@@ -289,6 +289,10 @@ def test_parse_normalizes_to_canonical_form():
         (RingId.INT, "5\n"),
         (RingId.RAT, "1/2\n"),
         (RingId.SKEW, "skew:0,0=1\n"),
+        # more digits than int() converts (4,300 by default)
+        pytest.param(RingId.INT, "-" + "7" * 5000, id="int-5000-digits"),
+        pytest.param(RingId.RAT, "1/" + "7" * 5000, id="rat-5000-digits"),
+        pytest.param(RingId.POLY, "poly:1,0," + "7" * 5000, id="poly-5000-digits"),
     ],
 )
 def test_parse_rejects_malformed_literals(ring, bad):

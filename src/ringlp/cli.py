@@ -2,8 +2,11 @@
 
 Subcommands: rings, axioms, check, identities, enumerate, edt, demo.
 Exit codes: 0 success / all checks pass; 1 a checked property reports a
-violation; 2 parse or usage error; 3 precondition error (for example a
-demo on a ring lacking the required capability).
+violation; 2 an unknown or missing option, a parse error, a dimension or
+ring mismatch, an unreadable file or a bad argument value; 3 a precondition error
+(``NotAPositiveNonUnit``, ``NoSmallestPositive``, ``PreconditionViolated``,
+``StepLosesFeasibility`` or ``UnsupportedRing``, for example a demo on a
+ring lacking the required capability).
 
 Reports are deterministic given argv: ``--json`` emits one JSON object
 with every ring element in the canonical text grammar.
@@ -44,7 +47,7 @@ from .errors import (
     NotAPositiveNonUnit,
     ParseError,
     PreconditionViolated,
-    RingMismatch,
+    RingLpError,
     StepLosesFeasibility,
     UnsupportedRing,
 )
@@ -68,8 +71,6 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-DEMO_STEPS = 21
-DEMO_BOX = 10
 DEMO_SAMPLES = 500
 DEMO_SEED = 7
 
@@ -81,13 +82,9 @@ _DEFAULT_A_TEXT = {
     RingId.SKEW: "skew:0,1=1",
 }
 
-
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
+# what a handler returns: its report (main adds the "command" key), its
+# human-readable lines, and whether every checked property held
+_Outcome = tuple[dict, list[str], bool]
 
 
 def _check_lines(checks) -> list[str]:
@@ -116,7 +113,7 @@ def _parse_vector(ring: RingId, text: str, expect: int, flag: str) -> RVector:
 # subcommand handlers
 
 
-def _cmd_rings(args) -> int:
+def _cmd_rings(args) -> _Outcome:
     rows = []
     for d in all_descriptors():
         rows.append(
@@ -136,11 +133,10 @@ def _cmd_rings(args) -> int:
             f"{str(r['is_division']).lower():<9} "
             f"{r['smallest_positive'] if r['smallest_positive'] is not None else '-'}"
         )
-    _emit(args, {"command": "rings", "rings": rows}, human)
-    return EXIT_OK
+    return {"rings": rows}, human, True
 
 
-def _cmd_axioms(args) -> int:
+def _cmd_axioms(args) -> _Outcome:
     ring = RingId(args.ring)
     report = verify_order_axioms(ring, args.samples, args.seed)
     human = [
@@ -152,11 +148,16 @@ def _cmd_axioms(args) -> int:
     for v in report.violations:
         human.append(f"  VIOLATION {v.kind}: {', '.join(v.witnesses)}")
     human.append("PASS" if report.passed else "FAIL")
-    _emit(args, {"command": "axioms", "report": report.as_dict()}, human)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return {"report": report.as_dict()}, human, report.passed
 
 
-def _cmd_check(args) -> int:
+def _feasible_text(verdict) -> str:
+    if verdict.feasible:
+        return "True"
+    return f"False ({verdict.violation_kind.value} at index {verdict.violated_row})"
+
+
+def _cmd_check(args) -> _Outcome:
     P = load_program(args.file)
     x = _parse_vector(P.ring, args.x, P.cols, "--x")
     y = _parse_vector(P.ring, args.y, P.rows, "--y")
@@ -169,7 +170,6 @@ def _cmd_check(args) -> int:
     gap_val = gap(P, x, y)
     weak = assert_weak_duality(P, x, y)
     report = {
-        "command": "check",
         "file": args.file,
         "x": vec_text(x),
         "y": vec_text(y),
@@ -184,34 +184,20 @@ def _cmd_check(args) -> int:
     }
     human = [
         f"program {args.file} over {P.ring.value} ({P.rows}x{P.cols})",
-        f"x = {vec_text(x)}  primal feasible: {pv.feasible}"
-        + (
-            ""
-            if pv.feasible
-            else f" ({pv.violation_kind.value} at index {pv.violated_row})"
-        ),
-        f"y = {vec_text(y)}  dual feasible:   {dv.feasible}"
-        + (
-            ""
-            if dv.feasible
-            else f" ({dv.violation_kind.value} at index {dv.violated_row})"
-        ),
+        f"x = {vec_text(x)}  primal feasible: {_feasible_text(pv)}",
+        f"y = {vec_text(y)}  dual feasible:   {_feasible_text(dv)}",
         f"t = b - A.x = {vec_text(t)}",
         f"s = y.A - c = {vec_text(s)}",
         f"f(x) = {pretty(f_val)}   g(y) = {pretty(g_val)}   gap = {pretty(gap_val)}",
     ]
     human.extend(_check_lines([weak]))
-    _emit(args, report, human)
-    if weak.applicable and not weak.passed:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return report, human, weak.passed or not weak.applicable
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> _Outcome:
     P = load_program(args.file)
     summary = identity_trials(P, args.trials, args.seed)
     report = {
-        "command": "identities",
         "file": args.file,
         "trials": args.trials,
         "seed": args.seed,
@@ -223,8 +209,7 @@ def _cmd_identities(args) -> int:
         f"  failures: {summary.failures}",
         "PASS" if summary.passed else f"FAIL: {summary.first_failure}",
     ]
-    _emit(args, report, human)
-    return EXIT_OK if summary.passed else EXIT_VIOLATION
+    return report, human, summary.passed
 
 
 def _status_lines(label: str, status) -> list[str]:
@@ -237,66 +222,49 @@ def _status_lines(label: str, status) -> list[str]:
     return out
 
 
-def _box(args, ring: RingId) -> BoxSpec:
-    """The scan box of ``--box``/``--den``. ``--den`` above 1 is refused on
-    a ring whose grid is the integers 0..N, where a report echoing it would
-    claim a bound that was never used."""
-    if args.den is not None and args.den > 1 and descriptor(ring).smallest_positive is not None:
-        raise ValueError(
-            f"--den {args.den} has no effect on {ring.value}: its grid is the integers 0..N"
-        )
-    return BoxSpec(args.box, args.den)
-
-
-def _cmd_enumerate(args) -> int:
+def _scan_input(args) -> tuple:
+    """The program of ``file``, the scan box of ``--box``/``--den`` and the
+    report fields that echo them. ``--den`` above 1 is refused on a ring
+    whose grid is the integers 0..N, where a report echoing it would claim
+    a bound that was never used."""
     P = load_program(args.file)
-    box = _box(args, P.ring)
-    report: dict = {
-        "command": "enumerate",
-        "file": args.file,
-        "box": args.box,
-        "den": args.den,
-    }
+    if args.den is not None and args.den > 1 and descriptor(P.ring).smallest_positive is not None:
+        raise ValueError(
+            f"--den {args.den} has no effect on {P.ring.value}: its grid is the integers 0..N"
+        )
+    return P, BoxSpec(args.box, args.den), {"file": args.file, "box": args.box, "den": args.den}
+
+
+def _cmd_enumerate(args) -> _Outcome:
+    P, box, report = _scan_input(args)
     human: list[str] = [f"program {args.file} over {P.ring.value}, box bound {args.box}"]
     for side, scan in (("primal", enumerate_primal), ("dual", enumerate_dual)):
         if args.side in (None, side):
             status = scan(P, box)
             report[side] = status.as_dict()
             human.extend(_status_lines(side, status))
-    _emit(args, report, human)
-    return EXIT_OK
+    return report, human, True
 
 
-def _cmd_edt(args) -> int:
-    P = load_program(args.file)
-    box = _box(args, P.ring)
+def _cmd_edt(args) -> _Outcome:
+    P, box, report = _scan_input(args)
     edt = classify_edt(P, box)
-    report = {
-        "command": "edt",
-        "file": args.file,
-        "box": args.box,
-        "den": args.den,
-        "report": edt.as_dict(),
-    }
+    report["report"] = edt.as_dict()
     human = [f"joint classification of {args.file}, box bound {args.box}"]
     human.extend(_status_lines("primal", edt.primal))
     human.extend(_status_lines("dual", edt.dual))
     human.append(edt.details)
-    _emit(args, report, human)
-    return EXIT_OK
+    return report, human, True
 
 
 # ---------------------------------------------------------------------------
 # demos (fixed witnesses: a per ring, z = 1/3, p = 1/2 where 2 is a unit and
-# 1/3 otherwise, b = 3 or y, 21 steps, box 10)
+# 1/3 otherwise, b = 3 or y; the constructions' default 21 steps and box 10).
+# A demo's outcome holds what follows its name and what it exhibits.
 
 
-def _bundle_output(args, name: str, exhibits: str, bundle) -> int:
-    cert = certificate_dict(bundle)
-    report = {"command": "demo", "name": name, "exhibits": exhibits, "certificate": cert}
+def _bundle_output(bundle) -> _Outcome:
     human = [
-        f"demo {name}",
-        f"exhibits: {exhibits}",
         "",
         serialize_program(bundle.program).rstrip(),
         "",
@@ -311,81 +279,15 @@ def _bundle_output(args, name: str, exhibits: str, bundle) -> int:
         shown = values if len(values) <= 6 else values[:4] + ["..."] + values[-2:]
         human.append(f"objective values ({len(values)} points): {', '.join(shown)}")
     human.extend(_check_lines(bundle.checks))
-    _emit(args, report, human)
     ok = all(c.passed for c in bundle.checks if c.applicable)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return {"certificate": certificate_dict(bundle)}, human, ok
 
 
-# name -> (default ring, what it exhibits, builder of its bundle from (ring, a));
-# center-betweenness reports sampled checks instead of a bundle. The step
-# witnesses z and p are inverses of small integers; on a ring where none is
-# a unit (int) they are None, and the construction refuses that ring, which
-# has a smallest positive element, before it reads them.
-_DEMOS = {
-    "strong-duality-gap": (
-        RingId.INT,
-        "no strong duality over a ring whose smallest positive element is 1",
-        lambda ring, a: strong_duality_counterexample(ring, a, BoxSpec(DEMO_BOX)),
-    ),
-    "edt-infeasible-optimal": (
-        RingId.INT,
-        "existence-duality failure: infeasible primal with an optimal dual",
-        lambda ring, a: infeasible_optimal_program(
-            ring, a, InfeasibleSide.PRIMAL_INFEASIBLE
-        ),
-    ),
-    "edt-infeasible-optimal-transposed": (
-        RingId.INT,
-        "existence-duality failure: infeasible dual with an optimal primal",
-        lambda ring, a: infeasible_optimal_program(
-            ring, a, InfeasibleSide.DUAL_INFEASIBLE
-        ),
-    ),
-    "primal-no-optimum": (
-        RingId.ODDRAT,
-        "a feasible bounded primal that attains no optimum",
-        lambda ring, a: primal_improving_sequence(
-            ring, a, try_invert(from_int(ring, 3)), DEMO_STEPS
-        ),
-    ),
-    "dual-no-optimum": (
-        RingId.POLY,
-        "a feasible bounded dual that attains no optimum",
-        lambda ring, a: dual_decreasing_sequence(
-            ring,
-            a,
-            try_invert(from_int(ring, 2)) or try_invert(from_int(ring, 3)),
-            DEMO_STEPS,
-        ),
-    ),
-    "noncommutative-gap": (
-        RingId.SKEW,
-        "a strict duality gap on every feasible pair, non-commutative instance",
-        lambda ring, a: gap_program(ring, a),
-    ),
-    "center-betweenness": (
-        RingId.SKEW,
-        "no central element lies strictly between a*b and b*a",
-        None,
-    ),
-}
-
-
-def _cmd_demo(args) -> int:
-    name = args.name
-    default_ring, exhibits, build = _DEMOS[name]
-    ring = RingId(args.ring) if args.ring else default_ring
-    a = parse_element(ring, args.a if args.a else _DEFAULT_A_TEXT[ring])
-    if build is not None:
-        return _bundle_output(args, name, exhibits, build(ring, a))
-    # center-betweenness
+def _center_betweenness(ring: RingId, a) -> _Outcome:
     b = from_int(ring, 3) if descriptor(ring).is_commutative else SKEW_Y
     summary = no_central_between_trials(a, b, DEMO_SAMPLES, DEMO_SEED)
     magnitude = magnitude_gap_check(a, b)
     report = {
-        "command": "demo",
-        "name": name,
-        "exhibits": exhibits,
         "ring": ring.value,
         "a": to_text(a),
         "b": to_text(b),
@@ -394,16 +296,75 @@ def _cmd_demo(args) -> int:
         "magnitude_gap": magnitude.as_dict(),
     }
     human = [
-        f"demo {name}",
-        f"exhibits: {exhibits}",
         f"ring {ring.value}, a = {pretty(a)}, b = {pretty(b)}, "
         f"{DEMO_SAMPLES} sampled central elements (seed {DEMO_SEED})",
         f"  betweenness violations: {summary.failures}",
     ]
     human.extend(_check_lines([magnitude]))
     human.append("PASS" if summary.passed else "FAIL")
-    _emit(args, report, human)
-    return EXIT_OK if summary.passed else EXIT_VIOLATION
+    return report, human, summary.passed
+
+
+# name -> (default ring, what it exhibits, its outcome from (ring, a)). The
+# step witnesses z and p are inverses of small integers; on a ring where
+# none is a unit (int) they are None, and the construction refuses that
+# ring, which has a smallest positive element, before it reads them.
+_DEMOS = {
+    "strong-duality-gap": (
+        RingId.INT,
+        "no strong duality over a ring whose smallest positive element is 1",
+        lambda ring, a: _bundle_output(strong_duality_counterexample(ring, a)),
+    ),
+    "edt-infeasible-optimal": (
+        RingId.INT,
+        "existence-duality failure: infeasible primal with an optimal dual",
+        lambda ring, a: _bundle_output(
+            infeasible_optimal_program(ring, a, InfeasibleSide.PRIMAL_INFEASIBLE)
+        ),
+    ),
+    "edt-infeasible-optimal-transposed": (
+        RingId.INT,
+        "existence-duality failure: infeasible dual with an optimal primal",
+        lambda ring, a: _bundle_output(
+            infeasible_optimal_program(ring, a, InfeasibleSide.DUAL_INFEASIBLE)
+        ),
+    ),
+    "primal-no-optimum": (
+        RingId.ODDRAT,
+        "a feasible bounded primal that attains no optimum",
+        lambda ring, a: _bundle_output(
+            primal_improving_sequence(ring, a, try_invert(from_int(ring, 3)))
+        ),
+    ),
+    "dual-no-optimum": (
+        RingId.POLY,
+        "a feasible bounded dual that attains no optimum",
+        lambda ring, a: _bundle_output(
+            dual_decreasing_sequence(
+                ring, a, try_invert(from_int(ring, 2)) or try_invert(from_int(ring, 3))
+            )
+        ),
+    ),
+    "noncommutative-gap": (
+        RingId.SKEW,
+        "a strict duality gap on every feasible pair, non-commutative instance",
+        lambda ring, a: _bundle_output(gap_program(ring, a)),
+    ),
+    "center-betweenness": (
+        RingId.SKEW,
+        "no central element lies strictly between a*b and b*a",
+        _center_betweenness,
+    ),
+}
+
+
+def _cmd_demo(args) -> _Outcome:
+    default_ring, exhibits, show = _DEMOS[args.name]
+    ring = RingId(args.ring) if args.ring else default_ring
+    a = parse_element(ring, args.a if args.a else _DEFAULT_A_TEXT[ring])
+    report, human, ok = show(ring, a)
+    report = {"name": args.name, "exhibits": exhibits, **report}
+    return report, [f"demo {args.name}", f"exhibits: {exhibits}", *human], ok
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--json", action="store_true", help="emit one machine-readable JSON report"
     )
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("file")
+    scan.add_argument("--box", type=int, required=True)
+    scan.add_argument("--den", type=int, default=None)
     parser = argparse.ArgumentParser(
         prog="ringlp",
         description=(
@@ -452,20 +417,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser(
-        "enumerate", parents=[shared], help="exhaustive in-box optimization"
+        "enumerate", parents=[shared, scan], help="exhaustive in-box optimization"
     )
-    p.add_argument("file")
-    p.add_argument("--box", type=int, required=True)
-    p.add_argument("--den", type=int, default=None)
     p.add_argument("--side", choices=["primal", "dual"], default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(
-        "edt", parents=[shared], help="joint classification against the classical cases"
+        "edt", parents=[shared, scan], help="joint classification against the classical cases"
     )
-    p.add_argument("file")
-    p.add_argument("--box", type=int, required=True)
-    p.add_argument("--den", type=int, default=None)
     p.set_defaults(func=_cmd_edt)
 
     p = sub.add_parser("demo", parents=[shared], help="one construction per claim")
@@ -483,16 +442,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DimensionMismatch, RingMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        report, human, ok = args.func(args)
     except (
         NotAPositiveNonUnit,
         NoSmallestPositive,
@@ -502,9 +452,18 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ValueError as exc:
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (RingLpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        print(json.dumps({"command": args.command, **report}, indent=2, sort_keys=True))
+    else:
+        for line in human:
+            print(line)
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

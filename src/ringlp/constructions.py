@@ -89,6 +89,9 @@ __all__ = [
 
 NOT_CERTIFIED = "claimed (not machine-certified)"
 
+# the box that constructions scan and bundles are re-verified in by default
+_DEFAULT_BOX = BoxSpec(10)
+
 
 @unique
 class BundleKind(Enum):
@@ -244,8 +247,8 @@ def gap_program(
             dual_witnesses.append(vector(ring, [w]))
     reports, feasible, problems = _feasibility_checks(P, primal_witnesses, dual_witnesses, "witnesses")
     if by_box:
-        box_points = [feasible_points(P, BoxSpec(10), primal) for primal in (True, False)]
-        gap_check = _pair_gap_check(P, *box_points, "box enumeration on [0,10]")
+        box_points = [feasible_points(P, _DEFAULT_BOX, primal) for primal in (True, False)]
+        gap_check = _pair_gap_check(P, *box_points, f"box enumeration on [0,{_DEFAULT_BOX.bound}]")
     else:
         gap_check = _pair_gap_check(P, *feasible, "witness family", problems)
     return CounterexampleBundle(
@@ -292,7 +295,7 @@ def strong_duality_counterexample(
     if descriptor(ring).smallest_positive is None:
         raise NoSmallestPositive(f"{ring.value} has no smallest positive element")
     P = _one_by_one_program(a)
-    box = box or BoxSpec(10)
+    box = box or _DEFAULT_BOX
     x_star = zero_vector(ring, 1)
     y_star = vector(ring, [one(ring)])
     notes = (
@@ -380,7 +383,7 @@ def infeasible_optimal_program(
         ),
     ]
     if descriptor(ring).is_enumerable:
-        box = BoxSpec(10)
+        box = _DEFAULT_BOX
         # the optimal side is scanned without the note: the note argues only
         # that the other side is infeasible
         if primal_optimal:
@@ -658,7 +661,7 @@ def verify_bundle(
         reports.append(
             certify_optimal_pair(
                 P,
-                box or BoxSpec(10),
+                box or _DEFAULT_BOX,
                 x_star=bundle.primal_optimum,
                 y_star=bundle.dual_optimum,
             )

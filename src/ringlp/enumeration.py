@@ -151,8 +151,9 @@ class EdtReport:
 def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, ...]:
     """The per-variable grid, ascending.
 
-    Raises as soon as the distinct values found so far, raised to the
-    number of variables, exceed the point cap, before the rest is built.
+    Raises before any value is built when the values of denominator 1
+    alone, raised to the number of variables, exceed the point cap, and
+    otherwise as soon as the distinct values found so far do.
     """
     facts = descriptor(ring)
     if not facts.is_enumerable:
@@ -167,6 +168,9 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, .
             raise ValueError(_TOO_LARGE)
         return tuple(from_int(ring, v) for v in range(box.bound + 1))
     d_bound = box.denominator_bound or 1
+    # denominator 1 alone gives the N*D + 1 distinct values 0..N*D
+    if (box.bound * d_bound + 1) ** nvars > _MAX_POINTS:
+        raise ValueError(_TOO_LARGE)
     scale = d_bound * d_bound
     # distinct p/q and p'/q' with q, q' <= D differ by at least 1/(q q') >=
     # 1/D^2 (Farey spacing), so floor(value * D^2) tells the values apart and

@@ -136,17 +136,25 @@ class RingElement:
     def __neg__(self) -> "RingElement":
         return neg(self)
 
-    def __lt__(self, other: "RingElement") -> bool:
-        return compare(self, other) is Ordering.LT
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, RingElement):
+            return compare(self, other) is Ordering.LT
+        return NotImplemented
 
-    def __le__(self, other: "RingElement") -> bool:
-        return compare(self, other) is not Ordering.GT
+    def __le__(self, other: object) -> bool:
+        if isinstance(other, RingElement):
+            return compare(self, other) is not Ordering.GT
+        return NotImplemented
 
-    def __gt__(self, other: "RingElement") -> bool:
-        return compare(self, other) is Ordering.GT
+    def __gt__(self, other: object) -> bool:
+        if isinstance(other, RingElement):
+            return compare(self, other) is Ordering.GT
+        return NotImplemented
 
-    def __ge__(self, other: "RingElement") -> bool:
-        return compare(self, other) is not Ordering.LT
+    def __ge__(self, other: object) -> bool:
+        if isinstance(other, RingElement):
+            return compare(self, other) is not Ordering.LT
+        return NotImplemented
 
     def __str__(self) -> str:
         return to_text(self)

@@ -5,7 +5,17 @@ import pytest
 
 from ringlp.cli import main
 from ringlp.reports import AxiomReport, AxiomViolation
-from ringlp import RingId
+from ringlp import (
+    DimensionMismatch,
+    NoSmallestPositive,
+    NotAPositiveNonUnit,
+    ParseError,
+    PreconditionViolated,
+    RingId,
+    RingMismatch,
+    StepLosesFeasibility,
+    UnsupportedRing,
+)
 
 from conftest import FIXTURES
 
@@ -297,6 +307,35 @@ def test_demo_ring_combinations_outside_the_goldens(capsys, name, ring, code, sh
     got, out = run(capsys, "demo", name, "--ring", ring, "--json")
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (ParseError("bad literal"), 2, "parse error: "),
+        (DimensionMismatch("bad shape"), 2, "error: "),
+        (RingMismatch("two rings"), 2, "error: "),
+        (NotAPositiveNonUnit("a is a unit"), 3, "precondition error: "),
+        (NoSmallestPositive("no least element"), 3, "precondition error: "),
+        (PreconditionViolated("failed test"), 3, "precondition error: "),
+        (StepLosesFeasibility("step left the cone"), 3, "precondition error: "),
+        (UnsupportedRing("not enumerable"), 3, "precondition error: "),
+        (FileNotFoundError("no such file"), 2, "error: "),
+        (ValueError("bad value"), 2, "error: "),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_each_failure_maps_to_its_exit_code_and_stderr_label(capsys, monkeypatch, error, code, prefix):
+    import ringlp.cli as cli_module
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli_module, "_cmd_rings", fail)
+    assert main(["rings"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}{error}\n"
 
 
 def test_violation_exit_code_via_forced_report(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -628,6 +629,21 @@ def test_box_spec_rejects_bounds_below_one(args):
 def test_candidate_values_refuses_more_values_than_the_cap():
     with pytest.raises(ValueError, match="too large"):
         candidate_values(RingId.INT, BoxSpec(5_000_000))
+
+
+@pytest.mark.parametrize("ring", [RingId.RAT, RingId.ODDRAT])
+def test_a_rational_grid_over_the_cap_is_refused_before_any_value_is_built(ring):
+    # denominator 1 alone gives 10**8 + 1 values: the cap is checked before
+    # the loop that would build them
+    P = _program([[1]], [1], [1], ring=ring)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            enumerate_primal(P, BoxSpec(10**8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_box_growth_monotonicity(gap_int):

@@ -15,8 +15,10 @@ Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
 grid value through the validating ``from_rational``.
 The only module slot that a function rebinds is ``affine``'s tables slot,
-so a scan hands its grid on by argument. All are checked by reading the
-sources, without importing or running anything.
+so a scan hands its grid on by argument. In ``cli.py`` only ``main``
+prints and picks the exit code; the subcommand handlers return their
+reports. All are checked by reading the sources, without importing or
+running anything.
 """
 
 from __future__ import annotations
@@ -214,3 +216,10 @@ def test_only_the_tables_slot_is_rebound_by_a_function():
         if isinstance(node, ast.Global)
     ]
     assert rebinders == ["affine.py: _tables rebinds _LAST"], rebinders
+
+
+def test_only_main_prints_or_picks_an_exit_code_in_the_cli():
+    """Each subcommand handler returns its report, its lines and whether its
+    checks held; ``main`` alone prints them and maps that to an exit code."""
+    for name in ("print", "EXIT_OK", "EXIT_VIOLATION"):
+        assert _readers(SRC / "cli.py", name) == {"main"}, name

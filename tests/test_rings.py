@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import ge, gt, le, lt
 
 import pytest
 from hypothesis import given
@@ -347,6 +348,22 @@ def test_operator_sugar_matches_functions():
     assert a * b == from_rational(RingId.RAT, 3, 16)
     assert -a == neg(a)
     assert b < a and a > b and a >= a and b <= b
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_ordering_operators_refuse_non_elements(ring):
+    # like + - *, an ordering operator returns NotImplemented for a
+    # non-element, so Python raises TypeError rather than AttributeError
+    a = from_int(ring, 2)
+    other = from_int(RingId.RAT if ring is RingId.INT else RingId.INT, 2)
+    for op in (lt, le, gt, ge):
+        for left, right in ((a, 3), (3, a), (a, None)):
+            with pytest.raises(TypeError):
+                op(left, right)
+        with pytest.raises(RingMismatch):
+            op(a, other)
+    with pytest.raises(TypeError):
+        sorted([a, 3])
 
 
 def test_pretty_rendering():

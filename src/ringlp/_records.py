@@ -12,7 +12,10 @@ Unless the class defines them itself, it gains:
 Instances refuse every attribute assignment or deletion with
 ``AttributeError``, and pickle and copy through their fields. A class
 that writes its own ``__init__`` (the hot constructors do, to skip the
-generic argument binding) stores each field with ``setfield``.
+generic argument binding) stores each field with ``setfield``. Private
+derived slots, declared as ``__slots__ = ("_name",)``, hold values computed
+from the fields: unset until set once with ``setfield``, they are left out
+of ``__init__``, equality, hashing, ``repr`` and pickling.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ def record(cls):
     if len(fields) < 2:
         raise TypeError(f"record {cls.__name__} needs at least two fields")
     defaults = {name: ns.pop(name) for name in fields if name in ns}
-    ns.pop("__dict__", None)
-    ns.pop("__weakref__", None)
+    derived = tuple(ns.pop("__slots__", ()))
+    for name in ("__dict__", "__weakref__", *derived):
+        ns.pop(name, None)
     values = attrgetter(*fields)  # the field tuple
     names = frozenset(fields)
     post_init = ns.get("__post_init__")
@@ -77,7 +81,7 @@ def record(cls):
     for method in (__init__, __eq__, __hash__, __repr__):
         ns.setdefault(method.__name__, method)
     ns.update(
-        __slots__=fields,
+        __slots__=fields + derived,
         __qualname__=cls.__qualname__,
         __setattr__=_frozen,
         __delattr__=_frozen,

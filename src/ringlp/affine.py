@@ -75,6 +75,7 @@ class ProgramData:
     b: RVector
     c: RVector
     d: RingElement
+    __slots__ = ("_form",)  # the integer form, built by ``_form_of``
 
     def __post_init__(self):
         for part_ring in (self.A.ring, self.b.ring, self.c.ring, self.d.ring):
@@ -203,32 +204,33 @@ def _verdict(
     return _FEASIBLE, slack
 
 
-def _build_tables(P: ProgramData) -> tuple[Optional[tuple], Optional[tuple]]:
-    """``(rows, cols)``: ``(L A_j, L b_j)`` per row and ``(L A^i, L c_i)`` per
-    column in ints, L the lcm of the denominators of ``P``'s entries, or
-    ``(None, None)`` on POLY and SKEW."""
+def scaled_ints(elements: Iterable[RingElement]) -> tuple[int, list[int]]:
+    """``(L, [L e, ...])``: scalar ``elements`` over L, the lcm of their denominators."""
+    payloads = [e.payload for e in elements]
+    scale = lcm(*[p.denominator for p in payloads])
+    return scale, [p.numerator * (scale // p.denominator) for p in payloads]
+
+
+def _build_form(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
+    """``P``'s integer form ``(rows, cols)``: ``(L A_j, L b_j)`` per row and
+    ``(L A^i, L c_i)`` per column in ints, L the lcm of the denominators of
+    A, b and c, or ``None`` on POLY and SKEW."""
     if type(P.d.payload) is tuple:
-        return None, None
-    parts = [e.payload for e in P.A.entries + P.b.entries + P.c.entries]
-    scale = lcm(*[p.denominator for p in parts])
-    ints = [p.numerator * (scale // p.denominator) for p in parts]
+        return None
+    ints = scaled_ints(P.A.entries + P.b.entries + P.c.entries)[1]
     m, n = P.rows, P.cols
     A, b, c = tuple(ints[: m * n]), ints[m * n : m * n + m], ints[m * n + m :]
     rows = tuple((A[j * n : j * n + n], b[j]) for j in range(m))
     return rows, tuple((A[i::n], c[i]) for i in range(n))
 
 
-_LAST: tuple = (None, (None, None))
-
-
-def _tables(P: ProgramData) -> tuple[Optional[tuple], Optional[tuple]]:
-    """``P``'s tables, kept with the last program as one tuple found by identity."""
-    global _LAST
-    held, tables = _LAST
-    if held is not P:
-        tables = _build_tables(P)
-        _LAST = (P, tables)
-    return tables
+def _form_of(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
+    """``P``'s integer form, built on first use and kept on ``P``."""
+    try:
+        return P._form
+    except AttributeError:
+        setfield(P, "_form", _build_form(P))
+        return P._form
 
 
 def _table_verdict(lines: tuple, breaks: Callable, entries: tuple) -> FeasibilityVerdict:
@@ -256,15 +258,15 @@ def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
 
     The first negative coordinate is reported before any row, then the
     first row whose slack ``b_j - A_j x`` is negative. On INT, RAT and
-    ODDRAT row j is ``L b_j Q >= L A_j . Q x`` in ints, on tables built
-    once per program, so no slack, no ``Fraction`` and no element is
-    built; on POLY and SKEW the verdict builds the slack once and reads
-    its signs.
+    ODDRAT row j is ``L b_j Q >= L A_j . Q x`` in ints, on the rows of the
+    program's integer form, built on its first verdict and kept with it,
+    so no slack, no ``Fraction`` and no element is built; on POLY and
+    SKEW the verdict builds the slack once and reads its signs.
     """
-    rows = _tables(P)[0]
-    if rows is None:
+    form = _form_of(P)
+    if form is None:
         return _verdict(P, x, P.cols, primal_slack)[0]
-    return _table_verdict(rows, lt, _entries(P, x, P.cols))
+    return _table_verdict(form[0], lt, _entries(P, x, P.cols))
 
 
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
@@ -274,10 +276,10 @@ def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
     first column whose slack ``y A^i - c_i`` is negative, each tested as the
     rows of :func:`is_primal_feasible` are (``Q y . L A^i >= L c_i Q``).
     """
-    cols = _tables(P)[1]
-    if cols is None:
+    form = _form_of(P)
+    if form is None:
         return _verdict(P, y, P.rows, dual_slack)[0]
-    return _table_verdict(cols, gt, _entries(P, y, P.rows))
+    return _table_verdict(form[1], gt, _entries(P, y, P.rows))
 
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
@@ -299,7 +301,7 @@ class Side(NamedTuple):
     nvars: Callable[[ProgramData], int]
     feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
     objective: Callable[[ProgramData, RVector], RingElement]
-    weights: Callable[[ProgramData], RVector]  # the objective's coefficients
+    weights: Callable[[ProgramData], list[int]]  # L c or L b, from the integer form
     better: Ordering  # how a strictly better objective value compares
 
     @classmethod
@@ -309,11 +311,11 @@ class Side(NamedTuple):
         if primal:
             return cls(
                 "primal", "f", attrgetter("cols"), is_primal_feasible, eval_f,
-                attrgetter("c"), Ordering.GT,
+                lambda P: [k for _, k in _form_of(P)[1]], Ordering.GT,  # L c
             )
         return cls(
             "dual", "g", attrgetter("rows"), is_dual_feasible, eval_g,
-            attrgetter("b"), Ordering.LT,
+            lambda P: [k for _, k in _form_of(P)[0]], Ordering.LT,  # L b
         )
 
 
@@ -389,6 +391,8 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
 
 
 def _require_shape(max_rows: int, max_cols: int) -> None:
+    if any(type(k) is bool or not isinstance(k, int) for k in (max_rows, max_cols)):
+        raise TypeError(f"max_rows and max_cols must be ints, got {max_rows!r}, {max_cols!r}")
     if max_rows < 1 or max_cols < 1:
         raise ValueError(f"max_rows and max_cols must be positive, got {max_rows}, {max_cols}")
 

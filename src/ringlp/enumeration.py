@@ -25,9 +25,9 @@ The grid ascends and the points are walked in lexicographic order
 (``linalg.grid_points``, which checks the ring of the grid once instead of
 per point). Feasible points are ranked by integer keys, not ring elements:
 with each grid value k/G over the grid's common denominator G and the
-side's objective weights (c, or b) w/L over theirs, a point's key is
-``w . k`` and its objective is ``key / (L G) - d``, so comparing keys
-compares objectives exactly. Keeping only strict improvements makes the
+side's objective weights (c, or b) w/L over the program's denominator L,
+a point's key is ``w . k`` and its objective is ``key / (L G) - d``, so
+comparing keys compares objectives exactly. Keeping only strict improvements makes the
 witness the lexicographically smallest point that attains the best
 value, and one objective element is built per side scan, for that point.
 """
@@ -37,12 +37,11 @@ from __future__ import annotations
 from enum import Enum, unique
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import gt, lt, mul as _times
 from typing import Optional
 
 from ._records import record
-from .affine import ProgramData, Side, gap
+from .affine import ProgramData, Side, gap, scaled_ints
 from .errors import UnsupportedRing
 from .linalg import RVector, grid_points
 from .reports import CheckReport
@@ -194,20 +193,12 @@ def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     return _grid_values(ring, box, 1)
 
 
-def _numerators(elements) -> list[int]:
-    """The scalar ``elements`` as ints over the lcm of their denominators
-    (1 on INT), in order."""
-    payloads = [e.payload for e in elements]
-    scale = lcm(*[p.denominator for p in payloads])
-    return [p.numerator * (scale // p.denominator) for p in payloads]
-
-
 def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
     """Yield every feasible grid point of one side, in lexicographic order,
     with its coordinates' integer keys over the grid's common denominator."""
     feasible = side.feasible
     n = side.nvars(P)
-    for vec, keys in zip(grid_points(P.ring, values, n), product(_numerators(values), repeat=n)):
+    for vec, keys in zip(grid_points(P.ring, values, n), product(scaled_ints(values)[1], repeat=n)):
         if feasible(P, vec).feasible:
             yield vec, keys
 
@@ -220,13 +211,13 @@ def _enumerate(
 ) -> ProgramStatus:
     """One side's in-box status on ``values``, a grid already capped for it.
 
-    Points are ranked by the integer key ``w . k``, the side's weights over
-    their common denominator L and the coordinates over the grid's, G.
-    Since L, G > 0 it orders the points exactly as the objective
-    ``key / (L G) - d`` does, so the objective element is built once, for
-    the best point.
+    Points are ranked by the integer key ``w . k``, with w = L c (or L b)
+    from the program's integer form, L its common denominator, and k the
+    coordinates over the grid's, G. Since L, G > 0 it orders the points
+    exactly as the objective ``key / (L G) - d`` does, so the objective
+    element is built once, for the best point.
     """
-    weights = _numerators(side.weights(P))
+    weights = side.weights(P)
     improves = gt if side.better is Ordering.GT else lt
     best_key = best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point

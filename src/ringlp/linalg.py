@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 
-def _require_entries_in(ring: RingId, entries: Iterable[RingElement]) -> None:
+def _require_entries_in(ring: RingId, entries: Iterable[RingElement], what: str = "vector") -> None:
     for e in entries:
         if e.ring is not ring:
-            raise RingMismatch(f"vector over {ring.value} contains {e.ring.value} entry")
+            raise RingMismatch(f"{what} over {ring.value} contains {e.ring.value} entry")
 
 
 @record
@@ -70,11 +70,7 @@ class RMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        for e in self.entries:
-            if e.ring is not self.ring:
-                raise RingMismatch(
-                    f"matrix over {self.ring.value} contains {e.ring.value} entry"
-                )
+        _require_entries_in(self.ring, self.entries, "matrix")
 
     def entry(self, j: int, i: int) -> RingElement:
         return self.entries[j * self.cols + i]

@@ -50,11 +50,13 @@ SKEW_MAX_DEGREE = 3
 
 
 class Lcg:
-    """The fixed 64-bit linear congruential generator."""
+    """The fixed 64-bit linear congruential generator, seeded by an ``int``."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        if type(seed) is bool or not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, got {seed!r}")
         self.state = seed & _MASK
 
     def next_u64(self) -> int:

@@ -35,6 +35,7 @@ from ringlp import (
     random_program,
     sign,
     vector,
+    verify_order_axioms,
     weak_duality_trials,
     zero_vector,
 )
@@ -255,15 +256,45 @@ def test_trial_loops_reject_a_bool_count(gap_int):
             loop()
 
 
-@pytest.mark.parametrize("max_rows,max_cols", [(0, 3), (3, 0), (-2, 3), (3, -1)])
+@pytest.mark.parametrize(
+    "max_rows,max_cols",
+    [(0, 3), (3, 0), (-2, 3), (3, -1), (True, 3), (3, False), (1.5, 3), (3, 2.0)],
+)
 def test_trial_loops_reject_a_shape_bound_below_one(max_rows, max_cols):
+    """A bound below 1 is a ``ValueError``; a ``bool`` or a non-``int`` is a
+    ``TypeError``, before any trial runs."""
     shape = {"max_rows": max_rows, "max_cols": max_cols}
-    with pytest.raises(ValueError, match="max_rows and max_cols must be positive"):
+    if type(max_rows) is int and type(max_cols) is int:
+        error, message = ValueError, "max_rows and max_cols must be positive"
+    else:
+        error, message = TypeError, "max_rows and max_cols must be ints"
+    with pytest.raises(error, match=message):
         weak_duality_trials(RingId.INT, 5, 1, **shape)
-    with pytest.raises(ValueError, match="max_rows and max_cols must be positive"):
+    with pytest.raises(error, match=message):
         identity_program_trials(RingId.INT, 5, 1, **shape)
-    with pytest.raises(ValueError, match="max_rows and max_cols must be positive"):
+    with pytest.raises(error, match=message):
         random_program(Sampler(1), RingId.INT, **shape)
+
+
+def test_trial_loops_reject_a_bool_or_non_int_seed(gap_int):
+    """The seed goes to ``Sampler``, whose generator takes only an ``int``:
+    ``True`` is not seed 1 and 1.5 is not truncated. A negative seed is an
+    int and still runs."""
+    loops = [
+        lambda seed: identity_trials(gap_int, 2, seed),
+        lambda seed: identity_program_trials(RingId.INT, 2, seed),
+        lambda seed: weak_duality_trials(RingId.INT, 2, seed),
+        lambda seed: no_central_between_trials(SKEW_X, SKEW_Y, 2, seed),
+        lambda seed: verify_order_axioms(RingId.INT, 2, seed),
+    ]
+    for loop in loops:
+        for seed in (True, False, 1.5, 2.0, "1", None):
+            with pytest.raises(TypeError, match="seed must be an int"):
+                loop(seed)
+        assert loop(-1).passed
+    for seed in (True, 1.5):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            Sampler(seed)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)

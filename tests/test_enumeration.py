@@ -464,21 +464,21 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
     assert len(built) <= 2237
 
 
-def test_a_scan_pair_builds_one_grid_and_each_program_one_table(monkeypatch):
+def test_a_scan_pair_builds_one_grid_and_each_program_one_form(monkeypatch):
     """``classify_edt`` and ``certify_optimal_pair`` build the per-variable
     grid once for both sides, capped for the side with more variables, and
-    the integer tables of each program once."""
-    grids, tables = [], []
-    grid_values, build_tables = enumeration._grid_values, affine._build_tables
+    the integer form of each program once."""
+    grids, forms = [], []
+    grid_values, build_form = enumeration._grid_values, affine._build_form
     monkeypatch.setattr(enumeration, "_grid_values", lambda *args: grids.append(args) or grid_values(*args))
-    monkeypatch.setattr(affine, "_build_tables", lambda P: tables.append(P) or build_tables(P))
+    monkeypatch.setattr(affine, "_build_form", lambda P: forms.append(P) or build_form(P))
     edt_rat, gap_int = make_edt_program(RingId.RAT), make_gap_program()
     rat_box, int_box = BoxSpec(4, 2), BoxSpec(3)
     assert classify_edt(edt_rat, rat_box).case == 4
     one, zero = int_vector(RingId.INT, [1]), int_vector(RingId.INT, [0])
     assert certify_optimal_pair(gap_int, int_box, zero, one).passed
     assert grids == [(RingId.RAT, rat_box, 2), (RingId.INT, int_box, 1)]
-    assert len(tables) == 2 and tables[0] is edt_rat and tables[1] is gap_int
+    assert len(forms) == 2 and forms[0] is edt_rat and forms[1] is gap_int
 
 
 def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch):
@@ -522,18 +522,25 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
     assert inner == [big]
 
 
-def test_threads_that_share_the_table_slot_and_boxes_get_their_own_results():
-    """The table slot is found by identity and swapped as one tuple, so
-    threads that keep switching programs and boxes, with a short switch
-    interval, still get each program's own verdicts and each scan pair its
-    own report; a lost update only makes a rebuild. A scan of a program
-    over the cap, on a box object the scan pairs are walking, still raises."""
+def test_threads_that_share_programs_and_boxes_get_their_own_results():
+    """Threads that keep switching between shared programs and boxes, with a
+    short switch interval, get each program's own verdicts and each scan
+    pair its own report: each program's integer form is built from that
+    program and kept on it, and two threads that both build it store equal
+    forms. A scan of a program over the cap, on a box object the scan pairs
+    are walking, still raises."""
     rat = RingId.RAT
-    programs = [make_edt_program(rat), make_gap_program(rat), make_edt_program(rat, 3)]
+
+    def three_programs():
+        return [make_edt_program(rat), make_gap_program(rat), make_edt_program(rat, 3)]
+
+    # the threads share programs whose forms are not built yet, and the
+    # expected results come from equal but distinct programs
+    programs = three_programs()
     boxes = [BoxSpec(3, 2), BoxSpec(2, 3), BoxSpec(4, 1)]
     points = [_rat_vec([Fraction(k, 6)]) for k in range(-1, 14)]
-    want = [[is_primal_feasible(P, x) for x in points] for P in programs]
-    reports = [classify_edt(P, box) for P, box in zip(programs, boxes)]
+    want = [[is_primal_feasible(P, x) for x in points] for P in three_programs()]
+    reports = [classify_edt(P, box) for P, box in zip(three_programs(), boxes)]
     # 10 grid values on boxes[0], and 10 ** 7 points is above the cap
     over_cap = _program([[1] * 7], [1], [1] * 7, ring=rat)
     workers_done = threading.Event()

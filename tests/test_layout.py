@@ -7,17 +7,18 @@ ring they hold. No module reaches into a sibling's private names. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
 ``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
 a verdict only by ``assert_weak_duality`` and by the POLY/SKEW path of the
-feasibility tests, whose INT/RAT/ODDRAT path judges on integer tables.
+feasibility tests, whose INT/RAT/ODDRAT path judges on the program's integer form.
 ``linalg.py`` holds containers and does no ring arithmetic, and
 ``ringlp`` exports none of the products it used to. Only ``enumeration``'s walk builds
 vectors without the per-entry ring check, through ``linalg.grid_points``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
 grid value through the validating ``from_rational``.
-The only module slot that a function rebinds is ``affine``'s tables slot,
-so a scan hands its grid on by argument. In ``cli.py`` only ``main``
-prints and picks the exit code; the subcommand handlers return their
-reports. All are checked by reading the sources, without importing or
+No function rebinds a module global: a scan hands its grid on by
+argument, and a program keeps its integer form with it. Only ``affine.py``
+imports ``lcm``, so one module puts a program over a common denominator.
+In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
+handlers return their reports. All are checked by reading the sources, without importing or
 running anything.
 """
 
@@ -129,7 +130,7 @@ def test_only_term_rings_and_weak_duality_build_slacks_for_a_verdict():
     """``affine._verdict`` builds the whole slack of a point. It is read by
     ``assert_weak_duality``, which reuses both slacks, and by the
     feasibility tests for POLY and SKEW. ``_table_verdict``, which judges
-    INT, RAT and ODDRAT points on integer tables without a slack vector, is
+    INT, RAT and ODDRAT points on the integer form without a slack vector, is
     read only by the two feasibility tests."""
     readers = _readers(SRC / "affine.py", "_verdict")
     assert readers == {"assert_weak_duality", "is_primal_feasible", "is_dual_feasible"}, readers
@@ -204,9 +205,10 @@ def test_the_box_scan_compares_no_ring_elements():
     assert _readers(SRC / "enumeration.py", "from_rational") == set()
 
 
-def test_only_the_tables_slot_is_rebound_by_a_function():
-    """The one ``global`` statement under ``src/ringlp`` is ``affine._tables``'s,
-    so no scan parks its state in a module slot for other calls to find."""
+def test_no_function_rebinds_a_module_global():
+    """No ``global`` statement is left under ``src/ringlp``, so no call parks
+    its state in a module slot for other calls to find; and ``affine.py``
+    alone imports ``lcm``, so the scaling to integers is not written twice."""
     rebinders = [
         f"{path.name}: {function.name} rebinds {', '.join(node.names)}"
         for path in MODULES
@@ -215,7 +217,17 @@ def test_only_the_tables_slot_is_rebound_by_a_function():
         for node in ast.walk(function)
         if isinstance(node, ast.Global)
     ]
-    assert rebinders == ["affine.py: _tables rebinds _LAST"], rebinders
+    assert rebinders == [], rebinders
+    importers = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.rpartition(".")[2] == "lcm"
+    }
+    assert importers == {"affine.py"}, importers
+    assert set(_readers_by_module("lcm")) == {"affine.py"}  # ``math.lcm`` too
 
 
 def test_only_main_prints_or_picks_an_exit_code_in_the_cli():

@@ -12,8 +12,8 @@ pins check that each structural coefficient stays the left factor. RAT
 and ODDRAT sums and comparisons are also checked against
 plain ``Fraction`` arithmetic written here, with denominators up to 10^6,
 and the sign of the kernel sum against the sign of the fold.
-The feasibility verdicts, which INT, RAT and ODDRAT decide on integer
-tables built once per program, are checked against
+The feasibility verdicts, which INT, RAT and ODDRAT decide on the integer
+form that each program builds once and keeps, are checked against
 ``_oracles.feasibility_verdict_by_folds``, with wide denominators too.
 The guard tests count calls through the module globals, so a slack that
 falls back to an element per step, a trial that builds a slack twice, or
@@ -689,9 +689,10 @@ def test_verdicts_raise_where_the_fold_oracle_does(ring):
 
 
 def test_alternating_programs_each_get_their_own_verdicts(monkeypatch):
-    """The tables live in one slot found by identity: calls that alternate
-    between two programs, or between two equal but distinct ones, rebuild
-    them on each switch and judge every program by its own data."""
+    """Each program keeps its own integer form: calls that alternate between
+    two programs, or between two equal but distinct ones, build each
+    program's form once, on its first verdict, and judge every program by
+    its own data."""
     ring = RingId.RAT
     P1 = rat_program([[Fraction(1, 2), 2], [3, -1]], [3, Fraction(7, 3)])
     P2 = rat_program([[2, Fraction(1, 2)], [-1, 3]], [Fraction(7, 3), 3])
@@ -716,11 +717,11 @@ def test_alternating_programs_each_get_their_own_verdicts(monkeypatch):
 
     assert by_folds(P1) != by_folds(P2)
     built = []
-    build = affine._build_tables
-    monkeypatch.setattr(affine, "_build_tables", lambda P: built.append(P) or build(P))
+    build = affine._build_form
+    monkeypatch.setattr(affine, "_build_form", lambda P: built.append(P) or build(P))
     for P in (P1, P2, P1, twin, P1, twin, twin):
         assert verdicts(P) == by_folds(P)
-    assert list(map(id, built)) == list(map(id, (P1, P2, P1, twin, P1, twin)))
+    assert list(map(id, built)) == list(map(id, (P1, P2, twin)))
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +835,7 @@ def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
     # every row breaks at x = 0, and column 0 at y = 0
     P = rat_program([[1, 2], [3, 4], [5, 6]], [-1, -2, -3])
     read: list = []
-    build = affine._build_tables
+    build = affine._build_form
 
     def watched(program):
         return tuple(
@@ -842,7 +843,7 @@ def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
             for side, lines in zip(("row", "column"), build(program))
         )
 
-    monkeypatch.setattr(affine, "_build_tables", watched)
+    monkeypatch.setattr(affine, "_build_form", watched)
     assert is_primal_feasible(P, zero_vector(RingId.RAT, 2)) == FeasibilityVerdict(
         False, 0, ViolationKind.SLACK_NEGATIVE
     )
@@ -906,7 +907,7 @@ def test_weak_duality_checks_each_point_before_its_signs():
 @pytest.mark.parametrize("ring", [RingId.INT, RingId.RAT, RingId.ODDRAT])
 def test_scalar_ring_verdicts_build_no_slack(monkeypatch, ring):
     """INT, RAT and ODDRAT verdicts, feasible or not and on either side,
-    are read off the integer tables: no slack and no kernel sum."""
+    are read off the integer form: no slack and no kernel sum."""
     P = two_by_two(ring)
     cases = [
         (is_primal_feasible, True, [1, 1]),

@@ -29,10 +29,11 @@ from ._records import record
 from .affine import ProgramData, Side, eval_g, gap, is_dual_feasible
 from .enumeration import (
     BoxSpec,
+    ProgramStatus,
+    Scope,
     StatusKind,
     certify_optimal_pair,
-    enumerate_dual,
-    enumerate_primal,
+    classify_edt,
     feasible_points,
     judge_optimal_pair,
 )
@@ -143,6 +144,15 @@ class CounterexampleBundle:
     checks: tuple[CheckReport, ...] = ()
 
 
+def _require_count(name: str, value: int, least: int) -> None:
+    """``value`` is an ``int``, not a ``bool`` (``TypeError``), and at least
+    ``least``, 0 or 1 (``ValueError``)."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+
+
 def _require_witnesses(ring: RingId, a: RingElement, *others: RingElement) -> None:
     """The witnesses are in ``ring`` and ``a`` is a positive non-unit."""
     for e in (a, *others):
@@ -165,6 +175,23 @@ def _one_by_one_program(a: RingElement) -> ProgramData:
         vector(ring, [one(ring)]),
         zero(ring),
     )
+
+
+def _argued_statuses(
+    P: ProgramData, box: BoxSpec, notes: tuple[Optional[str], Optional[str]]
+) -> tuple[ProgramStatus, ProgramStatus]:
+    """The (primal, dual) statuses of one box scan pair. A side given a note,
+    which argues that the box holds every point that matters, is EXHAUSTIVE:
+    INFEASIBLE when the box has no witness, otherwise OPTIMAL at the in-box
+    best, even on the box face."""
+    report = classify_edt(P, box)
+    statuses = [report.primal, report.dual]
+    for k, note in enumerate(notes):
+        if note is not None:
+            witness, value = statuses[k].witness, statuses[k].value
+            kind = StatusKind.INFEASIBLE if witness is None else StatusKind.OPTIMAL
+            statuses[k] = ProgramStatus(kind, Scope.EXHAUSTIVE, witness, value, note)
+    return tuple(statuses)
 
 
 def _pair_gap_check(
@@ -232,7 +259,9 @@ def gap_program(
     a smallest positive element (INT) and a sampled family of dual
     witnesses k + (nonnegative sample) elsewhere, where k is the least
     positive integer with k*a >= 1 (so y = [k] is dual-feasible).
+    ``dual_samples`` must be an ``int`` of at least 0.
     """
+    _require_count("dual_samples", dual_samples, 0)
     _require_witnesses(ring, a)
     P = _one_by_one_program(a)
     claim = "every feasible pair (x, y) has sign(g(y) - f(x)) = +1"
@@ -304,7 +333,7 @@ def strong_duality_counterexample(
         f"y*{to_text(a)} >= 1 with y >= 0 rules out y = 0; the objective equals y, "
         "so y = 1 is optimal",
     )
-    statuses = (enumerate_primal(P, box, notes[0]), enumerate_dual(P, box, notes[1]))
+    statuses = _argued_statuses(P, box, notes)
     status_check = CheckReport(
         "optima_attained",
         statuses[0].witness == x_star and statuses[1].witness == y_star,
@@ -369,8 +398,8 @@ def infeasible_optimal_program(
     primal_optimal = side is InfeasibleSide.DUAL_INFEASIBLE
     optimal, infeasible = Side.of(primal_optimal), Side.of(not primal_optimal)
     optimum = zero_vector(ring, 2)
-    primal_witnesses = (optimum,) if primal_optimal else ()
-    dual_witnesses = () if primal_optimal else (optimum,)
+    candidates = (optimum, None) if primal_optimal else (None, optimum)
+    primal_witnesses, dual_witnesses = ((optimum,), ()) if primal_optimal else ((), (optimum,))
     value = optimal.objective(P, optimum)
     infeasible_note = (
         f"feasibility forces {to_text(a)}*x = 1 exactly, a right inverse of a non-unit"
@@ -383,24 +412,16 @@ def infeasible_optimal_program(
         ),
     ]
     if descriptor(ring).is_enumerable:
-        box = _DEFAULT_BOX
-        # the optimal side is scanned without the note: the note argues only
-        # that the other side is infeasible
-        if primal_optimal:
-            statuses = (enumerate_primal(P, box), enumerate_dual(P, box, infeasible_note))
-        else:
-            statuses = (enumerate_primal(P, box, infeasible_note), enumerate_dual(P, box))
+        # the optimal side gets no note: the note argues only that the other
+        # side is infeasible
+        argued = (None, infeasible_note) if primal_optimal else (infeasible_note, None)
+        statuses = _argued_statuses(P, _DEFAULT_BOX, argued)
         status = statuses[1] if primal_optimal else statuses[0]
-        checks.append(
-            CheckReport(
-                "infeasible_side",
-                status.kind is StatusKind.INFEASIBLE,
-                True,
-                (f"{infeasible.name}: {status.kind.value} ({status.scope.value})",),
-            )
-        )
-        candidates = (optimum, None) if primal_optimal else (None, optimum)
-        checks.append(judge_optimal_pair(P, statuses, *candidates))
+        detail = f"{infeasible.name}: {status.kind.value} ({status.scope.value})"
+        checks += [
+            CheckReport("infeasible_side", status.kind is StatusKind.INFEASIBLE, True, (detail,)),
+            judge_optimal_pair(P, statuses, *candidates),
+        ]
         notes = (infeasible_note, sign_note)
     else:
         notes = (
@@ -417,8 +438,8 @@ def infeasible_optimal_program(
         ),
         primal_witnesses=primal_witnesses,
         dual_witnesses=dual_witnesses,
-        primal_optimum=optimum if primal_optimal else None,
-        dual_optimum=None if primal_optimal else optimum,
+        primal_optimum=candidates[0],
+        dual_optimum=candidates[1],
         notes=notes,
         checks=tuple(checks),
     )
@@ -488,8 +509,7 @@ def _non_achieving_sequence(
 ) -> CounterexampleBundle:
     """The gap program walked ``steps`` strict steps from x = 0 with witness
     z (primal) or from y = [1] with witness p (dual)."""
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    _require_count("steps", steps, 1)
     # nothing lies strictly between 0 and a smallest positive element, so
     # there is no witness to read
     smallest = descriptor(ring).smallest_positive

@@ -12,11 +12,11 @@ float-free. One ``Fraction`` is built per distinct value, once the whole
 grid has passed the 5,000,000-point cap check. The rule puts values up to
 N*D, not N, in the grid; it is kept as it is.
 
-The oracle never claims more than it checked. Statuses carry a scope flag:
-EXHAUSTIVE only when the caller supplies an analytic note arguing the box
-is sufficient (shipped constructions do), otherwise BOX_LIMITED. A
-feasible best point touching the box's upper face is reported as
-FEASIBLE_UNBOUNDED_IN_BOX since a larger box might improve it.
+The oracle never claims more than it checked: every status it returns is
+BOX_LIMITED. A feasible best point touching the box's upper face is
+reported as FEASIBLE_UNBOUNDED_IN_BOX since a larger box might improve it.
+Only a construction, which argues its box suffices, marks a status
+EXHAUSTIVE.
 
 Each scan builds and caps its own grid and passes it to its walk; a scan
 pair (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped
@@ -203,12 +203,7 @@ def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
             yield vec, keys
 
 
-def _enumerate(
-    P: ProgramData,
-    side: Side,
-    values: tuple[RingElement, ...],
-    analytic_note: Optional[str],
-) -> ProgramStatus:
+def _enumerate(P: ProgramData, side: Side, values: tuple[RingElement, ...]) -> ProgramStatus:
     """One side's in-box status on ``values``, a grid already capped for it.
 
     Points are ranked by the integer key ``w . k``, with w = L c (or L b)
@@ -228,18 +223,10 @@ def _enumerate(
             best_key = key
             best_witness = vec
     if best_witness is None:
-        if analytic_note:
-            return ProgramStatus(
-                StatusKind.INFEASIBLE, Scope.EXHAUSTIVE, note=analytic_note
-            )
         return ProgramStatus(
             StatusKind.INFEASIBLE, Scope.BOX_LIMITED, note="no feasible point in box"
         )
     best_value = side.objective(P, best_witness)
-    if analytic_note:
-        return ProgramStatus(
-            StatusKind.OPTIMAL, Scope.EXHAUSTIVE, best_witness, best_value, analytic_note
-        )
     face = values[-1]
     if any(e == face for e in best_witness.entries):
         return ProgramStatus(
@@ -252,24 +239,16 @@ def _enumerate(
     return ProgramStatus(StatusKind.OPTIMAL, Scope.BOX_LIMITED, best_witness, best_value)
 
 
-def enumerate_primal(
-    P: ProgramData,
-    box: BoxSpec,
-    analytic_note: Optional[str] = None,
-) -> ProgramStatus:
+def enumerate_primal(P: ProgramData, box: BoxSpec) -> ProgramStatus:
     """Exhaustive in-box maximization of f over feasible points."""
     side = Side.of(True)
-    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)), analytic_note)
+    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)))
 
 
-def enumerate_dual(
-    P: ProgramData,
-    box: BoxSpec,
-    analytic_note: Optional[str] = None,
-) -> ProgramStatus:
+def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
     """Exhaustive in-box minimization of g over feasible points."""
     side = Side.of(False)
-    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)), analytic_note)
+    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)))
 
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
@@ -283,7 +262,7 @@ def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStat
     """(primal, dual) statuses on one grid, passed to both walks and capped
     for the side with more variables before either walk starts."""
     values = _grid_values(P.ring, box, max(P.rows, P.cols))
-    return _enumerate(P, Side.of(True), values, None), _enumerate(P, Side.of(False), values, None)
+    return _enumerate(P, Side.of(True), values), _enumerate(P, Side.of(False), values)
 
 
 def certify_optimal_pair(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import ringlp.affine as affine
+import ringlp.constructions as constructions
 import ringlp.enumeration as enumeration
 from ringlp import (
     BoxSpec,
@@ -20,7 +21,9 @@ from ringlp import (
     SKEW_X,
     SKEW_Y,
     Sampler,
+    Scope,
     SequenceRole,
+    StatusKind,
     StepLosesFeasibility,
     add,
     certificate_dict,
@@ -76,6 +79,21 @@ def test_gap_program_rejects_units_and_negatives():
         gap_program(RingId.INT, from_int(RingId.INT, -2))
     with pytest.raises(NotAPositiveNonUnit):
         gap_program(RingId.INT, from_int(RingId.INT, 1))
+
+
+@pytest.mark.parametrize(
+    "samples,error", [(True, TypeError), (1.0, TypeError), ("2", TypeError), (-3, ValueError)]
+)
+@pytest.mark.parametrize("ring", [RingId.INT, RingId.ODDRAT])
+def test_gap_program_refuses_a_sample_count_that_is_not_a_nonnegative_int(ring, samples, error):
+    with pytest.raises(error, match="dual_samples must be"):
+        gap_program(ring, from_rational(ring, 2), dual_samples=samples)
+
+
+def test_gap_program_with_no_samples_keeps_only_the_least_covering_witness():
+    bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2), dual_samples=0)
+    assert bundle.dual_witnesses == (int_vector(RingId.ODDRAT, [1]),)
+    assert all(c.passed for c in bundle.checks)
 
 
 def test_gap_program_poly_feasible_primal_points_are_exactly_zero():
@@ -220,6 +238,35 @@ def test_infeasible_optimal_oddrat():
         bundle.program, vector(RingId.ODDRAT, [from_rational(RingId.ODDRAT, 1, 3)])
     ).feasible
     assert all(c.passed for c in bundle.checks)
+
+
+def test_constructions_mark_exhaustive_only_the_sides_they_argue(monkeypatch):
+    """The box oracle reports BOX_LIMITED statuses; a construction marks a
+    side EXHAUSTIVE with the note that argues it, OPTIMAL at the in-box best
+    even on the box face, and INFEASIBLE when the box holds no witness."""
+    judged = []
+    judge = constructions.judge_optimal_pair
+    monkeypatch.setattr(
+        constructions,
+        "judge_optimal_pair",
+        lambda P, statuses, *candidates: judged.append(statuses) or judge(P, statuses, *candidates),
+    )
+    two = from_int(RingId.INT, 2)
+    bundle = strong_duality_counterexample(RingId.INT, two, BoxSpec(1))
+    (primal, dual), = judged
+    # y = 1 lies on the face of box 1
+    assert (dual.kind, dual.scope, dual.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[1])
+    assert dual.witness == int_vector(RingId.INT, [1])
+    assert (primal.kind, primal.scope, primal.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[0])
+    for side, infeasible in ((InfeasibleSide.PRIMAL_INFEASIBLE, 0), (InfeasibleSide.DUAL_INFEASIBLE, 1)):
+        judged.clear()
+        bundle = infeasible_optimal_program(RingId.INT, two, side)
+        (statuses,) = judged
+        argued, optimal = statuses[infeasible], statuses[1 - infeasible]
+        assert (argued.kind, argued.scope, argued.witness) == (StatusKind.INFEASIBLE, Scope.EXHAUSTIVE, None)
+        assert argued.note == bundle.notes[0] and argued.note.startswith("feasibility forces 2*x = 1")
+        assert (optimal.kind, optimal.scope, optimal.note) == (StatusKind.OPTIMAL, Scope.BOX_LIMITED, None)
+        assert optimal.witness == zero_vector(RingId.INT, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +416,13 @@ def _poly_dual_sequence(steps):
 )
 def test_sequences_need_at_least_one_step(build, steps):
     with pytest.raises(ValueError, match="steps must be positive"):
+        build(steps)
+
+
+@pytest.mark.parametrize("steps", [True, False, 2.0, "3"])
+@pytest.mark.parametrize("build", [_oddrat_primal_sequence, _poly_dual_sequence])
+def test_sequences_refuse_a_step_count_that_is_not_an_int(build, steps):
+    with pytest.raises(TypeError, match="steps must be an int"):
         build(steps)
 
 

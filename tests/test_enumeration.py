@@ -11,6 +11,7 @@ import ringlp.affine as affine
 import ringlp.rings as rings
 from ringlp import (
     BoxSpec,
+    InfeasibleSide,
     ProgramData,
     RingId,
     Scope,
@@ -25,6 +26,7 @@ from ringlp import (
     feasible_points,
     from_int,
     from_rational,
+    infeasible_optimal_program,
     is_primal_feasible,
     matrix,
     strong_duality_counterexample,
@@ -68,7 +70,7 @@ def test_gap_program_enumeration(gap_int):
     assert dual.kind is StatusKind.OPTIMAL
     assert dual.witness == int_vector(RingId.INT, [1])
     assert dual.value == from_int(RingId.INT, 1)
-    assert primal.scope is Scope.BOX_LIMITED  # no analytic note supplied
+    assert primal.scope is Scope.BOX_LIMITED  # the oracle never argues its box suffices
 
 
 def test_edt_program_enumeration(edt_int):
@@ -80,14 +82,6 @@ def test_edt_program_enumeration(edt_int):
     assert dual.kind is StatusKind.OPTIMAL
     assert dual.witness == int_vector(RingId.INT, [0, 0])
     assert dual.value == from_int(RingId.INT, 0)
-
-
-def test_analytic_note_upgrades_scope(edt_int):
-    note = "the two rows force 2x = 1, unsatisfiable in this ring"
-    primal = enumerate_primal(edt_int, BoxSpec(10), analytic_note=note)
-    assert primal.kind is StatusKind.INFEASIBLE
-    assert primal.scope is Scope.EXHAUSTIVE
-    assert primal.note == note
 
 
 def test_rational_box_recovers_the_half_point():
@@ -467,7 +461,8 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
 def test_a_scan_pair_builds_one_grid_and_each_program_one_form(monkeypatch):
     """``classify_edt`` and ``certify_optimal_pair`` build the per-variable
     grid once for both sides, capped for the side with more variables, and
-    the integer form of each program once."""
+    the integer form of each program once; so do the constructions that
+    scan, on their default box."""
     grids, forms = [], []
     grid_values, build_form = enumeration._grid_values, affine._build_form
     monkeypatch.setattr(enumeration, "_grid_values", lambda *args: grids.append(args) or grid_values(*args))
@@ -479,6 +474,18 @@ def test_a_scan_pair_builds_one_grid_and_each_program_one_form(monkeypatch):
     assert certify_optimal_pair(gap_int, int_box, zero, one).passed
     assert grids == [(RingId.RAT, rat_box, 2), (RingId.INT, int_box, 1)]
     assert len(forms) == 2 and forms[0] is edt_rat and forms[1] is gap_int
+    two = from_int(RingId.INT, 2)
+    for build, nvars in (
+        (lambda: strong_duality_counterexample(RingId.INT, two), 1),
+        (lambda: infeasible_optimal_program(RingId.INT, two, InfeasibleSide.PRIMAL_INFEASIBLE), 2),
+        (lambda: infeasible_optimal_program(RingId.INT, two, InfeasibleSide.DUAL_INFEASIBLE), 2),
+    ):
+        grids.clear()
+        forms.clear()
+        bundle = build()
+        assert all(check.passed for check in bundle.checks)
+        assert grids == [(RingId.INT, BoxSpec(10), nvars)]
+        assert len(forms) == 1 and forms[0] is bundle.program
 
 
 def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch):

@@ -14,6 +14,9 @@ vectors without the per-entry ring check, through ``linalg.grid_points``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
 grid value through the validating ``from_rational``.
+The box oracle reports only what it scanned: only ``constructions.py``,
+which argues that its boxes suffice, marks a status ``Scope.EXHAUSTIVE``,
+and no function takes an ``analytic_note``.
 No function rebinds a module global: a scan hands its grid on by
 argument, and a program keeps its integer form with it. Only ``affine.py``
 imports ``lcm``, so one module puts a program over a common denominator.
@@ -203,6 +206,14 @@ def test_the_box_scan_compares_no_ring_elements():
     candidate against a scan's best, reads ``compare``."""
     assert _readers(SRC / "enumeration.py", "compare") == {"judge_optimal_pair"}
     assert _readers(SRC / "enumeration.py", "from_rational") == set()
+
+
+def test_only_constructions_mark_a_status_exhaustive():
+    """The oracle's statuses are all BOX_LIMITED; a construction marks a side
+    EXHAUSTIVE with the note that argues its box suffices. No string handed
+    to the oracle can buy that scope."""
+    assert set(_readers_by_module("EXHAUSTIVE")) == {"constructions.py"}
+    assert _lines_matching("analytic_note") == set()
 
 
 def test_no_function_rebinds_a_module_global():

@@ -28,8 +28,8 @@ from operator import attrgetter, gt, lt, mul as _times
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._records import record, setfield
-from .errors import DimensionMismatch, RingMismatch
-from .linalg import RMatrix, RVector, matrix, vector
+from .errors import DimensionMismatch, RingMismatch, require_int
+from .linalg import RMatrix, RVector, matrix, vec_text, vector
 from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
     Ordering,
@@ -390,13 +390,6 @@ def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
 # randomized trial loops (documented samplers; deterministic given the seed)
 
 
-def _require_shape(max_rows: int, max_cols: int) -> None:
-    if any(type(k) is bool or not isinstance(k, int) for k in (max_rows, max_cols)):
-        raise TypeError(f"max_rows and max_cols must be ints, got {max_rows!r}, {max_cols!r}")
-    if max_rows < 1 or max_cols < 1:
-        raise ValueError(f"max_rows and max_cols must be positive, got {max_rows}, {max_cols}")
-
-
 def _sample_vector(sampler: Sampler, ring: RingId, n: int, nonneg: bool = False) -> RVector:
     draw = sampler.sample_nonneg if nonneg else sampler.sample
     return vector(ring, (draw(ring) for _ in range(n)))
@@ -406,7 +399,8 @@ def random_program(
     sampler: Sampler, ring: RingId, max_rows: int = 3, max_cols: int = 3
 ) -> ProgramData:
     """A random program with 1..max_rows x 1..max_cols sampled entries."""
-    _require_shape(max_rows, max_cols)
+    require_int("max_rows", max_rows, 1)
+    require_int("max_cols", max_cols, 1)
     m = sampler.draw_int(1, max_rows)
     n = sampler.draw_int(1, max_cols)
     A = matrix(ring, ((sampler.sample(ring) for _ in range(n)) for _ in range(m)))
@@ -425,7 +419,7 @@ def _identity_trials(trials: int, seed: int, draw_program, show_points: bool) ->
             return None
         failure = f"key={to_text(kr)} duality={to_text(dr)}"
         if show_points:
-            failure = f"x={[to_text(e) for e in x]} y={[to_text(e) for e in y]} {failure}"
+            failure = f"x={vec_text(x)} y={vec_text(y)} {failure}"
         return failure
 
     return run_trials("identity_residuals", trials, Sampler(seed), trial)
@@ -440,7 +434,8 @@ def identity_program_trials(
     ring: RingId, trials: int, seed: int, max_rows: int = 3, max_cols: int = 3
 ) -> TrialSummary:
     """Like identity_trials but with a fresh random program per trial."""
-    _require_shape(max_rows, max_cols)
+    require_int("max_rows", max_rows, 1)
+    require_int("max_cols", max_cols, 1)
     return _identity_trials(
         trials,
         seed,
@@ -458,7 +453,8 @@ def weak_duality_trials(
     b := A x + nonnegative noise, draw y >= 0 and set
     c := y A - nonnegative noise, one kernel call per entry.
     """
-    _require_shape(max_rows, max_cols)
+    require_int("max_rows", max_rows, 1)
+    require_int("max_cols", max_cols, 1)
     unit = (one(ring),)
 
     def trial(sampler: Sampler) -> Optional[str]:

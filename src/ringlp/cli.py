@@ -3,10 +3,9 @@
 Subcommands: rings, axioms, check, identities, enumerate, edt, demo.
 Exit codes: 0 success / all checks pass; 1 a checked property reports a
 violation; 2 an unknown or missing option, a parse error, a dimension or
-ring mismatch, an unreadable file or a bad argument value; 3 a precondition error
-(``NotAPositiveNonUnit``, ``NoSmallestPositive``, ``PreconditionViolated``,
-``StepLosesFeasibility`` or ``UnsupportedRing``, for example a demo on a
-ring lacking the required capability).
+ring mismatch, an unreadable file or a bad argument value; 3 any
+``errors.PreconditionError``, for example a demo on a ring lacking the
+required capability.
 
 Reports are deterministic given argv: ``--json`` emits one JSON object
 with every ring element in the canonical text grammar.
@@ -41,16 +40,7 @@ from .constructions import (
     strong_duality_counterexample,
 )
 from .enumeration import BoxSpec, classify_edt, enumerate_dual, enumerate_primal
-from .errors import (
-    DimensionMismatch,
-    NoSmallestPositive,
-    NotAPositiveNonUnit,
-    ParseError,
-    PreconditionViolated,
-    RingLpError,
-    StepLosesFeasibility,
-    UnsupportedRing,
-)
+from .errors import DimensionMismatch, ParseError, PreconditionError, RingLpError
 from .linalg import RVector, vec_text, vector
 from .progfile import load_program, serialize_program
 from .rings import (
@@ -443,13 +433,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         report, human, ok = args.func(args)
-    except (
-        NotAPositiveNonUnit,
-        NoSmallestPositive,
-        PreconditionViolated,
-        StepLosesFeasibility,
-        UnsupportedRing,
-    ) as exc:
+    except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ParseError as exc:

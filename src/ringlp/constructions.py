@@ -42,6 +42,7 @@ from .errors import (
     NotAPositiveNonUnit,
     PreconditionViolated,
     StepLosesFeasibility,
+    require_int,
 )
 from .linalg import RVector, matrix, vec_text, vector, zero_vector
 from .progfile import serialize_program
@@ -144,15 +145,6 @@ class CounterexampleBundle:
     checks: tuple[CheckReport, ...] = ()
 
 
-def _require_count(name: str, value: int, least: int) -> None:
-    """``value`` is an ``int``, not a ``bool`` (``TypeError``), and at least
-    ``least``, 0 or 1 (``ValueError``)."""
-    if type(value) is bool or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
-
-
 def _require_witnesses(ring: RingId, a: RingElement, *others: RingElement) -> None:
     """The witnesses are in ``ring`` and ``a`` is a positive non-unit."""
     for e in (a, *others):
@@ -164,6 +156,13 @@ def _require_witnesses(ring: RingId, a: RingElement, *others: RingElement) -> No
         raise NotAPositiveNonUnit(
             f"{to_text(a)} is invertible in {ring.value}; a non-unit is required"
         )
+
+
+def _require_sign(label: str, value: RingElement, least: int = 1) -> None:
+    """sign(value) is at least ``least``; otherwise the failed test
+    ``label`` and the value it tested are named."""
+    if sign(value) < least:
+        raise PreconditionViolated(f"{label} failed (value {to_text(value)})")
 
 
 def _one_by_one_program(a: RingElement) -> ProgramData:
@@ -259,9 +258,10 @@ def gap_program(
     a smallest positive element (INT) and a sampled family of dual
     witnesses k + (nonnegative sample) elsewhere, where k is the least
     positive integer with k*a >= 1 (so y = [k] is dual-feasible).
-    ``dual_samples`` must be an ``int`` of at least 0.
+    ``dual_samples`` is an ``int`` of at least 0 and ``seed`` an ``int``.
     """
-    _require_count("dual_samples", dual_samples, 0)
+    require_int("dual_samples", dual_samples, 0)
+    require_int("seed", seed)
     _require_witnesses(ring, a)
     P = _one_by_one_program(a)
     claim = "every feasible pair (x, y) has sign(g(y) - f(x)) = +1"
@@ -457,14 +457,10 @@ def primal_improving_step(
     """
     o = one(a.ring)
     rest = sub(o, mul(a, x))
-    for label, value, least in (
-        ("sign(z) = +1", z, 1),
-        ("sign(1 - a*z) = +1", sub(o, mul(a, z)), 1),
-        ("sign(x) >= 0", x, 0),
-        ("sign(1 - a*x) = +1", rest, 1),
-    ):
-        if sign(value) < least:
-            raise PreconditionViolated(f"{label} failed (value {to_text(value)})")
+    _require_sign("sign(z) = +1", z)
+    _require_sign("sign(1 - a*z) = +1", sub(o, mul(a, z)))
+    _require_sign("sign(x) >= 0", x, 0)
+    _require_sign("sign(1 - a*x) = +1", rest)
     return add(x, mul(z, rest))
 
 
@@ -476,11 +472,8 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
     the constraint threshold is possible on some rings); the strict
     decrease of g is also checked exactly.
     """
-    o = one(P.ring)
-    if sign(p) != 1:
-        raise PreconditionViolated(f"sign(p) = +1 failed (value {to_text(p)})")
-    if sign(sub(o, p)) != 1:
-        raise PreconditionViolated(f"sign(1 - p) = +1 failed (value {to_text(p)})")
+    _require_sign("sign(p) = +1", p)
+    _require_sign("sign(1 - p) = +1", sub(one(P.ring), p))
     verdict = is_dual_feasible(P, y)
     if not verdict.feasible:
         raise PreconditionViolated(
@@ -509,7 +502,7 @@ def _non_achieving_sequence(
 ) -> CounterexampleBundle:
     """The gap program walked ``steps`` strict steps from x = 0 with witness
     z (primal) or from y = [1] with witness p (dual)."""
-    _require_count("steps", steps, 1)
+    require_int("steps", steps, 1)
     # nothing lies strictly between 0 and a smallest positive element, so
     # there is no witness to read
     smallest = descriptor(ring).smallest_positive
@@ -602,9 +595,8 @@ def _validate_sequence(P: ProgramData, seq: WitnessSequence) -> CheckReport:
 def _oriented_products(a: RingElement, b: RingElement) -> tuple[RingElement, RingElement]:
     """a*b and b*a for positive a and b, ordered so that the first is <= the
     second."""
-    for name, e in (("a", a), ("b", b)):
-        if sign(e) != 1:
-            raise PreconditionViolated(f"sign({name}) = +1 failed (value {to_text(e)})")
+    _require_sign("sign(a) = +1", a)
+    _require_sign("sign(b) = +1", b)
     ab, ba = mul(a, b), mul(b, a)
     return (ba, ab) if compare(ab, ba) is Ordering.GT else (ab, ba)
 

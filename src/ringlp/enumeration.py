@@ -42,8 +42,8 @@ from typing import Optional
 
 from ._records import record
 from .affine import ProgramData, Side, gap, scaled_ints
-from .errors import UnsupportedRing
-from .linalg import RVector, grid_points
+from .errors import UnsupportedRing, require_int
+from .linalg import RVector, grid_points, vec_text
 from .reports import CheckReport
 from .rings import (
     Ordering,
@@ -85,13 +85,9 @@ class BoxSpec:
     denominator_bound: Optional[int] = None
 
     def __post_init__(self):
-        for value in (self.bound, self.denominator_bound):
-            if value is not None and (type(value) is bool or not isinstance(value, int)):
-                raise TypeError(f"box bounds must be int, got {value!r}")
-        if self.bound < 1:
-            raise ValueError("box bound must be a positive integer")
-        if self.denominator_bound is not None and self.denominator_bound < 1:
-            raise ValueError("denominator bound must be a positive integer")
+        require_int("box bound", self.bound, 1)
+        if self.denominator_bound is not None:
+            require_int("denominator bound", self.denominator_bound, 1)
 
 
 @unique
@@ -119,7 +115,7 @@ class ProgramStatus:
         return {
             "kind": self.kind.value,
             "scope": self.scope.value,
-            "witness": None if self.witness is None else [to_text(e) for e in self.witness],
+            "witness": None if self.witness is None else vec_text(self.witness),
             "value": None if self.value is None else to_text(self.value),
             "note": self.note,
         }
@@ -308,7 +304,7 @@ def judge_optimal_pair(
         if status.value is not None and compare(status.value, value) is side.better:
             ok = False
             details.append(
-                f"in-box point {[to_text(e) for e in status.witness]} beats the "
+                f"in-box point {vec_text(status.witness)} beats the "
                 f"{side.name} candidate: {side.letter} = {to_text(status.value)} "
                 f"{'>' if side.better is Ordering.GT else '<'} {to_text(value)}"
             )

@@ -1,4 +1,10 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and :func:`require_int`,
+the one check of every count, bound and seed.
+
+A ``PreconditionError`` (CLI exit code 3) means an operation was asked
+for outside its documented hypotheses; its five kinds stay separate
+classes so that a caller can catch one.
+"""
 
 from __future__ import annotations
 
@@ -30,19 +36,23 @@ class ParseError(RingLpError):
         return base
 
 
-class NotAPositiveNonUnit(RingLpError):
+class PreconditionError(RingLpError):
+    """A documented precondition of the operation does not hold."""
+
+
+class NotAPositiveNonUnit(PreconditionError):
     """The construction needs a positive element without a multiplicative inverse."""
 
 
-class NoSmallestPositive(RingLpError):
+class NoSmallestPositive(PreconditionError):
     """The ring has no smallest positive element."""
 
 
-class PreconditionViolated(RingLpError):
+class PreconditionViolated(PreconditionError):
     """A documented precondition failed; the message names the failing test."""
 
 
-class StepLosesFeasibility(RingLpError):
+class StepLosesFeasibility(PreconditionError):
     """A rescaled dual point stopped being feasible (or stopped improving)."""
 
     def __init__(self, message: str, row: int | None = None):
@@ -50,5 +60,14 @@ class StepLosesFeasibility(RingLpError):
         self.row = row
 
 
-class UnsupportedRing(RingLpError):
+class UnsupportedRing(PreconditionError):
     """The operation is only defined for exhaustively enumerable rings."""
+
+
+def require_int(name: str, value: int, least: int | None = None) -> None:
+    """``value`` is an ``int`` and not a ``bool`` (``TypeError``), and at
+    least ``least``, 0 or 1, when given (``ValueError``)."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ._records import record
+from .errors import require_int
 from .rings import RingId
 
 
@@ -102,13 +103,9 @@ def run_trials(
     ``trial`` returns ``None`` when it passes and the failure's text when it
     fails; the summary counts the failures and keeps the first text. The
     caller builds the ``sampling.Sampler``, because ``sampling`` imports
-    this module. ``trials`` must be an ``int`` (``TypeError`` otherwise,
-    ``bool`` included) of at least 1 (``ValueError``).
+    this module. ``trials`` is a positive ``int`` (``errors.require_int``).
     """
-    if type(trials) is bool or not isinstance(trials, int):
-        raise TypeError(f"trials must be an int, got {trials!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    require_int("trials", trials, 1)
     failures = 0
     first = None
     for _ in range(trials):

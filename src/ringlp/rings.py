@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from ._records import record, setfield
-from .errors import ParseError, RingMismatch
+from .errors import ParseError, RingMismatch, require_int
 
 __all__ = [
     "RingId",
@@ -244,10 +244,8 @@ def skew(terms) -> RingElement:
     included)."""
     acc: dict[tuple[int, int], Fraction] = {}
     for (n, m), c in dict(terms).items():
-        if not (isinstance(n, int) and isinstance(m, int)) or bool in (type(n), type(m)):
-            raise TypeError(f"expected int monomial degrees, got {(n, m)!r}")
-        if n < 0 or m < 0:
-            raise ValueError("skew monomial degrees must be nonnegative")
+        require_int("skew y-degree", n, 0)
+        require_int("skew x-degree", m, 0)
         acc[(int(n), int(m))] = _coefficient(c)
     return RingElement(RingId.SKEW, _canon(acc))
 

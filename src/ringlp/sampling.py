@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import require_int
 from .reports import AxiomReport, AxiomViolation
 from .rings import (
     RingId,
@@ -55,8 +56,7 @@ class Lcg:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if type(seed) is bool or not isinstance(seed, int):
-            raise TypeError(f"seed must be an int, got {seed!r}")
+        require_int("seed", seed)
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
@@ -76,7 +76,10 @@ class Sampler:
         self._lcg = Lcg(seed)
 
     def draw_int(self, lo: int, hi: int) -> int:
-        """Uniform in ``lo..hi``; ``ValueError`` when the range is empty."""
+        """Uniform in ``lo..hi``, two ``int`` bounds; ``ValueError`` when the
+        range is empty."""
+        require_int("lo", lo)
+        require_int("hi", hi)
         if hi < lo:
             raise ValueError(f"empty range {lo}..{hi}")
         return self._lcg.int_in(lo, hi)
@@ -152,13 +155,10 @@ def verify_order_axioms(ring: RingId, sample_count: int, seed: int) -> AxiomRepo
     Trichotomy is checked as sign-consistency: sign(e) lies in {-1, 0, +1},
     equals 0 exactly for the zero element, and flips under negation.
     Closure: positive a, b must give positive a+b and a*b. Violations are
-    report content with witnesses, never exceptions. ``sample_count`` must
-    be an ``int``, not a ``bool`` (``TypeError``), and positive.
+    report content with witnesses, never exceptions. ``sample_count`` is a
+    positive ``int`` (``errors.require_int``).
     """
-    if type(sample_count) is bool or not isinstance(sample_count, int):
-        raise TypeError(f"sample_count must be an int, got {sample_count!r}")
-    if sample_count <= 0:
-        raise ValueError("sample_count must be positive")
+    require_int("sample_count", sample_count, 1)
     sampler = Sampler(seed)
     z = zero(ring)
     violations: list[AxiomViolation] = []

@@ -264,10 +264,11 @@ def test_trial_loops_reject_a_shape_bound_below_one(max_rows, max_cols):
     """A bound below 1 is a ``ValueError``; a ``bool`` or a non-``int`` is a
     ``TypeError``, before any trial runs."""
     shape = {"max_rows": max_rows, "max_cols": max_cols}
-    if type(max_rows) is int and type(max_cols) is int:
-        error, message = ValueError, "max_rows and max_cols must be positive"
+    name = "max_rows" if type(max_rows) is not int or max_rows < 1 else "max_cols"
+    if type(shape[name]) is int:
+        error, message = ValueError, f"{name} must be positive"
     else:
-        error, message = TypeError, "max_rows and max_cols must be ints"
+        error, message = TypeError, f"{name} must be an int, got {shape[name]!r}"
     with pytest.raises(error, match=message):
         weak_duality_trials(RingId.INT, 5, 1, **shape)
     with pytest.raises(error, match=message):

@@ -154,6 +154,19 @@ def test_draw_int_rejects_an_empty_range():
     assert sampler.draw_int(2, 2) == 2
 
 
+@pytest.mark.parametrize(
+    "lo,hi,name", [(0, 2.5, "hi"), (0.5, 3, "lo"), (True, 3, "lo"), (0, False, "hi"), ("0", 3, "lo")]
+)
+def test_draw_int_refuses_a_bound_that_is_not_an_int(lo, hi, name):
+    """A float bound would leak a float out of the exact library, and a
+    ``bool`` is not an ``int`` bound either."""
+    sampler = Sampler(1)
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        sampler.draw_int(lo, hi)
+    # the refused draw took no step of the stream
+    assert sampler.draw_int(-1000, 1000) == Sampler(1).draw_int(-1000, 1000)
+
+
 def test_sampled_oddrat_denominators_are_odd():
     sampler = Sampler(3)
     for _ in range(300):

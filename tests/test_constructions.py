@@ -90,6 +90,15 @@ def test_gap_program_refuses_a_sample_count_that_is_not_a_nonnegative_int(ring, 
         gap_program(ring, from_rational(ring, 2), dual_samples=samples)
 
 
+@pytest.mark.parametrize("seed", ["x", True, 1.5, None])
+@pytest.mark.parametrize("ring", [RingId.INT, RingId.ODDRAT])
+def test_gap_program_refuses_a_seed_that_is_not_an_int_on_every_ring(ring, seed):
+    """INT checks its claim by box enumeration and draws nothing, yet a bad
+    seed is refused there too, before any work."""
+    with pytest.raises(TypeError, match="seed must be an int"):
+        gap_program(ring, from_rational(ring, 2), seed=seed)
+
+
 def test_gap_program_with_no_samples_keeps_only_the_least_covering_witness():
     bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2), dual_samples=0)
     assert bundle.dual_witnesses == (int_vector(RingId.ODDRAT, [1]),)
@@ -389,6 +398,19 @@ def test_dual_decreasing_step_preconditions():
         dual_decreasing_step(P, y, from_int(RingId.POLY, 2))  # p >= 1
     with pytest.raises(PreconditionViolated):
         dual_decreasing_step(P, zero_vector(RingId.POLY, 1), from_rational(RingId.POLY, 1, 2))
+
+
+def test_dual_decreasing_step_reports_the_value_it_tested():
+    """Like ``primal_improving_step``, a failed sign test names the value
+    it tested: 1 - p, not p."""
+    P = make_gap_program(RingId.ODDRAT)
+    y = vector(RingId.ODDRAT, [one(RingId.ODDRAT)])
+    with pytest.raises(PreconditionViolated) as excinfo:
+        dual_decreasing_step(P, y, from_rational(RingId.ODDRAT, 5, 3))
+    assert str(excinfo.value) == "sign(1 - p) = +1 failed (value -2/3)"
+    with pytest.raises(PreconditionViolated) as excinfo:
+        dual_decreasing_step(P, y, from_rational(RingId.ODDRAT, -1, 3))
+    assert str(excinfo.value) == "sign(p) = +1 failed (value -1/3)"
 
 
 def test_dual_decreasing_sequence_needs_a_fractional_p():

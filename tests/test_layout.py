@@ -21,7 +21,12 @@ No function rebinds a module global: a scan hands its grid on by
 argument, and a program keeps its integer form with it. Only ``affine.py``
 imports ``lcm``, so one module puts a program over a common denominator.
 In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
-handlers return their reports. All are checked by reading the sources, without importing or
+handlers return their reports, and ``main`` maps every precondition error
+through their one base, ``errors.PreconditionError``. Each argument
+contract has one home: ``errors.require_int`` for a count, bound or seed
+and ``rings._exact`` for an element scalar are the only tests for
+``bool``. No float literal, true division or ``float`` name is written
+anywhere. All are checked by reading the sources, without importing or
 running anything.
 """
 
@@ -109,8 +114,94 @@ def test_primal_and_dual_sides_are_defined_only_in_affine():
     assert _lines_matching(r"^class _?Side\b") == {"affine.py"}
 
 
+def _modules_requiring(argument: str) -> set[str]:
+    """The modules that call ``require_int`` on the argument ``argument``."""
+    return {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "require_int"
+        and node.args
+        and getattr(node.args[0], "value", None) == argument
+    }
+
+
 def test_only_the_shared_trial_loop_checks_the_trial_count():
-    assert _lines_matching("trials must be positive") == {"reports.py"}
+    assert _modules_requiring("trials") == {"reports.py"}
+    assert _lines_matching("must be positive") <= {"errors.py"}
+
+
+def _bool_type_tests(path: pathlib.Path) -> set[str]:
+    """The functions of ``path`` (``<module>`` for module level) holding a
+    comparison, or an ``isinstance``/``issubclass`` call, that names ``bool``."""
+    testers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            test = isinstance(child, ast.Compare) or (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) in ("isinstance", "issubclass")
+            )
+            if test and any(getattr(n, "id", None) == "bool" for n in ast.walk(child)):
+                testers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return testers
+
+
+def test_only_the_argument_contracts_test_for_bool():
+    """``bool`` is an ``int`` subclass, so two functions tell it apart:
+    ``errors.require_int`` for a count, bound or seed and ``rings._exact``
+    for an element's scalar. Nothing else checks an argument by hand."""
+    testers = {f"{path.name}:{name}" for path in MODULES for name in _bool_type_tests(path)}
+    assert testers == {"errors.py:require_int", "rings.py:_exact"}, testers
+
+
+PRECONDITION_KINDS = (
+    "NotAPositiveNonUnit",
+    "NoSmallestPositive",
+    "PreconditionViolated",
+    "StepLosesFeasibility",
+    "UnsupportedRing",
+)
+
+
+def test_the_cli_catches_every_precondition_error_by_its_base():
+    """The five precondition kinds subclass ``PreconditionError``, and only
+    ``main`` in ``cli.py`` reads it, for exit code 3; the CLI names none of
+    the kinds, so a new one cannot be missed."""
+    bases = {
+        node.name: [base.id for base in node.bases]
+        for node in ast.parse((SRC / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    assert {name: bases.get(name) for name in PRECONDITION_KINDS} == dict.fromkeys(
+        PRECONDITION_KINDS, ["PreconditionError"]
+    )
+    assert _readers(SRC / "cli.py", "PreconditionError") == {"main"}
+    assert {name: _readers(SRC / "cli.py", name) for name in PRECONDITION_KINDS} == dict.fromkeys(
+        PRECONDITION_KINDS, set()
+    )
+
+
+def test_no_float_is_written_in_the_library():
+    """ROADMAP invariant "no floats", read from the sources: no float or
+    complex literal, no true division ``/`` (``//`` and ``Fraction`` keep
+    values exact) and no ``float`` name under ``src/ringlp``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+        or (isinstance(node, ast.Name) and node.id == "float")
+    ]
+    assert found == [], found
 
 
 def test_only_verify_bundle_rescans_in_constructions():

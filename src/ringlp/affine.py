@@ -28,7 +28,7 @@ from operator import attrgetter, gt, lt, mul as _times
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._records import record, setfield
-from .errors import DimensionMismatch, RingMismatch, require_int
+from .errors import DimensionMismatch, RingMismatch
 from .linalg import RMatrix, RVector, matrix, vec_text, vector
 from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
@@ -399,17 +399,20 @@ def random_program(
     sampler: Sampler, ring: RingId, max_rows: int = 3, max_cols: int = 3
 ) -> ProgramData:
     """A random program with 1..max_rows x 1..max_cols sampled entries."""
-    require_int("max_rows", max_rows, 1)
-    require_int("max_cols", max_cols, 1)
-    m = sampler.draw_int(1, max_rows)
-    n = sampler.draw_int(1, max_cols)
+    return _random_program(sampler, ring, sampler.shape_draw(max_rows, max_cols))
+
+
+def _random_program(
+    sampler: Sampler, ring: RingId, shape: Callable[[], tuple[int, int]]
+) -> ProgramData:
+    m, n = shape()
     A = matrix(ring, ((sampler.sample(ring) for _ in range(n)) for _ in range(m)))
     b = _sample_vector(sampler, ring, m)
     c = _sample_vector(sampler, ring, n)
     return ProgramData(ring, A, b, c, sampler.sample(ring))
 
 
-def _identity_trials(trials: int, seed: int, draw_program, show_points: bool) -> TrialSummary:
+def _identity_trials(trials: int, sampler: Sampler, draw_program, show_points: bool) -> TrialSummary:
     def trial(sampler: Sampler) -> Optional[str]:
         P = draw_program(sampler)
         x = _sample_vector(sampler, P.ring, P.cols)
@@ -422,25 +425,22 @@ def _identity_trials(trials: int, seed: int, draw_program, show_points: bool) ->
             failure = f"x={vec_text(x)} y={vec_text(y)} {failure}"
         return failure
 
-    return run_trials("identity_residuals", trials, Sampler(seed), trial)
+    return run_trials("identity_residuals", trials, sampler, trial)
 
 
 def identity_trials(P: ProgramData, trials: int, seed: int) -> TrialSummary:
     """Check both residuals vanish on random (x, y), feasible or not."""
-    return _identity_trials(trials, seed, lambda sampler: P, True)
+    return _identity_trials(trials, Sampler(seed), lambda sampler: P, True)
 
 
 def identity_program_trials(
     ring: RingId, trials: int, seed: int, max_rows: int = 3, max_cols: int = 3
 ) -> TrialSummary:
     """Like identity_trials but with a fresh random program per trial."""
-    require_int("max_rows", max_rows, 1)
-    require_int("max_cols", max_cols, 1)
+    sampler = Sampler(seed)
+    shape = sampler.shape_draw(max_rows, max_cols)
     return _identity_trials(
-        trials,
-        seed,
-        lambda sampler: random_program(sampler, ring, max_rows, max_cols),
-        False,
+        trials, sampler, lambda sampler: _random_program(sampler, ring, shape), False
     )
 
 
@@ -453,13 +453,12 @@ def weak_duality_trials(
     b := A x + nonnegative noise, draw y >= 0 and set
     c := y A - nonnegative noise, one kernel call per entry.
     """
-    require_int("max_rows", max_rows, 1)
-    require_int("max_cols", max_cols, 1)
+    sampler = Sampler(seed)
+    shape = sampler.shape_draw(max_rows, max_cols)
     unit = (one(ring),)
 
     def trial(sampler: Sampler) -> Optional[str]:
-        m = sampler.draw_int(1, max_rows)
-        n = sampler.draw_int(1, max_cols)
+        m, n = shape()
         A = matrix(ring, ((sampler.sample(ring) for _ in range(n)) for _ in range(m)))
         x = _sample_vector(sampler, ring, n, nonneg=True)
         y = _sample_vector(sampler, ring, m, nonneg=True)
@@ -475,4 +474,4 @@ def weak_duality_trials(
             return None
         return "; ".join(report.details)
 
-    return run_trials("weak_duality", trials, Sampler(seed), trial)
+    return run_trials("weak_duality", trials, sampler, trial)

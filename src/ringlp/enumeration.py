@@ -8,7 +8,8 @@ over every denominator d in 1..D that is a unit of the ring (every d for
 RAT, odd d for ODDRAT), deduplicated and sorted on the integer keys
 ``num * D*D // den``: two distinct values with
 denominators at most D differ by at least 1/D^2, so the key is exact and
-float-free. One ``Fraction`` is built per distinct value, once the whole
+float-free. One ``Fraction`` is built per distinct value, by
+``rings.reduced`` from its integer pair, once the whole
 grid has passed the 5,000,000-point cap check. The rule puts values up to
 N*D, not N, in the grid; it is kept as it is.
 
@@ -35,7 +36,6 @@ value, and one objective element is built per side scan, for that point.
 from __future__ import annotations
 
 from enum import Enum, unique
-from fractions import Fraction
 from itertools import product
 from operator import gt, lt, mul as _times
 from typing import Optional
@@ -53,6 +53,7 @@ from .rings import (
     compare,
     descriptor,
     from_int,
+    reduced,
     sub,
     to_text,
     try_invert,
@@ -181,7 +182,7 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, .
                 if len(pairs) ** nvars > _MAX_POINTS:
                     raise ValueError(_TOO_LARGE)
     # each den is a unit of the ring, so every value is in it by construction
-    return tuple(RingElement(ring, Fraction(*pairs[key])) for key in sorted(pairs))
+    return tuple(RingElement(ring, reduced(*pairs[key])) for key in sorted(pairs))
 
 
 def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:

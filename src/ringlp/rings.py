@@ -19,12 +19,14 @@ equality coincides with ring equality.
 
 The operations branch on the payload's shape: a scalar (``int`` or
 ``Fraction``: INT, RAT, ODDRAT) or a tuple of ``(monomial, coefficient)``
-terms (POLY, SKEW); ``sum_of_products`` and ``compare`` also tell ``int``
-from ``Fraction``, to work on a ``Fraction``'s integer numerator and
-denominator, and ``sum_of_products`` works out each ring's monomial
-product inline. What else differs sits in one private record per ring
-(``_RingSpec``): which rationals embed, the constant monomial, the
-literal grammar and the monomial text.
+terms (POLY, SKEW), and tell ``int`` from ``Fraction``. A ``Fraction`` is
+worked on as its integer pair, numerator and denominator, and each result
+is built once, by :func:`reduced`, from the pair in lowest terms: no
+``Fraction`` operator and no generic ``Fraction(n, d)`` runs in the
+kernel; only parsing and validation call the latter. ``sum_of_products``
+works out each ring's monomial product inline. What else differs sits in
+one private record per ring (``_RingSpec``): which rationals embed, the
+constant monomial, the literal grammar and the monomial text.
 
 ``sign`` realizes each instance's positivity order; comparisons,
 magnitude classification and the invertibility/centrality tests build on
@@ -37,6 +39,7 @@ from __future__ import annotations
 import re
 from enum import Enum, unique
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Union
 
 from ._records import record, setfield
@@ -118,6 +121,15 @@ class RingElement:
         setfield(self, "ring", ring)
         setfield(self, "payload", payload)
 
+    # the record's field-wise equality and hash, without its generic field tuple
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RingElement:
+            return self.ring is other.ring and self.payload == other.payload
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.payload))
+
     def __add__(self, other: object) -> "RingElement":
         if isinstance(other, RingElement):
             return add(self, other)
@@ -196,6 +208,26 @@ def _canon(acc: dict) -> tuple:
     return tuple(sorted(((key, q) for key, q in acc.items() if q), reverse=True))
 
 
+def reduced(n: int, d: int, coprime: bool = False) -> Fraction:
+    """``n/d`` in lowest terms, for ``int``s ``n`` and ``d > 0``: equal,
+    hash-equal and type-identical to ``Fraction(n, d)``.
+
+    The kernel's one way to build a ``Fraction`` from an integer pair: one
+    ``gcd``, skipped when the caller knows ``coprime`` (a reduced pair with
+    its sign flipped), and the two slots set on a bare instance, as
+    CPython 3.12's ``Fraction._from_coprime_ints`` does. It does not check
+    its arguments, so it is not in ``__all__``.
+    """
+    if not coprime:
+        g = gcd(n, d)
+        n //= g
+        d //= g
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 def from_int(ring: RingId, n: int) -> RingElement:
     """Embed an integer into any of the five rings."""
     return from_rational(ring, n)
@@ -266,19 +298,47 @@ def is_zero(a: RingElement) -> bool:
 # ring operations
 
 
+def _sum_pair(p: Fraction, q: Fraction, subtract: bool) -> tuple[int, int]:
+    """``p - q`` or ``p + q`` as an unreduced integer pair, over the shared
+    denominator when there is one."""
+    pn, pd = p.as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    if subtract:
+        qn = -qn
+    if pd == qd:
+        return pn + qn, pd
+    return pn * qd + qn * pd, pd * qd
+
+
+def _negated(q: Fraction) -> Fraction:
+    """``-q``: a reduced pair stays reduced with its sign flipped, so no
+    ``gcd`` is taken."""
+    n, d = q.as_integer_ratio()
+    return reduced(-n, d, True)
+
+
 def _add_or_sub(a: RingElement, b: RingElement, subtract: bool) -> RingElement:
+    """``a - b`` or ``a + b``. On the term rings a coefficient of ``a`` or
+    ``b`` alone is kept (negated for ``b`` under ``subtract``) and one
+    ``Fraction`` is built for each monomial the two share."""
     _require_same_ring(a, b)
     p, q = a.payload, b.payload
-    if type(p) is not tuple:
+    if type(p) is int:
         return RingElement(a.ring, p - q if subtract else p + q)
+    if type(p) is not tuple:
+        return RingElement(a.ring, reduced(*_sum_pair(p, q, subtract)))
     acc = dict(p)
     for key, c in q:
         old = acc.get(key)
         if old is None:
-            acc[key] = -c if subtract else c
+            acc[key] = _negated(c) if subtract else c
+            continue
+        n, d = _sum_pair(old, c, subtract)
+        if n:
+            acc[key] = reduced(n, d)
         else:
-            acc[key] = old - c if subtract else old + c
-    return RingElement(a.ring, _canon(acc))
+            del acc[key]
+    return RingElement(a.ring, tuple(sorted(acc.items(), reverse=True)))  # keys are unique
 
 
 def add(a: RingElement, b: RingElement) -> RingElement:
@@ -291,9 +351,11 @@ def sub(a: RingElement, b: RingElement) -> RingElement:
 
 def neg(a: RingElement) -> RingElement:
     p = a.payload
-    if type(p) is not tuple:
+    if type(p) is int:
         return RingElement(a.ring, -p)
-    return RingElement(a.ring, tuple((key, -q) for key, q in p))
+    if type(p) is not tuple:
+        return RingElement(a.ring, _negated(p))
+    return RingElement(a.ring, tuple([(key, _negated(q)) for key, q in p]))
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
@@ -305,10 +367,14 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
     product is the one-pair ``sum_of_products``.
     """
     _require_same_ring(a, b)
-    p = a.payload
-    if type(p) is not tuple:
-        return RingElement(a.ring, p * b.payload)
-    return sum_of_products(a.ring, (a,), (b,))
+    p, q = a.payload, b.payload
+    if type(p) is int:
+        return RingElement(a.ring, p * q)
+    if type(p) is tuple:
+        return sum_of_products(a.ring, (a,), (b,))
+    pn, pd = p.as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    return RingElement(a.ring, reduced(pn * qn, pd * qd))
 
 
 def sum_of_products(
@@ -332,8 +398,9 @@ def sum_of_products(
     its denominator equals the running one, and SKEW's ``2^-s`` is folded
     in as ``den << s``. ``minus`` is the starting pair (one more term on
     the term rings) and the sign is folded into the numerators, until one
-    ``Fraction`` per sum, or per output monomial, is built at the end
-    (Henrici's gcd-saving rational arithmetic; Knuth, *TAOCP* 2, 4.5.1).
+    ``Fraction`` per sum, or per output monomial, is built at the end by
+    :func:`reduced` (Henrici's gcd-saving rational arithmetic; Knuth,
+    *TAOCP* 2, 4.5.1).
     Every element must be in ``ring`` (``RingMismatch``); the sequences
     must have equal lengths (``ValueError``).
     """
@@ -366,8 +433,11 @@ def sum_of_products(
             else:
                 n = n * pd + pn * qn * d
                 d *= pd
-        return RingElement(ring, Fraction(sgn * n, d))
-    terms = {key: (-sgn * q.numerator, q.denominator) for key, q in acc}
+        return RingElement(ring, reduced(sgn * n, d))
+    terms = {}
+    for key, q in acc:
+        n, d = q.as_integer_ratio()
+        terms[key] = (-sgn * n, d)
     skewed = ring is RingId.SKEW
     for a, b in pairs:
         if a.ring is not ring or b.ring is not ring:
@@ -392,7 +462,7 @@ def sum_of_products(
                 else:
                     terms[key] = (old[0] * d + n * old[1], old[1] * d)
     items = sorted(terms.items(), reverse=True)  # monomials are unique keys
-    return RingElement(ring, tuple([(key, Fraction(n, d)) for key, (n, d) in items if n]))
+    return RingElement(ring, tuple([(key, reduced(n, d)) for key, (n, d) in items if n]))
 
 
 def _raise_mismatch(ring: RingId, a: RingElement, b: RingElement) -> None:

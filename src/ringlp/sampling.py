@@ -18,11 +18,12 @@ output, not through the validating constructors of :mod:`ringlp.rings`:
 the ``int``, the one reduced ``Fraction``, or the term tuple, leading
 monomial first, with one ``Fraction`` per nonzero coefficient (a SKEW
 monomial drawn twice has its rationals added as integer pairs first).
+Every ``Fraction`` is built from its integer pair by ``rings.reduced``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Callable
 
 from .errors import require_int
 from .reports import AxiomReport, AxiomViolation
@@ -34,6 +35,7 @@ from .rings import (
     from_rational,
     mul,
     neg,
+    reduced,
     sign,
     to_text,
     zero,
@@ -84,6 +86,16 @@ class Sampler:
             raise ValueError(f"empty range {lo}..{hi}")
         return self._lcg.int_in(lo, hi)
 
+    def shape_draw(self, max_rows: int, max_cols: int) -> Callable[[], tuple[int, int]]:
+        """A draw of a program shape ``(m, n)``, uniform in ``1..max_rows`` x
+        ``1..max_cols``: the generator steps of ``draw_int(1, max_rows)``
+        then ``draw_int(1, max_cols)``. Both bounds are positive ``int``s,
+        checked here once rather than at every draw."""
+        require_int("max_rows", max_rows, 1)
+        require_int("max_cols", max_cols, 1)
+        int_in = self._lcg.int_in
+        return lambda: (int_in(1, max_rows), int_in(1, max_cols))
+
     # one rational draw as (numerator, denominator), unreduced; the hot draw
     # of every ring but INT, so it takes the generator's steps inline
     def _ratio(self, odd: bool = False) -> tuple[int, int]:
@@ -105,7 +117,7 @@ class Sampler:
         ratio = self._ratio
         terms = [(d, *ratio()) for d in range(self._lcg.int_in(0, POLY_MAX_DEGREE) + 1)]
         terms.reverse()
-        return tuple([(d, Fraction(n, den)) for d, n, den in terms if n])
+        return tuple([(d, reduced(n, den)) for d, n, den in terms if n])
 
     def _skew(self) -> tuple:
         count = self._lcg.int_in(0, SKEW_MAX_TERMS)
@@ -118,7 +130,7 @@ class Sampler:
                 n, d = n0 * d + n * d0, d0 * d
             acc[key] = (n, d)
         items = sorted(acc.items(), reverse=True)
-        return tuple([(key, Fraction(n, d)) for key, (n, d) in items if n])
+        return tuple([(key, reduced(n, d)) for key, (n, d) in items if n])
 
     def sample_nonneg(self, ring: RingId) -> RingElement:
         e = self.sample(ring)
@@ -142,8 +154,8 @@ class Sampler:
 # generator calls in each is part of the seeded stream.
 _DRAWS = {
     RingId.INT: lambda s: s._lcg.int_in(-INT_BOUND, INT_BOUND),
-    RingId.RAT: lambda s: Fraction(*s._ratio()),
-    RingId.ODDRAT: lambda s: Fraction(*s._ratio(odd=True)),
+    RingId.RAT: lambda s: reduced(*s._ratio()),
+    RingId.ODDRAT: lambda s: reduced(*s._ratio(odd=True)),
     RingId.POLY: Sampler._poly,
     RingId.SKEW: Sampler._skew,
 }

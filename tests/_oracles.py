@@ -8,7 +8,9 @@ left, so it shares no code with ``sum_of_products``. Kernel sums and the
 products a program is made of, ``mat_apply`` (A x), ``covec_apply``
 (y A) and ``dot_left`` (u.v), are such folds; ``vec_add`` and
 ``vec_sub`` work entry by entry. Box optima come from a plain Fraction
-scan, box grids as sorted sets of Fractions, the two equation identities
+scan, box grids as sorted sets of Fractions, sums, negations and scalar
+products of elements by ``Fraction`` arithmetic on their payloads (one
+dict entry per monomial on the term rings), the two equation identities
 by expanding both sides as raw double sums, and feasibility verdicts from
 the whole slack built by element-per-step folds.
 """
@@ -31,6 +33,7 @@ from ringlp import (
     add,
     eval_f,
     eval_g,
+    from_rational,
     mul,
     neg,
     poly,
@@ -75,6 +78,46 @@ def product_by_oracle(a: RingElement, b: RingElement) -> RingElement:
     if a.ring is RingId.SKEW:
         return skew_mul_by_rewriting(a, b)
     return mul(a, b)
+
+
+def _from_fraction_payload(ring: RingId, value) -> RingElement:
+    """The element of a scalar, or of a {monomial: Fraction} dict, through the
+    validating constructors."""
+    if type(value) is not dict:
+        return from_rational(ring, value)
+    if ring is RingId.POLY:
+        return poly([value.get(d, 0) for d in range(max(value, default=-1) + 1)])
+    return skew({key: q for key, q in value.items() if q})
+
+
+def termwise_by_fractions(a: RingElement, b: RingElement, subtract: bool) -> RingElement:
+    """``a + b``, or ``a - b`` under ``subtract``, in plain ``int`` and
+    ``Fraction`` arithmetic: on the payloads of the scalar rings, and one
+    dict entry per monomial, folded term by term, on POLY and SKEW."""
+    s = -1 if subtract else 1
+    if type(a.payload) is not tuple:
+        return _from_fraction_payload(a.ring, a.payload + s * b.payload)
+    acc: dict = {}
+    for key, q in a.payload:
+        acc[key] = acc.get(key, Fraction(0)) + q
+    for key, q in b.payload:
+        acc[key] = acc.get(key, Fraction(0)) + s * q
+    return _from_fraction_payload(a.ring, acc)
+
+
+def negation_by_fractions(a: RingElement) -> RingElement:
+    """``-a``, negating the payload, or each coefficient, as a ``Fraction``."""
+    if type(a.payload) is not tuple:
+        return _from_fraction_payload(a.ring, -a.payload)
+    return _from_fraction_payload(a.ring, {key: -q for key, q in a.payload})
+
+
+def product_by_fractions(a: RingElement, b: RingElement) -> RingElement:
+    """``a * b``: the payload product on the scalar rings, the convolution
+    on POLY and the word rewriting on SKEW."""
+    if type(a.payload) is not tuple:
+        return _from_fraction_payload(a.ring, a.payload * b.payload)
+    return product_by_oracle(a, b)
 
 
 def fold(ring: RingId, left, right) -> RingElement:

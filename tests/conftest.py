@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ringlp import ProgramData, RingElement, RingId, RMatrix, RVector, from_int, matrix, vector
+from ringlp import ProgramData, RingElement, RingId, RMatrix, RVector, from_int, matrix, rings, vector
 
 settings.register_profile(
     "ringlp",
@@ -57,13 +58,32 @@ def make_edt_program(ring: RingId = RingId.INT, a: int = 2) -> ProgramData:
     )
 
 
+def patch_in_every_module(monkeypatch, original, replacement) -> None:
+    """Rebind the function ``original`` to ``replacement`` in every
+    ``ringlp`` module that imported it by name."""
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "ringlp" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def counting_constructions(monkeypatch, built):
-    """Count ``Fraction`` and ``RingElement`` constructions into ``built``."""
-    new, init = Fraction.__new__, RingElement.__init__
+    """Count ``Fraction`` and ``RingElement`` constructions into ``built``.
+
+    A ``Fraction`` is built through ``Fraction.__new__`` or by
+    ``rings.reduced``; both are counted, the latter in every ``ringlp``
+    module that imports it."""
+    new, init, reduced = Fraction.__new__, RingElement.__init__, rings.reduced
 
     def counting_new(cls, *args, **kwargs):
         built["Fraction"] += 1
         return new(cls, *args, **kwargs)
+
+    def counting_reduced(*args):
+        built["Fraction"] += 1
+        return reduced(*args)
+
+    patch_in_every_module(monkeypatch, reduced, counting_reduced)
 
     def counting_init(self, *args):
         built["RingElement"] += 1

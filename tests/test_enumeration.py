@@ -438,15 +438,22 @@ def test_lexicographic_tie_break():
     assert status.witness == int_vector(RingId.INT, [0, 0])
 
 
-def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
+def recording_grid_fractions(monkeypatch) -> list:
+    """The list of every ``Fraction`` that ``enumeration`` builds from here
+    on, through ``rings.reduced``."""
     built = []
+    reduced = rings.reduced
 
-    class CountingFraction(Fraction):
-        def __new__(cls, *args):
-            built.append(args)
-            return super().__new__(cls, *args)
+    def recording_reduced(*args):
+        built.append(reduced(*args))
+        return built[-1]
 
-    monkeypatch.setattr(enumeration, "Fraction", CountingFraction)
+    monkeypatch.setattr(enumeration, "reduced", recording_reduced)
+    return built
+
+
+def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
+    built = recording_grid_fractions(monkeypatch)
     P = _program([[1, 1]], [4], [0, 0], ring=RingId.RAT)  # two primal variables
     with pytest.raises(ValueError, match="too large"):
         enumerate_primal(P, BoxSpec(1, 10**6))
@@ -589,14 +596,7 @@ def test_threads_that_share_programs_and_boxes_get_their_own_results():
 
 
 def test_grid_builds_one_fraction_per_value(monkeypatch):
-    built = []
-
-    class CountingFraction(Fraction):
-        def __new__(cls, *args):
-            built.append(Fraction(*args))
-            return super().__new__(cls, *args)
-
-    monkeypatch.setattr(enumeration, "Fraction", CountingFraction)
+    built = recording_grid_fractions(monkeypatch)
     values = [v.payload for v in candidate_values(RingId.RAT, BoxSpec(6, 4))]
     assert built == values == box_grid_by_fractions(RingId.RAT, 6, 4)
 

@@ -11,6 +11,8 @@ feasibility tests, whose INT/RAT/ODDRAT path judges on the program's integer for
 ``linalg.py`` holds containers and does no ring arithmetic, and
 ``ringlp`` exports none of the products it used to. Only ``enumeration``'s walk builds
 vectors without the per-entry ring check, through ``linalg.grid_points``.
+Every ``Fraction`` built from an integer pair comes from ``rings.reduced``,
+outside parsing and the validating ``from_rational``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
 grid value through the validating ``from_rational``.
@@ -284,10 +286,53 @@ def test_only_the_box_walk_builds_unchecked_points():
     """``linalg.grid_points`` checks the ring of the grid values once and
     then builds each point's vector without ``RVector``'s per-entry check.
     Only ``enumeration``'s walk calls it, and only its private generator
-    builds vectors past ``RVector.__init__``."""
+    builds vectors past ``RVector.__init__``. The one other object built
+    past its class's constructor is the ``Fraction`` of ``rings.reduced``."""
     assert _readers_by_module("grid_points") == {"enumeration.py": {"_feasible_walk"}}
     assert _readers_by_module("_unchecked_points") == {"linalg.py": {"grid_points"}}
-    assert _readers_by_module("__new__") == {"linalg.py": {"_unchecked_points"}}
+    assert _readers_by_module("__new__") == {
+        "linalg.py": {"_unchecked_points"},
+        "rings.py": {"reduced"},
+    }
+
+
+def _calls(path: pathlib.Path, callee: str) -> set[tuple[str, int]]:
+    """``(function, positional argument count)`` for each call of the plain
+    name ``callee`` in ``path`` (``<module>`` at module level)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == callee:
+                found.add((owner, len(child.args)))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_the_kernel_builds_no_fraction_through_its_generic_constructor():
+    """Every ``Fraction`` made from an integer pair comes from
+    ``rings.reduced``. The generic ``Fraction(...)``, which re-checks its
+    arguments' types, is called only where a literal is parsed or a value
+    is embedded and checked, and for the constant ``_F0``; only the first
+    two take an ``(n, d)`` pair."""
+    calls = {
+        (f"{path.name}:{owner}", nargs)
+        for path in MODULES
+        for owner, nargs in _calls(path, "Fraction")
+    }
+    assert {site for site, _ in calls} == {
+        "rings.py:<module>",
+        "rings.py:_parse_fraction",
+        "rings.py:from_rational",
+        "rings.py:_coefficient",
+    }, calls
+    pairs = {site for site, nargs in calls if nargs == 2}
+    assert pairs == {"rings.py:_parse_fraction", "rings.py:from_rational"}, pairs
 
 
 def test_the_box_scan_compares_no_ring_elements():

@@ -1,14 +1,17 @@
+import pickle
 from fractions import Fraction
 from operator import ge, gt, le, lt
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from ringlp import (
     Magnitude,
     Ordering,
     ParseError,
     RingId,
+    RingElement,
     RingMismatch,
     POLY_X,
     SKEW_X,
@@ -36,7 +39,14 @@ from ringlp import (
     zero,
 )
 
-from _oracles import skew_mul_by_rewriting
+from ringlp.rings import reduced
+
+from _oracles import (
+    negation_by_fractions,
+    product_by_fractions,
+    skew_mul_by_rewriting,
+    termwise_by_fractions,
+)
 from _strategies import elements
 from conftest import ALL_RINGS
 
@@ -387,3 +397,78 @@ def test_pretty_rendering():
     assert pretty(from_int(RingId.INT, -7)) == "-7"
     assert pretty(from_rational(RingId.RAT, -7, 3)) == "-7/3"
     assert pretty(from_rational(RingId.ODDRAT, 4, 7)) == "4/7"
+
+
+# ---------------------------------------------------------------------------
+# the kernel's Fraction constructor and its arithmetic on integer pairs
+
+
+@given(n=st.integers(-(2**80), 2**80), d=st.integers(1, 2**80))
+@example(n=0, d=7)
+@example(n=-(2**64) - 6, d=4)
+@example(n=2**64 * 3, d=3 * 2**64 + 3)
+def test_reduced_builds_the_fraction_of_its_pair(n, d):
+    got, want = reduced(n, d), Fraction(n, d)
+    assert got == want and type(got) is Fraction
+    assert hash(got) == hash(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert str(got) == str(want)
+    back = pickle.loads(pickle.dumps(got))
+    assert back == want and type(back) is Fraction
+    flipped = reduced(-want.numerator, want.denominator, True)
+    assert flipped == -want and hash(flipped) == hash(-want)
+
+
+wide_rationals = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 10**6))
+wide_odd_rationals = st.builds(
+    Fraction, st.integers(-(2**70), 2**70), st.integers(0, 5 * 10**5).map(lambda k: 2 * k + 1)
+)
+
+
+def wide_elements(ring: RingId) -> st.SearchStrategy:
+    """Elements with numerators past 2^64 and denominators up to 10^6."""
+    if ring is RingId.INT:
+        return st.integers(-(2**70), 2**70).map(lambda v: from_int(ring, v))
+    if ring is RingId.RAT:
+        return wide_rationals.map(lambda q: from_rational(ring, q))
+    if ring is RingId.ODDRAT:
+        return wide_odd_rationals.map(lambda q: from_rational(ring, q))
+    if ring is RingId.POLY:
+        return st.lists(wide_rationals, max_size=4).map(poly)
+    return st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), wide_rationals, max_size=4
+    ).map(skew)
+
+
+def assert_identical(got: RingElement, want: RingElement):
+    """Equal elements whose payloads have the same types throughout."""
+    assert got == want and hash(got) == hash(want)
+    if type(want.payload) is tuple:
+        assert [type(q) for _, q in got.payload] == [Fraction] * len(want.payload)
+    else:
+        assert type(got.payload) is type(want.payload)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@given(data=st.data())
+def test_pair_arithmetic_equals_fraction_arithmetic(ring, data):
+    """``add``, ``sub``, ``neg`` and ``mul`` against ``int``/``Fraction``
+    arithmetic on the payloads, with ``b`` at times ``a`` or ``-a`` so that
+    monomials cancel."""
+    drawn = st.one_of(elements(ring), wide_elements(ring))
+    a = data.draw(drawn)
+    b = data.draw(st.one_of(drawn, st.just(a), st.just(negation_by_fractions(a))))
+    assert_identical(add(a, b), termwise_by_fractions(a, b, False))
+    assert_identical(sub(a, b), termwise_by_fractions(a, b, True))
+    assert_identical(neg(a), negation_by_fractions(a))
+    assert_identical(mul(a, b), product_by_fractions(a, b))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_elements_compare_and_hash_by_ring_and_payload(ring):
+    a, twin = from_rational(ring, 3), parse_element(ring, to_text(from_rational(ring, 3)))
+    assert a == twin and hash(a) == hash(twin) == hash((ring, a.payload))
+    assert a != from_rational(ring, 5) and a != 3 and a != a.payload
+    other = RingId.RAT if ring is RingId.INT else RingId.INT
+    assert a != from_int(other, 3)
+    assert len({a, twin, from_rational(ring, 5)}) == 2

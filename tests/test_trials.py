@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 import ringlp.affine as affine
 import ringlp.constructions as constructions
 from ringlp import (
@@ -18,6 +20,7 @@ from ringlp import (
     SKEW_Y,
     CheckReport,
     RingId,
+    Sampler,
     from_int,
     identity_program_trials,
     identity_trials,
@@ -25,8 +28,9 @@ from ringlp import (
     weak_duality_trials,
     zero,
 )
+from ringlp.errors import require_int
 
-from conftest import ALL_RINGS
+from conftest import ALL_RINGS, patch_in_every_module
 
 
 def _fail_every_third_from_the_second(monkeypatch, module, name, failing_result):
@@ -116,3 +120,41 @@ def test_weak_duality_trials_hand_the_same_programs_and_points(monkeypatch):
         for seed in range(3):
             assert weak_duality_trials(ring, 50, seed).passed
     assert digest.hexdigest() == WEAK_DUALITY_STREAM_SHA256
+
+
+def test_a_shape_draw_takes_the_steps_of_two_checked_draws():
+    twin = Sampler(11)
+    shape = Sampler(11).shape_draw(3, 4)
+    for _ in range(200):
+        assert shape() == (twin.draw_int(1, 3), twin.draw_int(1, 4))
+
+
+def _recording_require_int(monkeypatch) -> list:
+    """The names that ``require_int`` checks from here on, in every
+    ``ringlp`` module that imports it."""
+    checked = []
+
+    def recording(name, value, least=None):
+        checked.append(name)
+        require_int(name, value, least)
+
+    patch_in_every_module(monkeypatch, require_int, recording)
+    return checked
+
+
+@pytest.mark.parametrize("loop", [identity_program_trials, weak_duality_trials])
+def test_trial_loops_check_their_arguments_once_not_per_trial(monkeypatch, loop):
+    """The seed, the trial count and both shape bounds are checked once per
+    run; each trial draws its shape unchecked, not through ``draw_int``."""
+    checked = _recording_require_int(monkeypatch)
+
+    def unchecked_draws_only(self, lo, hi):
+        raise AssertionError("a trial drew its shape through draw_int")
+
+    monkeypatch.setattr(Sampler, "draw_int", unchecked_draws_only)
+    runs = []
+    for trials in (1, 12):
+        checked.clear()
+        assert loop(RingId.RAT, trials, seed=3).passed
+        runs.append(sorted(checked))
+    assert runs == [["max_cols", "max_rows", "seed", "trials"]] * 2

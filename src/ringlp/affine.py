@@ -112,18 +112,12 @@ class FeasibilityVerdict:
     """Feasible, or the first violation found (indices are 0-based)."""
 
     feasible: bool
-    violated_row: Optional[int]
-    violation_kind: Optional[ViolationKind]
+    violated_row: Optional[int] = None
+    violation_kind: Optional[ViolationKind] = None
 
-    def __init__(
-        self,
-        feasible: bool,
-        violated_row: Optional[int] = None,
-        violation_kind: Optional[ViolationKind] = None,
-    ):
-        setfield(self, "feasible", feasible)
-        setfield(self, "violated_row", violated_row)
-        setfield(self, "violation_kind", violation_kind)
+    def violation_text(self) -> str:
+        """A violated verdict in words: ``({kind} at index {row})``."""
+        return f"({self.violation_kind.value} at index {self.violated_row})"
 
     def as_dict(self) -> dict:
         out: dict = {"feasible": self.feasible}

@@ -144,7 +144,7 @@ def _cmd_axioms(args) -> _Outcome:
 def _feasible_text(verdict) -> str:
     if verdict.feasible:
         return "True"
-    return f"False ({verdict.violation_kind.value} at index {verdict.violated_row})"
+    return f"False {verdict.violation_text()}"
 
 
 def _cmd_check(args) -> _Outcome:
@@ -205,7 +205,8 @@ def _cmd_identities(args) -> _Outcome:
 def _status_lines(label: str, status) -> list[str]:
     line = f"{label}: {status.kind.value} ({status.scope.value})"
     if status.witness is not None:
-        line += f" witness {status.as_dict()['witness']} value {status.as_dict()['value']}"
+        shown = status.as_dict()
+        line += f" witness {shown['witness']} value {shown['value']}"
     out = [line]
     if status.note:
         out.append(f"  note: {status.note}")

@@ -22,6 +22,7 @@ The constructions cover, over a suitable non-division ring:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum, unique
 from typing import Optional
 
@@ -306,13 +307,7 @@ def _least_covering_integer(a: RingElement) -> int:
     while not covers(high):
         high *= 2
     low = high // 2  # 0, or a k that does not cover
-    while high - low > 1:
-        mid = (low + high) // 2
-        if covers(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+    return low + 1 + bisect_left(range(low + 1, high + 1), True, key=covers)
 
 
 def strong_duality_counterexample(
@@ -476,10 +471,7 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
     _require_sign("sign(1 - p) = +1", sub(one(P.ring), p))
     verdict = is_dual_feasible(P, y)
     if not verdict.feasible:
-        raise PreconditionViolated(
-            f"y must be dual-feasible ({verdict.violation_kind.value} at "
-            f"index {verdict.violated_row})"
-        )
+        raise PreconditionViolated(f"y must be dual-feasible {verdict.violation_text()}")
     if any(sign(e) != 1 for e in y):
         raise PreconditionViolated("every entry of y must be strictly positive")
     scaled = vector(P.ring, (mul(e, p) for e in y))

@@ -296,10 +296,7 @@ def judge_optimal_pair(
         verdict = side.feasible(P, candidate)
         if not verdict.feasible:
             ok = False
-            details.append(
-                f"{side.name} candidate infeasible ({verdict.violation_kind.value} "
-                f"at index {verdict.violated_row})"
-            )
+            details.append(f"{side.name} candidate infeasible {verdict.violation_text()}")
             continue
         value = side.objective(P, candidate)
         if status.value is not None and compare(status.value, value) is side.better:

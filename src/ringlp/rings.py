@@ -291,7 +291,7 @@ def one(ring: RingId) -> RingElement:
 
 
 def is_zero(a: RingElement) -> bool:
-    return a == _ZEROS[a.ring]
+    return not a.payload  # 0, Fraction(0) and () are the only zero payloads
 
 
 # ---------------------------------------------------------------------------

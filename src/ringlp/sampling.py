@@ -2,7 +2,8 @@
 
 The pseudorandom source is a 64-bit linear congruential generator fixed by
 the constants below (Knuth's MMIX parameters) so that equal seeds produce
-identical streams everywhere:
+identical streams everywhere. A ``Sampler`` is the generator: its ``state``
+starts at the ``int`` seed mod 2^64 and each step sets
 
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
@@ -52,8 +53,9 @@ SKEW_MAX_TERMS = 5
 SKEW_MAX_DEGREE = 3
 
 
-class Lcg:
-    """The fixed 64-bit linear congruential generator, seeded by an ``int``."""
+class Sampler:
+    """Stateful element source: the generator above, its 64-bit ``state``
+    seeded by an ``int``; equal seeds yield equal streams."""
 
     __slots__ = ("state",)
 
@@ -61,21 +63,11 @@ class Lcg:
         require_int("seed", seed)
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (_MULT * self.state + _INC) & _MASK
-        return self.state
-
-    # int_in inlines the step of next_u64: it is the hot draw.
-    def int_in(self, lo: int, hi: int) -> int:
+    # one generator step and the draw in lo..hi, unchecked: the hot draw,
+    # private so that perfbench's tracer, which wraps public methods, skips it
+    def _int_in(self, lo: int, hi: int) -> int:
         self.state = state = (_MULT * self.state + _INC) & _MASK
         return lo + (state >> 32) % (hi - lo + 1)
-
-
-class Sampler:
-    """Stateful element source; equal seeds yield equal streams."""
-
-    def __init__(self, seed: int):
-        self._lcg = Lcg(seed)
 
     def draw_int(self, lo: int, hi: int) -> int:
         """Uniform in ``lo..hi``, two ``int`` bounds; ``ValueError`` when the
@@ -84,7 +76,7 @@ class Sampler:
         require_int("hi", hi)
         if hi < lo:
             raise ValueError(f"empty range {lo}..{hi}")
-        return self._lcg.int_in(lo, hi)
+        return self._int_in(lo, hi)
 
     def shape_draw(self, max_rows: int, max_cols: int) -> Callable[[], tuple[int, int]]:
         """A draw of a program shape ``(m, n)``, uniform in ``1..max_rows`` x
@@ -93,21 +85,20 @@ class Sampler:
         checked here once rather than at every draw."""
         require_int("max_rows", max_rows, 1)
         require_int("max_cols", max_cols, 1)
-        int_in = self._lcg.int_in
+        int_in = self._int_in
         return lambda: (int_in(1, max_rows), int_in(1, max_cols))
 
     # one rational draw as (numerator, denominator), unreduced; the hot draw
     # of every ring but INT, so it takes the generator's steps inline
     def _ratio(self, odd: bool = False) -> tuple[int, int]:
-        lcg = self._lcg
-        state = (_MULT * lcg.state + _INC) & _MASK
+        state = (_MULT * self.state + _INC) & _MASK
         num = (state >> 32) % (2 * INT_BOUND + 1) - INT_BOUND
         state = (_MULT * state + _INC) & _MASK
         den = 1 + (state >> 32) % DEN_BOUND
         while odd and den % 2 == 0:
             state = (_MULT * state + _INC) & _MASK
             den = 1 + (state >> 32) % DEN_BOUND
-        lcg.state = state
+        self.state = state
         return num, den
 
     def sample(self, ring: RingId) -> RingElement:
@@ -115,15 +106,15 @@ class Sampler:
 
     def _poly(self) -> tuple:
         ratio = self._ratio
-        terms = [(d, *ratio()) for d in range(self._lcg.int_in(0, POLY_MAX_DEGREE) + 1)]
+        terms = [(d, *ratio()) for d in range(self._int_in(0, POLY_MAX_DEGREE) + 1)]
         terms.reverse()
         return tuple([(d, reduced(n, den)) for d, n, den in terms if n])
 
     def _skew(self) -> tuple:
-        count = self._lcg.int_in(0, SKEW_MAX_TERMS)
+        count = self._int_in(0, SKEW_MAX_TERMS)
         acc: dict[tuple[int, int], tuple[int, int]] = {}
         for _ in range(count):
-            key = (self._lcg.int_in(0, SKEW_MAX_DEGREE), self._lcg.int_in(0, SKEW_MAX_DEGREE))
+            key = (self._int_in(0, SKEW_MAX_DEGREE), self._int_in(0, SKEW_MAX_DEGREE))
             n, d = self._ratio()
             if key in acc:  # a monomial drawn again: add the two rationals
                 n0, d0 = acc[key]
@@ -153,7 +144,7 @@ class Sampler:
 # One draw per ring, giving the element's canonical payload. The order of the
 # generator calls in each is part of the seeded stream.
 _DRAWS = {
-    RingId.INT: lambda s: s._lcg.int_in(-INT_BOUND, INT_BOUND),
+    RingId.INT: lambda s: s._int_in(-INT_BOUND, INT_BOUND),
     RingId.RAT: lambda s: reduced(*s._ratio()),
     RingId.ODDRAT: lambda s: reduced(*s._ratio(odd=True)),
     RingId.POLY: Sampler._poly,

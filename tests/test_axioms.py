@@ -27,7 +27,6 @@ from ringlp import (
 from ringlp.sampling import (
     DEN_BOUND,
     INT_BOUND,
-    Lcg,
     POLY_MAX_DEGREE,
     SKEW_MAX_DEGREE,
     SKEW_MAX_TERMS,
@@ -74,9 +73,11 @@ def test_axiom_suite_rejects_a_bool_sample_count():
 
 
 def test_lcg_stream_is_documented():
-    lcg = Lcg(0)
-    assert lcg.next_u64() == 1442695040888963407
-    assert lcg.next_u64() == (6364136223846793005 * 1442695040888963407 + 1442695040888963407) % 2**64
+    sampler = Sampler(0)
+    sampler.draw_int(0, 0)  # one generator step
+    assert sampler.state == 1442695040888963407
+    sampler.draw_int(0, 0)
+    assert sampler.state == (6364136223846793005 * 1442695040888963407 + 1442695040888963407) % 2**64
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)

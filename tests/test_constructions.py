@@ -2,7 +2,9 @@ import hashlib
 import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import ringlp.affine as affine
 import ringlp.constructions as constructions
@@ -129,10 +131,22 @@ def test_gap_program_skew_claim_on_sampled_pairs():
 
 
 def test_gap_program_dual_family_starts_at_the_least_covering_integer():
-    for a, k in ((Fraction(2, 3), 2), (Fraction(2, 5), 3), (Fraction(2, 1), 1)):
+    # 2/7 .. 2/17 put k at a power of two and just past one, where an
+    # off-by-one in the search for the least covering k would show
+    cases = [(Fraction(2, 3), 2), (Fraction(2, 5), 3), (Fraction(2, 1), 1)]
+    cases += [(Fraction(2, q), k) for q, k in ((7, 4), (9, 5), (15, 8), (17, 9))]
+    for a, k in cases:
         bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, a))
         assert bundle.dual_witnesses[0] == int_vector(RingId.ODDRAT, [k])
         assert all(c.passed for c in bundle.checks)
+
+
+@given(m=st.integers(1, 40), half_q=st.integers(0, 400))
+def test_first_dual_witness_is_the_ceiling_of_q_over_2m(m, half_q):
+    """For ODDRAT a = 2m/q, q odd, the least k with k*a >= 1 is ceil(q/2m)."""
+    q = 2 * half_q + 1
+    bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2 * m, q), dual_samples=0)
+    assert bundle.dual_witnesses[0] == int_vector(RingId.ODDRAT, [-(-q // (2 * m))])
 
 
 def test_pair_gap_check_reports_infeasible_points_instead_of_counting_them():

@@ -33,7 +33,6 @@ from ringlp import (
     zero_vector,
 )
 from ringlp._records import record
-from ringlp.progfile import _Token
 from ringlp.rings import _RingSpec
 
 from conftest import make_gap_program
@@ -57,7 +56,6 @@ RECORDS = [
     (AxiomViolation, lambda: ("kind", ("w",)), {}),
     (AxiomReport, lambda: (RingId.INT, 10, 1, 20, 30, ()), {}),
     (TrialSummary, lambda: ("trial", 5, 0), {"first_failure": None}),
-    (_Token, lambda: ("ring", 1, 1), {}),
     (WitnessSequence, lambda: (RingId.INT, SequenceRole.PRIMAL_IMPROVING, (), ()), {}),
     (
         CounterexampleBundle,

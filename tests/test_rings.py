@@ -100,6 +100,21 @@ def test_sign_of_zero(ring):
     assert sign(zero(ring)) == 0
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_is_zero_agrees_with_equality_to_zero(ring):
+    sampler = Sampler(9)
+    built = [from_int(ring, 0), sub(one(ring), one(ring))]
+    for a in [*(sampler.sample(ring) for _ in range(300)), *built]:
+        assert is_zero(a) is (a == zero(ring))
+    assert is_zero(from_int(ring, 0))
+
+
+def test_is_zero_on_the_zero_term_lists():
+    assert is_zero(poly([0, 0])) and poly([0, 0]) == zero(RingId.POLY)
+    assert is_zero(skew({})) and skew({}) == zero(RingId.SKEW)
+    assert not is_zero(poly([0, 1])) and not is_zero(SKEW_X)
+
+
 def test_skew_sign_uses_lex_greatest_monomial():
     # y*x^3 - y^2*x: the lex-greatest monomial is (2, 1) with coefficient -1
     el = skew({(1, 3): 1, (2, 1): -1})

@@ -20,10 +20,12 @@ equality coincides with ring equality.
 The operations branch on the payload's shape: a scalar (``int`` or
 ``Fraction``: INT, RAT, ODDRAT) or a tuple of ``(monomial, coefficient)``
 terms (POLY, SKEW), and tell ``int`` from ``Fraction``. A ``Fraction`` is
-worked on as its integer pair, numerator and denominator, and each result
-is built once, by :func:`reduced`, from the pair in lowest terms: no
-``Fraction`` operator and no generic ``Fraction(n, d)`` runs in the
-kernel; only parsing and validation call the latter. ``sum_of_products``
+worked on as its integer pair, read straight from its ``_numerator`` and
+``_denominator`` slots rather than through a Python-level method or
+property, and each result is built once, by :func:`reduced`, which sets
+those two slots from the pair in lowest terms: no ``Fraction`` operator
+and no generic ``Fraction(n, d)`` runs in the kernel; only parsing and
+validation call the latter. ``sum_of_products``
 works out each ring's monomial product inline. What else differs sits in
 one private record per ring (``_RingSpec``): which rationals embed, the
 constant monomial, the literal grammar and the monomial text.
@@ -42,7 +44,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Union
 
-from ._records import record, setfield
+from ._records import record
 from .errors import ParseError, RingMismatch, require_int
 
 __all__ = [
@@ -117,9 +119,10 @@ class RingElement:
     ring: RingId
     payload: Payload
 
+    # stores through the two slot descriptors, bound below the class
     def __init__(self, ring: RingId, payload: Payload):
-        setfield(self, "ring", ring)
-        setfield(self, "payload", payload)
+        _set_ring(self, ring)
+        _set_payload(self, payload)
 
     # the record's field-wise equality and hash, without its generic field tuple
     def __eq__(self, other: object) -> bool:
@@ -173,6 +176,10 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"RingElement({self.ring.value}, {to_text(self)!r})"
+
+
+_set_ring = RingElement.ring.__set__
+_set_payload = RingElement.payload.__set__
 
 
 @record
@@ -301,8 +308,8 @@ def is_zero(a: RingElement) -> bool:
 def _sum_pair(p: Fraction, q: Fraction, subtract: bool) -> tuple[int, int]:
     """``p - q`` or ``p + q`` as an unreduced integer pair, over the shared
     denominator when there is one."""
-    pn, pd = p.as_integer_ratio()
-    qn, qd = q.as_integer_ratio()
+    pn, pd = p._numerator, p._denominator
+    qn, qd = q._numerator, q._denominator
     if subtract:
         qn = -qn
     if pd == qd:
@@ -313,8 +320,7 @@ def _sum_pair(p: Fraction, q: Fraction, subtract: bool) -> tuple[int, int]:
 def _negated(q: Fraction) -> Fraction:
     """``-q``: a reduced pair stays reduced with its sign flipped, so no
     ``gcd`` is taken."""
-    n, d = q.as_integer_ratio()
-    return reduced(-n, d, True)
+    return reduced(-q._numerator, q._denominator, True)
 
 
 def _add_or_sub(a: RingElement, b: RingElement, subtract: bool) -> RingElement:
@@ -372,9 +378,9 @@ def mul(a: RingElement, b: RingElement) -> RingElement:
         return RingElement(a.ring, p * q)
     if type(p) is tuple:
         return sum_of_products(a.ring, (a,), (b,))
-    pn, pd = p.as_integer_ratio()
-    qn, qd = q.as_integer_ratio()
-    return RingElement(a.ring, reduced(pn * qn, pd * qd))
+    return RingElement(
+        a.ring, reduced(p._numerator * q._numerator, p._denominator * q._denominator)
+    )
 
 
 def sum_of_products(
@@ -420,32 +426,28 @@ def sum_of_products(
             n += a.payload * b.payload
         return RingElement(ring, sgn * n)
     if type(acc) is not tuple:
-        n, d = acc.as_integer_ratio()
-        n = -n
+        n, d = -acc._numerator, acc._denominator
         for a, b in pairs:
             if a.ring is not ring or b.ring is not ring:
                 _raise_mismatch(ring, a, b)
-            pn, pd = a.payload.as_integer_ratio()
-            qn, qd = b.payload.as_integer_ratio()
-            pd *= qd
+            p, q = a.payload, b.payload
+            pd = p._denominator * q._denominator
             if pd == d:
-                n += pn * qn
+                n += p._numerator * q._numerator
             else:
-                n = n * pd + pn * qn * d
+                n = n * pd + p._numerator * q._numerator * d
                 d *= pd
         return RingElement(ring, reduced(sgn * n, d))
     terms = {}
     for key, q in acc:
-        n, d = q.as_integer_ratio()
-        terms[key] = (-sgn * n, d)
+        terms[key] = (-sgn * q._numerator, q._denominator)
     skewed = ring is RingId.SKEW
     for a, b in pairs:
         if a.ring is not ring or b.ring is not ring:
             _raise_mismatch(ring, a, b)
-        right = [(kb, *cb.as_integer_ratio()) for kb, cb in b.payload]
+        right = [(kb, cb._numerator, cb._denominator) for kb, cb in b.payload]
         for ka, ca in a.payload:
-            na, da = ca.as_integer_ratio()
-            na *= sgn
+            na, da = sgn * ca._numerator, ca._denominator
             for kb, nb, db in right:
                 # the monomial product, as mul describes it
                 if skewed:
@@ -483,7 +485,9 @@ def sign(a: RingElement) -> int:
         if not v:
             return 0
         v = v[0][1]
-    n = v.numerator
+    elif type(v) is int:
+        return (v > 0) - (v < 0)
+    n = v._numerator
     return (n > 0) - (n < 0)
 
 
@@ -497,9 +501,7 @@ def compare(a: RingElement, b: RingElement) -> Ordering:
     if type(p) is int:
         s = (p > q) - (p < q)
     elif type(p) is not tuple:
-        pn, pd = p.as_integer_ratio()
-        qn, qd = q.as_integer_ratio()
-        s = pn * qd - qn * pd
+        s = p._numerator * q._denominator - q._numerator * p._denominator
     else:
         s = sign(sub(a, b))
     if s > 0:

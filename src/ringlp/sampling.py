@@ -7,12 +7,21 @@ starts at the ``int`` seed mod 2^64 and each step sets
 
     state' = (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
-Bounded draws take the top 32 bits of the new state modulo the range size.
-Documented size bounds: INT is uniform in [-1000, 1000]; RAT and ODDRAT
-draw numerators in [-1000, 1000] and denominators in [1, 50], ODDRAT
-redrawing the denominator until it is odd; POLY draws degree <= 4 with
-rational coefficients on the RAT bounds; SKEW draws at most 5 monomials
-with y- and x-degree <= 3.
+A draw in ``lo..hi`` takes one step and is ``lo`` plus the top 32 bits
+of the new state modulo ``hi - lo + 1``. The draws of one element, in
+stream order:
+
+* INT: one draw in [-1000, 1000].
+* RAT: a rational, that is a numerator in [-1000, 1000] and then a
+  denominator in [1, 50]. ODDRAT redraws the denominator until it is odd.
+* POLY: a degree k in [0, 4], then one RAT-bounded rational per
+  coefficient, from degree 0 up to k.
+* SKEW: a term count in [0, 5], then per term a y-degree in [0, 3], an
+  x-degree in [0, 3] and a RAT-bounded rational.
+
+``sample_nonneg`` negates a negative sample. ``sample_central`` is a sample
+on the commutative rings and, on SKEW, the constant of one RAT-bounded
+rational.
 
 Each draw builds its canonical payload straight from the generator's
 output, not through the validating constructors of :mod:`ringlp.rings`:
@@ -20,6 +29,8 @@ the ``int``, the one reduced ``Fraction``, or the term tuple, leading
 monomial first, with one ``Fraction`` per nonzero coefficient (a SKEW
 monomial drawn twice has its rationals added as integer pairs first).
 Every ``Fraction`` is built from its integer pair by ``rings.reduced``.
+The hot draws (``_ratio``, ``_poly``, ``_skew``) take the generator's
+steps inline, the state held in a local and stored once.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ class Sampler:
         return lambda: (int_in(1, max_rows), int_in(1, max_cols))
 
     # one rational draw as (numerator, denominator), unreduced; the hot draw
-    # of every ring but INT, so it takes the generator's steps inline
+    # of RAT and ODDRAT, so it takes the generator's steps inline
     def _ratio(self, odd: bool = False) -> tuple[int, int]:
         state = (_MULT * self.state + _INC) & _MASK
         num = (state >> 32) % (2 * INT_BOUND + 1) - INT_BOUND
@@ -105,21 +116,35 @@ class Sampler:
         return RingElement(ring, _DRAWS[ring](self))
 
     def _poly(self) -> tuple:
-        ratio = self._ratio
-        terms = [(d, *ratio()) for d in range(self._int_in(0, POLY_MAX_DEGREE) + 1)]
+        state = (_MULT * self.state + _INC) & _MASK
+        terms = []
+        for d in range((state >> 32) % (POLY_MAX_DEGREE + 1) + 1):
+            state = (_MULT * state + _INC) & _MASK
+            n = (state >> 32) % (2 * INT_BOUND + 1) - INT_BOUND
+            state = (_MULT * state + _INC) & _MASK
+            if n:
+                terms.append((d, reduced(n, 1 + (state >> 32) % DEN_BOUND)))
+        self.state = state
         terms.reverse()
-        return tuple([(d, reduced(n, den)) for d, n, den in terms if n])
+        return tuple(terms)
 
     def _skew(self) -> tuple:
-        count = self._int_in(0, SKEW_MAX_TERMS)
+        state = (_MULT * self.state + _INC) & _MASK
         acc: dict[tuple[int, int], tuple[int, int]] = {}
-        for _ in range(count):
-            key = (self._int_in(0, SKEW_MAX_DEGREE), self._int_in(0, SKEW_MAX_DEGREE))
-            n, d = self._ratio()
+        for _ in range((state >> 32) % (SKEW_MAX_TERMS + 1)):
+            state = (_MULT * state + _INC) & _MASK
+            ydeg = (state >> 32) % (SKEW_MAX_DEGREE + 1)
+            state = (_MULT * state + _INC) & _MASK
+            key = (ydeg, (state >> 32) % (SKEW_MAX_DEGREE + 1))
+            state = (_MULT * state + _INC) & _MASK
+            n = (state >> 32) % (2 * INT_BOUND + 1) - INT_BOUND
+            state = (_MULT * state + _INC) & _MASK
+            d = 1 + (state >> 32) % DEN_BOUND
             if key in acc:  # a monomial drawn again: add the two rationals
                 n0, d0 = acc[key]
                 n, d = n0 * d + n * d0, d0 * d
             acc[key] = (n, d)
+        self.state = state
         items = sorted(acc.items(), reverse=True)
         return tuple([(key, reduced(n, d)) for key, (n, d) in items if n])
 
@@ -170,12 +195,12 @@ def verify_order_axioms(ring: RingId, sample_count: int, seed: int) -> AxiomRepo
     for _ in range(sample_count):
         a = sampler.sample(ring)
         b = sampler.sample(ring)
-        for e in (a, b):
+        sa, sb = sign(a), sign(b)
+        for e, s in ((a, sa), (b, sb)):
             trichotomy_checks += 1
-            s = sign(e)
             if s not in (-1, 0, 1) or (s == 0) != (e == z) or sign(neg(e)) != -s:
                 violations.append(AxiomViolation("trichotomy", (to_text(e),)))
-        if sign(a) == 1 and sign(b) == 1:
+        if sa == 1 and sb == 1:
             closure_checks += 1
             if sign(add(a, b)) != 1:
                 violations.append(

@@ -12,7 +12,9 @@ scan, box grids as sorted sets of Fractions, sums, negations and scalar
 products of elements by ``Fraction`` arithmetic on their payloads (one
 dict entry per monomial on the term rings), the two equation identities
 by expanding both sides as raw double sums, and feasibility verdicts from
-the whole slack built by element-per-step folds.
+the whole slack built by element-per-step folds. ``ReferenceSampler``
+redraws the seeded element stream from the ``ringlp.sampling`` docstring
+alone, with its own generator step and constants.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ringlp import (
     add,
     eval_f,
     eval_g,
+    from_int,
     from_rational,
     mul,
     neg,
@@ -302,3 +305,51 @@ def box_grid_by_fractions(ring: RingId, bound: int, den_bound) -> list[Fraction]
     d_bound = den_bound or 1
     dens = [d for d in range(1, d_bound + 1) if ring is RingId.RAT or d % 2 == 1]
     return sorted({Fraction(num, den) for den in dens for num in range(bound * d_bound + 1)})
+
+
+class ReferenceSampler:
+    """The element stream of ``Sampler(seed)`` as the ``ringlp.sampling``
+    docstring states it: one generator step per bounded draw, ``Fraction``
+    arithmetic and the validating constructors, never ``Sampler`` itself."""
+
+    MULTIPLIER = 6364136223846793005
+    INCREMENT = 1442695040888963407
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+
+    def draw(self, lo: int, hi: int) -> int:
+        self.state = (self.MULTIPLIER * self.state + self.INCREMENT) % 2**64
+        return lo + (self.state >> 32) % (hi - lo + 1)
+
+    def rational(self, odd: bool = False) -> Fraction:
+        num, den = self.draw(-1000, 1000), self.draw(1, 50)
+        while odd and den % 2 == 0:
+            den = self.draw(1, 50)
+        return Fraction(num, den)
+
+    def sample(self, ring: RingId) -> RingElement:
+        if ring is RingId.INT:
+            return from_int(ring, self.draw(-1000, 1000))
+        if ring is RingId.POLY:
+            degree = self.draw(0, 4)
+            return poly([self.rational() for _ in range(degree + 1)])
+        if ring is RingId.SKEW:
+            acc: dict[tuple[int, int], Fraction] = {}
+            for _ in range(self.draw(0, 5)):
+                key = (self.draw(0, 3), self.draw(0, 3))
+                acc[key] = acc.get(key, 0) + self.rational()
+            return skew(acc)
+        return from_rational(ring, self.rational(odd=ring is RingId.ODDRAT))
+
+    def sample_nonneg(self, ring: RingId) -> RingElement:
+        e = self.sample(ring)
+        lead = e.payload  # the scalar, or the leading coefficient
+        if type(lead) is tuple:
+            lead = lead[0][1] if lead else 0
+        return negation_by_fractions(e) if lead < 0 else e
+
+    def sample_central(self, ring: RingId) -> RingElement:
+        if ring is RingId.SKEW:
+            return from_rational(ring, self.rational())
+        return self.sample(ring)

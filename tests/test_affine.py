@@ -13,6 +13,7 @@ from ringlp import (
     RingId,
     Sampler,
     ViolationKind,
+    add,
     assert_weak_duality,
     dual_slack,
     duality_equation_residual,
@@ -30,10 +31,13 @@ from ringlp import (
     key_equation_residual,
     load_program,
     matrix,
+    neg,
     no_central_between_trials,
+    one,
     primal_slack,
     random_program,
     sign,
+    to_text,
     vector,
     verify_order_axioms,
     weak_duality_trials,
@@ -349,6 +353,30 @@ def test_weak_duality_trial_report_text_is_pinned(monkeypatch):
         for seed in range(3):
             assert weak_duality_trials(ring, 20, seed).passed
     assert digest.hexdigest() == WEAK_DUALITY_DETAILS_SHA256
+
+
+NEGATIVE_GAP = "IMPLEMENTATION BUG: negative gap on a feasible pair"
+GAP_DIFFERS = "IMPLEMENTATION BUG: gap differs from s.x + y.t"
+
+
+@pytest.mark.parametrize(
+    "wrong_gap,bugs",
+    [
+        (lambda g: add(g, one(g.ring)), (GAP_DIFFERS,)),
+        (neg, (NEGATIVE_GAP, GAP_DIFFERS)),
+    ],
+    ids=["gap-plus-one", "negated-gap"],
+)
+def test_weak_duality_reports_each_implementation_bug(monkeypatch, gap_int, wrong_gap, bugs):
+    """With ``gap`` replaced by a wrong one, the check fails on a feasible
+    pair and names each identity the wrong gap breaks."""
+    x, y = int_vector(RingId.INT, [0]), int_vector(RingId.INT, [1])
+    right = gap(gap_int, x, y)
+    wrong = wrong_gap(right)
+    monkeypatch.setattr(affine, "gap", lambda P, x, y: wrong)
+    report = assert_weak_duality(gap_int, x, y)
+    assert (report.applicable, report.passed) == (True, False)
+    assert report.details == (f"gap = {to_text(wrong)}", f"s.x + y.t = {to_text(right)}", *bugs)
 
 
 def test_weak_duality_not_applicable_on_infeasible_input(edt_int):

@@ -2,10 +2,13 @@
 
 import hashlib
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import ringlp.sampling as sampling
 from ringlp import (
+    AxiomViolation,
     RingId,
     Sampler,
     add,
@@ -32,6 +35,7 @@ from ringlp.sampling import (
     SKEW_MAX_TERMS,
 )
 
+from _oracles import ReferenceSampler
 from _strategies import elements
 from conftest import ALL_RINGS
 
@@ -56,6 +60,39 @@ def test_axiom_suite_reports_no_violations(ring, samples, seed):
     assert report.violations == ()
     assert report.trichotomy_checks == 2 * samples
     assert report.closure_checks > 0
+
+
+# each violation kind, forced by a mutant of the one operation its check
+# reads from the sampling module's globals
+MUTANTS = {
+    "trichotomy": ("neg", lambda e: e),
+    "additive-closure": ("add", lambda a, b: neg(add(a, b))),
+    "multiplicative-closure": ("mul", lambda a, b: neg(mul(a, b))),
+}
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+@pytest.mark.parametrize("kind", sorted(MUTANTS))
+def test_axiom_suite_reports_each_violation_kind_with_its_witnesses(monkeypatch, ring, kind):
+    """The report lists, in sample order, every nonzero sample under a
+    ``neg`` that returns its argument, and every positive pair under an
+    ``add`` or ``mul`` that negates its result, with their literals."""
+    replay = Sampler(5)
+    want, positive_pairs = [], 0
+    for _ in range(40):
+        a, b = replay.sample(ring), replay.sample(ring)
+        both_positive = sign(a) == 1 and sign(b) == 1
+        positive_pairs += both_positive
+        if kind == "trichotomy":
+            want += [AxiomViolation(kind, (to_text(e),)) for e in (a, b) if sign(e)]
+        elif both_positive:
+            want.append(AxiomViolation(kind, (to_text(a), to_text(b))))
+    name, mutant = MUTANTS[kind]
+    monkeypatch.setattr(sampling, name, mutant)
+    report = verify_order_axioms(ring, 40, 5)
+    assert want and not report.passed
+    assert report.violations == tuple(want)
+    assert (report.trichotomy_checks, report.closure_checks) == (80, positive_pairs)
 
 
 def test_axiom_suite_rejects_nonpositive_sample_count():
@@ -111,6 +148,20 @@ def test_seeded_element_streams_are_pinned(ring):
                 # the payload's repr tells an int from a Fraction
                 digest.update(f"{e.ring.value}|{e.payload!r}\n".encode())
     assert digest.hexdigest() == PINNED_STREAMS[ring]
+
+
+@given(seed=st.integers(0, 2**64 - 1))
+def test_sampled_streams_match_the_reference_sampler(seed):
+    """Every payload of ``sample``, ``sample_nonneg`` and ``sample_central``
+    on each ring, and the generator state after them, equal those of the
+    sampler written from the module docstring."""
+    for ring in ALL_RINGS:
+        for method in ("sample", "sample_nonneg", "sample_central"):
+            got, want = Sampler(seed), ReferenceSampler(seed)
+            for _ in range(12):
+                e, r = getattr(got, method)(ring), getattr(want, method)(ring)
+                assert repr(e.payload) == repr(r.payload)
+            assert got.state == want.state
 
 
 def test_seeded_int_stream_is_pinned():

@@ -1,3 +1,4 @@
+import operator
 import pickle
 from fractions import Fraction
 from operator import ge, gt, le, lt
@@ -376,6 +377,17 @@ def test_operator_sugar_matches_functions():
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
+def test_arithmetic_operators_refuse_non_elements(ring):
+    """``+``, ``-`` and ``*`` return NotImplemented for a non-element, and
+    an element has no reflected operator, so Python raises TypeError."""
+    e = from_int(ring, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((e, 1), (1, e), (e, e.payload), (e, None)):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
 def test_ordering_operators_refuse_non_elements(ring):
     # like + - *, an ordering operator returns NotImplemented for a
     # non-element, so Python raises TypeError rather than AttributeError
@@ -432,6 +444,18 @@ def test_reduced_builds_the_fraction_of_its_pair(n, d):
     assert back == want and type(back) is Fraction
     flipped = reduced(-want.numerator, want.denominator, True)
     assert flipped == -want and hash(flipped) == hash(-want)
+
+
+@given(n=st.integers(-(2**70), 2**70), d=st.integers(1, 2**70))
+def test_fraction_layout_the_kernel_reads(n, d):
+    """The kernel reads a ``Fraction``'s integer pair straight from its two
+    slots, and ``reduced`` sets them on a bare instance: an interpreter
+    whose ``Fraction`` keeps its pair elsewhere fails here, by name."""
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    want = Fraction(n, d)
+    assert (want._numerator, want._denominator) == (want.numerator, want.denominator)
+    got = reduced(n, d)
+    assert type(got) is Fraction and got == want and hash(got) == hash(want)
 
 
 wide_rationals = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 10**6))

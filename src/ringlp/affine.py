@@ -24,7 +24,7 @@ from __future__ import annotations
 from enum import Enum, unique
 from functools import lru_cache
 from math import lcm
-from operator import attrgetter, gt, lt, mul as _times
+from operator import attrgetter, mul as _times
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._records import record, setfield
@@ -75,9 +75,11 @@ class ProgramData:
     b: RVector
     c: RVector
     d: RingElement
-    __slots__ = ("_form",)  # the integer form, built by ``_form_of``
+    __slots__ = ("_form",)  # the integer form, built by ``integer_form``
 
     def __post_init__(self):
+        if not isinstance(self.d, RingElement):
+            raise TypeError(f"d must be a RingElement, got {self.d!r}")
         for part_ring in (self.A.ring, self.b.ring, self.c.ring, self.d.ring):
             if part_ring is not self.ring:
                 raise RingMismatch("program components must share one ring")
@@ -198,27 +200,29 @@ def _verdict(
     return _FEASIBLE, slack
 
 
-def scaled_ints(elements: Iterable[RingElement]) -> tuple[int, list[int]]:
-    """``(L, [L e, ...])``: scalar ``elements`` over L, the lcm of their denominators."""
+def scaled_ints(elements: Iterable[RingElement]) -> list[int]:
+    """``[L e, ...]``: scalar ``elements`` times L, the lcm of their denominators."""
     payloads = [e.payload for e in elements]
     scale = lcm(*[p.denominator for p in payloads])
-    return scale, [p.numerator * (scale // p.denominator) for p in payloads]
+    return [p.numerator * (scale // p.denominator) for p in payloads]
 
 
 def _build_form(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
-    """``P``'s integer form ``(rows, cols)``: ``(L A_j, L b_j)`` per row and
-    ``(L A^i, L c_i)`` per column in ints, L the lcm of the denominators of
-    A, b and c, or ``None`` on POLY and SKEW."""
+    """``P``'s integer form ``(rows, cols)`` of lines ``(a, k)``, each read
+    ``a . v <= k``: ``(L A_j, L b_j)`` per row and ``(-L A^i, -L c_i)`` per
+    column, so the dual is the primal of (-A^T, -c, -b); L the lcm of the
+    denominators of A, b and c. ``None`` on POLY and SKEW."""
     if type(P.d.payload) is tuple:
         return None
-    ints = scaled_ints(P.A.entries + P.b.entries + P.c.entries)[1]
+    ints = scaled_ints(P.A.entries + P.b.entries + P.c.entries)
     m, n = P.rows, P.cols
     A, b, c = tuple(ints[: m * n]), ints[m * n : m * n + m], ints[m * n + m :]
+    negated = tuple(-a for a in A)
     rows = tuple((A[j * n : j * n + n], b[j]) for j in range(m))
-    return rows, tuple((A[i::n], c[i]) for i in range(n))
+    return rows, tuple((negated[i::n], -c[i]) for i in range(n))
 
 
-def _form_of(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
+def integer_form(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
     """``P``'s integer form, built on first use and kept on ``P``."""
     try:
         return P._form
@@ -227,10 +231,10 @@ def _form_of(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
         return P._form
 
 
-def _table_verdict(lines: tuple, breaks: Callable, entries: tuple) -> FeasibilityVerdict:
+def _table_verdict(lines: tuple, entries: tuple) -> FeasibilityVerdict:
     """A point's verdict on its side's lines ``(L a, L k)``, with the point
     as ints v over the lcm Q of its denominators (Q = 1 on INT): the first
-    v_i < 0, else the first line with ``breaks(L k Q, L a . v)``."""
+    v_i < 0, else the first line with ``L k Q < L a . v``."""
     if type(entries[0].payload) is int:
         q, v = 1, [e.payload for e in entries]
     else:
@@ -241,7 +245,7 @@ def _table_verdict(lines: tuple, breaks: Callable, entries: tuple) -> Feasibilit
     if min(v) < 0:
         return _infeasible(_first_negative(v), ViolationKind.NEGATIVE_VARIABLE)
     for line in lines:
-        if breaks(line[1] * q, sum(map(_times, line[0], v))):
+        if line[1] * q < sum(map(_times, line[0], v)):
             # an equal line before this one would have broken first
             return _infeasible(lines.index(line), ViolationKind.SLACK_NEGATIVE)
     return _FEASIBLE
@@ -257,10 +261,10 @@ def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
     so no slack, no ``Fraction`` and no element is built; on POLY and
     SKEW the verdict builds the slack once and reads its signs.
     """
-    form = _form_of(P)
+    form = integer_form(P)
     if form is None:
         return _verdict(P, x, P.cols, primal_slack)[0]
-    return _table_verdict(form[0], lt, _entries(P, x, P.cols))
+    return _table_verdict(form[0], _entries(P, x, P.cols))
 
 
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
@@ -268,12 +272,12 @@ def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
 
     The first negative coordinate is reported before any column, then the
     first column whose slack ``y A^i - c_i`` is negative, each tested as the
-    rows of :func:`is_primal_feasible` are (``Q y . L A^i >= L c_i Q``).
+    rows of :func:`is_primal_feasible` are (``-L c_i Q >= -L A^i . Q y``).
     """
-    form = _form_of(P)
+    form = integer_form(P)
     if form is None:
         return _verdict(P, y, P.rows, dual_slack)[0]
-    return _table_verdict(form[1], gt, _entries(P, y, P.rows))
+    return _table_verdict(form[1], _entries(P, y, P.rows))
 
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
@@ -287,15 +291,14 @@ def eval_g(P: ProgramData, y: RVector) -> RingElement:
 
 
 class Side(NamedTuple):
-    """One side of a program: the primal maximizes f over x, the dual
-    minimizes g over y."""
+    """One side of a program: the primal maximizes f over x on the integer
+    form's rows, the dual minimizes g over y on its negated columns."""
 
     name: str
     letter: str  # of the objective
     nvars: Callable[[ProgramData], int]
     feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
     objective: Callable[[ProgramData, RVector], RingElement]
-    weights: Callable[[ProgramData], list[int]]  # L c or L b, from the integer form
     better: Ordering  # how a strictly better objective value compares
 
     @classmethod
@@ -303,14 +306,8 @@ class Side(NamedTuple):
         # read from the module globals on every call, so a function patched
         # onto this module is the one every scan and check calls
         if primal:
-            return cls(
-                "primal", "f", attrgetter("cols"), is_primal_feasible, eval_f,
-                lambda P: [k for _, k in _form_of(P)[1]], Ordering.GT,  # L c
-            )
-        return cls(
-            "dual", "g", attrgetter("rows"), is_dual_feasible, eval_g,
-            lambda P: [k for _, k in _form_of(P)[0]], Ordering.LT,  # L b
-        )
+            return cls("primal", "f", attrgetter("cols"), is_primal_feasible, eval_f, Ordering.GT)
+        return cls("dual", "g", attrgetter("rows"), is_dual_feasible, eval_g, Ordering.LT)
 
 
 def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, RingElement]:

@@ -24,24 +24,25 @@ pair (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped
 for the side with more variables, to both walks. The scan is sequential.
 The grid ascends and the points are walked in lexicographic order
 (``linalg.grid_points``, which checks the ring of the grid once instead of
-per point). Feasible points are ranked by integer keys, not ring elements:
-with each grid value k/G over the grid's common denominator G and the
-side's objective weights (c, or b) w/L over the program's denominator L,
-a point's key is ``w . k`` and its objective is ``key / (L G) - d``, so
-comparing keys compares objectives exactly. Keeping only strict improvements makes the
-witness the lexicographically smallest point that attains the best
-value, and one objective element is built per side scan, for that point.
+per point). Feasible points are ranked by integer keys, not ring elements,
+and both sides maximize: the dual's min g is max -g on the lines of
+(-A^T, -c, -b). With each grid value k/G over the grid's denominator G and
+the weights w = L c, or -L b, from the program's integer form over its
+denominator L, a point's key ``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``,
+so comparing keys compares objectives exactly. Keeping only strict
+improvements makes the witness the lexicographically smallest point that
+attains the best value, and one objective element is built per side scan.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
 from itertools import product
-from operator import gt, lt, mul as _times
+from operator import mul as _times
 from typing import Optional
 
 from ._records import record
-from .affine import ProgramData, Side, gap, scaled_ints
+from .affine import ProgramData, Side, gap, integer_form, scaled_ints
 from .errors import UnsupportedRing, require_int
 from .linalg import RVector, grid_points, vec_text
 from .reports import CheckReport
@@ -195,28 +196,29 @@ def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
     with its coordinates' integer keys over the grid's common denominator."""
     feasible = side.feasible
     n = side.nvars(P)
-    for vec, keys in zip(grid_points(P.ring, values, n), product(scaled_ints(values)[1], repeat=n)):
+    for vec, keys in zip(grid_points(P.ring, values, n), product(scaled_ints(values), repeat=n)):
         if feasible(P, vec).feasible:
             yield vec, keys
 
 
-def _enumerate(P: ProgramData, side: Side, values: tuple[RingElement, ...]) -> ProgramStatus:
+def _enumerate(P: ProgramData, primal: bool, values: tuple[RingElement, ...]) -> ProgramStatus:
     """One side's in-box status on ``values``, a grid already capped for it.
 
-    Points are ranked by the integer key ``w . k``, with w = L c (or L b)
-    from the program's integer form, L its common denominator, and k the
-    coordinates over the grid's, G. Since L, G > 0 it orders the points
-    exactly as the objective ``key / (L G) - d`` does, so the objective
-    element is built once, for the best point.
+    Points are ranked by the integer key ``w . k``, w the negated right-hand
+    sides of the other side's lines in the integer form (L c, or -L b; L its
+    common denominator) and k the coordinates over the grid's, G. Since
+    L, G > 0 the largest key has the best objective, f or -g, so the
+    objective element is built once, for the best point.
     """
-    weights = side.weights(P)
-    improves = gt if side.better is Ordering.GT else lt
+    side = Side.of(primal)
+    rows, cols = integer_form(P)
+    weights = [-k for _, k in (cols if primal else rows)]
     best_key = best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
     for vec, keys in _feasible_walk(P, side, values):
         key = sum(map(_times, weights, keys))
-        if best_witness is None or improves(key, best_key):
+        if best_witness is None or key > best_key:
             best_key = key
             best_witness = vec
     if best_witness is None:
@@ -238,14 +240,12 @@ def _enumerate(P: ProgramData, side: Side, values: tuple[RingElement, ...]) -> P
 
 def enumerate_primal(P: ProgramData, box: BoxSpec) -> ProgramStatus:
     """Exhaustive in-box maximization of f over feasible points."""
-    side = Side.of(True)
-    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)))
+    return _enumerate(P, True, _grid_values(P.ring, box, P.cols))
 
 
 def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
     """Exhaustive in-box minimization of g over feasible points."""
-    side = Side.of(False)
-    return _enumerate(P, side, _grid_values(P.ring, box, side.nvars(P)))
+    return _enumerate(P, False, _grid_values(P.ring, box, P.rows))
 
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
@@ -259,7 +259,7 @@ def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStat
     """(primal, dual) statuses on one grid, passed to both walks and capped
     for the side with more variables before either walk starts."""
     values = _grid_values(P.ring, box, max(P.rows, P.cols))
-    return _enumerate(P, Side.of(True), values), _enumerate(P, Side.of(False), values)
+    return _enumerate(P, True, values), _enumerate(P, False, values)
 
 
 def certify_optimal_pair(

@@ -1,7 +1,7 @@
 """Vectors and matrices over one ring: containers only.
 
-An ``RVector`` or ``RMatrix`` checks that every entry lies in its ring and
-that a matrix is rectangular; it does no arithmetic. The products a
+An ``RVector`` or ``RMatrix`` checks that every entry is a ``RingElement``
+of its ring and that a matrix is rectangular; it does no arithmetic. The products a
 program needs (the slacks t = b - A x and s = y A - c and the objectives)
 are computed in :mod:`ringlp.affine`, each entry one
 ``rings.sum_of_products`` call that keeps the structural coefficient on
@@ -30,6 +30,8 @@ __all__ = [
 
 def _require_entries_in(ring: RingId, entries: Iterable[RingElement], what: str = "vector") -> None:
     for e in entries:
+        if not isinstance(e, RingElement):
+            raise TypeError(f"{what} entry {e!r} is not a RingElement")
         if e.ring is not ring:
             raise RingMismatch(f"{what} over {ring.value} contains {e.ring.value} entry")
 

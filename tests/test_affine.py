@@ -11,6 +11,7 @@ from ringlp import (
     DimensionMismatch,
     ProgramData,
     RingId,
+    RingMismatch,
     Sampler,
     ViolationKind,
     add,
@@ -121,6 +122,39 @@ def test_zero_vector_feasible_when_b_nonneg(ring):
     c = vector(ring, [sampler.sample(ring) for _ in range(2)])
     P = ProgramData(ring, A, b, c, from_int(ring, 0))
     assert is_primal_feasible(P, zero_vector(ring, 2)).feasible
+
+
+def _refusal(build) -> tuple[type, str]:
+    with pytest.raises(Exception) as raised:
+        build()
+    return type(raised.value), str(raised.value)
+
+
+def test_a_program_refuses_mixed_rings_and_wrong_shapes_with_their_messages():
+    ring = RingId.INT
+    A, v1, v2, d = int_matrix(ring, [[1]]), int_vector(ring, [1]), int_vector(ring, [1, 2]), one(ring)
+    assert _refusal(lambda: ProgramData(ring, A, int_vector(RingId.RAT, [1]), v1, d)) == (
+        RingMismatch, "program components must share one ring"
+    )
+    assert _refusal(lambda: ProgramData(ring, A, v2, v1, d)) == (
+        DimensionMismatch, "b has length 2, expected 1"
+    )
+    assert _refusal(lambda: ProgramData(ring, A, v1, v2, d)) == (
+        DimensionMismatch, "c has length 2, expected 1"
+    )
+    empty = matrix(ring, [[]])  # one row, no column
+    assert _refusal(lambda: ProgramData(ring, empty, v1, vector(ring, []), d)) == (
+        DimensionMismatch, "program needs at least one row and one column"
+    )
+
+
+def test_a_program_refuses_a_constant_that_is_not_a_ring_element(gap_int):
+    """A vector over the program's ring is refused as ``d`` when the program
+    is built, not left for ``eval_f`` to fail on."""
+    v = int_vector(RingId.INT, [0])
+    assert _refusal(lambda: ProgramData(RingId.INT, gap_int.A, gap_int.b, gap_int.c, v)) == (
+        TypeError, "d must be a RingElement, got RVector(int, [0])"
+    )
 
 
 def test_dimension_mismatch_raises(gap_int):

@@ -268,6 +268,19 @@ def test_certify_rejects_a_beaten_candidate(gap_int):
     assert any("beats the dual candidate" in d for d in report.details)
 
 
+def test_an_infeasible_candidate_fails_the_judgement_with_its_first_violation(gap_int):
+    """A = [2], b = [1], c = [1]: x = 1 breaks the row and y = 0 the column
+    (the dual's negated line), so each candidate is named with its verdict."""
+    statuses = (enumerate_primal(gap_int, BoxSpec(3)), enumerate_dual(gap_int, BoxSpec(3)))
+    report = judge_optimal_pair(gap_int, statuses, int_vector(RingId.INT, [1]), int_vector(RingId.INT, [0]))
+    assert not report.passed
+    assert report.details == (
+        "primal candidate infeasible (SLACK_NEGATIVE at index 0)",
+        "dual candidate infeasible (SLACK_NEGATIVE at index 0)",
+        "gap = -1",
+    )
+
+
 def test_certify_requires_at_least_one_side(gap_int):
     with pytest.raises(ValueError):
         certify_optimal_pair(gap_int, BoxSpec(10))

@@ -15,7 +15,9 @@ Every ``Fraction`` built from an integer pair comes from ``rings.reduced``,
 outside parsing and the validating ``from_rational``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
-grid value through the validating ``from_rational``.
+grid value through the validating ``from_rational``. The integer form
+stores the columns negated, so neither a verdict nor a scan carries a
+direction per side.
 The box oracle reports only what it scanned: only ``constructions.py``,
 which argues that its boxes suffice, marks a status ``Scope.EXHAUSTIVE``,
 and no function takes an ``analytic_note``.
@@ -112,8 +114,35 @@ def _lines_matching(pattern: str) -> set[str]:
     }
 
 
+def _definition(path: pathlib.Path, name: str):
+    return next(
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    )
+
+
 def test_primal_and_dual_sides_are_defined_only_in_affine():
+    """The integer form stores the columns negated, so every line of either
+    side reads ``a . v <= k`` and the dual is the primal of (-A^T, -c, -b):
+    ``_table_verdict`` takes no comparison, ``Side`` holds no objective
+    weights, and the box scan maximizes every side with ``>``, so
+    ``enumeration`` imports neither ``gt`` nor ``lt`` and only
+    ``judge_optimal_pair`` reads a side's ``better``."""
     assert _lines_matching(r"^class _?Side\b") == {"affine.py"}
+    verdict = _definition(SRC / "affine.py", "_table_verdict")
+    assert [arg.arg for arg in verdict.args.args] == ["lines", "entries"]
+    side = _definition(SRC / "affine.py", "Side")
+    fields = [node.target.id for node in side.body if isinstance(node, ast.AnnAssign)]
+    assert "weights" not in fields, fields
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((SRC / "enumeration.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"gt", "lt"}, imported & {"gt", "lt"}
+    assert _readers(SRC / "enumeration.py", "better") == {"judge_optimal_pair"}
 
 
 def _modules_requiring(argument: str) -> set[str]:

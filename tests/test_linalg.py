@@ -14,6 +14,7 @@ import pytest
 
 from ringlp import (
     DimensionMismatch,
+    RMatrix,
     RVector,
     RingId,
     RingMismatch,
@@ -143,6 +144,28 @@ def test_dimension_and_ring_mismatches():
         vector(RingId.INT, [from_int(RingId.RAT, 1)])
     with pytest.raises(DimensionMismatch):
         matrix(RingId.INT, [[from_int(RingId.INT, 1)], []])
+
+
+def test_a_matrix_refuses_a_wrong_entry_count_and_no_rows_with_their_messages():
+    with pytest.raises(DimensionMismatch) as raised:
+        RMatrix(RingId.INT, 2, 2, (from_int(RingId.INT, 1),))
+    assert str(raised.value) == "2x2 matrix needs 4 entries, got 1"
+    with pytest.raises(DimensionMismatch) as raised:
+        matrix(RingId.INT, [])
+    assert str(raised.value) == "matrix needs at least one row"
+
+
+@pytest.mark.parametrize(
+    "entry, text",
+    [(int_vector(RingId.INT, [1]), "RVector(int, [1])"), (3, "3")],
+    ids=["vector", "int"],
+)
+def test_a_vector_refuses_an_entry_that_is_not_a_ring_element(entry, text):
+    """An entry must be a ``RingElement``: a vector over the right ring is
+    refused as one, and a plain ``int`` with a ``TypeError`` that names it."""
+    with pytest.raises(TypeError) as raised:
+        vector(RingId.INT, [entry])
+    assert str(raised.value) == f"vector entry {text} is not a RingElement"
 
 
 def test_zero_vector():

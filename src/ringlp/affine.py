@@ -78,8 +78,10 @@ class ProgramData:
     __slots__ = ("_form",)  # the integer form, built by ``integer_form``
 
     def __post_init__(self):
-        if not isinstance(self.d, RingElement):
-            raise TypeError(f"d must be a RingElement, got {self.d!r}")
+        kinds = (RMatrix, RVector, RVector, RingElement)
+        for name, part, kind in zip("Abcd", (self.A, self.b, self.c, self.d), kinds):
+            if not isinstance(part, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {part!r}")
         for part_ring in (self.A.ring, self.b.ring, self.c.ring, self.d.ring):
             if part_ring is not self.ring:
                 raise RingMismatch("program components must share one ring")

@@ -105,23 +105,20 @@ def _parse_vector(ring: RingId, text: str, expect: int, flag: str) -> RVector:
 
 def _cmd_rings(args) -> _Outcome:
     rows = []
+    human = [f"{'ring':<8} {'commutative':<12} {'division':<9} smallest positive"]
     for d in all_descriptors():
+        smallest = None if d.smallest_positive is None else to_text(d.smallest_positive)
         rows.append(
             {
                 "ring": d.ring.value,
                 "is_commutative": d.is_commutative,
                 "is_division": d.is_division,
-                "smallest_positive": None
-                if d.smallest_positive is None
-                else to_text(d.smallest_positive),
+                "smallest_positive": smallest,
             }
         )
-    human = [f"{'ring':<8} {'commutative':<12} {'division':<9} smallest positive"]
-    for r in rows:
         human.append(
-            f"{r['ring']:<8} {str(r['is_commutative']).lower():<12} "
-            f"{str(r['is_division']).lower():<9} "
-            f"{r['smallest_positive'] if r['smallest_positive'] is not None else '-'}"
+            f"{d.ring.value:<8} {str(d.is_commutative).lower():<12} "
+            f"{str(d.is_division).lower():<9} {smallest or '-'}"
         )
     return {"rings": rows}, human, True
 

@@ -71,7 +71,6 @@ __all__ = [
     "enumerate_dual",
     "feasible_points",
     "certify_optimal_pair",
-    "judge_optimal_pair",
     "classify_edt",
 ]
 

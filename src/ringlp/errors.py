@@ -8,6 +8,18 @@ classes so that a caller can catch one.
 
 from __future__ import annotations
 
+__all__ = [
+    "RingLpError",
+    "RingMismatch",
+    "DimensionMismatch",
+    "ParseError",
+    "NotAPositiveNonUnit",
+    "NoSmallestPositive",
+    "PreconditionViolated",
+    "StepLosesFeasibility",
+    "UnsupportedRing",
+]
+
 
 class RingLpError(Exception):
     """Base class for all library errors."""

@@ -23,7 +23,6 @@ __all__ = [
     "vector",
     "matrix",
     "zero_vector",
-    "grid_points",
     "vec_text",
 ]
 

@@ -13,6 +13,8 @@ from ._records import record
 from .errors import require_int
 from .rings import RingId
 
+__all__ = ["CheckReport", "AxiomViolation", "AxiomReport", "TrialSummary"]
+
 
 @record
 class CheckReport:

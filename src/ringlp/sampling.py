@@ -28,7 +28,9 @@ output, not through the validating constructors of :mod:`ringlp.rings`:
 the ``int``, the one reduced ``Fraction``, or the term tuple, leading
 monomial first, with one ``Fraction`` per nonzero coefficient (a SKEW
 monomial drawn twice has its rationals added as integer pairs first).
-Every ``Fraction`` is built from its integer pair by ``rings.reduced``.
+Every ``Fraction`` of a draw is built from its integer pair by
+``rings.reduced``; SKEW's central constant alone goes through the
+validating ``from_rational``.
 The hot draws (``_ratio``, ``_poly``, ``_skew``) take the generator's
 steps inline, the state held in a local and stored once.
 """
@@ -52,6 +54,8 @@ from .rings import (
     to_text,
     zero,
 )
+
+__all__ = ["Sampler", "verify_order_axioms"]
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407

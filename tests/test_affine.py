@@ -149,11 +149,25 @@ def test_a_program_refuses_mixed_rings_and_wrong_shapes_with_their_messages():
 
 
 def test_a_program_refuses_a_constant_that_is_not_a_ring_element(gap_int):
-    """A vector over the program's ring is refused as ``d`` when the program
-    is built, not left for ``eval_f`` to fail on."""
+    """A part of the wrong type is refused when the program is built, not
+    left for the ring and shape checks or ``eval_f`` to fail on: ``A`` must
+    be a matrix, ``b`` and ``c`` vectors and ``d`` an element."""
     v = int_vector(RingId.INT, [0])
-    assert _refusal(lambda: ProgramData(RingId.INT, gap_int.A, gap_int.b, gap_int.c, v)) == (
+    A, b, c, d = gap_int.A, gap_int.b, gap_int.c, gap_int.d
+    assert _refusal(lambda: ProgramData(RingId.INT, A, b, c, v)) == (
         TypeError, "d must be a RingElement, got RVector(int, [0])"
+    )
+    assert _refusal(lambda: ProgramData(RingId.INT, v, b, c, d)) == (
+        TypeError, "A must be a RMatrix, got RVector(int, [0])"
+    )
+    assert _refusal(lambda: ProgramData(RingId.INT, A, tuple(b.entries), c, d)) == (
+        TypeError, "b must be a RVector, got (RingElement(int, '1'),)"
+    )
+    assert _refusal(lambda: ProgramData(RingId.INT, A, A, c, d)) == (
+        TypeError, "b must be a RVector, got RMatrix(int, 1x1, [2])"
+    )
+    assert _refusal(lambda: ProgramData(RingId.INT, A, b, tuple(c.entries), d)) == (
+        TypeError, "c must be a RVector, got (RingElement(int, '1'),)"
     )
 
 

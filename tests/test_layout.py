@@ -23,15 +23,19 @@ which argues that its boxes suffice, marks a status ``Scope.EXHAUSTIVE``,
 and no function takes an ``analytic_note``.
 No function rebinds a module global: a scan hands its grid on by
 argument, and a program keeps its integer form with it. Only ``affine.py``
-imports ``lcm``, so one module puts a program over a common denominator.
+imports ``lcm``, so the scaling to integers stays in one module, written
+twice there: ``scaled_ints`` for a program or a grid, and a per-point
+copy inside ``_table_verdict``, kept inline because calling ``scaled_ints``
+per point slowed the box scan.
 In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
 handlers return their reports, and ``main`` maps every precondition error
 through their one base, ``errors.PreconditionError``. Each argument
 contract has one home: ``errors.require_int`` for a count, bound or seed
 and ``rings._exact`` for an element scalar are the only tests for
-``bool``. No float literal, true division or ``float`` name is written
-anywhere. All are checked by reading the sources, without importing or
-running anything.
+``bool``. ``__init__.py`` only star-imports its siblings, so a module's
+``__all__`` is the package API. No float literal, true division or
+``float`` name is written anywhere. All are checked by reading the
+sources, without importing or running anything.
 """
 
 from __future__ import annotations
@@ -298,13 +302,47 @@ def test_linalg_holds_containers_only():
                 for alias in node.names:
                     bound.setdefault(alias.asname or alias.name, set()).add(path.name)
     assert {name: bound[name] for name in REMOVED_PRODUCTS if name in bound} == {}
-    exported = [
-        alias.asname or alias.name
-        for node in ast.parse((SRC / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+    exported = set().union(*_public_names().values())
     assert len(exported) <= 100, len(exported)
+
+
+def _public_names() -> dict[str, list[str]]:
+    """Each module that ``__init__.py`` star-imports, with its ``__all__``."""
+    found = {}
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = ast.parse((SRC / f"{node.module}.py").read_text())
+            found[node.module] = next(
+                ast.literal_eval(statement.value)
+                for statement in module.body
+                if isinstance(statement, ast.Assign)
+                and [getattr(t, "id", None) for t in statement.targets] == ["__all__"]
+            )
+    return found
+
+
+def test_each_module_all_is_the_package_api():
+    """``__init__.py`` holds its docstring, star imports of sibling modules
+    and ``__version__``, so a module's ``__all__`` is the one list of its
+    public names: each entry is defined in that module, and no name is
+    listed by two modules."""
+    docstring, *body = ast.parse((SRC / "__init__.py").read_text()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    *imports, version = map(ast.unparse, body)
+    assert all(re.fullmatch(r"from \.\w+ import \*", line) for line in imports), imports
+    assert version.startswith("__version__ = "), version
+    owners = {}
+    for module, names in _public_names().items():
+        defined = set()
+        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(getattr(t, "id", None) for t in node.targets)
+        assert set(names) <= defined, (module, set(names) - defined)
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    assert {name: found for name, found in owners.items() if len(found) > 1} == {}
 
 
 def _readers_by_module(name: str) -> dict[str, set[str]]:
@@ -384,7 +422,8 @@ def test_only_constructions_mark_a_status_exhaustive():
 def test_no_function_rebinds_a_module_global():
     """No ``global`` statement is left under ``src/ringlp``, so no call parks
     its state in a module slot for other calls to find; and ``affine.py``
-    alone imports ``lcm``, so the scaling to integers is not written twice."""
+    alone imports ``lcm``, so the scaling to integers stays in that module
+    (``scaled_ints``, and ``_table_verdict``'s inline per-point copy)."""
     rebinders = [
         f"{path.name}: {function.name} rebinds {', '.join(node.names)}"
         for path in MODULES

@@ -346,37 +346,43 @@ def gap(P: ProgramData, x: RVector, y: RVector) -> RingElement:
     return sum_of_products(P.ring, ys, P.b.entries, cx)
 
 
-def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
-    """For a feasible pair: sign(gap) >= 0 and gap = s.x + y.t, exactly.
-
-    A failure flags an implementation bug (the inequality is a theorem for
-    ordered rings); infeasible inputs make the check not applicable.
-    """
+def _weak_duality(P: ProgramData, x: RVector, y: RVector) -> tuple:
+    """The check of :func:`assert_weak_duality`, unrendered: the reasons the
+    pair is not feasible (none when it is), ``sign(gap) >= 0``,
+    ``gap == s.x + y.t`` and those two values (``None`` when not feasible)."""
     pv, t = _verdict(P, x, P.cols, primal_slack)
     dv, s = _verdict(P, y, P.rows, dual_slack)
-    if not (pv.feasible and dv.feasible):
-        which = []
-        if not pv.feasible:
-            which.append("x is not primal-feasible")
-        if not dv.feasible:
-            which.append("y is not dual-feasible")
-        return CheckReport(
-            "weak_duality",
-            passed=True,
-            applicable=False,
-            details=("not applicable: " + "; ".join(which),),
-        )
+    reasons = ((pv, "x is not primal-feasible"), (dv, "y is not dual-feasible"))
+    which = [text for verdict, text in reasons if not verdict.feasible]
+    if which:
+        return which, True, True, None, None
     g_val = gap(P, x, y)
     # s.x + y.t with s_i left of x_i and y_j left of t_j
     cross = sum_of_products(P.ring, s.entries + y.entries, x.entries + t.entries)
-    sign_ok = sign(g_val) >= 0
-    cross_ok = g_val == cross
+    return which, sign(g_val) >= 0, g_val == cross, g_val, cross
+
+
+def _weak_duality_report(check: tuple) -> CheckReport:
+    """The report of one :func:`_weak_duality` result, its values as text."""
+    which, sign_ok, cross_ok, g_val, cross = check
+    if which:
+        details = ("not applicable: " + "; ".join(which),)
+        return CheckReport("weak_duality", passed=True, applicable=False, details=details)
     details = [f"gap = {to_text(g_val)}", f"s.x + y.t = {to_text(cross)}"]
     if not sign_ok:
         details.append("IMPLEMENTATION BUG: negative gap on a feasible pair")
     if not cross_ok:
         details.append("IMPLEMENTATION BUG: gap differs from s.x + y.t")
     return CheckReport("weak_duality", sign_ok and cross_ok, True, tuple(details))
+
+
+def assert_weak_duality(P: ProgramData, x: RVector, y: RVector) -> CheckReport:
+    """For a feasible pair: sign(gap) >= 0 and gap = s.x + y.t, exactly.
+
+    A failure flags an implementation bug (the inequality is a theorem for
+    ordered rings); infeasible inputs make the check not applicable.
+    """
+    return _weak_duality_report(_weak_duality(P, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +468,10 @@ def weak_duality_trials(
         b = tuple(sum_of_products(ring, A.row(j) + (t_noise[j],), xs) for j in range(m))
         c = tuple(sum_of_products(ring, y, entries[i::n], s_noise[i]) for i in range(n))
         P = ProgramData(ring, A, RVector(ring, b), RVector(ring, c), sampler.sample(ring))
-        report = assert_weak_duality(P, x, y)
-        if report.applicable and report.passed:
-            return None
-        return "; ".join(report.details)
+        check = _weak_duality(P, x, y)
+        which, sign_ok, cross_ok, _, _ = check
+        if not which and sign_ok and cross_ok:
+            return None  # only a failure is rendered as text
+        return "; ".join(_weak_duality_report(check).details)
 
     return run_trials("weak_duality", trials, sampler, trial)

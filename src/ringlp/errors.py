@@ -13,6 +13,7 @@ __all__ = [
     "RingMismatch",
     "DimensionMismatch",
     "ParseError",
+    "PreconditionError",
     "NotAPositiveNonUnit",
     "NoSmallestPositive",
     "PreconditionViolated",

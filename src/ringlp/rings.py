@@ -25,15 +25,16 @@ worked on as its integer pair, read straight from its ``_numerator`` and
 property, and each result is built once, by :func:`reduced`, which sets
 those two slots from the pair in lowest terms: no ``Fraction`` operator
 and no generic ``Fraction(n, d)`` runs in the kernel; only parsing and
-validation call the latter. ``sum_of_products``
-works out each ring's monomial product inline. What else differs sits in
-one private record per ring (``_RingSpec``): which rationals embed, the
+validation call the latter. ``sum_of_products``, which works out each
+ring's monomial product inline, is the one term-ring accumulator: POLY and
+SKEW ``add``, ``sub`` and ``mul`` call it. What else differs sits in one
+private record per ring (``_RingSpec``): which rationals embed, the
 constant monomial, the literal grammar and the monomial text.
 
-``sign`` realizes each instance's positivity order; comparisons,
-magnitude classification and the invertibility/centrality tests build on
-it. Element literals follow a small text grammar (see ``parse_element``)
-used by program files and the command line.
+``sign`` realizes each instance's positivity order and is the one order
+test (``compare`` is the sign of ``a - b``). Element literals follow a
+small text grammar (see ``parse_element``) used by program files and the
+command line.
 """
 
 from __future__ import annotations
@@ -305,63 +306,48 @@ def is_zero(a: RingElement) -> bool:
 # ring operations
 
 
-def _sum_pair(p: Fraction, q: Fraction, subtract: bool) -> tuple[int, int]:
-    """``p - q`` or ``p + q`` as an unreduced integer pair, over the shared
-    denominator when there is one."""
-    pn, pd = p._numerator, p._denominator
-    qn, qd = q._numerator, q._denominator
-    if subtract:
-        qn = -qn
-    if pd == qd:
-        return pn + qn, pd
-    return pn * qd + qn * pd, pd * qd
-
-
-def _negated(q: Fraction) -> Fraction:
-    """``-q``: a reduced pair stays reduced with its sign flipped, so no
-    ``gcd`` is taken."""
-    return reduced(-q._numerator, q._denominator, True)
-
-
-def _add_or_sub(a: RingElement, b: RingElement, subtract: bool) -> RingElement:
-    """``a - b`` or ``a + b``. On the term rings a coefficient of ``a`` or
-    ``b`` alone is kept (negated for ``b`` under ``subtract``) and one
-    ``Fraction`` is built for each monomial the two share."""
-    _require_same_ring(a, b)
+def _scalar_sum(a: RingElement, b: RingElement, s: int) -> RingElement:
+    """``a + s*b`` for ``s`` = +1 or -1 on RAT or ODDRAT: one :func:`reduced`
+    from the integer cross sum, over the shared denominator when there is one."""
     p, q = a.payload, b.payload
-    if type(p) is int:
-        return RingElement(a.ring, p - q if subtract else p + q)
-    if type(p) is not tuple:
-        return RingElement(a.ring, reduced(*_sum_pair(p, q, subtract)))
-    acc = dict(p)
-    for key, c in q:
-        old = acc.get(key)
-        if old is None:
-            acc[key] = _negated(c) if subtract else c
-            continue
-        n, d = _sum_pair(old, c, subtract)
-        if n:
-            acc[key] = reduced(n, d)
-        else:
-            del acc[key]
-    return RingElement(a.ring, tuple(sorted(acc.items(), reverse=True)))  # keys are unique
+    pn, pd, qn, qd = p._numerator, p._denominator, s * q._numerator, q._denominator
+    n, d = (pn + qn, pd) if pd == qd else (pn * qd + qn * pd, pd * qd)
+    return RingElement(a.ring, reduced(n, d))
 
 
 def add(a: RingElement, b: RingElement) -> RingElement:
-    return _add_or_sub(a, b, False)
+    """``a + b``; on POLY and SKEW the kernel sum ``a*1 + b*1``."""
+    _require_same_ring(a, b)
+    p = a.payload
+    if type(p) is int:
+        return RingElement(a.ring, p + b.payload)
+    if type(p) is not tuple:
+        return _scalar_sum(a, b, 1)
+    u = _ONES[a.ring]
+    return sum_of_products(a.ring, (a, b), (u, u))
 
 
 def sub(a: RingElement, b: RingElement) -> RingElement:
-    return _add_or_sub(a, b, True)
+    """``a - b``; on POLY and SKEW the kernel sum ``a*1`` with ``minus=b``."""
+    _require_same_ring(a, b)
+    p = a.payload
+    if type(p) is int:
+        return RingElement(a.ring, p - b.payload)
+    if type(p) is not tuple:
+        return _scalar_sum(a, b, -1)
+    return sum_of_products(a.ring, (a,), (_ONES[a.ring],), minus=b)
 
 
 def neg(a: RingElement) -> RingElement:
+    """``-a``: a reduced pair with its sign flipped needs no ``gcd``."""
     p = a.payload
     if type(p) is int:
         return RingElement(a.ring, -p)
     if type(p) is not tuple:
-        return RingElement(a.ring, _negated(p))
-    return RingElement(a.ring, tuple([(key, _negated(q)) for key, q in p]))
+        return RingElement(a.ring, reduced(-p._numerator, p._denominator, True))
+    return RingElement(
+        a.ring, tuple([(key, reduced(-q._numerator, q._denominator, True)) for key, q in p])
+    )
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
@@ -387,26 +373,24 @@ def sum_of_products(
     ring: RingId, left, right, minus: Optional[RingElement] = None, negate: bool = False
 ) -> RingElement:
     """``sum_i left[i] * right[i] - minus`` in ``ring``, negated when
-    ``negate``, normalized once.
+    ``negate``, built as a single element: the one accumulator of term-ring
+    coefficients, which POLY and SKEW ``add``, ``sub`` and ``mul`` call.
 
     ``minus`` defaults to zero, so one call gives a slack ``b_j - A_j x``
     (``minus=b_j, negate=True``), ``y A_i - c_i`` (``minus=c_i``) or an
     objective ``c.x - d`` (``minus=d``). Each product keeps ``left[i]`` on
     the left: its monomials multiply as :func:`mul` describes, worked out
-    inline per ring. The result equals the fold
-    ``acc = add(acc, mul(l, r))`` from ``zero(ring)`` followed by
-    ``sub(acc, minus)`` and ``neg``, but builds a single element. INT
-    payloads are summed as ``int``s and RAT/ODDRAT ones as an unreduced
-    ``(num, den)`` pair of ints, both from ``-minus``. Each term-ring
-    coefficient is kept as such a pair too, and a right operand's pairs are
-    read once per ``(left[i], right[i])``: a product contributes
-    ``(p.num * q.num, p.den * q.den)``, added to the numerator alone when
-    its denominator equals the running one, and SKEW's ``2^-s`` is folded
-    in as ``den << s``. ``minus`` is the starting pair (one more term on
-    the term rings) and the sign is folded into the numerators, until one
-    ``Fraction`` per sum, or per output monomial, is built at the end by
-    :func:`reduced` (Henrici's gcd-saving rational arithmetic; Knuth,
-    *TAOCP* 2, 4.5.1).
+    inline per ring. INT payloads are summed as ``int``s and RAT/ODDRAT
+    ones as an unreduced ``(num, den)`` pair of ints, both from ``-minus``.
+    Each term-ring coefficient is kept as such a pair too, and a right
+    operand's pairs are read once per ``(left[i], right[i])``: a product
+    contributes ``(p.num * q.num, p.den * q.den)``, added to the numerator
+    alone when its denominator equals the running one, and SKEW's ``2^-s``
+    is folded in as ``den << s``. ``minus`` is the starting pair (one more
+    term on the term rings) and the sign is folded into the numerators,
+    until one ``Fraction`` per sum, or per output monomial, is built at the
+    end by :func:`reduced` (Henrici's gcd-saving rational arithmetic;
+    Knuth, *TAOCP* 2, 4.5.1).
     Every element must be in ``ring`` (``RingMismatch``); the sequences
     must have equal lengths (``ValueError``).
     """
@@ -492,23 +476,8 @@ def sign(a: RingElement) -> int:
 
 
 def compare(a: RingElement, b: RingElement) -> Ordering:
-    """Order of ``a`` against ``b``: ``int`` payloads directly, ``Fraction``
-    payloads by the sign of the one integer cross-multiplication
-    ``p.num * q.den - q.num * p.den`` (denominators are positive), and
-    term-ring payloads via the sign of ``a - b``."""
-    _require_same_ring(a, b)
-    p, q = a.payload, b.payload
-    if type(p) is int:
-        s = (p > q) - (p < q)
-    elif type(p) is not tuple:
-        s = p._numerator * q._denominator - q._numerator * p._denominator
-    else:
-        s = sign(sub(a, b))
-    if s > 0:
-        return Ordering.GT
-    if s < 0:
-        return Ordering.LT
-    return Ordering.EQ
+    """Order of ``a`` against ``b``: the :func:`sign` of ``a - b``."""
+    return _ORDERINGS[sign(sub(a, b)) + 1]
 
 
 def _constant(a: RingElement) -> Optional[int | Fraction]:
@@ -739,6 +708,7 @@ SKEW_Y = skew({(1, 0): 1})
 
 _ZEROS = {r: from_int(r, 0) for r in RingId}
 _ONES = {r: from_int(r, 1) for r in RingId}
+_ORDERINGS = (Ordering.LT, Ordering.EQ, Ordering.GT)  # indexed by sign + 1
 
 _DESCRIPTORS = {
     RingId.INT: RingDescriptor(RingId.INT, True, False, one(RingId.INT), is_enumerable=True),

@@ -2,17 +2,19 @@
 
 Each oracle deliberately avoids the code path it verifies. Skew products
 are recomputed by literal word rewriting and poly products by a
-coefficient convolution. ``fold`` sums those products (``mul`` on the
-scalar rings) with ``add`` from ``zero(ring)``, each left factor on the
-left, so it shares no code with ``sum_of_products``. Kernel sums and the
-products a program is made of, ``mat_apply`` (A x), ``covec_apply``
-(y A) and ``dot_left`` (u.v), are such folds; ``vec_add`` and
-``vec_sub`` work entry by entry. Box optima come from a plain Fraction
-scan, box grids as sorted sets of Fractions, sums, negations and scalar
-products of elements by ``Fraction`` arithmetic on their payloads (one
-dict entry per monomial on the term rings), the two equation identities
+coefficient convolution. Term-ring ``add`` and ``sub`` are kernel calls,
+so the kernel's references sum and negate elements by ``Fraction``
+arithmetic on their payloads (one dict entry per monomial on the term
+rings), not with the library's ``add``, ``sub`` or ``neg``: ``fold`` sums
+those products (``mul`` on the scalar rings) that way from ``zero(ring)``,
+each left factor on the left, so it shares no code with ``sum_of_products``.
+Kernel sums and the products a program is made of, ``mat_apply`` (A x),
+``covec_apply`` (y A) and ``dot_left`` (u.v), are such folds; ``vec_add``
+and ``vec_sub`` work entry by entry. Box optima come from a plain Fraction
+scan, box grids as sorted sets of Fractions, scalar products of elements
+by ``Fraction`` arithmetic on their payloads, the two equation identities
 by expanding both sides as raw double sums, and feasibility verdicts from
-the whole slack built by element-per-step folds. ``ReferenceSampler``
+the whole slack built by such element-per-step folds. ``ReferenceSampler``
 redraws the seeded element stream from the ``ringlp.sampling`` docstring
 alone, with its own generator step and constants.
 """
@@ -124,22 +126,24 @@ def product_by_fractions(a: RingElement, b: RingElement) -> RingElement:
 
 
 def fold(ring: RingId, left, right) -> RingElement:
-    """``sum_i left[i] * right[i]``: an ``add`` fold from ``zero(ring)`` of
-    :func:`product_by_oracle`, each ``left[i]`` on the left."""
+    """``sum_i left[i] * right[i]``: a :func:`termwise_by_fractions` fold
+    from ``zero(ring)`` of :func:`product_by_oracle`, each ``left[i]`` on the
+    left."""
     acc = zero(ring)
     for a, b in zip(left, right, strict=True):
-        acc = add(acc, product_by_oracle(a, b))
+        acc = termwise_by_fractions(acc, product_by_oracle(a, b), False)
     return acc
 
 
 def sum_of_products_by_fold(ring: RingId, left, right, minus=None, negate=False) -> RingElement:
     """``sum_i left[i] * right[i] - minus``, negated when ``negate``: the
-    :func:`fold`, then ``sub`` and ``neg``, so it shares no product code
-    with the library's kernel."""
+    :func:`fold`, then :func:`termwise_by_fractions` and
+    :func:`negation_by_fractions`, so it shares no code with the library's
+    kernel, which term-ring ``add``, ``sub`` and ``mul`` call."""
     acc = fold(ring, left, right)
     if minus is not None:
-        acc = sub(acc, minus)
-    return neg(acc) if negate else acc
+        acc = termwise_by_fractions(acc, minus, True)
+    return negation_by_fractions(acc) if negate else acc
 
 
 def _require_alike(ring: RingId, other: RingId, n: int, k: int) -> None:
@@ -170,12 +174,12 @@ def dot_left(u: RVector, v: RVector) -> RingElement:
 
 def vec_add(u: RVector, v: RVector) -> RVector:
     _require_alike(u.ring, v.ring, len(u), len(v))
-    return vector(u.ring, map(add, u, v))
+    return vector(u.ring, (termwise_by_fractions(a, b, False) for a, b in zip(u, v)))
 
 
 def vec_sub(u: RVector, v: RVector) -> RVector:
     _require_alike(u.ring, v.ring, len(u), len(v))
-    return vector(u.ring, map(sub, u, v))
+    return vector(u.ring, (termwise_by_fractions(a, b, True) for a, b in zip(u, v)))
 
 
 def _rewrite(coeff: Fraction, letters: list[str]) -> tuple[Fraction, str]:
@@ -233,9 +237,9 @@ def expand_duality_equation_sides(P: ProgramData, x, y):
 
 def feasibility_verdict_by_folds(P: ProgramData, point, primal: bool) -> FeasibilityVerdict:
     """The primal (x) or dual (y) verdict from the whole slack, each entry
-    an ``add``/``mul`` fold: the point's ring and length are checked, then
-    the first negative coordinate is reported, else the first negative
-    entry of t = b - A x (primal) or s = y A - c (dual)."""
+    a fold of oracle sums and products: the point's ring and length are
+    checked, then the first negative coordinate is reported, else the first
+    negative entry of t = b - A x (primal) or s = y A - c (dual)."""
     m, n = P.rows, P.cols
     if point.ring is not P.ring:
         raise RingMismatch(f"mixed rings {P.ring.value} and {point.ring.value}")
@@ -249,13 +253,13 @@ def feasibility_verdict_by_folds(P: ProgramData, point, primal: bool) -> Feasibi
         for j in range(m):
             t_j = P.b[j]
             for i in range(n):
-                t_j = sub(t_j, mul(P.A.entry(j, i), point[i]))
+                t_j = termwise_by_fractions(t_j, product_by_oracle(P.A.entry(j, i), point[i]), True)
             slack.append(t_j)
     else:
         for i in range(n):
-            s_i = neg(P.c[i])
+            s_i = negation_by_fractions(P.c[i])
             for j in range(m):
-                s_i = add(s_i, mul(point[j], P.A.entry(j, i)))
+                s_i = termwise_by_fractions(s_i, product_by_oracle(point[j], P.A.entry(j, i)), False)
             slack.append(s_i)
     for k, e in enumerate(slack):
         if sign(e) < 0:

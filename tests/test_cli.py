@@ -10,6 +10,7 @@ from ringlp import (
     NoSmallestPositive,
     NotAPositiveNonUnit,
     ParseError,
+    PreconditionError,
     PreconditionViolated,
     RingId,
     RingMismatch,
@@ -336,6 +337,20 @@ def test_each_failure_maps_to_its_exit_code_and_stderr_label(capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{prefix}{error}\n"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [NotAPositiveNonUnit, NoSmallestPositive, PreconditionViolated, StepLosesFeasibility, UnsupportedRing],
+    ids=lambda kind: kind.__name__,
+)
+def test_the_exported_precondition_base_catches_each_kind(kind):
+    """``ringlp.PreconditionError``, the one base ``main`` maps to exit code
+    3, is exported, so a library caller catches every kind through it."""
+    try:
+        raise kind("forced")
+    except PreconditionError as exc:
+        assert type(exc) is kind
 
 
 def test_violation_exit_code_via_forced_report(capsys, monkeypatch):

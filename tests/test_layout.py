@@ -3,11 +3,13 @@
 Per-ring facts live in ``rings.py`` (``RingDescriptor`` and the per-ring
 records there); other modules read those facts instead of testing which
 ring they hold. No module reaches into a sibling's private names. Inside
-``rings.py`` one loop multiplies monomials: ``sum_of_products``. Inside
+``rings.py`` one loop multiplies monomials and accumulates term-ring
+coefficients, ``sum_of_products``, and ``compare`` orders by ``sign``. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
 ``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
-a verdict only by ``assert_weak_duality`` and by the POLY/SKEW path of the
-feasibility tests, whose INT/RAT/ODDRAT path judges on the program's integer form.
+a verdict only by ``_weak_duality``, the check ``assert_weak_duality``
+renders, and by the POLY/SKEW path of the feasibility tests, whose
+INT/RAT/ODDRAT path judges on the program's integer form.
 ``linalg.py`` holds containers and does no ring arithmetic, and
 ``ringlp`` exports none of the products it used to. Only ``enumeration``'s walk builds
 vectors without the per-entry ring check, through ``linalg.grid_points``.
@@ -97,16 +99,25 @@ def _readers(path: pathlib.Path, name: str) -> set[str]:
 def test_only_the_kernel_multiplies_monomials():
     """``sum_of_products`` works out each ring's monomial product inline, so
     it is the only function in ``rings.py`` that shifts SKEW's ``2^-s`` into
-    a denominator, and term-ring ``mul`` is a one-pair call of it."""
+    a denominator. It is also the one term-ring accumulator: term-ring
+    ``mul``, ``add`` and ``sub`` are calls of it, and the dict merge they
+    used before is gone. ``compare`` orders by ``sign``."""
+    functions = [
+        node
+        for node in ast.walk(ast.parse((SRC / "rings.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    ]
     shifters = {
         function.name
-        for function in ast.walk(ast.parse((SRC / "rings.py").read_text()))
-        if isinstance(function, ast.FunctionDef)
+        for function in functions
         for node in ast.walk(function)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
     }
     assert shifters == {"sum_of_products"}, shifters
-    assert "mul" in _readers(SRC / "rings.py", "sum_of_products")
+    assert {"mul", "add", "sub"} <= _readers(SRC / "rings.py", "sum_of_products")
+    assert "compare" in _readers(SRC / "rings.py", "sign")
+    gone = {function.name for function in functions} & {"_add_or_sub", "_sum_pair"}
+    assert not gone, gone
 
 
 def _lines_matching(pattern: str) -> set[str]:
@@ -257,12 +268,12 @@ def test_only_verify_bundle_rescans_in_constructions():
 
 def test_only_term_rings_and_weak_duality_build_slacks_for_a_verdict():
     """``affine._verdict`` builds the whole slack of a point. It is read by
-    ``assert_weak_duality``, which reuses both slacks, and by the
-    feasibility tests for POLY and SKEW. ``_table_verdict``, which judges
+    ``_weak_duality``, the check ``assert_weak_duality`` renders, which
+    reuses both slacks, and by the feasibility tests for POLY and SKEW. ``_table_verdict``, which judges
     INT, RAT and ODDRAT points on the integer form without a slack vector, is
     read only by the two feasibility tests."""
     readers = _readers(SRC / "affine.py", "_verdict")
-    assert readers == {"assert_weak_duality", "is_primal_feasible", "is_dual_feasible"}, readers
+    assert readers == {"_weak_duality", "is_primal_feasible", "is_dual_feasible"}, readers
     readers = _readers(SRC / "affine.py", "_table_verdict")
     assert readers == {"is_primal_feasible", "is_dual_feasible"}, readers
 

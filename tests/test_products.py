@@ -1,13 +1,14 @@
 """The fused sum-of-products kernel and the slacks and objectives built
 on it.
 
-Term-ring ``mul`` is itself a one-pair kernel call, so it is checked first
-against oracles that share no code with the kernel: a POLY convolution
-and SKEW word rewriting. Sums are then checked against
-``_oracles.fold``, ``acc = add(acc, a * b)`` from ``zero(ring)`` with
-those products, and the fused slacks, objectives and cross term against
-the unfused compositions of the ``_oracles`` products ``mat_apply``,
-``covec_apply`` and ``dot_left`` with ``vec_sub``/``sub``/``add``. SKEW
+Term-ring ``mul``, ``add`` and ``sub`` are kernel calls, so products are
+checked first against oracles that share no code with the kernel: a POLY
+convolution and SKEW word rewriting. Sums are then checked against
+``_oracles.fold``, which adds those products to ``zero(ring)`` one by one
+in ``Fraction`` arithmetic on the payloads, and the fused slacks,
+objectives and cross term against the unfused compositions of the
+``_oracles`` products ``mat_apply``, ``covec_apply`` and ``dot_left`` with
+the oracle's entry-by-entry sums and negations. SKEW
 pins check that each structural coefficient stays the left factor. RAT
 and ODDRAT sums and comparisons are also checked against
 plain ``Fraction`` arithmetic written here, with denominators up to 10^6,
@@ -44,7 +45,6 @@ from ringlp import (
     SKEW_Y,
     Sampler,
     ViolationKind,
-    add,
     assert_weak_duality,
     compare,
     dual_slack,
@@ -78,7 +78,9 @@ from _oracles import (
     mat_apply,
     poly_mul_by_convolution,
     skew_mul_by_rewriting,
+    negation_by_fractions,
     sum_of_products_by_fold,
+    termwise_by_fractions,
     vec_add,
     vec_sub,
 )
@@ -187,12 +189,11 @@ def test_constant_and_sign_equal_sub_and_neg(ring):
     @given(pairs(ring), elements(ring), st.booleans())
     def check(lr, minus, negate):
         left, right = lr
-        want = sub(fold(ring, left, right), minus)
-        want = neg(want) if negate else want
+        want = sum_of_products_by_fold(ring, left, right, minus, negate)
         assert_same(sum_of_products(ring, left, right, minus, negate), want)
         assert_same(
             sum_of_products(ring, left, right, negate=negate),
-            neg(fold(ring, left, right)) if negate else fold(ring, left, right),
+            sum_of_products_by_fold(ring, left, right, negate=negate),
         )
 
     check()
@@ -435,11 +436,9 @@ def test_kernel_with_minus_and_negate_equals_the_fold(ring):
     @given(sign_terms(ring), st.booleans(), st.booleans())
     def check(terms, cancel, negate):
         (left, right), minus = terms
-        total = fold(ring, left, right)
         if cancel:  # minus is the sum itself, so the sign is 0
-            minus = total
-        by_fold = sub(total, minus or zero(ring))
-        want = neg(by_fold) if negate else by_fold
+            minus = fold(ring, left, right)
+        want = sum_of_products_by_fold(ring, left, right, minus, negate)
         got = sum_of_products(ring, left, right, minus, negate)
         assert_same(got, want)
         assert sign(got) == sign(want)
@@ -477,19 +476,19 @@ def unfused_dual_slack(P, y):
 
 
 def unfused_f(P, x):
-    return sub(dot_left(P.c, x), P.d)
+    return termwise_by_fractions(dot_left(P.c, x), P.d, True)
 
 
 def unfused_g(P, y):
-    return sub(dot_left(y, P.b), P.d)
+    return termwise_by_fractions(dot_left(y, P.b), P.d, True)
 
 
 def unfused_cross(s, x, y, t):
-    return add(dot_left(s, x), dot_left(y, t))
+    return termwise_by_fractions(dot_left(s, x), dot_left(y, t), False)
 
 
 def nonneg(e):
-    return neg(e) if sign(e) < 0 else e
+    return negation_by_fractions(e) if sign(e) < 0 else e
 
 
 def programs(ring):
@@ -656,8 +655,8 @@ def test_verdicts_equal_the_fold_oracle(ring):
             got, want = test(P, point), feasibility_verdict_by_folds(P, point, primal)
             assert got == want
             assert got.as_dict() == want.as_dict()
-        assert_same(eval_f(P, x), sub(fold(ring, P.c, x), P.d))
-        assert_same(eval_g(P, y), sub(fold(ring, y, P.b), P.d))
+        assert_same(eval_f(P, x), sum_of_products_by_fold(ring, P.c, x, P.d))
+        assert_same(eval_g(P, y), sum_of_products_by_fold(ring, y, P.b, P.d))
 
     check()
 
@@ -782,7 +781,7 @@ def test_rat_slack_builds_one_fraction(monkeypatch):
     left = [from_rational(ring, 1, 2), from_rational(ring, -2, 3), from_rational(ring, 5)]
     right = [from_rational(ring, 3, 7), from_rational(ring, 4), from_rational(ring, -1, 5)]
     minus = from_rational(ring, 7, 4)
-    want = neg(sub(fold(ring, left, right), minus))
+    want = sum_of_products_by_fold(ring, left, right, minus, negate=True)
     built = {"Fraction": 0, "RingElement": 0}
     counting_constructions(monkeypatch, built)
     got = sum_of_products(ring, left, right, minus=minus, negate=True)

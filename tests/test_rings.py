@@ -339,13 +339,23 @@ def test_sampled_round_trips(ring):
 # structure
 
 
-def test_cross_ring_arithmetic_rejected():
-    with pytest.raises(RingMismatch):
-        add(from_int(RingId.INT, 1), from_rational(RingId.RAT, 1))
-    with pytest.raises(RingMismatch):
-        mul(POLY_X, SKEW_X)
-    with pytest.raises(RingMismatch):
-        compare(from_int(RingId.INT, 1), from_int(RingId.RAT, 1))
+@pytest.mark.parametrize("op", [add, sub, mul, compare], ids=lambda op: op.__name__)
+@pytest.mark.parametrize(
+    "a, b, text",
+    [
+        (
+            from_int(RingId.INT, 1),
+            from_rational(RingId.RAT, 1, 2),
+            "cannot combine int element 1 with rat element 1/2",
+        ),
+        (POLY_X, SKEW_X, "cannot combine poly element poly:0,1 with skew element skew:0,1=1"),
+    ],
+    ids=["scalar", "term"],
+)
+def test_cross_ring_arithmetic_rejected(op, a, b, text):
+    with pytest.raises(RingMismatch) as caught:
+        op(a, b)
+    assert str(caught.value) == text
 
 
 def test_descriptors():
@@ -493,7 +503,9 @@ def assert_identical(got: RingElement, want: RingElement):
 def test_pair_arithmetic_equals_fraction_arithmetic(ring, data):
     """``add``, ``sub``, ``neg`` and ``mul`` against ``int``/``Fraction``
     arithmetic on the payloads, with ``b`` at times ``a`` or ``-a`` so that
-    monomials cancel."""
+    monomials cancel, and ``compare`` against the sign of the oracle's
+    ``a - b``, read from its payload (the scalar, or the leading
+    coefficient)."""
     drawn = st.one_of(elements(ring), wide_elements(ring))
     a = data.draw(drawn)
     b = data.draw(st.one_of(drawn, st.just(a), st.just(negation_by_fractions(a))))
@@ -501,6 +513,10 @@ def test_pair_arithmetic_equals_fraction_arithmetic(ring, data):
     assert_identical(sub(a, b), termwise_by_fractions(a, b, True))
     assert_identical(neg(a), negation_by_fractions(a))
     assert_identical(mul(a, b), product_by_fractions(a, b))
+    lead = termwise_by_fractions(a, b, True).payload
+    if type(lead) is tuple:
+        lead = lead[0][1] if lead else 0
+    assert compare(a, b) is (Ordering.LT, Ordering.EQ, Ordering.GT)[(lead > 0) - (lead < 0) + 1]
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)

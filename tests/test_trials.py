@@ -4,7 +4,8 @@ Failures are forced by patching the per-trial check that each loop reads
 from its module's globals, so the count and the first-failure text are
 checked without a broken ring. The weak-duality stream is pinned by a
 hash of every program and point pair that the loop hands to
-``assert_weak_duality``.
+``affine._weak_duality``, the unrendered check that ``assert_weak_duality``
+renders; a passing weak-duality trial renders no text.
 """
 
 from __future__ import annotations
@@ -72,14 +73,30 @@ def test_identity_program_trials_report_the_first_failure_without_points(monkeyp
 def test_weak_duality_trials_count_failed_and_inapplicable_reports(monkeypatch):
     def failing(k, P, x, y):
         if k == 1:
-            return CheckReport("weak_duality", False, True, ("gap = -1", "s.x + y.t = 2"))
-        return CheckReport("weak_duality", True, False, ("not applicable",))
+            return [], False, True, from_int(P.ring, -1), from_int(P.ring, 2)
+        return ["forced"], True, True, None, None
 
-    calls = _fail_every_third_from_the_second(monkeypatch, affine, "assert_weak_duality", failing)
+    calls = _fail_every_third_from_the_second(monkeypatch, affine, "_weak_duality", failing)
     summary = weak_duality_trials(RingId.INT, 9, seed=2)
     assert len(calls) == 9
     assert (summary.name, summary.trials, summary.failures) == ("weak_duality", 9, 3)
-    assert summary.first_failure == "gap = -1; s.x + y.t = 2"
+    assert summary.first_failure == (
+        "gap = -1; s.x + y.t = 2; IMPLEMENTATION BUG: negative gap on a feasible pair"
+    )
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_a_passing_weak_duality_trial_renders_no_text(monkeypatch, ring):
+    rendered = []
+    original = affine.to_text
+
+    def counting(e):
+        rendered.append(e)
+        return original(e)
+
+    monkeypatch.setattr(affine, "to_text", counting)
+    assert weak_duality_trials(ring, 20, 1).passed
+    assert rendered == []
 
 
 def test_no_central_between_trials_report_the_first_failure(monkeypatch):
@@ -99,14 +116,14 @@ def _entry_text(e) -> str:
     return f"{e.ring.value}:{e.payload!r}"
 
 
-# sha256 of every (program, x, y) handed to assert_weak_duality by the first
+# sha256 of every (program, x, y) handed to the weak-duality check by the first
 # 50 trials of each ring at seeds 0, 1 and 2, payload types included
 WEAK_DUALITY_STREAM_SHA256 = "86a226dbc54f9685680dbcf6984046557f109fcc51eb710fdc70b98f430e69a1"
 
 
 def test_weak_duality_trials_hand_the_same_programs_and_points(monkeypatch):
     digest = hashlib.sha256()
-    original = affine.assert_weak_duality
+    original = affine._weak_duality
 
     def recording(P, x, y):
         parts = [P.ring.value, str(P.rows), str(P.cols)]
@@ -115,7 +132,7 @@ def test_weak_duality_trials_hand_the_same_programs_and_points(monkeypatch):
         digest.update(("|".join(parts) + "\n").encode())
         return original(P, x, y)
 
-    monkeypatch.setattr(affine, "assert_weak_duality", recording)
+    monkeypatch.setattr(affine, "_weak_duality", recording)
     for ring in ALL_RINGS:
         for seed in range(3):
             assert weak_duality_trials(ring, 50, seed).passed

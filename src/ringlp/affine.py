@@ -24,7 +24,7 @@ from __future__ import annotations
 from enum import Enum, unique
 from functools import lru_cache
 from math import lcm
-from operator import attrgetter, mul as _times
+from operator import mul as _times
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._records import record, setfield
@@ -233,10 +233,10 @@ def integer_form(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
         return P._form
 
 
-def _table_verdict(lines: tuple, entries: tuple) -> FeasibilityVerdict:
-    """A point's verdict on its side's lines ``(L a, L k)``, with the point
-    as ints v over the lcm Q of its denominators (Q = 1 on INT): the first
-    v_i < 0, else the first line with ``L k Q < L a . v``."""
+def form_verdict(lines: tuple, entries: tuple) -> FeasibilityVerdict:
+    """A point's verdict on its side's lines ``(L a, L k)``, its entries (of
+    the side's ring and length) as ints v over their denominators' lcm Q
+    (Q = 1 on INT): the first v_i < 0, else the first ``L k Q < L a . v``."""
     if type(entries[0].payload) is int:
         q, v = 1, [e.payload for e in entries]
     else:
@@ -266,7 +266,7 @@ def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
     form = integer_form(P)
     if form is None:
         return _verdict(P, x, P.cols, primal_slack)[0]
-    return _table_verdict(form[0], _entries(P, x, P.cols))
+    return form_verdict(form[0], _entries(P, x, P.cols))
 
 
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
@@ -279,7 +279,7 @@ def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
     form = integer_form(P)
     if form is None:
         return _verdict(P, y, P.rows, dual_slack)[0]
-    return _table_verdict(form[1], _entries(P, y, P.rows))
+    return form_verdict(form[1], _entries(P, y, P.rows))
 
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
@@ -298,7 +298,6 @@ class Side(NamedTuple):
 
     name: str
     letter: str  # of the objective
-    nvars: Callable[[ProgramData], int]
     feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
     objective: Callable[[ProgramData, RVector], RingElement]
     better: Ordering  # how a strictly better objective value compares
@@ -306,10 +305,10 @@ class Side(NamedTuple):
     @classmethod
     def of(cls, primal: bool) -> Side:
         # read from the module globals on every call, so a function patched
-        # onto this module is the one every scan and check calls
+        # onto this module is the one every check (not the box scan) calls
         if primal:
-            return cls("primal", "f", attrgetter("cols"), is_primal_feasible, eval_f, Ordering.GT)
-        return cls("dual", "g", attrgetter("rows"), is_dual_feasible, eval_g, Ordering.LT)
+            return cls("primal", "f", is_primal_feasible, eval_f, Ordering.GT)
+        return cls("dual", "g", is_dual_feasible, eval_g, Ordering.LT)
 
 
 def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, RingElement]:

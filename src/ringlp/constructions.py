@@ -661,7 +661,10 @@ def verify_bundle(
     if bundle.kind is BundleKind.GAP:
         reports.append(_pair_gap_check(P, *feasible, "recorded witnesses", problems))
     has_optimum = bundle.primal_optimum is not None or bundle.dual_optimum is not None
-    if has_optimum and descriptor(P.ring).is_enumerable:
+    if has_optimum and not descriptor(P.ring).is_enumerable:
+        detail = f"the box oracle cannot walk {P.ring.value}; the optimum was not re-checked"
+        reports.append(CheckReport("certify_optimal_pair", True, False, (detail,)))
+    elif has_optimum:
         reports.append(
             certify_optimal_pair(
                 P,

@@ -22,16 +22,18 @@ EXHAUSTIVE.
 Each scan builds and caps its own grid and passes it to its walk; a scan
 pair (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped
 for the side with more variables, to both walks. The scan is sequential.
-The grid ascends and the points are walked in lexicographic order
-(``linalg.grid_points``, which checks the ring of the grid once instead of
-per point). Feasible points are ranked by integer keys, not ring elements,
-and both sides maximize: the dual's min g is max -g on the lines of
-(-A^T, -c, -b). With each grid value k/G over the grid's denominator G and
-the weights w = L c, or -L b, from the program's integer form over its
-denominator L, a point's key ``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``,
-so comparing keys compares objectives exactly. Keeping only strict
-improvements makes the witness the lexicographically smallest point that
-attains the best value, and one objective element is built per side scan.
+The grid ascends and the points are walked in lexicographic order as
+tuples of grid values, each judged by ``affine.form_verdict`` on its side's
+lines of the integer form, so the scan calls no feasibility test (the
+checks still do) and builds a vector only for a feasible point. Feasible
+points are ranked by integer keys, not ring elements, and both sides
+maximize: the dual's min g is max -g on the lines of (-A^T, -c, -b). With
+each grid value k/G over the grid's denominator G and the weights w = L c,
+or -L b, from the program's integer form over its denominator L, a point's
+key ``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so comparing keys
+compares objectives exactly. Keeping only strict improvements makes the
+witness the lexicographically smallest point that attains the best value,
+and one objective element is built per side scan.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from operator import mul as _times
 from typing import Optional
 
 from ._records import record
-from .affine import ProgramData, Side, gap, integer_form, scaled_ints
+from .affine import ProgramData, Side, form_verdict, gap, integer_form, scaled_ints
 from .errors import UnsupportedRing, require_int
-from .linalg import RVector, grid_points, vec_text
+from .linalg import RVector, vec_text
 from .reports import CheckReport
 from .rings import (
     Ordering,
@@ -190,14 +192,15 @@ def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     return _grid_values(ring, box, 1)
 
 
-def _feasible_walk(P: ProgramData, side: Side, values: tuple[RingElement, ...]):
-    """Yield every feasible grid point of one side, in lexicographic order,
-    with its coordinates' integer keys over the grid's common denominator."""
-    feasible = side.feasible
-    n = side.nvars(P)
-    for vec, keys in zip(grid_points(P.ring, values, n), product(scaled_ints(values), repeat=n)):
-        if feasible(P, vec).feasible:
-            yield vec, keys
+def _feasible_walk(P: ProgramData, primal: bool, values: tuple[RingElement, ...]):
+    """Yield every feasible grid point of the primal (x) or dual (y) side in
+    lexicographic order, as a checked ``RVector`` built once ``form_verdict``
+    passes it, with its coordinates' integer keys over the grid's denominator."""
+    rows, cols = integer_form(P)
+    lines, n = (rows, P.cols) if primal else (cols, P.rows)
+    for entries, keys in zip(product(values, repeat=n), product(scaled_ints(values), repeat=n)):
+        if form_verdict(lines, entries).feasible:
+            yield RVector(P.ring, entries), keys
 
 
 def _enumerate(P: ProgramData, primal: bool, values: tuple[RingElement, ...]) -> ProgramStatus:
@@ -215,7 +218,7 @@ def _enumerate(P: ProgramData, primal: bool, values: tuple[RingElement, ...]) ->
     best_key = best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
-    for vec, keys in _feasible_walk(P, side, values):
+    for vec, keys in _feasible_walk(P, primal, values):
         key = sum(map(_times, weights, keys))
         if best_witness is None or key > best_key:
             best_key = key
@@ -249,9 +252,8 @@ def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
-    side = Side.of(primal)
-    values = _grid_values(P.ring, box, side.nvars(P))
-    return [vec for vec, _ in _feasible_walk(P, side, values)]
+    values = _grid_values(P.ring, box, P.cols if primal else P.rows)
+    return [vec for vec, _ in _feasible_walk(P, primal, values)]
 
 
 def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:

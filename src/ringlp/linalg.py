@@ -1,16 +1,15 @@
 """Vectors and matrices over one ring: containers only.
 
 An ``RVector`` or ``RMatrix`` checks that every entry is a ``RingElement``
-of its ring and that a matrix is rectangular; it does no arithmetic. The products a
-program needs (the slacks t = b - A x and s = y A - c and the objectives)
-are computed in :mod:`ringlp.affine`, each entry one
-``rings.sum_of_products`` call that keeps the structural coefficient on
-the left of every product.
+of its ring, the box scan's vectors too, and that a matrix is rectangular;
+it does no arithmetic. The products a program needs (the slacks t = b - A x
+and s = y A - c and the objectives) are computed in :mod:`ringlp.affine`,
+each entry one ``rings.sum_of_products`` call that keeps the structural
+coefficient on the left of every product.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator
 
 from ._records import record, setfield
@@ -103,26 +102,6 @@ def matrix(ring: RingId, rows: Iterable[Iterable[RingElement]]) -> RMatrix:
 
 def zero_vector(ring: RingId, n: int) -> RVector:
     return RVector(ring, (zero(ring),) * n)
-
-
-def grid_points(ring: RingId, values: tuple[RingElement, ...], n: int) -> Iterator[RVector]:
-    """Every vector of length ``n`` with entries from ``values``, in
-    lexicographic order of the entries (``itertools.product``).
-
-    The values are checked to be in ``ring`` once, here (``RingMismatch``),
-    so each point is built without ``RVector``'s per-entry check.
-    """
-    _require_entries_in(ring, values)
-    return _unchecked_points(ring, values, n)
-
-
-def _unchecked_points(ring: RingId, values: tuple[RingElement, ...], n: int) -> Iterator[RVector]:
-    new = object.__new__
-    for entries in product(values, repeat=n):
-        v = new(RVector)
-        setfield(v, "ring", ring)
-        setfield(v, "entries", entries)
-        yield v
 
 
 def vec_text(v: RVector) -> list[str]:

@@ -66,6 +66,7 @@ DEN_BOUND = 50
 POLY_MAX_DEGREE = 4
 SKEW_MAX_TERMS = 5
 SKEW_MAX_DEGREE = 3
+MAX_SHAPE_ENTRIES = 10_000  # the largest max_rows * max_cols of a shape draw
 
 
 class Sampler:
@@ -96,10 +97,12 @@ class Sampler:
     def shape_draw(self, max_rows: int, max_cols: int) -> Callable[[], tuple[int, int]]:
         """A draw of a program shape ``(m, n)``, uniform in ``1..max_rows`` x
         ``1..max_cols``: the generator steps of ``draw_int(1, max_rows)``
-        then ``draw_int(1, max_cols)``. Both bounds are positive ``int``s,
-        checked here once rather than at every draw."""
+        then ``draw_int(1, max_cols)``. Both bounds are positive ``int``s
+        with a product of at most ``MAX_SHAPE_ENTRIES``, checked once here."""
         require_int("max_rows", max_rows, 1)
         require_int("max_cols", max_cols, 1)
+        if max_rows * max_cols > MAX_SHAPE_ENTRIES:
+            raise ValueError(f"max_rows * max_cols must be at most {MAX_SHAPE_ENTRIES}")
         int_in = self._int_in
         return lambda: (int_in(1, max_rows), int_in(1, max_cols))
 

@@ -12,6 +12,7 @@ import ringlp.enumeration as enumeration
 from ringlp import (
     BoxSpec,
     BundleKind,
+    CheckReport,
     CounterexampleBundle,
     InfeasibleSide,
     Magnitude,
@@ -60,7 +61,7 @@ from ringlp import (
 from conftest import int_vector, make_gap_program
 
 # sha256 of the certificates and re-verification reports of ``_digest_grid``
-PINNED_DIGEST = "3da515ecb8f348c49165fe75120e6991f106ea6f73c47200f6e57135c79642a7"
+PINNED_DIGEST = "3cc8b491aece472d321d9f63033a5220a7eec05ad84b5221102acd8be5e391b2"
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +262,30 @@ def test_infeasible_optimal_oddrat():
         bundle.program, vector(RingId.ODDRAT, [from_rational(RingId.ODDRAT, 1, 3)])
     ).feasible
     assert all(c.passed for c in bundle.checks)
+
+
+@pytest.mark.parametrize("side", list(InfeasibleSide))
+@pytest.mark.parametrize("a", [POLY_X, SKEW_X], ids=["poly", "skew"])
+def test_verify_bundle_says_it_did_not_recheck_an_optimum_it_cannot_scan(a, side):
+    """On a ring the box oracle cannot walk, the recorded optimum gets a
+    not-applicable ``certify_optimal_pair`` report that names the ring,
+    so a caller's ``all(check.passed ...)`` is not silently vacuous."""
+    reports = verify_bundle(infeasible_optimal_program(a.ring, a, side))
+    assert len(reports) == 2 and reports[0].name.endswith("_witnesses_feasible")
+    assert reports[1] == CheckReport(
+        "certify_optimal_pair",
+        True,
+        False,
+        (f"the box oracle cannot walk {a.ring.value}; the optimum was not re-checked",),
+    )
+
+
+@pytest.mark.parametrize("side", list(InfeasibleSide))
+@pytest.mark.parametrize("a", [from_int(RingId.INT, 2), from_rational(RingId.ODDRAT, 2)])
+def test_verify_bundle_rescans_an_optimum_on_a_ring_it_can_scan(a, side):
+    reports = verify_bundle(infeasible_optimal_program(a.ring, a, side))
+    rescan = [r for r in reports if r.name == "certify_optimal_pair"]
+    assert len(rescan) == 1 and rescan[0].applicable and rescan[0].passed
 
 
 def test_constructions_mark_exhaustive_only_the_sides_they_argue(monkeypatch):
@@ -619,11 +644,14 @@ def test_certificates_and_re_verification_are_byte_identical():
 
 
 def test_constructions_scan_each_side_once(monkeypatch):
-    """(box scans, primal verdicts, dual verdicts) per construction: each
-    side is scanned once and each witness is checked once."""
-    counts = dict.fromkeys(("scans", "primal", "dual"), 0)
+    """(box scans, grid points walked, primal verdicts, dual verdicts) per
+    construction: each side is scanned once, each of its grid points is
+    judged once by the walk's ``form_verdict``, and each witness is checked
+    once by its side's feasibility test, which the walk does not call."""
+    counts = dict.fromkeys(("scans", "points", "primal", "dual"), 0)
     for module, name, key in (
         (enumeration, "_enumerate", "scans"),
+        (enumeration, "form_verdict", "points"),
         (affine, "is_primal_feasible", "primal"),
         (affine, "is_dual_feasible", "dual"),
     ):
@@ -642,15 +670,15 @@ def test_constructions_scan_each_side_once(monkeypatch):
 
     two = from_int(RingId.INT, 2)
     strong, n = made(lambda: strong_duality_counterexample(RingId.INT, two))
-    assert n == (2, 12, 12)
+    assert n == (2, 22, 1, 1)
     edt, n = made(
         lambda: infeasible_optimal_program(RingId.INT, two, InfeasibleSide.PRIMAL_INFEASIBLE)
     )
-    assert n == (2, 11, 123)
-    assert made(lambda: gap_program(RingId.INT, two))[1] == (0, 12, 12)
+    assert n == (2, 132, 0, 2)
+    assert made(lambda: gap_program(RingId.INT, two))[1] == (0, 22, 1, 1)
     skew, n = made(lambda: gap_program(RingId.SKEW, SKEW_X))
-    assert n == (0, 1, 11)
-    assert made(lambda: verify_bundle(skew))[1] == (0, 1, 11)
+    assert n == (0, 0, 1, 11)
+    assert made(lambda: verify_bundle(skew))[1] == (0, 0, 1, 11)
     # re-verification still scans both sides from scratch
     assert made(lambda: verify_bundle(strong))[1][0] == 2
     assert made(lambda: verify_bundle(edt))[1][0] == 2

@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -38,7 +39,7 @@ from ringlp import (
 import ringlp.enumeration as enumeration
 from ringlp.enumeration import _grid_values, judge_optimal_pair
 
-from _oracles import box_grid_by_fractions, brute_force_box_optimum
+from _oracles import box_grid_by_fractions, brute_force_box_optimum, feasibility_verdict_by_folds
 from conftest import counting_constructions, int_matrix, int_vector, make_edt_program, make_gap_program
 
 
@@ -237,6 +238,43 @@ def test_rational_scans_match_brute_force(drawn):
         assert report.gap_value.payload == oracles[1][0] - oracles[0][0]
 
 
+@st.composite
+def small_programs(draw):
+    """``(P, box)``: INT, RAT or ODDRAT, 1-2 rows and columns, every entry of
+    A, b, c and d a numerator in -4..4 over a unit denominator of the ring
+    up to 3, and a box of N <= 4 and D <= 3 (no D on INT)."""
+    ring = draw(st.sampled_from((RingId.INT, RingId.RAT, RingId.ODDRAT)))
+    dens = [d for d in _UNIT_DENOMINATORS[ring] if d <= 3]
+
+    def element():
+        return from_rational(ring, Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from(dens))))
+
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    A = matrix(ring, [[element() for _ in range(n)] for _ in range(m)])
+    b, c = (vector(ring, [element() for _ in range(k)]) for k in (m, n))
+    P = ProgramData(ring, A, b, c, element())
+    den = None if ring is RingId.INT else draw(st.integers(1, 3))
+    return P, BoxSpec(draw(st.integers(1, 4)), den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+def test_the_walk_yields_the_oracle_feasible_grid_points_in_lexicographic_order(drawn):
+    """On both sides, ``feasible_points`` is the lexicographic product of the
+    ``Fraction`` grid filtered by the fold-built verdict, oracles that share
+    no code with the walk's verdict on the integer form."""
+    P, box = drawn
+    grid = box_grid_by_fractions(P.ring, box.bound, box.denominator_bound)
+    for primal in (True, False):
+        want = []
+        for point in product(grid, repeat=P.cols if primal else P.rows):
+            vec = vector(P.ring, [from_rational(P.ring, q) for q in point])
+            if feasibility_verdict_by_folds(P, vec, primal).feasible:
+                want.append(list(point))
+        got = [[e.payload for e in vec] for vec in feasible_points(P, box, primal)]
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -293,12 +331,15 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     """Every layer above ``affine`` reaches the feasibility tests and
     objectives through ``affine``'s module globals, so a function patched
     onto ``affine`` is the one each scan and certificate calls. A side scan
-    ranks its points by integer keys, so it calls its objective once, for
+    judges each grid point once through ``enumeration.form_verdict`` and
+    calls no feasibility test, while a certificate calls one per candidate.
+    It ranks its points by integer keys, so it calls its objective once, for
     the best point, and not at all when it finds none."""
-    counts = dict.fromkeys(("is_primal_feasible", "is_dual_feasible", "eval_f", "eval_g"), 0)
+    names = ("is_primal_feasible", "is_dual_feasible", "eval_f", "eval_g", "form_verdict")
+    counts = dict.fromkeys(names, 0)
 
-    def counting(name):
-        original = getattr(affine, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             counts[name] += 1
@@ -307,7 +348,8 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
         return wrapper
 
     for name in counts:
-        monkeypatch.setattr(affine, name, counting(name))
+        module = enumeration if name == "form_verdict" else affine
+        monkeypatch.setattr(module, name, counting(module, name))
 
     def calls_made(action):
         before = dict(counts)
@@ -315,21 +357,27 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
         return {name: counts[name] - before[name] for name in counts}
 
     gap_int, box = make_gap_program(), BoxSpec(3)
-    assert calls_made(lambda: enumerate_primal(gap_int, box))["is_primal_feasible"] == 4
-    assert calls_made(lambda: feasible_points(gap_int, box, primal=False))["is_dual_feasible"] == 4
-    assert calls_made(lambda: enumerate_primal(gap_int, box))["eval_f"] == 1
+    assert calls_made(lambda: enumerate_primal(gap_int, box)) == {
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 1, "eval_g": 0, "form_verdict": 4
+    }
+    assert calls_made(lambda: feasible_points(gap_int, box, primal=False)) == {
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 0, "form_verdict": 4
+    }
     assert calls_made(lambda: enumerate_dual(gap_int, box))["eval_g"] == 1
     edt_int = make_edt_program()
     assert calls_made(lambda: enumerate_primal(edt_int, box))["eval_f"] == 0
     assert calls_made(lambda: classify_edt(edt_int, box)) == {
-        "is_primal_feasible": 4, "is_dual_feasible": 16, "eval_f": 0, "eval_g": 1
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "form_verdict": 20
     }
     certify = calls_made(
         lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [0]), int_vector(RingId.INT, [1]))
     )
-    # per side: one objective for the scan and one for the candidate; the
-    # gap is two kernel calls, not the two objectives
-    assert certify == {"is_primal_feasible": 5, "is_dual_feasible": 5, "eval_f": 2, "eval_g": 2}
+    # per side: four grid points and one candidate verdict, and one objective
+    # for the scan and one for the candidate; the gap is two kernel calls,
+    # not the two objectives
+    assert certify == {
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 2, "form_verdict": 8
+    }
     bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2), box)
     verify = calls_made(lambda: verify_bundle(bundle, box))
     assert min(verify.values()) > 0, verify
@@ -515,7 +563,7 @@ def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch
     with pytest.raises(ValueError, match="too large"):
         enumerate_dual(P, box)
     checks = []
-    monkeypatch.setattr(affine, "is_primal_feasible", lambda *args: checks.append(args))
+    monkeypatch.setattr(enumeration, "form_verdict", lambda *args: checks.append(args))
     with pytest.raises(ValueError, match="too large"):
         classify_edt(P, box)
     with pytest.raises(ValueError, match="too large"):
@@ -529,7 +577,7 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
     box = BoxSpec(10)
     small = _program([[1]], [1], [1])
     big = _program([[1] * 8], [1], [1] * 8)
-    feasible = affine.is_primal_feasible
+    verdict = enumeration.form_verdict
     inner = []
 
     def refuse_the_walk(*args):
@@ -538,13 +586,13 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
     def scan_big_once(*args):
         if not inner:
             inner.append(big)
-            monkeypatch.setattr(affine, "is_primal_feasible", refuse_the_walk)
+            monkeypatch.setattr(enumeration, "form_verdict", refuse_the_walk)
             with pytest.raises(ValueError, match="too large"):
                 enumerate_primal(big, box)
-            monkeypatch.setattr(affine, "is_primal_feasible", feasible)
-        return feasible(*args)
+            monkeypatch.setattr(enumeration, "form_verdict", verdict)
+        return verdict(*args)
 
-    monkeypatch.setattr(affine, "is_primal_feasible", scan_big_once)
+    monkeypatch.setattr(enumeration, "form_verdict", scan_big_once)
     classify_edt(small, box)
     assert inner == [big]
 

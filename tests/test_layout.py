@@ -9,11 +9,13 @@ coefficients, ``sum_of_products``, and ``compare`` orders by ``sign``. Inside
 ``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
 a verdict only by ``_weak_duality``, the check ``assert_weak_duality``
 renders, and by the POLY/SKEW path of the feasibility tests, whose
-INT/RAT/ODDRAT path judges on the program's integer form.
-``linalg.py`` holds containers and does no ring arithmetic, and
-``ringlp`` exports none of the products it used to. Only ``enumeration``'s walk builds
-vectors without the per-entry ring check, through ``linalg.grid_points``.
-Every ``Fraction`` built from an integer pair comes from ``rings.reduced``,
+INT/RAT/ODDRAT path judges on the program's integer form through
+``form_verdict``, the verdict ``enumeration``'s walk also calls per grid
+point. ``linalg.py`` holds containers and does no ring arithmetic, and
+``ringlp`` exports none of the products it used to. Every vector goes
+through its checked constructor, and no module reads the removed
+``grid_points``. Every ``Fraction`` built from an integer pair comes from
+``rings.reduced``, the one object built past its class's constructor,
 outside parsing and the validating ``from_rational``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
@@ -27,7 +29,7 @@ No function rebinds a module global: a scan hands its grid on by
 argument, and a program keeps its integer form with it. Only ``affine.py``
 imports ``lcm``, so the scaling to integers stays in one module, written
 twice there: ``scaled_ints`` for a program or a grid, and a per-point
-copy inside ``_table_verdict``, kept inline because calling ``scaled_ints``
+copy inside ``form_verdict``, kept inline because calling ``scaled_ints``
 per point slowed the box scan.
 In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
 handlers return their reports, and ``main`` maps every precondition error
@@ -140,16 +142,16 @@ def _definition(path: pathlib.Path, name: str):
 def test_primal_and_dual_sides_are_defined_only_in_affine():
     """The integer form stores the columns negated, so every line of either
     side reads ``a . v <= k`` and the dual is the primal of (-A^T, -c, -b):
-    ``_table_verdict`` takes no comparison, ``Side`` holds no objective
-    weights, and the box scan maximizes every side with ``>``, so
-    ``enumeration`` imports neither ``gt`` nor ``lt`` and only
+    ``form_verdict`` takes no comparison, ``Side`` holds no objective
+    weights and no variable count, and the box scan maximizes every side
+    with ``>``, so ``enumeration`` imports neither ``gt`` nor ``lt`` and only
     ``judge_optimal_pair`` reads a side's ``better``."""
     assert _lines_matching(r"^class _?Side\b") == {"affine.py"}
-    verdict = _definition(SRC / "affine.py", "_table_verdict")
+    verdict = _definition(SRC / "affine.py", "form_verdict")
     assert [arg.arg for arg in verdict.args.args] == ["lines", "entries"]
     side = _definition(SRC / "affine.py", "Side")
     fields = [node.target.id for node in side.body if isinstance(node, ast.AnnAssign)]
-    assert "weights" not in fields, fields
+    assert not {"weights", "nvars"} & set(fields), fields
     imported = {
         alias.name
         for node in ast.walk(ast.parse((SRC / "enumeration.py").read_text()))
@@ -269,13 +271,16 @@ def test_only_verify_bundle_rescans_in_constructions():
 def test_only_term_rings_and_weak_duality_build_slacks_for_a_verdict():
     """``affine._verdict`` builds the whole slack of a point. It is read by
     ``_weak_duality``, the check ``assert_weak_duality`` renders, which
-    reuses both slacks, and by the feasibility tests for POLY and SKEW. ``_table_verdict``, which judges
-    INT, RAT and ODDRAT points on the integer form without a slack vector, is
-    read only by the two feasibility tests."""
+    reuses both slacks, and by the feasibility tests for POLY and SKEW.
+    ``form_verdict``, which judges INT, RAT and ODDRAT points on the integer
+    form without a slack vector, is read only by the two feasibility tests
+    and by ``enumeration``'s walk."""
     readers = _readers(SRC / "affine.py", "_verdict")
     assert readers == {"_weak_duality", "is_primal_feasible", "is_dual_feasible"}, readers
-    readers = _readers(SRC / "affine.py", "_table_verdict")
-    assert readers == {"is_primal_feasible", "is_dual_feasible"}, readers
+    assert _readers_by_module("form_verdict") == {
+        "affine.py": {"is_primal_feasible", "is_dual_feasible"},
+        "enumeration.py": {"_feasible_walk"},
+    }
 
 
 REMOVED_PRODUCTS = (
@@ -360,18 +365,15 @@ def _readers_by_module(name: str) -> dict[str, set[str]]:
     return {path.name: found for path in MODULES if (found := _readers(path, name))}
 
 
-def test_only_the_box_walk_builds_unchecked_points():
-    """``linalg.grid_points`` checks the ring of the grid values once and
-    then builds each point's vector without ``RVector``'s per-entry check.
-    Only ``enumeration``'s walk calls it, and only its private generator
-    builds vectors past ``RVector.__init__``. The one other object built
-    past its class's constructor is the ``Fraction`` of ``rings.reduced``."""
-    assert _readers_by_module("grid_points") == {"enumeration.py": {"_feasible_walk"}}
-    assert _readers_by_module("_unchecked_points") == {"linalg.py": {"grid_points"}}
-    assert _readers_by_module("__new__") == {
-        "linalg.py": {"_unchecked_points"},
-        "rings.py": {"reduced"},
-    }
+def test_only_rings_reduced_builds_an_object_past_its_constructor():
+    """The box walk judges each grid point as a tuple of elements and builds
+    a checked ``RVector`` only for a feasible one, so no module reads the
+    removed ``grid_points`` or its unchecked generator, and no vector is
+    built past ``RVector.__init__``. The one object built past its class's
+    constructor is the ``Fraction`` of ``rings.reduced``."""
+    assert _readers_by_module("grid_points") == {}
+    assert _readers_by_module("_unchecked_points") == {}
+    assert _readers_by_module("__new__") == {"rings.py": {"reduced"}}
 
 
 def _calls(path: pathlib.Path, callee: str) -> set[tuple[str, int]]:
@@ -434,7 +436,7 @@ def test_no_function_rebinds_a_module_global():
     """No ``global`` statement is left under ``src/ringlp``, so no call parks
     its state in a module slot for other calls to find; and ``affine.py``
     alone imports ``lcm``, so the scaling to integers stays in that module
-    (``scaled_ints``, and ``_table_verdict``'s inline per-point copy)."""
+    (``scaled_ints``, and ``form_verdict``'s inline per-point copy)."""
     rebinders = [
         f"{path.name}: {function.name} rebinds {', '.join(node.names)}"
         for path in MODULES

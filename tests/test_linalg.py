@@ -8,7 +8,6 @@ factors included, and checked for linearity and their mismatch errors.
 """
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -32,10 +31,10 @@ from ringlp import (
     vector,
     zero_vector,
 )
-from ringlp.linalg import grid_points
 
 from _oracles import covec_apply, dot_left, mat_apply, vec_add
 from conftest import ALL_RINGS, COMMUTATIVE_RINGS, int_matrix, int_vector
+
 
 def test_mat_apply_two_rows():
     A = int_matrix(RingId.INT, [[2], [-2]])
@@ -174,18 +173,7 @@ def test_zero_vector():
     assert all(is_zero(e) for e in z)
 
 
-def test_grid_points_are_the_checked_vectors_in_lexicographic_order():
-    ring = RingId.RAT
-    values = tuple(from_rational(ring, q) for q in (0, Fraction(1, 2), 1))
-    for n in (1, 2, 3):
-        points = list(grid_points(ring, values, n))
-        assert points == [RVector(ring, w) for w in product(values, repeat=n)]
-        assert all(type(p.entries) is tuple for p in points)
-
-
-def test_a_mixed_entry_raises_in_the_vector_and_before_the_grid_walk():
+def test_a_mixed_entry_raises_in_the_vector():
     mixed = (from_int(RingId.INT, 0), from_int(RingId.RAT, 1))
     with pytest.raises(RingMismatch, match="vector over int contains rat entry"):
         RVector(RingId.INT, mixed)
-    with pytest.raises(RingMismatch, match="vector over int contains rat entry"):
-        grid_points(RingId.INT, mixed, 2)

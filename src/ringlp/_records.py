@@ -13,10 +13,9 @@ Instances refuse every attribute assignment or deletion with
 ``AttributeError``, and pickle and copy through their fields. A class
 that writes its own ``__init__`` (the hot constructors do, to skip the
 generic argument binding) stores each field with ``setfield``, or with the
-field's slot descriptor, ``Cls.field.__set__``, a cheaper call. Private
-derived slots, declared as ``__slots__ = ("_name",)``, hold values computed
-from the fields: unset until set once with ``setfield``, they are left out
-of ``__init__``, equality, hashing, ``repr`` and pickling.
+field's slot descriptor, ``Cls.field.__set__``, a cheaper call. The fields
+are the only slots: a class body that declares ``__slots__`` is refused
+with a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -38,9 +37,10 @@ def record(cls):
     fields = tuple(ns.get("__annotations__", ()))
     if len(fields) < 2:
         raise TypeError(f"record {cls.__name__} needs at least two fields")
+    if "__slots__" in ns:
+        raise TypeError(f"record {cls.__name__} declares __slots__; its fields are its slots")
     defaults = {name: ns.pop(name) for name in fields if name in ns}
-    derived = tuple(ns.pop("__slots__", ()))
-    for name in ("__dict__", "__weakref__", *derived):
+    for name in ("__dict__", "__weakref__"):
         ns.pop(name, None)
     values = attrgetter(*fields)  # the field tuple
     names = frozenset(fields)
@@ -82,7 +82,7 @@ def record(cls):
     for method in (__init__, __eq__, __hash__, __repr__):
         ns.setdefault(method.__name__, method)
     ns.update(
-        __slots__=fields + derived,
+        __slots__=fields,
         __qualname__=cls.__qualname__,
         __setattr__=_frozen,
         __delattr__=_frozen,

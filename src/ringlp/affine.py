@@ -17,17 +17,19 @@ v.u genuinely differ.
 
 Weak duality (g >= f on feasible pairs) follows because every summand of
 s.x + y.t is a product of nonnegatives.
+
+A feasibility verdict, on every ring, builds the point's slack once and
+reports the first negative coordinate, else the first negative slack
+entry. The box scan in ``enumeration`` judges its grid points on its own
+integer form of the program instead.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
-from functools import lru_cache
-from math import lcm
-from operator import mul as _times
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ._records import record, setfield
+from ._records import record
 from .errors import DimensionMismatch, RingMismatch
 from .linalg import RMatrix, RVector, matrix, vec_text, vector
 from .reports import CheckReport, TrialSummary, run_trials
@@ -75,7 +77,6 @@ class ProgramData:
     b: RVector
     c: RVector
     d: RingElement
-    __slots__ = ("_form",)  # the integer form, built by ``integer_form``
 
     def __post_init__(self):
         kinds = (RMatrix, RVector, RVector, RingElement)
@@ -161,15 +162,8 @@ def dual_slack(P: ProgramData, y: RVector) -> RVector:
     )
 
 
-# records are immutable, so every feasible verdict can be this one, and the
-# infeasible verdicts of one (index, kind) one shared record; the cache is
-# bounded, so a verdict that has dropped out of it is built afresh
+# records are immutable, so every feasible verdict can be this one
 _FEASIBLE = FeasibilityVerdict(True)
-
-
-@lru_cache(maxsize=256)
-def _infeasible(index: int, kind: ViolationKind) -> FeasibilityVerdict:
-    return FeasibilityVerdict(False, index, kind)
 
 
 def _first_negative(signs: Iterable[int]) -> Optional[int]:
@@ -187,99 +181,38 @@ def _verdict(
 ) -> tuple[FeasibilityVerdict, Optional[RVector]]:
     """Verdict on ``point >= 0`` and ``slack_of(P, point) >= 0``, and the slack.
 
-    The point's ring and length ``n`` are checked first, as the feasibility
-    tests do. The slack is built only for a nonnegative point (``None``
-    otherwise), so a caller that needs it again reuses it instead of
-    building it twice.
+    The point's ring and length ``n`` are checked first. The slack is built
+    only for a nonnegative point (``None`` otherwise), so a caller that
+    needs it again reuses it instead of building it twice.
     """
     i = _first_negative(map(sign, _entries(P, point, n)))
     if i is not None:
-        return _infeasible(i, ViolationKind.NEGATIVE_VARIABLE), None
+        return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE), None
     slack = slack_of(P, point)
     j = _first_negative(map(sign, slack))
     if j is not None:
-        return _infeasible(j, ViolationKind.SLACK_NEGATIVE), slack
+        return FeasibilityVerdict(False, j, ViolationKind.SLACK_NEGATIVE), slack
     return _FEASIBLE, slack
-
-
-def scaled_ints(elements: Iterable[RingElement]) -> list[int]:
-    """``[L e, ...]``: scalar ``elements`` times L, the lcm of their denominators."""
-    payloads = [e.payload for e in elements]
-    scale = lcm(*[p.denominator for p in payloads])
-    return [p.numerator * (scale // p.denominator) for p in payloads]
-
-
-def _build_form(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
-    """``P``'s integer form ``(rows, cols)`` of lines ``(a, k)``, each read
-    ``a . v <= k``: ``(L A_j, L b_j)`` per row and ``(-L A^i, -L c_i)`` per
-    column, so the dual is the primal of (-A^T, -c, -b); L the lcm of the
-    denominators of A, b and c. ``None`` on POLY and SKEW."""
-    if type(P.d.payload) is tuple:
-        return None
-    ints = scaled_ints(P.A.entries + P.b.entries + P.c.entries)
-    m, n = P.rows, P.cols
-    A, b, c = tuple(ints[: m * n]), ints[m * n : m * n + m], ints[m * n + m :]
-    negated = tuple(-a for a in A)
-    rows = tuple((A[j * n : j * n + n], b[j]) for j in range(m))
-    return rows, tuple((negated[i::n], -c[i]) for i in range(n))
-
-
-def integer_form(P: ProgramData) -> Optional[tuple[tuple, tuple]]:
-    """``P``'s integer form, built on first use and kept on ``P``."""
-    try:
-        return P._form
-    except AttributeError:
-        setfield(P, "_form", _build_form(P))
-        return P._form
-
-
-def form_verdict(lines: tuple, entries: tuple) -> FeasibilityVerdict:
-    """A point's verdict on its side's lines ``(L a, L k)``, its entries (of
-    the side's ring and length) as ints v over their denominators' lcm Q
-    (Q = 1 on INT): the first v_i < 0, else the first ``L k Q < L a . v``."""
-    if type(entries[0].payload) is int:
-        q, v = 1, [e.payload for e in entries]
-    else:
-        q = 1
-        for e in entries:
-            q = lcm(q, e.payload.denominator)
-        v = [e.payload.numerator * (q // e.payload.denominator) for e in entries]
-    if min(v) < 0:
-        return _infeasible(_first_negative(v), ViolationKind.NEGATIVE_VARIABLE)
-    for line in lines:
-        if line[1] * q < sum(map(_times, line[0], v)):
-            # an equal line before this one would have broken first
-            return _infeasible(lines.index(line), ViolationKind.SLACK_NEGATIVE)
-    return _FEASIBLE
 
 
 def is_primal_feasible(P: ProgramData, x: RVector) -> FeasibilityVerdict:
     """x >= 0 and A x <= b, both non-strict.
 
     The first negative coordinate is reported before any row, then the
-    first row whose slack ``b_j - A_j x`` is negative. On INT, RAT and
-    ODDRAT row j is ``L b_j Q >= L A_j . Q x`` in ints, on the rows of the
-    program's integer form, built on its first verdict and kept with it,
-    so no slack, no ``Fraction`` and no element is built; on POLY and
-    SKEW the verdict builds the slack once and reads its signs.
+    first row whose slack ``b_j - A_j x`` is negative; the slack is built
+    once, one kernel call per row, and its signs read in order.
     """
-    form = integer_form(P)
-    if form is None:
-        return _verdict(P, x, P.cols, primal_slack)[0]
-    return form_verdict(form[0], _entries(P, x, P.cols))
+    return _verdict(P, x, P.cols, primal_slack)[0]
 
 
 def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
     """y >= 0 and y A >= c, both non-strict.
 
     The first negative coordinate is reported before any column, then the
-    first column whose slack ``y A^i - c_i`` is negative, each tested as the
-    rows of :func:`is_primal_feasible` are (``-L c_i Q >= -L A^i . Q y``).
+    first column whose slack ``y A^i - c_i`` is negative, built and read as
+    the rows of :func:`is_primal_feasible` are.
     """
-    form = integer_form(P)
-    if form is None:
-        return _verdict(P, y, P.rows, dual_slack)[0]
-    return form_verdict(form[1], _entries(P, y, P.rows))
+    return _verdict(P, y, P.rows, dual_slack)[0]
 
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
@@ -293,8 +226,8 @@ def eval_g(P: ProgramData, y: RVector) -> RingElement:
 
 
 class Side(NamedTuple):
-    """One side of a program: the primal maximizes f over x on the integer
-    form's rows, the dual minimizes g over y on its negated columns."""
+    """One side of a program: the primal maximizes f over x, the dual
+    minimizes g over y."""
 
     name: str
     letter: str  # of the objective

@@ -19,32 +19,36 @@ reported as FEASIBLE_UNBOUNDED_IN_BOX since a larger box might improve it.
 Only a construction, which argues its box suffices, marks a status
 EXHAUSTIVE.
 
-Each scan builds and caps its own grid and passes it to its walk; a scan
-pair (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped
-for the side with more variables, to both walks. The scan is sequential.
-The grid ascends and the points are walked in lexicographic order as
-tuples of grid values, each judged by ``affine.form_verdict`` on its side's
-lines of the integer form, so the scan calls no feasibility test (the
-checks still do) and builds a vector only for a feasible point. Feasible
-points are ranked by integer keys, not ring elements, and both sides
-maximize: the dual's min g is max -g on the lines of (-A^T, -c, -b). With
-each grid value k/G over the grid's denominator G and the weights w = L c,
-or -L b, from the program's integer form over its denominator L, a point's
-key ``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so comparing keys
-compares objectives exactly. Keeping only strict improvements makes the
-witness the lexicographically smallest point that attains the best value,
-and one objective element is built per side scan.
+Each scan builds and caps its own grid and the program's integer form
+(``integer_form``), and passes both to its walk; a scan pair
+(``classify_edt``, ``certify_optimal_pair``) passes one grid, capped for
+the side with more variables, and one form to both walks. Nothing is kept
+on the program. The scan is sequential. The grid ascends and the points
+are walked in lexicographic order as tuples of grid values, each judged by
+``_fits`` on its side's lines of the form. Grid values are never negative,
+so no sign is tested and no verdict, slack or element is built per point;
+the scan calls no feasibility test (the checks still do) and builds a
+vector only for a feasible point. Feasible points are ranked by integer
+keys, not ring elements, and both sides maximize: the dual's min g is max
+-g on the lines of (-A^T, -c, -b). With each grid value k/G over the
+grid's denominator G and the weights w = L c, or -L b, from the integer
+form over its denominator L, a point's key ``w . k`` is ``(f + d) L G`` or
+``-(g + d) L G``, so comparing keys compares objectives exactly. Keeping
+only strict improvements makes the witness the lexicographically smallest
+point that attains the best value, and one objective element is built per
+side scan.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
 from itertools import product
+from math import lcm
 from operator import mul as _times
-from typing import Optional
+from typing import Iterable, Optional
 
 from ._records import record
-from .affine import ProgramData, Side, form_verdict, gap, integer_form, scaled_ints
+from .affine import ProgramData, Side, gap
 from .errors import UnsupportedRing, require_int
 from .linalg import RVector, vec_text
 from .reports import CheckReport
@@ -192,19 +196,60 @@ def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     return _grid_values(ring, box, 1)
 
 
-def _feasible_walk(P: ProgramData, primal: bool, values: tuple[RingElement, ...]):
+def scaled_ints(elements: Iterable[RingElement]) -> list[int]:
+    """``[L e, ...]``: scalar ``elements`` times L, the lcm of their denominators."""
+    payloads = [e.payload for e in elements]
+    scale = lcm(*[p.denominator for p in payloads])
+    return [p.numerator * (scale // p.denominator) for p in payloads]
+
+
+def integer_form(P: ProgramData) -> tuple[tuple, tuple]:
+    """``P``'s integer form ``(rows, cols)`` of lines ``(a, k)``, each read
+    ``a . v <= k``: ``(L A_j, L b_j)`` per row and ``(-L A^i, -L c_i)`` per
+    column, L the lcm of the denominators of A, b and c. ``P``'s ring is
+    one whose grid was built, so its payloads are ints or ``Fraction``s."""
+    ints = scaled_ints(P.A.entries + P.b.entries + P.c.entries)
+    m, n = P.rows, P.cols
+    A, b, c = tuple(ints[: m * n]), ints[m * n : m * n + m], ints[m * n + m :]
+    negated = tuple(-a for a in A)
+    rows = tuple((A[j * n : j * n + n], b[j]) for j in range(m))
+    return rows, tuple((negated[i::n], -c[i]) for i in range(n))
+
+
+def _fits(lines: tuple, entries: tuple) -> bool:
+    """Whether the grid point of ``entries`` (nonnegative, of the side's ring
+    and length) meets every line ``(a, k)``: its entries as ints v over the
+    lcm Q of their denominators (Q = 1 on INT), ``k Q >= a . v`` on each
+    line, the first broken line ending the test."""
+    if type(entries[0].payload) is int:
+        q, v = 1, [e.payload for e in entries]
+    else:
+        q = 1
+        for e in entries:
+            q = lcm(q, e.payload.denominator)
+        v = [e.payload.numerator * (q // e.payload.denominator) for e in entries]
+    for a, k in lines:
+        if k * q < sum(map(_times, a, v)):
+            return False
+    return True
+
+
+def _feasible_walk(P: ProgramData, primal: bool, values: tuple[RingElement, ...], form: tuple):
     """Yield every feasible grid point of the primal (x) or dual (y) side in
-    lexicographic order, as a checked ``RVector`` built once ``form_verdict``
-    passes it, with its coordinates' integer keys over the grid's denominator."""
-    rows, cols = integer_form(P)
-    lines, n = (rows, P.cols) if primal else (cols, P.rows)
+    lexicographic order, as a checked ``RVector`` built once ``_fits`` passes
+    it on the side's lines of ``form``, with its coordinates' integer keys
+    over the grid's denominator."""
+    lines, n = (form[0], P.cols) if primal else (form[1], P.rows)
     for entries, keys in zip(product(values, repeat=n), product(scaled_ints(values), repeat=n)):
-        if form_verdict(lines, entries).feasible:
+        if _fits(lines, entries):
             yield RVector(P.ring, entries), keys
 
 
-def _enumerate(P: ProgramData, primal: bool, values: tuple[RingElement, ...]) -> ProgramStatus:
-    """One side's in-box status on ``values``, a grid already capped for it.
+def _enumerate(
+    P: ProgramData, primal: bool, values: tuple[RingElement, ...], form: tuple
+) -> ProgramStatus:
+    """One side's in-box status on ``values``, a grid already capped for it,
+    and ``form``, ``P``'s integer form.
 
     Points are ranked by the integer key ``w . k``, w the negated right-hand
     sides of the other side's lines in the integer form (L c, or -L b; L its
@@ -213,12 +258,12 @@ def _enumerate(P: ProgramData, primal: bool, values: tuple[RingElement, ...]) ->
     objective element is built once, for the best point.
     """
     side = Side.of(primal)
-    rows, cols = integer_form(P)
+    rows, cols = form
     weights = [-k for _, k in (cols if primal else rows)]
     best_key = best_witness = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
-    for vec, keys in _feasible_walk(P, primal, values):
+    for vec, keys in _feasible_walk(P, primal, values, form):
         key = sum(map(_times, weights, keys))
         if best_witness is None or key > best_key:
             best_key = key
@@ -242,25 +287,27 @@ def _enumerate(P: ProgramData, primal: bool, values: tuple[RingElement, ...]) ->
 
 def enumerate_primal(P: ProgramData, box: BoxSpec) -> ProgramStatus:
     """Exhaustive in-box maximization of f over feasible points."""
-    return _enumerate(P, True, _grid_values(P.ring, box, P.cols))
+    return _enumerate(P, True, _grid_values(P.ring, box, P.cols), integer_form(P))
 
 
 def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
     """Exhaustive in-box minimization of g over feasible points."""
-    return _enumerate(P, False, _grid_values(P.ring, box, P.rows))
+    return _enumerate(P, False, _grid_values(P.ring, box, P.rows), integer_form(P))
 
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
     values = _grid_values(P.ring, box, P.cols if primal else P.rows)
-    return [vec for vec, _ in _feasible_walk(P, primal, values)]
+    return [vec for vec, _ in _feasible_walk(P, primal, values, integer_form(P))]
 
 
 def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:
-    """(primal, dual) statuses on one grid, passed to both walks and capped
-    for the side with more variables before either walk starts."""
+    """(primal, dual) statuses on one grid and one integer form, passed to
+    both walks; the grid is capped for the side with more variables before
+    either walk starts."""
     values = _grid_values(P.ring, box, max(P.rows, P.cols))
-    return _enumerate(P, True, values), _enumerate(P, False, values)
+    form = integer_form(P)
+    return _enumerate(P, True, values, form), _enumerate(P, False, values, form)
 
 
 def certify_optimal_pair(

@@ -646,12 +646,12 @@ def test_certificates_and_re_verification_are_byte_identical():
 def test_constructions_scan_each_side_once(monkeypatch):
     """(box scans, grid points walked, primal verdicts, dual verdicts) per
     construction: each side is scanned once, each of its grid points is
-    judged once by the walk's ``form_verdict``, and each witness is checked
+    judged once by the walk's ``_fits``, and each witness is checked
     once by its side's feasibility test, which the walk does not call."""
     counts = dict.fromkeys(("scans", "points", "primal", "dual"), 0)
     for module, name, key in (
         (enumeration, "_enumerate", "scans"),
-        (enumeration, "form_verdict", "points"),
+        (enumeration, "_fits", "points"),
         (affine, "is_primal_feasible", "primal"),
         (affine, "is_dual_feasible", "dual"),
     ):

@@ -275,6 +275,94 @@ def test_the_walk_yields_the_oracle_feasible_grid_points_in_lexicographic_order(
         assert got == want
 
 
+class WatchedCoefficients(tuple):
+    """The coefficients of one integer-form line; reading them logs the line."""
+
+    def __new__(cls, coeffs, line, log):
+        self = super().__new__(cls, coeffs)
+        self.line, self.log = line, log
+        return self
+
+    def __iter__(self):
+        self.log.append(self.line)
+        return super().__iter__()
+
+    def __getitem__(self, k):
+        self.log.append(self.line)
+        return super().__getitem__(k)
+
+
+def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
+    """The walk's test ends at the first broken line: every row breaks at
+    every primal grid point, so each of the four points reads row 0 alone,
+    and column 0, broken at y = 0, is the only column read there."""
+    P = _program([[1, 2], [3, 4], [5, 6]], [-1, -2, -3], [1, -1], ring=RingId.RAT)
+    read: list = []
+    form = enumeration.integer_form
+
+    def watched(program):
+        return tuple(
+            tuple((WatchedCoefficients(coeffs, (side, k), read), const) for k, (coeffs, const) in enumerate(lines))
+            for side, lines in zip(("row", "column"), form(program))
+        )
+
+    monkeypatch.setattr(enumeration, "integer_form", watched)
+    assert feasible_points(P, BoxSpec(1, 1), primal=True) == []
+    assert read == [("row", 0)] * 4
+    read.clear()
+    assert not enumeration._fits(watched(P)[1], _rat_vec([0, 0, 0]).entries)
+    assert read == [("column", 0)]
+
+
+@pytest.mark.parametrize("ring", [RingId.INT, RingId.RAT, RingId.ODDRAT])
+def test_scalar_ring_scans_build_no_slack(monkeypatch, ring):
+    """A scan judges its grid points on the integer form, so it builds no
+    slack and makes no kernel sum per point: ``feasible_points`` makes none
+    at all, and a side scan one, the objective of its best point."""
+    P = _program([[1, 2], [3, 4]], [3, 7], [1, 1], ring=ring)
+    box = BoxSpec(3, None if ring is RingId.INT else 3)
+    calls: dict = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("primal_slack", "dual_slack", "sum_of_products"):
+        counting(affine, name)
+    counting(rings, "sum_of_products")
+    points = [feasible_points(P, box, primal) for primal in (True, False)]
+    assert all(points) and calls == {}
+    statuses = (enumerate_primal(P, box), enumerate_dual(P, box))
+    assert all(status.witness is not None for status in statuses)
+    assert calls == {"sum_of_products": 2}
+
+
+def test_a_rat_walk_builds_no_fraction_and_no_element(monkeypatch):
+    """Given its grid and the integer form, a RAT walk builds no ``Fraction``
+    and no element, for the points it rejects and those it yields alike."""
+    ring, half, third = RingId.RAT, Fraction(1, 2), Fraction(1, 3)
+    P = ProgramData(
+        ring,
+        matrix(ring, [[from_rational(ring, q) for q in row] for row in [[half, -third], [2, third], [-1, 5]]]),
+        _rat_vec([1, 3, Fraction(5, 2)]),
+        _rat_vec([1, -1]),
+        from_int(ring, 0),
+    )
+    values = _grid_values(ring, BoxSpec(3, 3), P.cols)
+    form = enumeration.integer_form(P)
+    built = {"Fraction": 0, "RingElement": 0}
+    counting_constructions(monkeypatch, built)
+    found = list(enumeration._feasible_walk(P, True, values, form))
+    monkeypatch.undo()
+    assert 0 < len(found) < len(values) ** 2
+    assert built == {"Fraction": 0, "RingElement": 0}
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -331,11 +419,11 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     """Every layer above ``affine`` reaches the feasibility tests and
     objectives through ``affine``'s module globals, so a function patched
     onto ``affine`` is the one each scan and certificate calls. A side scan
-    judges each grid point once through ``enumeration.form_verdict`` and
+    judges each grid point once through ``enumeration._fits`` and
     calls no feasibility test, while a certificate calls one per candidate.
     It ranks its points by integer keys, so it calls its objective once, for
     the best point, and not at all when it finds none."""
-    names = ("is_primal_feasible", "is_dual_feasible", "eval_f", "eval_g", "form_verdict")
+    names = ("is_primal_feasible", "is_dual_feasible", "eval_f", "eval_g", "_fits")
     counts = dict.fromkeys(names, 0)
 
     def counting(module, name):
@@ -348,7 +436,7 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
         return wrapper
 
     for name in counts:
-        module = enumeration if name == "form_verdict" else affine
+        module = enumeration if name == "_fits" else affine
         monkeypatch.setattr(module, name, counting(module, name))
 
     def calls_made(action):
@@ -358,16 +446,16 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
 
     gap_int, box = make_gap_program(), BoxSpec(3)
     assert calls_made(lambda: enumerate_primal(gap_int, box)) == {
-        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 1, "eval_g": 0, "form_verdict": 4
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 1, "eval_g": 0, "_fits": 4
     }
     assert calls_made(lambda: feasible_points(gap_int, box, primal=False)) == {
-        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 0, "form_verdict": 4
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 0, "_fits": 4
     }
     assert calls_made(lambda: enumerate_dual(gap_int, box))["eval_g"] == 1
     edt_int = make_edt_program()
     assert calls_made(lambda: enumerate_primal(edt_int, box))["eval_f"] == 0
     assert calls_made(lambda: classify_edt(edt_int, box)) == {
-        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "form_verdict": 20
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "_fits": 20
     }
     certify = calls_made(
         lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [0]), int_vector(RingId.INT, [1]))
@@ -376,7 +464,7 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     # for the scan and one for the candidate; the gap is two kernel calls,
     # not the two objectives
     assert certify == {
-        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 2, "form_verdict": 8
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 2, "_fits": 8
     }
     bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2), box)
     verify = calls_made(lambda: verify_bundle(bundle, box))
@@ -529,12 +617,12 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
 def test_a_scan_pair_builds_one_grid_and_each_program_one_form(monkeypatch):
     """``classify_edt`` and ``certify_optimal_pair`` build the per-variable
     grid once for both sides, capped for the side with more variables, and
-    the integer form of each program once; so do the constructions that
-    scan, on their default box."""
+    the program's integer form once for both walks; so do the constructions
+    that scan, on their default box."""
     grids, forms = [], []
-    grid_values, build_form = enumeration._grid_values, affine._build_form
+    grid_values, integer_form = enumeration._grid_values, enumeration.integer_form
     monkeypatch.setattr(enumeration, "_grid_values", lambda *args: grids.append(args) or grid_values(*args))
-    monkeypatch.setattr(affine, "_build_form", lambda P: forms.append(P) or build_form(P))
+    monkeypatch.setattr(enumeration, "integer_form", lambda P: forms.append(P) or integer_form(P))
     edt_rat, gap_int = make_edt_program(RingId.RAT), make_gap_program()
     rat_box, int_box = BoxSpec(4, 2), BoxSpec(3)
     assert classify_edt(edt_rat, rat_box).case == 4
@@ -563,7 +651,7 @@ def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch
     with pytest.raises(ValueError, match="too large"):
         enumerate_dual(P, box)
     checks = []
-    monkeypatch.setattr(enumeration, "form_verdict", lambda *args: checks.append(args))
+    monkeypatch.setattr(enumeration, "_fits", lambda *args: checks.append(args))
     with pytest.raises(ValueError, match="too large"):
         classify_edt(P, box)
     with pytest.raises(ValueError, match="too large"):
@@ -577,7 +665,7 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
     box = BoxSpec(10)
     small = _program([[1]], [1], [1])
     big = _program([[1] * 8], [1], [1] * 8)
-    verdict = enumeration.form_verdict
+    verdict = enumeration._fits
     inner = []
 
     def refuse_the_walk(*args):
@@ -586,13 +674,13 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
     def scan_big_once(*args):
         if not inner:
             inner.append(big)
-            monkeypatch.setattr(enumeration, "form_verdict", refuse_the_walk)
+            monkeypatch.setattr(enumeration, "_fits", refuse_the_walk)
             with pytest.raises(ValueError, match="too large"):
                 enumerate_primal(big, box)
-            monkeypatch.setattr(enumeration, "form_verdict", verdict)
+            monkeypatch.setattr(enumeration, "_fits", verdict)
         return verdict(*args)
 
-    monkeypatch.setattr(enumeration, "form_verdict", scan_big_once)
+    monkeypatch.setattr(enumeration, "_fits", scan_big_once)
     classify_edt(small, box)
     assert inner == [big]
 
@@ -600,17 +688,16 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
 def test_threads_that_share_programs_and_boxes_get_their_own_results():
     """Threads that keep switching between shared programs and boxes, with a
     short switch interval, get each program's own verdicts and each scan
-    pair its own report: each program's integer form is built from that
-    program and kept on it, and two threads that both build it store equal
-    forms. A scan of a program over the cap, on a box object the scan pairs
-    are walking, still raises."""
+    pair its own report: each scan builds its own integer form from its
+    program and keeps nothing on it. A scan of a program over the cap, on a
+    box object the scan pairs are walking, still raises."""
     rat = RingId.RAT
 
     def three_programs():
         return [make_edt_program(rat), make_gap_program(rat), make_edt_program(rat, 3)]
 
-    # the threads share programs whose forms are not built yet, and the
-    # expected results come from equal but distinct programs
+    # the threads share programs, and the expected results come from equal
+    # but distinct programs
     programs = three_programs()
     boxes = [BoxSpec(3, 2), BoxSpec(2, 3), BoxSpec(4, 1)]
     points = [_rat_vec([Fraction(k, 6)]) for k in range(-1, 14)]

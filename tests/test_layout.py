@@ -8,13 +8,12 @@ coefficients, ``sum_of_products``, and ``compare`` orders by ``sign``. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
 ``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
 a verdict only by ``_weak_duality``, the check ``assert_weak_duality``
-renders, and by the POLY/SKEW path of the feasibility tests, whose
-INT/RAT/ODDRAT path judges on the program's integer form through
-``form_verdict``, the verdict ``enumeration``'s walk also calls per grid
-point. ``linalg.py`` holds containers and does no ring arithmetic, and
-``ringlp`` exports none of the products it used to. Every vector goes
-through its checked constructor, and no module reads the removed
-``grid_points``. Every ``Fraction`` built from an integer pair comes from
+renders, and by the two feasibility tests, one path on every ring; the
+box scan's own boolean test on the integer form, ``enumeration._fits``,
+is read only by its walk. ``linalg.py`` holds containers and does no ring
+arithmetic, and ``ringlp`` exports none of the products it used to. Every
+vector goes through its checked constructor, and no module reads the
+removed ``grid_points``. Every ``Fraction`` built from an integer pair comes from
 ``rings.reduced``, the one object built past its class's constructor,
 outside parsing and the validating ``from_rational``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
@@ -25,12 +24,12 @@ direction per side.
 The box oracle reports only what it scanned: only ``constructions.py``,
 which argues that its boxes suffice, marks a status ``Scope.EXHAUSTIVE``,
 and no function takes an ``analytic_note``.
-No function rebinds a module global: a scan hands its grid on by
-argument, and a program keeps its integer form with it. Only ``affine.py``
-imports ``lcm``, so the scaling to integers stays in one module, written
-twice there: ``scaled_ints`` for a program or a grid, and a per-point
-copy inside ``form_verdict``, kept inline because calling ``scaled_ints``
-per point slowed the box scan.
+No function rebinds a module global: a scan hands its grid and its
+integer form on by argument, and keeps neither on the program. Only
+``enumeration.py`` imports ``lcm``, so the scaling to integers stays in
+one module, written twice there: ``scaled_ints`` for a program or a grid,
+and a per-point copy inside ``_fits``, kept inline because calling
+``scaled_ints`` per point slowed the box scan.
 In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
 handlers return their reports, and ``main`` maps every precondition error
 through their one base, ``errors.PreconditionError``. Each argument
@@ -142,12 +141,12 @@ def _definition(path: pathlib.Path, name: str):
 def test_primal_and_dual_sides_are_defined_only_in_affine():
     """The integer form stores the columns negated, so every line of either
     side reads ``a . v <= k`` and the dual is the primal of (-A^T, -c, -b):
-    ``form_verdict`` takes no comparison, ``Side`` holds no objective
+    the walk's ``_fits`` takes no comparison, ``Side`` holds no objective
     weights and no variable count, and the box scan maximizes every side
     with ``>``, so ``enumeration`` imports neither ``gt`` nor ``lt`` and only
     ``judge_optimal_pair`` reads a side's ``better``."""
     assert _lines_matching(r"^class _?Side\b") == {"affine.py"}
-    verdict = _definition(SRC / "affine.py", "form_verdict")
+    verdict = _definition(SRC / "enumeration.py", "_fits")
     assert [arg.arg for arg in verdict.args.args] == ["lines", "entries"]
     side = _definition(SRC / "affine.py", "Side")
     fields = [node.target.id for node in side.body if isinstance(node, ast.AnnAssign)]
@@ -268,19 +267,16 @@ def test_only_verify_bundle_rescans_in_constructions():
     assert callers == {"verify_bundle"}, callers
 
 
-def test_only_term_rings_and_weak_duality_build_slacks_for_a_verdict():
+def test_one_verdict_path_and_a_scan_test_read_only_by_the_walk():
     """``affine._verdict`` builds the whole slack of a point. It is read by
     ``_weak_duality``, the check ``assert_weak_duality`` renders, which
-    reuses both slacks, and by the feasibility tests for POLY and SKEW.
-    ``form_verdict``, which judges INT, RAT and ODDRAT points on the integer
-    form without a slack vector, is read only by the two feasibility tests
-    and by ``enumeration``'s walk."""
+    reuses both slacks, and by the two feasibility tests on every ring.
+    ``enumeration._fits``, which judges grid points on the integer form
+    without a verdict or a slack, is read only by ``_feasible_walk``."""
     readers = _readers(SRC / "affine.py", "_verdict")
     assert readers == {"_weak_duality", "is_primal_feasible", "is_dual_feasible"}, readers
-    assert _readers_by_module("form_verdict") == {
-        "affine.py": {"is_primal_feasible", "is_dual_feasible"},
-        "enumeration.py": {"_feasible_walk"},
-    }
+    assert _readers_by_module("_fits") == {"enumeration.py": {"_feasible_walk"}}
+    assert _readers_by_module("form_verdict") == {}
 
 
 REMOVED_PRODUCTS = (
@@ -433,10 +429,12 @@ def test_only_constructions_mark_a_status_exhaustive():
 
 
 def test_no_function_rebinds_a_module_global():
-    """No ``global`` statement is left under ``src/ringlp``, so no call parks
-    its state in a module slot for other calls to find; and ``affine.py``
-    alone imports ``lcm``, so the scaling to integers stays in that module
-    (``scaled_ints``, and ``form_verdict``'s inline per-point copy)."""
+    """No ``global`` statement, ``lru_cache`` or kept ``_form`` is left under
+    ``src/ringlp``, so no call parks its state in a module slot or on a
+    program for other calls to find; and
+    ``enumeration.py`` alone imports ``lcm``, so the scaling to integers
+    stays in that module (``scaled_ints``, and ``_fits``'s inline per-point
+    copy)."""
     rebinders = [
         f"{path.name}: {function.name} rebinds {', '.join(node.names)}"
         for path in MODULES
@@ -446,6 +444,7 @@ def test_no_function_rebinds_a_module_global():
         if isinstance(node, ast.Global)
     ]
     assert rebinders == [], rebinders
+    assert _lines_matching(r"lru_cache|\b_form\b") == set()
     importers = {
         path.name
         for path in MODULES
@@ -454,8 +453,8 @@ def test_no_function_rebinds_a_module_global():
         for alias in node.names
         if alias.name.rpartition(".")[2] == "lcm"
     }
-    assert importers == {"affine.py"}, importers
-    assert set(_readers_by_module("lcm")) == {"affine.py"}  # ``math.lcm`` too
+    assert importers == {"enumeration.py"}, importers
+    assert set(_readers_by_module("lcm")) == {"enumeration.py"}  # ``math.lcm`` too
 
 
 def test_only_main_prints_or_picks_an_exit_code_in_the_cli():

@@ -13,15 +13,16 @@ pins check that each structural coefficient stays the left factor. RAT
 and ODDRAT sums and comparisons are also checked against
 plain ``Fraction`` arithmetic written here, with denominators up to 10^6,
 and the sign of the kernel sum against the sign of the fold.
-The feasibility verdicts, which INT, RAT and ODDRAT decide on the integer
-form that each program builds once and keeps, are checked against
-``_oracles.feasibility_verdict_by_folds``, with wide denominators too.
-The guard tests count calls through the module globals, so a slack that
-falls back to an element per step, a trial that builds a slack twice, or
-a scalar-ring verdict that builds a slack at all, shows up as a count; a
-verdict that reads a table row after the first violated one shows up in
-a log of the rows read; the ``Fraction`` and ``RingElement`` guards
-count constructions.
+The feasibility verdicts, which build the point's slack once on every
+ring, are checked against ``_oracles.feasibility_verdict_by_folds``, with
+wide denominators too; on INT, RAT and ODDRAT so is the box scan's own
+boolean test on the integer form, ``enumeration._fits``, at the point made
+nonnegative. The guard tests count calls through the module globals, so a
+slack that falls back to an element per step or a trial that builds a
+slack twice shows up as a count; the ``Fraction`` and ``RingElement``
+guards count constructions. The guards on the scan's test (the first
+broken line ends it; no slack, ``Fraction`` or element per point) are in
+``test_enumeration.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import ringlp.affine as affine
 import ringlp.rings as rings
 from ringlp import (
     DimensionMismatch,
-    FeasibilityVerdict,
     Ordering,
     ProgramData,
     RingId,
@@ -44,7 +44,6 @@ from ringlp import (
     SKEW_X,
     SKEW_Y,
     Sampler,
-    ViolationKind,
     assert_weak_duality,
     compare,
     dual_slack,
@@ -68,6 +67,7 @@ from ringlp import (
     zero,
     zero_vector,
 )
+from ringlp.enumeration import _fits, integer_form
 from ringlp.rings import sum_of_products
 
 from _oracles import (
@@ -661,6 +661,30 @@ def test_verdicts_equal_the_fold_oracle(ring):
     check()
 
 
+@pytest.mark.parametrize("ring", [RingId.INT, *FRACTION_RINGS])
+def test_scalar_verdicts_and_the_scan_test_equal_the_fold_oracle(ring):
+    """On INT, RAT and ODDRAT, negative coordinates and wide denominators
+    included: each feasibility test equals the fold oracle's verdict, index
+    and kind included, and on the point made nonnegative, as every grid
+    point is, the box scan's ``_fits`` on the side's lines of the integer
+    form equals the oracle's ``feasible``."""
+
+    @given(verdict_cases(ring))
+    def check(case):
+        P, x, y = case
+        rows, cols = integer_form(P)
+        for test, point, primal, lines in (
+            (is_primal_feasible, x, True, rows),
+            (is_dual_feasible, y, False, cols),
+        ):
+            assert test(P, point) == feasibility_verdict_by_folds(P, point, primal)
+            grid_point = vector(ring, map(nonneg, point))
+            want = feasibility_verdict_by_folds(P, grid_point, primal).feasible
+            assert _fits(lines, grid_point.entries) is want
+
+    check()
+
+
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_verdicts_raise_where_the_fold_oracle_does(ring):
     """Points of any ring and of any length from 0 to 4, negative
@@ -687,11 +711,9 @@ def test_verdicts_raise_where_the_fold_oracle_does(ring):
     check()
 
 
-def test_alternating_programs_each_get_their_own_verdicts(monkeypatch):
-    """Each program keeps its own integer form: calls that alternate between
-    two programs, or between two equal but distinct ones, build each
-    program's form once, on its first verdict, and judge every program by
-    its own data."""
+def test_alternating_programs_each_get_their_own_verdicts():
+    """Calls that alternate between two programs, or between two equal but
+    distinct ones, judge every program by its own data."""
     ring = RingId.RAT
     P1 = rat_program([[Fraction(1, 2), 2], [3, -1]], [3, Fraction(7, 3)])
     P2 = rat_program([[2, Fraction(1, 2)], [-1, 3]], [Fraction(7, 3), 3])
@@ -715,12 +737,8 @@ def test_alternating_programs_each_get_their_own_verdicts(monkeypatch):
         ]
 
     assert by_folds(P1) != by_folds(P2)
-    built = []
-    build = affine._build_form
-    monkeypatch.setattr(affine, "_build_form", lambda P: built.append(P) or build(P))
     for P in (P1, P2, P1, twin, P1, twin, twin):
         assert verdicts(P) == by_folds(P)
-    assert list(map(id, built)) == list(map(id, (P1, P2, twin)))
 
 
 # ---------------------------------------------------------------------------
@@ -801,58 +819,6 @@ def rat_program(rows, b):
     )
 
 
-def test_rat_feasibility_builds_no_fraction_and_no_element(monkeypatch):
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    P = rat_program([[half, -third], [2, third], [-1, 5]], [1, 3, Fraction(5, 2)])
-    x = vector(RingId.RAT, [from_rational(RingId.RAT, third), from_rational(RingId.RAT, half)])
-    built = {"Fraction": 0, "RingElement": 0}
-    counting_constructions(monkeypatch, built)
-    verdict = is_primal_feasible(P, x)
-    monkeypatch.undo()
-    assert verdict.feasible
-    assert built == {"Fraction": 0, "RingElement": 0}
-
-
-class WatchedCoefficients(tuple):
-    """The coefficients of one table line; reading them logs the line."""
-
-    def __new__(cls, coeffs, line, log):
-        self = super().__new__(cls, coeffs)
-        self.line, self.log = line, log
-        return self
-
-    def __iter__(self):
-        self.log.append(self.line)
-        return super().__iter__()
-
-    def __getitem__(self, k):
-        self.log.append(self.line)
-        return super().__getitem__(k)
-
-
-def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
-    # every row breaks at x = 0, and column 0 at y = 0
-    P = rat_program([[1, 2], [3, 4], [5, 6]], [-1, -2, -3])
-    read: list = []
-    build = affine._build_form
-
-    def watched(program):
-        return tuple(
-            tuple((WatchedCoefficients(coeffs, (side, k), read), const) for k, (coeffs, const) in enumerate(lines))
-            for side, lines in zip(("row", "column"), build(program))
-        )
-
-    monkeypatch.setattr(affine, "_build_form", watched)
-    assert is_primal_feasible(P, zero_vector(RingId.RAT, 2)) == FeasibilityVerdict(
-        False, 0, ViolationKind.SLACK_NEGATIVE
-    )
-    assert read == [("row", 0)]
-    assert is_dual_feasible(P, zero_vector(RingId.RAT, 3)) == FeasibilityVerdict(
-        False, 0, ViolationKind.SLACK_NEGATIVE
-    )
-    assert read == [("row", 0), ("column", 0)]
-
-
 def two_by_two(ring):
     return ProgramData(
         ring,
@@ -901,46 +867,3 @@ def test_weak_duality_checks_each_point_before_its_signs():
         assert_weak_duality(P, int_vector(ring, [0, 0]), y)
     with pytest.raises(RingMismatch):
         assert_weak_duality(P, int_vector(ring, [0, 0]), int_vector(RingId.RAT, [-1, 0]))
-
-
-@pytest.mark.parametrize("ring", [RingId.INT, RingId.RAT, RingId.ODDRAT])
-def test_scalar_ring_verdicts_build_no_slack(monkeypatch, ring):
-    """INT, RAT and ODDRAT verdicts, feasible or not and on either side,
-    are read off the integer form: no slack and no kernel sum."""
-    P = two_by_two(ring)
-    cases = [
-        (is_primal_feasible, True, [1, 1]),
-        (is_primal_feasible, True, [4, 0]),
-        (is_primal_feasible, True, [-1, 0]),
-        (is_dual_feasible, False, [1, 0]),
-        (is_dual_feasible, False, [0, 0]),
-        (is_dual_feasible, False, [-2, 1]),
-    ]
-    want = [feasibility_verdict_by_folds(P, int_vector(ring, v), primal) for _, primal, v in cases]
-    assert {(w.feasible, w.violation_kind) for w in want} == {
-        (True, None),
-        (False, ViolationKind.SLACK_NEGATIVE),
-        (False, ViolationKind.NEGATIVE_VARIABLE),
-    }
-    calls: dict = {}
-    for name in ("primal_slack", "dual_slack", "sum_of_products"):
-        counting(monkeypatch, calls, affine, name)
-    assert [test(P, int_vector(ring, v)) for test, _, v in cases] == want
-    assert calls == {}
-
-
-@pytest.mark.parametrize("ring", ALL_RINGS)
-def test_equal_infeasible_verdicts_are_one_shared_object(ring):
-    P = two_by_two(ring)
-    # x = (4, 0) and (5, 0) break row 0; y = (0, 0) breaks column 0
-    slack = [is_primal_feasible(P, int_vector(ring, x)) for x in ([4, 0], [5, 0])]
-    slack.append(is_dual_feasible(P, int_vector(ring, [0, 0])))
-    negative = [is_primal_feasible(P, int_vector(ring, [-1, 0]))]
-    negative.append(is_dual_feasible(P, int_vector(ring, [-2, 1])))
-    for verdicts, kind in (
-        (slack, ViolationKind.SLACK_NEGATIVE),
-        (negative, ViolationKind.NEGATIVE_VARIABLE),
-    ):
-        assert all(v is verdicts[0] for v in verdicts)
-        assert verdicts[0] == FeasibilityVerdict(False, 0, kind)
-    assert slack[0] is not negative[0]

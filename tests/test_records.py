@@ -29,8 +29,6 @@ from ringlp import (
     TrialSummary,
     WitnessSequence,
     from_int,
-    is_primal_feasible,
-    zero_vector,
 )
 from ringlp._records import record
 from ringlp.rings import _RingSpec
@@ -76,7 +74,7 @@ IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
 
 def _names(cls) -> tuple:
-    """The record's fields: its annotated names, not its private derived slots."""
+    """The record's fields: its annotated names."""
     return tuple(cls.__annotations__)
 
 
@@ -140,38 +138,14 @@ def test_default_repr_names_every_field():
     )
 
 
-def _judged_and_fresh() -> tuple[ProgramData, ProgramData]:
-    """Two equal RAT programs: the first has built its integer form in one
-    verdict, the second has not."""
-    judged, fresh = make_gap_program(RingId.RAT), make_gap_program(RingId.RAT)
-    is_primal_feasible(judged, zero_vector(RingId.RAT, judged.cols))
-    assert hasattr(judged, "_form") and not hasattr(fresh, "_form")
-    return judged, fresh
+def test_a_class_body_declaring_slots_is_refused():
+    """A record's fields are its only slots, so a class body that declares
+    ``__slots__`` is refused, with the class named, instead of losing them."""
 
+    class Cached:
+        a: int
+        b: int
+        __slots__ = ("_cache",)
 
-def test_a_built_integer_form_is_invisible_to_equality_hash_and_repr():
-    judged, fresh = _judged_and_fresh()
-    assert judged == fresh and fresh == judged
-    assert hash(judged) == hash(fresh)
-    assert repr(judged) == repr(fresh)
-
-
-def test_a_program_with_its_form_pickles_and_copies_by_its_fields():
-    judged, fresh = _judged_and_fresh()
-    assert pickle.loads(pickle.dumps(judged)) == judged
-    assert copy.deepcopy(judged) == judged
-    assert pickle.dumps(judged) == pickle.dumps(fresh)
-
-
-def test_the_integer_form_is_not_an_argument_and_cannot_be_assigned():
-    judged, fresh = _judged_and_fresh()
-    with pytest.raises(TypeError):
-        ProgramData(*_fields(fresh), _form=None)
-    with pytest.raises(TypeError):
-        ProgramData(**dict(zip(_names(ProgramData), _fields(fresh))), _form=None)
-    for program in (judged, fresh):
-        with pytest.raises(AttributeError):
-            program._form = None
-        with pytest.raises(AttributeError):
-            del program._form
-    assert hasattr(judged, "_form") and not hasattr(fresh, "_form")
+    with pytest.raises(TypeError, match="Cached declares __slots__"):
+        record(Cached)

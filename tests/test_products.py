@@ -37,6 +37,7 @@ import ringlp.affine as affine
 import ringlp.rings as rings
 from ringlp import (
     DimensionMismatch,
+    FeasibilityVerdict,
     Ordering,
     ProgramData,
     RingId,
@@ -44,6 +45,7 @@ from ringlp import (
     SKEW_X,
     SKEW_Y,
     Sampler,
+    ViolationKind,
     assert_weak_duality,
     compare,
     dual_slack,
@@ -836,6 +838,24 @@ def test_feasible_verdicts_are_one_shared_object(ring):
     verdicts += [is_dual_feasible(P, int_vector(ring, y)) for y in ([1, 0], [0, 1])]
     assert all(v.feasible for v in verdicts)
     assert all(v is verdicts[0] for v in verdicts)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_infeasible_verdicts_name_the_first_broken_line_and_its_kind(ring):
+    """On every ring, points that break the same first line get equal
+    verdicts naming that line and how it broke."""
+    P = two_by_two(ring)
+    # x = (4, 0) and (5, 0) break row 0; y = (0, 0) breaks column 0
+    slack = [is_primal_feasible(P, int_vector(ring, x)) for x in ([4, 0], [5, 0])]
+    slack.append(is_dual_feasible(P, int_vector(ring, [0, 0])))
+    negative = [is_primal_feasible(P, int_vector(ring, [-1, 0]))]
+    negative.append(is_dual_feasible(P, int_vector(ring, [-2, 1])))
+    for verdicts, kind in (
+        (slack, ViolationKind.SLACK_NEGATIVE),
+        (negative, ViolationKind.NEGATIVE_VARIABLE),
+    ):
+        assert all(v == FeasibilityVerdict(False, 0, kind) for v in verdicts)
+    assert slack[0] != negative[0]
 
 
 def test_infeasible_pair_details_are_unchanged():

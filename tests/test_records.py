@@ -28,6 +28,7 @@ from ringlp import (
     StatusKind,
     TrialSummary,
     WitnessSequence,
+    classify_edt,
     from_int,
 )
 from ringlp._records import record
@@ -136,6 +137,21 @@ def test_default_repr_names_every_field():
     assert repr(CheckReport("c", False)) == (
         "CheckReport(name='c', passed=False, applicable=True, details=())"
     )
+
+
+def test_a_scan_keeps_nothing_on_the_program():
+    """A box scan builds its integer form per call and keeps none of it:
+    the scanned program stays equal to, hashed, shown and pickled like a
+    fresh one, has no attribute beyond its fields and still refuses one."""
+    scanned, fresh = make_gap_program(RingId.RAT), make_gap_program(RingId.RAT)
+    classify_edt(scanned, BoxSpec(2, 2))
+    assert scanned == fresh and hash(scanned) == hash(fresh)
+    assert repr(scanned) == repr(fresh)
+    assert pickle.dumps(scanned) == pickle.dumps(fresh)
+    assert copy.deepcopy(scanned) == fresh
+    assert not hasattr(scanned, "__dict__") and not hasattr(scanned, "_form")
+    with pytest.raises(AttributeError):
+        scanned._form = None
 
 
 def test_a_class_body_declaring_slots_is_refused():

@@ -132,19 +132,18 @@ class FeasibilityVerdict:
         return out
 
 
-def _entries(P: ProgramData, v: RVector, n: int) -> tuple[RingElement, ...]:
+def entries(P: ProgramData, v: RVector, n: int) -> tuple[RingElement, ...]:
     """The entries of ``v``, a point of length ``n`` over ``P``'s ring."""
     if v.ring is not P.ring:
         raise RingMismatch(f"mixed rings {P.ring.value} and {v.ring.value}")
-    entries = v.entries
-    if len(entries) != n:
-        raise DimensionMismatch(f"point has length {len(entries)}, expected {n}")
-    return entries
+    if len(v.entries) != n:
+        raise DimensionMismatch(f"point has length {len(v.entries)}, expected {n}")
+    return v.entries
 
 
 def primal_slack(P: ProgramData, x: RVector) -> RVector:
     """t = b - A x, exact; one kernel call per entry."""
-    xs, A, b = _entries(P, x, P.cols), P.A, P.b.entries
+    xs, A, b = entries(P, x, P.cols), P.A, P.b.entries
     return RVector(
         P.ring,
         tuple(
@@ -155,7 +154,7 @@ def primal_slack(P: ProgramData, x: RVector) -> RVector:
 
 def dual_slack(P: ProgramData, y: RVector) -> RVector:
     """s = y A - c componentwise, exact; one kernel call per entry."""
-    ys, A, c = _entries(P, y, P.rows), P.A.entries, P.c.entries
+    ys, A, c = entries(P, y, P.rows), P.A.entries, P.c.entries
     n = P.cols
     return RVector(
         P.ring, tuple(sum_of_products(P.ring, ys, A[i::n], c[i]) for i in range(n))
@@ -185,7 +184,7 @@ def _verdict(
     only for a nonnegative point (``None`` otherwise), so a caller that
     needs it again reuses it instead of building it twice.
     """
-    i = _first_negative(map(sign, _entries(P, point, n)))
+    i = _first_negative(map(sign, entries(P, point, n)))
     if i is not None:
         return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE), None
     slack = slack_of(P, point)
@@ -217,12 +216,12 @@ def is_dual_feasible(P: ProgramData, y: RVector) -> FeasibilityVerdict:
 
 def eval_f(P: ProgramData, x: RVector) -> RingElement:
     """Primal objective c.x - d."""
-    return sum_of_products(P.ring, P.c.entries, _entries(P, x, P.cols), P.d)
+    return sum_of_products(P.ring, P.c.entries, entries(P, x, P.cols), P.d)
 
 
 def eval_g(P: ProgramData, y: RVector) -> RingElement:
     """Dual objective y.b - d."""
-    return sum_of_products(P.ring, _entries(P, y, P.rows), P.b.entries, P.d)
+    return sum_of_products(P.ring, entries(P, y, P.rows), P.b.entries, P.d)
 
 
 class Side(NamedTuple):
@@ -273,7 +272,7 @@ def gap(P: ProgramData, x: RVector, y: RVector) -> RingElement:
     """g(y) - f(x), which is y.b - c.x since d cancels: two kernel calls,
     c.x and then y.b with ``minus=c.x``, each c_i left of x_i and each y_j
     left of b_j."""
-    ys, xs = _entries(P, y, P.rows), _entries(P, x, P.cols)
+    ys, xs = entries(P, y, P.rows), entries(P, x, P.cols)
     cx = sum_of_products(P.ring, P.c.entries, xs)
     return sum_of_products(P.ring, ys, P.b.entries, cx)
 
@@ -396,9 +395,9 @@ def weak_duality_trials(
         t_noise = _sample_vector(sampler, ring, m, nonneg=True)
         s_noise = _sample_vector(sampler, ring, n, nonneg=True)
         # b_j = A_j.x + t_j * 1 and c_i = y.A^i - s_i
-        xs, entries = x.entries + unit, A.entries
+        xs = x.entries + unit
         b = tuple(sum_of_products(ring, A.row(j) + (t_noise[j],), xs) for j in range(m))
-        c = tuple(sum_of_products(ring, y, entries[i::n], s_noise[i]) for i in range(n))
+        c = tuple(sum_of_products(ring, y, A.entries[i::n], s_noise[i]) for i in range(n))
         P = ProgramData(ring, A, RVector(ring, b), RVector(ring, c), sampler.sample(ring))
         check = _weak_duality(P, x, y)
         which, sign_ok, cross_ok, _, _ = check

@@ -5,13 +5,12 @@ already rules out negatives), on the rings whose descriptor says
 ``is_enumerable``. On a ring with a smallest positive element (INT) each
 variable takes values 0..N. Otherwise the grid is every numerator 0..N*D
 over every denominator d in 1..D that is a unit of the ring (every d for
-RAT, odd d for ODDRAT), deduplicated and sorted on the integer keys
-``num * D*D // den``: two distinct values with
-denominators at most D differ by at least 1/D^2, so the key is exact and
-float-free. One ``Fraction`` is built per distinct value, by
-``rings.reduced`` from its integer pair, once the whole
-grid has passed the 5,000,000-point cap check. The rule puts values up to
-N*D, not N, in the grid; it is kept as it is.
+RAT, odd d for ODDRAT). Each value is k/G, its exact int key k over G, the
+lcm of those denominators (G = 1 on INT); the scan builds, walks, judges
+and ranks the grid on those keys alone. One ``Fraction`` is built per
+value, by ``rings.reduced(k, G)``, once the whole grid has passed the
+5,000,000-point cap check. The rule puts values up to N*D, not N, in the
+grid; it is kept as it is.
 
 The oracle never claims more than it checked: every status it returns is
 BOX_LIMITED. A feasible best point touching the box's upper face is
@@ -23,32 +22,33 @@ Each scan builds and caps its own grid and the program's integer form
 (``integer_form``), and passes both to its walk; a scan pair
 (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped for
 the side with more variables, and one form to both walks. Nothing is kept
-on the program. The scan is sequential. The grid ascends and the points
-are walked in lexicographic order as tuples of grid values, each judged by
-``_fits`` on its side's lines of the form. Grid values are never negative,
-so no sign is tested and no verdict, slack or element is built per point;
-the scan calls no feasibility test (the checks still do) and builds a
-vector only for a feasible point. Feasible points are ranked by integer
-keys, not ring elements, and both sides maximize: the dual's min g is max
--g on the lines of (-A^T, -c, -b). With each grid value k/G over the
-grid's denominator G and the weights w = L c, or -L b, from the integer
-form over its denominator L, a point's key ``w . k`` is ``(f + d) L G`` or
-``-(g + d) L G``, so comparing keys compares objectives exactly. Keeping
+on the program. The scan is sequential. The walk scales its side's lines
+of the form once by G and visits the points in lexicographic order as
+tuples of keys, each judged by ``_fits``, an int test with no scaling of
+its own. Keys are never negative, so no sign is tested and no verdict,
+slack or element is built per point; the scan calls no feasibility test
+(the checks still do) and builds a vector of grid values only for a
+feasible point. Feasible points are ranked by the same keys, and both
+sides maximize: the dual's min g is max -g on the lines of (-A^T, -c, -b).
+With the weights w = L c, or -L b, from the integer form over its
+denominator L, a point's rank ``w . k`` is ``(f + d) L G`` or
+``-(g + d) L G``, so comparing ranks compares objectives exactly. Keeping
 only strict improvements makes the witness the lexicographically smallest
 point that attains the best value, and one objective element is built per
-side scan.
+side scan. The best point lies on the box's upper face when it holds the
+top key.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul as _times
-from typing import Iterable, Optional
+from typing import Optional
 
 from ._records import record
-from .affine import ProgramData, Side, gap
+from .affine import ProgramData, Side, entries, gap
 from .errors import UnsupportedRing, require_int
 from .linalg import RVector, vec_text
 from .reports import CheckReport
@@ -150,13 +150,16 @@ class EdtReport:
         }
 
 
-def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, ...]:
-    """The per-variable grid, ascending.
+def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[tuple, tuple[int, ...], int]:
+    """The per-variable grid ``(values, keys, G)``: the values ascending, and
+    each value's int key k over G, the lcm of the grid's denominators.
 
     Raises before any value is built when the values of denominator 1
     alone, raised to the number of variables, exceed the point cap, and
     otherwise as soon as the distinct values found so far do.
     """
+    if not isinstance(box, BoxSpec):
+        raise TypeError(f"box must be a BoxSpec, got {box!r}")
     facts = descriptor(ring)
     if not facts.is_enumerable:
         enumerable = ", ".join(d.ring.value for d in all_descriptors() if d.is_enumerable)
@@ -168,39 +171,32 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[RingElement, .
     if facts.smallest_positive is not None:
         if (box.bound + 1) ** nvars > _MAX_POINTS:
             raise ValueError(_TOO_LARGE)
-        return tuple(from_int(ring, v) for v in range(box.bound + 1))
+        keys = tuple(range(box.bound + 1))
+        return tuple(from_int(ring, k) for k in keys), keys, 1
     d_bound = box.denominator_bound or 1
     # denominator 1 alone gives the N*D + 1 distinct values 0..N*D
     if (box.bound * d_bound + 1) ** nvars > _MAX_POINTS:
         raise ValueError(_TOO_LARGE)
-    scale = d_bound * d_bound
-    # distinct p/q and p'/q' with q, q' <= D differ by at least 1/(q q') >=
-    # 1/D^2 (Farey spacing), so floor(value * D^2) tells the values apart and
-    # sorts them; a Fraction is built only for each distinct key's first pair
-    pairs: dict[int, tuple[int, int]] = {}
+    pairs, G = [], 1
     for den in range(1, d_bound + 1):
         if try_invert(from_int(ring, den)) is None:
             continue
+        G = lcm(G, den)
+        # a pair not in lowest terms repeats the value of its lowest terms,
+        # whose denominator divides den, so is a unit and was walked before
         for num in range(box.bound * d_bound + 1):
-            key = num * scale // den
-            if key not in pairs:
-                pairs[key] = (num, den)
+            if gcd(num, den) == 1:
+                pairs.append((num, den))
                 if len(pairs) ** nvars > _MAX_POINTS:
                     raise ValueError(_TOO_LARGE)
+    keys = tuple(sorted(num * (G // den) for num, den in pairs))
     # each den is a unit of the ring, so every value is in it by construction
-    return tuple(RingElement(ring, reduced(*pairs[key])) for key in sorted(pairs))
+    return tuple(RingElement(ring, reduced(k, G)) for k in keys), keys, G
 
 
 def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
     """The per-variable grid, ascending."""
-    return _grid_values(ring, box, 1)
-
-
-def scaled_ints(elements: Iterable[RingElement]) -> list[int]:
-    """``[L e, ...]``: scalar ``elements`` times L, the lcm of their denominators."""
-    payloads = [e.payload for e in elements]
-    scale = lcm(*[p.denominator for p in payloads])
-    return [p.numerator * (scale // p.denominator) for p in payloads]
+    return _grid_values(ring, box, 1)[0]
 
 
 def integer_form(P: ProgramData) -> tuple[tuple, tuple]:
@@ -208,7 +204,9 @@ def integer_form(P: ProgramData) -> tuple[tuple, tuple]:
     ``a . v <= k``: ``(L A_j, L b_j)`` per row and ``(-L A^i, -L c_i)`` per
     column, L the lcm of the denominators of A, b and c. ``P``'s ring is
     one whose grid was built, so its payloads are ints or ``Fraction``s."""
-    ints = scaled_ints(P.A.entries + P.b.entries + P.c.entries)
+    payloads = [e.payload for e in P.A.entries + P.b.entries + P.c.entries]
+    L = lcm(*[p.denominator for p in payloads])
+    ints = [p.numerator * (L // p.denominator) for p in payloads]
     m, n = P.rows, P.cols
     A, b, c = tuple(ints[: m * n]), ints[m * n : m * n + m], ints[m * n + m :]
     negated = tuple(-a for a in A)
@@ -216,65 +214,55 @@ def integer_form(P: ProgramData) -> tuple[tuple, tuple]:
     return rows, tuple((negated[i::n], -c[i]) for i in range(n))
 
 
-def _fits(lines: tuple, entries: tuple) -> bool:
-    """Whether the grid point of ``entries`` (nonnegative, of the side's ring
-    and length) meets every line ``(a, k)``: its entries as ints v over the
-    lcm Q of their denominators (Q = 1 on INT), ``k Q >= a . v`` on each
-    line, the first broken line ending the test."""
-    if type(entries[0].payload) is int:
-        q, v = 1, [e.payload for e in entries]
-    else:
-        q = 1
-        for e in entries:
-            q = lcm(q, e.payload.denominator)
-        v = [e.payload.numerator * (q // e.payload.denominator) for e in entries]
+def _fits(lines: tuple, point: tuple) -> bool:
+    """Whether the grid point of int keys ``point`` meets every line ``(a, k)``,
+    each already scaled by the grid's G: ``a . point <= k``, the first broken
+    line ending the test."""
     for a, k in lines:
-        if k * q < sum(map(_times, a, v)):
+        if k < sum(map(_times, a, point)):
             return False
     return True
 
 
-def _feasible_walk(P: ProgramData, primal: bool, values: tuple[RingElement, ...], form: tuple):
-    """Yield every feasible grid point of the primal (x) or dual (y) side in
-    lexicographic order, as a checked ``RVector`` built once ``_fits`` passes
-    it on the side's lines of ``form``, with its coordinates' integer keys
-    over the grid's denominator."""
+def _feasible_walk(P: ProgramData, primal: bool, grid: tuple, form: tuple):
+    """Yield every feasible point of ``grid`` on the primal (x) or dual (y)
+    side in lexicographic order, as a checked ``RVector`` of grid values,
+    built once ``_fits`` passes the point's keys, and those keys."""
+    values, keys, G = grid
     lines, n = (form[0], P.cols) if primal else (form[1], P.rows)
-    for entries, keys in zip(product(values, repeat=n), product(scaled_ints(values), repeat=n)):
-        if _fits(lines, entries):
-            yield RVector(P.ring, entries), keys
+    lines = tuple((a, k * G) for a, k in lines)
+    value_of = dict(zip(keys, values)).__getitem__
+    for point in product(keys, repeat=n):
+        if _fits(lines, point):
+            yield RVector(P.ring, tuple(map(value_of, point))), point
 
 
-def _enumerate(
-    P: ProgramData, primal: bool, values: tuple[RingElement, ...], form: tuple
-) -> ProgramStatus:
-    """One side's in-box status on ``values``, a grid already capped for it,
-    and ``form``, ``P``'s integer form.
+def _enumerate(P: ProgramData, primal: bool, grid: tuple, form: tuple) -> ProgramStatus:
+    """One side's in-box status on ``grid``, already capped for it, and
+    ``form``, ``P``'s integer form.
 
-    Points are ranked by the integer key ``w . k``, w the negated right-hand
+    Points are ranked by the integer ``w . k``, w the negated right-hand
     sides of the other side's lines in the integer form (L c, or -L b; L its
-    common denominator) and k the coordinates over the grid's, G. Since
-    L, G > 0 the largest key has the best objective, f or -g, so the
+    common denominator) and k the point's keys over the grid's G. Since
+    L, G > 0 the largest rank has the best objective, f or -g, so the
     objective element is built once, for the best point.
     """
     side = Side.of(primal)
     rows, cols = form
     weights = [-k for _, k in (cols if primal else rows)]
-    best_key = best_witness = None
+    best_rank = best_witness = best_point = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
-    for vec, keys in _feasible_walk(P, primal, values, form):
-        key = sum(map(_times, weights, keys))
-        if best_witness is None or key > best_key:
-            best_key = key
-            best_witness = vec
+    for vec, point in _feasible_walk(P, primal, grid, form):
+        rank = sum(map(_times, weights, point))
+        if best_witness is None or rank > best_rank:
+            best_rank, best_witness, best_point = rank, vec, point
     if best_witness is None:
         return ProgramStatus(
             StatusKind.INFEASIBLE, Scope.BOX_LIMITED, note="no feasible point in box"
         )
     best_value = side.objective(P, best_witness)
-    face = values[-1]
-    if any(e == face for e in best_witness.entries):
+    if grid[1][-1] in best_point:
         return ProgramStatus(
             StatusKind.FEASIBLE_UNBOUNDED_IN_BOX,
             Scope.BOX_LIMITED,
@@ -297,17 +285,17 @@ def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
-    values = _grid_values(P.ring, box, P.cols if primal else P.rows)
-    return [vec for vec, _ in _feasible_walk(P, primal, values, integer_form(P))]
+    grid = _grid_values(P.ring, box, P.cols if primal else P.rows)
+    return [vec for vec, _ in _feasible_walk(P, primal, grid, integer_form(P))]
 
 
 def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:
     """(primal, dual) statuses on one grid and one integer form, passed to
     both walks; the grid is capped for the side with more variables before
     either walk starts."""
-    values = _grid_values(P.ring, box, max(P.rows, P.cols))
+    grid = _grid_values(P.ring, box, max(P.rows, P.cols))
     form = integer_form(P)
-    return _enumerate(P, True, values, form), _enumerate(P, False, values, form)
+    return _enumerate(P, True, grid, form), _enumerate(P, False, grid, form)
 
 
 def certify_optimal_pair(
@@ -317,9 +305,13 @@ def certify_optimal_pair(
     y_star: Optional[RVector] = None,
 ) -> CheckReport:
     """Confirm the given points are feasible and unbeaten inside the box:
-    scan both sides, then :func:`judge_optimal_pair`."""
+    check each given point's ring and length, scan both sides, then
+    :func:`judge_optimal_pair`."""
     if x_star is None and y_star is None:
         raise ValueError("at least one candidate point is required")
+    for candidate, n in ((x_star, P.cols), (y_star, P.rows)):
+        if candidate is not None:
+            entries(P, candidate, n)
     return judge_optimal_pair(P, _scan_pair(P, box), x_star, y_star)
 
 

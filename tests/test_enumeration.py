@@ -3,6 +3,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -12,9 +13,11 @@ import ringlp.affine as affine
 import ringlp.rings as rings
 from ringlp import (
     BoxSpec,
+    DimensionMismatch,
     InfeasibleSide,
     ProgramData,
     RingId,
+    RingMismatch,
     Scope,
     StatusKind,
     UnsupportedRing,
@@ -310,7 +313,7 @@ def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
     assert feasible_points(P, BoxSpec(1, 1), primal=True) == []
     assert read == [("row", 0)] * 4
     read.clear()
-    assert not enumeration._fits(watched(P)[1], _rat_vec([0, 0, 0]).entries)
+    assert not enumeration._fits(watched(P)[1], (0, 0, 0))
     assert read == [("column", 0)]
 
 
@@ -353,13 +356,13 @@ def test_a_rat_walk_builds_no_fraction_and_no_element(monkeypatch):
         _rat_vec([1, -1]),
         from_int(ring, 0),
     )
-    values = _grid_values(ring, BoxSpec(3, 3), P.cols)
+    grid = _grid_values(ring, BoxSpec(3, 3), P.cols)
     form = enumeration.integer_form(P)
     built = {"Fraction": 0, "RingElement": 0}
     counting_constructions(monkeypatch, built)
-    found = list(enumeration._feasible_walk(P, True, values, form))
+    found = list(enumeration._feasible_walk(P, True, grid, form))
     monkeypatch.undo()
-    assert 0 < len(found) < len(values) ** 2
+    assert 0 < len(found) < len(grid[0]) ** 2
     assert built == {"Fraction": 0, "RingElement": 0}
 
 
@@ -413,6 +416,40 @@ def test_certify_requires_at_least_one_side(gap_int):
     statuses = (enumerate_primal(gap_int, BoxSpec(3)), enumerate_dual(gap_int, BoxSpec(3)))
     with pytest.raises(ValueError):
         judge_optimal_pair(gap_int, statuses)
+
+
+@pytest.mark.parametrize(
+    "x_star, error",
+    [
+        (int_vector(RingId.INT, [0] * 5), "point has length 5, expected 1"),
+        (_rat_vec([0]), "mixed rings int and rat"),
+    ],
+)
+def test_certify_refuses_a_bad_candidate_before_it_scans(monkeypatch, gap_int, x_star, error):
+    def no_grid(*args):
+        raise AssertionError("a grid was built for a refused candidate")
+
+    monkeypatch.setattr(enumeration, "_grid_values", no_grid)
+    with pytest.raises((DimensionMismatch, RingMismatch), match=error):
+        certify_optimal_pair(gap_int, BoxSpec(200), x_star=x_star)
+    with pytest.raises((DimensionMismatch, RingMismatch), match=error):
+        certify_optimal_pair(gap_int, BoxSpec(200), int_vector(RingId.INT, [0]), x_star)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda P, box: candidate_values(P.ring, box),
+        enumerate_primal,
+        enumerate_dual,
+        lambda P, box: feasible_points(P, box, primal=True),
+        classify_edt,
+        lambda P, box: certify_optimal_pair(P, box, int_vector(RingId.INT, [0])),
+    ],
+)
+def test_every_scan_refuses_a_box_that_is_not_a_box_spec(gap_int, scan):
+    with pytest.raises(TypeError, match="^box must be a BoxSpec, got 3$"):
+        scan(gap_int, 3)
 
 
 def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch):
@@ -501,7 +538,7 @@ def test_a_side_scan_builds_one_fraction_past_its_grid_and_compares_no_elements(
     status = enumerate_dual(P, box)
     monkeypatch.undo()
     assert status.kind is StatusKind.OPTIMAL and feasible > 100
-    assert grid_fractions >= len(grid)  # one per value, and the unit tests of the denominators
+    assert grid_fractions >= len(grid[0])  # one per value, and the unit tests of the denominators
     assert built["Fraction"] == grid_fractions + 1
     assert compared == []
 
@@ -612,6 +649,17 @@ def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
     with pytest.raises(ValueError, match="too large"):
         feasible_points(P, BoxSpec(1, 10**6), primal=True)
     assert len(built) <= 2237
+
+
+def test_a_rational_grid_takes_the_lcm_only_of_the_denominators_it_walks(monkeypatch):
+    """One variable on denominators up to 10^6 passes the up-front check;
+    the grid stops at the cap a few denominators in, so its G, the lcm of
+    those, stays small instead of the lcm of 1..10^6."""
+    taken = []
+    monkeypatch.setattr(enumeration, "lcm", lambda *args: taken.extend(args) or lcm(*args))
+    with pytest.raises(ValueError, match="too large"):
+        candidate_values(RingId.RAT, BoxSpec(1, 10**6))
+    assert 0 < max(taken) < 1000
 
 
 def test_a_scan_pair_builds_one_grid_and_each_program_one_form(monkeypatch):
@@ -768,10 +816,11 @@ def test_grid_equals_the_fraction_oracle(ring, bound, den, nvars):
         with pytest.raises(ValueError, match="too large"):
             _grid_values(ring, box, nvars)
     else:
-        assert [v.payload for v in _grid_values(ring, box, nvars)] == want
-    # the grid's integer key floor(q * D^2) strictly increases along the grid
-    keys = [q.numerator * den * den // q.denominator for q in want]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
+        grid, keys, G = _grid_values(ring, box, nvars)
+        assert [v.payload for v in grid] == want
+        # the keys the walk judges and ranks strictly increase, each k/G its value
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert [Fraction(k, G) for k in keys] == want
 
 
 @pytest.mark.parametrize(

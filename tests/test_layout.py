@@ -9,9 +9,10 @@ coefficients, ``sum_of_products``, and ``compare`` orders by ``sign``. Inside
 ``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
 a verdict only by ``_weak_duality``, the check ``assert_weak_duality``
 renders, and by the two feasibility tests, one path on every ring; the
-box scan's own boolean test on the integer form, ``enumeration._fits``,
-is read only by its walk. ``linalg.py`` holds containers and does no ring
-arithmetic, and ``ringlp`` exports none of the products it used to. Every
+box scan's own boolean test, ``enumeration._fits``, which takes int keys
+and lines already scaled, is read only by its walk. ``linalg.py`` holds
+containers and does no ring arithmetic, and ``ringlp`` exports none of the
+products it used to. Every
 vector goes through its checked constructor, and no module reads the
 removed ``grid_points``. Every ``Fraction`` built from an integer pair comes from
 ``rings.reduced``, the one object built past its class's constructor,
@@ -27,9 +28,10 @@ and no function takes an ``analytic_note``.
 No function rebinds a module global: a scan hands its grid and its
 integer form on by argument, and keeps neither on the program. Only
 ``enumeration.py`` imports ``lcm``, so the scaling to integers stays in
-one module, written twice there: ``scaled_ints`` for a program or a grid,
-and a per-point copy inside ``_fits``, kept inline because calling
-``scaled_ints`` per point slowed the box scan.
+one module, written once per kind there: the grid builder's G, for the
+keys k/G that the walk judges, ranks and face-tests, and ``integer_form``'s
+L for the program. ``_fits`` reads int keys only, with no payload, lcm or
+type test, and ``_enumerate`` tests no elements for equality.
 In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
 handlers return their reports, and ``main`` maps every precondition error
 through their one base, ``errors.PreconditionError``. Each argument
@@ -147,7 +149,7 @@ def test_primal_and_dual_sides_are_defined_only_in_affine():
     ``judge_optimal_pair`` reads a side's ``better``."""
     assert _lines_matching(r"^class _?Side\b") == {"affine.py"}
     verdict = _definition(SRC / "enumeration.py", "_fits")
-    assert [arg.arg for arg in verdict.args.args] == ["lines", "entries"]
+    assert [arg.arg for arg in verdict.args.args] == ["lines", "point"]
     side = _definition(SRC / "affine.py", "Side")
     fields = [node.target.id for node in side.body if isinstance(node, ast.AnnAssign)]
     assert not {"weights", "nvars"} & set(fields), fields
@@ -433,8 +435,7 @@ def test_no_function_rebinds_a_module_global():
     ``src/ringlp``, so no call parks its state in a module slot or on a
     program for other calls to find; and
     ``enumeration.py`` alone imports ``lcm``, so the scaling to integers
-    stays in that module (``scaled_ints``, and ``_fits``'s inline per-point
-    copy)."""
+    stays in that module (the grid's G and the program's L)."""
     rebinders = [
         f"{path.name}: {function.name} rebinds {', '.join(node.names)}"
         for path in MODULES
@@ -455,6 +456,36 @@ def test_no_function_rebinds_a_module_global():
     }
     assert importers == {"enumeration.py"}, importers
     assert set(_readers_by_module("lcm")) == {"enumeration.py"}  # ``math.lcm`` too
+
+
+def test_the_walk_judges_int_keys_with_no_scaling_of_its_own():
+    """``_fits`` takes a grid point as int keys and lines already scaled by
+    the grid's G, so it reads no payload and calls neither ``lcm`` nor
+    ``type``."""
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(_definition(SRC / "enumeration.py", "_fits"))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not names & {"payload", "lcm", "type"}, names & {"payload", "lcm", "type"}
+
+
+def test_only_the_grid_builder_and_the_integer_form_take_an_lcm():
+    """The grid's keys are over one G and the program's lines over one L;
+    nothing in the box scan rescales per point or per walk."""
+    assert _readers(SRC / "enumeration.py", "lcm") == {"_grid_values", "integer_form"}
+
+
+def test_the_face_test_reads_keys_and_makes_no_element_equality_test():
+    """``_enumerate`` ranks and face-tests the best point on its keys: the
+    top key in the best point, not a grid value ``==`` an entry."""
+    tests = [
+        node.lineno
+        for node in ast.walk(_definition(SRC / "enumeration.py", "_enumerate"))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+    ]
+    assert tests == [], tests
 
 
 def test_only_main_prints_or_picks_an_exit_code_in_the_cli():

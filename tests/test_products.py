@@ -17,9 +17,10 @@ The feasibility verdicts, which build the point's slack once on every
 ring, are checked against ``_oracles.feasibility_verdict_by_folds``, with
 wide denominators too; on INT, RAT and ODDRAT so is the box scan's own
 boolean test on the integer form, ``enumeration._fits``, at the point made
-nonnegative. The guard tests count calls through the module globals, so a
-slack that falls back to an element per step or a trial that builds a
-slack twice shows up as a count; the ``Fraction`` and ``RingElement``
+nonnegative and read as int keys over a common denominator. The guard
+tests count calls through the module globals, so a slack that falls back
+to an element per step or a trial that builds a slack twice shows up as a
+count; the ``Fraction`` and ``RingElement``
 guards count constructions. The guards on the scan's test (the first
 broken line ends it; no slack, ``Fraction`` or element per point) are in
 ``test_enumeration.py``.
@@ -28,6 +29,7 @@ broken line ends it; no slack, ``Fraction`` or element per point) are in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -668,8 +670,9 @@ def test_scalar_verdicts_and_the_scan_test_equal_the_fold_oracle(ring):
     """On INT, RAT and ODDRAT, negative coordinates and wide denominators
     included: each feasibility test equals the fold oracle's verdict, index
     and kind included, and on the point made nonnegative, as every grid
-    point is, the box scan's ``_fits`` on the side's lines of the integer
-    form equals the oracle's ``feasible``."""
+    point is, the box scan's ``_fits`` on its keys over the point's G and
+    the side's lines of the integer form scaled by G equals the oracle's
+    ``feasible``."""
 
     @given(verdict_cases(ring))
     def check(case):
@@ -682,7 +685,11 @@ def test_scalar_verdicts_and_the_scan_test_equal_the_fold_oracle(ring):
             assert test(P, point) == feasibility_verdict_by_folds(P, point, primal)
             grid_point = vector(ring, map(nonneg, point))
             want = feasibility_verdict_by_folds(P, grid_point, primal).feasible
-            assert _fits(lines, grid_point.entries) is want
+            # the walk's encoding: keys k over G, and the lines scaled by G
+            payloads = [e.payload for e in grid_point.entries]
+            G = lcm(*[q.denominator for q in payloads])
+            keys = tuple(q.numerator * (G // q.denominator) for q in payloads)
+            assert _fits(tuple((a, k * G) for a, k in lines), keys) is want
 
     check()
 

@@ -19,24 +19,22 @@ Only a construction, which argues its box suffices, marks a status
 EXHAUSTIVE.
 
 Each scan builds and caps its own grid and the program's integer form
-(``integer_form``), and passes both to its walk; a scan pair
+(``integer_form``) and passes both to its walk; a scan pair
 (``classify_edt``, ``certify_optimal_pair``) passes one grid, capped for
 the side with more variables, and one form to both walks. Nothing is kept
-on the program. The scan is sequential. The walk scales its side's lines
-of the form once by G and visits the points in lexicographic order as
-tuples of keys, each judged by ``_fits``, an int test with no scaling of
-its own. Keys are never negative, so no sign is tested and no verdict,
-slack or element is built per point; the scan calls no feasibility test
-(the checks still do) and builds a vector of grid values only for a
-feasible point. Feasible points are ranked by the same keys, and both
-sides maximize: the dual's min g is max -g on the lines of (-A^T, -c, -b).
-With the weights w = L c, or -L b, from the integer form over its
-denominator L, a point's rank ``w . k`` is ``(f + d) L G`` or
-``-(g + d) L G``, so comparing ranks compares objectives exactly. Keeping
-only strict improvements makes the witness the lexicographically smallest
-point that attains the best value, and one objective element is built per
-side scan. The best point lies on the box's upper face when it holds the
-top key.
+on the program, and the scan is sequential. The walk scales its side's
+lines of the form once by G and yields, in lexicographic order, each
+tuple of keys that ``_fits``, an int test with no scaling of its own,
+passes. Keys are never negative, so no sign is tested and no verdict,
+slack, element or vector is built per point; the scan calls no
+feasibility test (the checks still do). Both sides maximize: the dual's
+min g is max -g on the lines of (-A^T, -c, -b). With the weights w = L c,
+or -L b, from the integer form over its denominator L, a point's rank
+``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so comparing ranks
+compares objectives exactly. Keeping only strict improvements makes the
+witness the lexicographically smallest best point. A side scan builds
+one vector and one objective element, for the witness, which lies on
+the box's upper face when it holds the top key.
 """
 
 from __future__ import annotations
@@ -225,42 +223,42 @@ def _fits(lines: tuple, point: tuple) -> bool:
 
 
 def _feasible_walk(P: ProgramData, primal: bool, grid: tuple, form: tuple):
-    """Yield every feasible point of ``grid`` on the primal (x) or dual (y)
-    side in lexicographic order, as a checked ``RVector`` of grid values,
-    built once ``_fits`` passes the point's keys, and those keys."""
-    values, keys, G = grid
+    """Yield the int keys of every feasible point of ``grid`` on the primal
+    (x) or dual (y) side in lexicographic order: each tuple of keys that
+    ``_fits`` passes. No vector, element or ``Fraction`` is built."""
+    _, keys, G = grid
     lines, n = (form[0], P.cols) if primal else (form[1], P.rows)
     lines = tuple((a, k * G) for a, k in lines)
-    value_of = dict(zip(keys, values)).__getitem__
-    for point in product(keys, repeat=n):
-        if _fits(lines, point):
-            yield RVector(P.ring, tuple(map(value_of, point))), point
+    return (point for point in product(keys, repeat=n) if _fits(lines, point))
+
+
+def _vectors(P: ProgramData, grid: tuple, points) -> list[RVector]:
+    """Each key tuple of ``points`` as a checked ``RVector`` of grid values."""
+    value_of = dict(zip(grid[1], grid[0])).__getitem__
+    return [RVector(P.ring, tuple(map(value_of, point))) for point in points]
 
 
 def _enumerate(P: ProgramData, primal: bool, grid: tuple, form: tuple) -> ProgramStatus:
     """One side's in-box status on ``grid``, already capped for it, and
-    ``form``, ``P``'s integer form.
-
-    Points are ranked by the integer ``w . k``, w the negated right-hand
-    sides of the other side's lines in the integer form (L c, or -L b; L its
-    common denominator) and k the point's keys over the grid's G. Since
-    L, G > 0 the largest rank has the best objective, f or -g, so the
-    objective element is built once, for the best point.
-    """
+    ``form``, ``P``'s integer form. Points are ranked by the int ``w . k``,
+    w the negated right-hand sides of the other side's lines (L c, or -L b)
+    and k the point's keys; the largest rank has the best objective, so the
+    witness vector and its objective element are built once, at the end."""
     side = Side.of(primal)
     rows, cols = form
     weights = [-k for _, k in (cols if primal else rows)]
-    best_rank = best_witness = best_point = None
+    best_rank = best_point = None
     # strict improvement only: the walk is lexicographic, so the first point
     # reaching the best value is the lexicographically smallest witness
-    for vec, point in _feasible_walk(P, primal, grid, form):
+    for point in _feasible_walk(P, primal, grid, form):
         rank = sum(map(_times, weights, point))
-        if best_witness is None or rank > best_rank:
-            best_rank, best_witness, best_point = rank, vec, point
-    if best_witness is None:
+        if best_point is None or rank > best_rank:
+            best_rank, best_point = rank, point
+    if best_point is None:
         return ProgramStatus(
             StatusKind.INFEASIBLE, Scope.BOX_LIMITED, note="no feasible point in box"
         )
+    (best_witness,) = _vectors(P, grid, [best_point])
     best_value = side.objective(P, best_witness)
     if grid[1][-1] in best_point:
         return ProgramStatus(
@@ -285,8 +283,10 @@ def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
     """Every feasible grid point of the primal side (x) or the dual side (y)."""
+    if not isinstance(primal, bool):
+        raise TypeError(f"primal must be a bool, got {primal!r}")
     grid = _grid_values(P.ring, box, P.cols if primal else P.rows)
-    return [vec for vec, _ in _feasible_walk(P, primal, grid, integer_form(P))]
+    return _vectors(P, grid, _feasible_walk(P, primal, grid, integer_form(P)))
 
 
 def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:

@@ -360,10 +360,63 @@ def test_a_rat_walk_builds_no_fraction_and_no_element(monkeypatch):
     form = enumeration.integer_form(P)
     built = {"Fraction": 0, "RingElement": 0}
     counting_constructions(monkeypatch, built)
+    vectors = counting_vectors(monkeypatch)
     found = list(enumeration._feasible_walk(P, True, grid, form))
     monkeypatch.undo()
     assert 0 < len(found) < len(grid[0]) ** 2
-    assert built == {"Fraction": 0, "RingElement": 0}
+    assert built == {"Fraction": 0, "RingElement": 0} and vectors == []
+    assert all(type(point) is tuple and len(point) == P.cols for point in found)
+    assert {type(k) for point in found for k in point} == {int}
+    assert set(found) <= set(product(grid[1], repeat=P.cols))
+
+
+def counting_vectors(monkeypatch) -> list:
+    """A list that gets one entry per ``RVector`` built until the patch is undone."""
+    built: list = []
+    init = enumeration.RVector.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(enumeration.RVector, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "P, box",
+    [
+        (make_edt_program(), BoxSpec(10)),
+        (make_gap_program(), BoxSpec(10)),
+        (make_edt_program(RingId.RAT), BoxSpec(4, 3)),
+        (make_gap_program(RingId.ODDRAT), BoxSpec(3, 3)),
+        (_program([[1, 2], [3, 4]], [3, 7], [1, 1], ring=RingId.RAT), BoxSpec(3, 3)),
+    ],
+)
+def test_a_side_scan_builds_one_vector_for_its_witness_and_none_when_infeasible(monkeypatch, P, box):
+    """A side scan ranks key tuples and builds one ``RVector``, its witness,
+    only when a feasible point exists; a scan pair builds at most two, and
+    ``feasible_points`` one per point it returns."""
+    for primal, scan in ((True, enumerate_primal), (False, enumerate_dual)):
+        vectors = counting_vectors(monkeypatch)
+        status = scan(P, box)
+        monkeypatch.undo()
+        assert len(vectors) == (status.kind is not StatusKind.INFEASIBLE)
+        vectors = counting_vectors(monkeypatch)
+        points = feasible_points(P, box, primal)
+        monkeypatch.undo()
+        assert len(vectors) == len(points) and bool(points) == (status.witness is not None)
+    vectors = counting_vectors(monkeypatch)
+    report = classify_edt(P, box)
+    monkeypatch.undo()
+    witnesses = [s.witness for s in (report.primal, report.dual) if s.witness is not None]
+    assert len(vectors) == len(witnesses) <= 2
+
+
+@pytest.mark.parametrize("primal", ["no", None, 0, 1])
+def test_feasible_points_refuses_a_side_that_is_not_a_bool(edt_int, primal):
+    with pytest.raises(TypeError, match=f"^primal must be a bool, got {primal!r}$"):
+        feasible_points(edt_int, BoxSpec(3), primal)
 
 
 # ---------------------------------------------------------------------------

@@ -206,9 +206,12 @@ def _bool_type_tests(path: pathlib.Path) -> set[str]:
 def test_only_the_argument_contracts_test_for_bool():
     """``bool`` is an ``int`` subclass, so two functions tell it apart:
     ``errors.require_int`` for a count, bound or seed and ``rings._exact``
-    for an element's scalar. Nothing else checks an argument by hand."""
+    for an element's scalar. The one other test is ``feasible_points``'
+    refusal of a ``primal`` that is not a ``bool``. Nothing else checks an
+    argument by hand."""
     testers = {f"{path.name}:{name}" for path in MODULES for name in _bool_type_tests(path)}
-    assert testers == {"errors.py:require_int", "rings.py:_exact"}, testers
+    expected = {"errors.py:require_int", "rings.py:_exact", "enumeration.py:feasible_points"}
+    assert testers == expected, testers
 
 
 PRECONDITION_KINDS = (
@@ -364,11 +367,12 @@ def _readers_by_module(name: str) -> dict[str, set[str]]:
 
 
 def test_only_rings_reduced_builds_an_object_past_its_constructor():
-    """The box walk judges each grid point as a tuple of elements and builds
-    a checked ``RVector`` only for a feasible one, so no module reads the
-    removed ``grid_points`` or its unchecked generator, and no vector is
-    built past ``RVector.__init__``. The one object built past its class's
-    constructor is the ``Fraction`` of ``rings.reduced``."""
+    """The box walk judges each grid point as a tuple of int keys and yields
+    the keys of a feasible one; a checked ``RVector`` is built only for a
+    side scan's witness and for each point ``feasible_points`` returns.
+    No module reads the removed ``grid_points`` or its unchecked generator,
+    and no vector is built past ``RVector.__init__``. The one object built
+    past its class's constructor is the ``Fraction`` of ``rings.reduced``."""
     assert _readers_by_module("grid_points") == {}
     assert _readers_by_module("_unchecked_points") == {}
     assert _readers_by_module("__new__") == {"rings.py": {"reduced"}}

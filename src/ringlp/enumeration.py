@@ -7,10 +7,10 @@ variable takes values 0..N. Otherwise the grid is every numerator 0..N*D
 over every denominator d in 1..D that is a unit of the ring (every d for
 RAT, odd d for ODDRAT). Each value is k/G, its exact int key k over G, the
 lcm of those denominators (G = 1 on INT); the scan builds, walks, judges
-and ranks the grid on those keys alone. One ``Fraction`` is built per
-value, by ``rings.reduced(k, G)``, once the whole grid has passed the
-5,000,000-point cap check. The rule puts values up to N*D, not N, in the
-grid; it is kept as it is.
+and ranks the grid on those keys alone. Its one key->element function
+builds only what leaves the scan: witness and listed coordinates, and
+``candidate_values``. The rule puts values up to N*D, not N, in the grid;
+it is kept as it is.
 
 The oracle never claims more than it checked: every status it returns is
 BOX_LIMITED. A feasible best point touching the box's upper face is
@@ -32,14 +32,15 @@ min g is max -g on the lines of (-A^T, -c, -b). With the weights w = L c,
 or -L b, from the integer form over its denominator L, a point's rank
 ``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so comparing ranks
 compares objectives exactly. Keeping only strict improvements makes the
-witness the lexicographically smallest best point. A side scan builds
-one vector and one objective element, for the witness, which lies on
-the box's upper face when it holds the top key.
+witness the lexicographically smallest best point. A side scan builds an
+element per distinct witness key, one vector and one objective element;
+the witness lies on the box's upper face when it holds the top key.
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 from operator import mul as _times
@@ -79,6 +80,7 @@ __all__ = [
 ]
 
 _MAX_POINTS = 5_000_000
+_MAX_LISTED = 1_000_000
 _TOO_LARGE = "search box too large for exhaustive scan"
 
 
@@ -148,14 +150,13 @@ class EdtReport:
         }
 
 
-def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[tuple, tuple[int, ...], int]:
-    """The per-variable grid ``(values, keys, G)``: the values ascending, and
-    each value's int key k over G, the lcm of the grid's denominators.
-
-    Raises before any value is built when the values of denominator 1
-    alone, raised to the number of variables, exceed the point cap, and
-    otherwise as soon as the distinct values found so far do.
-    """
+def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS) -> tuple:
+    """The per-variable grid ``(keys, G, value)``: the int keys k over G, the
+    lcm of the grid's denominators, ascending, and ``value``, the one
+    function that builds a key's element k/G; no element is built here.
+    Raises when the values of denominator 1 alone, raised to the number of
+    variables, exceed ``cap`` points, and otherwise as soon as the distinct
+    values found so far do."""
     if not isinstance(box, BoxSpec):
         raise TypeError(f"box must be a BoxSpec, got {box!r}")
     facts = descriptor(ring)
@@ -167,13 +168,16 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[tuple, tuple[i
     # the smallest positive element of an ordered ring is 1 (0 < s < 1 would
     # give 0 < s*s < s), so the grid is its multiples 0..N
     if facts.smallest_positive is not None:
-        if (box.bound + 1) ** nvars > _MAX_POINTS:
+        if (box.bound + 1) ** nvars > cap:
             raise ValueError(_TOO_LARGE)
-        keys = tuple(range(box.bound + 1))
-        return tuple(from_int(ring, k) for k in keys), keys, 1
+
+        def value(k: int) -> RingElement:
+            return RingElement(ring, k)
+
+        return tuple(range(box.bound + 1)), 1, value
     d_bound = box.denominator_bound or 1
     # denominator 1 alone gives the N*D + 1 distinct values 0..N*D
-    if (box.bound * d_bound + 1) ** nvars > _MAX_POINTS:
+    if (box.bound * d_bound + 1) ** nvars > cap:
         raise ValueError(_TOO_LARGE)
     pairs, G = [], 1
     for den in range(1, d_bound + 1):
@@ -185,16 +189,20 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int) -> tuple[tuple, tuple[i
         for num in range(box.bound * d_bound + 1):
             if gcd(num, den) == 1:
                 pairs.append((num, den))
-                if len(pairs) ** nvars > _MAX_POINTS:
+                if len(pairs) ** nvars > cap:
                     raise ValueError(_TOO_LARGE)
-    keys = tuple(sorted(num * (G // den) for num, den in pairs))
+
     # each den is a unit of the ring, so every value is in it by construction
-    return tuple(RingElement(ring, reduced(k, G)) for k in keys), keys, G
+    def value(k: int) -> RingElement:
+        return RingElement(ring, reduced(k, G))
+
+    return tuple(sorted(num * (G // den) for num, den in pairs)), G, value
 
 
 def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
-    """The per-variable grid, ascending."""
-    return _grid_values(ring, box, 1)[0]
+    """The per-variable grid, ascending: the element of every key."""
+    keys, _, value = _grid_values(ring, box, 1)
+    return tuple(map(value, keys))
 
 
 def integer_form(P: ProgramData) -> tuple[tuple, tuple]:
@@ -226,16 +234,17 @@ def _feasible_walk(P: ProgramData, primal: bool, grid: tuple, form: tuple):
     """Yield the int keys of every feasible point of ``grid`` on the primal
     (x) or dual (y) side in lexicographic order: each tuple of keys that
     ``_fits`` passes. No vector, element or ``Fraction`` is built."""
-    _, keys, G = grid
+    keys, G, _ = grid
     lines, n = (form[0], P.cols) if primal else (form[1], P.rows)
     lines = tuple((a, k * G) for a, k in lines)
     return (point for point in product(keys, repeat=n) if _fits(lines, point))
 
 
 def _vectors(P: ProgramData, grid: tuple, points) -> list[RVector]:
-    """Each key tuple of ``points`` as a checked ``RVector`` of grid values."""
-    value_of = dict(zip(grid[1], grid[0])).__getitem__
-    return [RVector(P.ring, tuple(map(value_of, point))) for point in points]
+    """Each key tuple of ``points`` as a checked ``RVector`` of grid values,
+    each distinct key's element built once per call and shared."""
+    value = cache(grid[2])
+    return [RVector(P.ring, tuple(map(value, point))) for point in points]
 
 
 def _enumerate(P: ProgramData, primal: bool, grid: tuple, form: tuple) -> ProgramStatus:
@@ -260,7 +269,7 @@ def _enumerate(P: ProgramData, primal: bool, grid: tuple, form: tuple) -> Progra
         )
     (best_witness,) = _vectors(P, grid, [best_point])
     best_value = side.objective(P, best_witness)
-    if grid[1][-1] in best_point:
+    if grid[0][-1] in best_point:
         return ProgramStatus(
             StatusKind.FEASIBLE_UNBOUNDED_IN_BOX,
             Scope.BOX_LIMITED,
@@ -282,10 +291,11 @@ def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
 
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
-    """Every feasible grid point of the primal side (x) or the dual side (y)."""
+    """Every feasible grid point of the primal side (x) or the dual side (y),
+    on a side grid of at most 1,000,000 points, a cap checked as it is built."""
     if not isinstance(primal, bool):
         raise TypeError(f"primal must be a bool, got {primal!r}")
-    grid = _grid_values(P.ring, box, P.cols if primal else P.rows)
+    grid = _grid_values(P.ring, box, P.cols if primal else P.rows, _MAX_LISTED)
     return _vectors(P, grid, _feasible_walk(P, primal, grid, integer_form(P)))
 
 

@@ -3,7 +3,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -363,11 +363,12 @@ def test_a_rat_walk_builds_no_fraction_and_no_element(monkeypatch):
     vectors = counting_vectors(monkeypatch)
     found = list(enumeration._feasible_walk(P, True, grid, form))
     monkeypatch.undo()
-    assert 0 < len(found) < len(grid[0]) ** 2
+    keys, G, _ = grid
+    assert 0 < len(found) < len(keys) ** 2 and G == 6
     assert built == {"Fraction": 0, "RingElement": 0} and vectors == []
     assert all(type(point) is tuple and len(point) == P.cols for point in found)
     assert {type(k) for point in found for k in point} == {int}
-    assert set(found) <= set(product(grid[1], repeat=P.cols))
+    assert set(found) <= set(product(keys, repeat=P.cols))
 
 
 def counting_vectors(monkeypatch) -> list:
@@ -396,7 +397,8 @@ def counting_vectors(monkeypatch) -> list:
 def test_a_side_scan_builds_one_vector_for_its_witness_and_none_when_infeasible(monkeypatch, P, box):
     """A side scan ranks key tuples and builds one ``RVector``, its witness,
     only when a feasible point exists; a scan pair builds at most two, and
-    ``feasible_points`` one per point it returns."""
+    ``feasible_points`` one per point it returns, whose entries share one
+    element per distinct value."""
     for primal, scan in ((True, enumerate_primal), (False, enumerate_dual)):
         vectors = counting_vectors(monkeypatch)
         status = scan(P, box)
@@ -406,6 +408,8 @@ def test_a_side_scan_builds_one_vector_for_its_witness_and_none_when_infeasible(
         points = feasible_points(P, box, primal)
         monkeypatch.undo()
         assert len(vectors) == len(points) and bool(points) == (status.witness is not None)
+        entries = [entry for point in points for entry in point.entries]
+        assert len({id(entry) for entry in entries}) == len(set(entries))
     vectors = counting_vectors(monkeypatch)
     report = classify_edt(P, box)
     monkeypatch.undo()
@@ -417,6 +421,27 @@ def test_a_side_scan_builds_one_vector_for_its_witness_and_none_when_infeasible(
 def test_feasible_points_refuses_a_side_that_is_not_a_bool(edt_int, primal):
     with pytest.raises(TypeError, match=f"^primal must be a bool, got {primal!r}$"):
         feasible_points(edt_int, BoxSpec(3), primal)
+
+
+def test_feasible_points_refuses_a_side_grid_above_the_listing_cap_before_it_walks(monkeypatch):
+    """An all-feasible 2-variable box of 2236 ** 2 points passes the scan
+    cap, but listing it would keep about 5,000,000 vectors: it is refused
+    before any point is judged. A grid exactly at the cap still lists."""
+    P = _program([[0, 0]], [0], [0, 0])
+
+    def no_walk(*args):
+        raise AssertionError("a refused grid was walked")
+
+    monkeypatch.setattr(enumeration, "_fits", no_walk)
+    with pytest.raises(ValueError, match="too large"):
+        feasible_points(P, BoxSpec(2235), primal=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(enumeration, "_MAX_LISTED", 9)
+    assert feasible_points(P, BoxSpec(2), primal=True) == [
+        int_vector(RingId.INT, point) for point in product(range(3), repeat=2)
+    ]
+    with pytest.raises(ValueError, match="too large"):
+        feasible_points(P, BoxSpec(3), primal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +586,29 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     assert min(verify.values()) > 0, verify
 
 
-@pytest.mark.parametrize("bound", [4, 8])
-def test_a_side_scan_builds_one_fraction_past_its_grid_and_compares_no_elements(monkeypatch, bound):
-    """Points are ranked by integer keys, so a RAT side scan builds one
-    ``Fraction`` past those of its grid, the reported value, however many
-    points it walks, and makes no ``rings.compare`` call."""
-    ring, box = RingId.RAT, BoxSpec(bound, 3)
-    P = ProgramData(
-        ring,
-        matrix(ring, [[from_rational(ring, Fraction(1, 2))], [from_rational(ring, Fraction(-2, 3))]]),
+def _dual_scan_programs():
+    rat = RingId.RAT
+    yield ProgramData(
+        rat,
+        matrix(rat, [[from_rational(rat, Fraction(1, 2))], [from_rational(rat, Fraction(-2, 3))]]),
         _rat_vec([Fraction(3, 4), Fraction(-1, 5)]),
         _rat_vec([Fraction(1, 6)]),
-        from_rational(ring, Fraction(1, 7)),
+        from_rational(rat, Fraction(1, 7)),
     )
+    yield _program([[1], [1]], [2, 3], [3], d=1)  # min 2 y1 + 3 y2 - 1 over y1 + y2 >= 3
+
+
+@pytest.mark.parametrize("P", list(_dual_scan_programs()), ids=["rat", "int"])
+@pytest.mark.parametrize("bound", [4, 8])
+def test_a_side_scan_builds_only_its_witness_and_value_and_compares_no_elements(monkeypatch, P, bound):
+    """Points are ranked by integer keys and only what leaves the scan is
+    built: past the unit tests of a rational grid's denominators, a side
+    scan builds one element per witness coordinate and one for the value,
+    however many points it walks, each with one ``Fraction`` on RAT and none
+    on INT, and makes no ``rings.compare`` call. A grid of integers tests
+    no denominator."""
+    ring = P.ring
+    box = BoxSpec(bound, 3) if ring is RingId.RAT else BoxSpec(10 * bound)
     feasible = len(feasible_points(P, box, primal=False))
     compared = []
     compare = rings.compare
@@ -586,13 +621,17 @@ def test_a_side_scan_builds_one_fraction_past_its_grid_and_compares_no_elements(
     monkeypatch.setattr(enumeration, "compare", counting_compare)
     built = {"Fraction": 0, "RingElement": 0}
     counting_constructions(monkeypatch, built)
-    grid = _grid_values(ring, box, P.rows)
-    grid_fractions, built["Fraction"] = built["Fraction"], 0
+    if ring is RingId.RAT:
+        for den in range(1, box.denominator_bound + 1):
+            rings.try_invert(from_int(ring, den))
+    units = dict(built)
+    built.update(Fraction=0, RingElement=0)
     status = enumerate_dual(P, box)
     monkeypatch.undo()
     assert status.kind is StatusKind.OPTIMAL and feasible > 100
-    assert grid_fractions >= len(grid[0])  # one per value, and the unit tests of the denominators
-    assert built["Fraction"] == grid_fractions + 1
+    assert len(set(status.witness.entries)) == P.rows  # distinct, so none is shared
+    fractions = P.rows + 1 if ring is RingId.RAT else 0  # an INT payload is an int
+    assert built == {"Fraction": units["Fraction"] + fractions, "RingElement": units["RingElement"] + P.rows + 1}
     assert compared == []
 
 
@@ -692,16 +731,25 @@ def recording_grid_fractions(monkeypatch) -> list:
 
 
 def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
-    built = recording_grid_fractions(monkeypatch)
+    """The cap is checked as each lowest-terms pair is kept. Denominator 1
+    gives the N*D + 1 values 0..N*D, whose square stays within the cap on
+    two variables; the grid is refused at the first pair of denominator 2,
+    whose square exceeds it: 5,000,000 points for a scan (2236 ** 2 within
+    it) and 1,000,000 for a listing (1000 ** 2)."""
+    kept = []
+
+    def recording_gcd(num, den):
+        if gcd(num, den) == 1:
+            kept.append((num, den))
+        return gcd(num, den)
+
+    monkeypatch.setattr(enumeration, "gcd", recording_gcd)
     P = _program([[1, 1]], [4], [0, 0], ring=RingId.RAT)  # two primal variables
-    with pytest.raises(ValueError, match="too large"):
-        enumerate_primal(P, BoxSpec(1, 10**6))
-    # 2237 ** 2 is the first square above the 5,000,000-point cap
-    assert len(built) <= 2237
-    built.clear()
-    with pytest.raises(ValueError, match="too large"):
-        feasible_points(P, BoxSpec(1, 10**6), primal=True)
-    assert len(built) <= 2237
+    for scan, d_bound in ((enumerate_primal, 2235), (lambda P, box: feasible_points(P, box, True), 999)):
+        kept.clear()
+        with pytest.raises(ValueError, match="too large"):
+            scan(P, BoxSpec(1, d_bound))
+        assert kept == [(num, 1) for num in range(d_bound + 1)] + [(1, 2)]
 
 
 def test_a_rational_grid_takes_the_lcm_only_of_the_denominators_it_walks(monkeypatch):
@@ -869,8 +917,10 @@ def test_grid_equals_the_fraction_oracle(ring, bound, den, nvars):
         with pytest.raises(ValueError, match="too large"):
             _grid_values(ring, box, nvars)
     else:
-        grid, keys, G = _grid_values(ring, box, nvars)
-        assert [v.payload for v in grid] == want
+        keys, G, value = _grid_values(ring, box, nvars)
+        elements = [value(k) for k in keys]
+        assert [v.payload for v in elements] == want
+        assert all(type(v.payload) is payload_type for v in elements)
         # the keys the walk judges and ranks strictly increase, each k/G its value
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert [Fraction(k, G) for k in keys] == want

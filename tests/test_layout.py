@@ -19,9 +19,10 @@ removed ``grid_points``. Every ``Fraction`` built from an integer pair comes fro
 outside parsing and the validating ``from_rational``.
 Inside ``enumeration.py`` the box scan ranks points by integer keys, so
 only ``judge_optimal_pair`` compares ring elements and nothing builds a
-grid value through the validating ``from_rational``. The integer form
-stores the columns negated, so neither a verdict nor a scan carries a
-direction per side.
+grid value through the validating ``from_rational``; the grid is int keys,
+and its one key->element function alone builds a grid element, with no
+test for INT. The integer form stores the columns negated, so neither a
+verdict nor a scan carries a direction per side.
 The box oracle reports only what it scanned: only ``constructions.py``,
 which argues that its boxes suffice, marks a status ``Scope.EXHAUSTIVE``,
 and no function takes an ``analytic_note``.
@@ -478,6 +479,25 @@ def test_only_the_grid_builder_and_the_integer_form_take_an_lcm():
     """The grid's keys are over one G and the program's lines over one L;
     nothing in the box scan rescales per point or per walk."""
     assert _readers(SRC / "enumeration.py", "lcm") == {"_grid_values", "integer_form"}
+
+
+def test_only_the_key_to_element_function_builds_a_grid_element():
+    """The grid is int keys over G. Its one key->element function, ``value``
+    (one per kind of grid, chosen where the grid is built), is the only
+    caller of ``RingElement`` and reader of ``reduced`` in ``enumeration.py``;
+    the other readers of ``RingElement`` only annotate. ``_grid_values``
+    reads ``from_int`` only to test whether a denominator is a unit, and no
+    function there tests for INT."""
+    path = SRC / "enumeration.py"
+    assert _calls(path, "RingElement") == {("value", 2)}
+    assert _readers(path, "RingElement") == {"value", "ProgramStatus", "EdtReport", "candidate_values"}
+    assert _readers(path, "reduced") == {"value"}
+    assert _readers(path, "from_int") == {"_grid_values"}
+    calls = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    unit_tests = [call.args for call in calls if getattr(call.func, "id", None) == "try_invert"]
+    embeddings = [call for call in calls if getattr(call.func, "id", None) == "from_int"]
+    assert len(embeddings) == 1 and unit_tests == [embeddings]
+    assert _readers(path, "INT") == set()
 
 
 def test_the_face_test_reads_keys_and_makes_no_element_equality_test():

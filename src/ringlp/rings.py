@@ -17,19 +17,20 @@ equality coincides with ring equality.
   ordered by the sign of the coefficient at the lexicographically
   greatest ``(n, m)``. Note ``x*y = (1/2)*y*x``.
 
-The operations branch on the payload's shape: a scalar (``int`` or
-``Fraction``: INT, RAT, ODDRAT) or a tuple of ``(monomial, coefficient)``
-terms (POLY, SKEW), and tell ``int`` from ``Fraction``. A ``Fraction`` is
-worked on as its integer pair, read straight from its ``_numerator`` and
-``_denominator`` slots rather than through a Python-level method or
-property, and each result is built once, by :func:`reduced`, which sets
-those two slots from the pair in lowest terms: no ``Fraction`` operator
-and no generic ``Fraction(n, d)`` runs in the kernel; only parsing and
-validation call the latter. ``sum_of_products``, which works out each
-ring's monomial product inline, is the one term-ring accumulator: POLY and
-SKEW ``add``, ``sub`` and ``mul`` call it. What else differs sits in one
-private record per ring (``_RingSpec``): which rationals embed, the
-constant monomial, the literal grammar and the monomial text.
+``sum_of_products``, which works out each ring's monomial product inline,
+is the one arithmetic path: ``add``, ``sub`` and ``mul`` are calls of it
+on every ring. It, ``neg``, ``sign``, ``_constant`` and ``pretty`` branch
+on the payload's shape: a scalar (``int`` or ``Fraction``: INT, RAT,
+ODDRAT) or a tuple of ``(monomial, coefficient)`` terms (POLY, SKEW). A
+``Fraction`` is worked on as its integer pair, read straight from its
+``_numerator`` and ``_denominator`` slots rather than through a
+Python-level method or property, and each result is built once, by
+:func:`reduced`, which sets those two slots from the pair in lowest
+terms: no ``Fraction`` operator and no generic ``Fraction(n, d)`` runs in
+the kernel; only parsing and validation call the latter. What else
+differs sits in one private record per ring (``_RingSpec``): which
+rationals embed, the constant monomial, the literal grammar and the
+monomial text.
 
 ``sign`` realizes each instance's positivity order and is the one order
 test (``compare`` is the sign of ``a - b``). Element literals follow a
@@ -280,12 +281,15 @@ def poly(coeffs) -> RingElement:
 
 def skew(terms) -> RingElement:
     """SKEW element from a {(ydeg, xdeg): coefficient} mapping; degrees are
-    ints, coefficients ints or Fractions (``TypeError`` otherwise, ``bool``
+    ints of at most 1024, as in a literal (``ValueError`` above it),
+    coefficients ints or Fractions (``TypeError`` otherwise, ``bool``
     included)."""
     acc: dict[tuple[int, int], Fraction] = {}
     for (n, m), c in dict(terms).items():
         require_int("skew y-degree", n, 0)
         require_int("skew x-degree", m, 0)
+        if max(n, m) > _SKEW_LITERAL_MAX_DEGREE:
+            raise ValueError(f"skew degree above {_SKEW_LITERAL_MAX_DEGREE} in {(n, m)}")
         acc[(int(n), int(m))] = _coefficient(c)
     return RingElement(RingId.SKEW, _canon(acc))
 
@@ -306,35 +310,16 @@ def is_zero(a: RingElement) -> bool:
 # ring operations
 
 
-def _scalar_sum(a: RingElement, b: RingElement, s: int) -> RingElement:
-    """``a + s*b`` for ``s`` = +1 or -1 on RAT or ODDRAT: one :func:`reduced`
-    from the integer cross sum, over the shared denominator when there is one."""
-    p, q = a.payload, b.payload
-    pn, pd, qn, qd = p._numerator, p._denominator, s * q._numerator, q._denominator
-    n, d = (pn + qn, pd) if pd == qd else (pn * qd + qn * pd, pd * qd)
-    return RingElement(a.ring, reduced(n, d))
-
-
 def add(a: RingElement, b: RingElement) -> RingElement:
-    """``a + b``; on POLY and SKEW the kernel sum ``a*1 + b*1``."""
+    """``a + b``: the kernel sum ``a*1 + b*1``."""
     _require_same_ring(a, b)
-    p = a.payload
-    if type(p) is int:
-        return RingElement(a.ring, p + b.payload)
-    if type(p) is not tuple:
-        return _scalar_sum(a, b, 1)
     u = _ONES[a.ring]
     return sum_of_products(a.ring, (a, b), (u, u))
 
 
 def sub(a: RingElement, b: RingElement) -> RingElement:
-    """``a - b``; on POLY and SKEW the kernel sum ``a*1`` with ``minus=b``."""
+    """``a - b``: the kernel sum ``a*1`` with ``minus=b``."""
     _require_same_ring(a, b)
-    p = a.payload
-    if type(p) is int:
-        return RingElement(a.ring, p - b.payload)
-    if type(p) is not tuple:
-        return _scalar_sum(a, b, -1)
     return sum_of_products(a.ring, (a,), (_ONES[a.ring],), minus=b)
 
 
@@ -351,30 +336,22 @@ def neg(a: RingElement) -> RingElement:
 
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
-    """Exact product.
+    """Exact product: the one-pair ``sum_of_products``.
 
     POLY multiplies monomials by adding degrees; SKEW's
     ``(y^n1 x^m1) * (y^n2 x^m2) = 2^(-m1*n2) * y^(n1+n2) x^(m1+m2)`` is the
-    bilinear extension of the rewrite ``x*y = (1/2)*y*x``. A term-ring
-    product is the one-pair ``sum_of_products``.
+    bilinear extension of the rewrite ``x*y = (1/2)*y*x``.
     """
     _require_same_ring(a, b)
-    p, q = a.payload, b.payload
-    if type(p) is int:
-        return RingElement(a.ring, p * q)
-    if type(p) is tuple:
-        return sum_of_products(a.ring, (a,), (b,))
-    return RingElement(
-        a.ring, reduced(p._numerator * q._numerator, p._denominator * q._denominator)
-    )
+    return sum_of_products(a.ring, (a,), (b,))
 
 
 def sum_of_products(
     ring: RingId, left, right, minus: Optional[RingElement] = None, negate: bool = False
 ) -> RingElement:
     """``sum_i left[i] * right[i] - minus`` in ``ring``, negated when
-    ``negate``, built as a single element: the one accumulator of term-ring
-    coefficients, which POLY and SKEW ``add``, ``sub`` and ``mul`` call.
+    ``negate``, built as a single element: the one accumulator, which
+    ``add``, ``sub`` and ``mul`` call on every ring.
 
     ``minus`` defaults to zero, so one call gives a slack ``b_j - A_j x``
     (``minus=b_j, negate=True``), ``y A_i - c_i`` (``minus=c_i``) or an

@@ -1,20 +1,20 @@
 """Independent oracles the tests check the library against.
 
-Each oracle deliberately avoids the code path it verifies. Skew products
-are recomputed by literal word rewriting and poly products by a
-coefficient convolution. Term-ring ``add`` and ``sub`` are kernel calls,
-so the kernel's references sum and negate elements by ``Fraction``
-arithmetic on their payloads (one dict entry per monomial on the term
-rings), not with the library's ``add``, ``sub`` or ``neg``: ``fold`` sums
-those products (``mul`` on the scalar rings) that way from ``zero(ring)``,
-each left factor on the left, so it shares no code with ``sum_of_products``.
+Each oracle deliberately avoids the code path it verifies. The library's
+``add``, ``sub`` and ``mul`` are kernel calls on every ring, so no oracle
+calls them or ``neg``: products are the payload product on the scalar
+rings, a coefficient convolution on POLY and literal word rewriting on
+SKEW, and sums and negations are ``Fraction`` arithmetic on the payloads
+(one dict entry per monomial on the term rings). ``fold`` sums those
+products that way from ``zero(ring)``, each left factor on the left, so it
+shares no code with ``sum_of_products``.
 Kernel sums and the products a program is made of, ``mat_apply`` (A x),
 ``covec_apply`` (y A) and ``dot_left`` (u.v), are such folds; ``vec_add``
 and ``vec_sub`` work entry by entry. Box optima come from a plain Fraction
-scan, box grids as sorted sets of Fractions, scalar products of elements
-by ``Fraction`` arithmetic on their payloads, the two equation identities
-by expanding both sides as raw double sums, and feasibility verdicts from
-the whole slack built by such element-per-step folds. ``ReferenceSampler``
+scan, box grids as sorted sets of Fractions, the two equation identities
+by expanding both sides as raw double sums of those oracles, and
+feasibility verdicts from the whole slack built by such element-per-step
+folds. ``ReferenceSampler``
 redraws the seeded element stream from the ``ringlp.sampling`` docstring
 alone, with its own generator step and constants.
 """
@@ -34,17 +34,11 @@ from ringlp import (
     RMatrix,
     RVector,
     ViolationKind,
-    add,
-    eval_f,
-    eval_g,
     from_int,
     from_rational,
-    mul,
-    neg,
     poly,
     sign,
     skew,
-    sub,
     vector,
     zero,
 )
@@ -76,13 +70,13 @@ def poly_mul_by_convolution(a: RingElement, b: RingElement) -> RingElement:
 
 
 def product_by_oracle(a: RingElement, b: RingElement) -> RingElement:
-    """``a * b`` without the library's kernel: the convolution on POLY, the
-    word rewriting on SKEW, and ``mul`` (one payload product) otherwise."""
+    """``a * b`` without the library's kernel: the payload product on the
+    scalar rings, the convolution on POLY and the word rewriting on SKEW."""
     if a.ring is RingId.POLY:
         return poly_mul_by_convolution(a, b)
     if a.ring is RingId.SKEW:
         return skew_mul_by_rewriting(a, b)
-    return mul(a, b)
+    return _from_fraction_payload(a.ring, a.payload * b.payload)
 
 
 def _from_fraction_payload(ring: RingId, value) -> RingElement:
@@ -117,14 +111,6 @@ def negation_by_fractions(a: RingElement) -> RingElement:
     return _from_fraction_payload(a.ring, {key: -q for key, q in a.payload})
 
 
-def product_by_fractions(a: RingElement, b: RingElement) -> RingElement:
-    """``a * b``: the payload product on the scalar rings, the convolution
-    on POLY and the word rewriting on SKEW."""
-    if type(a.payload) is not tuple:
-        return _from_fraction_payload(a.ring, a.payload * b.payload)
-    return product_by_oracle(a, b)
-
-
 def fold(ring: RingId, left, right) -> RingElement:
     """``sum_i left[i] * right[i]``: a :func:`termwise_by_fractions` fold
     from ``zero(ring)`` of :func:`product_by_oracle`, each ``left[i]`` on the
@@ -139,7 +125,7 @@ def sum_of_products_by_fold(ring: RingId, left, right, minus=None, negate=False)
     """``sum_i left[i] * right[i] - minus``, negated when ``negate``: the
     :func:`fold`, then :func:`termwise_by_fractions` and
     :func:`negation_by_fractions`, so it shares no code with the library's
-    kernel, which term-ring ``add``, ``sub`` and ``mul`` call."""
+    kernel, which ``add``, ``sub`` and ``mul`` call on every ring."""
     acc = fold(ring, left, right)
     if minus is not None:
         acc = termwise_by_fractions(acc, minus, True)
@@ -195,59 +181,11 @@ def _rewrite(coeff: Fraction, letters: list[str]) -> tuple[Fraction, str]:
     return coeff, "".join(letters)
 
 
-def expand_key_equation_sides(P: ProgramData, x, y):
-    """Both sides of the key equation as raw double sums:
-    left  = sum_i s_i x_i - g(y), right = sum_j y_j (-t_j) - f(x),
-    with s and t themselves expanded inline."""
-    ring = P.ring
+def _slack_by_folds(P: ProgramData, point, primal: bool) -> list:
+    """t = b - A x (primal) or s = y A - c (dual), each entry a raw sum of
+    :func:`product_by_oracle` terms, added and subtracted by
+    :func:`termwise_by_fractions` and negated by :func:`negation_by_fractions`."""
     m, n = P.rows, P.cols
-    left = neg(eval_g(P, y))
-    for i in range(n):
-        s_i = neg(P.c[i])
-        for j in range(m):
-            s_i = add(s_i, mul(y[j], P.A.entry(j, i)))
-        left = add(left, mul(s_i, x[i]))
-    right = neg(eval_f(P, x))
-    for j in range(m):
-        t_j = P.b[j]
-        for i in range(n):
-            t_j = sub(t_j, mul(P.A.entry(j, i), x[i]))
-        right = add(right, mul(y[j], neg(t_j)))
-    return left, right
-
-
-def expand_duality_equation_sides(P: ProgramData, x, y):
-    """left = g(y) - f(x), right = s.x + y.t with slacks expanded inline."""
-    ring = P.ring
-    m, n = P.rows, P.cols
-    left = sub(eval_g(P, y), eval_f(P, x))
-    right = zero(ring)
-    for i in range(n):
-        s_i = neg(P.c[i])
-        for j in range(m):
-            s_i = add(s_i, mul(y[j], P.A.entry(j, i)))
-        right = add(right, mul(s_i, x[i]))
-    for j in range(m):
-        t_j = P.b[j]
-        for i in range(n):
-            t_j = sub(t_j, mul(P.A.entry(j, i), x[i]))
-        right = add(right, mul(y[j], t_j))
-    return left, right
-
-
-def feasibility_verdict_by_folds(P: ProgramData, point, primal: bool) -> FeasibilityVerdict:
-    """The primal (x) or dual (y) verdict from the whole slack, each entry
-    a fold of oracle sums and products: the point's ring and length are
-    checked, then the first negative coordinate is reported, else the first
-    negative entry of t = b - A x (primal) or s = y A - c (dual)."""
-    m, n = P.rows, P.cols
-    if point.ring is not P.ring:
-        raise RingMismatch(f"mixed rings {P.ring.value} and {point.ring.value}")
-    if len(point) != (n if primal else m):
-        raise DimensionMismatch(f"point has length {len(point)}")
-    for i, e in enumerate(point):
-        if sign(e) < 0:
-            return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
     slack = []
     if primal:
         for j in range(m):
@@ -261,7 +199,48 @@ def feasibility_verdict_by_folds(P: ProgramData, point, primal: bool) -> Feasibi
             for j in range(m):
                 s_i = termwise_by_fractions(s_i, product_by_oracle(point[j], P.A.entry(j, i)), False)
             slack.append(s_i)
-    for k, e in enumerate(slack):
+    return slack
+
+
+def _expanded_parts(P: ProgramData, x, y):
+    """f(x) = c.x - d, g(y) = y.b - d, s = y A - c and t = b - A x, all by
+    the payload oracles."""
+    f = termwise_by_fractions(fold(P.ring, P.c, x), P.d, True)
+    g = termwise_by_fractions(fold(P.ring, y, P.b), P.d, True)
+    return f, g, _slack_by_folds(P, y, False), _slack_by_folds(P, x, True)
+
+
+def expand_key_equation_sides(P: ProgramData, x, y):
+    """Both sides of the key equation as raw double sums:
+    left  = sum_i s_i x_i - g(y), right = sum_j y_j (-t_j) - f(x),
+    with f, g, s and t themselves expanded inline."""
+    f, g, s, t = _expanded_parts(P, x, y)
+    minus_t = [negation_by_fractions(t_j) for t_j in t]
+    left = termwise_by_fractions(fold(P.ring, s, x), g, True)
+    return left, termwise_by_fractions(fold(P.ring, y, minus_t), f, True)
+
+
+def expand_duality_equation_sides(P: ProgramData, x, y):
+    """left = g(y) - f(x), right = s.x + y.t with f, g and the slacks
+    expanded inline."""
+    f, g, s, t = _expanded_parts(P, x, y)
+    right = termwise_by_fractions(fold(P.ring, s, x), fold(P.ring, y, t), False)
+    return termwise_by_fractions(g, f, True), right
+
+
+def feasibility_verdict_by_folds(P: ProgramData, point, primal: bool) -> FeasibilityVerdict:
+    """The primal (x) or dual (y) verdict from the whole slack, each entry
+    a fold of oracle sums and products: the point's ring and length are
+    checked, then the first negative coordinate is reported, else the first
+    negative entry of t = b - A x (primal) or s = y A - c (dual)."""
+    if point.ring is not P.ring:
+        raise RingMismatch(f"mixed rings {P.ring.value} and {point.ring.value}")
+    if len(point) != (P.cols if primal else P.rows):
+        raise DimensionMismatch(f"point has length {len(point)}")
+    for i, e in enumerate(point):
+        if sign(e) < 0:
+            return FeasibilityVerdict(False, i, ViolationKind.NEGATIVE_VARIABLE)
+    for k, e in enumerate(_slack_by_folds(P, point, primal)):
         if sign(e) < 0:
             return FeasibilityVerdict(False, k, ViolationKind.SLACK_NEGATIVE)
     return FeasibilityVerdict(True)

@@ -20,6 +20,7 @@ from ringlp import (
     NotAPositiveNonUnit,
     POLY_X,
     PreconditionViolated,
+    ProgramData,
     RingId,
     SKEW_X,
     SKEW_Y,
@@ -58,7 +59,7 @@ from ringlp import (
     zero_vector,
 )
 
-from conftest import int_vector, make_gap_program
+from conftest import int_matrix, int_vector, make_gap_program
 
 # sha256 of the certificates and re-verification reports of ``_digest_grid``
 PINNED_DIGEST = "3cc8b491aece472d321d9f63033a5220a7eec05ad84b5221102acd8be5e391b2"
@@ -82,6 +83,9 @@ def test_gap_program_rejects_units_and_negatives():
         gap_program(RingId.INT, from_int(RingId.INT, -2))
     with pytest.raises(NotAPositiveNonUnit):
         gap_program(RingId.INT, from_int(RingId.INT, 1))
+    with pytest.raises(NotAPositiveNonUnit) as excinfo:
+        gap_program(RingId.INT, from_rational(RingId.RAT, 2))
+    assert str(excinfo.value) == "element 2 is not in ring int"
 
 
 @pytest.mark.parametrize(
@@ -166,6 +170,21 @@ def test_pair_gap_check_reports_infeasible_points_instead_of_counting_them():
         "recorded witnesses: 1 pairs checked",
         "dual point ['1']: SLACK_NEGATIVE",
     )
+
+
+def test_pair_gap_check_names_a_feasible_pair_with_no_gap():
+    # a = 1 is a unit: x = [1] and y = [1] are feasible and close the gap
+    forged = CounterexampleBundle(
+        BundleKind.GAP,
+        make_gap_program(RingId.INT, a=1),
+        "every feasible pair (x, y) has sign(g(y) - f(x)) = +1",
+        primal_witnesses=(int_vector(RingId.INT, [1]),),
+        dual_witnesses=(int_vector(RingId.INT, [1]),),
+    )
+    reports = {r.name: r for r in verify_bundle(forged)}
+    check = reports["gap_sign_positive"]
+    assert not check.passed
+    assert check.details == ("recorded witnesses: 1 pairs checked", "x=['1'] y=['1'] gap=0")
 
 
 def test_division_ring_control_closes_the_gap():
@@ -430,6 +449,14 @@ def test_dual_decreasing_step_infeasibility_is_caught():
     assert excinfo.value.row == 0
 
 
+def _rat_program(a: int, b: int, c: int) -> ProgramData:
+    """The RAT 1x1 program A=[a], b=[b], c=[c], d=0."""
+    ring = RingId.RAT
+    return ProgramData(
+        ring, int_matrix(ring, [[a]]), int_vector(ring, [b]), int_vector(ring, [c]), from_int(ring, 0)
+    )
+
+
 def test_dual_decreasing_step_preconditions():
     P = make_gap_program(RingId.POLY)
     y = vector(RingId.POLY, [one(RingId.POLY)])
@@ -437,6 +464,20 @@ def test_dual_decreasing_step_preconditions():
         dual_decreasing_step(P, y, from_int(RingId.POLY, 2))  # p >= 1
     with pytest.raises(PreconditionViolated):
         dual_decreasing_step(P, zero_vector(RingId.POLY, 1), from_rational(RingId.POLY, 1, 2))
+    # y = [0] is dual-feasible when c = [0], but a zero entry cannot decrease
+    with pytest.raises(PreconditionViolated) as excinfo:
+        dual_decreasing_step(
+            _rat_program(1, 1, 0), int_vector(RingId.RAT, [0]), from_rational(RingId.RAT, 1, 2)
+        )
+    assert str(excinfo.value) == "every entry of y must be strictly positive"
+
+
+def test_dual_decreasing_step_refuses_a_scaling_that_raises_the_objective():
+    # with b = [-1], halving y = [1] keeps it feasible but raises g from -1 to -1/2
+    P = _rat_program(-1, -1, -5)
+    with pytest.raises(StepLosesFeasibility) as excinfo:
+        dual_decreasing_step(P, int_vector(RingId.RAT, [1]), from_rational(RingId.RAT, 1, 2))
+    assert str(excinfo.value) == "objective value did not strictly decrease under the scaling"
 
 
 def test_dual_decreasing_step_reports_the_value_it_tested():
@@ -511,6 +552,11 @@ def test_verify_bundle_recomputes_the_recorded_objective_values(build):
     single = WitnessSequence(seq.ring, seq.role, seq.points[:1], seq.objective_values[:1])
     short = CounterexampleBundle(real.kind, real.program, real.claim, sequence=single)
     assert [r.passed for r in verify_bundle(short)] == [False]
+    # two equal points, each with its true value, make no strict step
+    still = WitnessSequence(seq.ring, seq.role, start[:2], seq.objective_values[:1] * 2)
+    trend = "increasing" if primal else "decreasing"
+    reports = verify_bundle(CounterexampleBundle(real.kind, real.program, real.claim, sequence=still))
+    assert [r.details for r in reports] == [(f"objective not strictly {trend} at step 1",)]
     with pytest.raises(ValueError):
         WitnessSequence(seq.ring, seq.role, seq.points, seq.objective_values[:1])
 

@@ -4,7 +4,9 @@ Per-ring facts live in ``rings.py`` (``RingDescriptor`` and the per-ring
 records there); other modules read those facts instead of testing which
 ring they hold. No module reaches into a sibling's private names. Inside
 ``rings.py`` one loop multiplies monomials and accumulates term-ring
-coefficients, ``sum_of_products``, and ``compare`` orders by ``sign``. Inside
+coefficients, ``sum_of_products``; ``add``, ``sub`` and ``mul`` are each one
+call of it on every ring, reading no payload, and ``compare`` orders by
+``sign``. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
 ``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
 a verdict only by ``_weak_duality``, the check ``assert_weak_duality``
@@ -103,9 +105,10 @@ def _readers(path: pathlib.Path, name: str) -> set[str]:
 def test_only_the_kernel_multiplies_monomials():
     """``sum_of_products`` works out each ring's monomial product inline, so
     it is the only function in ``rings.py`` that shifts SKEW's ``2^-s`` into
-    a denominator. It is also the one term-ring accumulator: term-ring
-    ``mul``, ``add`` and ``sub`` are calls of it, and the dict merge they
-    used before is gone. ``compare`` orders by ``sign``."""
+    a denominator. It is also the one accumulator: ``mul``, ``add`` and
+    ``sub`` are calls of it, and the dict merge term rings used before and
+    the scalar rings' ``_scalar_sum`` are gone. ``compare`` orders by
+    ``sign``."""
     functions = [
         node
         for node in ast.walk(ast.parse((SRC / "rings.py").read_text()))
@@ -120,8 +123,26 @@ def test_only_the_kernel_multiplies_monomials():
     assert shifters == {"sum_of_products"}, shifters
     assert {"mul", "add", "sub"} <= _readers(SRC / "rings.py", "sum_of_products")
     assert "compare" in _readers(SRC / "rings.py", "sign")
-    gone = {function.name for function in functions} & {"_add_or_sub", "_sum_pair"}
+    removed = {"_add_or_sub", "_sum_pair", "_scalar_sum"}
+    gone = {function.name for function in functions} & removed
     assert not gone, gone
+
+
+def test_add_sub_and_mul_are_one_kernel_call_on_every_ring():
+    """Scalar rings keep no arithmetic of their own beside the kernel: each
+    of ``add``, ``sub`` and ``mul`` checks the rings, then makes one
+    ``sum_of_products`` call, and reads no payload to pick a branch."""
+    rings = SRC / "rings.py"
+    for name in ("add", "sub", "mul"):
+        function = _definition(rings, name)
+        calls = [
+            node.func.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        assert calls == ["_require_same_ring", "sum_of_products"], (name, calls)
+        reads = {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+        assert "payload" not in reads, name
 
 
 def _lines_matching(pattern: str) -> set[str]:

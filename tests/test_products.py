@@ -1,10 +1,11 @@
 """The fused sum-of-products kernel and the slacks and objectives built
 on it.
 
-Term-ring ``mul``, ``add`` and ``sub`` are kernel calls, so products are
+``mul``, ``add`` and ``sub`` are kernel calls on every ring, so products are
 checked first against oracles that share no code with the kernel: a POLY
 convolution and SKEW word rewriting. Sums are then checked against
-``_oracles.fold``, which adds those products to ``zero(ring)`` one by one
+``_oracles.fold``, which adds those products (the payload product on the
+scalar rings) to ``zero(ring)`` one by one
 in ``Fraction`` arithmetic on the payloads, and the fused slacks,
 objectives and cross term against the unfused compositions of the
 ``_oracles`` products ``mat_apply``, ``covec_apply`` and ``dot_left`` with

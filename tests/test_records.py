@@ -165,3 +165,11 @@ def test_a_class_body_declaring_slots_is_refused():
 
     with pytest.raises(TypeError, match="Cached declares __slots__"):
         record(Cached)
+
+
+def test_a_class_with_one_field_is_refused():
+    class Single:
+        a: int
+
+    with pytest.raises(TypeError, match="record Single needs at least two fields"):
+        record(Single)

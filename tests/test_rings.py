@@ -44,7 +44,7 @@ from ringlp.rings import reduced
 
 from _oracles import (
     negation_by_fractions,
-    product_by_fractions,
+    product_by_oracle,
     skew_mul_by_rewriting,
     termwise_by_fractions,
 )
@@ -253,6 +253,16 @@ def test_constructors_reject_bools(ring, build):
     """``bool`` is an ``int`` subclass, but never an element's integer."""
     with pytest.raises(TypeError):
         build(ring)
+
+
+def test_skew_bounds_its_degrees_as_the_literal_grammar_does():
+    """A product allocates 2^(m1*n2), so ``skew`` refuses a degree above
+    1024 in either coordinate, as ``parse_element`` does."""
+    for n, m in ((1024, 0), (0, 1024)):
+        assert to_text(skew({(n, m): 1})) == f"skew:{n},{m}=1"
+    for key in ((1025, 0), (0, 1025)):
+        with pytest.raises(ValueError, match="skew degree above 1024"):
+            skew({key: 1})
 
 
 def test_oddrat_constructor_rejects_even_denominators():
@@ -512,7 +522,7 @@ def test_pair_arithmetic_equals_fraction_arithmetic(ring, data):
     assert_identical(add(a, b), termwise_by_fractions(a, b, False))
     assert_identical(sub(a, b), termwise_by_fractions(a, b, True))
     assert_identical(neg(a), negation_by_fractions(a))
-    assert_identical(mul(a, b), product_by_fractions(a, b))
+    assert_identical(mul(a, b), product_by_oracle(a, b))
     lead = termwise_by_fractions(a, b, True).payload
     if type(lead) is tuple:
         lead = lead[0][1] if lead else 0

@@ -64,14 +64,6 @@ EXIT_PRECONDITION = 3
 DEMO_SAMPLES = 500
 DEMO_SEED = 7
 
-_DEFAULT_A_TEXT = {
-    RingId.INT: "2",
-    RingId.RAT: "2",
-    RingId.ODDRAT: "2",
-    RingId.POLY: "poly:0,1",
-    RingId.SKEW: "skew:0,1=1",
-}
-
 # what a handler returns: its report (main adds the "command" key), its
 # human-readable lines, and whether every checked property held
 _Outcome = tuple[dict, list[str], bool]
@@ -246,7 +238,7 @@ def _cmd_edt(args) -> _Outcome:
 
 
 # ---------------------------------------------------------------------------
-# demos (fixed witnesses: a per ring, z = 1/3, p = 1/2 where 2 is a unit and
+# demos (fixed witnesses: a = default_a, z = 1/3, p = 1/2 where 2 is a unit and
 # 1/3 otherwise, b = 3 or y; the constructions' default 21 steps and box 10).
 # A demo's outcome holds what follows its name and what it exhibits.
 
@@ -349,7 +341,7 @@ _DEMOS = {
 def _cmd_demo(args) -> _Outcome:
     default_ring, exhibits, show = _DEMOS[args.name]
     ring = RingId(args.ring) if args.ring else default_ring
-    a = parse_element(ring, args.a if args.a else _DEFAULT_A_TEXT[ring])
+    a = parse_element(ring, args.a) if args.a else descriptor(ring).default_a
     report, human, ok = show(ring, a)
     report = {"name": args.name, "exhibits": exhibits, **report}
     return report, [f"demo {args.name}", f"exhibits: {exhibits}", *human], ok

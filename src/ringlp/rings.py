@@ -28,9 +28,9 @@ Python-level method or property, and each result is built once, by
 :func:`reduced`, which sets those two slots from the pair in lowest
 terms: no ``Fraction`` operator and no generic ``Fraction(n, d)`` runs in
 the kernel; only parsing and validation call the latter. What else
-differs sits in one private record per ring (``_RingSpec``): which
-rationals embed, the constant monomial, the literal grammar and the
-monomial text.
+differs sits in the ring's one record, its ``RingDescriptor``: beside the
+facts other modules read, which rationals embed, the constant monomial,
+the literal grammar and the monomial text.
 
 ``sign`` realizes each instance's positivity order and is the one order
 test (``compare`` is the sign of ``a - b``). Element literals follow a
@@ -186,18 +186,31 @@ _set_payload = RingElement.payload.__set__
 
 @record
 class RingDescriptor:
-    """Capability record of one ring instance.
+    """What one ring does differently from the others.
 
-    These are the per-ring facts that code outside this module reads in
-    place of testing which ring it holds.
+    The first five fields are the facts that code outside this module
+    reads in place of testing which ring it holds; the rest are the
+    embedding and the literal grammar that this module reads.
     """
 
     ring: RingId
     is_commutative: bool
     is_division: bool
     smallest_positive: Optional[RingElement]
-    # the box oracle can walk a finite grid of the ring's elements
-    is_enumerable: bool = False
+    default_a: RingElement  # the demos' a: positive, and a non-unit but on RAT
+    prefix: str  # literal prefix; empty for the scalar rings
+    parse_body: Callable[[str], Union[Fraction, dict]]  # the literal after the prefix
+    body_text: Callable[[Payload], str]  # inverse of parse_body
+    # scalar rings: rational -> payload, ValueError when it is not in the ring
+    scalar: Optional[Callable[[Fraction], Payload]] = None
+    const: object = None  # term rings: the constant monomial
+    mono_text: Optional[Callable[[object], str]] = None  # term rings, for pretty
+
+    @property
+    def is_enumerable(self) -> bool:
+        """The box oracle can walk a finite grid of the ring's elements:
+        every element is a rational scalar."""
+        return self.scalar is not None
 
 
 def _require_same_ring(a: RingElement, b: RingElement) -> None:
@@ -239,6 +252,7 @@ def reduced(n: int, d: int, coprime: bool = False) -> Fraction:
 
 def from_int(ring: RingId, n: int) -> RingElement:
     """Embed an integer into any of the five rings."""
+    require_int("n", n)
     return from_rational(ring, n)
 
 
@@ -256,10 +270,10 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
         q = Fraction(num, den)
     else:
         q = num if type(num) is Fraction else Fraction(num)
-    spec = _SPECS[ring]
-    if spec.const is None:
-        return RingElement(ring, spec.scalar(q))
-    return RingElement(ring, ((spec.const, q),) if q else ())
+    desc = _DESCRIPTORS[ring]
+    if desc.const is None:
+        return RingElement(ring, desc.scalar(q))
+    return RingElement(ring, ((desc.const, q),) if q else ())
 
 
 def _exact(v: object) -> bool:
@@ -462,7 +476,7 @@ def _constant(a: RingElement) -> Optional[int | Fraction]:
     p = a.payload
     if type(p) is not tuple:
         return p
-    if len(p) == 1 and p[0][0] == _SPECS[a.ring].const:
+    if len(p) == 1 and p[0][0] == _DESCRIPTORS[a.ring].const:
         return p[0][1]
     return None
 
@@ -591,22 +605,22 @@ def _skew_body_text(p: tuple) -> str:
 
 def parse_element(ring: RingId, text: str) -> RingElement:
     """Parse one element literal of ``ring``; raises ParseError."""
-    spec = _SPECS[ring]
-    if not text.startswith(spec.prefix):
-        raise ParseError(f"{ring.value} literal must start with {spec.prefix!r}: {text!r}")
-    value = spec.parse_body(text[len(spec.prefix):])
-    if spec.const is not None:
+    desc = _DESCRIPTORS[ring]
+    if not text.startswith(desc.prefix):
+        raise ParseError(f"{ring.value} literal must start with {desc.prefix!r}: {text!r}")
+    value = desc.parse_body(text[len(desc.prefix):])
+    if desc.const is not None:
         return RingElement(ring, _canon(value))
     try:
-        return RingElement(ring, spec.scalar(value))
+        return RingElement(ring, desc.scalar(value))
     except ValueError as exc:
         raise ParseError(f"{text!r}: {exc}") from None
 
 
 def to_text(a: RingElement) -> str:
     """Canonical text form; ``parse_element`` inverts it exactly."""
-    spec = _SPECS[a.ring]
-    return spec.prefix + spec.body_text(a.payload)
+    desc = _DESCRIPTORS[a.ring]
+    return desc.prefix + desc.body_text(a.payload)
 
 
 def _power(var: str, d: int) -> str:
@@ -619,7 +633,7 @@ def pretty(a: RingElement) -> str:
     """Human-oriented algebraic rendering (not part of the grammar)."""
     if type(a.payload) is not tuple:
         return to_text(a)
-    mono_text = _SPECS[a.ring].mono_text
+    mono_text = _DESCRIPTORS[a.ring].mono_text
     out = ""
     for i, (key, q) in enumerate(a.payload):
         mono = mono_text(key)
@@ -633,20 +647,7 @@ def pretty(a: RingElement) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the per-ring records
-
-
-@record
-class _RingSpec:
-    """What one ring does differently from the others."""
-
-    prefix: str  # literal prefix; empty for the scalar rings
-    parse_body: Callable[[str], Union[Fraction, dict]]  # the literal after the prefix
-    body_text: Callable[[Payload], str]  # inverse of parse_body
-    # scalar rings: rational -> payload, ValueError when it is not in the ring
-    scalar: Optional[Callable[[Fraction], Payload]] = None
-    const: object = None  # term rings: the constant monomial
-    mono_text: Optional[Callable[[object], str]] = None  # term rings, for pretty
+# the per-ring record
 
 
 def _integer(q: Fraction) -> int:
@@ -661,39 +662,38 @@ def _odd_denominator(q: Fraction) -> Fraction:
     return q
 
 
-_SPECS = {
-    RingId.INT: _RingSpec(
-        "", lambda t: _parse_fraction(t, _INT_RE, "integer"), _frac_text, scalar=_integer
+POLY_X = poly([0, 1])
+SKEW_X = skew({(0, 1): 1})
+SKEW_Y = skew({(1, 0): 1})
+
+# from_int reads this table, so it builds its own elements and precedes _ZEROS
+_DESCRIPTORS = {
+    RingId.INT: RingDescriptor(
+        RingId.INT, True, False, RingElement(RingId.INT, 1), RingElement(RingId.INT, 2),
+        "", lambda t: _parse_fraction(t, _INT_RE, "integer"), _frac_text, scalar=_integer,
     ),
-    RingId.RAT: _RingSpec("", _parse_fraction, _frac_text, scalar=lambda q: q),
-    RingId.ODDRAT: _RingSpec("", _parse_fraction, _frac_text, scalar=_odd_denominator),
-    RingId.POLY: _RingSpec(
-        "poly:", _parse_poly_body, _poly_body_text,
-        const=0,
-        mono_text=lambda d: _power("x", d),
+    RingId.RAT: RingDescriptor(
+        RingId.RAT, True, True, None, RingElement(RingId.RAT, Fraction(2)),
+        "", _parse_fraction, _frac_text, scalar=lambda q: q,
     ),
-    RingId.SKEW: _RingSpec(
-        "skew:", _parse_skew_body, _skew_body_text,
+    RingId.ODDRAT: RingDescriptor(
+        RingId.ODDRAT, True, False, None, RingElement(RingId.ODDRAT, Fraction(2)),
+        "", _parse_fraction, _frac_text, scalar=_odd_denominator,
+    ),
+    RingId.POLY: RingDescriptor(
+        RingId.POLY, True, False, None, POLY_X, "poly:", _parse_poly_body, _poly_body_text,
+        const=0, mono_text=lambda d: _power("x", d),
+    ),
+    RingId.SKEW: RingDescriptor(
+        RingId.SKEW, False, False, None, SKEW_X, "skew:", _parse_skew_body, _skew_body_text,
         const=(0, 0),
         mono_text=lambda k: "*".join(filter(None, (_power("y", k[0]), _power("x", k[1])))),
     ),
 }
 
-POLY_X = poly([0, 1])
-SKEW_X = skew({(0, 1): 1})
-SKEW_Y = skew({(1, 0): 1})
-
 _ZEROS = {r: from_int(r, 0) for r in RingId}
 _ONES = {r: from_int(r, 1) for r in RingId}
 _ORDERINGS = (Ordering.LT, Ordering.EQ, Ordering.GT)  # indexed by sign + 1
-
-_DESCRIPTORS = {
-    RingId.INT: RingDescriptor(RingId.INT, True, False, one(RingId.INT), is_enumerable=True),
-    RingId.RAT: RingDescriptor(RingId.RAT, True, True, None, is_enumerable=True),
-    RingId.ODDRAT: RingDescriptor(RingId.ODDRAT, True, False, None, is_enumerable=True),
-    RingId.POLY: RingDescriptor(RingId.POLY, True, False, None),
-    RingId.SKEW: RingDescriptor(RingId.SKEW, False, False, None),
-}
 
 
 def descriptor(ring: RingId) -> RingDescriptor:

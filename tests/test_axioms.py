@@ -63,20 +63,23 @@ def test_axiom_suite_reports_no_violations(ring, samples, seed):
 
 
 # each violation kind, forced by a mutant of the one operation its check
-# reads from the sampling module's globals
+# reads from the sampling module's globals: name -> (kind, operation, mutant)
 MUTANTS = {
-    "trichotomy": ("neg", lambda e: e),
-    "additive-closure": ("add", lambda a, b: neg(add(a, b))),
-    "multiplicative-closure": ("mul", lambda a, b: neg(mul(a, b))),
+    "trichotomy": ("trichotomy", "neg", lambda e: e),
+    "additive-closure": ("additive-closure", "add", lambda a, b: neg(add(a, b))),
+    "multiplicative-closure": ("multiplicative-closure", "mul", lambda a, b: neg(mul(a, b))),
+    "multiplicative-closure-by-zero": ("multiplicative-closure", "mul", lambda a, b: zero(a.ring)),
 }
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)
-@pytest.mark.parametrize("kind", sorted(MUTANTS))
-def test_axiom_suite_reports_each_violation_kind_with_its_witnesses(monkeypatch, ring, kind):
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_axiom_suite_reports_each_violation_kind_with_its_witnesses(monkeypatch, ring, mutant):
     """The report lists, in sample order, every nonzero sample under a
     ``neg`` that returns its argument, and every positive pair under an
-    ``add`` or ``mul`` that negates its result, with their literals."""
+    ``add`` or ``mul`` that negates its result or a ``mul`` that returns
+    zero, with their literals."""
+    kind, name, operation = MUTANTS[mutant]
     replay = Sampler(5)
     want, positive_pairs = [], 0
     for _ in range(40):
@@ -87,8 +90,7 @@ def test_axiom_suite_reports_each_violation_kind_with_its_witnesses(monkeypatch,
             want += [AxiomViolation(kind, (to_text(e),)) for e in (a, b) if sign(e)]
         elif both_positive:
             want.append(AxiomViolation(kind, (to_text(a), to_text(b))))
-    name, mutant = MUTANTS[kind]
-    monkeypatch.setattr(sampling, name, mutant)
+    monkeypatch.setattr(sampling, name, operation)
     report = verify_order_axioms(ring, 40, 5)
     assert want and not report.passed
     assert report.violations == tuple(want)

@@ -473,11 +473,12 @@ def test_dual_decreasing_step_preconditions():
 
 
 def test_dual_decreasing_step_refuses_a_scaling_that_raises_the_objective():
-    # with b = [-1], halving y = [1] keeps it feasible but raises g from -1 to -1/2
-    P = _rat_program(-1, -1, -5)
-    with pytest.raises(StepLosesFeasibility) as excinfo:
-        dual_decreasing_step(P, int_vector(RingId.RAT, [1]), from_rational(RingId.RAT, 1, 2))
-    assert str(excinfo.value) == "objective value did not strictly decrease under the scaling"
+    # halving y = [1] keeps it feasible; with b = [-1] it raises g from -1 to
+    # -1/2, and with b = [0] it keeps g at 0, which is no strict decrease
+    for P in (_rat_program(-1, -1, -5), _rat_program(1, 0, 0)):
+        with pytest.raises(StepLosesFeasibility) as excinfo:
+            dual_decreasing_step(P, int_vector(RingId.RAT, [1]), from_rational(RingId.RAT, 1, 2))
+        assert str(excinfo.value) == "objective value did not strictly decrease under the scaling"
 
 
 def test_dual_decreasing_step_reports_the_value_it_tested():

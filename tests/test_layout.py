@@ -1,10 +1,11 @@
 """Static guards on how the modules of ``src/ringlp`` depend on each other.
 
-Per-ring facts live in ``rings.py`` (``RingDescriptor`` and the per-ring
-records there); other modules read those facts instead of testing which
-ring they hold. No module reaches into a sibling's private names. Inside
-``rings.py`` one loop multiplies monomials and accumulates term-ring
-coefficients, ``sum_of_products``; ``add``, ``sub`` and ``mul`` are each one
+Per-ring facts live in ``rings.py``, in one record per ring,
+``RingDescriptor``, and ``cli.py`` keeps no table keyed by ring; other
+modules read those facts instead of testing which ring they hold. No
+module reaches into a sibling's private names. Inside ``rings.py`` one
+loop multiplies monomials and accumulates term-ring coefficients,
+``sum_of_products``; ``add``, ``sub`` and ``mul`` are each one
 call of it on every ring, reading no payload, and ``compare`` orders by
 ``sign``. Inside
 ``constructions.py`` only ``verify_bundle`` scans a program again through
@@ -66,6 +67,27 @@ def test_ring_identity_is_tested_only_in_rings():
         if RING_IDENTITY_TEST.search(line)
     ]
     assert len(hits) <= 2, hits
+
+
+def test_one_record_holds_the_per_ring_facts():
+    """``RingDescriptor`` is the one per-ring record in ``rings.py``, with
+    no grammar record or table beside it, and the CLI reads the demos'
+    default ``a`` from it: ``cli.py`` builds no dict keyed by ``RingId``."""
+    tree = ast.parse((SRC / "rings.py").read_text())
+    names = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} | {
+        t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
+    }
+    assert "RingDescriptor" in names and not names & {"_RingSpec", "_SPECS"}
+
+    def ring_keyed(node) -> bool:
+        if isinstance(node, ast.Dict):
+            return any(getattr(getattr(k, "value", None), "id", None) == "RingId" for k in node.keys)
+        return isinstance(node, ast.DictComp) and any(
+            getattr(g.iter, "id", None) == "RingId" for g in node.generators
+        )
+
+    tables = [node.lineno for node in ast.walk(ast.parse((SRC / "cli.py").read_text())) if ring_keyed(node)]
+    assert tables == [], tables
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

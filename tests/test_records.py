@@ -32,7 +32,6 @@ from ringlp import (
     from_int,
 )
 from ringlp._records import record
-from ringlp.rings import _RingSpec
 
 from conftest import make_gap_program
 
@@ -42,8 +41,11 @@ _STATUS = ProgramStatus(StatusKind.INFEASIBLE, Scope.BOX_LIMITED)
 # (class, the arguments without a default, {field: default})
 RECORDS = [
     (RingElement, lambda: (RingId.INT, 3), {}),
-    (RingDescriptor, lambda: (RingId.INT, True, False, _ONE), {"is_enumerable": False}),
-    (_RingSpec, lambda: ("p:", str, str), dict.fromkeys(("scalar", "const", "mono_text"))),
+    (
+        RingDescriptor,
+        lambda: (RingId.INT, True, False, _ONE, _ONE, "p:", str, str),
+        dict.fromkeys(("scalar", "const", "mono_text")),
+    ),
     (RVector, lambda: (RingId.INT, (_ONE, _ONE)), {}),
     (RMatrix, lambda: (RingId.INT, 1, 2, (_ONE, _ONE)), {}),
     (ProgramData, lambda: _fields(make_gap_program()), {}),

@@ -237,6 +237,15 @@ def test_constructors_reject_floats(ring):
     assert from_int(ring, 3) == from_rational(ring, Fraction(6, 2))
 
 
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_from_int_embeds_only_integers(ring):
+    """``from_int`` takes an ``int``, not a ``Fraction`` even of an integer
+    value; a rational goes through ``from_rational``."""
+    for q in (Fraction(1, 2), Fraction(4, 2)):
+        with pytest.raises(TypeError, match="n must be an int"):
+            from_int(ring, q)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -384,6 +393,16 @@ def test_descriptors():
         assert d.is_enumerable is enumerable
     # when the smallest positive exists, it is the multiplicative identity
     assert descriptor(RingId.INT).smallest_positive == one(RingId.INT)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_default_a_is_positive_and_a_non_unit_but_on_the_division_ring(ring):
+    """The demos' default ``a``: 2 on the scalar rings, x on POLY and SKEW.
+    RAT has no positive non-unit, so it keeps 2 there."""
+    d = descriptor(ring)
+    assert d.default_a == {RingId.POLY: POLY_X, RingId.SKEW: SKEW_X}.get(ring, from_int(ring, 2))
+    assert sign(d.default_a) == 1
+    assert (try_invert(d.default_a) is None) is not d.is_division
 
 
 def test_operator_sugar_matches_functions():

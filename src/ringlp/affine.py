@@ -325,17 +325,9 @@ def _sample_vector(sampler: Sampler, ring: RingId, n: int, nonneg: bool = False)
     return vector(ring, (draw(ring) for _ in range(n)))
 
 
-def random_program(
-    sampler: Sampler, ring: RingId, max_rows: int = 3, max_cols: int = 3
-) -> ProgramData:
-    """A random program with 1..max_rows x 1..max_cols sampled entries."""
-    return _random_program(sampler, ring, sampler.shape_draw(max_rows, max_cols))
-
-
-def _random_program(
-    sampler: Sampler, ring: RingId, shape: Callable[[], tuple[int, int]]
-) -> ProgramData:
-    m, n = shape()
+def random_program(sampler: Sampler, ring: RingId) -> ProgramData:
+    """A random program with 1..3 x 1..3 sampled entries."""
+    m, n = sampler.shape_draw()
     A = matrix(ring, ((sampler.sample(ring) for _ in range(n)) for _ in range(m)))
     b = _sample_vector(sampler, ring, m)
     c = _sample_vector(sampler, ring, n)
@@ -363,20 +355,14 @@ def identity_trials(P: ProgramData, trials: int, seed: int) -> TrialSummary:
     return _identity_trials(trials, Sampler(seed), lambda sampler: P, True)
 
 
-def identity_program_trials(
-    ring: RingId, trials: int, seed: int, max_rows: int = 3, max_cols: int = 3
-) -> TrialSummary:
+def identity_program_trials(ring: RingId, trials: int, seed: int) -> TrialSummary:
     """Like identity_trials but with a fresh random program per trial."""
-    sampler = Sampler(seed)
-    shape = sampler.shape_draw(max_rows, max_cols)
     return _identity_trials(
-        trials, sampler, lambda sampler: _random_program(sampler, ring, shape), False
+        trials, Sampler(seed), lambda sampler: random_program(sampler, ring), False
     )
 
 
-def weak_duality_trials(
-    ring: RingId, trials: int, seed: int, max_rows: int = 3, max_cols: int = 3
-) -> TrialSummary:
+def weak_duality_trials(ring: RingId, trials: int, seed: int) -> TrialSummary:
     """sign(gap) >= 0 on pairs that are feasible by construction.
 
     Feasibility is forced, not searched for: draw x >= 0 and set
@@ -384,11 +370,10 @@ def weak_duality_trials(
     c := y A - nonnegative noise, one kernel call per entry.
     """
     sampler = Sampler(seed)
-    shape = sampler.shape_draw(max_rows, max_cols)
     unit = (one(ring),)
 
     def trial(sampler: Sampler) -> Optional[str]:
-        m, n = shape()
+        m, n = sampler.shape_draw()
         A = matrix(ring, ((sampler.sample(ring) for _ in range(n)) for _ in range(m)))
         x = _sample_vector(sampler, ring, n, nonneg=True)
         y = _sample_vector(sampler, ring, m, nonneg=True)

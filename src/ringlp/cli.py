@@ -239,7 +239,7 @@ def _cmd_edt(args) -> _Outcome:
 
 # ---------------------------------------------------------------------------
 # demos (fixed witnesses: a = default_a, z = 1/3, p = 1/2 where 2 is a unit and
-# 1/3 otherwise, b = 3 or y; the constructions' default 21 steps and box 10).
+# 1/3 otherwise, b = 3 or y; the constructions' fixed 21 steps and box 10).
 # A demo's outcome holds what follows its name and what it exhibits.
 
 
@@ -341,7 +341,7 @@ _DEMOS = {
 def _cmd_demo(args) -> _Outcome:
     default_ring, exhibits, show = _DEMOS[args.name]
     ring = RingId(args.ring) if args.ring else default_ring
-    a = parse_element(ring, args.a) if args.a else descriptor(ring).default_a
+    a = descriptor(ring).default_a if args.a is None else parse_element(ring, args.a)
     report, human, ok = show(ring, a)
     report = {"name": args.name, "exhibits": exhibits, **report}
     return report, [f"demo {args.name}", f"exhibits: {exhibits}", *human], ok

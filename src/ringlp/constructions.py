@@ -43,7 +43,6 @@ from .errors import (
     NotAPositiveNonUnit,
     PreconditionViolated,
     StepLosesFeasibility,
-    require_int,
 )
 from .linalg import RVector, matrix, vec_text, vector, zero_vector
 from .progfile import serialize_program
@@ -94,6 +93,10 @@ NOT_CERTIFIED = "claimed (not machine-certified)"
 
 # the box that constructions scan and bundles are re-verified in by default
 _DEFAULT_BOX = BoxSpec(10)
+# the dual witnesses gap_program samples, and their seed, where no box checks it
+_DUAL_SAMPLES, _SAMPLE_SEED = 10, 7
+# the strict steps of a non-achieving sequence
+_STEPS = 21
 
 
 @unique
@@ -249,20 +252,16 @@ def _feasibility_checks(P: ProgramData, primal_points, dual_points, what: str):
     return reports, feasible, tuple(problems)
 
 
-def gap_program(
-    ring: RingId, a: RingElement, dual_samples: int = 10, seed: int = 7
-) -> CounterexampleBundle:
+def gap_program(ring: RingId, a: RingElement) -> CounterexampleBundle:
     """The 1x1 program A=[a], b=[1], c=[1], d=0 for a positive non-unit a.
 
     Claim: both sides are feasible and every feasible pair has a strictly
     positive gap. Spot verification uses box enumeration where the ring has
     a smallest positive element (INT) and a sampled family of dual
     witnesses k + (nonnegative sample) elsewhere, where k is the least
-    positive integer with k*a >= 1 (so y = [k] is dual-feasible).
-    ``dual_samples`` is an ``int`` of at least 0 and ``seed`` an ``int``.
+    positive integer with k*a >= 1 (so y = [k] is dual-feasible): 10
+    samples from seed 7.
     """
-    require_int("dual_samples", dual_samples, 0)
-    require_int("seed", seed)
     _require_witnesses(ring, a)
     P = _one_by_one_program(a)
     claim = "every feasible pair (x, y) has sign(g(y) - f(x)) = +1"
@@ -271,8 +270,8 @@ def gap_program(
     dual_witnesses = [vector(ring, [k])]
     by_box = descriptor(ring).smallest_positive is not None
     if not by_box:
-        sampler = Sampler(seed)
-        for _ in range(dual_samples):
+        sampler = Sampler(_SAMPLE_SEED)
+        for _ in range(_DUAL_SAMPLES):
             w = add(k, sampler.sample_nonneg(ring))
             dual_witnesses.append(vector(ring, [w]))
     reports, feasible, problems = _feasibility_checks(P, primal_witnesses, dual_witnesses, "witnesses")
@@ -490,11 +489,10 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
 
 
 def _non_achieving_sequence(
-    primal: bool, ring: RingId, a: RingElement, w: Optional[RingElement], steps: int
+    primal: bool, ring: RingId, a: RingElement, w: Optional[RingElement]
 ) -> CounterexampleBundle:
-    """The gap program walked ``steps`` strict steps from x = 0 with witness
-    z (primal) or from y = [1] with witness p (dual)."""
-    require_int("steps", steps, 1)
+    """The gap program walked 21 strict steps from x = 0 with witness z
+    (primal) or from y = [1] with witness p (dual)."""
     # nothing lies strictly between 0 and a smallest positive element, so
     # there is no witness to read
     smallest = descriptor(ring).smallest_positive
@@ -506,7 +504,7 @@ def _non_achieving_sequence(
     _require_witnesses(ring, a, w)
     P = _one_by_one_program(a)
     points = [vector(ring, [zero(ring) if primal else one(ring)])]
-    for _ in range(steps):
+    for _ in range(_STEPS):
         last = points[-1]
         if primal:
             points.append(vector(ring, [primal_improving_step(a, w, last[0])]))
@@ -544,26 +542,22 @@ def _non_achieving_sequence(
     )
 
 
-def primal_improving_sequence(
-    ring: RingId, a: RingElement, z: RingElement, steps: int = 21
-) -> CounterexampleBundle:
+def primal_improving_sequence(ring: RingId, a: RingElement, z: RingElement) -> CounterexampleBundle:
     """Strictly improving feasible points for the gap program.
 
-    Starts at x = 0 and applies the improvement step; the bundle's claim is
+    Starts at x = 0 and applies the improvement step 21 times; the claim is
     that the primal side is feasible and bounded yet attains no optimum.
     """
-    return _non_achieving_sequence(True, ring, a, z, steps)
+    return _non_achieving_sequence(True, ring, a, z)
 
 
-def dual_decreasing_sequence(
-    ring: RingId, a: RingElement, p: RingElement, steps: int = 21
-) -> CounterexampleBundle:
+def dual_decreasing_sequence(ring: RingId, a: RingElement, p: RingElement) -> CounterexampleBundle:
     """Strictly decreasing feasible dual values for the gap program.
 
-    Starts at y = [1] and rescales by p each step, re-validating dual
+    Starts at y = [1] and rescales by p 21 times, re-validating dual
     feasibility exactly every time.
     """
-    return _non_achieving_sequence(False, ring, a, p, steps)
+    return _non_achieving_sequence(False, ring, a, p)
 
 
 def _validate_sequence(P: ProgramData, seq: WitnessSequence) -> CheckReport:

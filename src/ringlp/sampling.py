@@ -37,8 +37,6 @@ steps inline, the state held in a local and stored once.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .errors import require_int
 from .reports import AxiomReport, AxiomViolation
 from .rings import (
@@ -66,7 +64,6 @@ DEN_BOUND = 50
 POLY_MAX_DEGREE = 4
 SKEW_MAX_TERMS = 5
 SKEW_MAX_DEGREE = 3
-MAX_SHAPE_ENTRIES = 10_000  # the largest max_rows * max_cols of a shape draw
 
 
 class Sampler:
@@ -94,17 +91,10 @@ class Sampler:
             raise ValueError(f"empty range {lo}..{hi}")
         return self._int_in(lo, hi)
 
-    def shape_draw(self, max_rows: int, max_cols: int) -> Callable[[], tuple[int, int]]:
-        """A draw of a program shape ``(m, n)``, uniform in ``1..max_rows`` x
-        ``1..max_cols``: the generator steps of ``draw_int(1, max_rows)``
-        then ``draw_int(1, max_cols)``. Both bounds are positive ``int``s
-        with a product of at most ``MAX_SHAPE_ENTRIES``, checked once here."""
-        require_int("max_rows", max_rows, 1)
-        require_int("max_cols", max_cols, 1)
-        if max_rows * max_cols > MAX_SHAPE_ENTRIES:
-            raise ValueError(f"max_rows * max_cols must be at most {MAX_SHAPE_ENTRIES}")
-        int_in = self._int_in
-        return lambda: (int_in(1, max_rows), int_in(1, max_cols))
+    def shape_draw(self) -> tuple[int, int]:
+        """A program shape ``(m, n)``, uniform in ``1..3`` x ``1..3``: the
+        generator steps of ``draw_int(1, 3)`` twice, unchecked."""
+        return self._int_in(1, 3), self._int_in(1, 3)
 
     # one rational draw as (numerator, denominator), unreduced; the hot draw
     # of RAT and ODDRAT, so it takes the generator's steps inline

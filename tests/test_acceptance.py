@@ -112,7 +112,7 @@ def test_criterion_03_division_ring_control():
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_criterion_04_identity_suite(ring):
     with criterion(4, f"500 random (program, x, y) triples over {ring.value}: residuals 0"):
-        summary = identity_program_trials(ring, 500, seed=8128, max_rows=3, max_cols=3)
+        summary = identity_program_trials(ring, 500, seed=8128)
         assert summary.trials == 500
         assert summary.failures == 0, summary.first_failure
 
@@ -120,7 +120,7 @@ def test_criterion_04_identity_suite(ring):
 @pytest.mark.parametrize("ring", ALL_RINGS)
 def test_criterion_05_weak_duality(ring):
     with criterion(5, f"1000 constructed feasible pairs over {ring.value}: gap >= 0"):
-        summary = weak_duality_trials(ring, 1000, seed=6174, max_rows=3, max_cols=3)
+        summary = weak_duality_trials(ring, 1000, seed=6174)
         assert summary.trials == 1000
         assert summary.failures == 0, summary.first_failure
 
@@ -144,7 +144,6 @@ def test_criterion_07_non_achieving_primal():
             RingId.ODDRAT,
             from_rational(RingId.ODDRAT, 2),
             from_rational(RingId.ODDRAT, 1, 3),
-            steps=21,
         )
         seq = bundle.sequence
         assert len(seq.objective_values) == 22
@@ -162,7 +161,7 @@ def test_criterion_07_non_achieving_primal():
 )
 def test_criterion_08_non_achieving_dual(ring, a):
     with criterion(8, f"{ring.value} decreasing dual sequence: values 2^(-k), 21 steps"):
-        bundle = dual_decreasing_sequence(ring, a, from_rational(ring, 1, 2), steps=21)
+        bundle = dual_decreasing_sequence(ring, a, from_rational(ring, 1, 2))
         seq = bundle.sequence
         assert len(seq.objective_values) == 22
         for k, value in enumerate(seq.objective_values):

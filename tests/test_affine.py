@@ -308,43 +308,6 @@ def test_trial_loops_reject_a_bool_count(gap_int):
             loop()
 
 
-@pytest.mark.parametrize(
-    "max_rows,max_cols",
-    [(0, 3), (3, 0), (-2, 3), (3, -1), (True, 3), (3, False), (1.5, 3), (3, 2.0)],
-)
-def test_trial_loops_reject_a_shape_bound_below_one(max_rows, max_cols):
-    """A bound below 1 is a ``ValueError``; a ``bool`` or a non-``int`` is a
-    ``TypeError``, before any trial runs."""
-    shape = {"max_rows": max_rows, "max_cols": max_cols}
-    name = "max_rows" if type(max_rows) is not int or max_rows < 1 else "max_cols"
-    if type(shape[name]) is int:
-        error, message = ValueError, f"{name} must be positive"
-    else:
-        error, message = TypeError, f"{name} must be an int, got {shape[name]!r}"
-    with pytest.raises(error, match=message):
-        weak_duality_trials(RingId.INT, 5, 1, **shape)
-    with pytest.raises(error, match=message):
-        identity_program_trials(RingId.INT, 5, 1, **shape)
-    with pytest.raises(error, match=message):
-        random_program(Sampler(1), RingId.INT, **shape)
-
-
-def test_trial_shapes_of_more_than_ten_thousand_entries_are_refused_before_any_draw():
-    """``max_rows * max_cols`` above 10,000 is a ``ValueError`` before any
-    draw, so no trial builds an unbounded matrix; 100 x 100 is allowed."""
-    message = "max_rows \\* max_cols must be at most 10000"
-    sampler = Sampler(1)
-    for run in (
-        lambda: weak_duality_trials(RingId.INT, 1, 1, max_rows=101, max_cols=100),
-        lambda: identity_program_trials(RingId.INT, 1, 1, max_rows=100, max_cols=101),
-        lambda: random_program(sampler, RingId.INT, max_rows=101, max_cols=100),
-    ):
-        with pytest.raises(ValueError, match=message):
-            run()
-    assert sampler.state == Sampler(1).state
-    assert 1 <= sampler.shape_draw(100, 100)()[0] <= 100
-
-
 def test_trial_loops_reject_a_bool_or_non_int_seed(gap_int):
     """The seed goes to ``Sampler``, whose generator takes only an ``int``:
     ``True`` is not seed 1 and 1.5 is not truncated. A negative seed is an

@@ -100,6 +100,7 @@ def test_axiom_suite_reports_each_violation_kind_with_its_witnesses(monkeypatch,
 def test_axiom_suite_rejects_nonpositive_sample_count():
     with pytest.raises(ValueError):
         verify_order_axioms(RingId.INT, 0, 1)
+    assert verify_order_axioms(RingId.INT, 1, 1).sample_count == 1  # the least count
 
 
 def test_axiom_suite_rejects_a_bool_sample_count():

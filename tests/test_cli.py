@@ -256,6 +256,8 @@ def test_parse_error_is_exit_two(tmp_path, capsys):
     assert main(["enumerate", str(tmp_path / "missing.prog"), "--box", "5"]) == 2
     # a skew literal degree above 1024 is refused before any product is formed
     assert main(["check", GAP_SKEW, "--x", "skew:0,1025=1", "--y", "skew:0,0=1"]) == 2
+    # an empty --a is a malformed literal, not an absent one
+    assert main(["demo", "center-betweenness", "--ring", "int", "--a", ""]) == 2
 
 
 def test_over_long_literal_is_a_parse_error(tmp_path, capsys):

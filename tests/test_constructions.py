@@ -48,6 +48,7 @@ from ringlp import (
     no_central_between_check,
     no_central_between_trials,
     one,
+    poly,
     primal_improving_sequence,
     primal_improving_step,
     sign,
@@ -62,7 +63,7 @@ from ringlp import (
 from conftest import int_matrix, int_vector, make_gap_program
 
 # sha256 of the certificates and re-verification reports of ``_digest_grid``
-PINNED_DIGEST = "3cc8b491aece472d321d9f63033a5220a7eec05ad84b5221102acd8be5e391b2"
+PINNED_DIGEST = "b4872e8409f6e3f28ccc8e7f99e95739f058608ec076410b75f40ac5e9ba9b15"
 
 
 # ---------------------------------------------------------------------------
@@ -86,30 +87,6 @@ def test_gap_program_rejects_units_and_negatives():
     with pytest.raises(NotAPositiveNonUnit) as excinfo:
         gap_program(RingId.INT, from_rational(RingId.RAT, 2))
     assert str(excinfo.value) == "element 2 is not in ring int"
-
-
-@pytest.mark.parametrize(
-    "samples,error", [(True, TypeError), (1.0, TypeError), ("2", TypeError), (-3, ValueError)]
-)
-@pytest.mark.parametrize("ring", [RingId.INT, RingId.ODDRAT])
-def test_gap_program_refuses_a_sample_count_that_is_not_a_nonnegative_int(ring, samples, error):
-    with pytest.raises(error, match="dual_samples must be"):
-        gap_program(ring, from_rational(ring, 2), dual_samples=samples)
-
-
-@pytest.mark.parametrize("seed", ["x", True, 1.5, None])
-@pytest.mark.parametrize("ring", [RingId.INT, RingId.ODDRAT])
-def test_gap_program_refuses_a_seed_that_is_not_an_int_on_every_ring(ring, seed):
-    """INT checks its claim by box enumeration and draws nothing, yet a bad
-    seed is refused there too, before any work."""
-    with pytest.raises(TypeError, match="seed must be an int"):
-        gap_program(ring, from_rational(ring, 2), seed=seed)
-
-
-def test_gap_program_with_no_samples_keeps_only_the_least_covering_witness():
-    bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2), dual_samples=0)
-    assert bundle.dual_witnesses == (int_vector(RingId.ODDRAT, [1]),)
-    assert all(c.passed for c in bundle.checks)
 
 
 def test_gap_program_poly_feasible_primal_points_are_exactly_zero():
@@ -150,8 +127,42 @@ def test_gap_program_dual_family_starts_at_the_least_covering_integer():
 def test_first_dual_witness_is_the_ceiling_of_q_over_2m(m, half_q):
     """For ODDRAT a = 2m/q, q odd, the least k with k*a >= 1 is ceil(q/2m)."""
     q = 2 * half_q + 1
-    bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2 * m, q), dual_samples=0)
+    bundle = gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2 * m, q))
     assert bundle.dual_witnesses[0] == int_vector(RingId.ODDRAT, [-(-q // (2 * m))])
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        POLY_X,
+        poly([0, 2]),
+        poly([1, 1]),
+        SKEW_X,
+        SKEW_Y,
+        from_rational(RingId.ODDRAT, 2),
+        from_rational(RingId.ODDRAT, 2, 3),
+        from_rational(RingId.ODDRAT, 6, 5),
+    ],
+    ids=str,
+)
+def test_gap_program_samples_ten_dual_witnesses_from_seed_seven(a):
+    """Where no box checks the claim, the witness family is y = [k] and ten
+    k + (nonnegative sample) draws of ``Sampler(7)``, in draw order."""
+    bundle = gap_program(a.ring, a)
+    k = bundle.dual_witnesses[0][0]
+    twin = Sampler(7)
+    assert bundle.dual_witnesses[1:] == tuple(
+        vector(a.ring, [add(k, twin.sample_nonneg(a.ring))]) for _ in range(10)
+    )
+    assert all(c.passed for c in bundle.checks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_gap_program_on_int_checks_by_box_and_samples_no_witness(n):
+    bundle = gap_program(RingId.INT, from_int(RingId.INT, n))
+    assert bundle.dual_witnesses == (int_vector(RingId.INT, [1]),)
+    assert bundle.checks[0].details == ("box enumeration on [0,10]: 10 pairs checked",)
+    assert all(c.passed for c in bundle.checks)
 
 
 def test_pair_gap_check_reports_infeasible_points_instead_of_counting_them():
@@ -406,13 +417,34 @@ def test_primal_improving_sequence_bundle():
         RingId.ODDRAT,
         from_rational(RingId.ODDRAT, 2),
         from_rational(RingId.ODDRAT, 1, 3),
-        steps=21,
     )
     seq = bundle.sequence
     assert seq.role is SequenceRole.PRIMAL_IMPROVING
     assert len(seq.points) == 22
     for k, value in enumerate(seq.objective_values):
         assert value.payload == Fraction(3**k - 1, 2 * 3**k)
+    assert all(c.passed for c in bundle.checks)
+
+
+@pytest.mark.parametrize(
+    "a,z",
+    [
+        (Fraction(2), Fraction(1, 3)),
+        (Fraction(2), Fraction(1, 5)),
+        (Fraction(2, 3), Fraction(1, 3)),
+        (Fraction(4), Fraction(1, 5)),
+        (Fraction(6, 5), Fraction(1, 3)),
+    ],
+    ids=str,
+)
+def test_primal_improving_sequence_walks_twenty_one_strict_steps(a, z):
+    """1 - a*x_k = (1 - a*z)^k, so f(x_k) = x_k = (1 - (1 - a*z)^k) / a."""
+    ring = RingId.ODDRAT
+    bundle = primal_improving_sequence(ring, from_rational(ring, a), from_rational(ring, z))
+    seq = bundle.sequence
+    assert len(seq.points) == len(seq.objective_values) == 22
+    for k, value in enumerate(seq.objective_values):
+        assert value.payload == (1 - (1 - a * z) ** k) / a
     assert all(c.passed for c in bundle.checks)
 
 
@@ -429,13 +461,34 @@ def test_primal_improving_sequence_needs_room_below_one():
 
 @pytest.mark.parametrize("ring,a", [(RingId.POLY, POLY_X), (RingId.SKEW, SKEW_X)])
 def test_dual_decreasing_sequence_halves_forever(ring, a):
-    bundle = dual_decreasing_sequence(ring, a, from_rational(ring, 1, 2), steps=21)
+    bundle = dual_decreasing_sequence(ring, a, from_rational(ring, 1, 2))
     seq = bundle.sequence
     assert seq.role is SequenceRole.DUAL_DECREASING
     assert len(seq.points) == 22
     for k, value in enumerate(seq.objective_values):
         assert value == from_rational(ring, 1, 2**k)
         assert is_dual_feasible(bundle.program, seq.points[k]).feasible
+    assert all(c.passed for c in bundle.checks)
+
+
+@pytest.mark.parametrize(
+    "a,p",
+    [
+        (POLY_X, Fraction(1, 3)),
+        (POLY_X, Fraction(2, 3)),
+        (poly([0, 2]), Fraction(1, 2)),
+        (poly([1, 1]), Fraction(1, 2)),
+        (SKEW_Y, Fraction(3, 4)),
+    ],
+    ids=str,
+)
+def test_dual_decreasing_sequence_walks_twenty_one_strict_steps(a, p):
+    ring = a.ring
+    bundle = dual_decreasing_sequence(ring, a, from_rational(ring, p))
+    seq = bundle.sequence
+    assert len(seq.points) == len(seq.objective_values) == 22
+    for k, value in enumerate(seq.objective_values):
+        assert value == from_rational(ring, p**k)
     assert all(c.passed for c in bundle.checks)
 
 
@@ -501,38 +554,41 @@ def test_dual_decreasing_sequence_needs_a_fractional_p():
         )
 
 
-def _oddrat_primal_sequence(steps):
+def _oddrat_primal_sequence(**knob):
     ring = RingId.ODDRAT
     return primal_improving_sequence(
-        ring, from_rational(ring, 2), from_rational(ring, 1, 3), steps=steps
+        ring, from_rational(ring, 2), from_rational(ring, 1, 3), **knob
     )
 
 
-def _poly_dual_sequence(steps):
-    return dual_decreasing_sequence(
-        RingId.POLY, POLY_X, from_rational(RingId.POLY, 1, 2), steps=steps
-    )
+def _poly_dual_sequence(**knob):
+    return dual_decreasing_sequence(RingId.POLY, POLY_X, from_rational(RingId.POLY, 1, 2), **knob)
+
+
+def _oddrat_gap_program(**knob):
+    return gap_program(RingId.ODDRAT, from_rational(RingId.ODDRAT, 2), **knob)
 
 
 @pytest.mark.parametrize(
-    "build,steps", [(_oddrat_primal_sequence, 0), (_poly_dual_sequence, -5)]
+    "run,knob",
+    [
+        (_oddrat_gap_program, "dual_samples"),
+        (_oddrat_gap_program, "seed"),
+        (_oddrat_primal_sequence, "steps"),
+        (_poly_dual_sequence, "steps"),
+    ],
 )
-def test_sequences_need_at_least_one_step(build, steps):
-    with pytest.raises(ValueError, match="steps must be positive"):
-        build(steps)
-
-
-@pytest.mark.parametrize("steps", [True, False, 2.0, "3"])
-@pytest.mark.parametrize("build", [_oddrat_primal_sequence, _poly_dual_sequence])
-def test_sequences_refuse_a_step_count_that_is_not_an_int(build, steps):
-    with pytest.raises(TypeError, match="steps must be an int"):
-        build(steps)
+def test_the_constructions_refuse_a_size_knob_by_name(run, knob):
+    """The sizes and the seed are fixed, so a caller's value is an error,
+    not ignored."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+        run(**{knob: 3})
 
 
 @pytest.mark.parametrize("build", [_oddrat_primal_sequence, _poly_dual_sequence])
 def test_verify_bundle_recomputes_the_recorded_objective_values(build):
     # every point is the start point, feasible, but the values are a real run's
-    real = build(3)
+    real = build()
     seq = real.sequence
     start = (seq.points[0],) * len(seq.points)
     primal = seq.role is SequenceRole.PRIMAL_IMPROVING
@@ -677,7 +733,7 @@ def _digest_grid():
     for a in elements:
         yield gap_program(a.ring, a), None
     for a in (POLY_X, SKEW_X):
-        yield gap_program(a.ring, a, dual_samples=25, seed=3), None
+        yield gap_program(a.ring, a), None
 
 
 def test_certificates_and_re_verification_are_byte_identical():

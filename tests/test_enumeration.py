@@ -472,7 +472,10 @@ def test_certify_rejects_a_beaten_candidate(gap_int):
         gap_int, BoxSpec(10), y_star=int_vector(RingId.INT, [2])
     )
     assert not report.passed
-    assert any("beats the dual candidate" in d for d in report.details)
+    assert report.details == (
+        "primal side: OPTIMAL",
+        "in-box point ['1'] beats the dual candidate: g = 1 < 2",
+    )
 
 
 def test_an_infeasible_candidate_fails_the_judgement_with_its_first_violation(gap_int):
@@ -645,7 +648,9 @@ def test_classify_edt_violation(edt_int):
     assert report.case is None
     assert report.primal.kind is StatusKind.INFEASIBLE
     assert report.dual.kind is StatusKind.OPTIMAL
-    assert "VIOLATION" in report.details
+    assert report.details == (
+        "VIOLATION: primal INFEASIBLE with dual OPTIMAL matches none of the four classical cases"
+    )
 
 
 def test_classify_edt_case4_with_nonzero_gap(gap_int):

@@ -44,14 +44,19 @@ and ``rings._exact`` for an element scalar are the only tests for
 ``bool``. ``__init__.py`` only star-imports its siblings, so a module's
 ``__all__`` is the package API. No float literal, true division or
 ``float`` name is written anywhere. All are checked by reading the
-sources, without importing or running anything.
+sources, without importing or running anything, except the one guard on
+public signatures: only the parameters it names have a default, so a size,
+sample, seed or step count that no caller sets is a constant, not a knob.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import pathlib
 import re
+
+import ringlp
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ringlp"
 MODULES = sorted(SRC.glob("*.py"))
@@ -560,3 +565,30 @@ def test_only_main_prints_or_picks_an_exit_code_in_the_cli():
     checks held; ``main`` alone prints them and maps that to an exit code."""
     for name in ("print", "EXIT_OK", "EXIT_VIOLATION"):
         assert _readers(SRC / "cli.py", name) == {"main"}, name
+
+
+def test_only_the_named_parameters_have_a_default():
+    """Every defaulted parameter of a public ``ringlp`` function or a public
+    ``Sampler`` method; a new one has to be named here."""
+    public = {name: getattr(ringlp, name) for name in dir(ringlp) if not name.startswith("_")}
+    public.update(
+        (f"Sampler.{name}", method)
+        for name, method in vars(ringlp.Sampler).items()
+        if not name.startswith("_")
+    )
+    defaulted = {
+        (name, parameter.name)
+        for name, function in public.items()
+        if inspect.isfunction(function)
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.default is not parameter.empty
+    }
+    assert defaulted == {
+        ("certify_optimal_pair", "x_star"),
+        ("certify_optimal_pair", "y_star"),
+        ("from_rational", "den"),
+        ("strong_duality_counterexample", "box"),
+        ("sum_of_products", "minus"),
+        ("sum_of_products", "negate"),
+        ("verify_bundle", "box"),
+    }

@@ -26,6 +26,7 @@ from ringlp import (
     identity_program_trials,
     identity_trials,
     no_central_between_trials,
+    random_program,
     weak_duality_trials,
     zero,
 )
@@ -140,10 +141,47 @@ def test_weak_duality_trials_hand_the_same_programs_and_points(monkeypatch):
 
 
 def test_a_shape_draw_takes_the_steps_of_two_checked_draws():
-    twin = Sampler(11)
-    shape = Sampler(11).shape_draw(3, 4)
+    twin, sampler = Sampler(11), Sampler(11)
     for _ in range(200):
-        assert shape() == (twin.draw_int(1, 3), twin.draw_int(1, 4))
+        assert sampler.shape_draw() == (twin.draw_int(1, 3), twin.draw_int(1, 3))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_random_programs_take_every_shape_up_to_three_by_three(ring):
+    """The shape bound is fixed at 3 x 3, and every shape within it occurs."""
+    sampler = Sampler(17)
+    shapes = {(P.A.rows, P.A.cols) for P in (random_program(sampler, ring) for _ in range(100))}
+    assert shapes == {(m, n) for m in (1, 2, 3) for n in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_a_random_program_draws_its_shape_before_its_entries(ring):
+    for seed in range(20):
+        P = random_program(Sampler(seed), ring)
+        assert (P.A.rows, P.A.cols) == Sampler(seed).shape_draw()
+
+
+@pytest.mark.parametrize("knob", ["max_rows", "max_cols"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda **knob: random_program(Sampler(1), RingId.INT, **knob),
+        lambda **knob: identity_program_trials(RingId.INT, 1, 1, **knob),
+        lambda **knob: weak_duality_trials(RingId.INT, 1, 1, **knob),
+    ],
+    ids=["random_program", "identity_program_trials", "weak_duality_trials"],
+)
+def test_the_trial_loops_refuse_a_shape_bound_by_name(run, knob):
+    """The shape is fixed, so a caller's bound is an error, not ignored."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+        run(**{knob: 3})
+
+
+def test_a_shape_draw_takes_no_bounds():
+    sampler = Sampler(1)
+    with pytest.raises(TypeError, match="positional argument"):
+        sampler.shape_draw(3, 3)
+    assert sampler.state == Sampler(1).state
 
 
 def _recording_require_int(monkeypatch) -> list:
@@ -161,8 +199,8 @@ def _recording_require_int(monkeypatch) -> list:
 
 @pytest.mark.parametrize("loop", [identity_program_trials, weak_duality_trials])
 def test_trial_loops_check_their_arguments_once_not_per_trial(monkeypatch, loop):
-    """The seed, the trial count and both shape bounds are checked once per
-    run; each trial draws its shape unchecked, not through ``draw_int``."""
+    """The seed and the trial count are checked once per run; each trial
+    draws its shape unchecked, not through ``draw_int``."""
     checked = _recording_require_int(monkeypatch)
 
     def unchecked_draws_only(self, lo, hi):
@@ -174,4 +212,4 @@ def test_trial_loops_check_their_arguments_once_not_per_trial(monkeypatch, loop)
         checked.clear()
         assert loop(RingId.RAT, trials, seed=3).passed
         runs.append(sorted(checked))
-    assert runs == [["max_cols", "max_rows", "seed", "trials"]] * 2
+    assert runs == [["seed", "trials"]] * 2

@@ -1,0 +1,90 @@
+"""Mutation test of named functions: python tools/mutate.py MODULE:FUNCTION ...
+
+Each mutant swaps one comparison (< <=, > >=, == !=, in, is) or moves one int
+constant by 1 either way in a named function of src/ringlp, in a temporary copy
+of the repository without .git whose own src is first on sys.path (this tree is
+never written). ``pytest -x -q`` runs there, one process at a time with a
+timeout, on the test files that import the mutated module, after one unmutated
+run of every test file (exit 2 if that fails). Prints KILLED (a test failed or
+timed out) or SURVIVED per mutant; exits 1 if any survived.
+"""
+
+import ast
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
+        ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+ENV = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _mutants(source: str, name: str):
+    """Each mutant of function ``name`` as (mutated module source, description)."""
+    tree = ast.parse(source)
+    function = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+    for n in ast.walk(function):
+        if isinstance(n, ast.Compare):
+            for i, op in enumerate(n.ops):
+                if type(op) in SWAP:
+                    n.ops[i] = SWAP[type(op)]()
+                    yield ast.unparse(tree), f"line {n.lineno}: {type(op).__name__} -> {SWAP[type(op)].__name__}"
+                    n.ops[i] = op
+        elif isinstance(n, ast.Constant) and type(n.value) is int:
+            for change in (1, -1):
+                n.value += change
+                yield ast.unparse(tree), f"line {n.lineno}: {n.value - change} -> {n.value}"
+                n.value -= change
+
+
+def _imports(path: pathlib.Path) -> set:
+    """The modules ``path`` imports, and ``ringlp.<name>`` per name it takes from ``ringlp``."""
+    nodes = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    modules = {getattr(n, "module", None) for n in nodes}
+    return modules | {("ringlp." if getattr(n, "module", None) == "ringlp" else "") + a.name
+                      for n in nodes for a in n.names}
+
+
+def _test_files(module: str) -> list:
+    """The test files that import ``ringlp.<module>`` or a name of its ``__all__``."""
+    tree = ast.parse((ROOT / "src" / "ringlp" / f"{module}.py").read_text())
+    public = next(ast.literal_eval(n.value) for n in tree.body
+                  if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "__all__")
+    wanted = {f"ringlp.{name}" for name in (module, *public)}
+    paths = sorted((ROOT / "tests").glob("test_*.py"))
+    return [f"tests/{path.name}" for path in paths if wanted & _imports(path)]
+
+
+def _passes(copy: pathlib.Path, files: list) -> bool:
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+    try:
+        return subprocess.run(argv, cwd=copy, env=ENV, capture_output=True, timeout=600).returncode == 0
+    except subprocess.TimeoutExpired:  # a mutant that hangs is killed
+        return False
+
+
+def main(targets: list) -> int:
+    survived = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".*cache", ".hypothesis"))
+        if not _passes(copy, ["tests"]):
+            return print("the unmutated copy fails its tests") or 2
+        for module, name in (target.split(":") for target in targets):
+            path = copy / "src" / "ringlp" / f"{module}.py"
+            source, files = path.read_text(), _test_files(module)
+            for mutated, what in _mutants(source, name):
+                path.write_text(mutated)
+                killed = not _passes(copy, files)
+                path.write_text(source)
+                survived += not killed
+                print(f"{'KILLED  ' if killed else 'SURVIVED'} {module}.{name} {what}", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]) if sys.argv[1:] else __doc__)

@@ -348,7 +348,10 @@ def strong_duality_counterexample(
         dual_optimum=y_star,
         gap_value=gap(P, x_star, y_star),
         notes=notes,
-        checks=(status_check, judge_optimal_pair(P, statuses, x_star, y_star)),
+        checks=(
+            status_check,
+            judge_optimal_pair(P, lambda primal: statuses[0 if primal else 1], x_star, y_star),
+        ),
     )
 
 
@@ -414,7 +417,7 @@ def infeasible_optimal_program(
         detail = f"{infeasible.name}: {status.kind.value} ({status.scope.value})"
         checks += [
             CheckReport("infeasible_side", status.kind is StatusKind.INFEASIBLE, True, (detail,)),
-            judge_optimal_pair(P, statuses, *candidates),
+            judge_optimal_pair(P, lambda primal: statuses[0 if primal else 1], *candidates),
         ]
         notes = (infeasible_note, sign_note)
     else:

@@ -20,21 +20,25 @@ EXHAUSTIVE.
 
 Each scan builds and caps its own grid and the program's integer form
 (``integer_form``) and passes both to its walk; a scan pair
-(``classify_edt``, ``certify_optimal_pair``) passes one grid, capped for
-the side with more variables, and one form to both walks. Nothing is kept
-on the program, and the scan is sequential. The walk scales its side's
-lines of the form once by G and yields, in lexicographic order, each
-tuple of keys that ``_fits``, an int test with no scaling of its own,
-passes. Keys are never negative, so no sign is tested and no verdict,
-slack, element or vector is built per point; the scan calls no
-feasibility test (the checks still do). Both sides maximize: the dual's
-min g is max -g on the lines of (-A^T, -c, -b). With the weights w = L c,
-or -L b, from the integer form over its denominator L, a point's rank
-``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so comparing ranks
-compares objectives exactly. Keeping only strict improvements makes the
-witness the lexicographically smallest best point. A side scan builds an
-element per distinct witness key, one vector and one objective element;
-the witness lies on the box's upper face when it holds the top key.
+(``classify_edt``, ``certify_optimal_pair``) builds one grid, capped for
+the side with more variables before any verdict or walk, and one form,
+and passes both to each walk it makes: ``classify_edt`` walks both sides,
+``certify_optimal_pair`` only a side with no candidate or a feasible one,
+since the judgement never reads the status behind an infeasible
+candidate. Nothing is kept on the program, and the scan is sequential.
+The walk scales its side's lines of the form once by G and yields, in
+lexicographic order, each tuple of keys that ``_fits``, an int test with
+no scaling of its own, passes. Keys are never negative, so no sign is
+tested and no verdict, slack, element or vector is built per point; the
+scan calls no feasibility test (the checks still do). Both sides
+maximize: the dual's min g is max -g on the lines of (-A^T, -c, -b). With
+the weights w = L c, or -L b, from the integer form over its denominator
+L, a point's rank ``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so
+comparing ranks compares objectives exactly. Keeping only strict
+improvements makes the witness the lexicographically smallest best point.
+A side scan builds an element per distinct witness key, one vector and
+one objective element; the witness lies on the box's upper face when it
+holds the top key.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import cache
 from itertools import product
 from math import gcd, lcm
 from operator import mul as _times
-from typing import Optional
+from typing import Callable, Optional
 
 from ._records import record
 from .affine import ProgramData, Side, entries, gap
@@ -299,13 +303,14 @@ def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]
     return _vectors(P, grid, _feasible_walk(P, primal, grid, integer_form(P)))
 
 
-def _scan_pair(P: ProgramData, box: BoxSpec) -> tuple[ProgramStatus, ProgramStatus]:
-    """(primal, dual) statuses on one grid and one integer form, passed to
-    both walks; the grid is capped for the side with more variables before
-    either walk starts."""
+def _side_scans(P: ProgramData, box: BoxSpec) -> Callable[[bool], ProgramStatus]:
+    """The scan of either side, ``primal -> status``, on one grid and one
+    integer form shared by both walks; the grid is capped for the side with
+    more variables before any walk, so a side that is never asked for is
+    never walked."""
     grid = _grid_values(P.ring, box, max(P.rows, P.cols))
     form = integer_form(P)
-    return _enumerate(P, True, grid, form), _enumerate(P, False, grid, form)
+    return lambda primal: _enumerate(P, primal, grid, form)
 
 
 def certify_optimal_pair(
@@ -315,33 +320,38 @@ def certify_optimal_pair(
     y_star: Optional[RVector] = None,
 ) -> CheckReport:
     """Confirm the given points are feasible and unbeaten inside the box:
-    check each given point's ring and length, scan both sides, then
-    :func:`judge_optimal_pair`."""
+    check each given point's ring and length, build and cap the grid for
+    both sides, then :func:`judge_optimal_pair`, which walks a side only
+    when it has no candidate or a feasible one; a side whose candidate is
+    infeasible is reported from its verdict alone, with no walk."""
     if x_star is None and y_star is None:
         raise ValueError("at least one candidate point is required")
     for candidate, n in ((x_star, P.cols), (y_star, P.rows)):
         if candidate is not None:
             entries(P, candidate, n)
-    return judge_optimal_pair(P, _scan_pair(P, box), x_star, y_star)
+    return judge_optimal_pair(P, _side_scans(P, box), x_star, y_star)
 
 
 def judge_optimal_pair(
     P: ProgramData,
-    statuses: tuple[ProgramStatus, ProgramStatus],
+    status_of: Callable[[bool], ProgramStatus],
     x_star: Optional[RVector] = None,
     y_star: Optional[RVector] = None,
 ) -> CheckReport:
-    """Judge the candidates against the (primal, dual) statuses of box scans
-    already made: each given point must be feasible and unbeaten by its side's
-    in-box best. An omitted side's status is reported; with both, their gap."""
+    """Judge the candidates against their sides' in-box statuses: each given
+    point must be feasible and unbeaten by its side's in-box best. An omitted
+    side's status is reported; with both candidates, their gap. A side's
+    status is taken from ``status_of(primal)`` only where it is read: for a
+    side with no candidate, and for a feasible candidate, never for an
+    infeasible one."""
     if x_star is None and y_star is None:
         raise ValueError("at least one candidate point is required")
     ok = True
     details: list[str] = []
-    for primal, candidate, status in zip((True, False), (x_star, y_star), statuses):
+    for primal, candidate in ((True, x_star), (False, y_star)):
         side = Side.of(primal)
         if candidate is None:
-            details.append(f"{side.name} side: {status.kind.value}")
+            details.append(f"{side.name} side: {status_of(primal).kind.value}")
             continue
         verdict = side.feasible(P, candidate)
         if not verdict.feasible:
@@ -349,6 +359,7 @@ def judge_optimal_pair(
             details.append(f"{side.name} candidate infeasible {verdict.violation_text()}")
             continue
         value = side.objective(P, candidate)
+        status = status_of(primal)
         if status.value is not None and compare(status.value, value) is side.better:
             ok = False
             details.append(
@@ -386,7 +397,8 @@ def classify_edt(P: ProgramData, box: BoxSpec) -> EdtReport:
     the other attains an optimum) are reported as a VIOLATION, which is
     exactly the expected finding on non-division rings.
     """
-    primal, dual = _scan_pair(P, box)
+    scan = _side_scans(P, box)
+    primal, dual = scan(True), scan(False)
     kinds = (primal.kind, dual.kind)
     if kinds not in _CASES:
         details = (

@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and :func:`require_int`,
-the one check of every count, bound and seed.
+"""Exception types shared across the library, :func:`require_int`, the one
+check of every count, bound and seed, and :func:`require_count`, which also
+bounds a trial or sample count from above.
 
 A ``PreconditionError`` (CLI exit code 3) means an operation was asked
 for outside its documented hypotheses; its five kinds stay separate
@@ -84,3 +85,16 @@ def require_int(name: str, value: int, least: int | None = None) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+
+
+# the most trials or sampled pairs one call runs: far above the CLI's defaults
+# (500 trials, 1,000 pairs), so a mistyped count is refused, not run for hours
+_MAX_COUNT = 100_000
+
+
+def require_count(name: str, value: int) -> None:
+    """``value`` is an ``int`` (``TypeError``) from 1 to 100,000
+    (``ValueError``), checked before any trial or sample is drawn."""
+    require_int(name, value, 1)
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must be at most {_MAX_COUNT}")

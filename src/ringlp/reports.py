@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ._records import record
-from .errors import require_int
+from .errors import require_count
 from .rings import RingId
 
 __all__ = ["CheckReport", "AxiomViolation", "AxiomReport", "TrialSummary"]
@@ -105,9 +105,10 @@ def run_trials(
     ``trial`` returns ``None`` when it passes and the failure's text when it
     fails; the summary counts the failures and keeps the first text. The
     caller builds the ``sampling.Sampler``, because ``sampling`` imports
-    this module. ``trials`` is a positive ``int`` (``errors.require_int``).
+    this module. ``trials`` is an ``int`` from 1 to 100,000
+    (``errors.require_count``).
     """
-    require_int("trials", trials, 1)
+    require_count("trials", trials)
     failures = 0
     first = None
     for _ in range(trials):

@@ -37,7 +37,7 @@ steps inline, the state held in a local and stored once.
 
 from __future__ import annotations
 
-from .errors import require_int
+from .errors import require_count, require_int
 from .reports import AxiomReport, AxiomViolation
 from .rings import (
     RingId,
@@ -180,10 +180,10 @@ def verify_order_axioms(ring: RingId, sample_count: int, seed: int) -> AxiomRepo
     Trichotomy is checked as sign-consistency: sign(e) lies in {-1, 0, +1},
     equals 0 exactly for the zero element, and flips under negation.
     Closure: positive a, b must give positive a+b and a*b. Violations are
-    report content with witnesses, never exceptions. ``sample_count`` is a
-    positive ``int`` (``errors.require_int``).
+    report content with witnesses, never exceptions. ``sample_count`` is an
+    ``int`` from 1 to 100,000 (``errors.require_count``).
     """
-    require_int("sample_count", sample_count, 1)
+    require_count("sample_count", sample_count)
     sampler = Sampler(seed)
     z = zero(ring)
     violations: list[AxiomViolation] = []

@@ -103,6 +103,23 @@ def test_axiom_suite_rejects_nonpositive_sample_count():
     assert verify_order_axioms(RingId.INT, 1, 1).sample_count == 1  # the least count
 
 
+def test_axiom_suite_refuses_a_sample_count_past_100000_before_any_draw(monkeypatch):
+    """The bound is accepted, which the first draw shows without drawing the
+    samples; one past it is refused before any draw."""
+
+    class Drawn(Exception):
+        pass
+
+    def first_draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(Sampler, "sample", first_draw)
+    with pytest.raises(ValueError, match="^sample_count must be at most 100000$"):
+        verify_order_axioms(RingId.INT, 100_001, 1)
+    with pytest.raises(Drawn):
+        verify_order_axioms(RingId.INT, 100_000, 1)
+
+
 def test_axiom_suite_rejects_a_bool_sample_count():
     with pytest.raises(TypeError, match="sample_count must be an int"):
         verify_order_axioms(RingId.INT, True, 1)

@@ -229,6 +229,12 @@ def test_usage_error_is_exit_two(capsys):
     assert main(["demo", "not-a-demo"]) == 2
     assert main(["identities", CE_SD, "--trials", "0"]) == 2
     assert main(["identities", CE_SD, "--trials", "-3"]) == 2
+    # a count past the bound is refused before any trial or sample is drawn
+    capsys.readouterr()
+    assert main(["identities", CE_SD, "--trials", "100001"]) == 2
+    assert capsys.readouterr().err == "error: trials must be at most 100000\n"
+    assert main(["axioms", "--ring", "int", "--samples", "100001"]) == 2
+    assert capsys.readouterr().err == "error: sample_count must be at most 100000\n"
     # scans are sequential: there is no --workers option
     assert main(["enumerate", CE_SD, "--box", "10", "--workers", "2"]) == 2
     assert main(["edt", CE_SD, "--box", "10", "--workers", "2"]) == 2

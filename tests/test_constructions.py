@@ -327,7 +327,8 @@ def test_constructions_mark_exhaustive_only_the_sides_they_argue(monkeypatch):
     monkeypatch.setattr(
         constructions,
         "judge_optimal_pair",
-        lambda P, statuses, *candidates: judged.append(statuses) or judge(P, statuses, *candidates),
+        lambda P, status_of, *candidates: judged.append((status_of(True), status_of(False)))
+        or judge(P, status_of, *candidates),
     )
     two = from_int(RingId.INT, 2)
     bundle = strong_duality_counterexample(RingId.INT, two, BoxSpec(1))

@@ -278,6 +278,38 @@ def test_the_walk_yields_the_oracle_feasible_grid_points_in_lexicographic_order(
         assert got == want
 
 
+@st.composite
+def certify_calls(draw):
+    """``(P, box, x_star, y_star)``: a ``small_programs`` pair and a candidate
+    on one side or both, each any grid point (mostly infeasible) or a
+    feasible one when the side has any."""
+    P, box = draw(small_programs())
+    grid = candidate_values(P.ring, box)
+    given = draw(st.sampled_from(((True, True), (True, False), (False, True))))
+    candidates = []
+    for primal, n, present in ((True, P.cols, given[0]), (False, P.rows, given[1])):
+        feasible = feasible_points(P, box, primal) if present and draw(st.booleans()) else []
+        if not present:
+            candidates.append(None)
+        elif feasible:
+            candidates.append(draw(st.sampled_from(feasible)))
+        else:
+            candidates.append(vector(P.ring, [draw(st.sampled_from(grid)) for _ in range(n)]))
+    return P, box, *candidates
+
+
+@settings(max_examples=200, deadline=None)
+@given(certify_calls())
+def test_certify_matches_the_judgement_of_both_walked_sides(drawn):
+    """Walking only the sides the verdict reads changes no report: it equals
+    the judgement of the same candidates over both sides' statuses, each
+    scanned on its own before judging."""
+    P, box, x_star, y_star = drawn
+    statuses = (enumerate_primal(P, box), enumerate_dual(P, box))
+    eager = judge_optimal_pair(P, lambda primal: statuses[0 if primal else 1], x_star, y_star)
+    assert certify_optimal_pair(P, box, x_star, y_star).as_dict() == eager.as_dict()
+
+
 class WatchedCoefficients(tuple):
     """The coefficients of one integer-form line; reading them logs the line."""
 
@@ -480,9 +512,13 @@ def test_certify_rejects_a_beaten_candidate(gap_int):
 
 def test_an_infeasible_candidate_fails_the_judgement_with_its_first_violation(gap_int):
     """A = [2], b = [1], c = [1]: x = 1 breaks the row and y = 0 the column
-    (the dual's negated line), so each candidate is named with its verdict."""
-    statuses = (enumerate_primal(gap_int, BoxSpec(3)), enumerate_dual(gap_int, BoxSpec(3)))
-    report = judge_optimal_pair(gap_int, statuses, int_vector(RingId.INT, [1]), int_vector(RingId.INT, [0]))
+    (the dual's negated line), so each candidate is named with its verdict,
+    and neither side's status is read."""
+
+    def unread(primal):
+        raise AssertionError("the status of a side with an infeasible candidate was read")
+
+    report = judge_optimal_pair(gap_int, unread, int_vector(RingId.INT, [1]), int_vector(RingId.INT, [0]))
     assert not report.passed
     assert report.details == (
         "primal candidate infeasible (SLACK_NEGATIVE at index 0)",
@@ -494,9 +530,8 @@ def test_an_infeasible_candidate_fails_the_judgement_with_its_first_violation(ga
 def test_certify_requires_at_least_one_side(gap_int):
     with pytest.raises(ValueError):
         certify_optimal_pair(gap_int, BoxSpec(10))
-    statuses = (enumerate_primal(gap_int, BoxSpec(3)), enumerate_dual(gap_int, BoxSpec(3)))
     with pytest.raises(ValueError):
-        judge_optimal_pair(gap_int, statuses)
+        judge_optimal_pair(gap_int, lambda primal: pytest.fail("a status was read"))
 
 
 @pytest.mark.parametrize(
@@ -583,6 +618,32 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     # not the two objectives
     assert certify == {
         "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 2, "_fits": 8
+    }
+    # x = 1 breaks 2 x <= 1 and y = 0 breaks 2 y >= 1: an infeasible
+    # candidate's side is judged by its verdict alone, with no walk and no
+    # objective
+    certify = calls_made(
+        lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [1]), int_vector(RingId.INT, [1]))
+    )
+    assert certify == {
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 0, "eval_g": 2, "_fits": 4
+    }
+    certify = calls_made(
+        lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [0]), int_vector(RingId.INT, [0]))
+    )
+    assert certify == {
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 0, "_fits": 4
+    }
+    certify = calls_made(
+        lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [1]), int_vector(RingId.INT, [0]))
+    )
+    assert certify == {
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 0, "eval_g": 0, "_fits": 0
+    }
+    # a side with no candidate is walked, since the report names its kind
+    certify = calls_made(lambda: certify_optimal_pair(gap_int, box, x_star=int_vector(RingId.INT, [1])))
+    assert certify == {
+        "is_primal_feasible": 1, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "_fits": 4
     }
     bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2), box)
     verify = calls_made(lambda: verify_bundle(bundle, box))
@@ -806,10 +867,16 @@ def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch
         enumerate_dual(P, box)
     checks = []
     monkeypatch.setattr(enumeration, "_fits", lambda *args: checks.append(args))
+    for name in ("is_primal_feasible", "is_dual_feasible"):
+        monkeypatch.setattr(affine, name, lambda *args: checks.append(args))
     with pytest.raises(ValueError, match="too large"):
         classify_edt(P, box)
     with pytest.raises(ValueError, match="too large"):
         certify_optimal_pair(P, box, int_vector(RingId.INT, [0]))
+    # x = 2 breaks x <= 1 and y = 0 breaks y1 + y2 + y3 >= 1: neither side
+    # would be walked, yet the grid is still refused before either verdict
+    with pytest.raises(ValueError, match="too large"):
+        certify_optimal_pair(P, box, int_vector(RingId.INT, [2]), int_vector(RingId.INT, [0, 0, 0]))
     assert checks == []
 
 

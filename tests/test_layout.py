@@ -213,13 +213,14 @@ def test_primal_and_dual_sides_are_defined_only_in_affine():
 
 
 def _modules_requiring(argument: str) -> set[str]:
-    """The modules that call ``require_int`` on the argument ``argument``."""
+    """The modules that call ``require_int`` or ``require_count`` on the
+    argument ``argument``."""
     return {
         path.name
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "require_int"
+        and getattr(node.func, "id", None) in ("require_int", "require_count")
         and node.args
         and getattr(node.args[0], "value", None) == argument
     }
@@ -228,6 +229,7 @@ def _modules_requiring(argument: str) -> set[str]:
 def test_only_the_shared_trial_loop_checks_the_trial_count():
     assert _modules_requiring("trials") == {"reports.py"}
     assert _lines_matching("must be positive") <= {"errors.py"}
+    assert _lines_matching("must be at most") <= {"errors.py"}
 
 
 def _bool_type_tests(path: pathlib.Path) -> set[str]:

@@ -31,8 +31,9 @@ from ringlp import (
     zero,
 )
 from ringlp.errors import require_int
+from ringlp.reports import run_trials
 
-from conftest import ALL_RINGS, patch_in_every_module
+from conftest import ALL_RINGS, make_gap_program, patch_in_every_module
 
 
 def _fail_every_third_from_the_second(monkeypatch, module, name, failing_result):
@@ -213,3 +214,34 @@ def test_trial_loops_check_their_arguments_once_not_per_trial(monkeypatch, loop)
         assert loop(RingId.RAT, trials, seed=3).passed
         runs.append(sorted(checked))
     assert runs == [["seed", "trials"]] * 2
+
+
+class _Drawn(Exception):
+    """Raised by the first draw: the count was accepted and the loop began."""
+
+
+def _draw(*args):
+    raise _Drawn
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        lambda trials: identity_trials(make_gap_program(), trials, seed=1),
+        lambda trials: identity_program_trials(RingId.INT, trials, seed=1),
+        lambda trials: weak_duality_trials(RingId.INT, trials, seed=1),
+        lambda trials: no_central_between_trials(SKEW_X, SKEW_Y, trials, seed=1),
+        lambda trials: run_trials("bounded", trials, Sampler(1), lambda sampler: sampler.sample(RingId.INT)),
+    ],
+    ids=["identity", "identity_program", "weak_duality", "no_central_between", "run_trials"],
+)
+def test_a_trial_count_past_100000_is_refused_before_any_draw(monkeypatch, loop):
+    """The count is bounded where every loop checks it, so a mistyped count
+    fails at once; the bound itself is accepted, which the first draw shows
+    without running the trials."""
+    for draw in ("sample", "sample_central", "shape_draw"):
+        monkeypatch.setattr(Sampler, draw, _draw)
+    with pytest.raises(ValueError, match="^trials must be at most 100000$"):
+        loop(100_001)
+    with pytest.raises(_Drawn):
+        loop(100_000)

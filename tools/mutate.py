@@ -1,8 +1,9 @@
 """Mutation test of named functions: python tools/mutate.py MODULE:FUNCTION ...
 
-Each mutant swaps one comparison (< <=, > >=, == !=, in, is) or moves one int
-constant by 1 either way in a named function of src/ringlp, in a temporary copy
-of the repository without .git whose own src is first on sys.path (this tree is
+Each mutant swaps one comparison (< <=, > >=, == !=, in, is), drops one
+``not``, swaps one ``and`` for ``or`` or back, or moves one int constant by 1
+either way in a named function of src/ringlp, in a temporary copy of the
+repository without .git whose own src is first on sys.path (this tree is
 never written). ``pytest -x -q`` runs there, one process at a time with a
 timeout, on the test files that import the mutated module, after one unmutated
 run of every test file (exit 2 if that fails). Prints KILLED (a test failed or
@@ -23,12 +24,31 @@ SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.
 ENV = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+def _replace(holder: ast.AST, old: ast.AST, new: ast.AST) -> None:
+    """Put ``new`` where ``old`` sits among the fields of ``holder``."""
+    for field, value in ast.iter_fields(holder):
+        if value is old:
+            setattr(holder, field, new)
+        elif isinstance(value, list):
+            value[:] = [new if child is old else child for child in value]
+
+
 def _mutants(source: str, name: str):
     """Each mutant of function ``name`` as (mutated module source, description)."""
     tree = ast.parse(source)
     function = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+    parents = {child: node for node in ast.walk(function) for child in ast.iter_child_nodes(node)}
     for n in ast.walk(function):
-        if isinstance(n, ast.Compare):
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not):
+            _replace(parents[n], n, n.operand)
+            yield ast.unparse(tree), f"line {n.lineno}: not dropped"
+            _replace(parents[n], n.operand, n)
+        elif isinstance(n, ast.BoolOp):
+            op = n.op
+            n.op = ast.Or() if isinstance(op, ast.And) else ast.And()
+            yield ast.unparse(tree), f"line {n.lineno}: {type(op).__name__} -> {type(n.op).__name__}"
+            n.op = op
+        elif isinstance(n, ast.Compare):
             for i, op in enumerate(n.ops):
                 if type(op) in SWAP:
                     n.ops[i] = SWAP[type(op)]()

@@ -27,18 +27,18 @@ and passes both to each walk it makes: ``classify_edt`` walks both sides,
 since the judgement never reads the status behind an infeasible
 candidate. Nothing is kept on the program, and the scan is sequential.
 The walk scales its side's lines of the form once by G and yields, in
-lexicographic order, each tuple of keys that ``_fits``, an int test with
-no scaling of its own, passes. Keys are never negative, so no sign is
-tested and no verdict, slack, element or vector is built per point; the
-scan calls no feasibility test (the checks still do). Both sides
-maximize: the dual's min g is max -g on the lines of (-A^T, -c, -b). With
-the weights w = L c, or -L b, from the integer form over its denominator
-L, a point's rank ``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so
-comparing ranks compares objectives exactly. Keeping only strict
-improvements makes the witness the lexicographically smallest best point.
-A side scan builds an element per distinct witness key, one vector and
-one objective element; the witness lies on the box's upper face when it
-holds the top key.
+lexicographic order, each tuple of keys that meets them, taking each
+line's int residual once per prefix of n - 1 keys, so a last key costs one
+int product per line. Keys are never negative, so no sign is tested and no
+verdict, slack, element or vector is built per point; the scan calls no
+feasibility test (the checks still do). Both sides maximize: the dual's
+min g is max -g on the lines of (-A^T, -c, -b). With the weights w = L c,
+or -L b, from the integer form over its denominator L, a point's rank
+``w . k`` is ``(f + d) L G`` or ``-(g + d) L G``, so comparing ranks compares
+objectives exactly. Keeping only strict improvements makes the witness the
+lexicographically smallest best point. A side scan builds an element per
+distinct witness key, one vector and one objective element; the witness
+lies on the box's upper face when it holds the top key.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ __all__ = [
 _MAX_POINTS = 5_000_000
 _MAX_LISTED = 1_000_000
 _TOO_LARGE = "search box too large for exhaustive scan"
+# per-variable grid values times the bit length of their G: 16 MiB of keys
+_MAX_GRID_BITS = 1 << 27
 
 
 @record
@@ -160,7 +162,8 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS)
     function that builds a key's element k/G; no element is built here.
     Raises when the values of denominator 1 alone, raised to the number of
     variables, exceed ``cap`` points, and otherwise as soon as the distinct
-    values found so far do."""
+    values found so far do, or their count times the bit length of the G
+    so far exceeds ``_MAX_GRID_BITS``, before any key is built."""
     if not isinstance(box, BoxSpec):
         raise TypeError(f"box must be a BoxSpec, got {box!r}")
     facts = descriptor(ring)
@@ -188,6 +191,7 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS)
         if try_invert(from_int(ring, den)) is None:
             continue
         G = lcm(G, den)
+        bits = G.bit_length()
         # a pair not in lowest terms repeats the value of its lowest terms,
         # whose denominator divides den, so is a unit and was walked before
         for num in range(box.bound * d_bound + 1):
@@ -195,6 +199,8 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS)
                 pairs.append((num, den))
                 if len(pairs) ** nvars > cap:
                     raise ValueError(_TOO_LARGE)
+                if len(pairs) * bits > _MAX_GRID_BITS:
+                    raise ValueError(f"{_TOO_LARGE}: keys over {_MAX_GRID_BITS} bits per variable")
 
     # each den is a unit of the ring, so every value is in it by construction
     def value(k: int) -> RingElement:
@@ -224,24 +230,24 @@ def integer_form(P: ProgramData) -> tuple[tuple, tuple]:
     return rows, tuple((negated[i::n], -c[i]) for i in range(n))
 
 
-def _fits(lines: tuple, point: tuple) -> bool:
-    """Whether the grid point of int keys ``point`` meets every line ``(a, k)``,
-    each already scaled by the grid's G: ``a . point <= k``, the first broken
-    line ending the test."""
-    for a, k in lines:
-        if k < sum(map(_times, a, point)):
-            return False
-    return True
-
-
 def _feasible_walk(P: ProgramData, primal: bool, grid: tuple, form: tuple):
     """Yield the int keys of every feasible point of ``grid`` on the primal
-    (x) or dual (y) side in lexicographic order: each tuple of keys that
-    ``_fits`` passes. No vector, element or ``Fraction`` is built."""
+    (x) or dual (y) side in lexicographic order. Per prefix of n - 1 keys,
+    each side line ``a . v <= k``, scaled by G, gives its int residual
+    ``r = k G - a[:-1] . prefix`` once; a last key z, ascending, passes
+    when ``a[-1] z <= r`` on every line, the first broken line ending its
+    test. No vector, element or ``Fraction`` is built."""
     keys, G, _ = grid
     lines, n = (form[0], P.cols) if primal else (form[1], P.rows)
-    lines = tuple((a, k * G) for a, k in lines)
-    return (point for point in product(keys, repeat=n) if _fits(lines, point))
+    lines = tuple((a[:-1], a[-1], k * G) for a, k in lines)
+    for prefix in product(keys, repeat=n - 1):
+        tests = [(last, k - sum(map(_times, head, prefix))) for head, last, k in lines]
+        for z in keys:
+            for last, r in tests:
+                if r < last * z:
+                    break
+            else:
+                yield prefix + (z,)
 
 
 def _vectors(P: ProgramData, grid: tuple, points) -> list[RVector]:

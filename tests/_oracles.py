@@ -11,10 +11,11 @@ shares no code with ``sum_of_products``.
 Kernel sums and the products a program is made of, ``mat_apply`` (A x),
 ``covec_apply`` (y A) and ``dot_left`` (u.v), are such folds; ``vec_add``
 and ``vec_sub`` work entry by entry. Box optima come from a plain Fraction
-scan, box grids as sorted sets of Fractions, the two equation identities
-by expanding both sides as raw double sums of those oracles, and
-feasibility verdicts from the whole slack built by such element-per-step
-folds. ``ReferenceSampler``
+scan, box grids as sorted sets of Fractions, the box walk's key tuples
+from the whole grid product filtered by each line's full sum, the two
+equation identities by expanding both sides as raw double sums of those
+oracles, and feasibility verdicts from the whole slack built by such
+element-per-step folds. ``ReferenceSampler``
 redraws the seeded element stream from the ``ringlp.sampling`` docstring
 alone, with its own generator step and constants.
 """
@@ -288,6 +289,18 @@ def box_grid_by_fractions(ring: RingId, bound: int, den_bound) -> list[Fraction]
     d_bound = den_bound or 1
     dens = [d for d in range(1, d_bound + 1) if ring is RingId.RAT or d % 2 == 1]
     return sorted({Fraction(num, den) for den in dens for num in range(bound * d_bound + 1)})
+
+
+def point_walk(P: ProgramData, primal: bool, grid: tuple, form: tuple):
+    """``enumeration._feasible_walk``'s key tuples point by point: every
+    tuple of the grid's keys over the whole ``itertools.product``, in
+    lexicographic order, whose full sum ``a . point`` meets every line
+    ``(a, k)`` of the side's integer form scaled by the grid's G."""
+    keys, G, _ = grid
+    lines, n = (form[0], P.cols) if primal else (form[1], P.rows)
+    for point in itertools.product(keys, repeat=n):
+        if all(sum(a_i * k_i for a_i, k_i in zip(a, point, strict=True)) <= k * G for a, k in lines):
+            yield point
 
 
 class ReferenceSampler:

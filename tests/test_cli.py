@@ -273,6 +273,12 @@ def test_over_long_literal_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("parse error: line 4, col 3: A[0]: ")
 
 
+def test_a_grid_over_the_key_bit_budget_is_exit_two(capsys):
+    # one variable on 1000 denominators passes the point cap but not the key bit budget
+    assert main(["enumerate", EDT_FAIL_RAT, "--box", "1", "--den", "1000", "--side", "primal"]) == 2
+    assert capsys.readouterr().err.endswith("keys over 134217728 bits per variable\n")
+
+
 def test_dimension_error_is_exit_two(capsys):
     assert main(["check", CE_SD, "--x", "0 0", "--y", "1"]) == 2
 

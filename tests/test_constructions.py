@@ -748,14 +748,15 @@ def test_certificates_and_re_verification_are_byte_identical():
 
 
 def test_constructions_scan_each_side_once(monkeypatch):
-    """(box scans, grid points walked, primal verdicts, dual verdicts) per
-    construction: each side is scanned once, each of its grid points is
-    judged once by the walk's ``_fits``, and each witness is checked
-    once by its side's feasibility test, which the walk does not call."""
-    counts = dict.fromkeys(("scans", "points", "primal", "dual"), 0)
+    """(box scans, grid walks, primal verdicts, dual verdicts) per
+    construction: each side is scanned once and its grid walked once by
+    ``_feasible_walk``, a listing of a side's points walks it once too, and
+    each witness is checked once by its side's feasibility test, which the
+    walk does not call."""
+    counts = dict.fromkeys(("scans", "walks", "primal", "dual"), 0)
     for module, name, key in (
         (enumeration, "_enumerate", "scans"),
-        (enumeration, "_fits", "points"),
+        (enumeration, "_feasible_walk", "walks"),
         (affine, "is_primal_feasible", "primal"),
         (affine, "is_dual_feasible", "dual"),
     ):
@@ -774,12 +775,12 @@ def test_constructions_scan_each_side_once(monkeypatch):
 
     two = from_int(RingId.INT, 2)
     strong, n = made(lambda: strong_duality_counterexample(RingId.INT, two))
-    assert n == (2, 22, 1, 1)
+    assert n == (2, 2, 1, 1)
     edt, n = made(
         lambda: infeasible_optimal_program(RingId.INT, two, InfeasibleSide.PRIMAL_INFEASIBLE)
     )
-    assert n == (2, 132, 0, 2)
-    assert made(lambda: gap_program(RingId.INT, two))[1] == (0, 22, 1, 1)
+    assert n == (2, 2, 0, 2)
+    assert made(lambda: gap_program(RingId.INT, two))[1] == (0, 2, 1, 1)
     skew, n = made(lambda: gap_program(RingId.SKEW, SKEW_X))
     assert n == (0, 0, 1, 11)
     assert made(lambda: verify_bundle(skew))[1] == (0, 0, 1, 11)

@@ -42,7 +42,7 @@ from ringlp import (
 import ringlp.enumeration as enumeration
 from ringlp.enumeration import _grid_values, judge_optimal_pair
 
-from _oracles import box_grid_by_fractions, brute_force_box_optimum, feasibility_verdict_by_folds
+from _oracles import box_grid_by_fractions, brute_force_box_optimum, feasibility_verdict_by_folds, point_walk
 from conftest import counting_constructions, int_matrix, int_vector, make_edt_program, make_gap_program
 
 
@@ -278,6 +278,65 @@ def test_the_walk_yields_the_oracle_feasible_grid_points_in_lexicographic_order(
         assert got == want
 
 
+def _fraction_program(ring, A_rows, b, c, d=0):
+    """The program of Fraction (or int) entries on ``ring``."""
+    def vec(values):
+        return vector(ring, [from_rational(ring, Fraction(v)) for v in values])
+
+    A = matrix(ring, [[from_rational(ring, Fraction(e)) for e in row] for row in A_rows])
+    return ProgramData(ring, A, vec(b), vec(c), from_rational(ring, Fraction(d)))
+
+
+@st.composite
+def walk_programs(draw):
+    """``(P, box)``: INT, RAT or ODDRAT, 1-3 rows and columns, so each side
+    has 1, 2 or 3 variables (one variable: an empty prefix), entries a
+    numerator in -4..4 over a unit denominator of the ring up to 3, and a
+    box of N <= 2 and D <= 2. The last column of A, the primal lines' last
+    coefficients, and the last row, the dual lines' negated, are each
+    zero, of one sign or free; before that, each row of A (or each column)
+    is nonnegative, nonpositive or free, so its lines are mostly
+    sign-uniform."""
+    ring = draw(st.sampled_from((RingId.INT, RingId.RAT, RingId.ODDRAT)))
+    dens = [d for d in _UNIT_DENOMINATORS[ring] if d <= 3]
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def scalar(lo=-4, hi=4):
+        return Fraction(draw(st.integers(lo, hi)), draw(st.sampled_from(dens)))
+
+    ranges = [draw(st.sampled_from(((-4, 4), (0, 4), (-4, 0)))) for _ in range(max(m, n))]
+    by_row = draw(st.booleans())
+    A = [[scalar(*ranges[j if by_row else i]) for i in range(n)] for j in range(m)]
+    for cells in ([(j, n - 1) for j in range(m)], [(m - 1, i) for i in range(n)]):
+        last = draw(st.sampled_from(((-4, 4), (0, 0), (1, 4), (-4, -1))))
+        for j, i in cells:
+            A[j][i] = scalar(*last)
+    b, c = [scalar() for _ in range(m)], [scalar() for _ in range(n)]
+    den = None if ring is RingId.INT else draw(st.integers(1, 2))
+    return _fraction_program(ring, A, b, c, scalar()), BoxSpec(draw(st.integers(1, 2)), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_programs())
+# a zero last coefficient: x1 <= 1 keeps every x2 while its residual is
+# >= 0 (x1 = 0, 1) and empties the prefix x1 = 2, where it is < 0
+@example((_fraction_program(RingId.INT, [[1, 0]], [1], [1, 1]), BoxSpec(2)))
+@example((_fraction_program(RingId.RAT, [[1, 0, 0], [0, -1, 0]], [Fraction(1, 2), -1], [0, 0, 0]), BoxSpec(2, 2)))
+# the constant-dual program: y1 + y2 >= 1 with g = 0, last coefficient -1
+@example((_fraction_program(RingId.INT, [[1], [1]], [0, 0], [1]), BoxSpec(2)))
+@example((_fraction_program(RingId.ODDRAT, [[1], [1]], [0, 0], [1]), BoxSpec(2, 2)))
+def test_the_walk_yields_the_point_walk_key_tuples_in_order(drawn):
+    """On both sides the residual walk yields exactly the key tuples, order
+    included, of the point walk: the whole grid product filtered by each
+    line's full sum, scaled by G."""
+    P, box = drawn
+    form = enumeration.integer_form(P)
+    for primal, n in ((True, P.cols), (False, P.rows)):
+        grid = _grid_values(P.ring, box, n)
+        walked = list(enumeration._feasible_walk(P, primal, grid, form))
+        assert walked == list(point_walk(P, primal, grid, form))
+
+
 @st.composite
 def certify_calls(draw):
     """``(P, box, x_star, y_star)``: a ``small_programs`` pair and a candidate
@@ -310,43 +369,51 @@ def test_certify_matches_the_judgement_of_both_walked_sides(drawn):
     assert certify_optimal_pair(P, box, x_star, y_star).as_dict() == eager.as_dict()
 
 
-class WatchedCoefficients(tuple):
-    """The coefficients of one integer-form line; reading them logs the line."""
+class WatchedCoefficient(int):
+    """One coefficient of an integer-form line; a product with it logs the
+    line and the coefficient's place in it."""
 
-    def __new__(cls, coeffs, line, log):
-        self = super().__new__(cls, coeffs)
-        self.line, self.log = line, log
+    def __new__(cls, value, place, log):
+        self = super().__new__(cls, value)
+        self.place, self.log = place, log
         return self
 
-    def __iter__(self):
-        self.log.append(self.line)
-        return super().__iter__()
+    def __mul__(self, other):
+        self.log.append(self.place)
+        return int(self) * other
 
-    def __getitem__(self, k):
-        self.log.append(self.line)
-        return super().__getitem__(k)
+    __rmul__ = __mul__
 
 
 def test_a_violated_first_row_is_the_only_row_tried(monkeypatch):
-    """The walk's test ends at the first broken line: every row breaks at
-    every primal grid point, so each of the four points reads row 0 alone,
-    and column 0, broken at y = 0, is the only column read there."""
+    """The walk takes each line's residual over a prefix once, and a point's
+    test ends at its first broken line: every row breaks at every primal
+    grid point, so per prefix each row's first coefficient is read once and
+    each of the two last keys reads row 0's last coefficient alone. On the
+    dual side column 0, broken at y = 0, is the only column y = (0, 0, 0)
+    reads; the next point, (0, 0, 1), meets column 0 and reads column 1."""
     P = _program([[1, 2], [3, 4], [5, 6]], [-1, -2, -3], [1, -1], ring=RingId.RAT)
     read: list = []
     form = enumeration.integer_form
 
     def watched(program):
         return tuple(
-            tuple((WatchedCoefficients(coeffs, (side, k), read), const) for k, (coeffs, const) in enumerate(lines))
+            tuple(
+                (tuple(WatchedCoefficient(a, (side, k, i), read) for i, a in enumerate(coeffs)), const)
+                for k, (coeffs, const) in enumerate(lines)
+            )
             for side, lines in zip(("row", "column"), form(program))
         )
 
     monkeypatch.setattr(enumeration, "integer_form", watched)
     assert feasible_points(P, BoxSpec(1, 1), primal=True) == []
-    assert read == [("row", 0)] * 4
+    per_prefix = [("row", 0, 0), ("row", 1, 0), ("row", 2, 0)] + [("row", 0, 1)] * 2
+    assert read == per_prefix * 2
     read.clear()
-    assert not enumeration._fits(watched(P)[1], (0, 0, 0))
-    assert read == [("column", 0)]
+    grid = _grid_values(P.ring, BoxSpec(1, 1), P.rows)
+    assert next(enumeration._feasible_walk(P, False, grid, watched(P))) == (0, 0, 1)
+    residuals = [("column", k, i) for k in range(2) for i in range(2)]
+    assert read == residuals + [("column", 0, 2)] * 2 + [("column", 1, 2)]
 
 
 @pytest.mark.parametrize("ring", [RingId.INT, RingId.RAT, RingId.ODDRAT])
@@ -458,13 +525,13 @@ def test_feasible_points_refuses_a_side_that_is_not_a_bool(edt_int, primal):
 def test_feasible_points_refuses_a_side_grid_above_the_listing_cap_before_it_walks(monkeypatch):
     """An all-feasible 2-variable box of 2236 ** 2 points passes the scan
     cap, but listing it would keep about 5,000,000 vectors: it is refused
-    before any point is judged. A grid exactly at the cap still lists."""
+    before the walk starts. A grid exactly at the cap still lists."""
     P = _program([[0, 0]], [0], [0, 0])
 
     def no_walk(*args):
         raise AssertionError("a refused grid was walked")
 
-    monkeypatch.setattr(enumeration, "_fits", no_walk)
+    monkeypatch.setattr(enumeration, "_feasible_walk", no_walk)
     with pytest.raises(ValueError, match="too large"):
         feasible_points(P, BoxSpec(2235), primal=True)
     monkeypatch.undo()
@@ -572,11 +639,12 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     """Every layer above ``affine`` reaches the feasibility tests and
     objectives through ``affine``'s module globals, so a function patched
     onto ``affine`` is the one each scan and certificate calls. A side scan
-    judges each grid point once through ``enumeration._fits`` and
-    calls no feasibility test, while a certificate calls one per candidate.
+    walks its grid once through ``enumeration._feasible_walk`` and
+    calls no feasibility test, while a certificate calls one per candidate
+    and walks only the sides its verdict reads, each at most once.
     It ranks its points by integer keys, so it calls its objective once, for
     the best point, and not at all when it finds none."""
-    names = ("is_primal_feasible", "is_dual_feasible", "eval_f", "eval_g", "_fits")
+    names = ("is_primal_feasible", "is_dual_feasible", "eval_f", "eval_g", "_feasible_walk")
     counts = dict.fromkeys(names, 0)
 
     def counting(module, name):
@@ -589,7 +657,7 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
         return wrapper
 
     for name in counts:
-        module = enumeration if name == "_fits" else affine
+        module = enumeration if name == "_feasible_walk" else affine
         monkeypatch.setattr(module, name, counting(module, name))
 
     def calls_made(action):
@@ -599,25 +667,25 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
 
     gap_int, box = make_gap_program(), BoxSpec(3)
     assert calls_made(lambda: enumerate_primal(gap_int, box)) == {
-        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 1, "eval_g": 0, "_fits": 4
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 1, "eval_g": 0, "_feasible_walk": 1
     }
     assert calls_made(lambda: feasible_points(gap_int, box, primal=False)) == {
-        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 0, "_fits": 4
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 0, "_feasible_walk": 1
     }
     assert calls_made(lambda: enumerate_dual(gap_int, box))["eval_g"] == 1
     edt_int = make_edt_program()
     assert calls_made(lambda: enumerate_primal(edt_int, box))["eval_f"] == 0
     assert calls_made(lambda: classify_edt(edt_int, box)) == {
-        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "_fits": 20
+        "is_primal_feasible": 0, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "_feasible_walk": 2
     }
     certify = calls_made(
         lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [0]), int_vector(RingId.INT, [1]))
     )
-    # per side: four grid points and one candidate verdict, and one objective
+    # per side: one walk and one candidate verdict, and one objective
     # for the scan and one for the candidate; the gap is two kernel calls,
     # not the two objectives
     assert certify == {
-        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 2, "_fits": 8
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 2, "_feasible_walk": 2
     }
     # x = 1 breaks 2 x <= 1 and y = 0 breaks 2 y >= 1: an infeasible
     # candidate's side is judged by its verdict alone, with no walk and no
@@ -626,24 +694,24 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
         lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [1]), int_vector(RingId.INT, [1]))
     )
     assert certify == {
-        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 0, "eval_g": 2, "_fits": 4
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 0, "eval_g": 2, "_feasible_walk": 1
     }
     certify = calls_made(
         lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [0]), int_vector(RingId.INT, [0]))
     )
     assert certify == {
-        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 0, "_fits": 4
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 2, "eval_g": 0, "_feasible_walk": 1
     }
     certify = calls_made(
         lambda: certify_optimal_pair(gap_int, box, int_vector(RingId.INT, [1]), int_vector(RingId.INT, [0]))
     )
     assert certify == {
-        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 0, "eval_g": 0, "_fits": 0
+        "is_primal_feasible": 1, "is_dual_feasible": 1, "eval_f": 0, "eval_g": 0, "_feasible_walk": 0
     }
     # a side with no candidate is walked, since the report names its kind
     certify = calls_made(lambda: certify_optimal_pair(gap_int, box, x_star=int_vector(RingId.INT, [1])))
     assert certify == {
-        "is_primal_feasible": 1, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "_fits": 4
+        "is_primal_feasible": 1, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "_feasible_walk": 1
     }
     bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2), box)
     verify = calls_made(lambda: verify_bundle(bundle, box))
@@ -866,7 +934,7 @@ def test_a_scan_pair_checks_the_cap_of_both_sides_before_either_walk(monkeypatch
     with pytest.raises(ValueError, match="too large"):
         enumerate_dual(P, box)
     checks = []
-    monkeypatch.setattr(enumeration, "_fits", lambda *args: checks.append(args))
+    monkeypatch.setattr(enumeration, "_feasible_walk", lambda *args: checks.append(args))
     for name in ("is_primal_feasible", "is_dual_feasible"):
         monkeypatch.setattr(affine, name, lambda *args: checks.append(args))
     with pytest.raises(ValueError, match="too large"):
@@ -886,7 +954,7 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
     box = BoxSpec(10)
     small = _program([[1]], [1], [1])
     big = _program([[1] * 8], [1], [1] * 8)
-    verdict = enumeration._fits
+    walk = enumeration._feasible_walk
     inner = []
 
     def refuse_the_walk(*args):
@@ -895,13 +963,13 @@ def test_a_scan_during_a_scan_pair_on_the_same_box_keeps_its_own_cap(monkeypatch
     def scan_big_once(*args):
         if not inner:
             inner.append(big)
-            monkeypatch.setattr(enumeration, "_fits", refuse_the_walk)
+            monkeypatch.setattr(enumeration, "_feasible_walk", refuse_the_walk)
             with pytest.raises(ValueError, match="too large"):
                 enumerate_primal(big, box)
-            monkeypatch.setattr(enumeration, "_fits", verdict)
-        return verdict(*args)
+            monkeypatch.setattr(enumeration, "_feasible_walk", walk)
+        return walk(*args)
 
-    monkeypatch.setattr(enumeration, "_fits", scan_big_once)
+    monkeypatch.setattr(enumeration, "_feasible_walk", scan_big_once)
     classify_edt(small, box)
     assert inner == [big]
 
@@ -1030,6 +1098,33 @@ def test_a_rational_grid_over_the_cap_is_refused_before_any_value_is_built(ring)
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("budget, builds", [(42, True), (41, False)])
+def test_a_grid_at_the_key_bit_budget_builds_and_one_past_it_is_refused(monkeypatch, budget, builds):
+    """The budget bounds a variable's values times the bit length of G, as
+    each value is found: RAT ``BoxSpec(2, 3)`` has 14 values over G = 6, a
+    3-bit G, so 42 bits. At a budget of 42 it builds; at 41 its last value
+    is refused, with the budget in the text."""
+    monkeypatch.setattr(enumeration, "_MAX_GRID_BITS", budget)
+    if builds:
+        keys, G, _ = _grid_values(RingId.RAT, BoxSpec(2, 3), 1)
+        assert len(keys) * G.bit_length() == 42
+        return
+    with pytest.raises(ValueError, match="^search box too large for exhaustive scan: keys over 41 bits per variable$"):
+        _grid_values(RingId.RAT, BoxSpec(2, 3), 1)
+
+
+def test_the_key_bit_budget_refuses_a_thousand_denominators():
+    """At 2 ** 27 bits (16 MiB of keys) the budget passes every shipped and
+    benchmark box with room to spare (the largest benchmark grid is 12,536
+    bits), and refuses RAT ``BoxSpec(1, 1000)``, whose keys would take about
+    874 million bits, well before its last denominator."""
+    assert enumeration._MAX_GRID_BITS == 1 << 27
+    with pytest.raises(ValueError, match="keys over 134217728 bits per variable$"):
+        candidate_values(RingId.RAT, BoxSpec(1, 1000))
+    keys, G, _ = _grid_values(RingId.ODDRAT, BoxSpec(254, 5), 1)
+    assert len(keys) * G.bit_length() == 12_536
 
 
 def test_box_growth_monotonicity(gap_int):

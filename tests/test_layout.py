@@ -12,8 +12,9 @@ call of it on every ring, reading no payload, and ``compare`` orders by
 ``certify_optimal_pair``. Inside ``affine.py`` whole slacks are built for
 a verdict only by ``_weak_duality``, the check ``assert_weak_duality``
 renders, and by the two feasibility tests, one path on every ring; the
-box scan's own boolean test, ``enumeration._fits``, which takes int keys
-and lines already scaled, is read only by its walk. ``linalg.py`` holds
+box scan's own walk, ``enumeration._feasible_walk``, which judges int
+keys on lines it scales once, is read only by the side scan and the
+point listing. ``linalg.py`` holds
 containers and does no ring arithmetic, and ``ringlp`` exports none of the
 products it used to. Every
 vector goes through its checked constructor, and no module reads the
@@ -34,8 +35,9 @@ integer form on by argument, and keeps neither on the program. Only
 ``enumeration.py`` imports ``lcm``, so the scaling to integers stays in
 one module, written once per kind there: the grid builder's G, for the
 keys k/G that the walk judges, ranks and face-tests, and ``integer_form``'s
-L for the program. ``_fits`` reads int keys only, with no payload, lcm or
-type test, and ``_enumerate`` tests no elements for equality.
+L for the program. ``_feasible_walk`` reads int keys only, with no
+payload, lcm or type test, and ``_enumerate`` tests no elements for
+equality.
 In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
 handlers return their reports, and ``main`` maps every precondition error
 through their one base, ``errors.PreconditionError``. Each argument
@@ -192,13 +194,13 @@ def _definition(path: pathlib.Path, name: str):
 def test_primal_and_dual_sides_are_defined_only_in_affine():
     """The integer form stores the columns negated, so every line of either
     side reads ``a . v <= k`` and the dual is the primal of (-A^T, -c, -b):
-    the walk's ``_fits`` takes no comparison, ``Side`` holds no objective
+    the walk takes no comparison, ``Side`` holds no objective
     weights and no variable count, and the box scan maximizes every side
     with ``>``, so ``enumeration`` imports neither ``gt`` nor ``lt`` and only
     ``judge_optimal_pair`` reads a side's ``better``."""
     assert _lines_matching(r"^class _?Side\b") == {"affine.py"}
-    verdict = _definition(SRC / "enumeration.py", "_fits")
-    assert [arg.arg for arg in verdict.args.args] == ["lines", "point"]
+    walk = _definition(SRC / "enumeration.py", "_feasible_walk")
+    assert [arg.arg for arg in walk.args.args] == ["P", "primal", "grid", "form"]
     side = _definition(SRC / "affine.py", "Side")
     fields = [node.target.id for node in side.body if isinstance(node, ast.AnnAssign)]
     assert not {"weights", "nvars"} & set(fields), fields
@@ -323,15 +325,18 @@ def test_only_verify_bundle_rescans_in_constructions():
     assert callers == {"verify_bundle"}, callers
 
 
-def test_one_verdict_path_and_a_scan_test_read_only_by_the_walk():
+def test_one_verdict_path_and_a_scan_walk_read_only_by_the_scans():
     """``affine._verdict`` builds the whole slack of a point. It is read by
     ``_weak_duality``, the check ``assert_weak_duality`` renders, which
     reuses both slacks, and by the two feasibility tests on every ring.
-    ``enumeration._fits``, which judges grid points on the integer form
-    without a verdict or a slack, is read only by ``_feasible_walk``."""
+    ``enumeration._feasible_walk``, which judges grid points on the integer
+    form without a verdict or a slack, is read only by the side scan and
+    ``feasible_points``, and no per-point test ``_fits`` is left."""
     readers = _readers(SRC / "affine.py", "_verdict")
     assert readers == {"_weak_duality", "is_primal_feasible", "is_dual_feasible"}, readers
-    assert _readers_by_module("_fits") == {"enumeration.py": {"_feasible_walk"}}
+    walk_readers = _readers_by_module("_feasible_walk")
+    assert walk_readers == {"enumeration.py": {"_enumerate", "feasible_points"}}, walk_readers
+    assert _readers_by_module("_fits") == {}
     assert _readers_by_module("form_verdict") == {}
 
 
@@ -514,12 +519,12 @@ def test_no_function_rebinds_a_module_global():
 
 
 def test_the_walk_judges_int_keys_with_no_scaling_of_its_own():
-    """``_fits`` takes a grid point as int keys and lines already scaled by
-    the grid's G, so it reads no payload and calls neither ``lcm`` nor
-    ``type``."""
+    """``_feasible_walk`` judges int keys against lines it scales by the
+    grid's G, which it reads from the grid, so it reads no payload and calls
+    neither ``lcm`` nor ``type``."""
     names = {
         node.attr if isinstance(node, ast.Attribute) else node.id
-        for node in ast.walk(_definition(SRC / "enumeration.py", "_fits"))
+        for node in ast.walk(_definition(SRC / "enumeration.py", "_feasible_walk"))
         if isinstance(node, (ast.Attribute, ast.Name))
     }
     assert not names & {"payload", "lcm", "type"}, names & {"payload", "lcm", "type"}

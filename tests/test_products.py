@@ -17,7 +17,7 @@ and the sign of the kernel sum against the sign of the fold.
 The feasibility verdicts, which build the point's slack once on every
 ring, are checked against ``_oracles.feasibility_verdict_by_folds``, with
 wide denominators too; on INT, RAT and ODDRAT so is the box scan's own
-boolean test on the integer form, ``enumeration._fits``, at the point made
+walk on the integer form, ``enumeration._feasible_walk``, at the point made
 nonnegative and read as int keys over a common denominator. The guard
 tests count calls through the module globals, so a slack that falls back
 to an element per step or a trial that builds a slack twice shows up as a
@@ -72,7 +72,7 @@ from ringlp import (
     zero,
     zero_vector,
 )
-from ringlp.enumeration import _fits, integer_form
+from ringlp.enumeration import _feasible_walk, integer_form
 from ringlp.rings import sum_of_products
 
 from _oracles import (
@@ -671,26 +671,24 @@ def test_scalar_verdicts_and_the_scan_test_equal_the_fold_oracle(ring):
     """On INT, RAT and ODDRAT, negative coordinates and wide denominators
     included: each feasibility test equals the fold oracle's verdict, index
     and kind included, and on the point made nonnegative, as every grid
-    point is, the box scan's ``_fits`` on its keys over the point's G and
-    the side's lines of the integer form scaled by G equals the oracle's
+    point is, the box scan's walk of a grid of the point's own keys over
+    its G yields the point exactly when the oracle's verdict is
     ``feasible``."""
 
     @given(verdict_cases(ring))
     def check(case):
         P, x, y = case
-        rows, cols = integer_form(P)
-        for test, point, primal, lines in (
-            (is_primal_feasible, x, True, rows),
-            (is_dual_feasible, y, False, cols),
-        ):
+        form = integer_form(P)
+        for test, point, primal in ((is_primal_feasible, x, True), (is_dual_feasible, y, False)):
             assert test(P, point) == feasibility_verdict_by_folds(P, point, primal)
             grid_point = vector(ring, map(nonneg, point))
             want = feasibility_verdict_by_folds(P, grid_point, primal).feasible
-            # the walk's encoding: keys k over G, and the lines scaled by G
+            # the walk's encoding: keys k over G, on a grid of the point's keys
             payloads = [e.payload for e in grid_point.entries]
             G = lcm(*[q.denominator for q in payloads])
             keys = tuple(q.numerator * (G // q.denominator) for q in payloads)
-            assert _fits(tuple((a, k * G) for a, k in lines), keys) is want
+            grid = (tuple(sorted(set(keys))), G, None)
+            assert (keys in set(_feasible_walk(P, primal, grid, form))) is want
 
     check()
 

@@ -7,8 +7,10 @@ ring mismatch, an unreadable file or a bad argument value; 3 any
 ``errors.PreconditionError``, for example a demo on a ring lacking the
 required capability.
 
-Reports are deterministic given argv: ``--json`` emits one JSON object
-with every ring element in the canonical text grammar.
+Each handler returns one report and whether every checked property held;
+``main`` prints that report, deterministic given argv, with every ring
+element in the canonical text grammar: with ``--json`` as one JSON
+object, otherwise as indented ``key: value`` lines with the same fields.
 """
 
 from __future__ import annotations
@@ -42,14 +44,13 @@ from .constructions import (
 from .enumeration import BoxSpec, classify_edt, enumerate_dual, enumerate_primal
 from .errors import DimensionMismatch, ParseError, PreconditionError, RingLpError
 from .linalg import RVector, vec_text, vector
-from .progfile import load_program, serialize_program
+from .progfile import load_program
 from .rings import (
     RingId,
     all_descriptors,
     descriptor,
     from_int,
     parse_element,
-    pretty,
     to_text,
     try_invert,
     SKEW_Y,
@@ -64,22 +65,9 @@ EXIT_PRECONDITION = 3
 DEMO_SAMPLES = 500
 DEMO_SEED = 7
 
-# what a handler returns: its report (main adds the "command" key), its
-# human-readable lines, and whether every checked property held
-_Outcome = tuple[dict, list[str], bool]
-
-
-def _check_lines(checks) -> list[str]:
-    lines = []
-    for c in checks:
-        if not c.applicable:
-            mark = "SKIP"
-        else:
-            mark = "ok" if c.passed else "FAIL"
-        lines.append(f"  [{mark}] {c.name}")
-        for d in c.details:
-            lines.append(f"         {d}")
-    return lines
+# what a handler returns: its report (main adds the "command" key) and
+# whether every checked property held
+_Outcome = tuple[dict, bool]
 
 
 def _parse_vector(ring: RingId, text: str, expect: int, flag: str) -> RVector:
@@ -96,81 +84,43 @@ def _parse_vector(ring: RingId, text: str, expect: int, flag: str) -> RVector:
 
 
 def _cmd_rings(args) -> _Outcome:
-    rows = []
-    human = [f"{'ring':<8} {'commutative':<12} {'division':<9} smallest positive"]
-    for d in all_descriptors():
-        smallest = None if d.smallest_positive is None else to_text(d.smallest_positive)
-        rows.append(
-            {
-                "ring": d.ring.value,
-                "is_commutative": d.is_commutative,
-                "is_division": d.is_division,
-                "smallest_positive": smallest,
-            }
-        )
-        human.append(
-            f"{d.ring.value:<8} {str(d.is_commutative).lower():<12} "
-            f"{str(d.is_division).lower():<9} {smallest or '-'}"
-        )
-    return {"rings": rows}, human, True
+    rows = [
+        {
+            "ring": d.ring.value,
+            "is_commutative": d.is_commutative,
+            "is_division": d.is_division,
+            "smallest_positive": None if d.smallest_positive is None else to_text(d.smallest_positive),
+        }
+        for d in all_descriptors()
+    ]
+    return {"rings": rows}, True
 
 
 def _cmd_axioms(args) -> _Outcome:
     ring = RingId(args.ring)
     report = verify_order_axioms(ring, args.samples, args.seed)
-    human = [
-        f"axiom suite for {ring.value}: {args.samples} sampled pairs, seed {args.seed}",
-        f"  trichotomy checks: {report.trichotomy_checks}",
-        f"  closure checks:    {report.closure_checks}",
-        f"  violations:        {len(report.violations)}",
-    ]
-    for v in report.violations:
-        human.append(f"  VIOLATION {v.kind}: {', '.join(v.witnesses)}")
-    human.append("PASS" if report.passed else "FAIL")
-    return {"report": report.as_dict()}, human, report.passed
-
-
-def _feasible_text(verdict) -> str:
-    if verdict.feasible:
-        return "True"
-    return f"False {verdict.violation_text()}"
+    return {"report": report.as_dict()}, report.passed
 
 
 def _cmd_check(args) -> _Outcome:
     P = load_program(args.file)
     x = _parse_vector(P.ring, args.x, P.cols, "--x")
     y = _parse_vector(P.ring, args.y, P.rows, "--y")
-    pv = is_primal_feasible(P, x)
-    dv = is_dual_feasible(P, y)
-    t = primal_slack(P, x)
-    s = dual_slack(P, y)
-    f_val = eval_f(P, x)
-    g_val = eval_g(P, y)
-    gap_val = gap(P, x, y)
     weak = assert_weak_duality(P, x, y)
     report = {
         "file": args.file,
         "x": vec_text(x),
         "y": vec_text(y),
-        "primal": pv.as_dict(),
-        "dual": dv.as_dict(),
-        "t": vec_text(t),
-        "s": vec_text(s),
-        "f": to_text(f_val),
-        "g": to_text(g_val),
-        "gap": to_text(gap_val),
+        "primal": is_primal_feasible(P, x).as_dict(),
+        "dual": is_dual_feasible(P, y).as_dict(),
+        "t": vec_text(primal_slack(P, x)),
+        "s": vec_text(dual_slack(P, y)),
+        "f": to_text(eval_f(P, x)),
+        "g": to_text(eval_g(P, y)),
+        "gap": to_text(gap(P, x, y)),
         "weak_duality": weak.as_dict(),
     }
-    human = [
-        f"program {args.file} over {P.ring.value} ({P.rows}x{P.cols})",
-        f"x = {vec_text(x)}  primal feasible: {_feasible_text(pv)}",
-        f"y = {vec_text(y)}  dual feasible:   {_feasible_text(dv)}",
-        f"t = b - A.x = {vec_text(t)}",
-        f"s = y.A - c = {vec_text(s)}",
-        f"f(x) = {pretty(f_val)}   g(y) = {pretty(g_val)}   gap = {pretty(gap_val)}",
-    ]
-    human.extend(_check_lines([weak]))
-    return report, human, weak.passed or not weak.applicable
+    return report, weak.passed or not weak.applicable
 
 
 def _cmd_identities(args) -> _Outcome:
@@ -182,24 +132,7 @@ def _cmd_identities(args) -> _Outcome:
         "seed": args.seed,
         "report": summary.as_dict(),
     }
-    human = [
-        f"identity residuals on {args.file}: {args.trials} random (x, y) pairs, "
-        f"seed {args.seed}",
-        f"  failures: {summary.failures}",
-        "PASS" if summary.passed else f"FAIL: {summary.first_failure}",
-    ]
-    return report, human, summary.passed
-
-
-def _status_lines(label: str, status) -> list[str]:
-    line = f"{label}: {status.kind.value} ({status.scope.value})"
-    if status.witness is not None:
-        shown = status.as_dict()
-        line += f" witness {shown['witness']} value {shown['value']}"
-    out = [line]
-    if status.note:
-        out.append(f"  note: {status.note}")
-    return out
+    return report, summary.passed
 
 
 def _scan_input(args) -> tuple:
@@ -217,24 +150,16 @@ def _scan_input(args) -> tuple:
 
 def _cmd_enumerate(args) -> _Outcome:
     P, box, report = _scan_input(args)
-    human: list[str] = [f"program {args.file} over {P.ring.value}, box bound {args.box}"]
     for side, scan in (("primal", enumerate_primal), ("dual", enumerate_dual)):
         if args.side in (None, side):
-            status = scan(P, box)
-            report[side] = status.as_dict()
-            human.extend(_status_lines(side, status))
-    return report, human, True
+            report[side] = scan(P, box).as_dict()
+    return report, True
 
 
 def _cmd_edt(args) -> _Outcome:
     P, box, report = _scan_input(args)
-    edt = classify_edt(P, box)
-    report["report"] = edt.as_dict()
-    human = [f"joint classification of {args.file}, box bound {args.box}"]
-    human.extend(_status_lines("primal", edt.primal))
-    human.extend(_status_lines("dual", edt.dual))
-    human.append(edt.details)
-    return report, human, True
+    report["report"] = classify_edt(P, box).as_dict()
+    return report, True
 
 
 # ---------------------------------------------------------------------------
@@ -244,45 +169,22 @@ def _cmd_edt(args) -> _Outcome:
 
 
 def _bundle_output(bundle) -> _Outcome:
-    human = [
-        "",
-        serialize_program(bundle.program).rstrip(),
-        "",
-        f"claim: {bundle.claim}",
-    ]
-    for note in bundle.notes:
-        human.append(f"note: {note}")
-    if bundle.gap_value is not None:
-        human.append(f"gap = {pretty(bundle.gap_value)}")
-    if bundle.sequence is not None:
-        values = [pretty(v) for v in bundle.sequence.objective_values]
-        shown = values if len(values) <= 6 else values[:4] + ["..."] + values[-2:]
-        human.append(f"objective values ({len(values)} points): {', '.join(shown)}")
-    human.extend(_check_lines(bundle.checks))
     ok = all(c.passed for c in bundle.checks if c.applicable)
-    return {"certificate": certificate_dict(bundle)}, human, ok
+    return {"certificate": certificate_dict(bundle)}, ok
 
 
 def _center_betweenness(ring: RingId, a) -> _Outcome:
     b = from_int(ring, 3) if descriptor(ring).is_commutative else SKEW_Y
     summary = no_central_between_trials(a, b, DEMO_SAMPLES, DEMO_SEED)
-    magnitude = magnitude_gap_check(a, b)
     report = {
         "ring": ring.value,
         "a": to_text(a),
         "b": to_text(b),
         "seed": DEMO_SEED,
         "betweenness": summary.as_dict(),
-        "magnitude_gap": magnitude.as_dict(),
+        "magnitude_gap": magnitude_gap_check(a, b).as_dict(),
     }
-    human = [
-        f"ring {ring.value}, a = {pretty(a)}, b = {pretty(b)}, "
-        f"{DEMO_SAMPLES} sampled central elements (seed {DEMO_SEED})",
-        f"  betweenness violations: {summary.failures}",
-    ]
-    human.extend(_check_lines([magnitude]))
-    human.append("PASS" if summary.passed else "FAIL")
-    return report, human, summary.passed
+    return report, summary.passed
 
 
 # name -> (default ring, what it exhibits, its outcome from (ring, a)). The
@@ -342,9 +244,8 @@ def _cmd_demo(args) -> _Outcome:
     default_ring, exhibits, show = _DEMOS[args.name]
     ring = RingId(args.ring) if args.ring else default_ring
     a = descriptor(ring).default_a if args.a is None else parse_element(ring, args.a)
-    report, human, ok = show(ring, a)
-    report = {"name": args.name, "exhibits": exhibits, **report}
-    return report, [f"demo {args.name}", f"exhibits: {exhibits}", *human], ok
+    report, ok = show(ring, a)
+    return {"name": args.name, "exhibits": exhibits, **report}, ok
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +316,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _text(leaf) -> str:
+    return leaf if isinstance(leaf, str) else json.dumps(leaf)
+
+
+def _is_word(leaf) -> bool:
+    return not isinstance(leaf, (dict, list)) and len(_text(leaf).split()) == 1
+
+
+def _text_lines(value, indent: str = "") -> list[str]:
+    """The plain-text form of a report: one ``key: value`` line per field,
+    keys sorted as ``--json`` sorts them. A list of one-word scalars, such
+    as a vector, stays on its key's line, space-separated; an object, any
+    other list and a text of several lines go on indented lines under their
+    key, each list item after ``- ``."""
+    keyed = isinstance(value, dict)
+    lines = []
+    for key, item in sorted(value.items()) if keyed else [("-", v) for v in value]:
+        head = f"{indent}{key}:" if keyed else f"{indent}-"
+        if isinstance(item, dict) and not keyed:  # an object in a list opens on its dash
+            nested = _text_lines(item, indent + "  ")
+            lines += [f"{head} {nested[0].lstrip()}", *nested[1:]]
+        elif isinstance(item, list) and all(map(_is_word, item)):
+            lines.append(" ".join([head, *map(_text, item)]) if item else f"{head} []")
+        elif isinstance(item, (dict, list)):
+            lines += [head, *_text_lines(item, indent + "  ")]
+        else:
+            text = _text(item).splitlines() or [""]
+            lines += [f"{head} {text[0]}"] if len(text) == 1 else [head, *(f"{indent}  {t}" for t in text)]
+    return [line.rstrip() for line in lines]
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -422,7 +354,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        report, human, ok = args.func(args)
+        report, ok = args.func(args)
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -432,11 +364,11 @@ def main(argv=None) -> int:
     except (RingLpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    report = {"command": args.command, **report}
     if args.json:
-        print(json.dumps({"command": args.command, **report}, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in human:
-            print(line)
+        print("\n".join(_text_lines(report)))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

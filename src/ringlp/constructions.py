@@ -91,8 +91,8 @@ __all__ = [
 
 NOT_CERTIFIED = "claimed (not machine-certified)"
 
-# the box that constructions scan and bundles are re-verified in by default
-_DEFAULT_BOX = BoxSpec(10)
+# the box that constructions scan and bundles are re-verified in
+_BOX = BoxSpec(10)
 # the dual witnesses gap_program samples, and their seed, where no box checks it
 _DUAL_SAMPLES, _SAMPLE_SEED = 10, 7
 # the strict steps of a non-achieving sequence
@@ -276,8 +276,8 @@ def gap_program(ring: RingId, a: RingElement) -> CounterexampleBundle:
             dual_witnesses.append(vector(ring, [w]))
     reports, feasible, problems = _feasibility_checks(P, primal_witnesses, dual_witnesses, "witnesses")
     if by_box:
-        box_points = [feasible_points(P, _DEFAULT_BOX, primal) for primal in (True, False)]
-        gap_check = _pair_gap_check(P, *box_points, f"box enumeration on [0,{_DEFAULT_BOX.bound}]")
+        box_points = [feasible_points(P, _BOX, primal) for primal in (True, False)]
+        gap_check = _pair_gap_check(P, *box_points, f"box enumeration on [0,{_BOX.bound}]")
     else:
         gap_check = _pair_gap_check(P, *feasible, "witness family", problems)
     return CounterexampleBundle(
@@ -309,16 +309,13 @@ def _least_covering_integer(a: RingElement) -> int:
     return low + 1 + bisect_left(range(low + 1, high + 1), True, key=covers)
 
 
-def strong_duality_counterexample(
-    ring: RingId, a: RingElement, box: Optional[BoxSpec] = None
-) -> CounterexampleBundle:
+def strong_duality_counterexample(ring: RingId, a: RingElement) -> CounterexampleBundle:
     """Gap program on a ring whose smallest positive is 1: both sides
     attain optima (x*=0, y*=1) with different values, gap exactly 1."""
     _require_witnesses(ring, a)
     if descriptor(ring).smallest_positive is None:
         raise NoSmallestPositive(f"{ring.value} has no smallest positive element")
     P = _one_by_one_program(a)
-    box = box or _DEFAULT_BOX
     x_star = zero_vector(ring, 1)
     y_star = vector(ring, [one(ring)])
     notes = (
@@ -327,7 +324,7 @@ def strong_duality_counterexample(
         f"y*{to_text(a)} >= 1 with y >= 0 rules out y = 0; the objective equals y, "
         "so y = 1 is optimal",
     )
-    statuses = _argued_statuses(P, box, notes)
+    statuses = _argued_statuses(P, _BOX, notes)
     status_check = CheckReport(
         "optima_attained",
         statuses[0].witness == x_star and statuses[1].witness == y_star,
@@ -412,7 +409,7 @@ def infeasible_optimal_program(
         # the optimal side gets no note: the note argues only that the other
         # side is infeasible
         argued = (None, infeasible_note) if primal_optimal else (infeasible_note, None)
-        statuses = _argued_statuses(P, _DEFAULT_BOX, argued)
+        statuses = _argued_statuses(P, _BOX, argued)
         status = statuses[1] if primal_optimal else statuses[0]
         detail = f"{infeasible.name}: {status.kind.value} ({status.scope.value})"
         checks += [
@@ -647,9 +644,7 @@ def magnitude_gap_check(a: RingElement, b: RingElement) -> CheckReport:
     )
 
 
-def verify_bundle(
-    bundle: CounterexampleBundle, box: Optional[BoxSpec] = None
-) -> tuple[CheckReport, ...]:
+def verify_bundle(bundle: CounterexampleBundle) -> tuple[CheckReport, ...]:
     """Re-run the bundle's certificates from scratch."""
     P = bundle.program
     reports, feasible, problems = _feasibility_checks(
@@ -662,14 +657,7 @@ def verify_bundle(
         detail = f"the box oracle cannot walk {P.ring.value}; the optimum was not re-checked"
         reports.append(CheckReport("certify_optimal_pair", True, False, (detail,)))
     elif has_optimum:
-        reports.append(
-            certify_optimal_pair(
-                P,
-                box or _DEFAULT_BOX,
-                x_star=bundle.primal_optimum,
-                y_star=bundle.dual_optimum,
-            )
-        )
+        reports.append(certify_optimal_pair(P, _BOX, bundle.primal_optimum, bundle.dual_optimum))
     if bundle.gap_value is not None and bundle.primal_optimum is not None and bundle.dual_optimum is not None:
         recomputed = gap(P, bundle.primal_optimum, bundle.dual_optimum)
         reports.append(

@@ -19,7 +19,7 @@ equality coincides with ring equality.
 
 ``sum_of_products``, which works out each ring's monomial product inline,
 is the one arithmetic path: ``add``, ``sub`` and ``mul`` are calls of it
-on every ring. It, ``neg``, ``sign``, ``_constant`` and ``pretty`` branch
+on every ring. It, ``neg``, ``sign`` and ``_constant`` branch
 on the payload's shape: a scalar (``int`` or ``Fraction``: INT, RAT,
 ODDRAT) or a tuple of ``(monomial, coefficient)`` terms (POLY, SKEW). A
 ``Fraction`` is worked on as its integer pair, read straight from its
@@ -29,8 +29,8 @@ Python-level method or property, and each result is built once, by
 terms: no ``Fraction`` operator and no generic ``Fraction(n, d)`` runs in
 the kernel; only parsing and validation call the latter. What else
 differs sits in the ring's one record, its ``RingDescriptor``: beside the
-facts other modules read, which rationals embed, the constant monomial,
-the literal grammar and the monomial text.
+facts other modules read, which rationals embed, the constant monomial
+and the literal grammar.
 
 ``sign`` realizes each instance's positivity order and is the one order
 test (``compare`` is the sign of ``a - b``). Element literals follow a
@@ -79,7 +79,6 @@ __all__ = [
     "classify_magnitude",
     "parse_element",
     "to_text",
-    "pretty",
 ]
 
 _F0 = Fraction(0)
@@ -204,7 +203,6 @@ class RingDescriptor:
     # scalar rings: rational -> payload, ValueError when it is not in the ring
     scalar: Optional[Callable[[Fraction], Payload]] = None
     const: object = None  # term rings: the constant monomial
-    mono_text: Optional[Callable[[object], str]] = None  # term rings, for pretty
 
     @property
     def is_enumerable(self) -> bool:
@@ -267,6 +265,8 @@ def from_rational(ring: RingId, num: int | Fraction, den: int = 1) -> RingElemen
     if not (_exact(num) and _exact(den)):
         raise TypeError(f"expected int or Fraction arguments, got {num!r}, {den!r}")
     if den != 1:
+        if not den:
+            raise ValueError(f"zero denominator in {num}/{den}")
         q = Fraction(num, den)
     else:
         q = num if type(num) is Fraction else Fraction(num)
@@ -623,29 +623,6 @@ def to_text(a: RingElement) -> str:
     return desc.prefix + desc.body_text(a.payload)
 
 
-def _power(var: str, d: int) -> str:
-    if d == 0:
-        return ""
-    return var if d == 1 else f"{var}^{d}"
-
-
-def pretty(a: RingElement) -> str:
-    """Human-oriented algebraic rendering (not part of the grammar)."""
-    if type(a.payload) is not tuple:
-        return to_text(a)
-    mono_text = _DESCRIPTORS[a.ring].mono_text
-    out = ""
-    for i, (key, q) in enumerate(a.payload):
-        mono = mono_text(key)
-        qa = abs(q)
-        body = mono if (mono and qa == 1) else (f"{_frac_text(qa)}*{mono}" if mono else _frac_text(qa))
-        if i == 0:
-            out = ("-" if q < 0 else "") + body
-        else:
-            out += (" - " if q < 0 else " + ") + body
-    return out or "0"
-
-
 # ---------------------------------------------------------------------------
 # the per-ring record
 
@@ -682,12 +659,11 @@ _DESCRIPTORS = {
     ),
     RingId.POLY: RingDescriptor(
         RingId.POLY, True, False, None, POLY_X, "poly:", _parse_poly_body, _poly_body_text,
-        const=0, mono_text=lambda d: _power("x", d),
+        const=0,
     ),
     RingId.SKEW: RingDescriptor(
         RingId.SKEW, False, False, None, SKEW_X, "skew:", _parse_skew_body, _skew_body_text,
         const=(0, 0),
-        mono_text=lambda k: "*".join(filter(None, (_power("y", k[0]), _power("x", k[1])))),
     ),
 }
 

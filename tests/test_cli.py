@@ -56,10 +56,32 @@ def run_json(capsys, *argv):
 # happy paths
 
 
+def _items(out, key):
+    """The list items under ``key:`` of a text report, each as its lines."""
+    lines = out.splitlines()
+    start = [line.strip() for line in lines].index(f"{key}:") + 1
+    depth = len(lines[start]) - len(lines[start].lstrip())
+    items = []
+    for line in lines[start:]:
+        if len(line) - len(line.lstrip()) < depth:
+            break
+        if line.lstrip().startswith("- "):
+            items.append([])
+        items[-1].append(line.strip().removeprefix("- "))
+    return items
+
+
 def test_rings_table(capsys):
     code, out = run(capsys, "rings")
     assert code == 0
-    assert "oddrat" in out and "smallest positive" in out
+    assert out.splitlines()[0] == "command: rings"
+    by_ring = {item[2]: item for item in _items(out, "rings")}
+    assert list(by_ring) == [f"ring: {r.value}" for r in RingId]
+    assert by_ring["ring: int"] == [
+        "is_commutative: true", "is_division: false", "ring: int", "smallest_positive: 1"
+    ]
+    assert by_ring["ring: oddrat"][3] == "smallest_positive: null"
+    assert by_ring["ring: skew"][0] == "is_commutative: false"
 
 
 def test_rings_json(capsys):
@@ -186,7 +208,8 @@ def test_edt_transposed_fixture(capsys):
 def test_every_demo_runs_clean(capsys, name):
     code, out = run(capsys, "demo", name)
     assert code == 0
-    assert "FAIL" not in out
+    assert f"name: {name}" in out.splitlines()
+    assert "passed: false" not in out
 
 
 def test_demo_json_certificate(capsys):
@@ -381,29 +404,31 @@ def test_violation_exit_code_via_forced_report(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "verify_order_axioms", lambda *a: fake)
     code, out = run(capsys, "axioms", "--ring", "int", "--samples", "1", "--seed", "1")
     assert code == 1
-    assert "VIOLATION" in out
+    assert "  passed: false" in out.splitlines()
+    assert _items(out, "violations") == [["kind: trichotomy", "witnesses: 1"]]
 
 
 # ---------------------------------------------------------------------------
 # determinism and re-parsing
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("rings",),
-        ("axioms", "--ring", "skew", "--samples", "150", "--seed", "9"),
-        ("identities", CE_SD, "--trials", "50", "--seed", "3"),
-        ("enumerate", CE_SD, "--box", "10"),
-        ("edt", EDT_FAIL, "--box", "10"),
-        ("check", CE_SD, "--x", "0", "--y", "1"),
-        ("demo", "strong-duality-gap"),
-        ("demo", "center-betweenness"),
-    ],
-)
+_REPEATED = [
+    ("rings",),
+    ("axioms", "--ring", "skew", "--samples", "150", "--seed", "9"),
+    ("identities", CE_SD, "--trials", "50", "--seed", "3"),
+    ("enumerate", CE_SD, "--box", "10"),
+    ("edt", EDT_FAIL, "--box", "10"),
+    ("check", CE_SD, "--x", "0", "--y", "1"),
+    ("demo", "strong-duality-gap"),
+    ("demo", "center-betweenness"),
+]
+
+
+# each command with --json, then each in the text form
+@pytest.mark.parametrize("argv", [(*argv, "--json") for argv in _REPEATED] + _REPEATED)
 def test_repeated_json_reports_are_byte_identical(capsys, argv):
-    _, first = run(capsys, *argv, "--json")
-    _, second = run(capsys, *argv, "--json")
+    _, first = run(capsys, *argv)
+    _, second = run(capsys, *argv)
     assert first == second
 
 

@@ -331,12 +331,14 @@ def test_constructions_mark_exhaustive_only_the_sides_they_argue(monkeypatch):
         or judge(P, status_of, *candidates),
     )
     two = from_int(RingId.INT, 2)
-    bundle = strong_duality_counterexample(RingId.INT, two, BoxSpec(1))
-    (primal, dual), = judged
-    # y = 1 lies on the face of box 1
-    assert (dual.kind, dual.scope, dual.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[1])
-    assert dual.witness == int_vector(RingId.INT, [1])
-    assert (primal.kind, primal.scope, primal.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[0])
+    bundle = strong_duality_counterexample(RingId.INT, two)
+    (judged_statuses,) = judged
+    # y = 1 lies on the face of box 1, where the argued statuses are those of box 10
+    face_statuses = constructions._argued_statuses(bundle.program, BoxSpec(1), bundle.notes)
+    for primal, dual in (judged_statuses, face_statuses):
+        assert (dual.kind, dual.scope, dual.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[1])
+        assert dual.witness == int_vector(RingId.INT, [1])
+        assert (primal.kind, primal.scope, primal.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[0])
     for side, infeasible in ((InfeasibleSide.PRIMAL_INFEASIBLE, 0), (InfeasibleSide.DUAL_INFEASIBLE, 1)):
         judged.clear()
         bundle = infeasible_optimal_program(RingId.INT, two, side)
@@ -715,32 +717,34 @@ def test_certificate_dict_is_jsonable():
     assert '"gap": "1"' in blob
 
 
-def _digest_grid():
+def _digest_grid(monkeypatch):
     """Bundles whose certificates and re-verification are pinned byte for
     byte: strong-duality gaps on four boxes (box 1 puts y* = 1 on the box
-    face), both infeasible/optimal orientations and the gap program, on
+    face), each built and re-verified while ``constructions._BOX`` is that
+    box, both infeasible/optimal orientations and the gap program, on
     every ring that has a positive non-unit."""
     for a in range(2, 7):
         for bound in (1, 2, 3, 10):
-            box = BoxSpec(bound)
-            yield strong_duality_counterexample(RingId.INT, from_int(RingId.INT, a), box), box
+            with monkeypatch.context() as patch:
+                patch.setattr(constructions, "_BOX", BoxSpec(bound))
+                yield strong_duality_counterexample(RingId.INT, from_int(RingId.INT, a))
     elements = [from_int(RingId.INT, a) for a in (2, 3, 5)]
     elements += [
         from_rational(RingId.ODDRAT, q) for q in (Fraction(2), Fraction(2, 3), Fraction(4, 5))
     ]
     for a in (*elements, POLY_X, SKEW_X):
         for side in InfeasibleSide:
-            yield infeasible_optimal_program(a.ring, a, side), None
+            yield infeasible_optimal_program(a.ring, a, side)
     for a in elements:
-        yield gap_program(a.ring, a), None
+        yield gap_program(a.ring, a)
     for a in (POLY_X, SKEW_X):
-        yield gap_program(a.ring, a), None
+        yield gap_program(a.ring, a)
 
 
-def test_certificates_and_re_verification_are_byte_identical():
+def test_certificates_and_re_verification_are_byte_identical(monkeypatch):
     doc = [
-        [certificate_dict(bundle), [r.as_dict() for r in verify_bundle(bundle, box)]]
-        for bundle, box in _digest_grid()
+        [certificate_dict(bundle), [r.as_dict() for r in verify_bundle(bundle)]]
+        for bundle in _digest_grid(monkeypatch)
     ]
     blob = json.dumps(doc, sort_keys=True).encode()
     assert len(doc) == 44

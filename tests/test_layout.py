@@ -568,10 +568,12 @@ def test_the_face_test_reads_keys_and_makes_no_element_equality_test():
 
 
 def test_only_main_prints_or_picks_an_exit_code_in_the_cli():
-    """Each subcommand handler returns its report, its lines and whether its
-    checks held; ``main`` alone prints them and maps that to an exit code."""
+    """Each subcommand handler returns its report and whether its checks
+    held; ``main`` alone renders the report, as JSON or through the one text
+    renderer, prints it and maps that to an exit code."""
     for name in ("print", "EXIT_OK", "EXIT_VIOLATION"):
         assert _readers(SRC / "cli.py", name) == {"main"}, name
+    assert _readers(SRC / "cli.py", "_text_lines") == {"main", "_text_lines"}
 
 
 def test_only_the_named_parameters_have_a_default():
@@ -594,8 +596,6 @@ def test_only_the_named_parameters_have_a_default():
         ("certify_optimal_pair", "x_star"),
         ("certify_optimal_pair", "y_star"),
         ("from_rational", "den"),
-        ("strong_duality_counterexample", "box"),
         ("sum_of_products", "minus"),
         ("sum_of_products", "negate"),
-        ("verify_bundle", "box"),
     }

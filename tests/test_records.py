@@ -44,7 +44,7 @@ RECORDS = [
     (
         RingDescriptor,
         lambda: (RingId.INT, True, False, _ONE, _ONE, "p:", str, str),
-        dict.fromkeys(("scalar", "const", "mono_text")),
+        dict.fromkeys(("scalar", "const")),
     ),
     (RVector, lambda: (RingId.INT, (_ONE, _ONE)), {}),
     (RMatrix, lambda: (RingId.INT, 1, 2, (_ONE, _ONE)), {}),

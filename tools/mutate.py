@@ -11,8 +11,10 @@ timed out) or SURVIVED per mutant; exits 1 if any survived.
 
 The test files that import ringlp.cli run for every mutant too, since the CLI
 reaches every layer and its goldens pin every report's bytes: today
-test_cli.py and test_cli_goldens.py, 143 tests that add about 1.6 s to each
-surviving mutant (2 vCPUs, CPython 3.11), less to one killed earlier by -x.
+test_acceptance.py, test_cli.py and test_cli_goldens.py, 236 tests that add
+about 4.7 s to each surviving mutant (2 vCPUs, CPython 3.11), less to one
+killed earlier by -x. A module without ``__all__`` (cli) is matched by its
+own name only.
 """
 
 import ast
@@ -78,8 +80,8 @@ def _test_files(module: str) -> list:
     """The test files that import ``ringlp.<module>`` or a name of its ``__all__``,
     and every test file that imports ``ringlp.cli``, which reaches every layer."""
     tree = ast.parse((ROOT / "src" / "ringlp" / f"{module}.py").read_text())
-    public = next(ast.literal_eval(n.value) for n in tree.body
-                  if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "__all__")
+    public = next((ast.literal_eval(n.value) for n in tree.body
+                   if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "__all__"), ())
     wanted = {f"ringlp.{name}" for name in (module, *public)} | {"ringlp.cli"}
     paths = sorted((ROOT / "tests").glob("test_*.py"))
     return [f"tests/{path.name}" for path in paths if wanted & _imports(path)]

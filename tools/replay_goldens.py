@@ -5,7 +5,9 @@ Usage: python tools/replay_goldens.py PYTHON [PYTHON ...]
 Runs each ``perfbench/cli_goldens.json`` command as ``PYTHON -m ringlp
 ARGS --json`` with ``PYTHONPATH=src`` from the repository root, compares
 its exit code and stdout sha256 with the recorded ones and reports each
-mismatch by command. It then runs ``PROBE``: for n in -50..50 and d in
+mismatch by command. It runs each command without ``--json`` too: that
+text form must exit with the golden's code, and its stdout sha256 must
+match the one the first interpreter that ran gave. It then runs ``PROBE``: for n in -50..50 and d in
 1..50, ``rings.reduced(n, d)`` must match ``Fraction(n, d)`` in type,
 ``==``, ``hash``, ``str``, numerator and denominator, and so must its sum
 with ``reduced(1, d + 1)``. The seeded streams are replayed by the goldens
@@ -44,19 +46,26 @@ def _run(python: str, argv: list) -> subprocess.CompletedProcess:
     return subprocess.run(run, cwd=ROOT, env=ENV, stdin=subprocess.DEVNULL, capture_output=True)
 
 
-def replay(python: str) -> list:
-    """The mismatching commands, each with the exit code and digest it gave."""
+def replay(python: str, text_digests: dict) -> list:
+    """The mismatching commands, each with the exit code and digest it gave.
+    ``text_digests`` maps a command to its text form's stdout sha256; a
+    command missing from it is recorded there from this run."""
     mismatches = []
     for key, want in sorted(GOLDENS.items()):
         run = _run(python, ["-m", "ringlp", *json.loads(key), "--json"])
         digest = hashlib.sha256(run.stdout).hexdigest()
         if (run.returncode, digest) != (want["exit"], want["sha256"]):
             mismatches.append(f"  {key}: exit {run.returncode}, sha256 {digest}")
+        run = _run(python, ["-m", "ringlp", *json.loads(key)])
+        digest = hashlib.sha256(run.stdout).hexdigest()
+        if (run.returncode, digest) != (want["exit"], text_digests.setdefault(key, digest)):
+            mismatches.append(f"  {key} (text): exit {run.returncode}, sha256 {digest}")
     return mismatches
 
 
 def main(pythons: list) -> int:
     ok = True
+    text_digests = {}
     for python in pythons:
         path = shutil.which(python)
         if path is None:
@@ -64,8 +73,8 @@ def main(pythons: list) -> int:
             ok = False
             continue
         version = _run(path, ["-c", "import platform; print(platform.python_version())"])
-        mismatches = replay(path)
-        matched = f"{len(GOLDENS) - len(mismatches)}/{len(GOLDENS)} commands match"
+        mismatches = replay(path, text_digests)
+        matched = f"{2 * len(GOLDENS) - len(mismatches)}/{2 * len(GOLDENS)} runs match"
         probe = _run(path, ["-c", PROBE])
         if probe.returncode:
             mismatches.append(f"  reduced probe: {probe.stderr.decode().strip().splitlines()[-1]}")

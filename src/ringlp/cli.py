@@ -11,12 +11,15 @@ Each handler returns one report and whether every checked property held;
 ``main`` prints that report, deterministic given argv, with every ring
 element in the canonical text grammar: with ``--json`` as one JSON
 object, otherwise as indented ``key: value`` lines with the same fields.
+When the reader of stdout has gone, it ends quietly with the report's
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .affine import (
@@ -173,7 +176,8 @@ def _bundle_output(bundle) -> _Outcome:
     return {"certificate": certificate_dict(bundle)}, ok
 
 
-def _center_betweenness(ring: RingId, a) -> _Outcome:
+def _center_betweenness(a) -> _Outcome:
+    ring = a.ring
     b = from_int(ring, 3) if descriptor(ring).is_commutative else SKEW_Y
     summary = no_central_between_trials(a, b, DEMO_SAMPLES, DEMO_SEED)
     report = {
@@ -187,50 +191,45 @@ def _center_betweenness(ring: RingId, a) -> _Outcome:
     return report, summary.passed
 
 
-# name -> (default ring, what it exhibits, its outcome from (ring, a)). The
-# step witnesses z and p are inverses of small integers; on a ring where
-# none is a unit (int) they are None, and the construction refuses that
-# ring, which has a smallest positive element, before it reads them.
+# name -> (default ring, what it exhibits, its outcome from a), each built
+# over a's ring. The step witnesses z and p are inverses of small integers
+# there; on a ring where none is a unit (int) they are None, and the
+# construction refuses that ring, which has a smallest positive element,
+# before it reads them.
 _DEMOS = {
     "strong-duality-gap": (
         RingId.INT,
         "no strong duality over a ring whose smallest positive element is 1",
-        lambda ring, a: _bundle_output(strong_duality_counterexample(ring, a)),
+        lambda a: _bundle_output(strong_duality_counterexample(a)),
     ),
     "edt-infeasible-optimal": (
         RingId.INT,
         "existence-duality failure: infeasible primal with an optimal dual",
-        lambda ring, a: _bundle_output(
-            infeasible_optimal_program(ring, a, InfeasibleSide.PRIMAL_INFEASIBLE)
-        ),
+        lambda a: _bundle_output(infeasible_optimal_program(a, InfeasibleSide.PRIMAL_INFEASIBLE)),
     ),
     "edt-infeasible-optimal-transposed": (
         RingId.INT,
         "existence-duality failure: infeasible dual with an optimal primal",
-        lambda ring, a: _bundle_output(
-            infeasible_optimal_program(ring, a, InfeasibleSide.DUAL_INFEASIBLE)
-        ),
+        lambda a: _bundle_output(infeasible_optimal_program(a, InfeasibleSide.DUAL_INFEASIBLE)),
     ),
     "primal-no-optimum": (
         RingId.ODDRAT,
         "a feasible bounded primal that attains no optimum",
-        lambda ring, a: _bundle_output(
-            primal_improving_sequence(ring, a, try_invert(from_int(ring, 3)))
-        ),
+        lambda a: _bundle_output(primal_improving_sequence(a, try_invert(from_int(a.ring, 3)))),
     ),
     "dual-no-optimum": (
         RingId.POLY,
         "a feasible bounded dual that attains no optimum",
-        lambda ring, a: _bundle_output(
+        lambda a: _bundle_output(
             dual_decreasing_sequence(
-                ring, a, try_invert(from_int(ring, 2)) or try_invert(from_int(ring, 3))
+                a, try_invert(from_int(a.ring, 2)) or try_invert(from_int(a.ring, 3))
             )
         ),
     ),
     "noncommutative-gap": (
         RingId.SKEW,
         "a strict duality gap on every feasible pair, non-commutative instance",
-        lambda ring, a: _bundle_output(gap_program(ring, a)),
+        lambda a: _bundle_output(gap_program(a)),
     ),
     "center-betweenness": (
         RingId.SKEW,
@@ -244,7 +243,7 @@ def _cmd_demo(args) -> _Outcome:
     default_ring, exhibits, show = _DEMOS[args.name]
     ring = RingId(args.ring) if args.ring else default_ring
     a = descriptor(ring).default_a if args.a is None else parse_element(ring, args.a)
-    report, ok = show(ring, a)
+    report, ok = show(a)
     return {"name": args.name, "exhibits": exhibits, **report}, ok
 
 
@@ -365,10 +364,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = {"command": args.command, **report}
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("\n".join(_text_lines(report)))
+    try:
+        if args.json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print("\n".join(_text_lines(report)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at the null device, so that the
+        # flush at interpreter exit has somewhere to put what is left
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

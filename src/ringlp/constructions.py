@@ -18,6 +18,12 @@ The constructions cover, over a suitable non-division ring:
   improving primal sequences and strictly decreasing dual sequences;
 * the no-central-element-between-ab-and-ba check and the finite-magnitude
   gap check for positive pairs.
+
+Each program is built over the ring of its non-unit ``a``: an ``a`` that is
+not a ``RingElement`` raises ``TypeError``, and a failed hypothesis (``a``
+not a positive non-unit, a witness outside ``a``'s ring, a ring without
+the elements the construction needs) raises ``PreconditionError`` with a
+message that names it.
 """
 
 from __future__ import annotations
@@ -38,12 +44,7 @@ from .enumeration import (
     feasible_points,
     judge_optimal_pair,
 )
-from .errors import (
-    NoSmallestPositive,
-    NotAPositiveNonUnit,
-    PreconditionViolated,
-    StepLosesFeasibility,
-)
+from .errors import PreconditionError
 from .linalg import RVector, matrix, vec_text, vector, zero_vector
 from .progfile import serialize_program
 from .reports import CheckReport, TrialSummary, run_trials
@@ -149,24 +150,34 @@ class CounterexampleBundle:
     checks: tuple[CheckReport, ...] = ()
 
 
-def _require_witnesses(ring: RingId, a: RingElement, *others: RingElement) -> None:
-    """The witnesses are in ``ring`` and ``a`` is a positive non-unit."""
-    for e in (a, *others):
+def _ring_of(a: RingElement) -> RingId:
+    """The ring a construction is built over: that of its non-unit ``a``."""
+    if not isinstance(a, RingElement):
+        raise TypeError(f"a must be a RingElement, got {a!r}")
+    return a.ring
+
+
+def _require_witnesses(a: RingElement, *others: RingElement) -> RingId:
+    """The ring of ``a``, once the other witnesses are in it and ``a`` is a
+    positive non-unit."""
+    ring = _ring_of(a)
+    for e in others:
         if not isinstance(e, RingElement) or e.ring is not ring:
-            raise NotAPositiveNonUnit(f"element {e} is not in ring {ring.value}")
+            raise PreconditionError(f"element {e} is not in ring {ring.value}")
     if sign(a) != 1:
-        raise NotAPositiveNonUnit(f"{to_text(a)} is not positive")
+        raise PreconditionError(f"{to_text(a)} is not positive")
     if try_invert(a) is not None:
-        raise NotAPositiveNonUnit(
+        raise PreconditionError(
             f"{to_text(a)} is invertible in {ring.value}; a non-unit is required"
         )
+    return ring
 
 
 def _require_sign(label: str, value: RingElement, least: int = 1) -> None:
     """sign(value) is at least ``least``; otherwise the failed test
     ``label`` and the value it tested are named."""
     if sign(value) < least:
-        raise PreconditionViolated(f"{label} failed (value {to_text(value)})")
+        raise PreconditionError(f"{label} failed (value {to_text(value)})")
 
 
 def _one_by_one_program(a: RingElement) -> ProgramData:
@@ -252,8 +263,9 @@ def _feasibility_checks(P: ProgramData, primal_points, dual_points, what: str):
     return reports, feasible, tuple(problems)
 
 
-def gap_program(ring: RingId, a: RingElement) -> CounterexampleBundle:
-    """The 1x1 program A=[a], b=[1], c=[1], d=0 for a positive non-unit a.
+def gap_program(a: RingElement) -> CounterexampleBundle:
+    """The 1x1 program A=[a], b=[1], c=[1], d=0 over the ring of a positive
+    non-unit a.
 
     Claim: both sides are feasible and every feasible pair has a strictly
     positive gap. Spot verification uses box enumeration where the ring has
@@ -262,7 +274,7 @@ def gap_program(ring: RingId, a: RingElement) -> CounterexampleBundle:
     positive integer with k*a >= 1 (so y = [k] is dual-feasible): 10
     samples from seed 7.
     """
-    _require_witnesses(ring, a)
+    ring = _require_witnesses(a)
     P = _one_by_one_program(a)
     claim = "every feasible pair (x, y) has sign(g(y) - f(x)) = +1"
     primal_witnesses = [zero_vector(ring, 1)]
@@ -309,12 +321,13 @@ def _least_covering_integer(a: RingElement) -> int:
     return low + 1 + bisect_left(range(low + 1, high + 1), True, key=covers)
 
 
-def strong_duality_counterexample(ring: RingId, a: RingElement) -> CounterexampleBundle:
-    """Gap program on a ring whose smallest positive is 1: both sides
-    attain optima (x*=0, y*=1) with different values, gap exactly 1."""
-    _require_witnesses(ring, a)
+def strong_duality_counterexample(a: RingElement) -> CounterexampleBundle:
+    """The gap program of a positive non-unit a whose ring's smallest
+    positive element is 1: both sides attain optima (x*=0, y*=1) with
+    different values, gap exactly 1."""
+    ring = _require_witnesses(a)
     if descriptor(ring).smallest_positive is None:
-        raise NoSmallestPositive(f"{ring.value} has no smallest positive element")
+        raise PreconditionError(f"{ring.value} has no smallest positive element")
     P = _one_by_one_program(a)
     x_star = zero_vector(ring, 1)
     y_star = vector(ring, [one(ring)])
@@ -362,17 +375,16 @@ _NO_RIGHT_INVERSE = {
 }
 
 
-def infeasible_optimal_program(
-    ring: RingId, a: RingElement, side: InfeasibleSide
-) -> CounterexampleBundle:
-    """One side infeasible, the other attaining an optimum at 0.
+def infeasible_optimal_program(a: RingElement, side: InfeasibleSide) -> CounterexampleBundle:
+    """One side infeasible, the other attaining an optimum at 0, over the
+    ring of a positive non-unit a.
 
     PRIMAL_INFEASIBLE: A = [[a], [-a]], b = [1, -1], c = [0]; the primal
     needs a*x = 1 exactly (impossible for a non-unit) while y = (0, 0) is
     dual-optimal with value 0. DUAL_INFEASIBLE transposes A and swaps b
     and c to reverse the roles.
     """
-    _require_witnesses(ring, a)
+    ring = _require_witnesses(a)
     z = zero(ring)
     column, rhs = [a, neg(a)], vector(ring, [one(ring), neg(one(ring))])
     if side is InfeasibleSide.PRIMAL_INFEASIBLE:
@@ -462,7 +474,7 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
     """Scale a strictly positive dual-feasible y to y' with y'_j = y_j * p.
 
     Requires 0 < p < 1. Dual feasibility of y' is re-validated exactly and
-    the step fails with StepLosesFeasibility when it breaks (scaling below
+    the step fails with PreconditionError when it breaks (scaling below
     the constraint threshold is possible on some rings); the strict
     decrease of g is also checked exactly.
     """
@@ -470,38 +482,38 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
     _require_sign("sign(1 - p) = +1", sub(one(P.ring), p))
     verdict = is_dual_feasible(P, y)
     if not verdict.feasible:
-        raise PreconditionViolated(f"y must be dual-feasible {verdict.violation_text()}")
+        raise PreconditionError(f"y must be dual-feasible {verdict.violation_text()}")
     if any(sign(e) != 1 for e in y):
-        raise PreconditionViolated("every entry of y must be strictly positive")
+        raise PreconditionError("every entry of y must be strictly positive")
     scaled = vector(P.ring, (mul(e, p) for e in y))
     after = is_dual_feasible(P, scaled)
     if not after.feasible:
-        raise StepLosesFeasibility(
+        raise PreconditionError(
             f"scaling by {to_text(p)} breaks dual feasibility at row "
-            f"{after.violated_row} ({after.violation_kind.value})",
-            row=after.violated_row,
+            f"{after.violated_row} ({after.violation_kind.value})"
         )
     if compare(eval_g(P, scaled), eval_g(P, y)) is not Ordering.LT:
-        raise StepLosesFeasibility(
+        raise PreconditionError(
             "objective value did not strictly decrease under the scaling"
         )
     return scaled
 
 
 def _non_achieving_sequence(
-    primal: bool, ring: RingId, a: RingElement, w: Optional[RingElement]
+    primal: bool, a: RingElement, w: Optional[RingElement]
 ) -> CounterexampleBundle:
     """The gap program walked 21 strict steps from x = 0 with witness z
     (primal) or from y = [1] with witness p (dual)."""
+    ring = _ring_of(a)
     # nothing lies strictly between 0 and a smallest positive element, so
     # there is no witness to read
     smallest = descriptor(ring).smallest_positive
     if smallest is not None:
-        raise PreconditionViolated(
+        raise PreconditionError(
             f"{ring.value} has smallest positive element {to_text(smallest)}; "
             f"no {'z with 0 < a*z < 1' if primal else 'p with 0 < p < 1'} exists"
         )
-    _require_witnesses(ring, a, w)
+    _require_witnesses(a, w)
     P = _one_by_one_program(a)
     points = [vector(ring, [zero(ring) if primal else one(ring)])]
     for _ in range(_STEPS):
@@ -542,22 +554,24 @@ def _non_achieving_sequence(
     )
 
 
-def primal_improving_sequence(ring: RingId, a: RingElement, z: RingElement) -> CounterexampleBundle:
-    """Strictly improving feasible points for the gap program.
+def primal_improving_sequence(a: RingElement, z: RingElement) -> CounterexampleBundle:
+    """Strictly improving feasible points for the gap program of a, with a
+    witness z of a's ring, 0 < a*z < 1.
 
     Starts at x = 0 and applies the improvement step 21 times; the claim is
     that the primal side is feasible and bounded yet attains no optimum.
     """
-    return _non_achieving_sequence(True, ring, a, z)
+    return _non_achieving_sequence(True, a, z)
 
 
-def dual_decreasing_sequence(ring: RingId, a: RingElement, p: RingElement) -> CounterexampleBundle:
-    """Strictly decreasing feasible dual values for the gap program.
+def dual_decreasing_sequence(a: RingElement, p: RingElement) -> CounterexampleBundle:
+    """Strictly decreasing feasible dual values for the gap program of a,
+    with a witness p of a's ring, 0 < p < 1.
 
     Starts at y = [1] and rescales by p 21 times, re-validating dual
     feasibility exactly every time.
     """
-    return _non_achieving_sequence(False, ring, a, p)
+    return _non_achieving_sequence(False, a, p)
 
 
 def _validate_sequence(P: ProgramData, seq: WitnessSequence) -> CheckReport:
@@ -598,7 +612,7 @@ def no_central_between_check(
     """
     ab, ba = _oriented_products(a, b)
     if not is_central(z):
-        raise PreconditionViolated(f"z = {to_text(z)} is not central")
+        raise PreconditionError(f"z = {to_text(z)} is not central")
     below = compare(ab, z) is Ordering.LT
     above = compare(z, ba) is Ordering.LT
     passed = not (below and above)

@@ -52,7 +52,7 @@ from typing import Callable, Optional
 
 from ._records import record
 from .affine import ProgramData, Side, entries, gap
-from .errors import UnsupportedRing, require_int
+from .errors import PreconditionError, require_int
 from .linalg import RVector, vec_text
 from .reports import CheckReport
 from .rings import (
@@ -169,7 +169,7 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS)
     facts = descriptor(ring)
     if not facts.is_enumerable:
         enumerable = ", ".join(d.ring.value for d in all_descriptors() if d.is_enumerable)
-        raise UnsupportedRing(
+        raise PreconditionError(
             f"{ring.value} is not exhaustively enumerable (only {enumerable})"
         )
     # the smallest positive element of an ordered ring is 1 (0 < s < 1 would

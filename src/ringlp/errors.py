@@ -3,8 +3,8 @@ check of every count, bound and seed, and :func:`require_count`, which also
 bounds a trial or sample count from above.
 
 A ``PreconditionError`` (CLI exit code 3) means an operation was asked
-for outside its documented hypotheses; its five kinds stay separate
-classes so that a caller can catch one.
+for outside its documented hypotheses; its message names the hypothesis
+that failed.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ __all__ = [
     "DimensionMismatch",
     "ParseError",
     "PreconditionError",
-    "NotAPositiveNonUnit",
-    "NoSmallestPositive",
-    "PreconditionViolated",
-    "StepLosesFeasibility",
-    "UnsupportedRing",
 ]
 
 
@@ -52,30 +47,6 @@ class ParseError(RingLpError):
 
 class PreconditionError(RingLpError):
     """A documented precondition of the operation does not hold."""
-
-
-class NotAPositiveNonUnit(PreconditionError):
-    """The construction needs a positive element without a multiplicative inverse."""
-
-
-class NoSmallestPositive(PreconditionError):
-    """The ring has no smallest positive element."""
-
-
-class PreconditionViolated(PreconditionError):
-    """A documented precondition failed; the message names the failing test."""
-
-
-class StepLosesFeasibility(PreconditionError):
-    """A rescaled dual point stopped being feasible (or stopped improving)."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
-
-
-class UnsupportedRing(PreconditionError):
-    """The operation is only defined for exhaustively enumerable rings."""
 
 
 def require_int(name: str, value: int, least: int | None = None) -> None:

@@ -141,7 +141,6 @@ def test_criterion_06_skew_relation_exact():
 def test_criterion_07_non_achieving_primal():
     with criterion(7, "oddrat improving sequence: x_k = (3^k - 1)/(2*3^k), 21 steps"):
         bundle = primal_improving_sequence(
-            RingId.ODDRAT,
             from_rational(RingId.ODDRAT, 2),
             from_rational(RingId.ODDRAT, 1, 3),
         )
@@ -161,7 +160,7 @@ def test_criterion_07_non_achieving_primal():
 )
 def test_criterion_08_non_achieving_dual(ring, a):
     with criterion(8, f"{ring.value} decreasing dual sequence: values 2^(-k), 21 steps"):
-        bundle = dual_decreasing_sequence(ring, a, from_rational(ring, 1, 2))
+        bundle = dual_decreasing_sequence(a, from_rational(ring, 1, 2))
         seq = bundle.sequence
         assert len(seq.objective_values) == 22
         for k, value in enumerate(seq.objective_values):

@@ -1,22 +1,15 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from ringlp.cli import main
 from ringlp.reports import AxiomReport, AxiomViolation
-from ringlp import (
-    DimensionMismatch,
-    NoSmallestPositive,
-    NotAPositiveNonUnit,
-    ParseError,
-    PreconditionError,
-    PreconditionViolated,
-    RingId,
-    RingMismatch,
-    StepLosesFeasibility,
-    UnsupportedRing,
-)
+from ringlp import DimensionMismatch, ParseError, RingId, RingMismatch
 
 from conftest import FIXTURES
 
@@ -347,17 +340,71 @@ def test_demo_ring_combinations_outside_the_goldens(capsys, name, ring, code, sh
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+_INVERTIBLE_TWO = "2 is invertible in rat; a non-unit is required"
+_NOT_ENUMERABLE = "{} is not exhaustively enumerable (only int, rat, oddrat)"
+
+
+_PRECONDITION_FAILURES = [
+    (("demo", "strong-duality-gap", "--ring", "rat"), _INVERTIBLE_TWO),
+    *[
+        (("demo", "strong-duality-gap", "--ring", r), f"{r} has no smallest positive element")
+        for r in ("oddrat", "poly", "skew")
+    ],
+    (("demo", "edt-infeasible-optimal", "--ring", "rat"), _INVERTIBLE_TWO),
+    (("demo", "edt-infeasible-optimal-transposed", "--ring", "rat"), _INVERTIBLE_TWO),
+    (
+        ("demo", "primal-no-optimum", "--ring", "int"),
+        "int has smallest positive element 1; no z with 0 < a*z < 1 exists",
+    ),
+    (("demo", "primal-no-optimum", "--ring", "rat"), _INVERTIBLE_TWO),
+    (
+        ("demo", "primal-no-optimum", "--ring", "poly"),
+        "sign(1 - a*z) = +1 failed (value poly:1,-1/3)",
+    ),
+    (
+        ("demo", "primal-no-optimum", "--ring", "skew"),
+        "sign(1 - a*z) = +1 failed (value skew:0,1=-1/3;0,0=1)",
+    ),
+    (
+        ("demo", "dual-no-optimum", "--ring", "int"),
+        "int has smallest positive element 1; no p with 0 < p < 1 exists",
+    ),
+    (("demo", "dual-no-optimum", "--ring", "rat"), _INVERTIBLE_TWO),
+    (
+        ("demo", "dual-no-optimum", "--ring", "oddrat"),
+        "scaling by 1/3 breaks dual feasibility at row 0 (SLACK_NEGATIVE)",
+    ),
+    (("demo", "noncommutative-gap", "--ring", "rat"), _INVERTIBLE_TWO),
+    *[
+        ((command, path, "--box", "3"), _NOT_ENUMERABLE.format(ring))
+        for command in ("enumerate", "edt")
+        for path, ring in ((GAP_POLY, "poly"), (GAP_SKEW, "skew"))
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(argv, message, id=" ".join(argv).replace(str(FIXTURES) + "/", ""))
+        for argv, message in _PRECONDITION_FAILURES
+    ],
+)
+def test_each_precondition_failure_prints_its_one_line(capsys, argv, message):
+    """Every command that fails a precondition exits 3 with nothing on
+    stdout and one line on stderr that names the failed hypothesis."""
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "error, code, prefix",
     [
         (ParseError("bad literal"), 2, "parse error: "),
         (DimensionMismatch("bad shape"), 2, "error: "),
         (RingMismatch("two rings"), 2, "error: "),
-        (NotAPositiveNonUnit("a is a unit"), 3, "precondition error: "),
-        (NoSmallestPositive("no least element"), 3, "precondition error: "),
-        (PreconditionViolated("failed test"), 3, "precondition error: "),
-        (StepLosesFeasibility("step left the cone"), 3, "precondition error: "),
-        (UnsupportedRing("not enumerable"), 3, "precondition error: "),
         (FileNotFoundError("no such file"), 2, "error: "),
         (ValueError("bad value"), 2, "error: "),
     ],
@@ -376,18 +423,59 @@ def test_each_failure_maps_to_its_exit_code_and_stderr_label(capsys, monkeypatch
     assert captured.err == f"{prefix}{error}\n"
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [NotAPositiveNonUnit, NoSmallestPositive, PreconditionViolated, StepLosesFeasibility, UnsupportedRing],
-    ids=lambda kind: kind.__name__,
-)
-def test_the_exported_precondition_base_catches_each_kind(kind):
-    """``ringlp.PreconditionError``, the one base ``main`` maps to exit code
-    3, is exported, so a library caller catches every kind through it."""
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader is gone: each write fails as on a closed pipe,
+    and its file descriptor is a scratch file's, so ``main`` may point it
+    elsewhere."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+@pytest.mark.parametrize("ok, code", [(True, 0), (False, 1)])
+def test_a_closed_stdout_ends_quietly_with_the_reports_exit_code(tmp_path, capsys, monkeypatch, ok, code):
+    import ringlp.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_cmd_rings", lambda args: ({}, ok))
+    with open(tmp_path / "stdout", "wb") as scratch:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(scratch.fileno()))
+        assert main(["rings"]) == code
+        # what the interpreter flushes at exit goes to the null device
+        os.write(scratch.fileno(), b"unread")
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_a_closed_pipe_on_stdout_prints_no_traceback(unbuffered):
+    """``python -m ringlp rings`` into a pipe whose reader has closed exits 0
+    with an empty stderr: no traceback from ``main`` and no "Exception
+    ignored" from the flush at exit, with stdout unbuffered or not."""
+    root = FIXTURES.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
     try:
-        raise kind("forced")
-    except PreconditionError as exc:
-        assert type(exc) is kind
+        done = subprocess.run(
+            [sys.executable, "-m", "ringlp", "rings"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            cwd=root,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr.decode()) == (0, "")
 
 
 def test_violation_exit_code_via_forced_report(capsys, monkeypatch):

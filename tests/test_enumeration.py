@@ -15,12 +15,12 @@ from ringlp import (
     BoxSpec,
     DimensionMismatch,
     InfeasibleSide,
+    PreconditionError,
     ProgramData,
     RingId,
     RingMismatch,
     Scope,
     StatusKind,
-    UnsupportedRing,
     candidate_values,
     certify_optimal_pair,
     classify_edt,
@@ -713,7 +713,7 @@ def test_scans_and_certificates_read_the_side_functions_from_affine(monkeypatch)
     assert certify == {
         "is_primal_feasible": 1, "is_dual_feasible": 0, "eval_f": 0, "eval_g": 1, "_feasible_walk": 1
     }
-    bundle = strong_duality_counterexample(RingId.INT, from_int(RingId.INT, 2))
+    bundle = strong_duality_counterexample(from_int(RingId.INT, 2))
     verify = calls_made(lambda: verify_bundle(bundle))
     assert min(verify.values()) > 0, verify
 
@@ -821,9 +821,9 @@ def test_classify_edt_classical_cases():
 def test_unsupported_rings_raise():
     from conftest import make_gap_program as mk
 
-    with pytest.raises(UnsupportedRing):
+    with pytest.raises(PreconditionError, match="^poly is not exhaustively enumerable"):
         enumerate_primal(mk(RingId.POLY), BoxSpec(5))
-    with pytest.raises(UnsupportedRing):
+    with pytest.raises(PreconditionError, match="^skew is not exhaustively enumerable"):
         enumerate_dual(mk(RingId.SKEW), BoxSpec(5))
 
 
@@ -915,9 +915,9 @@ def test_a_scan_pair_builds_one_grid_and_each_program_one_form(monkeypatch):
     assert len(forms) == 2 and forms[0] is edt_rat and forms[1] is gap_int
     two = from_int(RingId.INT, 2)
     for build, nvars in (
-        (lambda: strong_duality_counterexample(RingId.INT, two), 1),
-        (lambda: infeasible_optimal_program(RingId.INT, two, InfeasibleSide.PRIMAL_INFEASIBLE), 2),
-        (lambda: infeasible_optimal_program(RingId.INT, two, InfeasibleSide.DUAL_INFEASIBLE), 2),
+        (lambda: strong_duality_counterexample(two), 1),
+        (lambda: infeasible_optimal_program(two, InfeasibleSide.PRIMAL_INFEASIBLE), 2),
+        (lambda: infeasible_optimal_program(two, InfeasibleSide.DUAL_INFEASIBLE), 2),
     ):
         grids.clear()
         forms.clear()

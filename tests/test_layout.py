@@ -39,8 +39,9 @@ L for the program. ``_feasible_walk`` reads int keys only, with no
 payload, lcm or type test, and ``_enumerate`` tests no elements for
 equality.
 In ``cli.py`` only ``main`` prints and picks the exit code; the subcommand
-handlers return their reports, and ``main`` maps every precondition error
-through their one base, ``errors.PreconditionError``. Each argument
+handlers return their reports, and ``main`` maps every precondition error,
+one class, ``errors.PreconditionError``, to exit code 3. The constructions
+read their ring from ``a``. Each argument
 contract has one home: ``errors.require_int`` for a count, bound or seed
 and ``rings._exact`` for an element scalar are the only tests for
 ``bool``. ``__init__.py`` only star-imports its siblings, so a module's
@@ -267,31 +268,47 @@ def test_only_the_argument_contracts_test_for_bool():
     assert testers == expected, testers
 
 
-PRECONDITION_KINDS = (
-    "NotAPositiveNonUnit",
-    "NoSmallestPositive",
-    "PreconditionViolated",
-    "StepLosesFeasibility",
-    "UnsupportedRing",
-)
-
-
-def test_the_cli_catches_every_precondition_error_by_its_base():
-    """The five precondition kinds subclass ``PreconditionError``, and only
-    ``main`` in ``cli.py`` reads it, for exit code 3; the CLI names none of
-    the kinds, so a new one cannot be missed."""
-    bases = {
-        node.name: [base.id for base in node.bases]
+def test_a_failed_precondition_is_one_error_class():
+    """``errors.py`` defines no subclass of ``PreconditionError``: its
+    message names the failed hypothesis, and only ``main`` in ``cli.py``
+    reads the class, for exit code 3."""
+    subclasses = [
+        node.name
         for node in ast.parse((SRC / "errors.py").read_text()).body
         if isinstance(node, ast.ClassDef)
-    }
-    assert {name: bases.get(name) for name in PRECONDITION_KINDS} == dict.fromkeys(
-        PRECONDITION_KINDS, ["PreconditionError"]
-    )
+        and "PreconditionError" in [getattr(base, "id", None) for base in node.bases]
+    ]
+    assert subclasses == [], subclasses
     assert _readers(SRC / "cli.py", "PreconditionError") == {"main"}
-    assert {name: _readers(SRC / "cli.py", name) for name in PRECONDITION_KINDS} == dict.fromkeys(
-        PRECONDITION_KINDS, set()
-    )
+
+
+BUILDERS = {
+    "gap_program": ["a"],
+    "strong_duality_counterexample": ["a"],
+    "infeasible_optimal_program": ["a", "side"],
+    "primal_improving_sequence": ["a", "z"],
+    "dual_decreasing_sequence": ["a", "p"],
+}
+
+
+def _construction_parameters() -> dict[str, list[str]]:
+    return {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in ast.walk(ast.parse((SRC / "constructions.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_no_construction_takes_a_ring():
+    """``a`` names the ring a construction is built over, so no function of
+    ``constructions.py`` takes a ``ring`` beside it."""
+    taking_ring = [name for name, args in _construction_parameters().items() if "ring" in args]
+    assert taking_ring == [], taking_ring
+
+
+def test_each_builder_takes_a_and_its_witness_or_side():
+    parameters = _construction_parameters()
+    assert {name: parameters[name] for name in BUILDERS} == BUILDERS
 
 
 def test_no_float_is_written_in_the_library():

@@ -7,7 +7,11 @@ variable takes values 0..N. Otherwise the grid is every numerator 0..N*D
 over every denominator d in 1..D that is a unit of the ring (every d for
 RAT, odd d for ODDRAT). Each value is k/G, its exact int key k over G, the
 lcm of those denominators (G = 1 on INT); the scan builds, walks, judges
-and ranks the grid on those keys alone. Its one key->element function
+and ranks the grid on those keys alone. A rational grid is counted before
+it is built: each unit denominator's values in lowest terms, in closed
+form, against the point cap and the key-bit budget, so a refused grid
+builds no key; a grid within both builds each denominator's keys in one
+pass and sorts them once. Its one key->element function
 builds only what leaves the scan: witness and listed coordinates, and
 ``candidate_values``. The rule puts values up to N*D, not N, in the grid;
 it is kept as it is.
@@ -46,7 +50,7 @@ from __future__ import annotations
 from enum import Enum, unique
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul as _times
 from typing import Callable, Optional
 
@@ -156,14 +160,36 @@ class EdtReport:
         }
 
 
+def _coprime_count(den: int, top: int) -> int:
+    """How many of the numerators 0..top are coprime to ``den``: by
+    inclusion-exclusion over the distinct primes of ``den``, the sum of
+    ``mu(d) (top // d + 1)`` over the square-free divisors d of ``den``
+    (``top + 1`` for ``den = 1``)."""
+    terms, rest = [(1, 1)], den
+    for p in range(2, isqrt(den) + 1):
+        if rest % p == 0:
+            terms += [(d * p, -sign) for d, sign in terms]
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:  # one prime above the square root is left
+        terms += [(d * rest, -sign) for d, sign in terms]
+    return sum(sign * (top // d + 1) for d, sign in terms)
+
+
 def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS) -> tuple:
     """The per-variable grid ``(keys, G, value)``: the int keys k over G, the
     lcm of the grid's denominators, ascending, and ``value``, the one
     function that builds a key's element k/G; no element is built here.
-    Raises when the values of denominator 1 alone, raised to the number of
-    variables, exceed ``cap`` points, and otherwise as soon as the distinct
-    values found so far do, or their count times the bit length of the G
-    so far exceeds ``_MAX_GRID_BITS``, before any key is built."""
+
+    A rational grid is counted before it is built. The count walks the unit
+    denominators in order, growing G and adding each one's lowest-terms
+    numerators by ``_coprime_count``, and raises at the first denominator
+    whose values, raised to the number of variables, exceed ``cap`` points,
+    or whose count times the bit length of the G so far exceeds
+    ``_MAX_GRID_BITS``; where one denominator crosses both, the text is that
+    of the limit a value-by-value count would cross first. Denominator 1
+    alone is checked against ``cap`` before the count. Only a grid within
+    both limits is built, each denominator's keys in one pass, then sorted."""
     if not isinstance(box, BoxSpec):
         raise TypeError(f"box must be a BoxSpec, got {box!r}")
     facts = descriptor(ring)
@@ -182,31 +208,39 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS)
             return RingElement(ring, k)
 
         return tuple(range(box.bound + 1)), 1, value
-    d_bound = box.denominator_bound or 1
+    top = box.bound * (box.denominator_bound or 1)
     # denominator 1 alone gives the N*D + 1 distinct values 0..N*D
-    if (box.bound * d_bound + 1) ** nvars > cap:
+    if (top + 1) ** nvars > cap:
         raise ValueError(_TOO_LARGE)
-    pairs, G = [], 1
-    for den in range(1, d_bound + 1):
+    dens, count, G = [], 0, 1
+    for den in range(1, (box.denominator_bound or 1) + 1):
         if try_invert(from_int(ring, den)) is None:
             continue
         G = lcm(G, den)
         bits = G.bit_length()
         # a pair not in lowest terms repeats the value of its lowest terms,
-        # whose denominator divides den, so is a unit and was walked before
-        for num in range(box.bound * d_bound + 1):
-            if gcd(num, den) == 1:
-                pairs.append((num, den))
-                if len(pairs) ** nvars > cap:
-                    raise ValueError(_TOO_LARGE)
-                if len(pairs) * bits > _MAX_GRID_BITS:
-                    raise ValueError(f"{_TOO_LARGE}: keys over {_MAX_GRID_BITS} bits per variable")
+        # whose denominator divides den, so is a unit and was counted before
+        total = count + _coprime_count(den, top)
+        if total * bits > _MAX_GRID_BITS:
+            # the value the budget refuses, unless the cap refused one before
+            if max(count + 1, _MAX_GRID_BITS // bits + 1) ** nvars <= cap:
+                raise ValueError(f"{_TOO_LARGE}: keys over {_MAX_GRID_BITS} bits per variable")
+            raise ValueError(_TOO_LARGE)
+        if total**nvars > cap:
+            raise ValueError(_TOO_LARGE)
+        dens.append(den)
+        count = total
+    keys = list(range(0, (top + 1) * G, G))
+    for den in dens[1:]:
+        step = G // den
+        keys += [num * step for num in range(top + 1) if gcd(num, den) == 1]
+    keys.sort()
 
     # each den is a unit of the ring, so every value is in it by construction
     def value(k: int) -> RingElement:
         return RingElement(ring, reduced(k, G))
 
-    return tuple(sorted(num * (G // den) for num, den in pairs)), G, value
+    return tuple(keys), G, value
 
 
 def candidate_values(ring: RingId, box: BoxSpec) -> tuple[RingElement, ...]:
@@ -302,7 +336,8 @@ def enumerate_dual(P: ProgramData, box: BoxSpec) -> ProgramStatus:
 
 def feasible_points(P: ProgramData, box: BoxSpec, primal: bool) -> list[RVector]:
     """Every feasible grid point of the primal side (x) or the dual side (y),
-    on a side grid of at most 1,000,000 points, a cap checked as it is built."""
+    on a side grid of at most 1,000,000 points, a cap checked before any key
+    is built."""
     if not isinstance(primal, bool):
         raise TypeError(f"primal must be a bool, got {primal!r}")
     grid = _grid_values(P.ring, box, P.cols if primal else P.rows, _MAX_LISTED)

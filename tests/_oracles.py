@@ -11,8 +11,10 @@ shares no code with ``sum_of_products``.
 Kernel sums and the products a program is made of, ``mat_apply`` (A x),
 ``covec_apply`` (y A) and ``dot_left`` (u.v), are such folds; ``vec_add``
 and ``vec_sub`` work entry by entry. Box optima come from a plain Fraction
-scan, box grids as sorted sets of Fractions, the box walk's key tuples
-from the whole grid product filtered by each line's full sum, the two
+scan, box grids as sorted sets of Fractions, their keys and refusals by
+appending each lowest-terms pair and checking both limits on every append,
+the box walk's key tuples from the whole grid product filtered by each
+line's full sum, the two
 equation identities by expanding both sides as raw double sums of those
 oracles, and feasibility verdicts from the whole slack built by such
 element-per-step folds. ``ReferenceSampler``
@@ -23,6 +25,7 @@ alone, with its own generator step and constants.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from ringlp import (
@@ -289,6 +292,36 @@ def box_grid_by_fractions(ring: RingId, bound: int, den_bound) -> list[Fraction]
     d_bound = den_bound or 1
     dens = [d for d in range(1, d_bound + 1) if ring is RingId.RAT or d % 2 == 1]
     return sorted({Fraction(num, den) for den in dens for num in range(bound * d_bound + 1)})
+
+
+def grid_by_pairs(ring: RingId, bound: int, den_bound, nvars: int, cap: int, budget: int) -> tuple:
+    """The box grid's ``(keys, G)`` by a value-by-value loop: every
+    lowest-terms pair ``(num, den)`` in a list, denominator by denominator
+    (the odd ones on ODDRAT), checking the point cap ``len ** nvars`` and then
+    the key-bit budget ``len * bits(G so far)`` as each is appended, after
+    denominator 1 alone against the cap. A refusal is the ``ValueError`` of
+    the first limit a value crosses; INT is 0..N under the cap alone."""
+    too_large = "search box too large for exhaustive scan"
+    if ring is RingId.INT:
+        if (bound + 1) ** nvars > cap:
+            raise ValueError(too_large)
+        return tuple(range(bound + 1)), 1
+    d_bound = den_bound or 1
+    if (bound * d_bound + 1) ** nvars > cap:
+        raise ValueError(too_large)
+    pairs, G = [], 1
+    for den in range(1, d_bound + 1):
+        if ring is RingId.ODDRAT and den % 2 == 0:
+            continue
+        G = G * den // math.gcd(G, den)
+        for num in range(bound * d_bound + 1):
+            if math.gcd(num, den) == 1:
+                pairs.append((num, den))
+                if len(pairs) ** nvars > cap:
+                    raise ValueError(too_large)
+                if len(pairs) * G.bit_length() > budget:
+                    raise ValueError(f"{too_large}: keys over {budget} bits per variable")
+    return tuple(sorted(num * (G // den) for num, den in pairs)), G
 
 
 def point_walk(P: ProgramData, primal: bool, grid: tuple, form: tuple):

@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -42,7 +43,13 @@ from ringlp import (
 import ringlp.enumeration as enumeration
 from ringlp.enumeration import _grid_values, judge_optimal_pair
 
-from _oracles import box_grid_by_fractions, brute_force_box_optimum, feasibility_verdict_by_folds, point_walk
+from _oracles import (
+    box_grid_by_fractions,
+    brute_force_box_optimum,
+    feasibility_verdict_by_folds,
+    grid_by_pairs,
+    point_walk,
+)
 from conftest import counting_constructions, int_matrix, int_vector, make_edt_program, make_gap_program
 
 
@@ -865,25 +872,21 @@ def recording_grid_fractions(monkeypatch) -> list:
 
 
 def test_grid_stops_growing_once_the_scan_would_exceed_the_cap(monkeypatch):
-    """The cap is checked as each lowest-terms pair is kept. Denominator 1
-    gives the N*D + 1 values 0..N*D, whose square stays within the cap on
-    two variables; the grid is refused at the first pair of denominator 2,
-    whose square exceeds it: 5,000,000 points for a scan (2236 ** 2 within
-    it) and 1,000,000 for a listing (1000 ** 2)."""
-    kept = []
-
-    def recording_gcd(num, den):
-        if gcd(num, den) == 1:
-            kept.append((num, den))
-        return gcd(num, den)
-
-    monkeypatch.setattr(enumeration, "gcd", recording_gcd)
+    """The cap is checked on each denominator's count, before any value is
+    found. Denominator 1 gives the N*D + 1 values 0..N*D, whose square stays
+    within the cap on two variables; the count is refused at denominator 2,
+    whose values push the square past it: 5,000,000 points for a scan
+    (2236 ** 2 within it) and 1,000,000 for a listing (1000 ** 2). No pair
+    is tested for lowest terms before the refusal."""
+    examined, dens = [], []
+    monkeypatch.setattr(enumeration, "gcd", lambda *args: examined.append(args) or gcd(*args))
+    monkeypatch.setattr(enumeration, "lcm", lambda G, den: dens.append(den) or lcm(G, den))
     P = _program([[1, 1]], [4], [0, 0], ring=RingId.RAT)  # two primal variables
     for scan, d_bound in ((enumerate_primal, 2235), (lambda P, box: feasible_points(P, box, True), 999)):
-        kept.clear()
+        dens.clear()
         with pytest.raises(ValueError, match="too large"):
             scan(P, BoxSpec(1, d_bound))
-        assert kept == [(num, 1) for num in range(d_bound + 1)] + [(1, 2)]
+        assert examined == [] and dens == [1, 2]
 
 
 def test_a_rational_grid_takes_the_lcm_only_of_the_denominators_it_walks(monkeypatch):
@@ -1088,16 +1091,64 @@ def test_candidate_values_refuses_more_values_than_the_cap():
 @pytest.mark.parametrize("ring", [RingId.RAT, RingId.ODDRAT])
 def test_a_rational_grid_over_the_cap_is_refused_before_any_value_is_built(ring):
     # denominator 1 alone gives 10**8 + 1 values: the cap is checked before
-    # the loop that would build them
+    # the loop that would build them; a thousand denominators pass the cap
+    # on one variable and are refused by the key-bit budget as they are
+    # counted, with no key built
     P = _program([[1]], [1], [1], ring=ring)
-    tracemalloc.start()
+    for box, refusal in ((BoxSpec(10**8), "too large for exhaustive scan$"), (BoxSpec(1, 1000), "bits per variable$")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=refusal):
+                enumerate_primal(P, box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (box, peak)
+
+
+def _grid_or_refusal(build) -> object:
+    """``(keys, G)`` of a built grid, or the text of its refusal."""
     try:
-        with pytest.raises(ValueError, match="too large"):
-            enumerate_primal(P, BoxSpec(10**8))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+        return tuple(build()[:2])
+    except ValueError as error:
+        return str(error)
+
+
+@given(
+    ring=st.sampled_from((RingId.INT, RingId.RAT, RingId.ODDRAT)),
+    bound=st.integers(1, 6),
+    den=st.one_of(st.none(), st.integers(1, 12)),
+    nvars=st.integers(1, 3),
+    cap=st.integers(1, 3000),
+    budget=st.integers(1, 600),
+)
+# RAT BoxSpec(2, 3) on one variable: denominators 1 and 2 give 10 values
+# within both limits, and denominator 3 adds values 11 to 14 over G = 6, a
+# 3-bit G, so it can cross both limits, at values that differ
+@example(ring=RingId.RAT, bound=2, den=3, nvars=1, cap=11, budget=38)  # the cap breaks at value 12, the budget at 13
+@example(ring=RingId.RAT, bound=2, den=3, nvars=1, cap=12, budget=35)  # the budget breaks at value 12, the cap at 13
+@example(ring=RingId.RAT, bound=2, den=3, nvars=1, cap=11, budget=33)  # both at value 12: the cap is checked first
+@example(ring=RingId.RAT, bound=2, den=3, nvars=1, cap=11, budget=25)  # the wider G breaks the budget at value 11
+@example(ring=RingId.RAT, bound=2, den=3, nvars=1, cap=10, budget=25)  # ... and the cap breaks there too
+# denominator 1 alone: its 11 values break the cap before the count, so the
+# cap is named although the budget would break at value 6
+@example(ring=RingId.RAT, bound=10, den=None, nvars=1, cap=10, budget=5)
+def test_the_counted_grid_equals_the_value_by_value_loop(ring, bound, den, nvars, cap, budget):
+    """Counting each denominator's values before building any key gives the
+    keys and G, or the refusal text, that checking both limits on every
+    value gives, under a small cap and key-bit budget; where one
+    denominator crosses both, the text names the limit a value crosses
+    first."""
+    with mock.patch.object(enumeration, "_MAX_GRID_BITS", budget):
+        got = _grid_or_refusal(lambda: _grid_values(ring, BoxSpec(bound, den), nvars, cap))
+    assert got == _grid_or_refusal(lambda: grid_by_pairs(ring, bound, den, nvars, cap, budget))
+
+
+@pytest.mark.parametrize(
+    "den, top", [(1, 0), (1, 7), (2, 7), (12, 12), (30, 100), (2 * 3 * 5 * 7 * 11 * 13, 10**5), (97, 96), (49, 1000)]
+)
+def test_the_coprime_count_equals_a_gcd_count(den, top):
+    assert enumeration._coprime_count(den, top) == sum(gcd(num, den) == 1 for num in range(top + 1))
 
 
 @pytest.mark.parametrize("budget, builds", [(42, True), (41, False)])

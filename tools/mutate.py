@@ -5,9 +5,10 @@ Each mutant swaps one comparison (< <=, > >=, == !=, in, is), drops one
 either way in a named function of src/ringlp, in a temporary copy of the
 repository without .git whose own src is first on sys.path (this tree is
 never written). ``pytest -x -q`` runs there, one process at a time with a
-timeout, on the test files that import the mutated module, after one unmutated
-run of every test file (exit 2 if that fails). Prints KILLED (a test failed or
-timed out) or SURVIVED per mutant; exits 1 if any survived.
+timeout and a 2 GiB address-space limit, on the test files that import the
+mutated module, after one unmutated run of every test file (exit 2 if that
+fails). Prints KILLED (a test failed, timed out or ran out of memory) or
+SURVIVED per mutant; exits 1 if any survived.
 
 The test files that import ringlp.cli run for every mutant too, since the CLI
 reaches every layer and its goldens pin every report's bytes: today
@@ -20,6 +21,7 @@ own name only.
 import ast
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -29,6 +31,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 ENV = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+# a mutant can turn a bounded loop into one that grows a list without end
+MEMORY = 2 << 30
 
 
 def _replace(holder: ast.AST, old: ast.AST, new: ast.AST) -> None:
@@ -87,10 +91,15 @@ def _test_files(module: str) -> list:
     return [f"tests/{path.name}" for path in paths if wanted & _imports(path)]
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
 def _passes(copy: pathlib.Path, files: list) -> bool:
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
     try:
-        return subprocess.run(argv, cwd=copy, env=ENV, capture_output=True, timeout=600).returncode == 0
+        return subprocess.run(argv, cwd=copy, env=ENV, capture_output=True, timeout=600,
+                              preexec_fn=_limit_memory).returncode == 0
     except subprocess.TimeoutExpired:  # a mutant that hangs is killed
         return False
 

@@ -34,7 +34,7 @@ from .affine import (
     primal_slack,
 )
 from .constructions import (
-    InfeasibleSide,
+    BundleKind,
     certificate_dict,
     dual_decreasing_sequence,
     gap_program,
@@ -192,10 +192,10 @@ def _center_betweenness(a) -> _Outcome:
 
 
 # name -> (default ring, what it exhibits, its outcome from a), each built
-# over a's ring. The step witnesses z and p are inverses of small integers
-# there; on a ring where none is a unit (int) they are None, and the
-# construction refuses that ring, which has a smallest positive element,
-# before it reads them.
+# over a's ring; the infeasible/optimal pair passes the BundleKind it builds.
+# The step witnesses z and p are inverses of small integers there; on a ring
+# where none is a unit (int) they are None, and the construction refuses
+# that ring, which has a smallest positive element, before it reads them.
 _DEMOS = {
     "strong-duality-gap": (
         RingId.INT,
@@ -205,12 +205,12 @@ _DEMOS = {
     "edt-infeasible-optimal": (
         RingId.INT,
         "existence-duality failure: infeasible primal with an optimal dual",
-        lambda a: _bundle_output(infeasible_optimal_program(a, InfeasibleSide.PRIMAL_INFEASIBLE)),
+        lambda a: _bundle_output(infeasible_optimal_program(a, BundleKind.INFEASIBLE_OPTIMAL_PRIMAL)),
     ),
     "edt-infeasible-optimal-transposed": (
         RingId.INT,
         "existence-duality failure: infeasible dual with an optimal primal",
-        lambda a: _bundle_output(infeasible_optimal_program(a, InfeasibleSide.DUAL_INFEASIBLE)),
+        lambda a: _bundle_output(infeasible_optimal_program(a, BundleKind.INFEASIBLE_OPTIMAL_DUAL)),
     ),
     "primal-no-optimum": (
         RingId.ODDRAT,

@@ -3,7 +3,8 @@
 Every generator returns a :class:`CounterexampleBundle` whose claims are
 re-checkable: witnesses pass the feasibility checkers, integer optima are
 certified by box enumeration, and improving/decreasing sequences are
-validated point by point with exact sign tests. Claims that cannot be
+validated point by point with exact sign tests: a sequence is one side's
+witnesses with the objective value recorded at each. Claims that cannot be
 machine-certified on a given ring are recorded in ``notes`` as
 "claimed (not machine-certified)" together with the supporting argument.
 
@@ -72,9 +73,6 @@ from .sampling import Sampler
 
 __all__ = [
     "BundleKind",
-    "SequenceRole",
-    "InfeasibleSide",
-    "WitnessSequence",
     "CounterexampleBundle",
     "gap_program",
     "strong_duality_counterexample",
@@ -109,32 +107,6 @@ class BundleKind(Enum):
     NON_ACHIEVING = "NON_ACHIEVING"
 
 
-@unique
-class SequenceRole(Enum):
-    PRIMAL_IMPROVING = "PRIMAL_IMPROVING"
-    DUAL_DECREASING = "DUAL_DECREASING"
-
-
-@unique
-class InfeasibleSide(Enum):
-    PRIMAL_INFEASIBLE = "PRIMAL_INFEASIBLE"
-    DUAL_INFEASIBLE = "DUAL_INFEASIBLE"
-
-
-@record
-class WitnessSequence:
-    """Feasible points with strictly monotone objective values."""
-
-    ring: RingId
-    role: SequenceRole
-    points: tuple[RVector, ...]
-    objective_values: tuple[RingElement, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.objective_values):
-            raise ValueError("a witness sequence has one objective value per point")
-
-
 @record
 class CounterexampleBundle:
     kind: BundleKind
@@ -145,9 +117,15 @@ class CounterexampleBundle:
     primal_optimum: Optional[RVector] = None
     dual_optimum: Optional[RVector] = None
     gap_value: Optional[RingElement] = None
-    sequence: Optional[WitnessSequence] = None
+    # recorded at each witness of the one side that has any: a sequence
+    objective_values: tuple[RingElement, ...] = ()
     notes: tuple[str, ...] = ()
     checks: tuple[CheckReport, ...] = ()
+
+    def __post_init__(self):
+        sides = [w for w in (self.primal_witnesses, self.dual_witnesses) if w]
+        if self.objective_values and [len(w) for w in sides] != [len(self.objective_values)]:
+            raise ValueError("objective values need one side's witnesses, one value per witness")
 
 
 def _ring_of(a: RingElement) -> RingId:
@@ -375,33 +353,34 @@ _NO_RIGHT_INVERSE = {
 }
 
 
-def infeasible_optimal_program(a: RingElement, side: InfeasibleSide) -> CounterexampleBundle:
+def infeasible_optimal_program(a: RingElement, kind: BundleKind) -> CounterexampleBundle:
     """One side infeasible, the other attaining an optimum at 0, over the
     ring of a positive non-unit a.
 
-    PRIMAL_INFEASIBLE: A = [[a], [-a]], b = [1, -1], c = [0]; the primal
-    needs a*x = 1 exactly (impossible for a non-unit) while y = (0, 0) is
-    dual-optimal with value 0. DUAL_INFEASIBLE transposes A and swaps b
-    and c to reverse the roles.
+    INFEASIBLE_OPTIMAL_PRIMAL: A = [[a], [-a]], b = [1, -1], c = [0]; the
+    primal needs a*x = 1 exactly (impossible for a non-unit) while y = (0, 0)
+    is dual-optimal with value 0. INFEASIBLE_OPTIMAL_DUAL transposes A and
+    swaps b and c to reverse the roles. Any other ``kind`` is a ValueError.
     """
+    kinds = (BundleKind.INFEASIBLE_OPTIMAL_PRIMAL, BundleKind.INFEASIBLE_OPTIMAL_DUAL)
+    if kind not in kinds:
+        raise ValueError(f"kind must be {kinds[0].value} or {kinds[1].value}, got {kind!r}")
+    primal_optimal = kind is BundleKind.INFEASIBLE_OPTIMAL_DUAL
     ring = _require_witnesses(a)
     z = zero(ring)
     column, rhs = [a, neg(a)], vector(ring, [one(ring), neg(one(ring))])
-    if side is InfeasibleSide.PRIMAL_INFEASIBLE:
-        P = ProgramData(ring, matrix(ring, [[e] for e in column]), rhs, vector(ring, [z]), z)
-        kind = BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
-        sign_note = (
-            "g(y) = y1 - y2 and dual feasibility forces (y1 - y2)*a >= 0, hence "
-            "y1 - y2 >= 0 since a > 0; the value 0 at y = (0, 0) is optimal"
-        )
-    else:
+    if primal_optimal:
         P = ProgramData(ring, matrix(ring, [column]), vector(ring, [z]), rhs, z)
-        kind = BundleKind.INFEASIBLE_OPTIMAL_DUAL
         sign_note = (
             "f(x) = x1 - x2 and primal feasibility forces a*(x1 - x2) <= 0, hence "
             "x1 - x2 <= 0 since a > 0; the value 0 at x = (0, 0) is optimal"
         )
-    primal_optimal = side is InfeasibleSide.DUAL_INFEASIBLE
+    else:
+        P = ProgramData(ring, matrix(ring, [[e] for e in column]), rhs, vector(ring, [z]), z)
+        sign_note = (
+            "g(y) = y1 - y2 and dual feasibility forces (y1 - y2)*a >= 0, hence "
+            "y1 - y2 >= 0 since a > 0; the value 0 at y = (0, 0) is optimal"
+        )
     optimal, infeasible = Side.of(primal_optimal), Side.of(not primal_optimal)
     optimum = zero_vector(ring, 2)
     candidates = (optimum, None) if primal_optimal else (None, optimum)
@@ -522,10 +501,8 @@ def _non_achieving_sequence(
             points.append(vector(ring, [primal_improving_step(a, w, last[0])]))
         else:
             points.append(dual_decreasing_step(P, last, w))
-    side = Side.of(primal)
-    role = SequenceRole.PRIMAL_IMPROVING if primal else SequenceRole.DUAL_DECREASING
-    values = tuple(side.objective(P, pt) for pt in points)
-    seq = WitnessSequence(ring, role, tuple(points), values)
+    points = tuple(points)
+    values = tuple(Side.of(primal).objective(P, pt) for pt in points)
     a_text, w_text = to_text(a), to_text(w)
     if primal:
         claim = (
@@ -546,11 +523,11 @@ def _non_achieving_sequence(
         kind=BundleKind.NON_ACHIEVING,
         program=P,
         claim=claim,
-        primal_witnesses=seq.points if primal else (),
-        dual_witnesses=() if primal else seq.points,
-        sequence=seq,
+        primal_witnesses=points if primal else (),
+        dual_witnesses=() if primal else points,
+        objective_values=values,
         notes=(note,),
-        checks=(_validate_sequence(P, seq),),
+        checks=(_validate_sequence(P, primal, points, values),),
     )
 
 
@@ -574,20 +551,19 @@ def dual_decreasing_sequence(a: RingElement, p: RingElement) -> CounterexampleBu
     return _non_achieving_sequence(False, a, p)
 
 
-def _validate_sequence(P: ProgramData, seq: WitnessSequence) -> CheckReport:
-    """Re-verify each point's feasibility and recorded objective value, and
-    strict monotonicity."""
-    side = Side.of(seq.role is SequenceRole.PRIMAL_IMPROVING)
+def _validate_sequence(P: ProgramData, primal: bool, points, values) -> CheckReport:
+    """Re-verify each point's feasibility on its side and its recorded
+    objective value, and strict monotonicity."""
+    side = Side.of(primal)
     trend = "increasing" if side.better is Ordering.GT else "decreasing"
-    values = seq.objective_values
-    problems = _point_problems(P, seq.points, side, values)[1]
+    problems = _point_problems(P, points, side, values)[1]
     if len(values) < 2:
         problems.append("fewer than two points: no step to check")
     for k in range(1, len(values)):
         if compare(values[k], values[k - 1]) is not side.better:
             problems.append(f"objective not strictly {trend} at step {k}")
     details = tuple(problems) or (
-        f"{len(seq.points)} feasible points, strictly {trend} objective",
+        f"{len(points)} feasible points, strictly {trend} objective",
     )
     return CheckReport("witness_sequence", not problems, True, details)
 
@@ -682,8 +658,10 @@ def verify_bundle(bundle: CounterexampleBundle) -> tuple[CheckReport, ...]:
                 (f"gap = {to_text(recomputed)}",),
             )
         )
-    if bundle.sequence is not None:
-        reports.append(_validate_sequence(P, bundle.sequence))
+    if bundle.objective_values:
+        points = bundle.primal_witnesses or bundle.dual_witnesses
+        primal = bool(bundle.primal_witnesses)
+        reports.append(_validate_sequence(P, primal, points, bundle.objective_values))
     return tuple(reports)
 
 
@@ -702,11 +680,11 @@ def certificate_dict(bundle: CounterexampleBundle) -> dict:
         "dual_optimum": None if bundle.dual_optimum is None else vec_text(bundle.dual_optimum),
         "gap": None if bundle.gap_value is None else to_text(bundle.gap_value),
         "sequence": None
-        if bundle.sequence is None
+        if not bundle.objective_values
         else {
-            "role": bundle.sequence.role.value,
-            "points": [vec_text(p) for p in bundle.sequence.points],
-            "objective_values": [to_text(v) for v in bundle.sequence.objective_values],
+            "role": "PRIMAL_IMPROVING" if bundle.primal_witnesses else "DUAL_DECREASING",
+            "points": [vec_text(p) for p in bundle.primal_witnesses or bundle.dual_witnesses],
+            "objective_values": [to_text(v) for v in bundle.objective_values],
         },
         "notes": list(bundle.notes),
         "checks": [c.as_dict() for c in bundle.checks],

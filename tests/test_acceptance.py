@@ -144,15 +144,15 @@ def test_criterion_07_non_achieving_primal():
             from_rational(RingId.ODDRAT, 2),
             from_rational(RingId.ODDRAT, 1, 3),
         )
-        seq = bundle.sequence
-        assert len(seq.objective_values) == 22
-        for k, value in enumerate(seq.objective_values):
+        values = bundle.objective_values
+        assert len(values) == 22
+        for k, value in enumerate(values):
             assert value.payload == Fraction(3**k - 1, 2 * 3**k)  # exact
             assert value.payload.denominator % 2 == 1  # lives in the ring
-        for k, point in enumerate(seq.points):
+        for k, point in enumerate(bundle.primal_witnesses):
             assert is_primal_feasible(bundle.program, point).feasible
             if k:
-                assert seq.objective_values[k] > seq.objective_values[k - 1]
+                assert values[k] > values[k - 1]
 
 
 @pytest.mark.parametrize(
@@ -161,13 +161,13 @@ def test_criterion_07_non_achieving_primal():
 def test_criterion_08_non_achieving_dual(ring, a):
     with criterion(8, f"{ring.value} decreasing dual sequence: values 2^(-k), 21 steps"):
         bundle = dual_decreasing_sequence(a, from_rational(ring, 1, 2))
-        seq = bundle.sequence
-        assert len(seq.objective_values) == 22
-        for k, value in enumerate(seq.objective_values):
+        values = bundle.objective_values
+        assert len(values) == 22
+        for k, value in enumerate(values):
             assert value == from_rational(ring, 1, 2**k)  # exact
-            assert is_dual_feasible(bundle.program, seq.points[k]).feasible
+            assert is_dual_feasible(bundle.program, bundle.dual_witnesses[k]).feasible
             if k:
-                assert seq.objective_values[k] < seq.objective_values[k - 1]
+                assert values[k] < values[k - 1]
 
 
 def test_criterion_09_center_and_magnitude():

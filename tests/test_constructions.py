@@ -14,7 +14,6 @@ from ringlp import (
     BundleKind,
     CheckReport,
     CounterexampleBundle,
-    InfeasibleSide,
     Magnitude,
     POLY_X,
     PreconditionError,
@@ -24,7 +23,6 @@ from ringlp import (
     SKEW_Y,
     Sampler,
     Scope,
-    SequenceRole,
     StatusKind,
     add,
     certificate_dict,
@@ -51,9 +49,10 @@ from ringlp import (
     sign,
     strong_duality_counterexample,
     sub,
+    to_text,
+    vec_text,
     vector,
     verify_bundle,
-    WitnessSequence,
     zero_vector,
 )
 
@@ -61,6 +60,9 @@ from conftest import int_matrix, int_vector, make_gap_program
 
 # sha256 of the certificates and re-verification reports of ``_digest_grid``
 PINNED_DIGEST = "b4872e8409f6e3f28ccc8e7f99e95739f058608ec076410b75f40ac5e9ba9b15"
+
+# the kinds ``infeasible_optimal_program`` builds
+EDT_KINDS = (BundleKind.INFEASIBLE_OPTIMAL_PRIMAL, BundleKind.INFEASIBLE_OPTIMAL_DUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_each_builder_reads_its_ring_from_a():
     for build in (
         gap_program,
         strong_duality_counterexample,
-        lambda a: infeasible_optimal_program(a, InfeasibleSide.DUAL_INFEASIBLE),
+        lambda a: infeasible_optimal_program(a, BundleKind.INFEASIBLE_OPTIMAL_DUAL),
         lambda a: primal_improving_sequence(a, third),
         lambda a: dual_decreasing_sequence(a, third),
     ):
@@ -261,7 +263,7 @@ def test_strong_duality_counterexample_needs_smallest_positive():
 
 def test_infeasible_optimal_primal_side(edt_int):
     bundle = infeasible_optimal_program(
-        from_int(RingId.INT, 2), InfeasibleSide.PRIMAL_INFEASIBLE
+        from_int(RingId.INT, 2), BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
     )
     assert bundle.kind is BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
     assert bundle.program == edt_int
@@ -272,7 +274,7 @@ def test_infeasible_optimal_primal_side(edt_int):
 
 def test_infeasible_optimal_poly_variant():
     bundle = infeasible_optimal_program(
-        POLY_X, InfeasibleSide.PRIMAL_INFEASIBLE
+        POLY_X, BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
     )
     P = bundle.program
     assert bundle.dual_optimum == zero_vector(RingId.POLY, 2)
@@ -287,7 +289,7 @@ def test_infeasible_optimal_poly_variant():
 
 def test_infeasible_optimal_transposed(edt_int):
     bundle = infeasible_optimal_program(
-        from_int(RingId.INT, 2), InfeasibleSide.DUAL_INFEASIBLE
+        from_int(RingId.INT, 2), BundleKind.INFEASIBLE_OPTIMAL_DUAL
     )
     assert bundle.kind is BundleKind.INFEASIBLE_OPTIMAL_DUAL
     P = bundle.program
@@ -299,9 +301,24 @@ def test_infeasible_optimal_transposed(edt_int):
     assert all(c.passed for c in bundle.checks)
 
 
+@pytest.mark.parametrize(
+    "kind", ["DUAL_INFEASIBLE", None, BundleKind.GAP, BundleKind.NON_ACHIEVING], ids=repr
+)
+def test_infeasible_optimal_program_refuses_any_other_kind(kind):
+    """``kind`` is tested once, before ``a`` is read: any value but the two
+    kinds the construction builds is a ``ValueError`` that names both."""
+    for a in (from_int(RingId.INT, 2), "not an element"):
+        with pytest.raises(ValueError) as excinfo:
+            infeasible_optimal_program(a, kind)
+        assert str(excinfo.value) == (
+            "kind must be INFEASIBLE_OPTIMAL_PRIMAL or INFEASIBLE_OPTIMAL_DUAL, "
+            f"got {kind!r}"
+        )
+
+
 def test_infeasible_optimal_oddrat():
     bundle = infeasible_optimal_program(
-        from_rational(RingId.ODDRAT, 2), InfeasibleSide.PRIMAL_INFEASIBLE
+        from_rational(RingId.ODDRAT, 2), BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
     )
     # 2x = 1 needs 1/2, which has an even denominator
     assert not is_primal_feasible(
@@ -310,13 +327,13 @@ def test_infeasible_optimal_oddrat():
     assert all(c.passed for c in bundle.checks)
 
 
-@pytest.mark.parametrize("side", list(InfeasibleSide))
+@pytest.mark.parametrize("kind", EDT_KINDS)
 @pytest.mark.parametrize("a", [POLY_X, SKEW_X], ids=["poly", "skew"])
-def test_verify_bundle_says_it_did_not_recheck_an_optimum_it_cannot_scan(a, side):
+def test_verify_bundle_says_it_did_not_recheck_an_optimum_it_cannot_scan(a, kind):
     """On a ring the box oracle cannot walk, the recorded optimum gets a
     not-applicable ``certify_optimal_pair`` report that names the ring,
     so a caller's ``all(check.passed ...)`` is not silently vacuous."""
-    reports = verify_bundle(infeasible_optimal_program(a, side))
+    reports = verify_bundle(infeasible_optimal_program(a, kind))
     assert len(reports) == 2 and reports[0].name.endswith("_witnesses_feasible")
     assert reports[1] == CheckReport(
         "certify_optimal_pair",
@@ -326,10 +343,10 @@ def test_verify_bundle_says_it_did_not_recheck_an_optimum_it_cannot_scan(a, side
     )
 
 
-@pytest.mark.parametrize("side", list(InfeasibleSide))
+@pytest.mark.parametrize("kind", EDT_KINDS)
 @pytest.mark.parametrize("a", [from_int(RingId.INT, 2), from_rational(RingId.ODDRAT, 2)])
-def test_verify_bundle_rescans_an_optimum_on_a_ring_it_can_scan(a, side):
-    reports = verify_bundle(infeasible_optimal_program(a, side))
+def test_verify_bundle_rescans_an_optimum_on_a_ring_it_can_scan(a, kind):
+    reports = verify_bundle(infeasible_optimal_program(a, kind))
     rescan = [r for r in reports if r.name == "certify_optimal_pair"]
     assert len(rescan) == 1 and rescan[0].applicable and rescan[0].passed
 
@@ -355,9 +372,9 @@ def test_constructions_mark_exhaustive_only_the_sides_they_argue(monkeypatch):
         assert (dual.kind, dual.scope, dual.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[1])
         assert dual.witness == int_vector(RingId.INT, [1])
         assert (primal.kind, primal.scope, primal.note) == (StatusKind.OPTIMAL, Scope.EXHAUSTIVE, bundle.notes[0])
-    for side, infeasible in ((InfeasibleSide.PRIMAL_INFEASIBLE, 0), (InfeasibleSide.DUAL_INFEASIBLE, 1)):
+    for infeasible, kind in enumerate(EDT_KINDS):
         judged.clear()
-        bundle = infeasible_optimal_program(two, side)
+        bundle = infeasible_optimal_program(two, kind)
         (statuses,) = judged
         argued, optimal = statuses[infeasible], statuses[1 - infeasible]
         assert (argued.kind, argued.scope, argued.witness) == (StatusKind.INFEASIBLE, Scope.EXHAUSTIVE, None)
@@ -436,10 +453,9 @@ def test_primal_improving_sequence_bundle():
         from_rational(RingId.ODDRAT, 2),
         from_rational(RingId.ODDRAT, 1, 3),
     )
-    seq = bundle.sequence
-    assert seq.role is SequenceRole.PRIMAL_IMPROVING
-    assert len(seq.points) == 22
-    for k, value in enumerate(seq.objective_values):
+    assert certificate_dict(bundle)["sequence"]["role"] == "PRIMAL_IMPROVING"
+    assert bundle.dual_witnesses == () and len(bundle.primal_witnesses) == 22
+    for k, value in enumerate(bundle.objective_values):
         assert value.payload == Fraction(3**k - 1, 2 * 3**k)
     assert all(c.passed for c in bundle.checks)
 
@@ -459,9 +475,8 @@ def test_primal_improving_sequence_walks_twenty_one_strict_steps(a, z):
     """1 - a*x_k = (1 - a*z)^k, so f(x_k) = x_k = (1 - (1 - a*z)^k) / a."""
     ring = RingId.ODDRAT
     bundle = primal_improving_sequence(from_rational(ring, a), from_rational(ring, z))
-    seq = bundle.sequence
-    assert len(seq.points) == len(seq.objective_values) == 22
-    for k, value in enumerate(seq.objective_values):
+    assert len(bundle.primal_witnesses) == len(bundle.objective_values) == 22
+    for k, value in enumerate(bundle.objective_values):
         assert value.payload == (1 - (1 - a * z) ** k) / a
     assert all(c.passed for c in bundle.checks)
 
@@ -478,12 +493,11 @@ def test_primal_improving_sequence_needs_room_below_one():
 @pytest.mark.parametrize("ring,a", [(RingId.POLY, POLY_X), (RingId.SKEW, SKEW_X)])
 def test_dual_decreasing_sequence_halves_forever(ring, a):
     bundle = dual_decreasing_sequence(a, from_rational(ring, 1, 2))
-    seq = bundle.sequence
-    assert seq.role is SequenceRole.DUAL_DECREASING
-    assert len(seq.points) == 22
-    for k, value in enumerate(seq.objective_values):
+    assert certificate_dict(bundle)["sequence"]["role"] == "DUAL_DECREASING"
+    assert bundle.primal_witnesses == () and len(bundle.dual_witnesses) == 22
+    for k, value in enumerate(bundle.objective_values):
         assert value == from_rational(ring, 1, 2**k)
-        assert is_dual_feasible(bundle.program, seq.points[k]).feasible
+        assert is_dual_feasible(bundle.program, bundle.dual_witnesses[k]).feasible
     assert all(c.passed for c in bundle.checks)
 
 
@@ -501,9 +515,8 @@ def test_dual_decreasing_sequence_halves_forever(ring, a):
 def test_dual_decreasing_sequence_walks_twenty_one_strict_steps(a, p):
     ring = a.ring
     bundle = dual_decreasing_sequence(a, from_rational(ring, p))
-    seq = bundle.sequence
-    assert len(seq.points) == len(seq.objective_values) == 22
-    for k, value in enumerate(seq.objective_values):
+    assert len(bundle.dual_witnesses) == len(bundle.objective_values) == 22
+    for k, value in enumerate(bundle.objective_values):
         assert value == from_rational(ring, p**k)
     assert all(c.passed for c in bundle.checks)
 
@@ -597,37 +610,71 @@ def test_the_constructions_refuse_a_size_knob_by_name(run, knob):
         run(**{knob: 3})
 
 
+def _sequence_parts(real):
+    """The witnesses field of a sequence bundle, its points and its values."""
+    witnesses = "primal_witnesses" if real.primal_witnesses else "dual_witnesses"
+    return witnesses, getattr(real, witnesses), real.objective_values
+
+
 @pytest.mark.parametrize("build", [_oddrat_primal_sequence, _poly_dual_sequence])
 def test_verify_bundle_recomputes_the_recorded_objective_values(build):
-    # every point is the start point, feasible, but the values are a real run's
     real = build()
-    seq = real.sequence
-    start = (seq.points[0],) * len(seq.points)
-    primal = seq.role is SequenceRole.PRIMAL_IMPROVING
-    forged = CounterexampleBundle(
-        kind=real.kind,
-        program=real.program,
-        claim=real.claim,
-        primal_witnesses=start if primal else (),
-        dual_witnesses=() if primal else start,
-        sequence=WitnessSequence(seq.ring, seq.role, start, seq.objective_values),
-    )
-    reports = {r.name: r for r in verify_bundle(forged)}
-    witnesses = "primal_witnesses" if primal else "dual_witnesses"
+    witnesses, points, values = _sequence_parts(real)
+
+    def forged(points, values):
+        return CounterexampleBundle(
+            real.kind, real.program, real.claim, **{witnesses: points}, objective_values=values
+        )
+
+    # every point is the start point, feasible, but the values are a real run's
+    start = (points[0],) * len(points)
+    reports = {r.name: r for r in verify_bundle(forged(start, values))}
     assert reports[f"{witnesses}_feasible"].passed
     assert not reports["witness_sequence"].passed
     assert all(r.passed for r in verify_bundle(real))
-    # a single point checks no step, and every point needs its value
-    single = WitnessSequence(seq.ring, seq.role, seq.points[:1], seq.objective_values[:1])
-    short = CounterexampleBundle(real.kind, real.program, real.claim, sequence=single)
-    assert [r.passed for r in verify_bundle(short)] == [False]
+    # a single point checks no step
+    reports = verify_bundle(forged(points[:1], values[:1]))
+    assert [(r.name, r.passed) for r in reports] == [
+        (f"{witnesses}_feasible", True),
+        ("witness_sequence", False),
+    ]
     # two equal points, each with its true value, make no strict step
-    still = WitnessSequence(seq.ring, seq.role, start[:2], seq.objective_values[:1] * 2)
-    trend = "increasing" if primal else "decreasing"
-    reports = verify_bundle(CounterexampleBundle(real.kind, real.program, real.claim, sequence=still))
-    assert [r.details for r in reports] == [(f"objective not strictly {trend} at step 1",)]
-    with pytest.raises(ValueError):
-        WitnessSequence(seq.ring, seq.role, seq.points, seq.objective_values[:1])
+    trend = "increasing" if witnesses == "primal_witnesses" else "decreasing"
+    reports = verify_bundle(forged(start[:2], values[:1] * 2))
+    assert [r.details for r in reports] == [("2 points",), (f"objective not strictly {trend} at step 1",)]
+
+
+@pytest.mark.parametrize("build", [_oddrat_primal_sequence, _poly_dual_sequence])
+def test_objective_values_belong_to_the_witnesses_of_exactly_one_side(build):
+    """A bundle's objective values are one per witness of its one witness
+    side, which names the sequence's role, so a sequence cannot disagree
+    with its points about their side, their count or their ring."""
+    real = build()
+    witnesses, points, values = _sequence_parts(real)
+    other = "dual_witnesses" if witnesses == "primal_witnesses" else "primal_witnesses"
+    for fields in (
+        {witnesses: points, other: points[:1]},  # both sides
+        {},  # neither side
+        {witnesses: points[:-1]},  # one point short
+        {witnesses: points + points[:1]},  # one point over
+    ):
+        with pytest.raises(ValueError, match="^objective values need one side's witnesses"):
+            CounterexampleBundle(real.kind, real.program, real.claim, **fields, objective_values=values)
+    # the role is read from the witnesses' side, and the points judged on it
+    rebuilt = CounterexampleBundle(
+        real.kind, real.program, real.claim, **{witnesses: points}, objective_values=values
+    )
+    role = "PRIMAL_IMPROVING" if witnesses == "primal_witnesses" else "DUAL_DECREASING"
+    assert certificate_dict(rebuilt)["sequence"] == {
+        "role": role,
+        "points": [vec_text(p) for p in points],
+        "objective_values": [to_text(v) for v in values],
+    }
+    assert [r.passed for r in verify_bundle(rebuilt)] == [True, True]
+    # witnesses with no recorded values are no sequence
+    plain = CounterexampleBundle(real.kind, real.program, real.claim, **{witnesses: points})
+    assert certificate_dict(plain)["sequence"] is None
+    assert [r.name for r in verify_bundle(plain)] == [f"{witnesses}_feasible"]
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +749,10 @@ def test_every_bundle_kind_re_verifies():
         gap_program(SKEW_X),
         strong_duality_counterexample(from_int(RingId.INT, 2)),
         infeasible_optimal_program(
-            from_int(RingId.INT, 2), InfeasibleSide.PRIMAL_INFEASIBLE
+            from_int(RingId.INT, 2), BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
         ),
         infeasible_optimal_program(
-            from_int(RingId.INT, 2), InfeasibleSide.DUAL_INFEASIBLE
+            from_int(RingId.INT, 2), BundleKind.INFEASIBLE_OPTIMAL_DUAL
         ),
         primal_improving_sequence(
             from_rational(RingId.ODDRAT, 2),
@@ -741,8 +788,8 @@ def _digest_grid(monkeypatch):
         from_rational(RingId.ODDRAT, q) for q in (Fraction(2), Fraction(2, 3), Fraction(4, 5))
     ]
     for a in (*elements, POLY_X, SKEW_X):
-        for side in InfeasibleSide:
-            yield infeasible_optimal_program(a, side)
+        for kind in EDT_KINDS:
+            yield infeasible_optimal_program(a, kind)
     for a in elements:
         yield gap_program(a)
     for a in (POLY_X, SKEW_X):
@@ -789,7 +836,7 @@ def test_constructions_scan_each_side_once(monkeypatch):
     strong, n = made(lambda: strong_duality_counterexample(two))
     assert n == (2, 2, 1, 1)
     edt, n = made(
-        lambda: infeasible_optimal_program(two, InfeasibleSide.PRIMAL_INFEASIBLE)
+        lambda: infeasible_optimal_program(two, BundleKind.INFEASIBLE_OPTIMAL_PRIMAL)
     )
     assert n == (2, 2, 0, 2)
     assert made(lambda: gap_program(two))[1] == (0, 2, 1, 1)

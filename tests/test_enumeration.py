@@ -14,14 +14,15 @@ import ringlp.affine as affine
 import ringlp.rings as rings
 from ringlp import (
     BoxSpec,
+    BundleKind,
     DimensionMismatch,
-    InfeasibleSide,
     PreconditionError,
     ProgramData,
     RingId,
     RingMismatch,
     Scope,
     StatusKind,
+    add,
     candidate_values,
     certify_optimal_pair,
     classify_edt,
@@ -34,7 +35,9 @@ from ringlp import (
     infeasible_optimal_program,
     is_primal_feasible,
     matrix,
+    neg,
     strong_duality_counterexample,
+    sub,
     to_text,
     verify_bundle,
     vector,
@@ -283,6 +286,67 @@ def test_the_walk_yields_the_oracle_feasible_grid_points_in_lexicographic_order(
                 want.append(list(point))
         got = [[e.payload for e in vec] for vec in feasible_points(P, box, primal)]
         assert got == want
+
+
+def _transposed(P: ProgramData) -> ProgramData:
+    """(-A^T, -c, -b, -d): the program whose primal is the dual of P, with
+    the objective negated."""
+    A, ring = P.A, P.ring
+    columns = [[neg(A.entry(j, i)) for j in range(A.rows)] for i in range(A.cols)]
+    b, c = (vector(ring, map(neg, v)) for v in (P.c, P.b))
+    return ProgramData(ring, matrix(ring, columns), b, c, neg(P.d))
+
+
+def _moved(status, shift):
+    """What ``status`` says once every value goes to ``shift(value)``."""
+    value = None if status.value is None else shift(status.value)
+    return status.kind, status.scope, status.witness, value
+
+
+def _said(status):
+    return status.kind, status.scope, status.witness, status.value
+
+
+# the tie case of ROADMAP item 21: the face test misjudges it, but the
+# transpose and the shift of d move it like any other program
+_TIE = (_program([[2, 1]], [6], [2, 1]), BoxSpec(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs())
+@example(_TIE)
+def test_the_transpose_swaps_the_sides_and_negates_the_values(drawn):
+    """Metamorphic relation: the primal of (-A^T, -c, -b, -d) is the dual of
+    P with its objective negated, so ``classify_edt`` swaps the two
+    statuses, keeping kinds, scopes and witnesses and negating values;
+    cases 2 and 3 trade places and the violation and the gap stay."""
+    P, box = drawn
+    report, swapped = classify_edt(P, box), classify_edt(_transposed(P), box)
+    assert _said(swapped.primal) == _moved(report.dual, neg)
+    assert _said(swapped.dual) == _moved(report.primal, neg)
+    assert swapped.case == {2: 3, 3: 2}.get(report.case, report.case)
+    assert (swapped.violation, swapped.gap_value) == (report.violation, report.gap_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_programs(), st.integers(-6, 6), st.integers(0, 4))
+@example(_TIE, 5, 0)
+def test_lowering_d_raises_every_value_by_the_same_step(drawn, num, pick):
+    """Metamorphic relation: f = c.x - d and g = y.b - d, so replacing d by
+    d - t adds t to both sides' values and changes no kind, scope,
+    witness, case, violation or gap."""
+    P, box = drawn
+    dens = _UNIT_DENOMINATORS[P.ring]
+    t = from_rational(P.ring, Fraction(num, dens[pick % len(dens)]))
+    report = classify_edt(P, box)
+    shifted = classify_edt(ProgramData(P.ring, P.A, P.b, P.c, sub(P.d, t)), box)
+    for before, after in ((report.primal, shifted.primal), (report.dual, shifted.dual)):
+        assert _said(after) == _moved(before, lambda value: add(value, t))
+    assert (shifted.case, shifted.violation, shifted.gap_value) == (
+        report.case,
+        report.violation,
+        report.gap_value,
+    )
 
 
 def _fraction_program(ring, A_rows, b, c, d=0):
@@ -919,8 +983,8 @@ def test_a_scan_pair_builds_one_grid_and_each_program_one_form(monkeypatch):
     two = from_int(RingId.INT, 2)
     for build, nvars in (
         (lambda: strong_duality_counterexample(two), 1),
-        (lambda: infeasible_optimal_program(two, InfeasibleSide.PRIMAL_INFEASIBLE), 2),
-        (lambda: infeasible_optimal_program(two, InfeasibleSide.DUAL_INFEASIBLE), 2),
+        (lambda: infeasible_optimal_program(two, BundleKind.INFEASIBLE_OPTIMAL_PRIMAL), 2),
+        (lambda: infeasible_optimal_program(two, BundleKind.INFEASIBLE_OPTIMAL_DUAL), 2),
     ):
         grids.clear()
         forms.clear()

@@ -285,7 +285,7 @@ def test_a_failed_precondition_is_one_error_class():
 BUILDERS = {
     "gap_program": ["a"],
     "strong_duality_counterexample": ["a"],
-    "infeasible_optimal_program": ["a", "side"],
+    "infeasible_optimal_program": ["a", "kind"],
     "primal_improving_sequence": ["a", "z"],
     "dual_decreasing_sequence": ["a", "p"],
 }
@@ -306,9 +306,24 @@ def test_no_construction_takes_a_ring():
     assert taking_ring == [], taking_ring
 
 
-def test_each_builder_takes_a_and_its_witness_or_side():
+def test_each_builder_takes_a_and_its_witness_or_kind():
     parameters = _construction_parameters()
     assert {name: parameters[name] for name in BUILDERS} == BUILDERS
+
+
+def test_a_bundle_names_each_fact_once():
+    """``constructions.py`` defines one record, ``CounterexampleBundle``,
+    and one enum, ``BundleKind``: a sequence is the bundle's witnesses of
+    one side with their ``objective_values``, and the infeasible side of an
+    infeasible/optimal bundle is named by its kind."""
+    classes = [
+        node
+        for node in ast.parse((SRC / "constructions.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    records = [c.name for c in classes if "record" in [getattr(d, "id", None) for d in c.decorator_list]]
+    enums = [c.name for c in classes if "Enum" in [getattr(b, "id", None) for b in c.bases]]
+    assert (records, enums) == (["CounterexampleBundle"], ["BundleKind"]), (records, enums)
 
 
 def test_no_float_is_written_in_the_library():

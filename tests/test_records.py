@@ -24,10 +24,8 @@ from ringlp import (
     RMatrix,
     RVector,
     Scope,
-    SequenceRole,
     StatusKind,
     TrialSummary,
-    WitnessSequence,
     classify_edt,
     from_int,
 )
@@ -57,7 +55,6 @@ RECORDS = [
     (AxiomViolation, lambda: ("kind", ("w",)), {}),
     (AxiomReport, lambda: (RingId.INT, 10, 1, 20, 30, ()), {}),
     (TrialSummary, lambda: ("trial", 5, 0), {"first_failure": None}),
-    (WitnessSequence, lambda: (RingId.INT, SequenceRole.PRIMAL_IMPROVING, (), ()), {}),
     (
         CounterexampleBundle,
         lambda: (BundleKind.GAP, make_gap_program(), "claim"),
@@ -67,7 +64,7 @@ RECORDS = [
             "primal_optimum": None,
             "dual_optimum": None,
             "gap_value": None,
-            "sequence": None,
+            "objective_values": (),
             "notes": (),
             "checks": (),
         },

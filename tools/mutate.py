@@ -4,11 +4,13 @@ Each mutant swaps one comparison (< <=, > >=, == !=, in, is), drops one
 ``not``, swaps one ``and`` for ``or`` or back, or moves one int constant by 1
 either way in a named function of src/ringlp, in a temporary copy of the
 repository without .git whose own src is first on sys.path (this tree is
-never written). ``pytest -x -q`` runs there, one process at a time with a
-timeout and a 2 GiB address-space limit, on the test files that import the
-mutated module, after one unmutated run of every test file (exit 2 if that
-fails). Prints KILLED (a test failed, timed out or ran out of memory) or
-SURVIVED per mutant; exits 1 if any survived.
+never written). ``pytest -x -q`` runs there, one process at a time under a
+2 GiB address-space limit, on the test files that import the mutated
+module, after one unmutated run of every test file (exit 2 if that fails).
+Each module's test files then run once unmutated, timed, and each of its
+mutants gets five times that time plus 30 s, so a mutant that makes a loop
+spin is stopped in about that long. Prints KILLED (a test failed, timed out
+or ran out of memory) or SURVIVED per mutant; exits 1 if any survived.
 
 The test files that import ringlp.cli run for every mutant too, since the CLI
 reaches every layer and its goldens pin every report's bytes: today
@@ -26,6 +28,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
@@ -33,6 +36,8 @@ SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.
 ENV = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
 # a mutant can turn a bounded loop into one that grows a list without end
 MEMORY = 2 << 30
+# the unmutated whole suite's timeout, and a mutant's, from its files' unmutated run
+SUITE_TIMEOUT, TIMEOUT_SCALE, TIMEOUT_SLACK = 600, 5, 30
 
 
 def _replace(holder: ast.AST, old: ast.AST, new: ast.AST) -> None:
@@ -95,28 +100,38 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
-def _passes(copy: pathlib.Path, files: list) -> bool:
+def _passes(copy: pathlib.Path, files: list, timeout: float) -> bool:
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
     try:
-        return subprocess.run(argv, cwd=copy, env=ENV, capture_output=True, timeout=600,
+        return subprocess.run(argv, cwd=copy, env=ENV, capture_output=True, timeout=timeout,
                               preexec_fn=_limit_memory).returncode == 0
     except subprocess.TimeoutExpired:  # a mutant that hangs is killed
         return False
 
 
+def _timeout(copy: pathlib.Path, files: list) -> float:
+    """A mutant's timeout on ``files``, scaled from one timed unmutated run."""
+    began = time.monotonic()
+    _passes(copy, files, SUITE_TIMEOUT)
+    return TIMEOUT_SCALE * (time.monotonic() - began) + TIMEOUT_SLACK
+
+
 def main(targets: list) -> int:
-    survived = 0
+    survived, timeouts = 0, {}
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".*cache", ".hypothesis"))
-        if not _passes(copy, ["tests"]):
+        if not _passes(copy, ["tests"], SUITE_TIMEOUT):
             return print("the unmutated copy fails its tests") or 2
         for module, name in (target.split(":") for target in targets):
             path = copy / "src" / "ringlp" / f"{module}.py"
             source, files = path.read_text(), _test_files(module)
+            if module not in timeouts:
+                timeouts[module] = _timeout(copy, files)
+                print(f"{module}: each mutant's timeout is {timeouts[module]:.0f} s", flush=True)
             for mutated, what in _mutants(source, name):
                 path.write_text(mutated)
-                killed = not _passes(copy, files)
+                killed = not _passes(copy, files, timeouts[module])
                 path.write_text(source)
                 survived += not killed
                 print(f"{'KILLED  ' if killed else 'SURVIVED'} {module}.{name} {what}", flush=True)

@@ -34,7 +34,6 @@ from .errors import DimensionMismatch, RingMismatch
 from .linalg import RMatrix, RVector, matrix, vec_text, vector
 from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
-    Ordering,
     RingElement,
     RingId,
     is_zero,
@@ -61,7 +60,6 @@ __all__ = [
     "duality_equation_residual",
     "gap",
     "assert_weak_duality",
-    "random_program",
     "identity_trials",
     "identity_program_trials",
     "weak_duality_trials",
@@ -232,15 +230,15 @@ class Side(NamedTuple):
     letter: str  # of the objective
     feasible: Callable[[ProgramData, RVector], FeasibilityVerdict]
     objective: Callable[[ProgramData, RVector], RingElement]
-    better: Ordering  # how a strictly better objective value compares
+    better: int  # compare(better value, worse value): +1 on the primal, -1 on the dual
 
     @classmethod
     def of(cls, primal: bool) -> Side:
         # read from the module globals on every call, so a function patched
         # onto this module is the one every check (not the box scan) calls
         if primal:
-            return cls("primal", "f", is_primal_feasible, eval_f, Ordering.GT)
-        return cls("dual", "g", is_dual_feasible, eval_g, Ordering.LT)
+            return cls("primal", "f", is_primal_feasible, eval_f, 1)
+        return cls("dual", "g", is_dual_feasible, eval_g, -1)
 
 
 def _residuals(P: ProgramData, x: RVector, y: RVector) -> tuple[RingElement, RingElement]:

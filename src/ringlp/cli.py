@@ -35,7 +35,6 @@ from .affine import (
 )
 from .constructions import (
     BundleKind,
-    certificate_dict,
     dual_decreasing_sequence,
     gap_program,
     infeasible_optimal_program,
@@ -50,7 +49,6 @@ from .linalg import RVector, vec_text, vector
 from .progfile import load_program
 from .rings import (
     RingId,
-    all_descriptors,
     descriptor,
     from_int,
     parse_element,
@@ -94,7 +92,7 @@ def _cmd_rings(args) -> _Outcome:
             "is_division": d.is_division,
             "smallest_positive": None if d.smallest_positive is None else to_text(d.smallest_positive),
         }
-        for d in all_descriptors()
+        for d in map(descriptor, RingId)
     ]
     return {"rings": rows}, True
 
@@ -173,7 +171,7 @@ def _cmd_edt(args) -> _Outcome:
 
 def _bundle_output(bundle) -> _Outcome:
     ok = all(c.passed for c in bundle.checks if c.applicable)
-    return {"certificate": certificate_dict(bundle)}, ok
+    return {"certificate": bundle.as_dict()}, ok
 
 
 def _center_betweenness(a) -> _Outcome:

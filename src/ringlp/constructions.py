@@ -7,6 +7,9 @@ validated point by point with exact sign tests: a sequence is one side's
 witnesses with the objective value recorded at each. Claims that cannot be
 machine-certified on a given ring are recorded in ``notes`` as
 "claimed (not machine-certified)" together with the supporting argument.
+A bundle renders itself, as JSON-able data, with ``as_dict``. The step and
+check helpers (``primal_improving_step``, ``dual_decreasing_step``,
+``no_central_between_check``) are public here but not exported from ringlp.
 
 The constructions cover, over a suitable non-division ring:
 
@@ -46,12 +49,11 @@ from .enumeration import (
     judge_optimal_pair,
 )
 from .errors import PreconditionError
-from .linalg import RVector, matrix, vec_text, vector, zero_vector
+from .linalg import RVector, matrix, vec_text, vector
 from .progfile import serialize_program
 from .reports import CheckReport, TrialSummary, run_trials
 from .rings import (
     Magnitude,
-    Ordering,
     RingElement,
     RingId,
     add,
@@ -77,15 +79,11 @@ __all__ = [
     "gap_program",
     "strong_duality_counterexample",
     "infeasible_optimal_program",
-    "primal_improving_step",
-    "dual_decreasing_step",
     "primal_improving_sequence",
     "dual_decreasing_sequence",
-    "no_central_between_check",
     "no_central_between_trials",
     "magnitude_gap_check",
     "verify_bundle",
-    "certificate_dict",
 ]
 
 NOT_CERTIFIED = "claimed (not machine-certified)"
@@ -126,6 +124,29 @@ class CounterexampleBundle:
         sides = [w for w in (self.primal_witnesses, self.dual_witnesses) if w]
         if self.objective_values and [len(w) for w in sides] != [len(self.objective_values)]:
             raise ValueError("objective values need one side's witnesses, one value per witness")
+
+    def as_dict(self) -> dict:
+        """JSON-able certificate sidecar: kind, witnesses, verification results."""
+        return {
+            "kind": self.kind.value,
+            "ring": self.program.ring.value,
+            "program": serialize_program(self.program),
+            "claim": self.claim,
+            "primal_witnesses": [vec_text(p) for p in self.primal_witnesses],
+            "dual_witnesses": [vec_text(p) for p in self.dual_witnesses],
+            "primal_optimum": None if self.primal_optimum is None else vec_text(self.primal_optimum),
+            "dual_optimum": None if self.dual_optimum is None else vec_text(self.dual_optimum),
+            "gap": None if self.gap_value is None else to_text(self.gap_value),
+            "sequence": None
+            if not self.objective_values
+            else {
+                "role": "PRIMAL_IMPROVING" if self.primal_witnesses else "DUAL_DECREASING",
+                "points": [vec_text(p) for p in self.primal_witnesses or self.dual_witnesses],
+                "objective_values": [to_text(v) for v in self.objective_values],
+            },
+            "notes": list(self.notes),
+            "checks": [c.as_dict() for c in self.checks],
+        }
 
 
 def _ring_of(a: RingElement) -> RingId:
@@ -255,7 +276,7 @@ def gap_program(a: RingElement) -> CounterexampleBundle:
     ring = _require_witnesses(a)
     P = _one_by_one_program(a)
     claim = "every feasible pair (x, y) has sign(g(y) - f(x)) = +1"
-    primal_witnesses = [zero_vector(ring, 1)]
+    primal_witnesses = [vector(ring, [zero(ring)])]
     k = from_int(ring, _least_covering_integer(a))
     dual_witnesses = [vector(ring, [k])]
     by_box = descriptor(ring).smallest_positive is not None
@@ -290,7 +311,7 @@ def _least_covering_integer(a: RingElement) -> int:
     ring = a.ring
 
     def covers(k: int) -> bool:
-        return compare(mul(from_int(ring, k), a), one(ring)) is not Ordering.LT
+        return compare(mul(from_int(ring, k), a), one(ring)) >= 0
 
     high = 1
     while not covers(high):
@@ -307,7 +328,7 @@ def strong_duality_counterexample(a: RingElement) -> CounterexampleBundle:
     if descriptor(ring).smallest_positive is None:
         raise PreconditionError(f"{ring.value} has no smallest positive element")
     P = _one_by_one_program(a)
-    x_star = zero_vector(ring, 1)
+    x_star = vector(ring, [zero(ring)])
     y_star = vector(ring, [one(ring)])
     notes = (
         f"{to_text(a)}*x <= 1 with x >= 0: any x >= 1 gives "
@@ -382,7 +403,7 @@ def infeasible_optimal_program(a: RingElement, kind: BundleKind) -> Counterexamp
             "y1 - y2 >= 0 since a > 0; the value 0 at y = (0, 0) is optimal"
         )
     optimal, infeasible = Side.of(primal_optimal), Side.of(not primal_optimal)
-    optimum = zero_vector(ring, 2)
+    optimum = vector(ring, [z, z])
     candidates = (optimum, None) if primal_optimal else (None, optimum)
     primal_witnesses, dual_witnesses = ((optimum,), ()) if primal_optimal else ((), (optimum,))
     value = optimal.objective(P, optimum)
@@ -471,7 +492,7 @@ def dual_decreasing_step(P: ProgramData, y: RVector, p: RingElement) -> RVector:
             f"scaling by {to_text(p)} breaks dual feasibility at row "
             f"{after.violated_row} ({after.violation_kind.value})"
         )
-    if compare(eval_g(P, scaled), eval_g(P, y)) is not Ordering.LT:
+    if compare(eval_g(P, scaled), eval_g(P, y)) >= 0:
         raise PreconditionError(
             "objective value did not strictly decrease under the scaling"
         )
@@ -555,12 +576,12 @@ def _validate_sequence(P: ProgramData, primal: bool, points, values) -> CheckRep
     """Re-verify each point's feasibility on its side and its recorded
     objective value, and strict monotonicity."""
     side = Side.of(primal)
-    trend = "increasing" if side.better is Ordering.GT else "decreasing"
+    trend = "increasing" if side.better > 0 else "decreasing"
     problems = _point_problems(P, points, side, values)[1]
     if len(values) < 2:
         problems.append("fewer than two points: no step to check")
     for k in range(1, len(values)):
-        if compare(values[k], values[k - 1]) is not side.better:
+        if compare(values[k], values[k - 1]) != side.better:
             problems.append(f"objective not strictly {trend} at step {k}")
     details = tuple(problems) or (
         f"{len(points)} feasible points, strictly {trend} objective",
@@ -574,7 +595,7 @@ def _oriented_products(a: RingElement, b: RingElement) -> tuple[RingElement, Rin
     _require_sign("sign(a) = +1", a)
     _require_sign("sign(b) = +1", b)
     ab, ba = mul(a, b), mul(b, a)
-    return (ba, ab) if compare(ab, ba) is Ordering.GT else (ab, ba)
+    return (ba, ab) if compare(ab, ba) > 0 else (ab, ba)
 
 
 def no_central_between_check(
@@ -589,8 +610,8 @@ def no_central_between_check(
     ab, ba = _oriented_products(a, b)
     if not is_central(z):
         raise PreconditionError(f"z = {to_text(z)} is not central")
-    below = compare(ab, z) is Ordering.LT
-    above = compare(z, ba) is Ordering.LT
+    below = compare(ab, z) < 0
+    above = compare(z, ba) < 0
     passed = not (below and above)
     details = (
         f"ab = {to_text(ab)}, ba = {to_text(ba)} (oriented ab <= ba)",
@@ -663,29 +684,3 @@ def verify_bundle(bundle: CounterexampleBundle) -> tuple[CheckReport, ...]:
         primal = bool(bundle.primal_witnesses)
         reports.append(_validate_sequence(P, primal, points, bundle.objective_values))
     return tuple(reports)
-
-
-def certificate_dict(bundle: CounterexampleBundle) -> dict:
-    """JSON-able certificate sidecar: kind, witnesses, verification results."""
-    return {
-        "kind": bundle.kind.value,
-        "ring": bundle.program.ring.value,
-        "program": serialize_program(bundle.program),
-        "claim": bundle.claim,
-        "primal_witnesses": [vec_text(p) for p in bundle.primal_witnesses],
-        "dual_witnesses": [vec_text(p) for p in bundle.dual_witnesses],
-        "primal_optimum": None
-        if bundle.primal_optimum is None
-        else vec_text(bundle.primal_optimum),
-        "dual_optimum": None if bundle.dual_optimum is None else vec_text(bundle.dual_optimum),
-        "gap": None if bundle.gap_value is None else to_text(bundle.gap_value),
-        "sequence": None
-        if not bundle.objective_values
-        else {
-            "role": "PRIMAL_IMPROVING" if bundle.primal_witnesses else "DUAL_DECREASING",
-            "points": [vec_text(p) for p in bundle.primal_witnesses or bundle.dual_witnesses],
-            "objective_values": [to_text(v) for v in bundle.objective_values],
-        },
-        "notes": list(bundle.notes),
-        "checks": [c.as_dict() for c in bundle.checks],
-    }

@@ -60,10 +60,8 @@ from .errors import PreconditionError, require_int
 from .linalg import RVector, vec_text
 from .reports import CheckReport
 from .rings import (
-    Ordering,
     RingElement,
     RingId,
-    all_descriptors,
     compare,
     descriptor,
     from_int,
@@ -194,7 +192,7 @@ def _grid_values(ring: RingId, box: BoxSpec, nvars: int, cap: int = _MAX_POINTS)
         raise TypeError(f"box must be a BoxSpec, got {box!r}")
     facts = descriptor(ring)
     if not facts.is_enumerable:
-        enumerable = ", ".join(d.ring.value for d in all_descriptors() if d.is_enumerable)
+        enumerable = ", ".join(r.value for r in RingId if descriptor(r).is_enumerable)
         raise PreconditionError(
             f"{ring.value} is not exhaustively enumerable (only {enumerable})"
         )
@@ -401,12 +399,12 @@ def judge_optimal_pair(
             continue
         value = side.objective(P, candidate)
         status = status_of(primal)
-        if status.value is not None and compare(status.value, value) is side.better:
+        if status.value is not None and compare(status.value, value) == side.better:
             ok = False
             details.append(
                 f"in-box point {vec_text(status.witness)} beats the "
                 f"{side.name} candidate: {side.letter} = {to_text(status.value)} "
-                f"{'>' if side.better is Ordering.GT else '<'} {to_text(value)}"
+                f"{'>' if side.better > 0 else '<'} {to_text(value)}"
             )
         else:
             details.append(

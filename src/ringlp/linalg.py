@@ -14,14 +14,13 @@ from typing import Iterable, Iterator
 
 from ._records import record, setfield
 from .errors import DimensionMismatch, RingMismatch
-from .rings import RingElement, RingId, to_text, zero
+from .rings import RingElement, RingId, to_text
 
 __all__ = [
     "RVector",
     "RMatrix",
     "vector",
     "matrix",
-    "zero_vector",
     "vec_text",
 ]
 
@@ -98,10 +97,6 @@ def matrix(ring: RingId, rows: Iterable[Iterable[RingElement]]) -> RMatrix:
         raise DimensionMismatch("matrix rows have unequal lengths")
     flat = tuple(e for r in rows for e in r)
     return RMatrix(ring, len(rows), cols, flat)
-
-
-def zero_vector(ring: RingId, n: int) -> RVector:
-    return RVector(ring, (zero(ring),) * n)
 
 
 def vec_text(v: RVector) -> list[str]:

@@ -33,7 +33,8 @@ facts other modules read, which rationals embed, the constant monomial
 and the literal grammar.
 
 ``sign`` realizes each instance's positivity order and is the one order
-test (``compare`` is the sign of ``a - b``). Element literals follow a
+test: ``compare(a, b)`` is the sign of ``a - b``, the int -1, 0 or +1, and
+an element's ``<``, ``<=``, ``>`` and ``>=`` test it. Element literals follow a
 small text grammar (see ``parse_element``) used by program files and the
 command line.
 """
@@ -51,12 +52,10 @@ from .errors import ParseError, RingMismatch, require_int
 
 __all__ = [
     "RingId",
-    "Ordering",
     "Magnitude",
     "RingDescriptor",
     "RingElement",
     "descriptor",
-    "all_descriptors",
     "zero",
     "one",
     "from_int",
@@ -93,13 +92,6 @@ class RingId(Enum):
     SKEW = "skew"
 
     __hash__ = object.__hash__  # members are singletons: no Python-level hash
-
-
-@unique
-class Ordering(Enum):
-    LT = "LT"
-    EQ = "EQ"
-    GT = "GT"
 
 
 @unique
@@ -154,22 +146,22 @@ class RingElement:
 
     def __lt__(self, other: object) -> bool:
         if isinstance(other, RingElement):
-            return compare(self, other) is Ordering.LT
+            return compare(self, other) < 0
         return NotImplemented
 
     def __le__(self, other: object) -> bool:
         if isinstance(other, RingElement):
-            return compare(self, other) is not Ordering.GT
+            return compare(self, other) <= 0
         return NotImplemented
 
     def __gt__(self, other: object) -> bool:
         if isinstance(other, RingElement):
-            return compare(self, other) is Ordering.GT
+            return compare(self, other) > 0
         return NotImplemented
 
     def __ge__(self, other: object) -> bool:
         if isinstance(other, RingElement):
-            return compare(self, other) is not Ordering.LT
+            return compare(self, other) >= 0
         return NotImplemented
 
     def __str__(self) -> str:
@@ -466,9 +458,9 @@ def sign(a: RingElement) -> int:
     return (n > 0) - (n < 0)
 
 
-def compare(a: RingElement, b: RingElement) -> Ordering:
-    """Order of ``a`` against ``b``: the :func:`sign` of ``a - b``."""
-    return _ORDERINGS[sign(sub(a, b)) + 1]
+def compare(a: RingElement, b: RingElement) -> int:
+    """Order of ``a`` against ``b``: the :func:`sign` of ``a - b``, -1, 0 or +1."""
+    return sign(sub(a, b))
 
 
 def _constant(a: RingElement) -> Optional[int | Fraction]:
@@ -669,12 +661,7 @@ _DESCRIPTORS = {
 
 _ZEROS = {r: from_int(r, 0) for r in RingId}
 _ONES = {r: from_int(r, 1) for r in RingId}
-_ORDERINGS = (Ordering.LT, Ordering.EQ, Ordering.GT)  # indexed by sign + 1
 
 
 def descriptor(ring: RingId) -> RingDescriptor:
     return _DESCRIPTORS[ring]
-
-
-def all_descriptors() -> tuple[RingDescriptor, ...]:
-    return tuple(_DESCRIPTORS[r] for r in RingId)

@@ -32,7 +32,6 @@ from ringlp import (
     load_program,
     magnitude_gap_check,
     mul,
-    no_central_between_check,
     primal_improving_sequence,
     sub,
     to_text,
@@ -41,6 +40,7 @@ from ringlp import (
     weak_duality_trials,
 )
 from ringlp.cli import main
+from ringlp.constructions import no_central_between_check
 
 from _oracles import brute_force_box_optimum
 from conftest import FIXTURES, int_vector, make_edt_program, make_gap_program

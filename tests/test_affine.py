@@ -36,13 +36,11 @@ from ringlp import (
     no_central_between_trials,
     one,
     primal_slack,
-    random_program,
     sign,
     to_text,
     vector,
     verify_order_axioms,
     weak_duality_trials,
-    zero_vector,
 )
 
 from _oracles import (
@@ -70,7 +68,7 @@ def test_primal_slack_flags_the_unreachable_row(edt_int):
 
 
 def test_primal_slack_at_zero_is_b(gap_int):
-    assert primal_slack(gap_int, zero_vector(RingId.INT, 1)) == gap_int.b
+    assert primal_slack(gap_int, int_vector(RingId.INT, [0])) == gap_int.b
 
 
 def test_gap_program_slack(gap_int):
@@ -84,7 +82,7 @@ def test_dual_slack_examples(gap_int, edt_int):
         RingId.INT, [1]
     )
     # y = 0 gives s = -c
-    assert dual_slack(gap_int, zero_vector(RingId.INT, 1)) == int_vector(
+    assert dual_slack(gap_int, int_vector(RingId.INT, [0])) == int_vector(
         RingId.INT, [-1]
     )
     assert dual_slack(edt_int, int_vector(RingId.INT, [0, 0])) == int_vector(
@@ -121,7 +119,7 @@ def test_zero_vector_feasible_when_b_nonneg(ring):
     b = vector(ring, [sampler.sample_nonneg(ring) for _ in range(2)])
     c = vector(ring, [sampler.sample(ring) for _ in range(2)])
     P = ProgramData(ring, A, b, c, from_int(ring, 0))
-    assert is_primal_feasible(P, zero_vector(ring, 2)).feasible
+    assert is_primal_feasible(P, int_vector(ring, [0, 0])).feasible
 
 
 def _refusal(build) -> tuple[type, str]:
@@ -241,8 +239,8 @@ def test_duality_equation_values_on_the_gap_program(gap_int):
 
 
 def test_identities_at_zero_vectors(edt_int):
-    x = zero_vector(RingId.INT, 1)
-    y = zero_vector(RingId.INT, 2)
+    x = int_vector(RingId.INT, [0])
+    y = int_vector(RingId.INT, [0, 0])
     assert is_zero(key_equation_residual(edt_int, x, y))
     assert is_zero(duality_equation_residual(edt_int, x, y))
 
@@ -258,7 +256,7 @@ def test_identity_sides_match_raw_double_sums(ring):
     # independent expansion of both sides, slacks recomputed inline
     sampler = Sampler(404)
     for _ in range(40):
-        P = random_program(sampler, ring)
+        P = affine.random_program(sampler, ring)
         x = vector(ring, [sampler.sample(ring) for _ in range(P.cols)])
         y = vector(ring, [sampler.sample(ring) for _ in range(P.rows)])
         left, right = expand_key_equation_sides(P, x, y)
@@ -361,7 +359,7 @@ def test_weak_duality_report_text_is_pinned_on_the_gap_fixtures(name):
     sampler = Sampler(3)
     for value in GAP_FIXTURE_DETAILS[name]:
         y = vector(P.ring, [sampler.sample_positive(P.ring)])
-        report = assert_weak_duality(P, zero_vector(P.ring, 1), y)
+        report = assert_weak_duality(P, int_vector(P.ring, [0]), y)
         assert (report.applicable, report.passed) == (True, True)
         assert report.details == (f"gap = {value}", f"s.x + y.t = {value}")
 

@@ -25,10 +25,8 @@ from ringlp import (
     Scope,
     StatusKind,
     add,
-    certificate_dict,
     classify_magnitude,
     dual_decreasing_sequence,
-    dual_decreasing_step,
     eval_g,
     from_int,
     from_rational,
@@ -40,12 +38,10 @@ from ringlp import (
     is_zero,
     magnitude_gap_check,
     mul,
-    no_central_between_check,
     no_central_between_trials,
     one,
     poly,
     primal_improving_sequence,
-    primal_improving_step,
     sign,
     strong_duality_counterexample,
     sub,
@@ -53,7 +49,12 @@ from ringlp import (
     vec_text,
     vector,
     verify_bundle,
-    zero_vector,
+)
+from ringlp.constructions import (
+    _least_covering_integer,
+    dual_decreasing_step,
+    no_central_between_check,
+    primal_improving_step,
 )
 
 from conftest import int_matrix, int_vector, make_gap_program
@@ -110,7 +111,7 @@ def test_each_builder_reads_its_ring_from_a():
 def test_gap_program_poly_feasible_primal_points_are_exactly_zero():
     bundle = gap_program(POLY_X)
     P = bundle.program
-    assert is_primal_feasible(P, zero_vector(RingId.POLY, 1)).feasible
+    assert is_primal_feasible(P, int_vector(RingId.POLY, [0])).feasible
     sampler = Sampler(42)
     for _ in range(100):
         v = vector(RingId.POLY, [sampler.sample_positive(RingId.POLY)])
@@ -139,6 +140,9 @@ def test_gap_program_dual_family_starts_at_the_least_covering_integer():
         bundle = gap_program(from_rational(RingId.ODDRAT, a))
         assert bundle.dual_witnesses[0] == int_vector(RingId.ODDRAT, [k])
         assert all(c.passed for c in bundle.checks)
+    # on the unit a = 1/k, k*a = 1 exactly, and k is the least cover
+    for k in range(1, 10):
+        assert _least_covering_integer(from_rational(RingId.RAT, 1, k)) == k
 
 
 @given(m=st.integers(1, 40), half_q=st.integers(0, 400))
@@ -277,7 +281,7 @@ def test_infeasible_optimal_poly_variant():
         POLY_X, BundleKind.INFEASIBLE_OPTIMAL_PRIMAL
     )
     P = bundle.program
-    assert bundle.dual_optimum == zero_vector(RingId.POLY, 2)
+    assert bundle.dual_optimum == int_vector(RingId.POLY, [0, 0])
     assert is_dual_feasible(P, bundle.dual_optimum).feasible
     # x*v = 1 is impossible by degree, so no sampled point is primal-feasible
     sampler = Sampler(17)
@@ -380,7 +384,7 @@ def test_constructions_mark_exhaustive_only_the_sides_they_argue(monkeypatch):
         assert (argued.kind, argued.scope, argued.witness) == (StatusKind.INFEASIBLE, Scope.EXHAUSTIVE, None)
         assert argued.note == bundle.notes[0] and argued.note.startswith("feasibility forces 2*x = 1")
         assert (optimal.kind, optimal.scope, optimal.note) == (StatusKind.OPTIMAL, Scope.BOX_LIMITED, None)
-        assert optimal.witness == zero_vector(RingId.INT, 2)
+        assert optimal.witness == int_vector(RingId.INT, [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +457,7 @@ def test_primal_improving_sequence_bundle():
         from_rational(RingId.ODDRAT, 2),
         from_rational(RingId.ODDRAT, 1, 3),
     )
-    assert certificate_dict(bundle)["sequence"]["role"] == "PRIMAL_IMPROVING"
+    assert bundle.as_dict()["sequence"]["role"] == "PRIMAL_IMPROVING"
     assert bundle.dual_witnesses == () and len(bundle.primal_witnesses) == 22
     for k, value in enumerate(bundle.objective_values):
         assert value.payload == Fraction(3**k - 1, 2 * 3**k)
@@ -493,7 +497,7 @@ def test_primal_improving_sequence_needs_room_below_one():
 @pytest.mark.parametrize("ring,a", [(RingId.POLY, POLY_X), (RingId.SKEW, SKEW_X)])
 def test_dual_decreasing_sequence_halves_forever(ring, a):
     bundle = dual_decreasing_sequence(a, from_rational(ring, 1, 2))
-    assert certificate_dict(bundle)["sequence"]["role"] == "DUAL_DECREASING"
+    assert bundle.as_dict()["sequence"]["role"] == "DUAL_DECREASING"
     assert bundle.primal_witnesses == () and len(bundle.dual_witnesses) == 22
     for k, value in enumerate(bundle.objective_values):
         assert value == from_rational(ring, 1, 2**k)
@@ -545,7 +549,7 @@ def test_dual_decreasing_step_preconditions():
     with pytest.raises(PreconditionError):
         dual_decreasing_step(P, y, from_int(RingId.POLY, 2))  # p >= 1
     with pytest.raises(PreconditionError):
-        dual_decreasing_step(P, zero_vector(RingId.POLY, 1), from_rational(RingId.POLY, 1, 2))
+        dual_decreasing_step(P, int_vector(RingId.POLY, [0]), from_rational(RingId.POLY, 1, 2))
     # y = [0] is dual-feasible when c = [0], but a zero entry cannot decrease
     with pytest.raises(PreconditionError) as excinfo:
         dual_decreasing_step(
@@ -665,7 +669,7 @@ def test_objective_values_belong_to_the_witnesses_of_exactly_one_side(build):
         real.kind, real.program, real.claim, **{witnesses: points}, objective_values=values
     )
     role = "PRIMAL_IMPROVING" if witnesses == "primal_witnesses" else "DUAL_DECREASING"
-    assert certificate_dict(rebuilt)["sequence"] == {
+    assert rebuilt.as_dict()["sequence"] == {
         "role": role,
         "points": [vec_text(p) for p in points],
         "objective_values": [to_text(v) for v in values],
@@ -673,7 +677,7 @@ def test_objective_values_belong_to_the_witnesses_of_exactly_one_side(build):
     assert [r.passed for r in verify_bundle(rebuilt)] == [True, True]
     # witnesses with no recorded values are no sequence
     plain = CounterexampleBundle(real.kind, real.program, real.claim, **{witnesses: points})
-    assert certificate_dict(plain)["sequence"] is None
+    assert plain.as_dict()["sequence"] is None
     assert [r.name for r in verify_bundle(plain)] == [f"{witnesses}_feasible"]
 
 
@@ -682,9 +686,21 @@ def test_objective_values_belong_to_the_witnesses_of_exactly_one_side(build):
 
 
 def test_no_central_between_for_the_generators():
-    report = no_central_between_check(SKEW_X, SKEW_Y, from_rational(RingId.SKEW, 3, 4))
-    assert report.passed
-    assert any("oriented" in d for d in report.details)
+    """The pair is oriented so that ab <= ba whichever factor comes first,
+    and each strict comparison with z is reported as it came out."""
+    z = from_rational(RingId.SKEW, 3, 4)
+    for a, b in ((SKEW_X, SKEW_Y), (SKEW_Y, SKEW_X)):
+        report = no_central_between_check(a, b, z)
+        assert report.passed
+        assert report.details == (
+            "ab = skew:1,1=1/2, ba = skew:1,1=1 (oriented ab <= ba)",
+            "ab < z: False",
+            "z < ba: True",
+        )
+    half, third = from_rational(RingId.SKEW, 1, 2), from_rational(RingId.SKEW, 1, 3)
+    assert no_central_between_check(half, third, z).details[1:] == ("ab < z: True", "z < ba: False")
+    sixth = from_rational(RingId.SKEW, 1, 6)  # z = ab = ba: neither is strict
+    assert no_central_between_check(half, third, sixth).details[1:] == ("ab < z: False", "z < ba: False")
 
 
 def test_no_central_between_on_500_sampled_constants():
@@ -765,9 +781,9 @@ def test_every_bundle_kind_re_verifies():
             assert report.passed, (bundle.kind, report.name, report.details)
 
 
-def test_certificate_dict_is_jsonable():
+def test_the_bundle_as_dict_is_jsonable():
     bundle = strong_duality_counterexample(from_int(RingId.INT, 2))
-    blob = json.dumps(certificate_dict(bundle), sort_keys=True)
+    blob = json.dumps(bundle.as_dict(), sort_keys=True)
     assert '"STRONG_DUALITY_GAP"' in blob
     assert '"gap": "1"' in blob
 
@@ -798,7 +814,7 @@ def _digest_grid(monkeypatch):
 
 def test_certificates_and_re_verification_are_byte_identical(monkeypatch):
     doc = [
-        [certificate_dict(bundle), [r.as_dict() for r in verify_bundle(bundle)]]
+        [bundle.as_dict(), [r.as_dict() for r in verify_bundle(bundle)]]
         for bundle in _digest_grid(monkeypatch)
     ]
     blob = json.dumps(doc, sort_keys=True).encode()

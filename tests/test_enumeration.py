@@ -638,6 +638,8 @@ def test_certify_one_sided_with_infeasible_primal(edt_int):
 
 
 def test_certify_rejects_a_beaten_candidate(gap_int):
+    """Each side's beaten candidate is named with its side's direction: the
+    dual's best is smaller, and the primal's (A = [1], x <= 1) larger."""
     report = certify_optimal_pair(
         gap_int, BoxSpec(10), y_star=int_vector(RingId.INT, [2])
     )
@@ -645,6 +647,14 @@ def test_certify_rejects_a_beaten_candidate(gap_int):
     assert report.details == (
         "primal side: OPTIMAL",
         "in-box point ['1'] beats the dual candidate: g = 1 < 2",
+    )
+    report = certify_optimal_pair(
+        make_gap_program(a=1), BoxSpec(10), x_star=int_vector(RingId.INT, [0])
+    )
+    assert not report.passed
+    assert report.details == (
+        "in-box point ['1'] beats the primal candidate: f = 1 > 0",
+        "dual side: OPTIMAL",
     )
 
 

@@ -23,13 +23,11 @@ from ringlp import (
     add,
     from_int,
     from_rational,
-    is_zero,
     matrix,
     mul,
     poly,
     skew,
     vector,
-    zero_vector,
 )
 
 from _oracles import covec_apply, dot_left, mat_apply, vec_add
@@ -165,12 +163,6 @@ def test_a_vector_refuses_an_entry_that_is_not_a_ring_element(entry, text):
     with pytest.raises(TypeError) as raised:
         vector(RingId.INT, [entry])
     assert str(raised.value) == f"vector entry {text} is not a RingElement"
-
-
-def test_zero_vector():
-    z = zero_vector(RingId.SKEW, 3)
-    assert len(z) == 3
-    assert all(is_zero(e) for e in z)
 
 
 def test_a_mixed_entry_raises_in_the_vector():

@@ -9,7 +9,6 @@ from hypothesis import example, given
 
 from ringlp import (
     Magnitude,
-    Ordering,
     ParseError,
     RingId,
     RingElement,
@@ -122,15 +121,15 @@ def test_skew_sign_uses_lex_greatest_monomial():
 
 
 def test_int_compare():
-    assert compare(from_int(RingId.INT, 1), from_int(RingId.INT, 2)) is Ordering.LT
+    assert compare(from_int(RingId.INT, 1), from_int(RingId.INT, 2)) == -1
 
 
 def test_poly_variable_dominates_large_constants():
-    assert compare(POLY_X, from_int(RingId.POLY, 10**9)) is Ordering.GT
+    assert compare(POLY_X, from_int(RingId.POLY, 10**9)) == 1
 
 
 def test_skew_xy_below_yx():
-    assert compare(mul(SKEW_X, SKEW_Y), mul(SKEW_Y, SKEW_X)) is Ordering.LT
+    assert compare(mul(SKEW_X, SKEW_Y), mul(SKEW_Y, SKEW_X)) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +203,8 @@ def test_magnitude_classification():
 def test_infinite_elements_exceed_the_probe_bound():
     probe_poly = from_int(RingId.POLY, 2**64)
     probe_skew = from_int(RingId.SKEW, 2**64)
-    assert compare(POLY_X, probe_poly) is Ordering.GT
-    assert compare(neg(mul(SKEW_X, SKEW_Y)), neg(probe_skew)) is Ordering.LT
+    assert compare(POLY_X, probe_poly) == 1
+    assert compare(neg(mul(SKEW_X, SKEW_Y)), neg(probe_skew)) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +518,8 @@ def test_pair_arithmetic_equals_fraction_arithmetic(ring, data):
     arithmetic on the payloads, with ``b`` at times ``a`` or ``-a`` so that
     monomials cancel, and ``compare`` against the sign of the oracle's
     ``a - b``, read from its payload (the scalar, or the leading
-    coefficient)."""
+    coefficient): the int -1, 0 or +1, equal to ``sign(sub(a, b))``, which
+    ``<``, ``<=``, ``>`` and ``>=`` agree with."""
     drawn = st.one_of(elements(ring), wide_elements(ring))
     a = data.draw(drawn)
     b = data.draw(st.one_of(drawn, st.just(a), st.just(negation_by_fractions(a))))
@@ -530,7 +530,9 @@ def test_pair_arithmetic_equals_fraction_arithmetic(ring, data):
     lead = termwise_by_fractions(a, b, True).payload
     if type(lead) is tuple:
         lead = lead[0][1] if lead else 0
-    assert compare(a, b) is (Ordering.LT, Ordering.EQ, Ordering.GT)[(lead > 0) - (lead < 0) + 1]
+    order = compare(a, b)
+    assert type(order) is int and order == (lead > 0) - (lead < 0) == sign(sub(a, b))
+    assert (a < b, a <= b, a > b, a >= b) == (order < 0, order <= 0, order > 0, order >= 0)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS)

@@ -26,10 +26,10 @@ from ringlp import (
     identity_program_trials,
     identity_trials,
     no_central_between_trials,
-    random_program,
     weak_duality_trials,
     zero,
 )
+from ringlp.affine import random_program
 from ringlp.errors import require_int
 from ringlp.reports import run_trials
 

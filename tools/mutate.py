@@ -1,8 +1,11 @@
 """Mutation test of named functions: python tools/mutate.py MODULE:FUNCTION ...
 
 Each mutant swaps one comparison (< <=, > >=, == !=, in, is), drops one
-``not``, swaps one ``and`` for ``or`` or back, or moves one int constant by 1
-either way in a named function of src/ringlp, in a temporary copy of the
+``not``, puts one before the bare truth test of an ``if``, a ``while`` or a
+conditional expression (a test that is no comparison, ``not``, ``and`` or
+``or``), swaps a conditional expression's two branches, swaps one ``and``
+for ``or`` or back, or moves one int constant by 1 either way in a named
+function of src/ringlp, in a temporary copy of the
 repository without .git whose own src is first on sys.path (this tree is
 never written). ``pytest -x -q`` runs there, one process at a time under a
 2 GiB address-space limit, on the test files that import the mutated
@@ -59,6 +62,17 @@ def _mutants(source: str, name: str):
             _replace(parents[n], n, n.operand)
             yield ast.unparse(tree), f"line {n.lineno}: not dropped"
             _replace(parents[n], n.operand, n)
+        elif isinstance(n, (ast.If, ast.While, ast.IfExp)):
+            test = n.test
+            negated = isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            if not negated and not isinstance(test, (ast.Compare, ast.BoolOp)):
+                n.test = ast.UnaryOp(ast.Not(), test)
+                yield ast.unparse(tree), f"line {n.lineno}: not inserted"
+                n.test = test
+            if isinstance(n, ast.IfExp):
+                n.body, n.orelse = n.orelse, n.body
+                yield ast.unparse(tree), f"line {n.lineno}: branches swapped"
+                n.body, n.orelse = n.orelse, n.body
         elif isinstance(n, ast.BoolOp):
             op = n.op
             n.op = ast.Or() if isinstance(op, ast.And) else ast.And()

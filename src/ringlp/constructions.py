@@ -364,16 +364,6 @@ def strong_duality_counterexample(a: RingElement) -> CounterexampleBundle:
     )
 
 
-# why a positive non-unit has no right inverse, on the rings that have one
-_NON_CONSTANT = "; multiplying a nonzero element by a non-constant never yields the constant 1"
-_NO_RIGHT_INVERSE = {
-    RingId.INT: "; the only integer units are 1 and -1",
-    RingId.ODDRAT: "; the would-be inverse has an even denominator",
-    RingId.POLY: _NON_CONSTANT,
-    RingId.SKEW: _NON_CONSTANT,
-}
-
-
 def infeasible_optimal_program(a: RingElement, kind: BundleKind) -> CounterexampleBundle:
     """One side infeasible, the other attaining an optimum at 0, over the
     ring of a positive non-unit a.
@@ -409,7 +399,7 @@ def infeasible_optimal_program(a: RingElement, kind: BundleKind) -> Counterexamp
     value = optimal.objective(P, optimum)
     infeasible_note = (
         f"feasibility forces {to_text(a)}*x = 1 exactly, a right inverse of a non-unit"
-        + _NO_RIGHT_INVERSE.get(ring, "")
+        + descriptor(ring).non_unit_reason
     )
     checks = [
         *_feasibility_checks(P, primal_witnesses, dual_witnesses, "optimum")[0],

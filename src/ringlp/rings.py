@@ -179,7 +179,7 @@ _set_payload = RingElement.payload.__set__
 class RingDescriptor:
     """What one ring does differently from the others.
 
-    The first five fields are the facts that code outside this module
+    The first six fields are the facts that code outside this module
     reads in place of testing which ring it holds; the rest are the
     embedding and the literal grammar that this module reads.
     """
@@ -189,6 +189,7 @@ class RingDescriptor:
     is_division: bool
     smallest_positive: Optional[RingElement]
     default_a: RingElement  # the demos' a: positive, and a non-unit but on RAT
+    non_unit_reason: str  # why a positive non-unit has no right inverse; "" on RAT
     prefix: str  # literal prefix; empty for the scalar rings
     parse_body: Callable[[str], Union[Fraction, dict]]  # the literal after the prefix
     body_text: Callable[[Payload], str]  # inverse of parse_body
@@ -634,28 +635,31 @@ def _odd_denominator(q: Fraction) -> Fraction:
 POLY_X = poly([0, 1])
 SKEW_X = skew({(0, 1): 1})
 SKEW_Y = skew({(1, 0): 1})
+_NON_CONSTANT = "; multiplying a nonzero element by a non-constant never yields the constant 1"
 
 # from_int reads this table, so it builds its own elements and precedes _ZEROS
 _DESCRIPTORS = {
     RingId.INT: RingDescriptor(
         RingId.INT, True, False, RingElement(RingId.INT, 1), RingElement(RingId.INT, 2),
+        "; the only integer units are 1 and -1",
         "", lambda t: _parse_fraction(t, _INT_RE, "integer"), _frac_text, scalar=_integer,
     ),
     RingId.RAT: RingDescriptor(
-        RingId.RAT, True, True, None, RingElement(RingId.RAT, Fraction(2)),
+        RingId.RAT, True, True, None, RingElement(RingId.RAT, Fraction(2)), "",
         "", _parse_fraction, _frac_text, scalar=lambda q: q,
     ),
     RingId.ODDRAT: RingDescriptor(
         RingId.ODDRAT, True, False, None, RingElement(RingId.ODDRAT, Fraction(2)),
+        "; the would-be inverse has an even denominator",
         "", _parse_fraction, _frac_text, scalar=_odd_denominator,
     ),
     RingId.POLY: RingDescriptor(
-        RingId.POLY, True, False, None, POLY_X, "poly:", _parse_poly_body, _poly_body_text,
-        const=0,
+        RingId.POLY, True, False, None, POLY_X, _NON_CONSTANT,
+        "poly:", _parse_poly_body, _poly_body_text, const=0,
     ),
     RingId.SKEW: RingDescriptor(
-        RingId.SKEW, False, False, None, SKEW_X, "skew:", _parse_skew_body, _skew_body_text,
-        const=(0, 0),
+        RingId.SKEW, False, False, None, SKEW_X, _NON_CONSTANT,
+        "skew:", _parse_skew_body, _skew_body_text, const=(0, 0),
     ),
 }
 

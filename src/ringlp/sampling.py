@@ -21,7 +21,10 @@ stream order:
 
 ``sample_nonneg`` negates a negative sample. ``sample_central`` is a sample
 on the commutative rings and, on SKEW, the constant of one RAT-bounded
-rational.
+rational. ``sample`` picks the draw from the ring's descriptor: a ring
+that is not ``is_enumerable`` is drawn as POLY if it is commutative, else
+as SKEW; one with a ``smallest_positive`` as INT; any other as RAT,
+redrawing each denominator that is not a unit of the ring.
 
 Each draw builds its canonical payload straight from the generator's
 output, not through the validating constructors of :mod:`ringlp.rings`:
@@ -37,6 +40,8 @@ steps inline, the state held in a local and stored once.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import require_count, require_int
 from .reports import AxiomReport, AxiomViolation
 from .rings import (
@@ -44,12 +49,14 @@ from .rings import (
     RingElement,
     add,
     descriptor,
+    from_int,
     from_rational,
     mul,
     neg,
     reduced,
     sign,
     to_text,
+    try_invert,
     zero,
 )
 
@@ -96,21 +103,25 @@ class Sampler:
         generator steps of ``draw_int(1, 3)`` twice, unchecked."""
         return self._int_in(1, 3), self._int_in(1, 3)
 
-    # one rational draw as (numerator, denominator), unreduced; the hot draw
-    # of RAT and ODDRAT, so it takes the generator's steps inline
-    def _ratio(self, odd: bool = False) -> tuple[int, int]:
+    # one rational draw (numerator, unit denominator), unreduced: the rational rings' hot draw
+    def _ratio(self, ring: RingId) -> tuple[int, int]:
+        units = _unit_denominators(ring)
         state = (_MULT * self.state + _INC) & _MASK
         num = (state >> 32) % (2 * INT_BOUND + 1) - INT_BOUND
-        state = (_MULT * state + _INC) & _MASK
-        den = 1 + (state >> 32) % DEN_BOUND
-        while odd and den % 2 == 0:
+        den = 0  # no unit
+        while den not in units:
             state = (_MULT * state + _INC) & _MASK
             den = 1 + (state >> 32) % DEN_BOUND
         self.state = state
         return num, den
 
     def sample(self, ring: RingId) -> RingElement:
-        return RingElement(ring, _DRAWS[ring](self))
+        desc = descriptor(ring)
+        if not desc.is_enumerable:
+            return RingElement(ring, self._poly() if desc.is_commutative else self._skew())
+        if desc.smallest_positive is not None:
+            return RingElement(ring, self._int_in(-INT_BOUND, INT_BOUND))
+        return RingElement(ring, reduced(*self._ratio(ring)))
 
     def _poly(self) -> tuple:
         state = (_MULT * self.state + _INC) & _MASK
@@ -160,18 +171,13 @@ class Sampler:
         constant otherwise."""
         if descriptor(ring).is_commutative:
             return self.sample(ring)
-        return from_rational(ring, *self._ratio())
+        return from_rational(ring, *self._ratio(ring))
 
 
-# One draw per ring, giving the element's canonical payload. The order of the
-# generator calls in each is part of the seeded stream.
-_DRAWS = {
-    RingId.INT: lambda s: s._int_in(-INT_BOUND, INT_BOUND),
-    RingId.RAT: lambda s: reduced(*s._ratio()),
-    RingId.ODDRAT: lambda s: reduced(*s._ratio(odd=True)),
-    RingId.POLY: Sampler._poly,
-    RingId.SKEW: Sampler._skew,
-}
+@cache
+def _unit_denominators(ring: RingId) -> frozenset:
+    """The denominators in 1..DEN_BOUND whose inverse lies in ``ring``."""
+    return frozenset([d for d in range(1, DEN_BOUND + 1) if try_invert(from_int(ring, d))])
 
 
 def verify_order_axioms(ring: RingId, sample_count: int, seed: int) -> AxiomReport:

@@ -1,7 +1,8 @@
 """Static guards on how the modules of ``src/ringlp`` depend on each other.
 
 Per-ring facts live in ``rings.py``, in one record per ring,
-``RingDescriptor``, and ``cli.py`` keeps no table keyed by ring; other
+``RingDescriptor``, and no other module keeps a table keyed by ring or
+names a ring, but for the default-ring column of the CLI's demos; other
 modules read those facts instead of testing which ring they hold. No
 module reaches into a sibling's private names. Inside ``rings.py`` one
 loop multiplies monomials and accumulates term-ring coefficients,
@@ -66,24 +67,33 @@ from ringlp.affine import Side
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ringlp"
 MODULES = sorted(SRC.glob("*.py"))
-RING_IDENTITY_TEST = re.compile(r"(is|is not|in) \(?RingId\.")
 
 
-def test_ring_identity_is_tested_only_in_rings():
+def test_no_module_but_rings_names_a_ring():
+    """Outside ``rings.py`` only the default-ring column of ``cli._DEMOS``
+    names a ``RingId`` member: every other per-ring fact is read from the
+    ring's descriptor."""
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES if path.name != "rings.py"}
+    demos = next(
+        node.value for node in trees["cli.py"].body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_DEMOS"
+    )
+    default_column = [row.elts[0] for row in demos.values]
     hits = [
-        f"{path.name}:{number}: {line.strip()}"
-        for path in MODULES
-        if path.name != "rings.py"
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if RING_IDENTITY_TEST.search(line)
+        f"{name}:{node.lineno}: RingId.{node.attr}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "RingId"
+        and node.attr.isupper() and node not in default_column
     ]
-    assert len(hits) <= 2, hits
+    assert len(default_column) == 7 and hits == [], hits
 
 
 def test_one_record_holds_the_per_ring_facts():
     """``RingDescriptor`` is the one per-ring record in ``rings.py``, with
-    no grammar record or table beside it, and the CLI reads the demos'
-    default ``a`` from it: ``cli.py`` builds no dict keyed by ``RingId``."""
+    no grammar record or table beside it, and the other modules read the
+    ring's facts from it: no module but ``rings.py`` builds a dict keyed by
+    ``RingId``."""
     tree = ast.parse((SRC / "rings.py").read_text())
     names = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} | {
         t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
@@ -97,7 +107,13 @@ def test_one_record_holds_the_per_ring_facts():
             getattr(g.iter, "id", None) == "RingId" for g in node.generators
         )
 
-    tables = [node.lineno for node in ast.walk(ast.parse((SRC / "cli.py").read_text())) if ring_keyed(node)]
+    tables = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "rings.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if ring_keyed(node)
+    ]
     assert tables == [], tables
 
 

@@ -41,7 +41,7 @@ RECORDS = [
     (RingElement, lambda: (RingId.INT, 3), {}),
     (
         RingDescriptor,
-        lambda: (RingId.INT, True, False, _ONE, _ONE, "p:", str, str),
+        lambda: (RingId.INT, True, False, _ONE, _ONE, "; why", "p:", str, str),
         dict.fromkeys(("scalar", "const")),
     ),
     (RVector, lambda: (RingId.INT, (_ONE, _ONE)), {}),

@@ -3,9 +3,11 @@
 Each mutant swaps one comparison (< <=, > >=, == !=, in, is), drops one
 ``not``, puts one before the bare truth test of an ``if``, a ``while`` or a
 conditional expression (a test that is no comparison, ``not``, ``and`` or
-``or``), swaps a conditional expression's two branches, swaps one ``and``
-for ``or`` or back, or moves one int constant by 1 either way in a named
-function of src/ringlp, in a temporary copy of the
+``or``), swaps a conditional expression's two branches, drops one ``if``
+filter of a comprehension or negates it (unless it is a ``not``), swaps
+one ``and`` for ``or`` or back, or moves one int constant by 1 either way
+in a named function of src/ringlp, or a named method (``Class.method``:
+``enumeration:EdtReport.as_dict``), in a temporary copy of the
 repository without .git whose own src is first on sys.path (this tree is
 never written). ``pytest -x -q`` runs there, one process at a time under a
 2 GiB address-space limit, on the test files that import the mutated
@@ -53,9 +55,13 @@ def _replace(holder: ast.AST, old: ast.AST, new: ast.AST) -> None:
 
 
 def _mutants(source: str, name: str):
-    """Each mutant of function ``name`` as (mutated module source, description)."""
-    tree = ast.parse(source)
-    function = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+    """Each mutant of function ``name``, or of method ``Class.method``, as
+    (mutated module source, description)."""
+    tree = scope = ast.parse(source)
+    *owners, name = name.split(".")
+    for owner in owners:
+        scope = next(n for n in ast.walk(scope) if isinstance(n, ast.ClassDef) and n.name == owner)
+    function = next(n for n in ast.walk(scope) if isinstance(n, ast.FunctionDef) and n.name == name)
     parents = {child: node for node in ast.walk(function) for child in ast.iter_child_nodes(node)}
     for n in ast.walk(function):
         if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not):
@@ -73,6 +79,15 @@ def _mutants(source: str, name: str):
                 n.body, n.orelse = n.orelse, n.body
                 yield ast.unparse(tree), f"line {n.lineno}: branches swapped"
                 n.body, n.orelse = n.orelse, n.body
+        elif isinstance(n, ast.comprehension):
+            for i, test in enumerate(n.ifs):
+                del n.ifs[i]
+                yield ast.unparse(tree), f"line {test.lineno}: filter dropped"
+                n.ifs.insert(i, test)
+                if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)):
+                    n.ifs[i] = ast.UnaryOp(ast.Not(), test)
+                    yield ast.unparse(tree), f"line {test.lineno}: filter negated"
+                    n.ifs[i] = test
         elif isinstance(n, ast.BoolOp):
             op = n.op
             n.op = ast.Or() if isinstance(op, ast.And) else ast.And()
